@@ -4,8 +4,9 @@ The package has three layers:
 
 * :mod:`sendov_lab.bounds` — closed-form evaluation of every quantity in the
   effective degree threshold, culminating in 20800 / (a^7 (1-a)^4);
-* :mod:`sendov_lab.polynomial` — a residual-certified complex root finder and
-  critical-point reports for Sendov instances;
+* :mod:`sendov_lab.polynomial` — critical points of Sendov instances computed
+  from their zeros and certified by inclusion discs, plus a residual-certified
+  root finder for polynomials in coefficient form;
 * :mod:`sendov_lab.verify` — deterministic inequality suites, limit checks,
   the majorization-chain audit, and randomized conjecture fuzzing.
 

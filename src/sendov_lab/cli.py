@@ -188,18 +188,14 @@ def cmd_check(args: argparse.Namespace) -> int:
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed instance: {exc}") from None
     report = critical_report(instance)
-    if not report.converged:
-        verdict = "UNRESOLVED"
-    elif report.sendov_distance <= verify.VIOLATION_THRESHOLD:
-        verdict = "PASS"
-    else:
-        verdict = "FAIL"
+    verdict = report.verdict(verify.VIOLATION_THRESHOLD)
     if args.format == "json":
         record = {
             "critical_points": [[w.real, w.imag] for w in report.critical_points],
             "sendov_distance": report.sendov_distance,
             "mean_real_part": report.mean_real_part,
-            "residuals": list(report.residuals),
+            "radii": list(report.radii),
+            "distance_radius": report.distance_radius,
             "converged": report.converged,
             "verdict": verdict,
         }

@@ -1,13 +1,18 @@
-"""Complex polynomials, critical points, and certified root finding.
+"""Complex polynomials, certified root finding, and critical points.
 
-This module carries the empirical side of the package: build P(z) =
-(z - a) * prod(z - z_j) from its zeros, differentiate it, locate the roots
-of P' with an Aberth-Ehrlich simultaneous iteration, and report the Sendov
-distance min |w - a| over critical points w together with per-root residual
-certificates.  The iteration and the certificates run in binary64; the
-final polish refines against the extended-precision coefficients that
-``from_roots`` keeps as head + tail pairs.  Accuracy claims ride on the
-residuals, never on trusting the iteration.
+This module carries the empirical side of the package.  Critical points of
+P(z) = (z - a) * prod(z - z_j) are computed from the zeros themselves, never
+from coefficients: since P'/P = sum_j k_j / (z - zeta_j) over the distinct
+zeros zeta_j of multiplicity k_j, an Aberth-Ehrlich iteration runs on that
+sum at O(degree) per point (the secular-equation view of MPSolve).  Each
+critical point carries a Weierstrass inclusion radius with a rounding bound,
+so the Sendov distance min |w - a| comes with a bracket that holds the true
+value.
+
+The coefficient side (``from_roots``, ``find_roots``) stays for general
+polynomials: an Aberth iteration on binary64 coefficients, a polish against
+the extended-precision coefficients ``from_roots`` keeps as head + tail
+pairs, and per-root residual certificates.
 
 All public values are immutable and safe to share across threads.
 """
@@ -29,7 +34,6 @@ __all__ = [
     "CriticalPointReport",
     "from_roots",
     "evaluate",
-    "derivative",
     "find_roots",
     "match_roots",
     "critical_report",
@@ -45,6 +49,10 @@ _STORED_ROOT_TOL = 1e-9
 CLUSTER_TOL = 1e-7
 
 _MAX_ITER = 200
+# Sweeps of the critical-point iteration before it reports not converged.
+_MAX_SWEEPS = 300
+# Unit roundoff of binary64.
+_U = 2.0 ** -53
 _RESTARTS = 3
 # Irrational angular offset keeps the initial circle off axes and off any
 # symmetric root configuration.
@@ -71,8 +79,7 @@ class Polynomial:
 
     ``roots`` is populated when the value was constructed from its roots; a
     stored root must satisfy |P(root)| <= 1e-9 * max|coeff| * (1+|root|)^deg
-    (checked at construction).  Degree 0 values are permitted so that
-    ``derivative`` of a linear polynomial has somewhere to land; operations
+    (checked at construction).  Degree 0 values are permitted; operations
     that need roots demand degree >= 1 themselves.
 
     ``tails`` optionally carries the rounding residual of each coefficient,
@@ -107,13 +114,16 @@ class Polynomial:
                 raise InvalidInputError(
                     f"{rts.size} roots stored on a degree-{self.degree} polynomial"
                 )
-            scale = max(abs(c) for c in self.coefficients)
-            for r in rts:
-                bound = _STORED_ROOT_TOL * scale * (1.0 + abs(r)) ** self.degree
-                if abs(evaluate(self, complex(r))) > bound:
-                    raise InvalidInputError(
-                        f"stored root {r} does not satisfy the coefficient form"
-                    )
+            with np.errstate(all="ignore"):
+                values = np.abs(_values_at(coeffs, rts))
+                bounds = _STORED_ROOT_TOL * np.abs(coeffs).max() \
+                    * (1.0 + np.abs(rts)) ** self.degree
+            # NaN (from inf - inf in an overflowing complex power) fails too.
+            bad = np.nonzero(~(values <= bounds))[0]
+            if bad.size:
+                raise InvalidInputError(
+                    f"stored root {rts[bad[0]]} does not satisfy the coefficient form"
+                )
             object.__setattr__(self, "roots", tuple(rts.tolist()))
 
     @property
@@ -211,13 +221,31 @@ class RootResult:
 
 @dataclass(frozen=True)
 class CriticalPointReport:
-    """Critical points of one SendovInstance and the derived measurements."""
+    """Critical points of one SendovInstance and the derived measurements.
+
+    Every critical point lies in the union of the discs
+    |z - critical_points[i]| <= radii[i]; a radius of 0 marks an exact
+    critical point (a repeated zero).  The true Sendov distance lies in
+    sendov_distance +- distance_radius.  converged says whether the
+    iteration settled within its sweep cap; the discs hold either way, so
+    the verdict rests on the bracket alone.
+    """
 
     critical_points: tuple[complex, ...]
     sendov_distance: float
     mean_real_part: float
-    residuals: tuple[float, ...]
+    radii: tuple[float, ...]
+    distance_radius: float
     converged: bool
+
+    def verdict(self, threshold: float) -> str:
+        """PASS or FAIL when the whole distance bracket lies on one side of
+        threshold (FAIL above it), else UNRESOLVED."""
+        if self.sendov_distance + self.distance_radius <= threshold:
+            return "PASS"
+        if self.sendov_distance - self.distance_radius > threshold:
+            return "FAIL"
+        return "UNRESOLVED"
 
 
 def from_roots(roots: Sequence[complex]) -> Polynomial:
@@ -237,10 +265,12 @@ def from_roots(roots: Sequence[complex]) -> Polynomial:
     if arr.size == 0:
         raise InvalidInputError("from_roots needs at least one root")
     coeffs = np.ones(1, dtype=np.clongdouble)
-    for r in arr.astype(np.clongdouble):
-        coeffs = np.convolve(coeffs, np.array([-r, 1.0], dtype=np.clongdouble))
-    head = coeffs.astype(np.complex128)
-    with np.errstate(invalid="ignore"):  # an overflowed head is rejected below
+    # An expansion past binary64 range is rejected by Polynomial's finiteness
+    # check; numpy's overflow warnings on the way there say nothing more.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in arr.astype(np.clongdouble):
+            coeffs = np.convolve(coeffs, np.array([-r, 1.0], dtype=np.clongdouble))
+        head = coeffs.astype(np.complex128)
         tail = (coeffs - head).astype(np.complex128)
     # tolist() hands over Python complex values, which validate faster than
     # numpy scalars; the values are the same.
@@ -256,23 +286,6 @@ def evaluate(p: Polynomial, z: complex) -> complex:
     for c in reversed(p.coefficients):
         acc = acc * z + c
     return acc
-
-
-def derivative(p: Polynomial) -> Polynomial:
-    """Coefficient-form derivative; degree drops by exactly one.
-
-    Differentiates the binary64 coefficients only; the result carries no
-    ``tails``.  Critical points therefore rest on binary64 coefficients:
-    carrying the tails here made the polish converge at degree 200, where
-    the expansion itself is wrong, and turned UNRESOLVED reports into
-    certified wrong ones.
-    """
-    if p.degree < 1:
-        raise InvalidInputError("cannot differentiate a degree-0 polynomial")
-    coeffs = tuple(
-        k * c for k, c in enumerate(p.coefficients) if k >= 1
-    )
-    return Polynomial(coeffs)
 
 
 def _values_at(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -296,16 +309,13 @@ def _certified_residuals(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _aberth(coeffs: np.ndarray, initial_radius: float | None) -> tuple[np.ndarray, int, bool]:
+def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, int, bool]:
     """Simultaneous iteration on monic-normalized coeffs; returns (roots, iters, converged)."""
     n = len(coeffs) - 1
     monic = coeffs / coeffs[-1]
     dmonic = monic[1:] * np.arange(1, n + 1)
 
-    if initial_radius is None:
-        radius = 1.0 + float(np.abs(monic[:-1]).max())
-    else:
-        radius = float(initial_radius)
+    radius = 1.0 + float(np.abs(monic[:-1]).max())
     angles = 2.0 * np.pi * np.arange(n) / n + _ANGULAR_OFFSET
     z = radius * np.exp(1j * angles)
 
@@ -492,12 +502,11 @@ def _clusters(z: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(g) for g in groups.values() if len(g) >= 2)
 
 
-def find_roots(p: Polynomial, initial_radius: float | None = None) -> RootResult:
+def find_roots(p: Polynomial) -> RootResult:
     """All roots of p with residual certificates.
 
-    Initial guesses sit on a circle of radius 1 + max|c_k/c_n| (or the
-    caller's ``initial_radius`` when a sharper enclosing radius is known,
-    e.g. from Gauss-Lucas) at equal angles plus a fixed irrational offset.
+    Initial guesses sit on a circle of radius 1 + max|c_k/c_n| at equal
+    angles plus a fixed irrational offset.
     Up to 200 Aberth-Ehrlich sweeps per attempt and 3 deterministic
     perturb-and-continue restarts; afterwards an extended-precision polish
     against coefficients + ``tails``.  ``converged`` reflects the binary64
@@ -513,7 +522,7 @@ def find_roots(p: Polynomial, initial_radius: float | None = None) -> RootResult
     elif p.degree == 2:
         z = _roots_quadratic(coeffs)
     else:
-        z, iterations, _ = _aberth(coeffs, initial_radius)
+        z, iterations, _ = _aberth(coeffs)
     z = _polish(coeffs, z, p.tails)
     order = np.lexsort((z.imag, z.real))
     z = z[order]
@@ -566,26 +575,199 @@ def match_roots(
     return tuple(int(j) for j in assign), worst
 
 
-def critical_report(inst: SendovInstance) -> CriticalPointReport:
-    """Critical points, Sendov distance, and zero-mean for one instance.
+def _starts(zeta: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """g - 1 start points for the roots of Q, one Newton step of Q from zeros.
 
-    The root finder is seeded on a circle of radius 1 + max|zero|: by
-    Gauss-Lucas every critical point lies in the convex hull of the zeros,
-    so that circle certainly encloses them all.
+    At zeta_j, where f has a pole but Q does not, the Newton step of Q has
+    the finite limit Q/Q' = k_j / (k_j S_j + F_j), with
+    S_j = sum_{l != j} 1/(zeta_j - zeta_l) and
+    F_j = sum_{l != j} k_l/(zeta_j - zeta_l).  Each zero less the one with
+    the longest step gives a start; from there a random degree-64 instance
+    settles in about 7 sweeps, where the circle about the zero centroid
+    through the farthest zero takes about 25.  A start with no finite value
+    (two zeros so close that 1/(zeta_j - zeta_l) overflows) takes its point
+    on that circle instead.
     """
-    zeros = inst.all_zeros()
-    p = from_roots(zeros)
-    dp = derivative(p)
-    enclosing = 1.0 + max(abs(z) for z in zeros)
-    rr = find_roots(dp, initial_radius=enclosing)
-    sendov = min(abs(w - inst.a) for w in rr.roots)
-    mean = sum(z.real for z in zeros) / len(zeros)
+    m = zeta.size - 1
+    with np.errstate(all="ignore"):
+        gaps = 1.0 / (zeta[:, None] - zeta)
+        np.fill_diagonal(gaps, 0.0)
+        steps = k / (k * gaps.sum(axis=1) + gaps @ k)
+    near = np.delete(zeta - steps, np.argmax(np.abs(steps)))
+    center = (k @ zeta) / k.sum()
+    radius = float(np.abs(zeta - center).max())
+    angles = 2.0 * np.pi * np.arange(m) / m + _ANGULAR_OFFSET
+    circle = center + radius * np.exp(1j * angles)
+    return np.where(np.isfinite(near), near, circle)
+
+
+def _secular_aberth(
+    zeta: np.ndarray, k: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, bool]:
+    """Roots of Q = prod(z - zeta_j) * f, f = sum_j k_j / (z - zeta_j).
+
+    ``zeta`` are g >= 3 distinct zeros and ``k`` their multiplicities, so Q
+    has degree g - 1 and its roots are the critical points of P that are
+    not repeated zeros.  Q'/Q = sum_j 1/(z - zeta_j) + f'/f gives the Newton
+    step f / (f * sum_j 1/(z - zeta_j) + f') at O(g) per point; Aberth
+    corrections keep the approximations apart.  Starts from ``w`` and
+    returns (approximations, settled).
+    """
+    m = w.size
+    # By Gauss-Lucas every root of Q lies in the hull of the zeros, so this
+    # bounds 1 + |w| for the points worth measuring steps against.
+    scale = 1.0 + float(np.abs(zeta).max())
+    # A point whose step is not finite (it sits on a zero or on another
+    # point, or Q' vanishes there) moves off by this fixed offset and the
+    # sweep is retried.  The offsets differ in length: two points nudged
+    # off one root by equal lengths sit symmetrically about it, where
+    # Aberth's repulsion (which cubes the ratio of their errors) cannot
+    # part them.
+    angles = 2.0 * np.pi * np.arange(m) / m + _ANGULAR_OFFSET
+    nudge = 1e-7 * scale * (1.0 + np.arange(m) / m) * np.exp(1j * (angles + 1.0))
+    kc = k.astype(np.complex128)
+    stall = 0
+    best_step = np.inf
+    with np.errstate(all="ignore"):
+        for _ in range(_MAX_SWEEPS):
+            r = 1.0 / (w[:, None] - zeta)
+            f = r @ kc
+            newton = f / (f * r.sum(axis=1) - (r * r) @ kc)
+            diff = w[:, None] - w
+            np.fill_diagonal(diff, np.inf)
+            corr = newton / (1.0 - newton * (1.0 / diff).sum(axis=1))
+            bad = ~np.isfinite(corr)
+            if bad.any():
+                w = np.where(bad, w + nudge, w)
+                continue
+            w = w - corr
+            step = float(np.abs(corr).max()) / scale
+            if step <= 1e-13:
+                return w, True
+            # Ill-conditioned points rattle at a rounding noise floor; once
+            # the steps are small and stop shrinking, more sweeps only
+            # re-sample it.  The inclusion radii then say how far off the
+            # points are.
+            if step < 0.7 * best_step:
+                best_step = step
+                stall = 0
+            else:
+                stall += 1
+                if stall >= 10 and step <= 1e-5:
+                    return w, True
+    return w, False
+
+
+def _inclusion_radii(w: np.ndarray, zeta: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Weierstrass inclusion radii (g - 1)|W_i| for the roots of Q.
+
+    W_i = Q(w_i) / (n prod_{j != i}(w_i - w_j)), where n = sum(k) is Q's
+    leading coefficient.  The union of the discs |z - w_i| <= (g - 1)|W_i|
+    holds every root of Q, and a connected group of d discs holds exactly d
+    (Gerschgorin's theorem on the Weierstrass matrix).  The products are
+    taken as sums of logs, so no degree over- or underflows them, and each
+    radius is widened by a rounding-error bound on f and on the log sums
+    (Higham, Accuracy and Stability of Numerical Algorithms, 5.1).  A
+    radius that cannot be bounded is inf.
+    """
+    g = zeta.size
+    m = w.size
+    with np.errstate(all="ignore"):
+        d = w[:, None] - zeta
+        mod_d = np.abs(d)
+        f = (k / d).sum(axis=1)
+        # Each term k/(w - zeta) is off by a few units of roundoff and the
+        # sum adds at most (g - 1) more, each relative to sum |terms|.
+        f_bound = np.abs(f) + 2.0 * (g + 10) * _U * (k / mod_d).sum(axis=1)
+        # On a zero, Q(zeta_j) = k_j prod_{l != j}(zeta_j - zeta_l): the
+        # pole of f leaves the products and k_j takes the place of |f|.
+        hit = mod_d == 0.0
+        f_bound = np.where(hit.any(axis=1), hit @ k, f_bound)
+        log_d = np.log(np.where(hit, 1.0, mod_d))
+        log_e = np.log(np.abs(w[:, None] - w))
+        np.fill_diagonal(log_e, 0.0)
+        slack = 4.0 * (g + m) * _U * (
+            1.0 + np.abs(log_d).sum(axis=1) + np.abs(log_e).sum(axis=1)
+        )
+        log_radius = (
+            math.log(m) + log_d.sum(axis=1) + np.log(f_bound)
+            - math.log(k.sum()) - log_e.sum(axis=1) + slack
+        )
+        radii = np.exp(log_radius)
+    return np.where(np.isnan(radii), np.inf, radii)
+
+
+def _distance_bracket(
+    a: float, exact: np.ndarray, free: np.ndarray, free_radii: np.ndarray
+) -> tuple[float, float]:
+    """(nearest distance to a, bracket half-width).
+
+    Every critical point lies in some disc, so none is nearer than
+    min(dist - radius).  An exact point, or a disc that meets no other
+    disc, holds a critical point within dist + radius; any other disc's
+    connected group holds one within 2 * sum(radii) of its centre.  The
+    computed |w - a| is within 3 roundings of the true one, and the final
+    4u * upper covers the arithmetic on the bracket ends.
+    """
+    points = np.concatenate([exact, free])
+    radii = np.concatenate([np.zeros(exact.size), free_radii])
+    dist = np.abs(points - a)
+    with np.errstate(invalid="ignore"):
+        gap = np.abs(free[:, None] - free)
+        np.fill_diagonal(gap, np.inf)
+        alone = (gap > free_radii[:, None] + free_radii).all(axis=1)
+        isolated = np.concatenate([np.ones(exact.size, dtype=bool), alone])
+        reach = np.where(isolated, radii, 2.0 * radii.sum())
+        upper = float((dist * (1.0 + 4.0 * _U) + reach).min())
+        lower = float(np.maximum(dist * (1.0 - 4.0 * _U) - radii, 0.0).min())
+    nearest = float(dist.min())
+    half_width = max(upper - nearest, nearest - lower) + 4.0 * _U * upper
+    return nearest, half_width
+
+
+def critical_report(inst: SendovInstance) -> CriticalPointReport:
+    """Critical points with inclusion radii, Sendov distance, and zero-mean.
+
+    Works on the zeros, never on coefficients.  Exactly equal zeros are
+    grouped into (zeta_j, k_j): each zeta_j with k_j >= 2 is an exact
+    critical point of multiplicity k_j - 1 (radius 0).  The others are the
+    roots of Q = prod(z - zeta_j) * sum_j k_j/(z - zeta_j): with two
+    distinct zeros that is (k_1 zeta_2 + k_2 zeta_1)/n, with a rounding
+    radius; otherwise ``_secular_aberth`` finds them and
+    ``_inclusion_radii`` certifies them.
+    """
+    zeros = np.asarray(inst.all_zeros())
+    n = zeros.size
+    zeta, counts = np.unique(zeros, return_counts=True)
+    k = counts.astype(np.float64)
+    exact = np.repeat(zeta, counts - 1)
+    settled = True
+    if zeta.size == 1:
+        free = np.empty(0, dtype=np.complex128)
+        free_radii = np.empty(0)
+    elif zeta.size == 2:
+        # Two roundings in the numerator and one in the quotient, per
+        # component: at most gamma_3 * sqrt(2) relative to the sum of moduli.
+        z1, z2 = complex(zeta[0]), complex(zeta[1])
+        k1, k2 = float(k[0]), float(k[1])
+        free = np.array([(k1 * z2 + k2 * z1) / n])
+        free_radii = np.array([5.0 * _U * (k1 * abs(z2) + k2 * abs(z1)) / n])
+    else:
+        free, settled = _secular_aberth(zeta, k, _starts(zeta, k))
+        free_radii = _inclusion_radii(free, zeta, k)
+    nearest, half_width = _distance_bracket(inst.a, exact, free, free_radii)
+
+    points = np.concatenate([exact, free])
+    radii = np.concatenate([np.zeros(exact.size), free_radii])
+    order = np.lexsort((points.imag, points.real))
+    mean = sum(z.real for z in inst.all_zeros()) / n
     return CriticalPointReport(
-        critical_points=rr.roots,
-        sendov_distance=float(sendov),
+        critical_points=tuple(points[order].tolist()),
+        sendov_distance=nearest,
         mean_real_part=float(mean),
-        residuals=rr.residuals,
-        converged=rr.converged,
+        radii=tuple(radii[order].tolist()),
+        distance_radius=float(half_width),
+        converged=settled,
     )
 
 

@@ -87,9 +87,10 @@ class VerificationOutcome:
 class FuzzReport:
     """Aggregate of one randomized fuzzing cell (fixed a, degree, seed).
 
-    violations counts converged trials with sendov_distance above
-    VIOLATION_THRESHOLD; non_converged trials are tallied separately and
-    never count as violations.  Any violating instance is kept in full as
+    violations counts trials whose whole Sendov distance bracket lies above
+    VIOLATION_THRESHOLD; non_converged counts the UNRESOLVED trials, whose
+    bracket straddles the threshold, which never count as violations and
+    do not enter the maximum.  Any violating instance is kept in full as
     JSON so it can be re-checked independently.
     """
 
@@ -419,11 +420,12 @@ def fuzz_sendov(a: float, degree: int, trials: int, seed: int = DEFAULT_SEED) ->
         angle = rng.uniform(0.0, 2.0 * np.pi, size=m)
         inst = SendovInstance(a=float(a), other_zeros=tuple(radius * np.exp(1j * angle)))
         report = critical_report(inst)
-        if not report.converged:
+        verdict = report.verdict(VIOLATION_THRESHOLD)
+        if verdict == "UNRESOLVED":
             non_converged += 1
             continue
         max_distance = max(max_distance, report.sendov_distance)
-        if report.sendov_distance > VIOLATION_THRESHOLD:
+        if verdict == "FAIL":
             violations += 1
             violating.append(inst.to_json())
     return FuzzReport(

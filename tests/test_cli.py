@@ -181,6 +181,17 @@ class TestCheckCommand:
         assert np.allclose(record["sendov_distance"], 0.95, rtol=1e-15, atol=0)
         assert record["converged"] is True
 
+    def test_json_carries_radii_and_distance_bracket(self, capsys, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text('{"a": 0.5, "zeros": [[0,0],[0,0],[0,0],[0,0]]}')
+        code, out, _ = run(capsys, "check", "--instance", str(path), "--format", "json")
+        assert code == 0
+        record = json.loads(out)
+        assert "residuals" not in record
+        assert record["radii"][:3] == [0.0, 0.0, 0.0]
+        assert 0.0 < record["radii"][3] <= 1e-15
+        assert 0.0 < record["distance_radius"] <= 1e-15
+
     def test_invariant_violation_exit_two(self, capsys, tmp_path):
         path = tmp_path / "inst.json"
         path.write_text('{"a": 0.5, "zeros": [[1.5, 0]]}')

@@ -3,6 +3,8 @@
 import cmath
 import json
 import math
+import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -14,11 +16,11 @@ import reference_values as ref
 from sendov_lab import polynomial as poly
 from sendov_lab.polynomial import (
     CLUSTER_TOL,
+    CriticalPointReport,
     InvalidInputError,
     Polynomial,
     SendovInstance,
     critical_report,
-    derivative,
     evaluate,
     find_roots,
     from_roots,
@@ -82,6 +84,11 @@ class TestPolynomialType:
         with pytest.raises(InvalidInputError):
             Polynomial((1.0, 0.0, 1.0), roots=(1j,))  # count mismatch
 
+    def test_rejects_stored_root_whose_value_is_nan(self):
+        # r^2 overflows to inf - inf = NaN in the complex product.
+        with pytest.raises(InvalidInputError):
+            Polynomial((1e-300, 0.0, 1e-300), roots=(1e200 + 1e200j, -1e200 - 1e200j))
+
     def test_accepts_consistent_stored_roots(self):
         p = Polynomial((-1.0, 0.0, 1.0), roots=(1.0, -1.0))
         assert p.roots == (1.0 + 0j, -1.0 + 0j)
@@ -141,15 +148,12 @@ class TestFromRootsAndEvaluate:
         with pytest.raises(InvalidInputError):
             evaluate(p, complex(float("inf"), 0))
 
-    def test_derivative_coefficients(self):
-        # d/dz (1 + 2z + 3z^2 + 4z^3) = 2 + 6z + 12z^2
-        p = Polynomial((1.0, 2.0, 3.0, 4.0))
-        assert derivative(p).coefficients == (2 + 0j, 6 + 0j, 12 + 0j)
-        assert derivative(Polynomial((3.0, 2.0))).coefficients == (2 + 0j,)
-
-    def test_derivative_requires_positive_degree(self):
-        with pytest.raises(InvalidInputError):
-            derivative(Polynomial((1.0,)))
+    def test_from_roots_overflow_raises_without_warning(self):
+        # The expansion has 1e400 as its constant term: past binary64 range.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError):
+                from_roots([1e200, 1e200])
 
     @given(st.lists(complex_in_disk, min_size=1, max_size=8))
     @settings(max_examples=100)
@@ -406,6 +410,132 @@ class TestCriticalReport:
         rep = critical_report(inst)
         expected = (a + sum(z.real for z in zeros)) / inst.degree
         assert np.allclose(rep.mean_real_part, expected, rtol=1e-12, atol=1e-12)
+
+
+def _mp_newton(zeros, start, dps=30):
+    """Critical point of prod(z - zeros) nearest start, as an mpc: Newton
+    on sum_j 1/(z - zeros_j) in dps digits, from the zeros alone."""
+    with mpmath.workdps(dps):
+        zs = [mpmath.mpc(complex(z)) for z in zeros]
+        x = mpmath.mpc(start)
+        for _ in range(60):
+            terms = [1 / (x - z) for z in zs]
+            step = mpmath.fsum(terms) / -mpmath.fsum(t * t for t in terms)
+            x -= step
+            if abs(step) <= mpmath.mpf(10) ** (8 - dps) * (1 + abs(x)):
+                return x
+    raise AssertionError(f"reference Newton did not settle from {start!r}")
+
+
+multiplicity_zero_lists = st.lists(
+    st.tuples(complex_in_disk, st.integers(min_value=1, max_value=3)),
+    min_size=2, max_size=7,
+).filter(lambda zs: _well_separated([z for z, _ in zs]))
+
+
+class TestCertifiedCriticalPoints:
+    @pytest.mark.parametrize("sign, expected", [(1, 0.0060334), (-1, 0.0122187)])
+    def test_unit_circle_degree_200(self, sign, expected):
+        # (z - 0.99)(z^199 - sign): the coefficients of P reach 6e29 here.
+        a, m = 0.99, 199
+        inst = SendovInstance(a=a, other_zeros=tuple(
+            complex(cmath.exp(1j * (2 * math.pi * k + (0 if sign == 1 else math.pi)) / m))
+            for k in range(m)
+        ))
+        rep = critical_report(inst)
+        # Estimates from the trinomial P' = (m+1) z^m - m a z^(m-1) - sign,
+        # refined against the binary64 zeros the report was given.
+        trinomial = np.zeros(m + 1, dtype=complex)
+        trinomial[:2] = (m + 1, -m * a)
+        trinomial[-1] = -sign
+        estimates = np.roots(trinomial)
+        near = estimates[np.abs(estimates - a) <= np.abs(estimates - a).min() + 1e-4]
+        reference = float(min(abs(_mp_newton(inst.all_zeros(), w) - a) for w in near))
+        assert math.isclose(reference, expected, rel_tol=1e-5)
+        assert rep.converged and rep.verdict(1.0 + 1e-9) == "PASS"
+        assert abs(rep.sendov_distance - reference) <= 1e-10
+        assert abs(rep.sendov_distance - reference) <= rep.distance_radius
+
+    @pytest.mark.parametrize("m", [127, 199])
+    @pytest.mark.parametrize("a", [0.5, 0.37])
+    def test_origin_family_closed_form(self, a, m):
+        # (z - a) z^m: 0 is an exact (m-1)-fold critical point and the last
+        # one is m a/(m+1), at distance a/(m+1) from a.
+        rep = critical_report(SendovInstance(a=a, other_zeros=(0j,) * m))
+        zero_radii = [r for w, r in zip(rep.critical_points, rep.radii) if w == 0]
+        assert len(zero_radii) == m - 1 and set(zero_radii) == {0.0}
+        exact = Fraction(a) / (m + 1)
+        assert abs(Fraction(rep.sendov_distance) - exact) <= Fraction(rep.distance_radius)
+        assert rep.distance_radius <= 1e-15
+
+    def test_repeated_a_gives_distance_zero(self):
+        rep = critical_report(SendovInstance(a=0.3, other_zeros=(0.5j, 0.3, -0.7, 0.3)))
+        assert rep.sendov_distance == 0.0 and rep.distance_radius == 0.0
+        assert rep.critical_points.count(0.3 + 0j) == 2
+        assert rep.verdict(1.0 + 1e-9) == "PASS"
+
+    @given(multiplicity_zero_lists, st.floats(min_value=0.1, max_value=0.9))
+    @settings(max_examples=40, deadline=None)
+    def test_true_critical_points_lie_in_the_discs(self, grouped, a):
+        zeros = tuple(z for z, k in grouped for _ in range(k))
+        inst = SendovInstance(a=a, other_zeros=zeros)
+        rep = critical_report(inst)
+        # The critical points of P, independently of the program: each
+        # repeated zero, and the roots of Q = sum_j k_j prod_{l != j}(z - zeta_l)
+        # over the distinct zeros, expanded and solved in 50 digits plus as
+        # many as the closest pair of zeros needs, then Newton-refined on
+        # sum_j k_j/(z - zeta_j).
+        counts = {}
+        for z in inst.all_zeros():
+            counts[z] = counts.get(z, 0) + 1
+        distinct = list(counts)
+        # Enough digits to resolve the closest pair of distinct zeros.
+        gap = min((abs(x - y) for x in distinct for y in distinct if x != y), default=1.0)
+        dps = 50 + max(0, -math.floor(math.log10(gap)))
+        assert len(rep.critical_points) == inst.degree - 1
+        with mpmath.workdps(dps):
+            truth = [mpmath.mpc(z) for z in distinct if counts[z] > 1]
+            q = [mpmath.mpc(0)] * len(distinct)
+            for j, zj in enumerate(distinct):
+                term = [mpmath.mpc(1)]
+                for zl in distinct[:j] + distinct[j + 1:]:
+                    term = [c - mpmath.mpc(zl) * b for c, b in zip(term + [0], [0] + term)]
+                q = [c + counts[zj] * t for c, t in zip(q, term)]
+            if len(distinct) > 1:
+                estimates = mpmath.polyroots(q, maxsteps=200, extraprec=100)
+                all_zeros = [z for z in distinct for _ in range(counts[z])]
+                truth += [_mp_newton(all_zeros, w, dps) for w in estimates]
+            discs = [(mpmath.mpc(w), r) for w, r in zip(rep.critical_points, rep.radii)]
+            for x in truth:
+                assert any(abs(x - w) <= r for w, r in discs), (x, rep)
+            nearest = min(abs(x - a) for x in truth)
+            assert abs(rep.sendov_distance - nearest) <= rep.distance_radius
+
+    def test_subnormal_gap_gives_no_warning(self):
+        # 1/(w - zeta) overflows between two zeros 2.2e-313 apart.
+        inst = SendovInstance(a=0.5, other_zeros=(0j, 0.5 + 2.2250738585e-313j))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = critical_report(inst)
+        verdict = rep.verdict(1.0 + 1e-9)
+        # The nearest critical point sits halfway between the two close zeros.
+        assert verdict == "UNRESOLVED" or (
+            verdict == "PASS"
+            and abs(rep.sendov_distance - 2.2250738585e-313 / 2) <= rep.distance_radius
+        )
+
+    def test_verdict_needs_the_whole_bracket(self):
+        def verdict(distance, radius, converged=True):
+            rep = CriticalPointReport((), distance, 0.0, (), radius, converged)
+            return rep.verdict(1.0)
+
+        assert verdict(0.9, 0.05) == "PASS"
+        assert verdict(1.1, 0.05) == "FAIL"
+        assert verdict(0.98, 0.05) == "UNRESOLVED"
+        assert verdict(1.02, 0.05) == "UNRESOLVED"
+        assert verdict(0.5, float("inf")) == "UNRESOLVED"
+        # The discs hold whether or not the iteration settled.
+        assert verdict(0.5, 1e-12, converged=False) == "PASS"
 
 
 class TestHullDistance:
