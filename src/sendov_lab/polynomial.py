@@ -7,7 +7,9 @@ zeros zeta_j of multiplicity k_j, an Aberth-Ehrlich iteration runs on that
 sum at O(degree) per point (the secular-equation view of MPSolve).  Each
 critical point carries a Weierstrass inclusion radius with a rounding bound,
 so the Sendov distance min |w - a| comes with a bracket that holds the true
-value.
+value.  One kernel serves one instance (``critical_report``) and many at
+once (``sendov_distances``): its stages take a leading axis of instances,
+and an instance's result does not depend on what else is in the array.
 
 The coefficient side (``from_roots``, ``find_roots``) stays for general
 polynomials: an Aberth iteration on binary64 coefficients, a polish against
@@ -37,6 +39,8 @@ __all__ = [
     "find_roots",
     "match_roots",
     "critical_report",
+    "sendov_distances",
+    "bracket_verdict",
     "hull_distance",
 ]
 
@@ -51,6 +55,10 @@ CLUSTER_TOL = 1e-7
 _MAX_ITER = 200
 # Sweeps of the critical-point iteration before it reports not converged.
 _MAX_SWEEPS = 300
+# Zeros (rows x g) in one block of sendov_distances: each temporary of the
+# kernel, rows x (g - 1) x g complex values, then holds at most
+# 2**14 * (g - 1) of them, 16 MB at degree 64.
+_BLOCK_ELEMENTS = 2 ** 14
 # Unit roundoff of binary64.
 _U = 2.0 ** -53
 _RESTARTS = 3
@@ -142,6 +150,25 @@ class Polynomial:
         return cls(tuple(coeffs))
 
 
+def _require_sendov_a(a) -> float:
+    if not isinstance(a, (int, float)) or isinstance(a, bool) \
+            or not math.isfinite(a) or not 0.0 < a < 1.0:
+        raise InvalidInputError(f"a must be a real in (0, 1), got {a!r}")
+    return float(a)
+
+
+def _require_unit_disk(zeros: np.ndarray) -> None:
+    """Every other zero of a SendovInstance is finite with modulus <= 1,
+    up to 1e-12 of slack."""
+    if not np.isfinite(zeros).all():
+        raise InvalidInputError("other_zeros must all be finite")
+    worst = float(np.abs(zeros).max())
+    if worst > 1.0 + 1e-12:
+        raise InvalidInputError(
+            f"every other zero must have modulus <= 1, worst is {worst!r}"
+        )
+
+
 @dataclass(frozen=True)
 class SendovInstance:
     """A zero a in (0,1) plus the remaining zeros of a unit-disk polynomial.
@@ -155,18 +182,12 @@ class SendovInstance:
     other_zeros: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.a, (int, float)) or isinstance(self.a, bool) \
-                or not math.isfinite(self.a) or not 0.0 < self.a < 1.0:
-            raise InvalidInputError(f"a must be a real in (0, 1), got {self.a!r}")
+        a = _require_sendov_a(self.a)
         zeros = _require_finite_complex(self.other_zeros, "other_zeros")
         if zeros.size == 0:
             raise InvalidInputError("need at least one other zero (degree >= 2)")
-        worst = float(np.abs(zeros).max())
-        if worst > 1.0 + 1e-12:
-            raise InvalidInputError(
-                f"every other zero must have modulus <= 1, worst is {worst!r}"
-            )
-        object.__setattr__(self, "a", float(self.a))
+        _require_unit_disk(zeros)
+        object.__setattr__(self, "a", a)
         object.__setattr__(self, "other_zeros", tuple(complex(z) for z in zeros))
 
     @property
@@ -241,11 +262,7 @@ class CriticalPointReport:
     def verdict(self, threshold: float) -> str:
         """PASS or FAIL when the whole distance bracket lies on one side of
         threshold (FAIL above it), else UNRESOLVED."""
-        if self.sendov_distance + self.distance_radius <= threshold:
-            return "PASS"
-        if self.sendov_distance - self.distance_radius > threshold:
-            return "FAIL"
-        return "UNRESOLVED"
+        return str(bracket_verdict(self.sendov_distance, self.distance_radius, threshold))
 
 
 def from_roots(roots: Sequence[complex]) -> Polynomial:
@@ -576,90 +593,189 @@ def match_roots(
 
 
 def _starts(zeta: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """g - 1 start points for the roots of Q, one Newton step of Q from zeros.
+    """g - 1 start points per row for the roots of Q, one Newton step of Q
+    from the zeros.
 
-    At zeta_j, where f has a pole but Q does not, the Newton step of Q has
-    the finite limit Q/Q' = k_j / (k_j S_j + F_j), with
+    ``zeta`` holds one row of g distinct zeros per instance and ``k`` their
+    multiplicities.  At zeta_j, where f has a pole but Q does not, the
+    Newton step of Q has the finite limit Q/Q' = k_j / (k_j S_j + F_j), with
     S_j = sum_{l != j} 1/(zeta_j - zeta_l) and
     F_j = sum_{l != j} k_l/(zeta_j - zeta_l).  Each zero less the one with
     the longest step gives a start; from there a random degree-64 instance
     settles in about 7 sweeps, where the circle about the zero centroid
-    through the farthest zero takes about 25.  A start with no finite value
-    (two zeros so close that 1/(zeta_j - zeta_l) overflows) takes its point
-    on that circle instead.
+    through the farthest zero takes about 25.  A start takes its point on
+    that circle instead when it has no finite value (two zeros so close
+    that 1/(zeta_j - zeta_l) overflows), or when an earlier start lies
+    within 1e-6 of its step length: the steps from both zeros of a tight
+    pair can land on the pair's one critical point, where Aberth cannot
+    part the two points.  The test is relative to the step and not to the
+    spread of all the zeros, so the starts inside a tight cluster, whose
+    roots of Q lie as close together as its zeros, keep their places.
     """
-    m = zeta.size - 1
+    rows, g = zeta.shape
+    m = g - 1
+    diagonal = np.arange(g)
     with np.errstate(all="ignore"):
-        gaps = 1.0 / (zeta[:, None] - zeta)
-        np.fill_diagonal(gaps, 0.0)
-        steps = k / (k * gaps.sum(axis=1) + gaps @ k)
-    near = np.delete(zeta - steps, np.argmax(np.abs(steps)))
-    center = (k @ zeta) / k.sum()
-    radius = float(np.abs(zeta - center).max())
+        gaps = np.subtract(zeta[:, :, None], zeta[:, None, :])
+        np.divide(1.0, gaps, out=gaps)
+        gaps[:, diagonal, diagonal] = 0.0
+        steps = k * gaps.sum(axis=-1)
+        steps += np.multiply(gaps, k[:, None, :], out=gaps).sum(axis=-1)
+        del gaps
+        np.divide(k, steps, out=steps)
+        kept = np.ones((rows, g), dtype=bool)
+        kept[np.arange(rows), np.argmax(np.abs(steps), axis=-1)] = False
+        near = (zeta - steps)[kept].reshape(rows, m)
+        reach = np.abs(steps)[kept].reshape(rows, m)
+        crowded = np.abs(near[:, :, None] - near[:, None, :]) <= 1e-6 * reach[:, :, None]
+    crowded = np.tril(crowded, -1).any(axis=-1)
+    center = (k * zeta).sum(axis=-1) / k.sum(axis=-1)
+    radius = np.abs(zeta - center[:, None]).max(axis=-1)
     angles = 2.0 * np.pi * np.arange(m) / m + _ANGULAR_OFFSET
-    circle = center + radius * np.exp(1j * angles)
-    return np.where(np.isfinite(near), near, circle)
+    circle = center[:, None] + radius[:, None] * np.exp(1j * angles)
+    return np.where(np.isfinite(near) & ~crowded, near, circle)
+
+
+def _aberth_corrections(w, zeta, kc, points) -> np.ndarray:
+    """Aberth corrections for the roots of Q, per row of approximations ``w``.
+
+    Row t has zeros ``zeta[t]`` and multiplicities ``kc[t]`` (complex; None
+    means all ones).  ``points`` is None for every point, giving a
+    corrections array shaped like ``w``, or a pair (t, i) of index arrays
+    for the points w[t, i] alone, each gathered with its row.
+    Q'/Q = sum_j 1/(z - zeta_j) + f'/f gives the Newton step
+    f / (f * sum_j 1/(z - zeta_j) + f') at O(g) per point.  Sums run along
+    the last axis only, with no matrix products: a point's sums then round
+    the same whatever else is in the array, and no BLAS threads start.  The
+    points x g temporaries are gathered, and freed, one at a time.
+    """
+    if points is None:
+        diagonal = np.arange(w.shape[-1])
+        at, own = w[:, :, None], (slice(None), diagonal, diagonal)
+
+        def rows(x):
+            return x[:, None, :]
+
+        def minus(x):
+            return np.subtract(at, rows(x))
+    else:
+        t, i = points
+        at, own = w[t, i, None], (np.arange(t.size), i)
+
+        def rows(x):
+            return x[t]
+
+        def minus(x):
+            # The gathered rows are a fresh copy: the difference overwrites it.
+            gathered = rows(x)
+            return np.subtract(at, gathered, out=gathered)
+    r = minus(zeta)
+    np.divide(1.0, r, out=r)
+    rk = r if kc is None else r * rows(kc)
+    f = rk.sum(axis=-1)
+    newton = f * r.sum(axis=-1)
+    newton -= np.multiply(rk, r, out=rk).sum(axis=-1)
+    del r, rk
+    np.divide(f, newton, out=newton)
+    diff = minus(w)
+    diff[own] = np.inf
+    np.divide(1.0, diff, out=diff)
+    return newton / (1.0 - newton * diff.sum(axis=-1))
+
+
+def _nearest(w, zeta, points) -> np.ndarray:
+    """Distance from each point w[t, i] of ``points`` = (t, i) to the
+    nearest zero or other point of its row."""
+    t, i = points
+    at = w[t, i, None]
+    # Each gathered row is a fresh copy: the difference overwrites it.
+    gap = zeta[t]
+    nearest = np.abs(np.subtract(at, gap, out=gap)).min(axis=-1)
+    del gap
+    gap = w[t]
+    np.subtract(at, gap, out=gap)
+    gap[np.arange(t.size), i] = np.inf
+    return np.minimum(nearest, np.abs(gap).min(axis=-1))
 
 
 def _secular_aberth(
     zeta: np.ndarray, k: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, bool]:
-    """Roots of Q = prod(z - zeta_j) * f, f = sum_j k_j / (z - zeta_j).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of Q = prod(z - zeta_j) * f, f = sum_j k_j / (z - zeta_j), for
+    each row.
 
-    ``zeta`` are g >= 3 distinct zeros and ``k`` their multiplicities, so Q
-    has degree g - 1 and its roots are the critical points of P that are
-    not repeated zeros.  Q'/Q = sum_j 1/(z - zeta_j) + f'/f gives the Newton
-    step f / (f * sum_j 1/(z - zeta_j) + f') at O(g) per point; Aberth
-    corrections keep the approximations apart.  Starts from ``w`` and
-    returns (approximations, settled).
+    Row t of ``zeta`` holds g >= 3 distinct zeros of one instance and of
+    ``k`` their multiplicities, so Q has degree g - 1 and its roots are the
+    critical points of P that are not repeated zeros.  Starts from ``w``
+    (rows x (g - 1)) and returns (approximations, settled per row).
+
+    A point stops moving once its own step is at most 1e-13 * scale, with
+    scale = 1 + max|zeta_j|, and at most 1e-3 of its distance to the
+    nearest zero or other point (MPSolve's per-root stopping rule); the
+    others go on using it.  A row ends when none of its points move, or
+    when its largest steps are small and stop shrinking, or at the sweep
+    cap, which leaves it not settled.  Every point of every row is swept at
+    once while all of them move; after that only the moving points are,
+    gathered with their rows.  Either way a point's arithmetic is the same,
+    so a row's result does not depend on the other rows.
     """
-    m = w.size
+    rows, m = w.shape
     # By Gauss-Lucas every root of Q lies in the hull of the zeros, so this
     # bounds 1 + |w| for the points worth measuring steps against.
-    scale = 1.0 + float(np.abs(zeta).max())
+    scale = 1.0 + np.abs(zeta).max(axis=-1)
     # A point whose step is not finite (it sits on a zero or on another
-    # point, or Q' vanishes there) moves off by this fixed offset and the
-    # sweep is retried.  The offsets differ in length: two points nudged
-    # off one root by equal lengths sit symmetrically about it, where
+    # point, or Q' vanishes there) moves off by this fixed offset and its
+    # row retries the sweep.  The offsets differ in length: two points
+    # nudged off one root by equal lengths sit symmetrically about it, where
     # Aberth's repulsion (which cubes the ratio of their errors) cannot
     # part them.
     angles = 2.0 * np.pi * np.arange(m) / m + _ANGULAR_OFFSET
-    nudge = 1e-7 * scale * (1.0 + np.arange(m) / m) * np.exp(1j * (angles + 1.0))
-    kc = k.astype(np.complex128)
-    stall = 0
-    best_step = np.inf
+    nudge = 1e-7 * scale[:, None] * ((1.0 + np.arange(m) / m) * np.exp(1j * (angles + 1.0)))
+    kc = None if (k == 1.0).all() else k.astype(np.complex128)
+    moving = np.ones((rows, m), dtype=bool)
+    settled = np.zeros(rows, dtype=bool)
+    stall = np.zeros(rows, dtype=int)
+    best_step = np.full(rows, np.inf)
     with np.errstate(all="ignore"):
         for _ in range(_MAX_SWEEPS):
-            r = 1.0 / (w[:, None] - zeta)
-            f = r @ kc
-            newton = f / (f * r.sum(axis=1) - (r * r) @ kc)
-            diff = w[:, None] - w
-            np.fill_diagonal(diff, np.inf)
-            corr = newton / (1.0 - newton * (1.0 / diff).sum(axis=1))
+            if moving.all():
+                corr = _aberth_corrections(w, zeta, kc, None)
+            else:
+                points = np.nonzero(moving)
+                if points[0].size == 0:
+                    break
+                corr = np.zeros((rows, m), dtype=np.complex128)
+                corr[points] = _aberth_corrections(w, zeta, kc, points)
+            step = np.abs(corr) / scale[:, None]
             bad = ~np.isfinite(corr)
-            if bad.any():
-                w = np.where(bad, w + nudge, w)
-                continue
-            w = w - corr
-            step = float(np.abs(corr).max()) / scale
-            if step <= 1e-13:
-                return w, True
-            # Ill-conditioned points rattle at a rounding noise floor; once
-            # the steps are small and stop shrinking, more sweeps only
+            nudged = bad.any(axis=-1)
+            w = np.where(bad, w + nudge, np.where(nudged[:, None], w, w - corr))
+            swept = moving.any(axis=-1) & ~nudged
+            # A small step freezes a point only where it is also small
+            # against the distance to the point's nearest zero or neighbour:
+            # inside a tight cluster every step is small, and a point frozen
+            # there early leaves discs that overlap.
+            small = swept[:, None] & moving & (step <= 1e-13)
+            if small.any():
+                points = np.nonzero(small)
+                small[points] = np.abs(corr[points]) <= 1e-3 * _nearest(w, zeta, points)
+                moving &= ~small
+            # Ill-conditioned points rattle at a rounding noise floor; once a
+            # row's steps are small and stop shrinking, more sweeps only
             # re-sample it.  The inclusion radii then say how far off the
             # points are.
-            if step < 0.7 * best_step:
-                best_step = step
-                stall = 0
-            else:
-                stall += 1
-                if stall >= 10 and step <= 1e-5:
-                    return w, True
-    return w, False
+            largest = step.max(axis=-1)
+            improved = largest < 0.7 * best_step
+            best_step = np.where(swept & improved, largest, best_step)
+            stall = np.where(swept, np.where(improved, 0, stall + 1), stall)
+            ended = swept & (~moving.any(axis=-1) | ((stall >= 10) & (largest <= 1e-5)))
+            settled |= ended
+            moving[ended] = False
+    return w, settled
 
 
 def _inclusion_radii(w: np.ndarray, zeta: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Weierstrass inclusion radii (g - 1)|W_i| for the roots of Q.
+    """Weierstrass inclusion radii (g - 1)|W_i| for the roots of Q, per row.
 
     W_i = Q(w_i) / (n prod_{j != i}(w_i - w_j)), where n = sum(k) is Q's
     leading coefficient.  The union of the discs |z - w_i| <= (g - 1)|W_i|
@@ -670,37 +786,68 @@ def _inclusion_radii(w: np.ndarray, zeta: np.ndarray, k: np.ndarray) -> np.ndarr
     (Higham, Accuracy and Stability of Numerical Algorithms, 5.1).  A
     radius that cannot be bounded is inf.
     """
-    g = zeta.size
-    m = w.size
+    g = zeta.shape[-1]
+    m = w.shape[-1]
+    kk = k[:, None, :]
+    diagonal = np.arange(m)
     with np.errstate(all="ignore"):
-        d = w[:, None] - zeta
+        d = np.subtract(w[:, :, None], zeta[:, None, :])
         mod_d = np.abs(d)
-        f = (k / d).sum(axis=1)
+        f = np.divide(kk, d, out=d).sum(axis=-1)
+        del d
         # Each term k/(w - zeta) is off by a few units of roundoff and the
         # sum adds at most (g - 1) more, each relative to sum |terms|.
-        f_bound = np.abs(f) + 2.0 * (g + 10) * _U * (k / mod_d).sum(axis=1)
+        f_bound = np.abs(f) + 2.0 * (g + 10) * _U * (kk / mod_d).sum(axis=-1)
         # On a zero, Q(zeta_j) = k_j prod_{l != j}(zeta_j - zeta_l): the
         # pole of f leaves the products and k_j takes the place of |f|.
         hit = mod_d == 0.0
-        f_bound = np.where(hit.any(axis=1), hit @ k, f_bound)
-        log_d = np.log(np.where(hit, 1.0, mod_d))
-        log_e = np.log(np.abs(w[:, None] - w))
-        np.fill_diagonal(log_e, 0.0)
-        slack = 4.0 * (g + m) * _U * (
-            1.0 + np.abs(log_d).sum(axis=1) + np.abs(log_e).sum(axis=1)
-        )
+        f_bound = np.where(hit.any(axis=-1), (hit * kk).sum(axis=-1), f_bound)
+        mod_d[hit] = 1.0
+        log_d = np.log(mod_d, out=mod_d)
+        sum_d, size_d = log_d.sum(axis=-1), np.abs(log_d).sum(axis=-1)
+        del mod_d, log_d
+        log_e = np.abs(w[:, :, None] - w[:, None, :])
+        np.log(log_e, out=log_e)
+        log_e[:, diagonal, diagonal] = 0.0
+        sum_e, size_e = log_e.sum(axis=-1), np.abs(log_e).sum(axis=-1)
+        slack = 4.0 * (g + m) * _U * (1.0 + size_d + size_e)
         log_radius = (
-            math.log(m) + log_d.sum(axis=1) + np.log(f_bound)
-            - math.log(k.sum()) - log_e.sum(axis=1) + slack
+            math.log(m) + sum_d + np.log(f_bound)
+            - np.log(k.sum(axis=-1))[:, None] - sum_e + slack
         )
         radii = np.exp(log_radius)
     return np.where(np.isnan(radii), np.inf, radii)
 
 
+def _free_points(
+    zeta: np.ndarray, k: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(points, radii, settled): the critical points that are not repeated
+    zeros, for each row of distinct zeros ``zeta`` with multiplicities ``k``.
+
+    They are the roots of Q = prod(z - zeta_j) * sum_j k_j/(z - zeta_j):
+    none for one zero; (k_1 zeta_2 + k_2 zeta_1)/n with a rounding radius for
+    two; otherwise ``_secular_aberth`` finds them and ``_inclusion_radii``
+    certifies them.
+    """
+    rows, g = zeta.shape
+    if g == 1:
+        return np.empty((rows, 0), np.complex128), np.empty((rows, 0)), np.ones(rows, bool)
+    if g == 2:
+        # Two roundings in the numerator and one in the quotient, per
+        # component: at most gamma_3 * sqrt(2) relative to the sum of moduli.
+        n = k.sum(axis=-1, keepdims=True)
+        points = (k[:, :1] * zeta[:, 1:] + k[:, 1:] * zeta[:, :1]) / n
+        radii = 5.0 * _U * (k[:, :1] * np.abs(zeta[:, 1:]) + k[:, 1:] * np.abs(zeta[:, :1])) / n
+        return points, radii, np.ones(rows, bool)
+    points, settled = _secular_aberth(zeta, k, _starts(zeta, k))
+    return points, _inclusion_radii(points, zeta, k), settled
+
+
 def _distance_bracket(
-    a: float, exact: np.ndarray, free: np.ndarray, free_radii: np.ndarray
-) -> tuple[float, float]:
-    """(nearest distance to a, bracket half-width).
+    a: np.ndarray, exact: np.ndarray, free: np.ndarray, free_radii: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(nearest distance to a, bracket half-width), per row.
 
     Every critical point lies in some disc, so none is nearer than
     min(dist - radius).  An exact point, or a disc that meets no other
@@ -709,20 +856,34 @@ def _distance_bracket(
     computed |w - a| is within 3 roundings of the true one, and the final
     4u * upper covers the arithmetic on the bracket ends.
     """
-    points = np.concatenate([exact, free])
-    radii = np.concatenate([np.zeros(exact.size), free_radii])
-    dist = np.abs(points - a)
+    m = free.shape[-1]
+    points = np.concatenate([exact, free], axis=-1)
+    radii = np.concatenate([np.zeros(exact.shape), free_radii], axis=-1)
+    dist = np.abs(points - a[:, None])
+    diagonal = np.arange(m)
     with np.errstate(invalid="ignore"):
-        gap = np.abs(free[:, None] - free)
-        np.fill_diagonal(gap, np.inf)
-        alone = (gap > free_radii[:, None] + free_radii).all(axis=1)
-        isolated = np.concatenate([np.ones(exact.size, dtype=bool), alone])
-        reach = np.where(isolated, radii, 2.0 * radii.sum())
-        upper = float((dist * (1.0 + 4.0 * _U) + reach).min())
-        lower = float(np.maximum(dist * (1.0 - 4.0 * _U) - radii, 0.0).min())
-    nearest = float(dist.min())
-    half_width = max(upper - nearest, nearest - lower) + 4.0 * _U * upper
+        gap = np.abs(free[:, :, None] - free[:, None, :])
+        gap[:, diagonal, diagonal] = np.inf
+        alone = (gap > free_radii[:, :, None] + free_radii[:, None, :]).all(axis=-1)
+        isolated = np.concatenate([np.ones(exact.shape, dtype=bool), alone], axis=-1)
+        reach = np.where(isolated, radii, 2.0 * radii.sum(axis=-1, keepdims=True))
+        upper = (dist * (1.0 + 4.0 * _U) + reach).min(axis=-1)
+        lower = np.maximum(dist * (1.0 - 4.0 * _U) - radii, 0.0).min(axis=-1)
+    nearest = dist.min(axis=-1)
+    half_width = np.maximum(upper - nearest, nearest - lower) + 4.0 * _U * upper
     return nearest, half_width
+
+
+def bracket_verdict(distance, radius, threshold: float):
+    """PASS or FAIL where the whole bracket distance +- radius lies on one
+    side of threshold (FAIL above it), else UNRESOLVED; elementwise over
+    arrays, as a string array of the same shape."""
+    distance = np.asarray(distance)
+    radius = np.asarray(radius)
+    return np.where(
+        distance + radius <= threshold, "PASS",
+        np.where(distance - radius > threshold, "FAIL", "UNRESOLVED"),
+    )
 
 
 def critical_report(inst: SendovInstance) -> CriticalPointReport:
@@ -731,44 +892,69 @@ def critical_report(inst: SendovInstance) -> CriticalPointReport:
     Works on the zeros, never on coefficients.  Exactly equal zeros are
     grouped into (zeta_j, k_j): each zeta_j with k_j >= 2 is an exact
     critical point of multiplicity k_j - 1 (radius 0).  The others are the
-    roots of Q = prod(z - zeta_j) * sum_j k_j/(z - zeta_j): with two
-    distinct zeros that is (k_1 zeta_2 + k_2 zeta_1)/n, with a rounding
-    radius; otherwise ``_secular_aberth`` finds them and
-    ``_inclusion_radii`` certifies them.
+    roots of Q = prod(z - zeta_j) * sum_j k_j/(z - zeta_j), found and
+    certified as a block of one row (see ``_free_points``).
     """
     zeros = np.asarray(inst.all_zeros())
     n = zeros.size
     zeta, counts = np.unique(zeros, return_counts=True)
-    k = counts.astype(np.float64)
     exact = np.repeat(zeta, counts - 1)
-    settled = True
-    if zeta.size == 1:
-        free = np.empty(0, dtype=np.complex128)
-        free_radii = np.empty(0)
-    elif zeta.size == 2:
-        # Two roundings in the numerator and one in the quotient, per
-        # component: at most gamma_3 * sqrt(2) relative to the sum of moduli.
-        z1, z2 = complex(zeta[0]), complex(zeta[1])
-        k1, k2 = float(k[0]), float(k[1])
-        free = np.array([(k1 * z2 + k2 * z1) / n])
-        free_radii = np.array([5.0 * _U * (k1 * abs(z2) + k2 * abs(z1)) / n])
-    else:
-        free, settled = _secular_aberth(zeta, k, _starts(zeta, k))
-        free_radii = _inclusion_radii(free, zeta, k)
-    nearest, half_width = _distance_bracket(inst.a, exact, free, free_radii)
+    free, free_radii, settled = _free_points(zeta[None], counts[None].astype(np.float64))
+    nearest, half_width = _distance_bracket(
+        np.array([inst.a]), exact[None], free, free_radii
+    )
 
-    points = np.concatenate([exact, free])
-    radii = np.concatenate([np.zeros(exact.size), free_radii])
+    points = np.concatenate([exact, free[0]])
+    radii = np.concatenate([np.zeros(exact.size), free_radii[0]])
     order = np.lexsort((points.imag, points.real))
     mean = sum(z.real for z in inst.all_zeros()) / n
     return CriticalPointReport(
         critical_points=tuple(points[order].tolist()),
-        sendov_distance=nearest,
+        sendov_distance=float(nearest[0]),
         mean_real_part=float(mean),
         radii=tuple(radii[order].tolist()),
-        distance_radius=float(half_width),
-        converged=settled,
+        distance_radius=float(half_width[0]),
+        converged=bool(settled[0]),
     )
+
+
+def sendov_distances(a: float, other_zeros) -> tuple[np.ndarray, np.ndarray]:
+    """Sendov distance and bracket half-width of many instances sharing a.
+
+    Row t of ``other_zeros`` holds the other zeros of one instance; the
+    rows are validated together by ``SendovInstance``'s rule.  Each row's
+    pair is bit for bit what ``critical_report`` gives for that instance:
+    rows whose zeros are all distinct run through the same kernel in
+    blocks of at most 2**14 zeros, and a row with a repeated zero runs
+    through ``critical_report`` itself.
+    """
+    try:
+        others = np.asarray(other_zeros, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"other_zeros must be complex numbers: {exc}") from None
+    if others.ndim != 2 or others.size == 0:
+        raise InvalidInputError("other_zeros must be a nonempty array of rows of zeros")
+    a = _require_sendov_a(a)
+    _require_unit_disk(others)
+    rows, g = others.shape[0], others.shape[1] + 1
+    # Sorted as np.unique sorts, so a block row matches critical_report's zeta.
+    zeros = np.sort(np.concatenate([np.full((rows, 1), complex(a)), others], axis=1), axis=1)
+    repeated = (zeros[:, 1:] == zeros[:, :-1]).any(axis=1)
+    distance = np.empty(rows)
+    radius = np.empty(rows)
+    for t in np.nonzero(repeated)[0]:
+        report = critical_report(SendovInstance(a, tuple(others[t].tolist())))
+        distance[t], radius[t] = report.sendov_distance, report.distance_radius
+    distinct = np.nonzero(~repeated)[0]
+    block = max(1, _BLOCK_ELEMENTS // g)
+    for start in range(0, distinct.size, block):
+        t = distinct[start:start + block]
+        zeta = zeros[t]
+        free, free_radii, _ = _free_points(zeta, np.ones(zeta.shape))
+        distance[t], radius[t] = _distance_bracket(
+            np.full(t.size, a), np.empty((t.size, 0), np.complex128), free, free_radii
+        )
+    return distance, radius
 
 
 def hull_distance(point: complex, vertices: Sequence[complex]) -> float:

@@ -29,7 +29,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import bounds
-from .polynomial import CriticalPointReport, SendovInstance, critical_report
+from .polynomial import (
+    CriticalPointReport,
+    SendovInstance,
+    bracket_verdict,
+    critical_report,
+    sendov_distances,
+)
 
 __all__ = [
     "DEFAULT_SEED",
@@ -405,38 +411,38 @@ def fuzz_sendov(a: float, degree: int, trials: int, seed: int = DEFAULT_SEED) ->
 
     Each trial draws degree-1 other zeros area-uniformly from the closed
     unit disk (radius sqrt(u)) with its own generator seeded by
-    (seed, trial index), so any single trial can be reproduced in isolation
-    and trials could run in any order or in parallel.
+    (seed, trial index), so any single trial can be reproduced in isolation.
+    The cell's trials are then checked together by ``sendov_distances``, in
+    blocks of at most 2**14 zeros through one kernel; each trial's distance
+    bracket is still bit for bit what ``critical_report`` gives for that
+    trial alone, so no result depends on the number of trials or on the
+    block a trial falls in.
     """
     _validate_fuzz_args(a, degree, trials)
-    max_distance = 0.0
-    violations = 0
-    non_converged = 0
-    violating: list[str] = []
     m = degree - 1
+    u = np.empty((trials, m))
+    angle = np.empty((trials, m))
     for index in range(trials):
         rng = np.random.default_rng([seed, index])
-        radius = np.sqrt(rng.uniform(size=m))
-        angle = rng.uniform(0.0, 2.0 * np.pi, size=m)
-        inst = SendovInstance(a=float(a), other_zeros=tuple(radius * np.exp(1j * angle)))
-        report = critical_report(inst)
-        verdict = report.verdict(VIOLATION_THRESHOLD)
-        if verdict == "UNRESOLVED":
-            non_converged += 1
-            continue
-        max_distance = max(max_distance, report.sendov_distance)
-        if verdict == "FAIL":
-            violations += 1
-            violating.append(inst.to_json())
+        u[index] = rng.uniform(size=m)
+        angle[index] = rng.uniform(0.0, 2.0 * np.pi, size=m)
+    others = np.sqrt(u) * np.exp(1j * angle)
+    distance, radius = sendov_distances(float(a), others)
+    verdicts = bracket_verdict(distance, radius, VIOLATION_THRESHOLD)
+    resolved = verdicts != "UNRESOLVED"
+    violating = tuple(
+        SendovInstance(a=float(a), other_zeros=tuple(others[t].tolist())).to_json()
+        for t in np.nonzero(verdicts == "FAIL")[0]
+    )
     return FuzzReport(
         a=float(a),
         degree=degree,
         trials=trials,
-        max_sendov_distance=max_distance,
-        violations=violations,
+        max_sendov_distance=float(distance[resolved].max(initial=0.0)),
+        violations=len(violating),
         seed=seed,
-        non_converged=non_converged,
-        violation_instances=tuple(violating),
+        non_converged=int(trials - resolved.sum()),
+        violation_instances=violating,
     )
 
 

@@ -1,12 +1,17 @@
 """End-to-end tests of the sendov-lab command line (in-process)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import reference_values as ref
-from sendov_lab.cli import main
+import sendov_lab
+from sendov_lab.cli import build_parser, main
 
 BREAKDOWN_FIELDS = [
     "a", "q_prime", "p_prime", "gamma", "c",
@@ -233,3 +238,38 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             main(["bound", "--a", "0.5", "--format", "yaml"])
         assert excinfo.value.code == 2
+
+
+class TestOneProcess:
+    def test_repeated_calls_match_fresh_interpreters(self, capsys, monkeypatch, tmp_path):
+        # main builds its parser once per process; every call must still
+        # print exactly what a fresh `python -m sendov_lab` prints.
+        path = tmp_path / "inst.json"
+        path.write_text('{"a": 0.6, "zeros": [[0.5, 0.5], [-0.9, 0.1], [0, -1]]}')
+        fuzz = ["fuzz", "--a", "0.4", "--degree", "9", "--trials", "30", "--format", "json"]
+        calls = [
+            fuzz,
+            ["check", "--instance", str(path)],
+            ["verify", "--grid-step", "0.01", "--format", "json"],
+            ["fuzz", "--a", "0.5"],
+            fuzz,
+        ]
+        monkeypatch.setenv("COLUMNS", "80")
+        env = {k: v for k, v in os.environ.items() if k != "SENDOV_LAB_SEED"}
+        env["PYTHONPATH"] = str(Path(sendov_lab.__file__).resolve().parents[1])
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "sendov_lab", *argv],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            assert (code, captured.out, captured.err) \
+                == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert code == 0
+
+    def test_build_parser_is_fresh(self):
+        assert build_parser() is not build_parser()

@@ -511,6 +511,49 @@ class TestCertifiedCriticalPoints:
             nearest = min(abs(x - a) for x in truth)
             assert abs(rep.sendov_distance - nearest) <= rep.distance_radius
 
+    @pytest.mark.parametrize("a, zeros, expected", [
+        (0.6356051866396851, ((-0.5569498201504334 + 0.6709579856690978j),
+                              (-0.5569476262478652 + 0.6709776624485464j)), 0.456117),
+        (0.43488594609300407, ((-0.2430322689513025 - 0.2665345899540236j),
+                               (-0.24303379100304126 - 0.2665292627339832j)), 0.242811),
+    ])
+    def test_tight_pair_of_zeros_resolves(self, a, zeros, expected):
+        # One Newton step from each zero of the pair lands both starts on
+        # the pair's one critical point, within 1e-14 of each other; they
+        # used to settle there as two copies with radii near 1e4 (UNRESOLVED).
+        rep = critical_report(SendovInstance(a=a, other_zeros=zeros))
+        with mpmath.workdps(30):
+            am = mpmath.mpf(a)
+            z1, z2 = (mpmath.mpc(z) for z in zeros)
+            # P'(z) = 3 z^2 - 2 (a + z1 + z2) z + (a z1 + a z2 + z1 z2).
+            roots = mpmath.polyroots(
+                [3, -2 * (am + z1 + z2), am * z1 + am * z2 + z1 * z2], extraprec=60
+            )
+            reference = min(abs(w - am) for w in roots)
+            assert math.isclose(reference, expected, rel_tol=1e-5)
+            assert abs(rep.sendov_distance - reference) <= rep.distance_radius
+        assert rep.verdict(1.0 + 1e-9) == "PASS"
+
+    def test_zeros_crowding_a_resolve(self):
+        # Two zeros within 4e-12 of a: every step there is below 1e-13, and
+        # points frozen at their first small step stopped before they had
+        # separated, leaving overlapping discs (UNRESOLVED, as at the parent).
+        a = 0.7285545647362529
+        zeros = ((0.7285545647428764 + 3.8478615055794106e-12j),
+                 (0.7285545647362822 + 4.4055559975682115e-14j),
+                 (0.5939449926263944 + 0.192035958833384j))
+        rep = critical_report(SendovInstance(a=a, other_zeros=zeros))
+        assert rep.verdict(1.0 + 1e-9) == "PASS"
+        with mpmath.workdps(60):
+            coeffs = [mpmath.mpc(1)]
+            for z in (a,) + zeros:
+                coeffs = [c - mpmath.mpc(z) * b for c, b in zip(coeffs + [0], [0] + coeffs)]
+            n = len(coeffs) - 1
+            derivative = [c * (n - j) for j, c in enumerate(coeffs[:-1])]
+            roots = mpmath.polyroots(derivative, maxsteps=300, extraprec=300)
+            reference = min(abs(w - a) for w in roots)
+            assert abs(rep.sendov_distance - reference) <= rep.distance_radius
+
     def test_subnormal_gap_gives_no_warning(self):
         # 1/(w - zeta) overflows between two zeros 2.2e-313 apart.
         inst = SendovInstance(a=0.5, other_zeros=(0j, 0.5 + 2.2250738585e-313j))
@@ -536,6 +579,42 @@ class TestCertifiedCriticalPoints:
         assert verdict(0.5, float("inf")) == "UNRESOLVED"
         # The discs hold whether or not the iteration settled.
         assert verdict(0.5, 1e-12, converged=False) == "PASS"
+
+
+class TestSendovDistances:
+    def test_rows_with_repeated_zeros_match_critical_report(self):
+        a = 0.3
+        others = np.array([
+            [0.3, 0.5j, -0.5],
+            [0.2, 0.2, 0.9j],
+            [0.1 + 0.1j, -0.4, 0.6j],
+            [0.7j, 0.7j, 0.7j],
+            [-0.2 - 0.6j, 0.8, -0.2 - 0.6j],
+        ])
+        distance, radius = poly.sendov_distances(a, others)
+        for t, row in enumerate(others):
+            rep = critical_report(SendovInstance(a=a, other_zeros=tuple(row.tolist())))
+            assert (distance[t], radius[t]) == (rep.sendov_distance, rep.distance_radius)
+
+    def test_rows_checked_by_the_instance_rule(self):
+        with pytest.raises(InvalidInputError, match="modulus"):
+            poly.sendov_distances(0.5, np.array([[0.5, 0.2j], [1.5, 0.0]]))
+        with pytest.raises(InvalidInputError, match="finite"):
+            poly.sendov_distances(0.5, np.array([[0.5, complex("nan")]]))
+        with pytest.raises(InvalidInputError):
+            poly.sendov_distances(1.0, np.array([[0.5]]))
+        with pytest.raises(InvalidInputError):
+            poly.sendov_distances(0.5, np.array([0.5, 0.2]))
+        with pytest.raises(InvalidInputError):
+            poly.sendov_distances(0.5, np.empty((0, 3)))
+        with pytest.raises(InvalidInputError):
+            poly.sendov_distances(0.5, [["zero"]])
+
+    def test_bracket_verdict_on_arrays(self):
+        verdicts = poly.bracket_verdict(
+            np.array([0.9, 1.1, 0.98, 0.5]), np.array([0.05, 0.05, 0.05, np.inf]), 1.0
+        )
+        assert verdicts.tolist() == ["PASS", "FAIL", "UNRESOLVED", "UNRESOLVED"]
 
 
 class TestHullDistance:

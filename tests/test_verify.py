@@ -8,6 +8,7 @@ import pytest
 
 import reference_values as ref
 from sendov_lab import bounds, verify
+from sendov_lab import polynomial as poly
 from sendov_lab.verify import (
     DEFAULT_SEED,
     FuzzReport,
@@ -171,6 +172,37 @@ class TestFuzz:
         small = fuzz_sendov(0.5, 5, 10, seed=3)
         large = fuzz_sendov(0.5, 5, 40, seed=3)
         assert large.max_sendov_distance >= small.max_sendov_distance
+
+    @pytest.mark.parametrize("a, degree, blocks", [
+        (0.3, 2, 1.1), (0.7, 3, 1.1), (0.5, 17, 2.1), (0.9, 64, 2.1),
+    ])
+    def test_trial_result_independent_of_its_block(self, a, degree, blocks):
+        # A cell runs its trials through one kernel in blocks of rows; each
+        # trial's bracket must be what critical_report gives it alone.
+        seed = 5
+        trials = int(blocks * (poly._BLOCK_ELEMENTS // degree))
+        others = np.empty((trials, degree - 1), dtype=complex)
+        for index in range(trials):
+            rng = np.random.default_rng([seed, index])
+            radius = np.sqrt(rng.uniform(size=degree - 1))
+            angle = rng.uniform(0.0, 2.0 * np.pi, size=degree - 1)
+            others[index] = radius * np.exp(1j * angle)
+        distance, half_width = poly.sendov_distances(a, others)
+        alone = np.array([
+            (rep.sendov_distance, rep.distance_radius)
+            for rep in (
+                poly.critical_report(poly.SendovInstance(a=a, other_zeros=tuple(row.tolist())))
+                for row in others
+            )
+        ])
+        differ = np.nonzero((distance != alone[:, 0]) | (half_width != alone[:, 1]))[0]
+        assert differ.size == 0, f"{differ.size} of {trials} trials differ, first {differ[:5]}"
+        report = fuzz_sendov(a, degree, trials, seed=seed)
+        verdicts = poly.bracket_verdict(alone[:, 0], alone[:, 1], verify.VIOLATION_THRESHOLD)
+        resolved = verdicts != "UNRESOLVED"
+        assert report.violations == (verdicts == "FAIL").sum()
+        assert report.non_converged == trials - resolved.sum()
+        assert report.max_sendov_distance == alone[resolved, 0].max()
 
     def test_argument_validation(self):
         with pytest.raises(bounds.DomainError):
