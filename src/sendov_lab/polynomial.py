@@ -55,10 +55,12 @@ CLUSTER_TOL = 1e-7
 _MAX_ITER = 200
 # Sweeps of the critical-point iteration before it reports not converged.
 _MAX_SWEEPS = 300
-# Zeros (rows x g) in one block of sendov_distances: each temporary of the
-# kernel, rows x (g - 1) x g complex values, then holds at most
-# 2**14 * (g - 1) of them, 16 MB at degree 64.
+# Zeros (rows x g) in one block of sendov_distances, and complex values in
+# each of the kernel's rows x (g - 1) x g temporaries (4 MB).  The second
+# bound rules above degree 17: at degree 200 it gives blocks of 6 rows
+# instead of 81, whose 51 MB temporaries made the cell 50% slower.
 _BLOCK_ELEMENTS = 2 ** 14
+_BLOCK_TEMPORARY = 2 ** 18
 # Unit roundoff of binary64.
 _U = 2.0 ** -53
 _RESTARTS = 3
@@ -918,6 +920,11 @@ def critical_report(inst: SendovInstance) -> CriticalPointReport:
     )
 
 
+def _block_rows(g: int) -> int:
+    """Rows of g zeros in one block of ``sendov_distances``."""
+    return max(1, min(_BLOCK_ELEMENTS // g, _BLOCK_TEMPORARY // (g * (g - 1))))
+
+
 def sendov_distances(a: float, other_zeros) -> tuple[np.ndarray, np.ndarray]:
     """Sendov distance and bracket half-width of many instances sharing a.
 
@@ -925,8 +932,9 @@ def sendov_distances(a: float, other_zeros) -> tuple[np.ndarray, np.ndarray]:
     rows are validated together by ``SendovInstance``'s rule.  Each row's
     pair is bit for bit what ``critical_report`` gives for that instance:
     rows whose zeros are all distinct run through the same kernel in
-    blocks of at most 2**14 zeros, and a row with a repeated zero runs
-    through ``critical_report`` itself.
+    blocks of at most 2**14 zeros (fewer above degree 17, see
+    ``_block_rows``), and a row with a repeated zero runs through
+    ``critical_report`` itself.
     """
     try:
         others = np.asarray(other_zeros, dtype=np.complex128)
@@ -946,7 +954,7 @@ def sendov_distances(a: float, other_zeros) -> tuple[np.ndarray, np.ndarray]:
         report = critical_report(SendovInstance(a, tuple(others[t].tolist())))
         distance[t], radius[t] = report.sendov_distance, report.distance_radius
     distinct = np.nonzero(~repeated)[0]
-    block = max(1, _BLOCK_ELEMENTS // g)
+    block = _block_rows(g)
     for start in range(0, distinct.size, block):
         t = distinct[start:start + block]
         zeta = zeros[t]

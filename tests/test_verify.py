@@ -180,7 +180,7 @@ class TestFuzz:
         # A cell runs its trials through one kernel in blocks of rows; each
         # trial's bracket must be what critical_report gives it alone.
         seed = 5
-        trials = int(blocks * (poly._BLOCK_ELEMENTS // degree))
+        trials = int(blocks * poly._block_rows(degree))
         others = np.empty((trials, degree - 1), dtype=complex)
         for index in range(trials):
             rng = np.random.default_rng([seed, index])
