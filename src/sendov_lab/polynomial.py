@@ -55,11 +55,8 @@ CLUSTER_TOL = 1e-7
 _MAX_ITER = 200
 # Sweeps of the critical-point iteration before it reports not converged.
 _MAX_SWEEPS = 300
-# Zeros (rows x g) in one block of sendov_distances, and complex values in
-# each of the kernel's rows x (g - 1) x g temporaries (4 MB).  The second
-# bound rules above degree 17: at degree 200 it gives blocks of 6 rows
-# instead of 81, whose 51 MB temporaries made the cell 50% slower.
-_BLOCK_ELEMENTS = 2 ** 14
+# Complex values in each of the kernel's rows x (g - 1) x g temporaries
+# (4 MB), which sets the rows in one block of sendov_distances.
 _BLOCK_TEMPORARY = 2 ** 18
 # Unit roundoff of binary64.
 _U = 2.0 ** -53
@@ -641,8 +638,7 @@ def _starts(zeta: np.ndarray, k: np.ndarray) -> np.ndarray:
 def _aberth_corrections(w, zeta, kc, points) -> np.ndarray:
     """Aberth corrections for the roots of Q, per row of approximations ``w``.
 
-    Row t has zeros ``zeta[t]`` and multiplicities ``kc[t]`` (complex; None
-    means all ones).  ``points`` is None for every point, giving a
+    Row t has zeros ``zeta[t]`` and multiplicities ``kc[t]`` (complex).  ``points`` is None for every point, giving a
     corrections array shaped like ``w``, or a pair (t, i) of index arrays
     for the points w[t, i] alone, each gathered with its row.
     Q'/Q = sum_j 1/(z - zeta_j) + f'/f gives the Newton step
@@ -673,7 +669,7 @@ def _aberth_corrections(w, zeta, kc, points) -> np.ndarray:
             return np.subtract(at, gathered, out=gathered)
     r = minus(zeta)
     np.divide(1.0, r, out=r)
-    rk = r if kc is None else r * rows(kc)
+    rk = r * rows(kc)
     f = rk.sum(axis=-1)
     newton = f * r.sum(axis=-1)
     newton -= np.multiply(rk, r, out=rk).sum(axis=-1)
@@ -733,7 +729,7 @@ def _secular_aberth(
     # part them.
     angles = 2.0 * np.pi * np.arange(m) / m + _ANGULAR_OFFSET
     nudge = 1e-7 * scale[:, None] * ((1.0 + np.arange(m) / m) * np.exp(1j * (angles + 1.0)))
-    kc = None if (k == 1.0).all() else k.astype(np.complex128)
+    kc = k.astype(np.complex128)
     moving = np.ones((rows, m), dtype=bool)
     settled = np.zeros(rows, dtype=bool)
     stall = np.zeros(rows, dtype=int)
@@ -749,15 +745,20 @@ def _secular_aberth(
                 corr = np.zeros((rows, m), dtype=np.complex128)
                 corr[points] = _aberth_corrections(w, zeta, kc, points)
             step = np.abs(corr) / scale[:, None]
-            bad = ~np.isfinite(corr)
-            nudged = bad.any(axis=-1)
-            w = np.where(bad, w + nudge, np.where(nudged[:, None], w, w - corr))
-            swept = moving.any(axis=-1) & ~nudged
+            small = moving & (step <= 1e-13)
+            finite = np.isfinite(corr)
+            if finite.all():
+                w = w - corr
+                swept = moving.any(axis=-1)
+            else:
+                nudged = ~finite.all(axis=-1)
+                w = np.where(finite, np.where(nudged[:, None], w, w - corr), w + nudge)
+                swept = moving.any(axis=-1) & ~nudged
+                small &= swept[:, None]
             # A small step freezes a point only where it is also small
             # against the distance to the point's nearest zero or neighbour:
             # inside a tight cluster every step is small, and a point frozen
             # there early leaves discs that overlap.
-            small = swept[:, None] & moving & (step <= 1e-13)
             if small.any():
                 points = np.nonzero(small)
                 small[points] = np.abs(corr[points]) <= 1e-3 * _nearest(w, zeta, points)
@@ -767,12 +768,14 @@ def _secular_aberth(
             # re-sample it.  The inclusion radii then say how far off the
             # points are.
             largest = step.max(axis=-1)
-            improved = largest < 0.7 * best_step
-            best_step = np.where(swept & improved, largest, best_step)
-            stall = np.where(swept, np.where(improved, 0, stall + 1), stall)
+            improved = swept & (largest < 0.7 * best_step)
+            best_step = np.where(improved, largest, best_step)
+            stall += swept
+            stall[improved] = 0
             ended = swept & (~moving.any(axis=-1) | ((stall >= 10) & (largest <= 1e-5)))
-            settled |= ended
-            moving[ended] = False
+            if ended.any():
+                settled |= ended
+                moving[ended] = False
     return w, settled
 
 
@@ -922,7 +925,7 @@ def critical_report(inst: SendovInstance) -> CriticalPointReport:
 
 def _block_rows(g: int) -> int:
     """Rows of g zeros in one block of ``sendov_distances``."""
-    return max(1, min(_BLOCK_ELEMENTS // g, _BLOCK_TEMPORARY // (g * (g - 1))))
+    return max(1, _BLOCK_TEMPORARY // (g * (g - 1)))
 
 
 def sendov_distances(a: float, other_zeros) -> tuple[np.ndarray, np.ndarray]:
@@ -932,7 +935,7 @@ def sendov_distances(a: float, other_zeros) -> tuple[np.ndarray, np.ndarray]:
     rows are validated together by ``SendovInstance``'s rule.  Each row's
     pair is bit for bit what ``critical_report`` gives for that instance:
     rows whose zeros are all distinct run through the same kernel in
-    blocks of at most 2**14 zeros (fewer above degree 17, see
+    blocks whose temporaries hold at most 2**18 values each (see
     ``_block_rows``), and a row with a repeated zero runs through
     ``critical_report`` itself.
     """

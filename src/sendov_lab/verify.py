@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import bounds
+from . import bounds, polynomial
 from .polynomial import (
     CriticalPointReport,
     SendovInstance,
@@ -412,37 +412,46 @@ def fuzz_sendov(a: float, degree: int, trials: int, seed: int = DEFAULT_SEED) ->
     Each trial draws degree-1 other zeros area-uniformly from the closed
     unit disk (radius sqrt(u)) with its own generator seeded by
     (seed, trial index), so any single trial can be reproduced in isolation.
-    The cell's trials are then checked together by ``sendov_distances``, in
-    blocks of at most 2**14 zeros through one kernel; each trial's distance
-    bracket is still bit for bit what ``critical_report`` gives for that
-    trial alone, so no result depends on the number of trials or on the
-    block a trial falls in.
+    The trials are drawn and checked a block at a time by
+    ``sendov_distances``, one kernel call per block of rows whose
+    temporaries hold at most 2**18 values, so memory stays that of one
+    block however many trials run.  Each trial's distance bracket is bit for
+    bit what ``critical_report`` gives for that trial alone, so no result
+    depends on the number of trials or on the block a trial falls in.
     """
     _validate_fuzz_args(a, degree, trials)
     m = degree - 1
-    u = np.empty((trials, m))
-    angle = np.empty((trials, m))
-    for index in range(trials):
-        rng = np.random.default_rng([seed, index])
-        u[index] = rng.uniform(size=m)
-        angle[index] = rng.uniform(0.0, 2.0 * np.pi, size=m)
-    others = np.sqrt(u) * np.exp(1j * angle)
-    distance, radius = sendov_distances(float(a), others)
-    verdicts = bracket_verdict(distance, radius, VIOLATION_THRESHOLD)
-    resolved = verdicts != "UNRESOLVED"
-    violating = tuple(
-        SendovInstance(a=float(a), other_zeros=tuple(others[t].tolist())).to_json()
-        for t in np.nonzero(verdicts == "FAIL")[0]
-    )
+    block = polynomial._block_rows(degree)
+    largest = 0.0
+    unresolved = 0
+    violating: list[str] = []
+    for first in range(0, trials, block):
+        indices = range(first, min(first + block, trials))
+        u = np.empty((len(indices), m))
+        angle = np.empty((len(indices), m))
+        for row, index in enumerate(indices):
+            rng = np.random.default_rng([seed, index])
+            u[row] = rng.uniform(size=m)
+            angle[row] = rng.uniform(0.0, 2.0 * np.pi, size=m)
+        others = np.sqrt(u) * np.exp(1j * angle)
+        distance, radius = sendov_distances(float(a), others)
+        verdicts = bracket_verdict(distance, radius, VIOLATION_THRESHOLD)
+        resolved = verdicts != "UNRESOLVED"
+        largest = max(largest, float(distance[resolved].max(initial=0.0)))
+        unresolved += int(len(indices) - resolved.sum())
+        violating.extend(
+            SendovInstance(a=float(a), other_zeros=tuple(others[t].tolist())).to_json()
+            for t in np.nonzero(verdicts == "FAIL")[0]
+        )
     return FuzzReport(
         a=float(a),
         degree=degree,
         trials=trials,
-        max_sendov_distance=float(distance[resolved].max(initial=0.0)),
+        max_sendov_distance=largest,
         violations=len(violating),
         seed=seed,
-        non_converged=int(trials - resolved.sum()),
-        violation_instances=violating,
+        non_converged=unresolved,
+        violation_instances=tuple(violating),
     )
 
 
