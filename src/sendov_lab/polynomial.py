@@ -638,7 +638,8 @@ def _starts(zeta: np.ndarray, k: np.ndarray) -> np.ndarray:
 def _aberth_corrections(w, zeta, kc, points) -> np.ndarray:
     """Aberth corrections for the roots of Q, per row of approximations ``w``.
 
-    Row t has zeros ``zeta[t]`` and multiplicities ``kc[t]`` (complex).  ``points`` is None for every point, giving a
+    Row t has zeros ``zeta[t]`` and multiplicities ``kc[t]`` (complex; None
+    means all ones).  ``points`` is None for every point, giving a
     corrections array shaped like ``w``, or a pair (t, i) of index arrays
     for the points w[t, i] alone, each gathered with its row.
     Q'/Q = sum_j 1/(z - zeta_j) + f'/f gives the Newton step
@@ -669,7 +670,7 @@ def _aberth_corrections(w, zeta, kc, points) -> np.ndarray:
             return np.subtract(at, gathered, out=gathered)
     r = minus(zeta)
     np.divide(1.0, r, out=r)
-    rk = r * rows(kc)
+    rk = r if kc is None else r * rows(kc)
     f = rk.sum(axis=-1)
     newton = f * r.sum(axis=-1)
     newton -= np.multiply(rk, r, out=rk).sum(axis=-1)
@@ -729,7 +730,9 @@ def _secular_aberth(
     # part them.
     angles = 2.0 * np.pi * np.arange(m) / m + _ANGULAR_OFFSET
     nudge = 1e-7 * scale[:, None] * ((1.0 + np.arange(m) / m) * np.exp(1j * (angles + 1.0)))
-    kc = k.astype(np.complex128)
+    # The product by unit multiplicities is exact and would cost a full
+    # pass, and a temporary, of the points x zeros array every sweep.
+    kc = None if (k == 1.0).all() else k.astype(np.complex128)
     moving = np.ones((rows, m), dtype=bool)
     settled = np.zeros(rows, dtype=bool)
     stall = np.zeros(rows, dtype=int)
@@ -773,9 +776,8 @@ def _secular_aberth(
             stall += swept
             stall[improved] = 0
             ended = swept & (~moving.any(axis=-1) | ((stall >= 10) & (largest <= 1e-5)))
-            if ended.any():
-                settled |= ended
-                moving[ended] = False
+            settled |= ended
+            moving[ended] = False
     return w, settled
 
 
