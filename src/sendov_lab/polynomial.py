@@ -12,9 +12,12 @@ once (``sendov_distances``): its stages take a leading axis of instances,
 and an instance's result does not depend on what else is in the array.
 
 The coefficient side (``from_roots``, ``find_roots``) stays for general
-polynomials: an Aberth iteration on binary64 coefficients, a polish against
-the extended-precision coefficients ``from_roots`` keeps as head + tail
-pairs, and per-root residual certificates.
+polynomials.  One Aberth sweep loop runs in the dtype of its coefficients:
+first on the binary64 coefficients, then in clongdouble on the
+extended-precision coefficients ``from_roots`` keeps as head + tail pairs,
+with an mpmath Newton rescue for the few roots still adrift.  One
+Vandermonde evaluator gives p and p' everywhere, and each root gets a
+residual certificate.
 
 All public values are immutable and safe to share across threads.
 """
@@ -122,7 +125,7 @@ class Polynomial:
                     f"{rts.size} roots stored on a degree-{self.degree} polynomial"
                 )
             with np.errstate(all="ignore"):
-                values = np.abs(_values_at(coeffs, rts))
+                values = np.abs(_values(coeffs, rts))
                 bounds = _STORED_ROOT_TOL * np.abs(coeffs).max() \
                     * (1.0 + np.abs(rts)) ** self.degree
             # NaN (from inf - inf in an overflowing complex power) fails too.
@@ -229,7 +232,8 @@ class RootResult:
     residuals[i] = |P(roots[i])| / (max|coeff| * (1+|roots[i]|)^degree);
     converged means every residual is at or below RESIDUAL_TOL.  clusters
     lists index groups whose pairwise distance is below CLUSTER_TOL (likely
-    multiple roots); iterations counts Aberth sweeps across all restarts.
+    multiple roots); iterations counts binary64 Aberth sweeps across all
+    restarts, at most 200 per attempt.
     """
 
     roots: tuple[complex, ...]
@@ -294,105 +298,85 @@ def from_roots(roots: Sequence[complex]) -> Polynomial:
 
 
 def evaluate(p: Polynomial, z: complex) -> complex:
-    """Horner evaluation of p at z."""
+    """p(z), for a finite z."""
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise InvalidInputError(f"evaluation point must be finite, got {z!r}")
-    acc = 0j
-    for c in reversed(p.coefficients):
-        acc = acc * z + c
-    return acc
+    return complex(_values(np.asarray(p.coefficients), np.array([z]))[0])
 
 
-def _values_at(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """p(z) for every z at once via a Vandermonde product."""
-    v = np.vander(z, len(coeffs), increasing=True)
-    return v @ coeffs
+def _values(c: np.ndarray, z: np.ndarray, derivative: bool = False):
+    """p(z) for every z at once, and p'(z) too with ``derivative``, in the
+    dtype of c and z: one Vandermonde matrix V[i, k] = z_i^k gives p = V c
+    and p' = V[:, :-1] (k c_k).  A value past the floating range comes back
+    inf or nan without a warning; every caller handles it."""
+    n = len(c) - 1
+    with np.errstate(all="ignore"):
+        v = np.vander(z, n + 1, increasing=True)
+        pz = v @ c
+        if not derivative:
+            return pz
+        return pz, v[:, :n] @ (c[1:] * np.arange(1, n + 1))
 
 
 def _certified_residuals(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """|p(z)| / (max|c| (1+|z|)^deg), with the scale kept in log space so a
     far-out root cannot overflow the denominator into a vacuous certificate."""
     deg = len(coeffs) - 1
-    pz = np.abs(_values_at(coeffs, z))
+    pz = np.abs(_values(coeffs, z))
     log_scale = math.log(np.abs(coeffs).max()) + deg * np.log1p(np.abs(z))
-    out = np.full(z.shape, np.inf)
-    finite = np.isfinite(pz)
-    tiny = finite & (pz == 0.0)
-    ok = finite & (pz > 0.0)
-    out[tiny] = 0.0
-    out[ok] = np.exp(np.log(pz[ok]) - log_scale[ok])
-    return out
+    with np.errstate(all="ignore"):
+        residuals = np.exp(np.log(pz) - log_scale)
+    return np.where(np.isfinite(pz), residuals, np.inf)
 
 
-def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, int, bool]:
-    """Simultaneous iteration on monic-normalized coeffs; returns (roots, iters, converged)."""
-    n = len(coeffs) - 1
-    monic = coeffs / coeffs[-1]
-    dmonic = monic[1:] * np.arange(1, n + 1)
-
-    radius = 1.0 + float(np.abs(monic[:-1]).max())
-    angles = 2.0 * np.pi * np.arange(n) / n + _ANGULAR_OFFSET
-    z = radius * np.exp(1j * angles)
-
-    # Restart jitter is deterministic: same polynomial, same answer, always.
-    rng = np.random.default_rng(0x53454E44)
-    iterations = 0
-    for attempt in range(_RESTARTS + 1):
-        if attempt:
-            jig = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            # continue from the current cloud, nudged; do not reset to the
-            # initial circle or the far-field progress is thrown away
-            z = z * (1.0 + 1e-3 * jig) + 1e-6 * jig
-        quiet = 0
-        stall = 0
-        best_step = np.inf
-        arrived = False
-        for _ in range(_MAX_ITER):
-            iterations += 1
-            pz = _values_at(monic, z)
-            dpz = _values_at(dmonic, z)
-            with np.errstate(all="ignore"):
-                w = pz / dpz
-            bad = ~np.isfinite(w)
-            if bad.any():
-                # overflow far from the root cloud: pull the offenders in
-                z = np.where(bad, 0.5 * z, z)
-                continue
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            with np.errstate(all="ignore"):
-                s = (1.0 / diff).sum(axis=1)
-                corr = w / (1.0 - w * s)
-            corr = np.where(np.isfinite(corr), corr, w)
-            z = z - corr
-            step_max = float((np.abs(corr) / (1.0 + np.abs(z))).max())
-            if step_max <= 1e-13:
-                quiet += 1
-                if quiet >= 2:
-                    arrived = True
-                    break
-            else:
-                quiet = 0
-            # Ill-conditioned roots rattle at a noise floor of roughly
-            # eps * sum|c_k| / |p'(root)|, which can sit many decades above
-            # 1e-13; once steps are small and stop improving, more sweeps
-            # only re-sample that noise.
-            if step_max < 0.7 * best_step:
-                best_step = step_max
-                stall = 0
-            else:
-                stall += 1
-                if stall >= 10 and step_max <= 1e-5:
-                    arrived = True
-                    break
-        # The residual scale (1+|r|)^degree is exponentially forgiving at
-        # high degree, so certification alone must never cut an attempt
-        # short: a mid-flight cloud can pass it while still far from the
-        # roots.  Only a settled (or noise-floored) iteration counts.
-        if arrived and bool((_certified_residuals(coeffs, z) <= RESIDUAL_TOL).all()):
-            return z, iterations, True
-    return z, iterations, bool((_certified_residuals(coeffs, z) <= RESIDUAL_TOL).all())
+def _aberth(c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """Aberth-Ehrlich sweeps on the roots of sum c_k z^k from the
+    approximations z, in the dtype of c; returns (z, sweeps, arrived).
+    It arrives after two sweeps in a row whose steps are all at most 1e-13
+    of 1 + |z|, or once they are at most 1e-5 and have not shrunk in ten
+    sweeps, and gives up after 200 sweeps."""
+    sweeps = 0
+    quiet = 0
+    stall = 0
+    best_step = np.inf
+    for _ in range(_MAX_ITER):
+        sweeps += 1
+        pz, dpz = _values(c, z, derivative=True)
+        with np.errstate(all="ignore"):
+            w = pz / dpz
+        bad = ~np.isfinite(w)
+        if bad.any():
+            # overflow far from the root cloud, or p' = 0 on a multiple
+            # root: move the offenders and sweep again
+            z = np.where(bad, 0.5 * z, z)
+            continue
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, np.inf)
+        with np.errstate(all="ignore"):
+            s = (1.0 / diff).sum(axis=1)
+            corr = w / (1.0 - w * s)
+        corr = np.where(np.isfinite(corr), corr, w)
+        z = z - corr
+        step_max = float((np.abs(corr) / (1.0 + np.abs(z))).max())
+        if step_max <= 1e-13:
+            quiet += 1
+            if quiet >= 2:
+                return z, sweeps, True
+        else:
+            quiet = 0
+        # Ill-conditioned roots rattle at a noise floor of roughly
+        # eps * sum|c_k| / |p'(root)|, which can sit many decades above
+        # 1e-13; once steps are small and stop improving, more sweeps
+        # only re-sample that noise.
+        if step_max < 0.7 * best_step:
+            best_step = step_max
+            stall = 0
+        else:
+            stall += 1
+            if stall >= 10 and step_max <= 1e-5:
+                return z, sweeps, True
+    return z, sweeps, False
 
 
 def _roots_quadratic(coeffs: np.ndarray) -> np.ndarray:
@@ -411,87 +395,40 @@ def _roots_quadratic(coeffs: np.ndarray) -> np.ndarray:
     return np.array([r1, r2])
 
 
-def _polish(
-    coeffs: np.ndarray, z: np.ndarray, tails: Sequence[complex] | None
-) -> np.ndarray:
-    """Refine roots past binary64: extended-precision Aberth sweeps, then an
-    arbitrary-precision Newton rescue for any root still adrift.
+def _polish(p: Polynomial, exact: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """50-digit Newton finish for the roots z still adrift after the sweeps
+    on ``exact``, p's coefficients + ``tails`` in clongdouble.
 
-    Both refine against coeffs + tails (the Polynomial's ``tails``; None
-    means zero), summed exactly: in clongdouble for the sweeps, in mpmath
-    for the rescue.  A random degree-50 unit-disk polynomial can have
-    |p'(root)| ~ 1e-9 with coefficient mass ~ 1e4, putting even the 80-bit
-    evaluation noise floor above 1e-8 of root error; those few roots get a
-    50-digit Newton finish.
+    A random degree-50 unit-disk polynomial can have |p'(root)| ~ 1e-9 with
+    coefficient mass ~ 1e4, putting even the 80-bit evaluation noise floor
+    above 1e-8 of root error.  A root whose Newton step on ``exact`` is over
+    1e-10 of 1 + |z| is refined in mpmath against coefficients + tails.
     """
-    n = len(coeffs) - 1
-    cl = coeffs.astype(np.clongdouble)
-    if tails is not None:
-        cl = cl + np.asarray(tails, dtype=np.complex128).astype(np.clongdouble)
-    dcl = cl[1:] * np.arange(1, n + 1)
-    zl = z.astype(np.clongdouble)
-    best = np.inf
-    stall = 0
-    for _ in range(10):
-        v = np.vander(zl, n + 1, increasing=True)
-        with np.errstate(all="ignore"):
-            w = (v @ cl) / (v[:, :n] @ dcl)
-        w = np.where(np.isfinite(w), w, 0.0)
-        if n > 1:
-            diff = zl[:, None] - zl[None, :]
-            np.fill_diagonal(diff, np.inf)
-            with np.errstate(all="ignore"):
-                s = (1.0 / diff).sum(axis=1)
-                corr = w / (1.0 - w * s)
-            corr = np.where(np.isfinite(corr), corr, w)
-        else:
-            corr = w
-        zl = zl - corr
-        step_rel = float((np.abs(corr) / (1.0 + np.abs(zl))).max())
-        if step_rel <= 1e-14:
-            break
-        if step_rel < 0.7 * best:
-            best = step_rel
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 3:
-                break
-
-    # Fresh Newton step as a first-order error estimate per root.
-    v = np.vander(zl, n + 1, increasing=True)
+    pz, dpz = _values(exact, z, derivative=True)
     with np.errstate(all="ignore"):
-        w = (v @ cl) / (v[:, :n] @ dcl)
+        w = pz / dpz
     w = np.where(np.isfinite(w), w, 0.0)
-    stubborn = np.nonzero(np.abs(w) > 1e-10 * (1.0 + np.abs(zl)))[0]
+    stubborn = np.nonzero(np.abs(w) > 1e-10 * (1.0 + np.abs(z)))[0]
     if stubborn.size:
         import mpmath as mp
 
         with mp.workdps(50):
-            cs = [mp.mpc(complex(c)) for c in coeffs]
-            if tails is not None:
-                cs = [c + mp.mpc(t) for c, t in zip(cs, tails)]
-            dcs = [k * c for k, c in enumerate(cs)][1:]
+            cs = [mp.mpc(c) for c in p.coefficients]
+            if p.tails is not None:
+                cs = [c + mp.mpc(t) for c, t in zip(cs, p.tails)]
+            cs.reverse()
             for i in stubborn:
-                x = mp.mpc(complex(zl[i]))
+                x = mp.mpc(complex(z[i]))
                 for _ in range(8):
-                    pv = _mp_horner(cs, x)
-                    dv = _mp_horner(dcs, x)
+                    pv, dv = mp.polyval(cs, x, derivative=True)
                     if dv == 0:
                         break
                     delta = pv / dv
                     x -= delta
                     if abs(delta) <= 1e-16 * (1 + abs(x)):
                         break
-                zl[i] = complex(x)
-    return zl.astype(np.complex128)
-
-
-def _mp_horner(coeffs_ascending, x):
-    acc = 0
-    for c in reversed(coeffs_ascending):
-        acc = acc * x + c
-    return acc
+                z[i] = complex(x)
+    return z.astype(np.complex128)
 
 
 def _clusters(z: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -521,25 +458,51 @@ def _clusters(z: np.ndarray) -> tuple[tuple[int, ...], ...]:
 def find_roots(p: Polynomial) -> RootResult:
     """All roots of p with residual certificates.
 
-    Initial guesses sit on a circle of radius 1 + max|c_k/c_n| at equal
-    angles plus a fixed irrational offset.
-    Up to 200 Aberth-Ehrlich sweeps per attempt and 3 deterministic
-    perturb-and-continue restarts; afterwards an extended-precision polish
-    against coefficients + ``tails``.  ``converged`` reflects the binary64
-    residual certificates of the final values — a non-converged report is
-    returned rather than guessing.  Stored ``roots`` are never read.
+    Degrees 1 and 2 start from their closed forms, higher degrees from a
+    circle of radius 1 + max|c_k/c_n| at equal angles plus a fixed
+    irrational offset, swept by ``_aberth`` on the binary64 monic
+    coefficients with 3 deterministic perturb-and-continue restarts.  The
+    same sweeps then run in clongdouble on coefficients + ``tails``, and
+    ``_polish`` finishes any root still adrift.  ``converged`` reflects the
+    binary64 residual certificates of the final values (a non-converged
+    report is returned rather than guessing); ``iterations`` counts the
+    binary64 sweeps.  Stored ``roots`` are never read.
     """
     if p.degree < 1:
         raise InvalidInputError("find_roots needs degree >= 1")
+    n = p.degree
     coeffs = np.asarray(p.coefficients, dtype=np.complex128)
     iterations = 0
-    if p.degree == 1:
+    if n == 1:
         z = np.array([-coeffs[0] / coeffs[1]])
-    elif p.degree == 2:
+    elif n == 2:
         z = _roots_quadratic(coeffs)
     else:
-        z, iterations, _ = _aberth(coeffs)
-    z = _polish(coeffs, z, p.tails)
+        monic = coeffs / coeffs[-1]
+        radius = 1.0 + float(np.abs(monic[:-1]).max())
+        z = radius * np.exp(1j * (2.0 * np.pi * np.arange(n) / n + _ANGULAR_OFFSET))
+        # Restart jitter is deterministic: same polynomial, same answer, always.
+        rng = np.random.default_rng(0x53454E44)
+        for attempt in range(_RESTARTS + 1):
+            if attempt:
+                jig = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                # continue from the current cloud, nudged; do not reset to
+                # the initial circle or the far-field progress is thrown away
+                z = z * (1.0 + 1e-3 * jig) + 1e-6 * jig
+            z, sweeps, arrived = _aberth(monic, z)
+            iterations += sweeps
+            # The residual scale (1+|r|)^degree is exponentially forgiving
+            # at high degree, so certification alone must never cut an
+            # attempt short: a mid-flight cloud can pass it while still far
+            # from the roots.  Only a settled (or noise-floored) attempt
+            # counts.
+            if arrived and bool((_certified_residuals(coeffs, z) <= RESIDUAL_TOL).all()):
+                break
+    exact = coeffs.astype(np.clongdouble)
+    if p.tails is not None:
+        exact += np.asarray(p.tails).astype(np.clongdouble)
+    z, _, _ = _aberth(exact, z.astype(np.clongdouble))
+    z = _polish(p, exact, z)
     order = np.lexsort((z.imag, z.real))
     z = z[order]
     residuals = _certified_residuals(coeffs, z)
@@ -559,36 +522,22 @@ def match_roots(
     """Pair each expected root with a distinct found root.
 
     Returns (assignment, worst_distance) where assignment[i] indexes the
-    found root paired with expected[i].  Greedy globally-nearest pairing
-    first; if its worst pair exceeds 1e-8 the exact Hungarian assignment is
-    computed and the better of the two is returned.
+    found root paired with expected[i]: the Hungarian assignment, which
+    minimises the total distance over the pairs.  Where every expected
+    root's nearest found root is a different one, that pairing already
+    attains the minimum, row by row, and scipy is not imported.
     """
     f = _require_finite_complex(found, "found")
     e = _require_finite_complex(expected, "expected")
     if f.size != e.size or f.size == 0:
         raise InvalidInputError("matching needs two equal nonempty root lists")
     dist = np.abs(e[:, None] - f[None, :])
-
-    work = dist.copy()
-    n = f.size
-    assign = np.full(n, -1)
-    for _ in range(n):
-        i, j = np.unravel_index(np.argmin(work), work.shape)
-        assign[i] = j
-        work[i, :] = np.inf
-        work[:, j] = np.inf
-    worst = float(dist[np.arange(n), assign].max())
-
-    if worst > 1e-8:
+    cols = dist.argmin(axis=1)
+    if np.unique(cols).size < cols.size:
         from scipy.optimize import linear_sum_assignment
 
-        rows, cols = linear_sum_assignment(dist)
-        hung = np.empty(n, dtype=int)
-        hung[rows] = cols
-        hung_worst = float(dist[np.arange(n), hung].max())
-        if hung_worst < worst:
-            assign, worst = hung, hung_worst
-    return tuple(int(j) for j in assign), worst
+        cols = linear_sum_assignment(dist)[1]
+    return tuple(cols.tolist()), float(dist[np.arange(cols.size), cols].max())
 
 
 def _starts(zeta: np.ndarray, k: np.ndarray) -> np.ndarray:

@@ -397,9 +397,7 @@ def verify_estimate_chain(grid_step: float = 1e-3) -> list[VerificationOutcome]:
 
 
 def _validate_fuzz_args(a: float, degree: int, trials: int) -> None:
-    if not isinstance(a, (int, float)) or isinstance(a, bool) \
-            or not math.isfinite(a) or not 0.0 < a < 1.0:
-        raise bounds.DomainError(f"a must lie in (0, 1), got {a!r}")
+    bounds._check_a(a)
     if not isinstance(degree, int) or isinstance(degree, bool) or not 2 <= degree <= 200:
         raise bounds.DomainError(f"degree must be an integer in [2, 200], got {degree!r}")
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:

@@ -16,6 +16,7 @@ import reference_values as ref
 from sendov_lab import polynomial as poly
 from sendov_lab.polynomial import (
     CLUSTER_TOL,
+    RESIDUAL_TOL,
     CriticalPointReport,
     InvalidInputError,
     Polynomial,
@@ -269,6 +270,18 @@ class TestFindRoots:
         assert a == b
         keys = [(z.real, z.imag) for z in a]
         assert keys == sorted(keys)
+
+    def test_far_root_leaks_no_warning(self):
+        # A root at 1e6 puts the start circle past binary64 range for
+        # z^60: every attempt runs its 200 sweeps, the restarts follow, and
+        # the overflowing values are handled without a numpy warning.
+        ring = [0.5 * cmath.exp(2j * cmath.pi * k / 59 + 0.1j) for k in range(59)]
+        p = Polynomial(tuple(complex(c) for c in np.poly([1e6] + ring)[::-1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = find_roots(p)
+        assert res.converged == all(r <= RESIDUAL_TOL for r in res.residuals)
+        assert res.iterations > 200
 
     def test_requires_degree_at_least_one(self):
         with pytest.raises(InvalidInputError):
