@@ -97,7 +97,8 @@ class Polynomial:
     when that needs more than binary64 (``from_roots`` fills it from its
     clongdouble expansion).  None means the coefficients are exact.  The
     tails are finite, one per coefficient, and take no part in equality,
-    ``repr`` or ``to_dict``; only ``find_roots``' final polish reads them.
+    ``repr`` or ``to_dict``; only ``find_roots``' clongdouble sweeps and its
+    mpmath rescue read them.
     """
 
     coefficients: tuple[complex, ...]
@@ -340,42 +341,41 @@ def _aberth(c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, int, bool]:
     quiet = 0
     stall = 0
     best_step = np.inf
-    for _ in range(_MAX_ITER):
-        sweeps += 1
-        pz, dpz = _values(c, z, derivative=True)
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        for _ in range(_MAX_ITER):
+            sweeps += 1
+            pz, dpz = _values(c, z, derivative=True)
             w = pz / dpz
-        bad = ~np.isfinite(w)
-        if bad.any():
-            # overflow far from the root cloud, or p' = 0 on a multiple
-            # root: move the offenders and sweep again
-            z = np.where(bad, 0.5 * z, z)
-            continue
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        with np.errstate(all="ignore"):
+            bad = ~np.isfinite(w)
+            if bad.any():
+                # overflow far from the root cloud, or p' = 0 on a multiple
+                # root: move the offenders and sweep again
+                z = np.where(bad, 0.5 * z, z)
+                continue
+            diff = z[:, None] - z[None, :]
+            np.fill_diagonal(diff, np.inf)
             s = (1.0 / diff).sum(axis=1)
             corr = w / (1.0 - w * s)
-        corr = np.where(np.isfinite(corr), corr, w)
-        z = z - corr
-        step_max = float((np.abs(corr) / (1.0 + np.abs(z))).max())
-        if step_max <= 1e-13:
-            quiet += 1
-            if quiet >= 2:
-                return z, sweeps, True
-        else:
-            quiet = 0
-        # Ill-conditioned roots rattle at a noise floor of roughly
-        # eps * sum|c_k| / |p'(root)|, which can sit many decades above
-        # 1e-13; once steps are small and stop improving, more sweeps
-        # only re-sample that noise.
-        if step_max < 0.7 * best_step:
-            best_step = step_max
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 10 and step_max <= 1e-5:
-                return z, sweeps, True
+            corr = np.where(np.isfinite(corr), corr, w)
+            z = z - corr
+            step_max = float((np.abs(corr) / (1.0 + np.abs(z))).max())
+            if step_max <= 1e-13:
+                quiet += 1
+                if quiet >= 2:
+                    return z, sweeps, True
+            else:
+                quiet = 0
+            # Ill-conditioned roots rattle at a noise floor of roughly
+            # eps * sum|c_k| / |p'(root)|, which can sit many decades above
+            # 1e-13; once steps are small and stop improving, more sweeps
+            # only re-sample that noise.
+            if step_max < 0.7 * best_step:
+                best_step = step_max
+                stall = 0
+            else:
+                stall += 1
+                if stall >= 10 and step_max <= 1e-5:
+                    return z, sweeps, True
     return z, sweeps, False
 
 
