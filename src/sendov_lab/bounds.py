@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import Iterable
 
 __all__ = [
     "DomainError",
@@ -172,9 +172,15 @@ def d_function(a: float, c: float, x: float) -> float:
     _check_c(a, c)
     if not (isinstance(x, (int, float)) and math.isfinite(x) and 0.0 < x < 1.0):
         raise DomainError(f"x must lie in (0, 1), got {x!r}")
-    first = (1.0 / (1.0 + a)) ** x
-    second = ((1.0 + c) / (1.0 + a)) ** x * math.sqrt(1.0 + c * c - a * c) ** (1.0 - x)
-    return max(first, second)
+    return _d_values(a, c, (x,))[0]
+
+
+def _d_values(a: float, c: float, xs: Iterable[float]) -> list[float]:
+    """D(a, c, x) for each x, unvalidated; the bases are computed once per (a, c)."""
+    first_base = 1.0 / (1.0 + a)
+    second_base = (1.0 + c) / (1.0 + a)
+    root = math.sqrt(1.0 + c * c - a * c)
+    return [max(first_base ** x, second_base ** x * root ** (1.0 - x)) for x in xs]
 
 
 def log_k_factors(a: float, c: float, p: float, q: float) -> tuple[float, float]:
@@ -226,17 +232,26 @@ def mu2(a: float) -> float:
     1e-9 for the smallest grid points, so one Newton step of the (cleared)
     quadratic a^2 x^2 + (8+2a-a^2) x - (7+2a) is taken in exact rational
     arithmetic: the returned double is then the correctly rounded root.
+    Both a = na/da and x0 = nx/dx are binary fractions, so the step is done
+    on those integers: with L = 8 da^2 + 2 na da - na^2 (the linear
+    coefficient times da^2),
+
+        x0 - f/f' = (nx F' - F) / (F' dx),
+        F  = na^2 nx^2 + L nx dx - (7 da + 2 na) da dx^2,
+        F' = 2 na^2 nx + L dx,
+
+    exactly, and the one rounding is CPython's correctly rounded int / int.
     Defined on (0, 1]; mu2(1) = 3(sqrt(13)-3)/2.
     """
     _check_a(a, closed_right=True)
     t = (((a + 4.0) * a + 16.0) * a + 32.0) * a + 64.0
     x0 = (14.0 + 4.0 * a) / (math.sqrt(t) + 8.0 + 2.0 * a - a * a)
-    af, x = Fraction(a), Fraction(x0)
-    aa = af * af
-    lin = 8 + 2 * af - aa
-    f = aa * x * x + lin * x - (7 + 2 * af)
-    df = 2 * aa * x + lin
-    return float(x - f / df)
+    na, da = a.as_integer_ratio()
+    nx, dx = x0.as_integer_ratio()
+    lin = (8 * da + 2 * na) * da - na * na
+    f = (na * na * nx + lin * dx) * nx - (7 * da + 2 * na) * da * dx * dx
+    df = 2 * na * na * nx + lin * dx
+    return (nx * df - f) / (df * dx)
 
 
 def mu1(a: float) -> float:

@@ -96,9 +96,9 @@ class Polynomial:
     so that coefficients[k] + tails[k] is the polynomial's exact coefficient
     when that needs more than binary64 (``from_roots`` fills it from its
     clongdouble expansion).  None means the coefficients are exact.  The
-    tails are finite, one per coefficient, and take no part in equality,
-    ``repr`` or ``to_dict``; only ``find_roots``' clongdouble sweeps and its
-    mpmath rescue read them.
+    tails are finite, one per coefficient, and take no part in equality or
+    ``repr``; only ``find_roots``' clongdouble sweeps and its mpmath rescue
+    read them.
     """
 
     coefficients: tuple[complex, ...]
@@ -140,17 +140,6 @@ class Polynomial:
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
-
-    def to_dict(self) -> dict:
-        return {"coeffs": [[c.real, c.imag] for c in self.coefficients]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Polynomial":
-        try:
-            coeffs = [complex(re, im) for re, im in data["coeffs"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInputError(f"bad polynomial payload: {exc}") from None
-        return cls(tuple(coeffs))
 
 
 def _require_sendov_a(a) -> float:

@@ -23,8 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -130,6 +129,11 @@ def _validate_grid_step(grid_step: float) -> None:
         )
 
 
+def _check_seed(seed: int) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise bounds.DomainError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def _grid(grid_step: float) -> np.ndarray:
     count = int(round(1.0 / grid_step)) - 1
     return np.array([k * grid_step for k in range(1, count + 1)])
@@ -138,13 +142,15 @@ def _grid(grid_step: float) -> np.ndarray:
 def _min_outcome(
     check_id: str,
     margins: Sequence[float],
-    locations: Sequence,
+    locations: Sequence | Callable[[int], tuple[float, ...]],
     notes: str,
 ) -> VerificationOutcome:
+    """The outcome at the first smallest margin; ``locations`` gives the
+    sample point of each margin by index, as a sequence or a function."""
     margins = np.asarray(margins, dtype=float)
     i = int(np.argmin(margins))
     worst = float(margins[i])
-    loc = locations[i]
+    loc = locations(i) if callable(locations) else locations[i]
     if isinstance(loc, (list, np.ndarray)):
         loc = tuple(float(v) for v in loc)
     elif not isinstance(loc, tuple):
@@ -159,15 +165,20 @@ def _min_outcome(
     )
 
 
-def _mu2_scaled_residual(a: float) -> float:
-    # Exact rational evaluation of |a^2 x^2 + (8+2a-a^2) x - (7+2a)| at
-    # x = mu2(a): binary64 evaluation of the residual would drown in its own
-    # roundoff precisely where the check is interesting.
-    af = Fraction(a)
-    x = Fraction(bounds.mu2(a))
-    aa = af * af
-    value = aa * x * x + (8 + 2 * af - aa) * x - (7 + 2 * af)
-    return abs(float(value))
+def _mu2_scaled_residual(a: float, x: float) -> float:
+    # Exact evaluation of |a^2 x^2 + (8+2a-a^2) x - (7+2a)| at x = mu2(a):
+    # binary64 evaluation of the residual would drown in its own roundoff
+    # precisely where the check is interesting.  With a = na/da and
+    # x = nx/dx (binary fractions), da^2 dx^2 times the quadratic is the
+    # integer below, and int / int rounds the quotient correctly.
+    na, da = a.as_integer_ratio()
+    nx, dx = x.as_integer_ratio()
+    value = (
+        na * na * nx * nx
+        + (8 * da * da + 2 * na * da - na * na) * nx * dx
+        - (7 * da + 2 * na) * da * dx * dx
+    )
+    return abs(value) / (da * da * dx * dx)
 
 
 def run_inequality_suite(
@@ -185,24 +196,29 @@ def run_inequality_suite(
     _validate_grid_step(grid_step)
     if not isinstance(extra_random, int) or extra_random < 0:
         raise bounds.DomainError(f"extra_random must be a count, got {extra_random!r}")
+    _check_seed(seed)
     grid = _grid(grid_step)
     rng = np.random.default_rng(seed)
     pts = np.concatenate([grid, rng.uniform(grid[0], grid[-1], size=extra_random)])
+    # Per-point quantities are computed once, on Python floats: arithmetic
+    # on numpy scalars costs several times more, and the grid's values are
+    # the first len(grid) entries of every per-point list.
+    pts_f = pts.tolist()
 
     gamma = 0.1 * pts + 0.9
     c = pts * gamma
-    mu1 = np.array([bounds.mu1(a) for a in pts])
-    mu2 = np.array([bounds.mu2(a) for a in pts])
-    aux = [bounds.aux_params(a) for a in pts]
+    mu1 = np.array([bounds.mu1(a) for a in pts_f])
+    mu2 = np.array([bounds.mu2(a) for a in pts_f])
+    aux = [bounds.aux_params(a) for a in pts_f]
     log_k1 = np.empty(len(pts))
     log_k2 = np.empty(len(pts))
-    for i, (a, x) in enumerate(zip(pts, aux)):
+    for i, (a, x) in enumerate(zip(pts_f, aux)):
         log_k1[i], log_k2[i] = bounds.log_k_factors(a, x.c, x.p_prime, x.q_prime)
     log_kp = np.minimum(log_k1, log_k2)
 
     outcomes = []
 
-    residuals = np.array([_mu2_scaled_residual(a) for a in pts])
+    residuals = np.array([_mu2_scaled_residual(a, x) for a, x in zip(pts_f, mu2.tolist())])
     outcomes.append(_min_outcome(
         "bounds.mu2_root_residual",
         1e-9 - residuals,
@@ -219,8 +235,8 @@ def run_inequality_suite(
 
     # Shape facts need even spacing: uniform grid only.  mu2 is increasing
     # but loses convexity near a = 0.998, so convexity is asserted for mu1.
-    mu1_g = np.array([bounds.mu1(a) for a in grid])
-    mu2_g = np.array([bounds.mu2(a) for a in grid])
+    mu1_g = mu1[:len(grid)]
+    mu2_g = mu2[:len(grid)]
     shape_margins = np.concatenate([np.diff(mu2_g), np.diff(mu1_g), np.diff(mu1_g, 2)])
     shape_locs = np.concatenate([grid[:-1], grid[:-1], grid[1:-1]])
     outcomes.append(_min_outcome(
@@ -276,19 +292,24 @@ def run_inequality_suite(
     ))
 
     # D(a, c, x) < 1 on 0 < x < 1 and D >= c/(1+a), at c = a*gamma(a).
-    x_set = np.array([k * 0.01 for k in range(1, 100)])
+    # The powers stay scalar libm calls, not one vectorized numpy power: on
+    # AVX-512 hardware numpy's SIMD power differs from libm pow in the last
+    # bit on about 6% of these (a, x) pairs (its log1p and log differ on a
+    # few inputs too), and any such bit would change the report's bytes.
+    x_set = [k * 0.01 for k in range(1, 100)]
     d_margins = []
-    d_locs = []
-    for a, cv in zip(pts, c):
+    for a, cv in zip(pts_f, c.tolist()):
         floor = cv / (1.0 + a)
-        for x in x_set:
-            d = bounds.d_function(a, cv, x)
-            d_margins.append(min(1.0 - d, d - floor))
-            d_locs.append((float(a), float(x)))
+        d_margins.extend(min(1.0 - d, d - floor) for d in bounds._d_values(a, cv, x_set))
+
+    def d_location(i: int) -> tuple[float, float]:
+        ia, ix = divmod(i, len(x_set))
+        return pts_f[ia], x_set[ix]
+
     outcomes.append(_min_outcome(
         "bounds.d_contraction",
         d_margins,
-        d_locs,
+        d_location,
         "min{1 - D(a, a*gamma, x), D(a, a*gamma, x) - a*gamma/(1+a)}; location is (a, x)",
     ))
 
@@ -418,6 +439,7 @@ def fuzz_sendov(a: float, degree: int, trials: int, seed: int = DEFAULT_SEED) ->
     depends on the number of trials or on the block a trial falls in.
     """
     _validate_fuzz_args(a, degree, trials)
+    _check_seed(seed)
     m = degree - 1
     block = polynomial._block_rows(degree)
     largest = 0.0

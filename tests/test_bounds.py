@@ -93,6 +93,23 @@ class TestMuRoots:
         residual = af * af * x * x + (8 + 2 * af - af * af) * x - (7 + 2 * af)
         assert abs(float(residual)) <= 1e-12
 
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    @example(1.0)
+    @example(1e-300)
+    @example(5e-324)
+    @settings(max_examples=500)
+    def test_mu2_integer_step_matches_fraction_step(self, a):
+        # The reference: the same starting point x0 and the same Newton step
+        # of a^2 x^2 + (8+2a-a^2) x - (7+2a), taken in Fraction arithmetic.
+        t = (((a + 4.0) * a + 16.0) * a + 32.0) * a + 64.0
+        x0 = (14.0 + 4.0 * a) / (math.sqrt(t) + 8.0 + 2.0 * a - a * a)
+        af, x = Fraction(a), Fraction(x0)
+        aa = af * af
+        lin = 8 + 2 * af - aa
+        f = aa * x * x + lin * x - (7 + 2 * af)
+        df = 2 * aa * x + lin
+        assert bounds.mu2(a).hex() == float(x - f / df).hex()
+
     @given(a_interior)
     @settings(max_examples=200)
     def test_mu_order_and_bounds(self, a):

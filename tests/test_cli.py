@@ -1,5 +1,6 @@
 """End-to-end tests of the sendov-lab command line (in-process)."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +13,9 @@ import pytest
 import reference_values as ref
 import sendov_lab
 from sendov_lab.cli import build_parser, main
+
+# Digests of `verify --format json` output per seed, kept with the benchmark.
+VERIFY_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "verify_golden.json"
 
 BREAKDOWN_FIELDS = [
     "a", "q_prime", "p_prime", "gamma", "c",
@@ -118,6 +122,16 @@ class TestVerifyCommand:
         assert code == 2
         assert "grid_step" in err
 
+    # 1, 2, 5, 6, 13, 14 and 15 are the seeds with distinct golden digests.
+    @pytest.mark.parametrize("seed", ["1", "2", "5", "6", "13", "14", "15"])
+    def test_json_bytes_match_golden_digests(self, capsys, seed):
+        golden = json.loads(VERIFY_GOLDEN.read_text())
+        argv = [seed if arg == "<seed>" else arg for arg in golden["argv"]]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(out.splitlines()) == golden["checks"]
+        assert hashlib.sha256(out.encode()).hexdigest() == golden["digests"][seed]
+
 
 class TestFuzzCommand:
     def test_clean_cell_exit_zero(self, capsys):
@@ -161,6 +175,21 @@ class TestFuzzCommand:
         code, _, err = run(capsys, "fuzz", "--a", "0.5", "--degree", "4", "--trials", "5")
         assert code == 2
         assert "SENDOV_LAB_SEED" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--grid-step", "0.01"),
+        ("fuzz", "--a", "0.5", "--degree", "4", "--trials", "5"),
+    ])
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_negative_seed_exit_two(self, capsys, monkeypatch, argv, via_env):
+        if via_env:
+            monkeypatch.setenv("SENDOV_LAB_SEED", "-3")
+        else:
+            argv += ("--seed", "-1")
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: seed must be a non-negative integer")
 
     def test_bad_degree_exit_two(self, capsys):
         code, _, _ = run(capsys, "fuzz", "--a", "0.5", "--degree", "1", "--trials", "5")

@@ -1,7 +1,6 @@
 """Tests for polynomial arithmetic, the certified root finder, and reports."""
 
 import cmath
-import json
 import math
 import warnings
 from fractions import Fraction
@@ -105,18 +104,6 @@ class TestPolynomialType:
             Polynomial((1.0, 2.0), tails=(0.0, float("nan")))
         with pytest.raises(InvalidInputError):
             Polynomial((1.0, 2.0), tails=(complex(float("inf"), 0), 0.0))
-
-    def test_dict_round_trip(self):
-        p = Polynomial((1 + 2j, 0.0, 3.5))
-        again = Polynomial.from_dict(p.to_dict())
-        assert again.coefficients == p.coefficients
-        assert json.dumps(p.to_dict()) == json.dumps(again.to_dict())
-
-    def test_from_dict_rejects_garbage(self):
-        with pytest.raises(InvalidInputError):
-            Polynomial.from_dict({"coeffs": "nope"})
-        with pytest.raises(InvalidInputError):
-            Polynomial.from_dict({})
 
 
 class TestFromRootsAndEvaluate:

@@ -115,6 +115,11 @@ class TestInequalitySuite:
         with pytest.raises(bounds.DomainError):
             run_inequality_suite(extra_random=-1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(bounds.DomainError, match="seed"):
+            run_inequality_suite(grid_step=0.01, seed=seed)
+
     def test_sample_counts(self, coarse_suite):
         by_id = {o.check_id: o for o in coarse_suite}
         grid_points = 99
@@ -243,6 +248,11 @@ class TestFuzz:
             fuzz_sendov(0.5, 4, 0)
         with pytest.raises(bounds.DomainError):
             fuzz_sendov(0.5, 4.0, 10)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 2.0])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(bounds.DomainError, match="seed"):
+            fuzz_sendov(0.5, 4, 10, seed=seed)
 
 
 class TestExtremal:
