@@ -17,6 +17,42 @@ from sendov_lab.cli import build_parser, main
 # Digests of `verify --format json` output per seed, kept with the benchmark.
 VERIFY_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "verify_golden.json"
 
+# The committed instance `check` is pinned on: a = 0.6 and three other zeros.
+THREE_ZEROS = '{"a": 0.6, "zeros": [[0.5, 0.5], [-0.9, 0.1], [0.0, -1.0]]}'
+
+# One small call per command; "<instance>" stands for a file holding THREE_ZEROS.
+PINNED_ARGV = {
+    "bound": ["bound", "--a", "0.5"],
+    "table": ["table"],
+    "mean-bound": ["mean-bound", "--a", "0.5", "--n", "650"],
+    "fuzz": ["fuzz", "--a", "0.5", "--degree", "6", "--trials", "20", "--seed", "7"],
+    "verify": ["verify", "--grid-step", "0.01", "--seed", "3"],
+    "check": ["check", "--instance", "<instance>"],
+}
+
+# SHA-256 of the stdout of each PINNED_ARGV call per --format, on x86-64
+# Linux with numpy 2.4.  Every command's output goes through the same
+# renderer, so these pin the bytes of each layout, not only the values.
+STDOUT_DIGESTS = {
+    ("bound", "text"): "42a679e0dfb315d493d1d32604d2f4b9bd404fb707f0370d43df762906f9f426",
+    ("bound", "json"): "752dcb5c92bf596b86e216bb9e320fa967696f343801d485e605940b034cc8f2",
+    ("bound", "csv"): "365cbb8e9842f74206946d6cd96a22ff2d51388e25dabc1577b79a75e18d3faf",
+    ("table", "text"): "8114f6cf769d2f1cebc02340b464019e6ab7f2bb22fe9903fda2f199755da0f0",
+    ("table", "json"): "16eda91bf7394065587bdb7bd77bc6f89c68269a399add478f1671c33243efcf",
+    ("table", "csv"): "0f94e2c9ead531eca78e19cc60f75b9d10e0bed99bf2edd2c265bbb9bd8ff107",
+    ("mean-bound", "text"): "be75cf4bb52dfd046d978f1897333c2ca5a5a0e9104571c331a604b51ce98e8b",
+    ("mean-bound", "json"): "846c4f6437205eea17f5d16fd79254792cb5e027bd111b33f29054ad6b657db4",
+    ("mean-bound", "csv"): "833af997b8a6089c95e413cd2bcc72d6b2354fe6ba4a858a583741417a429513",
+    ("fuzz", "text"): "3a1acae1e95ad2ea6ca8482140ed28eeea52ebe3038024789ccdb36327267caf",
+    ("fuzz", "json"): "7b62aba7e03992a7582f9cb9f04851d48e5a45d339143c9a0bca09c50e8a8801",
+    ("fuzz", "csv"): "0221db2db3db066a66719a2bbc34458bd3b75033bf949ef7e8e3c2bb30d83646",
+    ("verify", "text"): "449d0485194dd4ad0c8e0d6b2f25d75ae7643674ae674764d97be755ba4d10e6",
+    ("verify", "json"): "473c6dd4099c9aa6ebc9dde28c3ea046422f2f1db16f97911f677278a1097485",
+    ("verify", "csv"): "3cc015ff1154e7c5557ffc8aef09f327dbf417404990c88db531be88cc1c7ff0",
+    ("check", "text"): "8695a81cd09297a87e89a26009fd523fa9331ef609201e64b45471a88adee5a0",
+    ("check", "json"): "6a3613052d0e7a87f6f52bbc64a56e77ed404024d1e12d421e9e9fd19938464e",
+}
+
 BREAKDOWN_FIELDS = [
     "a", "q_prime", "p_prime", "gamma", "c",
     "n0", "n1", "n2", "mu1", "mu2", "k1", "k2", "k_prime",
@@ -255,6 +291,17 @@ class TestMeanBoundCommand:
     def test_bad_n_exit_two(self, capsys):
         code, _, _ = run(capsys, "mean-bound", "--a", "0.5", "--n", "1")
         assert code == 2
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("command, fmt", list(STDOUT_DIGESTS))
+    def test_stdout_matches_digest(self, capsys, tmp_path, command, fmt):
+        path = tmp_path / "inst.json"
+        path.write_text(THREE_ZEROS)
+        argv = [str(path) if arg == "<instance>" else arg for arg in PINNED_ARGV[command]]
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS[command, fmt]
 
 
 class TestUsage:
