@@ -20,6 +20,7 @@ an algebraically equivalent stable rewrite is used and documented inline.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Iterable
@@ -51,23 +52,44 @@ __all__ = [
 
 
 class DomainError(ValueError):
-    """A parameter fell outside the open interval a formula is defined on."""
+    """An argument violates a documented precondition: a parameter outside
+    the interval its formula is defined on, a malformed instance, or an
+    unreadable input or unwritable output file."""
 
 
-def _check_a(a: float, *, closed_right: bool = False) -> None:
-    if not isinstance(a, (int, float)) or isinstance(a, bool) or not math.isfinite(a):
-        raise DomainError(f"a must be a finite real, got {a!r}")
-    upper_ok = a <= 1.0 if closed_right else a < 1.0
-    if not (0.0 < a and upper_ok):
-        interval = "(0, 1]" if closed_right else "(0, 1)"
-        raise DomainError(f"a must lie in {interval}, got {a!r}")
+def _real_in(name: str, value, lo: float, hi: float, *, closed_right: bool = False) -> float:
+    """value as a float, if it is a real (not bool) in (lo, hi), or (lo, hi]
+    with closed_right.  The bounds are finite, so NaN and infinities fail."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    if not (lo < value and (value <= hi if closed_right else value < hi)):
+        raise DomainError(
+            f"{name} must lie in ({lo!r}, {hi!r}{']' if closed_right else ')'}, got {value!r}"
+        )
+    return float(value)
 
 
-def _check_c(a: float, c: float) -> None:
-    if not isinstance(c, (int, float)) or isinstance(c, bool) or not math.isfinite(c):
-        raise DomainError(f"c must be a finite real, got {c!r}")
-    if not 0.0 < c < a:
-        raise DomainError(f"c must lie in (0, a) = (0, {a!r}), got {c!r}")
+def _int_in(name: str, value, lo: int, hi: int | None = None) -> int:
+    """value as a Python int, if it is a Python or numpy integer (not bool)
+    in [lo, hi], or at least lo when hi is None."""
+    if not isinstance(value, bool):
+        try:
+            value = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if lo <= value and (hi is None or value <= hi):
+                return value
+    if hi is not None:
+        span = f"an integer in [{lo}, {hi}]"
+    else:
+        span = {0: "a non-negative integer", 1: "a positive integer"}.get(lo, f"an integer >= {lo}")
+    raise DomainError(f"{name} must be {span}, got {value!r}")
+
+
+def _check_a(a: float) -> float:
+    """a as a float, if it lies in (0, 1): the zero every formula here is about."""
+    return _real_in("a", a, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -158,7 +180,7 @@ def n1(a: float) -> float:
 def n2(a: float, c: float) -> float:
     """max{ 9*(log(a/16)/log(c/(1+a)))^2, n0(a) }; both logs are negative."""
     _check_a(a)
-    _check_c(a, c)
+    _real_in("c", c, 0, a)
     ratio = math.log(a / 16.0) / math.log(c / (1.0 + a))
     return max(9.0 * ratio * ratio, n0(a))
 
@@ -169,9 +191,8 @@ def d_function(a: float, c: float, x: float) -> float:
     Strictly below 1 for x in (0, 1) and at least c/(1+a) everywhere.
     """
     _check_a(a)
-    _check_c(a, c)
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and 0.0 < x < 1.0):
-        raise DomainError(f"x must lie in (0, 1), got {x!r}")
+    _real_in("c", c, 0, a)
+    _real_in("x", x, 0, 1)
     return _d_values(a, c, (x,))[0]
 
 
@@ -193,10 +214,9 @@ def log_k_factors(a: float, c: float, p: float, q: float) -> tuple[float, float]
     factor itself would wipe out the margin of the K' > 1 inequality.
     """
     _check_a(a)
-    _check_c(a, c)
-    for name, e in (("p", p), ("q", q)):
-        if not (isinstance(e, (int, float)) and math.isfinite(e) and 0.0 < e < 1.0):
-            raise DomainError(f"{name} must lie in (0, 1), got {e!r}")
+    _real_in("c", c, 0, a)
+    _real_in("p", p, 0, 1)
+    _real_in("q", q, 0, 1)
     log_disc = math.log1p(c * c - a * c)
     log_k1 = p * math.log1p(c - a * c) + 0.5 * (1.0 - p) * log_disc
     log_k2 = q * math.log1p(c) + 0.5 * (1.0 - q) * log_disc
@@ -243,7 +263,7 @@ def mu2(a: float) -> float:
     exactly, and the one rounding is CPython's correctly rounded int / int.
     Defined on (0, 1]; mu2(1) = 3(sqrt(13)-3)/2.
     """
-    _check_a(a, closed_right=True)
+    _real_in("a", a, 0, 1, closed_right=True)
     t = (((a + 4.0) * a + 16.0) * a + 32.0) * a + 64.0
     x0 = (14.0 + 4.0 * a) / (math.sqrt(t) + 8.0 + 2.0 * a - a * a)
     na, da = a.as_integer_ratio()
@@ -272,7 +292,7 @@ def mu1(a: float) -> float:
 def r_param(a: float, c: float) -> tuple[float, float]:
     """(r, r') = (c(a-c)/(2(1-c^2)), c(a-c)/2); 0 < r' < r < 1."""
     _check_a(a)
-    _check_c(a, c)
+    _real_in("c", c, 0, a)
     half_num = 0.5 * c * (a - c)
     return half_num / (1.0 - c * c), half_num
 
@@ -286,25 +306,21 @@ def alpha_param(a: float, c: float, r_val: float) -> float:
     moves the other way (see the chain checks in the verifier).
     """
     _check_a(a)
-    _check_c(a, c)
-    if not (isinstance(r_val, (int, float)) and math.isfinite(r_val) and 0.0 < r_val < 1.0):
-        raise DomainError(f"r_val must lie in (0, 1), got {r_val!r}")
+    _real_in("c", c, 0, a)
+    _real_in("r_val", r_val, 0, 1)
     # (c+r)/(1+cr) = 1 - (1-c)(1-r)/(1+cr), kept in log1p form for accuracy
     # when c -> a -> 1 drives the ratio toward 1.
     log_ratio = math.log1p(-(1.0 - c) * (1.0 - r_val) / (1.0 + c * r_val))
     return math.log(a / 16.0) / log_ratio
 
 
-def _n3_exact(a: float) -> float:
-    aux = aux_params(a)
-    c = aux.c
-    r, _ = r_param(a, c)
+def _n3_exact(a: float, c: float, r: float, log_kp: float) -> float:
+    """n3_exact from the c, r and log K' already computed at a."""
     numerator = (
         math.log((1.0 + a) / (a - c))
         + math.log1p(c * (1.0 - a) / (1.0 - c))  # log((1-ac)/(1-c))
         - alpha_param(a, c, r) * math.log(r)
     )
-    log_kp = log_k_prime(a)
     if log_kp <= 0.0:
         raise DomainError(f"growth factor not above 1 at a={a!r}; no finite threshold")
     return numerator / log_kp + 1.0
@@ -330,8 +346,9 @@ def n3(a: float) -> tuple[float, float]:
 
         (3/(a(1-gamma)) + 2/(a^3(1-gamma)) * 32/(a log(1/a))) * 16/(a^3(1-a)) + 1.
     """
-    _check_a(a)
-    return _n3_exact(a), _n3_estimate(a)
+    c = aux_params(a).c
+    r, _ = r_param(a, c)
+    return _n3_exact(a, c, r, log_k_prime(a)), _n3_estimate(a)
 
 
 def final_bound(a: float) -> float:
@@ -361,8 +378,7 @@ def mean_upper_bound(a: float, n: int) -> MeanBound:
     yields the closed-form threshold n0).
     """
     _check_a(a)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise DomainError(f"n must be an integer >= 2, got {n!r}")
+    n = _int_in("n", n, 2)
 
     eps = 1e-9
     lo_edge, hi_edge = eps, a - eps

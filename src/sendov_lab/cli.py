@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import bounds, verify
-from .polynomial import InvalidInputError, SendovInstance, critical_report
+from .polynomial import SendovInstance, critical_report
 
 # Degree thresholds published by Degot for a = 0.1, ..., 0.9, transcribed for
 # comparison; they come from a per-polynomial procedure this package does not
@@ -43,26 +43,41 @@ def _csv_cell(value) -> str:
         return str(value).lower()
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, tuple):
+        return "(" + " ".join(repr(v) for v in value) + ")"
     return str(value)
 
 
-def _render_flat(record: dict, fmt: str) -> str:
-    """Render one flat mapping as text (6 significant digits), JSON, or CSV."""
-    if fmt == "json":
-        return json.dumps(record) + "\n"
-    if fmt == "csv":
-        header = ",".join(record)
-        row = ",".join(_csv_cell(v) for v in record.values())
-        return header + "\n" + row + "\n"
-    width = max(len(k) for k in record)
-    return "".join(f"{k:<{width}}  {_fmt_value(v)}\n" for k, v in record.items())
+def _emit(args: argparse.Namespace, rows: list[dict], text_lines, csv_columns=None) -> None:
+    """Render rows in ``args.format`` and write them to ``args.out`` or stdout.
 
-
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        Path(out_path).write_text(text)
+    json is one object per row, with full precision.  csv is a header and
+    one line of ``_csv_cell`` cells per row; ``csv_columns`` maps each
+    header name to its row key and defaults to the rows' own keys.  text is
+    the lines ``text_lines(rows)`` makes, one template per layout.
+    """
+    if args.format == "json":
+        text = "".join(json.dumps(row) + "\n" for row in rows)
+    elif args.format == "csv":
+        columns = csv_columns or {key: key for key in rows[0]}
+        lines = [",".join(columns)]
+        lines += [",".join(_csv_cell(row[key]) for key in columns.values()) for row in rows]
+        text = "\n".join(lines) + "\n"
     else:
+        text = "".join(line + "\n" for line in text_lines(rows))
+    if not args.out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(args.out).write_text(text)
+    except OSError as exc:
+        raise bounds.DomainError(f"cannot write --out file: {exc}") from None
+
+
+def _key_value_lines(rows: list[dict]) -> list[str]:
+    """One row as aligned key/value lines, values to 6 significant digits."""
+    width = max(len(key) for key in rows[0])
+    return [f"{key:<{width}}  {_fmt_value(value)}" for key, value in rows[0].items()]
 
 
 def _resolve_seed(explicit: int | None) -> int:
@@ -92,8 +107,7 @@ def _sig_figs(printed: str) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    record = bounds.breakdown(args.a).to_dict()
-    _emit(_render_flat(record, args.format), args.out)
+    _emit(args, [bounds.breakdown(args.a).to_dict()], _key_value_lines)
     return 0
 
 
@@ -118,27 +132,34 @@ def _table_rows() -> list[dict]:
     return rows
 
 
+def _table_lines(rows: list[dict]) -> list[str]:
+    lines = [f"{'a':>3}  {'degot_n':>8}  {'computed_n':>12}  {'printed_n':>9}  flag"]
+    lines += [
+        f"{row['a']:>3}  {row['degot_n']:>8}  {row['computed_n']:>12.6g}  "
+        f"{row['printed_n']:>9}  {'*' if row['flag'] else ''}"
+        for row in rows
+    ]
+    return lines
+
+
 def cmd_table(args: argparse.Namespace) -> int:
-    rows = _table_rows()
-    if args.format == "json":
-        text = "".join(json.dumps(row) + "\n" for row in rows)
-    elif args.format == "csv":
-        lines = ["a,degot_n,computed_n,printed_n,flag"]
-        lines += [
-            ",".join(_csv_cell(v) for v in row.values()) for row in rows
-        ]
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = [f"{'a':>3}  {'degot_n':>8}  {'computed_n':>12}  {'printed_n':>9}  flag"]
-        for row in rows:
-            mark = "*" if row["flag"] else ""
-            lines.append(
-                f"{row['a']:>3}  {row['degot_n']:>8}  "
-                f"{row['computed_n']:>12.6g}  {row['printed_n']:>9}  {mark}"
-            )
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _emit(args, _table_rows(), _table_lines)
     return 0
+
+
+# The csv layout of verify: every outcome field but the notes.
+VERIFY_CSV = {
+    key: key for key in ("check_id", "passed", "worst_margin", "worst_location", "samples")
+}
+
+
+def _verify_lines(rows: list[dict]) -> list[str]:
+    return [
+        f"{'PASS' if row['passed'] else 'FAIL'}  {row['check_id']:<40}  "
+        f"worst_margin={row['worst_margin']:.6g}  at={row['worst_location']}  "
+        f"samples={row['samples']}"
+        for row in rows
+    ]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -148,79 +169,72 @@ def cmd_verify(args: argparse.Namespace) -> int:
         + verify.verify_limits()
         + verify.verify_estimate_chain(grid_step=args.grid_step)
     )
-    if args.format == "json":
-        text = verify.render_outcomes_jsonl(outcomes)
-    elif args.format == "csv":
-        text = verify.render_outcomes_csv(outcomes)
-    else:
-        lines = []
-        for o in outcomes:
-            status = "PASS" if o.passed else "FAIL"
-            lines.append(
-                f"{status}  {o.check_id:<40}  worst_margin={o.worst_margin:.6g}  "
-                f"at={o.worst_location}  samples={o.samples}"
-            )
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    # asdict keeps a tuple location a tuple: json writes it as a list, csv
+    # as "(x y)" and text as Python prints it.
+    _emit(args, [dataclasses.asdict(o) for o in outcomes], _verify_lines, VERIFY_CSV)
     return 0 if all(o.passed for o in outcomes) else 1
+
+
+# The csv layout of fuzz: its own column order, no instances, and the
+# distance under a shorter name.
+FUZZ_CSV = {
+    "a": "a", "degree": "degree", "trials": "trials", "violations": "violations",
+    "max_distance": "max_sendov_distance", "non_converged": "non_converged", "seed": "seed",
+}
+
+
+def _fuzz_lines(rows: list[dict]) -> list[str]:
+    """The key/value layout, with the count of violating instances in place of them."""
+    record = dict(rows[0], violation_instances=len(rows[0]["violation_instances"]))
+    return _key_value_lines([record])
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     report = verify.fuzz_sendov(args.a, args.degree, args.trials, seed=seed)
-    if args.format == "csv":
-        text = verify.render_fuzz_csv([report])
-    else:
-        record = report.to_dict()
-        if args.format == "text":
-            record["violation_instances"] = len(record["violation_instances"])
-        text = _render_flat(record, args.format)
-    _emit(text, args.out)
+    _emit(args, [report.to_dict()], _fuzz_lines, FUZZ_CSV)
     return 0 if report.violations == 0 else 1
+
+
+def _check_lines(rows: list[dict]) -> list[str]:
+    row = rows[0]
+    lines = ["critical points:"]
+    lines += [f"  {re:.6g} {im:+.6g}i" for re, im in row["critical_points"]]
+    lines += _key_value_lines([
+        {key: row[key] for key in ("sendov_distance", "mean_real_part", "converged")}
+    ])
+    lines.append(row["verdict"])
+    return lines
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     try:
-        payload = Path(args.instance).read_text()
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read instance file: {exc}") from None
-    try:
-        instance = SendovInstance.from_json(payload)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"malformed instance: {exc}") from None
-    report = critical_report(instance)
+        payload = Path(args.instance).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise bounds.DomainError(f"cannot read instance file: {exc}") from None
+    report = critical_report(SendovInstance.from_json(payload))
     verdict = report.verdict(verify.VIOLATION_THRESHOLD)
-    if args.format == "json":
-        record = {
-            "critical_points": [[w.real, w.imag] for w in report.critical_points],
-            "sendov_distance": report.sendov_distance,
-            "mean_real_part": report.mean_real_part,
-            "radii": list(report.radii),
-            "distance_radius": report.distance_radius,
-            "converged": report.converged,
-            "verdict": verdict,
-        }
-        text = json.dumps(record) + "\n"
-    else:
-        lines = ["critical points:"]
-        lines += [f"  {w.real:.6g} {w.imag:+.6g}i" for w in report.critical_points]
-        lines.append(f"sendov_distance  {report.sendov_distance:.6g}")
-        lines.append(f"mean_real_part   {report.mean_real_part:.6g}")
-        lines.append(f"converged        {str(report.converged).lower()}")
-        lines.append(verdict)
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    row = {
+        "critical_points": [[w.real, w.imag] for w in report.critical_points],
+        "sendov_distance": report.sendov_distance,
+        "mean_real_part": report.mean_real_part,
+        "radii": list(report.radii),
+        "distance_radius": report.distance_radius,
+        "converged": report.converged,
+        "verdict": verdict,
+    }
+    _emit(args, [row], _check_lines)
     return 0 if verdict == "PASS" else 1
 
 
 def cmd_mean_bound(args: argparse.Namespace) -> int:
     result = bounds.mean_upper_bound(args.a, args.n)
-    _emit(_render_flat(dataclasses.asdict(result), args.format), args.out)
+    _emit(args, [dataclasses.asdict(result)], _key_value_lines)
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
+def _add_common(sub: argparse.ArgumentParser, formats=("text", "json", "csv")) -> None:
+    sub.add_argument("--format", choices=formats, default="text")
     sub.add_argument("--out", metavar="PATH", default=None)
 
 
@@ -259,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("check", help="critical points and Sendov distance of one instance")
     p.add_argument("--instance", metavar="PATH", required=True)
-    _add_common(p)
+    _add_common(p, formats=("text", "json"))
     p.set_defaults(func=cmd_check)
 
     p = commands.add_parser("mean-bound", help="upper bound on the mean real part of zeros")
@@ -282,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (bounds.DomainError, InvalidInputError) as exc:
+    except bounds.DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,10 @@ with an mpmath Newton rescue for the few roots still adrift.  One
 Vandermonde evaluator gives p and p' everywhere, and each root gets a
 residual certificate.
 
-All public values are immutable and safe to share across threads.
+All public values are immutable and safe to share across threads.  Every
+rejected argument or instance raises ``bounds.DomainError``, the package's
+one error class (``InvalidInputError`` is the same class under its older
+name), and the zero a is checked by the same rule as in ``bounds``.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+
+from .bounds import DomainError, _check_a
 
 __all__ = [
     "InvalidInputError",
@@ -69,17 +74,17 @@ _RESTARTS = 3
 _ANGULAR_OFFSET = 1.0 / math.sqrt(2.0)
 
 
-class InvalidInputError(ValueError):
-    """An argument violates a documented precondition."""
+# The package has one error class; this name stays for existing callers.
+InvalidInputError = DomainError
 
 
 def _require_finite_complex(values: Sequence[complex], what: str) -> np.ndarray:
     try:
         arr = np.asarray([complex(v) for v in values], dtype=np.complex128)
     except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"{what} must be complex numbers: {exc}") from None
+        raise DomainError(f"{what} must be complex numbers: {exc}") from None
     if arr.size and not np.isfinite(arr).all():
-        raise InvalidInputError(f"{what} must all be finite")
+        raise DomainError(f"{what} must be finite")
     return arr
 
 
@@ -108,21 +113,21 @@ class Polynomial:
     def __post_init__(self) -> None:
         coeffs = _require_finite_complex(self.coefficients, "coefficients")
         if coeffs.size == 0:
-            raise InvalidInputError("a polynomial needs at least one coefficient")
+            raise DomainError("a polynomial needs at least one coefficient")
         if coeffs[-1] == 0:
-            raise InvalidInputError("leading coefficient must be nonzero")
+            raise DomainError("leading coefficient must be nonzero")
         object.__setattr__(self, "coefficients", tuple(coeffs.tolist()))
         if self.tails is not None:
             tails = _require_finite_complex(self.tails, "tails")
             if tails.size != coeffs.size:
-                raise InvalidInputError(
+                raise DomainError(
                     f"{tails.size} tails for {coeffs.size} coefficients"
                 )
             object.__setattr__(self, "tails", tuple(tails.tolist()))
         if self.roots is not None:
             rts = _require_finite_complex(self.roots, "roots")
             if rts.size != self.degree:
-                raise InvalidInputError(
+                raise DomainError(
                     f"{rts.size} roots stored on a degree-{self.degree} polynomial"
                 )
             with np.errstate(all="ignore"):
@@ -132,7 +137,7 @@ class Polynomial:
             # NaN (from inf - inf in an overflowing complex power) fails too.
             bad = np.nonzero(~(values <= bounds))[0]
             if bad.size:
-                raise InvalidInputError(
+                raise DomainError(
                     f"stored root {rts[bad[0]]} does not satisfy the coefficient form"
                 )
             object.__setattr__(self, "roots", tuple(rts.tolist()))
@@ -142,21 +147,14 @@ class Polynomial:
         return len(self.coefficients) - 1
 
 
-def _require_sendov_a(a) -> float:
-    if not isinstance(a, (int, float)) or isinstance(a, bool) \
-            or not math.isfinite(a) or not 0.0 < a < 1.0:
-        raise InvalidInputError(f"a must be a real in (0, 1), got {a!r}")
-    return float(a)
-
-
 def _require_unit_disk(zeros: np.ndarray) -> None:
     """Every other zero of a SendovInstance is finite with modulus <= 1,
     up to 1e-12 of slack."""
     if not np.isfinite(zeros).all():
-        raise InvalidInputError("other_zeros must all be finite")
+        raise DomainError("other_zeros must be finite")
     worst = float(np.abs(zeros).max())
     if worst > 1.0 + 1e-12:
-        raise InvalidInputError(
+        raise DomainError(
             f"every other zero must have modulus <= 1, worst is {worst!r}"
         )
 
@@ -174,10 +172,10 @@ class SendovInstance:
     other_zeros: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        a = _require_sendov_a(self.a)
+        a = _check_a(self.a)
         zeros = _require_finite_complex(self.other_zeros, "other_zeros")
         if zeros.size == 0:
-            raise InvalidInputError("need at least one other zero (degree >= 2)")
+            raise DomainError("need at least one other zero (degree >= 2)")
         _require_unit_disk(zeros)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "other_zeros", tuple(complex(z) for z in zeros))
@@ -200,18 +198,20 @@ class SendovInstance:
         try:
             a = float(data["a"])
             zeros = tuple(complex(re, im) for re, im in data["zeros"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInputError(f"bad instance payload: {exc}") from None
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"bad instance payload: {exc}") from None
         return cls(a=a, other_zeros=zeros)
 
     @classmethod
     def from_json(cls, text: str) -> "SendovInstance":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"instance is not valid JSON: {exc}") from None
+        # ValueError also covers an integer literal past Python's digit
+        # limit, RecursionError a nesting deeper than the parser's stack.
+        except (ValueError, RecursionError) as exc:
+            raise DomainError(f"instance is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
-            raise InvalidInputError("instance JSON must be an object")
+            raise DomainError("instance JSON must be an object")
         return cls.from_dict(data)
 
 
@@ -273,7 +273,7 @@ def from_roots(roots: Sequence[complex]) -> Polynomial:
     """
     arr = _require_finite_complex(roots, "roots")
     if arr.size == 0:
-        raise InvalidInputError("from_roots needs at least one root")
+        raise DomainError("from_roots needs at least one root")
     coeffs = np.ones(1, dtype=np.clongdouble)
     # An expansion past binary64 range is rejected by Polynomial's finiteness
     # check; numpy's overflow warnings on the way there say nothing more.
@@ -289,10 +289,8 @@ def from_roots(roots: Sequence[complex]) -> Polynomial:
 
 def evaluate(p: Polynomial, z: complex) -> complex:
     """p(z), for a finite z."""
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise InvalidInputError(f"evaluation point must be finite, got {z!r}")
-    return complex(_values(np.asarray(p.coefficients), np.array([z]))[0])
+    z = _require_finite_complex((z,), "evaluation point")
+    return complex(_values(np.asarray(p.coefficients), z)[0])
 
 
 def _values(c: np.ndarray, z: np.ndarray, derivative: bool = False):
@@ -458,7 +456,7 @@ def find_roots(p: Polynomial) -> RootResult:
     binary64 sweeps.  Stored ``roots`` are never read.
     """
     if p.degree < 1:
-        raise InvalidInputError("find_roots needs degree >= 1")
+        raise DomainError("find_roots needs degree >= 1")
     n = p.degree
     coeffs = np.asarray(p.coefficients, dtype=np.complex128)
     iterations = 0
@@ -519,7 +517,7 @@ def match_roots(
     f = _require_finite_complex(found, "found")
     e = _require_finite_complex(expected, "expected")
     if f.size != e.size or f.size == 0:
-        raise InvalidInputError("matching needs two equal nonempty root lists")
+        raise DomainError("matching needs two equal nonempty root lists")
     dist = np.abs(e[:, None] - f[None, :])
     cols = dist.argmin(axis=1)
     if np.unique(cols).size < cols.size:
@@ -882,10 +880,10 @@ def sendov_distances(a: float, other_zeros) -> tuple[np.ndarray, np.ndarray]:
     try:
         others = np.asarray(other_zeros, dtype=np.complex128)
     except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"other_zeros must be complex numbers: {exc}") from None
+        raise DomainError(f"other_zeros must be complex numbers: {exc}") from None
     if others.ndim != 2 or others.size == 0:
-        raise InvalidInputError("other_zeros must be a nonempty array of rows of zeros")
-    a = _require_sendov_a(a)
+        raise DomainError("other_zeros must be a nonempty array of rows of zeros")
+    a = _check_a(a)
     _require_unit_disk(others)
     rows, g = others.shape[0], others.shape[1] + 1
     # Sorted as np.unique sorts, so a block row matches critical_report's zeta.
@@ -917,7 +915,7 @@ def hull_distance(point: complex, vertices: Sequence[complex]) -> float:
     w = complex(point)
     pts = _require_finite_complex(vertices, "vertices")
     if pts.size == 0:
-        raise InvalidInputError("hull needs at least one vertex")
+        raise DomainError("hull needs at least one vertex")
     uniq = np.unique(pts)
     xy = sorted((z.real, z.imag) for z in uniq)
     if len(xy) == 1:

@@ -15,15 +15,16 @@ into a named check with an explicit numeric margin:
 
 ``fuzz_sendov`` and ``check_extremal`` exercise the conjecture itself on
 random and structured instances.  Identical parameters (including seeds)
-always produce identical reports, byte for byte.
+always produce identical reports, byte for byte.  Reports are plain values;
+``sendov_lab.cli`` renders them as text, JSON or CSV.  Arguments are checked
+by the helpers in ``bounds`` and rejected with ``bounds.DomainError``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,9 +46,6 @@ __all__ = [
     "verify_estimate_chain",
     "fuzz_sendov",
     "check_extremal",
-    "render_outcomes_jsonl",
-    "render_outcomes_csv",
-    "render_fuzz_csv",
 ]
 
 # Default base seed for anything randomized; chosen as the constant from the
@@ -121,19 +119,6 @@ class FuzzReport:
         }
 
 
-def _validate_grid_step(grid_step: float) -> None:
-    if not isinstance(grid_step, (int, float)) or isinstance(grid_step, bool) \
-            or not math.isfinite(grid_step) or not 0.0 < grid_step <= 0.01:
-        raise bounds.DomainError(
-            f"grid_step must lie in (0, 0.01], got {grid_step!r}"
-        )
-
-
-def _check_seed(seed: int) -> None:
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise bounds.DomainError(f"seed must be a non-negative integer, got {seed!r}")
-
-
 def _grid(grid_step: float) -> np.ndarray:
     count = int(round(1.0 / grid_step)) - 1
     return np.array([k * grid_step for k in range(1, count + 1)])
@@ -193,11 +178,9 @@ def run_inequality_suite(
     like a^2 into binary64 roundoff, so sampling outside the grid span would
     measure noise, not mathematics.)  Failures are reported, not raised.
     """
-    _validate_grid_step(grid_step)
-    if not isinstance(extra_random, int) or extra_random < 0:
-        raise bounds.DomainError(f"extra_random must be a count, got {extra_random!r}")
-    _check_seed(seed)
-    grid = _grid(grid_step)
+    grid = _grid(bounds._real_in("grid_step", grid_step, 0, 0.01, closed_right=True))
+    extra_random = bounds._int_in("extra_random", extra_random, 0)
+    seed = bounds._int_in("seed", seed, 0)
     rng = np.random.default_rng(seed)
     pts = np.concatenate([grid, rng.uniform(grid[0], grid[-1], size=extra_random)])
     # Per-point quantities are computed once, on Python floats: arithmetic
@@ -356,8 +339,7 @@ def verify_estimate_chain(grid_step: float = 1e-3) -> list[VerificationOutcome]:
     compares the differing branches directly, otherwise shared-branch ties
     would report zero margin for a true strict inequality.
     """
-    _validate_grid_step(grid_step)
-    grid = _grid(grid_step)
+    grid = _grid(bounds._real_in("grid_step", grid_step, 0, 0.01, closed_right=True))
 
     per_check: dict[str, tuple[list, str]] = {
         "chain.n3_exact_le_estimate": ([], "n3_estimate(a) - n3_exact(a)"),
@@ -372,17 +354,19 @@ def verify_estimate_chain(grid_step: float = 1e-3) -> list[VerificationOutcome]:
         "chain.end_to_end": ([], "20800/(a^7 (1-a)^4) - n3_exact(a)"),
     }
 
-    for a in grid:
+    # Each quantity is computed once per point, on Python floats.
+    for a in grid.tolist():
         aux = bounds.aux_params(a)
         c = aux.c
         gamma = aux.gamma
         n0 = bounds.n0(a)
-        n1 = bounds.n1(a)
-        n2 = bounds.n2(a, c)
-        _, r_prime = bounds.r_param(a, c)
+        n1_branch = 9.0 * ((4.0 + 2.0 * a) / a) ** 2
+        ratio = math.log(a / 16.0) / math.log(c / (1.0 + a))
+        r, r_prime = bounds.r_param(a, c)
         alpha_prime = bounds.alpha_param(a, c, r_prime)
-        log_kp = bounds.log_k_prime(a)
-        n3_exact, n3_estimate = bounds.n3(a)
+        log_kp = min(bounds.log_k_factors(a, c, aux.p_prime, aux.q_prime))
+        n3_exact = bounds._n3_exact(a, c, r, log_kp)
+        n3_estimate = bounds._n3_estimate(a)
         headline = bounds.final_bound(a)
         min_branch = min(
             a * a * gamma / (4.0 * (4.0 + 2.0 * a)),
@@ -391,15 +375,12 @@ def verify_estimate_chain(grid_step: float = 1e-3) -> list[VerificationOutcome]:
 
         per_check["chain.n3_exact_le_estimate"][0].append(n3_estimate - n3_exact)
         per_check["chain.n0_le_1280_over_a4"][0].append(1280.0 / a ** 4 - n0)
-        per_check["chain.n1_le_max_324_over_a2"][0].append(
-            324.0 / a ** 2 - 9.0 * ((4.0 + 2.0 * a) / a) ** 2
-        )
-        per_check["chain.n2_le_max_5760_over_a2"][0].append(
-            5760.0 / a ** 2
-            - 9.0 * (math.log(a / 16.0) / math.log(c / (1.0 + a))) ** 2
-        )
+        per_check["chain.n1_le_max_324_over_a2"][0].append(324.0 / a ** 2 - n1_branch)
+        per_check["chain.n2_le_max_5760_over_a2"][0].append(5760.0 / a ** 2 - 9.0 * ratio ** 2)
+        # max{n0, n1, n2} with n1 and n2 as bounds.n1 and bounds.n2 form them:
+        # each is the max of its branch (written exactly as there) and n0.
         per_check["chain.thresholds_le_5760_over_a4"][0].append(
-            5760.0 / a ** 4 - max(n0, n1, n2)
+            5760.0 / a ** 4 - max(n0, n1_branch, 9.0 * ratio * ratio)
         )
         per_check["chain.alpha_prime_le_32_over_a_log"][0].append(
             32.0 / (a * math.log(1.0 / a)) - alpha_prime
@@ -417,14 +398,6 @@ def verify_estimate_chain(grid_step: float = 1e-3) -> list[VerificationOutcome]:
     ]
 
 
-def _validate_fuzz_args(a: float, degree: int, trials: int) -> None:
-    bounds._check_a(a)
-    if not isinstance(degree, int) or isinstance(degree, bool) or not 2 <= degree <= 200:
-        raise bounds.DomainError(f"degree must be an integer in [2, 200], got {degree!r}")
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise bounds.DomainError(f"trials must be a positive integer, got {trials!r}")
-
-
 def fuzz_sendov(a: float, degree: int, trials: int, seed: int = DEFAULT_SEED) -> FuzzReport:
     """Randomized check of the conjecture at one (a, degree) cell.
 
@@ -438,8 +411,10 @@ def fuzz_sendov(a: float, degree: int, trials: int, seed: int = DEFAULT_SEED) ->
     bit what ``critical_report`` gives for that trial alone, so no result
     depends on the number of trials or on the block a trial falls in.
     """
-    _validate_fuzz_args(a, degree, trials)
-    _check_seed(seed)
+    a = bounds._check_a(a)
+    degree = bounds._int_in("degree", degree, 2, 200)
+    trials = bounds._int_in("trials", trials, 1)
+    seed = bounds._int_in("seed", seed, 0)
     m = degree - 1
     block = polynomial._block_rows(degree)
     largest = 0.0
@@ -454,17 +429,17 @@ def fuzz_sendov(a: float, degree: int, trials: int, seed: int = DEFAULT_SEED) ->
             u[row] = rng.uniform(size=m)
             angle[row] = rng.uniform(0.0, 2.0 * np.pi, size=m)
         others = np.sqrt(u) * np.exp(1j * angle)
-        distance, radius = sendov_distances(float(a), others)
+        distance, radius = sendov_distances(a, others)
         verdicts = bracket_verdict(distance, radius, VIOLATION_THRESHOLD)
         resolved = verdicts != "UNRESOLVED"
         largest = max(largest, float(distance[resolved].max(initial=0.0)))
         unresolved += int(len(indices) - resolved.sum())
         violating.extend(
-            SendovInstance(a=float(a), other_zeros=tuple(others[t].tolist())).to_json()
+            SendovInstance(a=a, other_zeros=tuple(others[t].tolist())).to_json()
             for t in np.nonzero(verdicts == "FAIL")[0]
         )
     return FuzzReport(
-        a=float(a),
+        a=a,
         degree=degree,
         trials=trials,
         max_sendov_distance=largest,
@@ -481,7 +456,8 @@ def check_extremal(a: float, degree: int) -> CriticalPointReport:
     Runs (z-a)(z^(n-1) - 1), (z-a)(z^(n-1) + 1), and (z-a) z^(n-1) and
     returns the report with the largest Sendov distance.
     """
-    _validate_fuzz_args(a, degree, 1)
+    a = bounds._check_a(a)
+    degree = bounds._int_in("degree", degree, 2, 200)
     m = degree - 1
     families: list[tuple[complex, ...]] = []
     for theta in (0.0, math.pi):
@@ -490,36 +466,8 @@ def check_extremal(a: float, degree: int) -> CriticalPointReport:
         ))
     families.append((0j,) * m)
     reports = [
-        critical_report(SendovInstance(a=float(a), other_zeros=zeros))
+        critical_report(SendovInstance(a=a, other_zeros=zeros))
         for zeros in families
     ]
     return max(reports, key=lambda r: r.sendov_distance)
 
-
-def render_outcomes_jsonl(outcomes: Iterable[VerificationOutcome]) -> str:
-    """One JSON object per line, stable key order; suited to golden-file diffs."""
-    return "".join(json.dumps(o.to_dict()) + "\n" for o in outcomes)
-
-
-def render_outcomes_csv(outcomes: Iterable[VerificationOutcome]) -> str:
-    lines = ["check_id,passed,worst_margin,worst_location,samples"]
-    for o in outcomes:
-        loc = o.worst_location
-        loc_text = (
-            "(" + " ".join(repr(v) for v in loc) + ")"
-            if isinstance(loc, tuple) else repr(loc)
-        )
-        lines.append(
-            f"{o.check_id},{str(o.passed).lower()},{o.worst_margin!r},{loc_text},{o.samples}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def render_fuzz_csv(reports: Iterable[FuzzReport]) -> str:
-    lines = ["a,degree,trials,violations,max_distance,non_converged,seed"]
-    for r in reports:
-        lines.append(
-            f"{r.a!r},{r.degree},{r.trials},{r.violations},"
-            f"{r.max_sendov_distance!r},{r.non_converged},{r.seed}"
-        )
-    return "\n".join(lines) + "\n"

@@ -97,6 +97,12 @@ class TestBoundCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("target", ["absent/bound.txt", "."])
+    def test_unwritable_out_exit_two(self, capsys, tmp_path, target):
+        code, out, err = run(capsys, "bound", "--a", "0.5", "--out", str(tmp_path / target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write --out file: ")
+
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         target = tmp_path / "bound.json"
         code, out, _ = run(capsys, "bound", "--a", "0.5", "--format", "json", "--out", str(target))
@@ -278,6 +284,25 @@ class TestCheckCommand:
     def test_missing_file_exit_two(self, capsys, tmp_path):
         code, _, _ = run(capsys, "check", "--instance", str(tmp_path / "absent.json"))
         assert code == 2
+
+    @pytest.mark.parametrize("payload", [
+        b'{"a": 1' + b"0" * 400 + b', "zeros": [[0, 0]]}',
+        b"[" * 100_000,
+        b'{"a": 0.5, "zeros": [[0, 0]], "note": "\xe9"}',
+        b'{"a": 0.5}',
+    ], ids=["past_float_range", "nested_too_deep", "not_utf8", "no_zeros"])
+    def test_bad_instance_file_exit_two(self, capsys, tmp_path, payload):
+        path = tmp_path / "inst.json"
+        path.write_bytes(payload)
+        code, out, err = run(capsys, "check", "--instance", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "malformed instance" not in err
+
+    def test_csv_is_not_a_check_format(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", "--instance", "inst.json", "--format", "csv"])
+        assert excinfo.value.code == 2
 
 
 class TestMeanBoundCommand:

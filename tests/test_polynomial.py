@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_values as ref
+import sendov_lab
+from sendov_lab import bounds
 from sendov_lab import polynomial as poly
 from sendov_lab.polynomial import (
     CLUSTER_TOL,
@@ -57,6 +59,22 @@ def _well_separated(zeros):
 # the sharp tolerances below are meaningful.  Multiplicities get their own
 # deterministic tests with multiplicity-aware tolerances.
 separated_zero_lists = st.lists(complex_in_disk, min_size=1, max_size=7).filter(_well_separated)
+
+
+class TestPackageNames:
+    def test_one_error_class(self):
+        assert InvalidInputError is bounds.DomainError
+
+    def test_public_names_unchanged(self):
+        assert sendov_lab.__all__ == [
+            "AuxParams", "BoundBreakdown", "CriticalPointReport", "DEFAULT_SEED",
+            "DomainError", "FuzzReport", "InvalidInputError", "MeanBound", "Polynomial",
+            "RootResult", "SendovInstance", "VerificationOutcome", "aux_params",
+            "breakdown", "check_extremal", "critical_report", "final_bound", "find_roots",
+            "from_roots", "fuzz_sendov", "hull_distance", "k_prime", "match_roots",
+            "mean_upper_bound", "mu1", "mu2", "run_inequality_suite",
+            "small_circle_bound", "verify_estimate_chain", "verify_limits", "__version__",
+        ]
 
 
 class TestPolynomialType:

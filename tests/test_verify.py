@@ -1,4 +1,5 @@
-"""Tests for the verification suites, fuzzing harness, and report renderers."""
+"""Tests for the verification suites, the fuzzing harness, and how the
+command line renders their reports."""
 
 import json
 import math
@@ -10,15 +11,13 @@ import pytest
 import reference_values as ref
 from sendov_lab import bounds, verify
 from sendov_lab import polynomial as poly
+from sendov_lab.cli import main
 from sendov_lab.verify import (
     DEFAULT_SEED,
     FuzzReport,
     VerificationOutcome,
     check_extremal,
     fuzz_sendov,
-    render_fuzz_csv,
-    render_outcomes_csv,
-    render_outcomes_jsonl,
     run_inequality_suite,
     verify_estimate_chain,
     verify_limits,
@@ -101,19 +100,22 @@ class TestInequalitySuite:
 
     def test_deterministic_bytes(self, coarse_suite):
         again = run_inequality_suite(grid_step=0.01, extra_random=20, seed=DEFAULT_SEED)
-        assert render_outcomes_jsonl(coarse_suite) == render_outcomes_jsonl(again)
+        # The repr holds every field's exact digits, as the rendered bytes do.
+        assert repr(again) == repr(coarse_suite)
 
     def test_seed_changes_random_points_not_verdicts(self, coarse_suite):
         other = run_inequality_suite(grid_step=0.01, extra_random=20, seed=1)
         assert all(o.passed for o in other)
-        assert render_outcomes_jsonl(other) != render_outcomes_jsonl(coarse_suite)
+        assert other != coarse_suite
 
     def test_rejects_bad_grid_step(self):
         for bad in (0.5, 0.0, -1e-3, float("nan")):
             with pytest.raises(bounds.DomainError):
                 run_inequality_suite(grid_step=bad)
-        with pytest.raises(bounds.DomainError):
-            run_inequality_suite(extra_random=-1)
+        # True is an int to Python but not a count; numpy raised on it.
+        for bad in (-1, True, 2.0):
+            with pytest.raises(bounds.DomainError, match="extra_random"):
+                run_inequality_suite(extra_random=bad)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
     def test_rejects_bad_seed(self, seed):
@@ -170,7 +172,7 @@ class TestFuzz:
         a = fuzz_sendov(0.3, 6, 25, seed=11)
         b = fuzz_sendov(0.3, 6, 25, seed=11)
         assert a == b
-        assert render_fuzz_csv([a]) == render_fuzz_csv([b])
+        assert repr(a) == repr(b)
 
     def test_trial_prefix_independent_of_total(self):
         # Per-trial generators mean the first k trials do not depend on how
@@ -249,6 +251,12 @@ class TestFuzz:
         with pytest.raises(bounds.DomainError):
             fuzz_sendov(0.5, 4.0, 10)
 
+    def test_numpy_integer_arguments_give_a_plain_report(self):
+        report = fuzz_sendov(0.5, np.int64(4), np.int64(5), seed=np.int64(5))
+        assert report == fuzz_sendov(0.5, 4, 5, seed=5)
+        assert [type(v) for v in (report.degree, report.trials, report.seed)] == [int] * 3
+        json.dumps(report.to_dict())
+
     @pytest.mark.parametrize("seed", [-1, -(2**70), 2.0])
     def test_rejects_bad_seed(self, seed):
         with pytest.raises(bounds.DomainError, match="seed"):
@@ -275,28 +283,36 @@ class TestExtremal:
 
 
 class TestRenderers:
-    def test_jsonl_round_trip(self, coarse_suite):
-        text = render_outcomes_jsonl(coarse_suite)
+    """The command line renders these reports; see also tests/test_cli.py."""
+
+    def test_jsonl_round_trip(self, capsys):
+        assert main(["verify", "--grid-step", "0.01", "--format", "json"]) == 0
+        text = capsys.readouterr().out
         lines = text.strip().split("\n")
-        assert len(lines) == len(SUITE_IDS)
+        assert len(lines) == len(SUITE_IDS + LIMIT_IDS + CHAIN_IDS)
         parsed = [json.loads(line) for line in lines]
-        assert [p["check_id"] for p in parsed] == SUITE_IDS
+        assert [p["check_id"] for p in parsed] == SUITE_IDS + LIMIT_IDS + CHAIN_IDS
         assert all(p["passed"] for p in parsed)
+        suite = run_inequality_suite(grid_step=0.01, seed=DEFAULT_SEED)
+        assert parsed[:len(SUITE_IDS)] == [o.to_dict() for o in suite]
         # Re-serialization is idempotent.
         assert "".join(json.dumps(p) + "\n" for p in parsed) == text
 
-    def test_outcomes_csv_header(self, coarse_suite):
-        text = render_outcomes_csv(coarse_suite)
-        lines = text.strip().split("\n")
+    def test_outcomes_csv_header(self, capsys):
+        assert main(["verify", "--grid-step", "0.01", "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "check_id,passed,worst_margin,worst_location,samples"
-        assert len(lines) == 1 + len(SUITE_IDS)
+        assert len(lines) == 1 + len(SUITE_IDS + LIMIT_IDS + CHAIN_IDS)
 
-    def test_fuzz_csv_exact(self):
+    def test_fuzz_csv_exact(self, capsys, monkeypatch):
         report = FuzzReport(
             a=0.5, degree=4, trials=10, max_sendov_distance=0.75,
             violations=0, seed=7, non_converged=0,
         )
-        assert render_fuzz_csv([report]) == (
+        monkeypatch.setattr(verify, "fuzz_sendov", lambda *args, **kwargs: report)
+        argv = ["fuzz", "--a", "0.5", "--degree", "4", "--trials", "10", "--format", "csv"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
             "a,degree,trials,violations,max_distance,non_converged,seed\n"
             "0.5,4,10,0,0.75,0,7\n"
         )
