@@ -9,7 +9,8 @@ critical point carries a Weierstrass inclusion radius with a rounding bound,
 so the Sendov distance min |w - a| comes with a bracket that holds the true
 value.  One kernel serves one instance (``critical_report``) and many at
 once (``sendov_distances``): its stages take a leading axis of instances,
-and an instance's result does not depend on what else is in the array.
+each Aberth sweep gathers only the points still moving, and an instance's
+result does not depend on what else is in the block.
 
 The coefficient side (``from_roots``, ``find_roots``) stays for general
 polynomials.  One Aberth sweep loop runs in the dtype of its coefficients:
@@ -195,9 +196,16 @@ class SendovInstance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SendovInstance":
+        """The instance of a ``to_dict`` payload.  ``a`` and every zero
+        component must be numbers already: a string or a bool is rejected,
+        not converted."""
         try:
-            a = float(data["a"])
-            zeros = tuple(complex(re, im) for re, im in data["zeros"])
+            a = data["a"]
+            pairs = [(re, im) for re, im in data["zeros"]]
+            for part in (x for pair in pairs for x in pair):
+                if isinstance(part, bool) or not isinstance(part, (int, float)):
+                    raise TypeError(f"zero component {part!r} is not a number")
+            zeros = tuple(complex(re, im) for re, im in pairs)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"bad instance payload: {exc}") from None
         return cls(a=a, other_zeros=zeros)
@@ -571,49 +579,36 @@ def _starts(zeta: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(near) & ~crowded, near, circle)
 
 
+def _minus_rows(w, x, points) -> np.ndarray:
+    """w[t, i] - x[t] for each point (t, i) of ``points``, one row per point.
+    The gathered rows are a fresh copy: the difference overwrites it."""
+    t, i = points
+    gathered = x[t]
+    return np.subtract(w[t, i, None], gathered, out=gathered)
+
+
 def _aberth_corrections(w, zeta, kc, points) -> np.ndarray:
-    """Aberth corrections for the roots of Q, per row of approximations ``w``.
+    """Aberth corrections for the points w[t, i] of ``points`` = (t, i), each
+    an approximation to a root of Q in row t.
 
     Row t has zeros ``zeta[t]`` and multiplicities ``kc[t]`` (complex; None
-    means all ones).  ``points`` is None for every point, giving a
-    corrections array shaped like ``w``, or a pair (t, i) of index arrays
-    for the points w[t, i] alone, each gathered with its row.
-    Q'/Q = sum_j 1/(z - zeta_j) + f'/f gives the Newton step
-    f / (f * sum_j 1/(z - zeta_j) + f') at O(g) per point.  Sums run along
-    the last axis only, with no matrix products: a point's sums then round
-    the same whatever else is in the array, and no BLAS threads start.  The
-    points x g temporaries are gathered, and freed, one at a time.
+    means all ones).  Q'/Q = sum_j 1/(z - zeta_j) + f'/f gives the Newton
+    step f / (f * sum_j 1/(z - zeta_j) + f') at O(g) per point.  Sums run
+    along the last axis only, with no matrix products: a point's sums then
+    round the same whatever else is gathered, and no BLAS threads start.
+    The points x g temporaries are gathered, and freed, one at a time.
     """
-    if points is None:
-        diagonal = np.arange(w.shape[-1])
-        at, own = w[:, :, None], (slice(None), diagonal, diagonal)
-
-        def rows(x):
-            return x[:, None, :]
-
-        def minus(x):
-            return np.subtract(at, rows(x))
-    else:
-        t, i = points
-        at, own = w[t, i, None], (np.arange(t.size), i)
-
-        def rows(x):
-            return x[t]
-
-        def minus(x):
-            # The gathered rows are a fresh copy: the difference overwrites it.
-            gathered = rows(x)
-            return np.subtract(at, gathered, out=gathered)
-    r = minus(zeta)
+    t, i = points
+    r = _minus_rows(w, zeta, points)
     np.divide(1.0, r, out=r)
-    rk = r if kc is None else r * rows(kc)
+    rk = r if kc is None else r * kc[t]
     f = rk.sum(axis=-1)
     newton = f * r.sum(axis=-1)
     newton -= np.multiply(rk, r, out=rk).sum(axis=-1)
     del r, rk
     np.divide(f, newton, out=newton)
-    diff = minus(w)
-    diff[own] = np.inf
+    diff = _minus_rows(w, w, points)
+    diff[np.arange(t.size), i] = np.inf
     np.divide(1.0, diff, out=diff)
     return newton / (1.0 - newton * diff.sum(axis=-1))
 
@@ -622,13 +617,8 @@ def _nearest(w, zeta, points) -> np.ndarray:
     """Distance from each point w[t, i] of ``points`` = (t, i) to the
     nearest zero or other point of its row."""
     t, i = points
-    at = w[t, i, None]
-    # Each gathered row is a fresh copy: the difference overwrites it.
-    gap = zeta[t]
-    nearest = np.abs(np.subtract(at, gap, out=gap)).min(axis=-1)
-    del gap
-    gap = w[t]
-    np.subtract(at, gap, out=gap)
+    nearest = np.abs(_minus_rows(w, zeta, points)).min(axis=-1)
+    gap = _minus_rows(w, w, points)
     gap[np.arange(t.size), i] = np.inf
     return np.minimum(nearest, np.abs(gap).min(axis=-1))
 
@@ -649,10 +639,10 @@ def _secular_aberth(
     nearest zero or other point (MPSolve's per-root stopping rule); the
     others go on using it.  A row ends when none of its points move, or
     when its largest steps are small and stop shrinking, or at the sweep
-    cap, which leaves it not settled.  Every point of every row is swept at
-    once while all of them move; after that only the moving points are,
-    gathered with their rows.  Either way a point's arithmetic is the same,
-    so a row's result does not depend on the other rows.
+    cap, which leaves it not settled.  Each sweep gathers only the moving
+    points, each with its row, and a point's arithmetic does not depend on
+    what else is gathered, so a row's result does not depend on the other
+    rows.
     """
     rows, m = w.shape
     # By Gauss-Lucas every root of Q lies in the hull of the zeros, so this
@@ -675,14 +665,11 @@ def _secular_aberth(
     best_step = np.full(rows, np.inf)
     with np.errstate(all="ignore"):
         for _ in range(_MAX_SWEEPS):
-            if moving.all():
-                corr = _aberth_corrections(w, zeta, kc, None)
-            else:
-                points = np.nonzero(moving)
-                if points[0].size == 0:
-                    break
-                corr = np.zeros((rows, m), dtype=np.complex128)
-                corr[points] = _aberth_corrections(w, zeta, kc, points)
+            points = np.nonzero(moving)
+            if points[0].size == 0:
+                break
+            corr = np.zeros((rows, m), dtype=np.complex128)
+            corr[points] = _aberth_corrections(w, zeta, kc, points)
             step = np.abs(corr) / scale[:, None]
             small = moving & (step <= 1e-13)
             finite = np.isfinite(corr)
@@ -912,7 +899,7 @@ def hull_distance(point: complex, vertices: Sequence[complex]) -> float:
     Monotone-chain hull; degenerate vertex sets (single point, collinear)
     fall back to point/segment distance.
     """
-    w = complex(point)
+    w = complex(_require_finite_complex((point,), "point")[0])
     pts = _require_finite_complex(vertices, "vertices")
     if pts.size == 0:
         raise DomainError("hull needs at least one vertex")

@@ -5,7 +5,10 @@ arithmetic and rounded once to binary64; see tools/make_reference_values.py.
 """
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,16 @@ from sendov_lab.bounds import DomainError
 RTOL = 1e-13
 
 a_interior = st.floats(min_value=1e-6, max_value=0.999999)
+
+
+def test_reference_values_match_their_generator():
+    # The frozen file is exactly what the generator prints today.
+    tests = Path(__file__).resolve().parent
+    printed = subprocess.run(
+        [sys.executable, str(tests.parent / "tools" / "make_reference_values.py")],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert printed == (tests / "reference_values.py").read_text(encoding="utf-8")
 
 
 class TestAuxParams:

@@ -290,7 +290,10 @@ class TestCheckCommand:
         b"[" * 100_000,
         b'{"a": 0.5, "zeros": [[0, 0]], "note": "\xe9"}',
         b'{"a": 0.5}',
-    ], ids=["past_float_range", "nested_too_deep", "not_utf8", "no_zeros"])
+        b'{"a": "0.5", "zeros": [[0, 0]]}',
+        b'{"a": 0.5, "zeros": [[true, false]]}',
+    ], ids=["past_float_range", "nested_too_deep", "not_utf8", "no_zeros", "string_a",
+            "bool_zero"])
     def test_bad_instance_file_exit_two(self, capsys, tmp_path, payload):
         path = tmp_path / "inst.json"
         path.write_bytes(payload)

@@ -1,6 +1,7 @@
 """Tests for polynomial arithmetic, the certified root finder, and reports."""
 
 import cmath
+import hashlib
 import math
 import warnings
 from fractions import Fraction
@@ -340,6 +341,17 @@ class TestSendovInstance:
         assert again == inst
         assert again.to_json() == text
 
+    @pytest.mark.parametrize("text", [
+        '{"a": "0.5", "zeros": [[0, 0]]}',
+        '{"a": true, "zeros": [[0, 0]]}',
+        '{"a": 0.5, "zeros": [[true, false]]}',
+        '{"a": 0.5, "zeros": [["0.1", 0]]}',
+        '{"a": 0.5, "zeros": [[0, null]]}',
+    ], ids=["string_a", "bool_a", "bool_zero", "string_zero", "null_zero"])
+    def test_from_json_converts_no_field(self, text):
+        with pytest.raises(bounds.DomainError):
+            SendovInstance.from_json(text)
+
     def test_degree_and_all_zeros(self):
         inst = SendovInstance(a=0.3, other_zeros=(0.1, -0.2j))
         assert inst.degree == 3
@@ -635,6 +647,65 @@ class TestSendovDistances:
         assert verdicts.tolist() == ["PASS", "FAIL", "UNRESOLVED", "UNRESOLVED"]
 
 
+def _kernel_rows(degree):
+    """(a, rows of other zeros) at one degree, seeded: disk draws, tight
+    clusters, exactly repeated zeros, zeros within 1e-12 of a (one of them
+    a subnormal distance away, where steps overflow and points are nudged),
+    and the two unit-circle families z^m = 1 and z^m = -1."""
+    rng = np.random.default_rng([0x4B45524E, degree])
+    m = degree - 1
+
+    def disk(size):
+        return np.sqrt(rng.uniform(size=size)) * np.exp(2j * np.pi * rng.uniform(size=size))
+
+    a = float(rng.uniform(0.01, 0.99))
+    rows = [disk(m) for _ in range(4)]
+    for spread in (1e-9, 1e-4):
+        centres = 0.9 * disk(3)
+        rows.append(centres[rng.integers(3, size=m)] + spread * disk(m))
+    rows.append(np.repeat(disk((m + 1) // 2), 2)[:m])
+    rows.append(np.concatenate([[a], disk(m - 1)]))
+    near = max(1, m // 4)
+    rows.append(np.concatenate([a + 1e-12 * disk(near), disk(m - near)]))
+    rows.append(np.concatenate([[complex(a, 2.2250738585e-313)], disk(m - 1)]))
+    angles = np.pi * np.arange(m) / m
+    rows += [np.exp(2j * angles), np.exp(1j * (2.0 * angles + np.pi / m))]
+    return a, np.array(rows)
+
+
+# SHA-256 of the kernel's output on _kernel_rows: sendov_distances'
+# (distance, radius) bytes, and every row's critical_report points and radii.
+KERNEL_DIGESTS = {
+    3: ("34c3eaba271b2643ae85af6b9a5ea02078b462775891df51f644a54b95c992db",
+        "281825bd1b450a3de81dc0ba9217ab551392862b5adef593a2fde3186d8c08ef"),
+    8: ("d7118604835f0d8a10d9ebd16148503702857364000d664cf2ab52364ca1f1ed",
+        "bf2d43b285a9abbf36f81c0b22bff027ef4a66b53e1754efb8c0d309011af0cf"),
+    17: ("43ffec8815a951cdf936ce48a2987b45c1007d70bd387d2d7aa5b3fdc6f7e255",
+         "3c2306f3987925de3f4c696c5e2c8a65f5db40993ffdc605451f7ef72ac050d4"),
+    64: ("1c439e3cba6a9d7ecd6244de7be3430fa9c8d8a656b5a2828b0740cf85c4fe80",
+         "5434fed205398efa2a9302f90fe166c856582371efe069935daa13b1c3bbb586"),
+    200: ("829194270ecee94730690fc7df81eafd48d11c9d9c6e78ecf7269754b71d3254",
+          "061f8215e6db0c784c7a65b838629c804aec590cd0f9ef6cfa483269e8442da1"),
+}
+
+
+class TestPinnedKernelBytes:
+    @pytest.mark.parametrize("degree", list(KERNEL_DIGESTS))
+    def test_kernel_output_matches_digest(self, degree):
+        a, rows = _kernel_rows(degree)
+        distance, radius = poly.sendov_distances(a, rows)
+        reports = hashlib.sha256()
+        for row in rows:
+            rep = critical_report(SendovInstance(a=a, other_zeros=tuple(row.tolist())))
+            reports.update(np.array(rep.critical_points, dtype=complex).tobytes())
+            reports.update(np.array(rep.radii).tobytes())
+        digests = (
+            hashlib.sha256(distance.tobytes() + radius.tobytes()).hexdigest(),
+            reports.hexdigest(),
+        )
+        assert digests == KERNEL_DIGESTS[degree]
+
+
 class TestHullDistance:
     def test_interior_and_vertex(self):
         square = (1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j)
@@ -650,6 +721,13 @@ class TestHullDistance:
         assert np.allclose(hull_distance(3 + 4j, (0j,)), 5.0, rtol=1e-15, atol=0)
         assert np.allclose(hull_distance(1j, (-1 + 0j, 1 + 0j)), 1.0, rtol=1e-15, atol=0)
         assert hull_distance(0.5 + 0j, (-1 + 0j, 1 + 0j)) == 0.0
+
+    @pytest.mark.parametrize("point", [
+        float("nan"), complex(0.0, float("inf")), "inside",
+    ], ids=["nan", "inf", "string"])
+    def test_rejects_a_bad_point(self, point):
+        with pytest.raises(bounds.DomainError):
+            hull_distance(point, (0j, 1 + 0j))
 
     @given(complex_in_disk, st.lists(complex_in_disk, min_size=1, max_size=6))
     @settings(max_examples=100)
