@@ -125,23 +125,6 @@ class BoundBreakdown:
     final_n: float
     small_bound: float
 
-    def to_dict(self) -> dict:
-        """Flat mapping (aux fields inlined) used for JSON output."""
-        d = {
-            "a": self.aux.a,
-            "q_prime": self.aux.q_prime,
-            "p_prime": self.aux.p_prime,
-            "gamma": self.aux.gamma,
-            "c": self.aux.c,
-        }
-        for name in (
-            "n0", "n1", "n2", "mu1", "mu2", "k1", "k2", "k_prime",
-            "r", "r_prime", "alpha", "alpha_prime",
-            "n3_exact", "n3_estimate", "final_n", "small_bound",
-        ):
-            d[name] = getattr(self, name)
-        return d
-
 
 @dataclass(frozen=True)
 class MeanBound:
@@ -156,12 +139,17 @@ class MeanBound:
 def aux_params(a: float) -> AuxParams:
     """q' = (a/4)/(1+a/2), p' = (a/4)/(1-a/2), gamma = 0.1a+0.9, c = a*gamma."""
     _check_a(a)
+    c = a * (0.1 * a + 0.9)
+    # a - c = 0.1 a (1 - a) is below half an ulp of a within about 1e-15 of
+    # 1, and on subnormal a; every formula that takes c needs c < a.
+    if not c < a:
+        raise DomainError(f"a={a!r} leaves no binary64 value of c = a*gamma below a")
     return AuxParams(
         a=a,
         q_prime=(a / 4.0) / (1.0 + a / 2.0),
         p_prime=(a / 4.0) / (1.0 - a / 2.0),
         gamma=0.1 * a + 0.9,
-        c=a * (0.1 * a + 0.9),
+        c=c,
     )
 
 
@@ -307,9 +295,12 @@ def alpha_param(a: float, c: float, r_val: float) -> float:
     """
     _check_a(a)
     _real_in("c", c, 0, a)
-    _real_in("r_val", r_val, 0, 1)
     # (c+r)/(1+cr) = 1 - (1-c)(1-r)/(1+cr), kept in log1p form for accuracy
-    # when c -> a -> 1 drives the ratio toward 1.
+    # when c -> a -> 1 drives the ratio toward 1.  Below c = 2**-54 (a about
+    # 6e-17) 1 - c rounds to 1 and the form takes log1p(-1).
+    if not 1.0 - c < 1.0:
+        raise DomainError(f"a={a!r} is too small: 1 - c rounds to 1 in binary64")
+    _real_in("r_val", r_val, 0, 1)
     log_ratio = math.log1p(-(1.0 - c) * (1.0 - r_val) / (1.0 + c * r_val))
     return math.log(a / 16.0) / log_ratio
 
@@ -374,6 +365,7 @@ def mean_upper_bound(a: float, n: int) -> MeanBound:
     The objective delta/2 - log(1 - sqrt(1+delta^2-delta*a))/(delta*n) is
     minimized over delta in (0, a) by a 1024-point scan followed by
     golden-section refinement of the best bracket down to a 1e-12 interval.
+    The scan keeps 1e-9 from each end, so a must exceed 2e-9.
     bound_at_quarter is the plain evaluation at delta = a/4 (the choice that
     yields the closed-form threshold n0).
     """
@@ -382,6 +374,8 @@ def mean_upper_bound(a: float, n: int) -> MeanBound:
 
     eps = 1e-9
     lo_edge, hi_edge = eps, a - eps
+    if not lo_edge < hi_edge:
+        raise DomainError(f"a={a!r} is too small: the scan of (0, a) keeps {eps!r} from each end")
     count = 1024
     step = (hi_edge - lo_edge) / (count - 1)
     best_i, best_v = 0, math.inf

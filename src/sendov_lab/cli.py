@@ -74,6 +74,20 @@ def _emit(args: argparse.Namespace, rows: list[dict], text_lines, csv_columns=No
         raise bounds.DomainError(f"cannot write --out file: {exc}") from None
 
 
+def _row(report) -> dict:
+    """The output row of a report dataclass: its fields, as
+    ``dataclasses.asdict`` gives them, with the fields of a nested dataclass
+    (``BoundBreakdown.aux``) inlined in its place.  A tuple stays a tuple:
+    json writes it as a list, csv as "(x y)" and text as Python prints it."""
+    row = {}
+    for key, value in dataclasses.asdict(report).items():
+        if isinstance(value, dict):
+            row.update(value)
+        else:
+            row[key] = value
+    return row
+
+
 def _key_value_lines(rows: list[dict]) -> list[str]:
     """One row as aligned key/value lines, values to 6 significant digits."""
     width = max(len(key) for key in rows[0])
@@ -107,7 +121,7 @@ def _sig_figs(printed: str) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    _emit(args, [bounds.breakdown(args.a).to_dict()], _key_value_lines)
+    _emit(args, [_row(bounds.breakdown(args.a))], _key_value_lines)
     return 0
 
 
@@ -169,9 +183,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         + verify.verify_limits()
         + verify.verify_estimate_chain(grid_step=args.grid_step)
     )
-    # asdict keeps a tuple location a tuple: json writes it as a list, csv
-    # as "(x y)" and text as Python prints it.
-    _emit(args, [dataclasses.asdict(o) for o in outcomes], _verify_lines, VERIFY_CSV)
+    _emit(args, [_row(o) for o in outcomes], _verify_lines, VERIFY_CSV)
     return 0 if all(o.passed for o in outcomes) else 1
 
 
@@ -192,7 +204,7 @@ def _fuzz_lines(rows: list[dict]) -> list[str]:
 def cmd_fuzz(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     report = verify.fuzz_sendov(args.a, args.degree, args.trials, seed=seed)
-    _emit(args, [report.to_dict()], _fuzz_lines, FUZZ_CSV)
+    _emit(args, [_row(report)], _fuzz_lines, FUZZ_CSV)
     return 0 if report.violations == 0 else 1
 
 
@@ -228,8 +240,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_mean_bound(args: argparse.Namespace) -> int:
-    result = bounds.mean_upper_bound(args.a, args.n)
-    _emit(args, [dataclasses.asdict(result)], _key_value_lines)
+    _emit(args, [_row(bounds.mean_upper_bound(args.a, args.n))], _key_value_lines)
     return 0
 
 

@@ -79,12 +79,30 @@ _ANGULAR_OFFSET = 1.0 / math.sqrt(2.0)
 InvalidInputError = DomainError
 
 
-def _require_finite_complex(values: Sequence[complex], what: str) -> np.ndarray:
+def _require_finite_complex(values, what: str, ndim: int = 1) -> np.ndarray:
+    """values as an ndim-dimensional complex128 array, if every entry is a
+    finite number: an int, float or complex (numpy's numeric scalars too),
+    never a bool or a string, as ``bounds._real_in`` rules for reals.  An
+    ndarray is checked by its dtype alone, with no loop over its entries."""
+    if isinstance(values, np.ndarray):
+        numbers = values.dtype.kind in "iufc"
+    else:
+        values = np.asarray(values, dtype=object)
+        numbers = all(
+            isinstance(v, (int, float, complex, np.number)) and not isinstance(v, bool)
+            for v in values.flat
+        )
+    if not numbers or values.ndim != ndim:
+        raise DomainError(
+            f"{what} must be {'rows of ' * (ndim - 1)}numbers: int, float or complex, "
+            "not bool or str"
+        )
     try:
-        arr = np.asarray([complex(v) for v in values], dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{what} must be complex numbers: {exc}") from None
-    if arr.size and not np.isfinite(arr).all():
+        with np.errstate(over="ignore"):
+            arr = values.astype(np.complex128, copy=False)
+    except OverflowError as exc:
+        raise DomainError(f"{what} must be finite: {exc}") from None
+    if not np.isfinite(arr).all():
         raise DomainError(f"{what} must be finite")
     return arr
 
@@ -149,10 +167,8 @@ class Polynomial:
 
 
 def _require_unit_disk(zeros: np.ndarray) -> None:
-    """Every other zero of a SendovInstance is finite with modulus <= 1,
-    up to 1e-12 of slack."""
-    if not np.isfinite(zeros).all():
-        raise DomainError("other_zeros must be finite")
+    """Every other zero of a SendovInstance has modulus <= 1, up to 1e-12 of
+    slack."""
     worst = float(np.abs(zeros).max())
     if worst > 1.0 + 1e-12:
         raise DomainError(
@@ -456,12 +472,13 @@ def find_roots(p: Polynomial) -> RootResult:
     Degrees 1 and 2 start from their closed forms, higher degrees from a
     circle of radius 1 + max|c_k/c_n| at equal angles plus a fixed
     irrational offset, swept by ``_aberth`` on the binary64 monic
-    coefficients with 3 deterministic perturb-and-continue restarts.  The
-    same sweeps then run in clongdouble on coefficients + ``tails``, and
-    ``_polish`` finishes any root still adrift.  ``converged`` reflects the
-    binary64 residual certificates of the final values (a non-converged
-    report is returned rather than guessing); ``iterations`` counts the
-    binary64 sweeps.  Stored ``roots`` are never read.
+    coefficients; an attempt that does not arrive gets up to 3 deterministic
+    perturb-and-continue restarts.  The same sweeps then run in clongdouble
+    on coefficients + ``tails``, and ``_polish`` finishes any root still
+    adrift.  ``converged`` reflects the binary64 residual certificates of
+    the final values (a non-converged report is returned rather than
+    guessing); ``iterations`` counts the binary64 sweeps.  Stored ``roots``
+    are never read.
     """
     if p.degree < 1:
         raise DomainError("find_roots needs degree >= 1")
@@ -486,12 +503,7 @@ def find_roots(p: Polynomial) -> RootResult:
                 z = z * (1.0 + 1e-3 * jig) + 1e-6 * jig
             z, sweeps, arrived = _aberth(monic, z)
             iterations += sweeps
-            # The residual scale (1+|r|)^degree is exponentially forgiving
-            # at high degree, so certification alone must never cut an
-            # attempt short: a mid-flight cloud can pass it while still far
-            # from the roots.  Only a settled (or noise-floored) attempt
-            # counts.
-            if arrived and bool((_certified_residuals(coeffs, z) <= RESIDUAL_TOL).all()):
+            if arrived:
                 break
     exact = coeffs.astype(np.clongdouble)
     if p.tails is not None:
@@ -864,11 +876,8 @@ def sendov_distances(a: float, other_zeros) -> tuple[np.ndarray, np.ndarray]:
     ``_block_rows``), and a row with a repeated zero runs through
     ``critical_report`` itself.
     """
-    try:
-        others = np.asarray(other_zeros, dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"other_zeros must be complex numbers: {exc}") from None
-    if others.ndim != 2 or others.size == 0:
+    others = _require_finite_complex(other_zeros, "other_zeros", ndim=2)
+    if others.size == 0:
         raise DomainError("other_zeros must be a nonempty array of rows of zeros")
     a = _check_a(a)
     _require_unit_disk(others)

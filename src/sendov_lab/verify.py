@@ -74,17 +74,6 @@ class VerificationOutcome:
     samples: int
     notes: str
 
-    def to_dict(self) -> dict:
-        loc = self.worst_location
-        return {
-            "check_id": self.check_id,
-            "passed": self.passed,
-            "worst_margin": self.worst_margin,
-            "worst_location": list(loc) if isinstance(loc, tuple) else loc,
-            "samples": self.samples,
-            "notes": self.notes,
-        }
-
 
 @dataclass(frozen=True)
 class FuzzReport:
@@ -106,18 +95,6 @@ class FuzzReport:
     non_converged: int
     violation_instances: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "degree": self.degree,
-            "trials": self.trials,
-            "max_sendov_distance": self.max_sendov_distance,
-            "violations": self.violations,
-            "seed": self.seed,
-            "non_converged": self.non_converged,
-            "violation_instances": list(self.violation_instances),
-        }
-
 
 def _grid(grid_step: float) -> np.ndarray:
     count = int(round(1.0 / grid_step)) - 1
@@ -127,24 +104,20 @@ def _grid(grid_step: float) -> np.ndarray:
 def _min_outcome(
     check_id: str,
     margins: Sequence[float],
-    locations: Sequence | Callable[[int], tuple[float, ...]],
+    locations: np.ndarray | Callable[[int], tuple[float, ...]],
     notes: str,
 ) -> VerificationOutcome:
     """The outcome at the first smallest margin; ``locations`` gives the
-    sample point of each margin by index, as a sequence or a function."""
+    sample point of each margin by index, as a 1-D array of values of a or
+    x, or as a function returning an (a, x) tuple."""
     margins = np.asarray(margins, dtype=float)
     i = int(np.argmin(margins))
     worst = float(margins[i])
-    loc = locations(i) if callable(locations) else locations[i]
-    if isinstance(loc, (list, np.ndarray)):
-        loc = tuple(float(v) for v in loc)
-    elif not isinstance(loc, tuple):
-        loc = float(loc)
     return VerificationOutcome(
         check_id=check_id,
         passed=bool(worst > 0.0),
         worst_margin=worst,
-        worst_location=loc,
+        worst_location=locations(i) if callable(locations) else float(locations[i]),
         samples=len(margins),
         notes=notes,
     )

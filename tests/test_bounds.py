@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import reference_values as ref
 from sendov_lab import bounds
 from sendov_lab.bounds import DomainError
+from sendov_lab.cli import _row
 
 # Binary64 evaluation of each formula stays within a few ulp of the
 # correctly rounded value; 1e-13 relative leaves two orders of headroom.
@@ -227,8 +228,8 @@ class TestHeadlineBound:
         assert exact <= estimate <= bounds.final_bound(a)
 
     def test_breakdown_matches_parts(self):
-        bd = bounds.breakdown(0.5)
-        d = bd.to_dict()
+        # The row `bound` prints: the aux fields inlined first, in field order.
+        d = _row(bounds.breakdown(0.5))
         assert list(d) == [
             "a", "q_prime", "p_prime", "gamma", "c",
             "n0", "n1", "n2", "mu1", "mu2", "k1", "k2", "k_prime",

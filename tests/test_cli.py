@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -268,6 +269,14 @@ class TestCheckCommand:
         assert 0.0 < record["radii"][3] <= 1e-15
         assert 0.0 < record["distance_radius"] <= 1e-15
 
+    def test_every_zero_at_a_passes(self, capsys, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text('{"a": 0.5, "zeros": [[0.5, 0.0]]}')
+        code, out, _ = run(capsys, "check", "--instance", str(path))
+        assert code == 0
+        assert out.strip().endswith("PASS")
+        assert "sendov_distance  0\n" in out
+
     def test_invariant_violation_exit_two(self, capsys, tmp_path):
         path = tmp_path / "inst.json"
         path.write_text('{"a": 0.5, "zeros": [[1.5, 0]]}')
@@ -319,6 +328,25 @@ class TestMeanBoundCommand:
     def test_bad_n_exit_two(self, capsys):
         code, _, _ = run(capsys, "mean-bound", "--a", "0.5", "--n", "1")
         assert code == 2
+
+
+# Values of a in (0, 1) past what binary64 carries through a command: each
+# exits 2 naming a, except mean-bound near 1, whose objective never forms c.
+EXTREME_A = [5e-324, 1e-200, 1e-20, 1e-17, 1 - 2 ** -53]
+
+
+class TestExtremeA:
+    @pytest.mark.parametrize("a", EXTREME_A)
+    @pytest.mark.parametrize("argv", [["bound"], ["mean-bound", "--n", "5"]],
+                             ids=["bound", "mean-bound"])
+    def test_exit_two_naming_a_or_finite(self, capsys, argv, a):
+        code, out, err = run(capsys, *argv, "--a", repr(a), "--format", "json")
+        if argv[0] == "mean-bound" and a > 0.5:
+            assert (code, err) == (0, "")
+            assert all(math.isfinite(v) for v in json.loads(out).values())
+        else:
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: a={a!r} ") and err.count("\n") == 1
 
 
 class TestPinnedBytes:
@@ -374,6 +402,31 @@ class TestOneProcess:
             assert (code, captured.out, captured.err) \
                 == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         assert code == 0
+
+    def test_no_command_imports_scipy_or_mpmath(self, tmp_path):
+        # find_roots' mpmath rescue and match_roots' scipy assignment import
+        # lazily; importing scipy.optimize alone costs a large share of a
+        # command's start-up.  Every command runs once in a fresh interpreter.
+        path = tmp_path / "inst.json"
+        path.write_text(THREE_ZEROS)
+        script = (
+            "import sys\n"
+            "from sendov_lab.cli import main\n"
+            "for argv in " + repr([
+                PINNED_ARGV["bound"], PINNED_ARGV["table"], PINNED_ARGV["mean-bound"],
+                ["fuzz", "--a", "0.5", "--degree", "64", "--trials", "20"],
+                PINNED_ARGV["verify"], ["check", "--instance", str(path)],
+            ]) + ":\n"
+            "    assert main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(sendov_lab.__file__).resolve().parents[1]))
+        env.pop("SENDOV_LAB_SEED", None)
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=False,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines()[-1] == "[]"
 
     def test_build_parser_is_fresh(self):
         assert build_parser() is not build_parser()

@@ -108,6 +108,17 @@ class TestPolynomialType:
         with pytest.raises(InvalidInputError):
             Polynomial((1e-300, 0.0, 1e-300), roots=(1e200 + 1e200j, -1e200 - 1e200j))
 
+    @pytest.mark.parametrize("coefficients", [
+        ("1", True), (1.0, True), (1.0, "2"), np.array([True, True]), ((1.0, 2.0),),
+    ], ids=["string_and_bool", "bool", "string", "bool_array", "nested"])
+    def test_rejects_non_numbers(self, coefficients):
+        with pytest.raises(InvalidInputError, match="numbers"):
+            Polynomial(coefficients)
+
+    def test_rejects_an_int_past_float_range(self):
+        with pytest.raises(InvalidInputError, match="finite"):
+            Polynomial((10 ** 400, 1))
+
     def test_accepts_consistent_stored_roots(self):
         p = Polynomial((-1.0, 0.0, 1.0), roots=(1.0, -1.0))
         assert p.roots == (1.0 + 0j, -1.0 + 0j)
@@ -333,6 +344,8 @@ class TestSendovInstance:
             SendovInstance(a=0.5, other_zeros=(1.5,))
         with pytest.raises(InvalidInputError):
             SendovInstance(a=0.5, other_zeros=(complex(float("nan"), 0),))
+        with pytest.raises(InvalidInputError, match="numbers"):
+            SendovInstance(a=0.5, other_zeros=("0.5j", True))
 
     def test_json_round_trip_idempotent(self):
         inst = SendovInstance(a=0.5, other_zeros=(0.25 + 0.25j, -1.0, 0.9j))
@@ -352,6 +365,11 @@ class TestSendovInstance:
         with pytest.raises(bounds.DomainError):
             SendovInstance.from_json(text)
 
+    def test_numpy_scalars_accepted(self):
+        zeros = (np.int64(0), np.float32(0.5), np.complex128(0.25j))
+        inst = SendovInstance(a=0.5, other_zeros=zeros)
+        assert inst.other_zeros == (0j, 0.5 + 0j, 0.25j)
+
     def test_degree_and_all_zeros(self):
         inst = SendovInstance(a=0.3, other_zeros=(0.1, -0.2j))
         assert inst.degree == 3
@@ -370,6 +388,14 @@ class TestCriticalReport:
         assert np.allclose(rep.sendov_distance, 0.1, rtol=0, atol=1e-12)
         assert np.allclose(rep.mean_real_part, 0.1, rtol=0, atol=1e-15)
         assert np.allclose(sorted(abs(w - 0.4) for w in rep.critical_points)[0], 0.0, atol=1e-12)
+
+    def test_every_zero_at_a(self):
+        # P = (z - 0.5)^3: one distinct zero, so both critical points are exact.
+        rep = critical_report(SendovInstance(a=0.5, other_zeros=(0.5, 0.5)))
+        assert rep.critical_points == (0.5 + 0j, 0.5 + 0j)
+        assert rep.radii == (0.0, 0.0)
+        assert (rep.sendov_distance, rep.distance_radius) == (0.0, 0.0)
+        assert rep.converged
 
     def test_two_point_midpoint(self):
         rep = critical_report(SendovInstance(a=0.9, other_zeros=(-1.0,)))
@@ -626,6 +652,13 @@ class TestSendovDistances:
             rep = critical_report(SendovInstance(a=a, other_zeros=tuple(row.tolist())))
             assert (distance[t], radius[t]) == (rep.sendov_distance, rep.distance_radius)
 
+    def test_rows_with_every_zero_at_a_match_critical_report(self):
+        others = [[0.5, 0.5], [0.5, 0.1]]
+        distance, radius = poly.sendov_distances(0.5, others)
+        for t, row in enumerate(others):
+            rep = critical_report(SendovInstance(a=0.5, other_zeros=tuple(row)))
+            assert (distance[t], radius[t]) == (rep.sendov_distance, rep.distance_radius)
+
     def test_rows_checked_by_the_instance_rule(self):
         with pytest.raises(InvalidInputError, match="modulus"):
             poly.sendov_distances(0.5, np.array([[0.5, 0.2j], [1.5, 0.0]]))
@@ -639,6 +672,9 @@ class TestSendovDistances:
             poly.sendov_distances(0.5, np.empty((0, 3)))
         with pytest.raises(InvalidInputError):
             poly.sendov_distances(0.5, [["zero"]])
+        for rows in ([[True, 0.5]], [["0.5", 0.5]]):
+            with pytest.raises(InvalidInputError, match="numbers"):
+                poly.sendov_distances(0.5, rows)
 
     def test_bracket_verdict_on_arrays(self):
         verdicts = poly.bracket_verdict(
@@ -723,11 +759,15 @@ class TestHullDistance:
         assert hull_distance(0.5 + 0j, (-1 + 0j, 1 + 0j)) == 0.0
 
     @pytest.mark.parametrize("point", [
-        float("nan"), complex(0.0, float("inf")), "inside",
-    ], ids=["nan", "inf", "string"])
+        float("nan"), complex(0.0, float("inf")), "inside", "0.5",
+    ], ids=["nan", "inf", "string", "numeric_string"])
     def test_rejects_a_bad_point(self, point):
         with pytest.raises(bounds.DomainError):
             hull_distance(point, (0j, 1 + 0j))
+
+    def test_rejects_string_vertices(self):
+        with pytest.raises(bounds.DomainError, match="numbers"):
+            hull_distance(0.5, ["1", "-1"])
 
     @given(complex_in_disk, st.lists(complex_in_disk, min_size=1, max_size=6))
     @settings(max_examples=100)

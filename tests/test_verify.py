@@ -1,6 +1,7 @@
 """Tests for the verification suites, the fuzzing harness, and how the
 command line renders their reports."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -255,7 +256,7 @@ class TestFuzz:
         report = fuzz_sendov(0.5, np.int64(4), np.int64(5), seed=np.int64(5))
         assert report == fuzz_sendov(0.5, 4, 5, seed=5)
         assert [type(v) for v in (report.degree, report.trials, report.seed)] == [int] * 3
-        json.dumps(report.to_dict())
+        json.dumps(dataclasses.asdict(report))
 
     @pytest.mark.parametrize("seed", [-1, -(2**70), 2.0])
     def test_rejects_bad_seed(self, seed):
@@ -294,7 +295,9 @@ class TestRenderers:
         assert [p["check_id"] for p in parsed] == SUITE_IDS + LIMIT_IDS + CHAIN_IDS
         assert all(p["passed"] for p in parsed)
         suite = run_inequality_suite(grid_step=0.01, seed=DEFAULT_SEED)
-        assert parsed[:len(SUITE_IDS)] == [o.to_dict() for o in suite]
+        assert parsed[:len(SUITE_IDS)] == [
+            json.loads(json.dumps(dataclasses.asdict(o))) for o in suite
+        ]
         # Re-serialization is idempotent.
         assert "".join(json.dumps(p) + "\n" for p in parsed) == text
 
@@ -317,9 +320,15 @@ class TestRenderers:
             "0.5,4,10,0,0.75,0,7\n"
         )
 
-    def test_outcome_to_dict_tuple_location(self):
+    def test_outcome_to_dict_tuple_location(self, capsys, monkeypatch):
         o = VerificationOutcome(
             check_id="x", passed=True, worst_margin=1.0,
             worst_location=(0.5, 0.25), samples=3, notes="",
         )
-        assert o.to_dict()["worst_location"] == [0.5, 0.25]
+        monkeypatch.setattr(verify, "run_inequality_suite", lambda **kwargs: [o])
+        monkeypatch.setattr(verify, "verify_limits", lambda: [])
+        monkeypatch.setattr(verify, "verify_estimate_chain", lambda **kwargs: [])
+        assert main(["verify", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["worst_location"] == [0.5, 0.25]
+        assert main(["verify", "--format", "csv"]) == 0
+        assert capsys.readouterr().out.split("\n")[1] == "x,true,1.0,(0.5 0.25),3"
