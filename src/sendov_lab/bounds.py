@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -92,6 +91,14 @@ def _check_a(a: float) -> float:
     return _real_in("a", a, 0, 1)
 
 
+def _finite(name: str, a: float, value: float) -> float:
+    """value = name(a), unless a tiny a sent it past binary64 range (to inf,
+    which callers also pass where the power of a they divide by is 0)."""
+    if value == math.inf:
+        raise DomainError(f"a={a!r} is too small: {name}(a) is past binary64 range")
+    return value
+
+
 @dataclass(frozen=True)
 class AuxParams:
     """The derived parameters attached to a: exponents q', p', and c = a*gamma."""
@@ -156,13 +163,16 @@ def aux_params(a: float) -> AuxParams:
 def n0(a: float) -> float:
     """Degree threshold 32*log(40/a^2)/a^2 forcing the zero-mean bound a/4."""
     _check_a(a)
-    return 32.0 * math.log(40.0 / (a * a)) / (a * a)
+    a2 = a * a
+    return _finite("n0", a, 32.0 * math.log(40.0 / a2) / a2 if a2 else math.inf)
 
 
 def n1(a: float) -> float:
     """max{ 9*((4+2a)/a)^2, n0(a) }."""
     _check_a(a)
-    return max(9.0 * ((4.0 + 2.0 * a) / a) ** 2, n0(a))
+    # n0 rejects every a small enough to overflow the square (a < 3e-154).
+    floor = n0(a)
+    return _finite("n1", a, max(9.0 * ((4.0 + 2.0 * a) / a) ** 2, floor))
 
 
 def n2(a: float, c: float) -> float:
@@ -345,7 +355,8 @@ def n3(a: float) -> tuple[float, float]:
 def final_bound(a: float) -> float:
     """The headline explicit threshold 20800 / (a^7 (1-a)^4)."""
     _check_a(a)
-    return 20800.0 / (a ** 7 * (1.0 - a) ** 4)
+    denominator = a ** 7 * (1.0 - a) ** 4
+    return _finite("final_bound", a, 20800.0 / denominator if denominator else math.inf)
 
 
 def _mean_objective(a: float, n: int, delta: float) -> float:
@@ -411,9 +422,9 @@ def mean_upper_bound(a: float, n: int) -> MeanBound:
 def small_circle_bound(a: float) -> float:
     """Comparison threshold 2 + (60-a^2)/(a^2(1-a^2)) for zeros on the unit circle."""
     _check_a(a)
-    value = 2.0 + (60.0 - a * a) / (a * a * (1.0 - a * a))
-    # Diverges as a -> 1; binary64 a < 1 keeps it ~1e18 at most, but cap anyway.
-    return value if math.isfinite(value) else sys.float_info.max
+    a2 = a * a
+    value = 2.0 + (60.0 - a2) / (a2 * (1.0 - a2)) if a2 else math.inf
+    return _finite("small_circle_bound", a, value)
 
 
 def breakdown(a: float) -> BoundBreakdown:

@@ -13,12 +13,13 @@ each Aberth sweep gathers only the points still moving, and an instance's
 result does not depend on what else is in the block.
 
 The coefficient side (``from_roots``, ``find_roots``) stays for general
-polynomials.  One Aberth sweep loop runs in the dtype of its coefficients:
-first on the binary64 coefficients, then in clongdouble on the
-extended-precision coefficients ``from_roots`` keeps as head + tail pairs,
-with an mpmath Newton rescue for the few roots still adrift.  One
-Vandermonde evaluator gives p and p' everywhere, and each root gets a
-residual certificate.
+polynomials.  A ``Polynomial`` holds coefficients and tails only.  One
+Aberth sweep loop, from one start rule for every degree, runs in the dtype
+of its coefficients: first on the binary64 coefficients, then in
+clongdouble on the extended-precision coefficients ``from_roots`` keeps as
+head + tail pairs, with an mpmath Newton rescue for the few roots still
+adrift.  One Vandermonde evaluator gives p and p' everywhere, and each root
+gets a residual certificate.
 
 All public values are immutable and safe to share across threads.  Every
 rejected argument or instance raises ``bounds.DomainError``, the package's
@@ -56,8 +57,6 @@ __all__ = [
 # Residual threshold certifying a reported root: |P(r)| <= tol * scale with
 # scale = max |coeff| * (1 + |r|)^degree.
 RESIDUAL_TOL = 1e-10
-# Looser self-check threshold for roots stored inside a Polynomial value.
-_STORED_ROOT_TOL = 1e-9
 # Two reported roots closer than this are flagged as one cluster.
 CLUSTER_TOL = 1e-7
 
@@ -111,10 +110,8 @@ def _require_finite_complex(values, what: str, ndim: int = 1) -> np.ndarray:
 class Polynomial:
     """Coefficient-form polynomial, ascending degree, nonzero leading term.
 
-    ``roots`` is populated when the value was constructed from its roots; a
-    stored root must satisfy |P(root)| <= 1e-9 * max|coeff| * (1+|root|)^deg
-    (checked at construction).  Degree 0 values are permitted; operations
-    that need roots demand degree >= 1 themselves.
+    Degree 0 values are permitted; operations that need roots demand
+    degree >= 1 themselves.
 
     ``tails`` optionally carries the rounding residual of each coefficient,
     so that coefficients[k] + tails[k] is the polynomial's exact coefficient
@@ -126,7 +123,6 @@ class Polynomial:
     """
 
     coefficients: tuple[complex, ...]
-    roots: tuple[complex, ...] | None = None
     tails: tuple[complex, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -143,23 +139,6 @@ class Polynomial:
                     f"{tails.size} tails for {coeffs.size} coefficients"
                 )
             object.__setattr__(self, "tails", tuple(tails.tolist()))
-        if self.roots is not None:
-            rts = _require_finite_complex(self.roots, "roots")
-            if rts.size != self.degree:
-                raise DomainError(
-                    f"{rts.size} roots stored on a degree-{self.degree} polynomial"
-                )
-            with np.errstate(all="ignore"):
-                values = np.abs(_values(coeffs, rts))
-                bounds = _STORED_ROOT_TOL * np.abs(coeffs).max() \
-                    * (1.0 + np.abs(rts)) ** self.degree
-            # NaN (from inf - inf in an overflowing complex power) fails too.
-            bad = np.nonzero(~(values <= bounds))[0]
-            if bad.size:
-                raise DomainError(
-                    f"stored root {rts[bad[0]]} does not satisfy the coefficient form"
-                )
-            object.__setattr__(self, "roots", tuple(rts.tolist()))
 
     @property
     def degree(self) -> int:
@@ -247,7 +226,7 @@ class RootResult:
     converged means every residual is at or below RESIDUAL_TOL.  clusters
     lists index groups whose pairwise distance is below CLUSTER_TOL (likely
     multiple roots); iterations counts binary64 Aberth sweeps across all
-    restarts, at most 200 per attempt.
+    restarts, at least 1 and at most 200 per attempt, at every degree.
     """
 
     roots: tuple[complex, ...]
@@ -308,7 +287,7 @@ def from_roots(roots: Sequence[complex]) -> Polynomial:
         tail = (coeffs - head).astype(np.complex128)
     # tolist() hands over Python complex values, which validate faster than
     # numpy scalars; the values are the same.
-    return Polynomial(tuple(head.tolist()), tuple(arr.tolist()), tuple(tail.tolist()))
+    return Polynomial(tuple(head.tolist()), tuple(tail.tolist()))
 
 
 def evaluate(p: Polynomial, z: complex) -> complex:
@@ -390,22 +369,6 @@ def _aberth(c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, int, bool]:
     return z, sweeps, False
 
 
-def _roots_quadratic(coeffs: np.ndarray) -> np.ndarray:
-    """Stable closed form: the larger root via the sign choice that avoids
-    cancellation, the other via the product c0/c2."""
-    c0, c1, c2 = coeffs
-    disc = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
-    u = -c1 + disc
-    v = -c1 - disc
-    big = u if abs(u) >= abs(v) else v
-    if big == 0:  # double root at the origin of the shifted variable
-        r = -c1 / (2.0 * c2)
-        return np.array([r, r])
-    r1 = big / (2.0 * c2)
-    r2 = (2.0 * c0) / big
-    return np.array([r1, r2])
-
-
 def _polish(p: Polynomial, exact: np.ndarray, z: np.ndarray) -> np.ndarray:
     """50-digit Newton finish for the roots z still adrift after the sweeps
     on ``exact``, p's coefficients + ``tails`` in clongdouble.
@@ -469,42 +432,37 @@ def _clusters(z: np.ndarray) -> tuple[tuple[int, ...], ...]:
 def find_roots(p: Polynomial) -> RootResult:
     """All roots of p with residual certificates.
 
-    Degrees 1 and 2 start from their closed forms, higher degrees from a
-    circle of radius 1 + max|c_k/c_n| at equal angles plus a fixed
-    irrational offset, swept by ``_aberth`` on the binary64 monic
-    coefficients; an attempt that does not arrive gets up to 3 deterministic
-    perturb-and-continue restarts.  The same sweeps then run in clongdouble
-    on coefficients + ``tails``, and ``_polish`` finishes any root still
-    adrift.  ``converged`` reflects the binary64 residual certificates of
-    the final values (a non-converged report is returned rather than
-    guessing); ``iterations`` counts the binary64 sweeps.  Stored ``roots``
-    are never read.
+    Every degree starts the same way: from a circle of radius
+    1 + max|c_k/c_n| at equal angles plus a fixed irrational offset, swept
+    by ``_aberth`` on the binary64 monic coefficients.  An attempt that does
+    not arrive gets up to 3 deterministic perturb-and-continue restarts,
+    which carry on from where it stopped: from a start circle far too large
+    for the roots, 200 sweeps may not reach them.  The same sweeps then run
+    in clongdouble on coefficients + ``tails``, and ``_polish`` finishes any
+    root still adrift.  ``converged`` reflects the binary64 residual
+    certificates of the final values (a non-converged report is returned
+    rather than guessing); ``iterations`` counts the binary64 sweeps.
     """
     if p.degree < 1:
         raise DomainError("find_roots needs degree >= 1")
     n = p.degree
     coeffs = np.asarray(p.coefficients, dtype=np.complex128)
     iterations = 0
-    if n == 1:
-        z = np.array([-coeffs[0] / coeffs[1]])
-    elif n == 2:
-        z = _roots_quadratic(coeffs)
-    else:
-        monic = coeffs / coeffs[-1]
-        radius = 1.0 + float(np.abs(monic[:-1]).max())
-        z = radius * np.exp(1j * (2.0 * np.pi * np.arange(n) / n + _ANGULAR_OFFSET))
-        # Restart jitter is deterministic: same polynomial, same answer, always.
-        rng = np.random.default_rng(0x53454E44)
-        for attempt in range(_RESTARTS + 1):
-            if attempt:
-                jig = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                # continue from the current cloud, nudged; do not reset to
-                # the initial circle or the far-field progress is thrown away
-                z = z * (1.0 + 1e-3 * jig) + 1e-6 * jig
-            z, sweeps, arrived = _aberth(monic, z)
-            iterations += sweeps
-            if arrived:
-                break
+    monic = coeffs / coeffs[-1]
+    radius = 1.0 + float(np.abs(monic[:-1]).max())
+    z = radius * np.exp(1j * (2.0 * np.pi * np.arange(n) / n + _ANGULAR_OFFSET))
+    # Restart jitter is deterministic: same polynomial, same answer, always.
+    rng = np.random.default_rng(0x53454E44)
+    for attempt in range(_RESTARTS + 1):
+        if attempt:
+            jig = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            # continue from the current cloud, nudged; do not reset to
+            # the initial circle or the far-field progress is thrown away
+            z = z * (1.0 + 1e-3 * jig) + 1e-6 * jig
+        z, sweeps, arrived = _aberth(monic, z)
+        iterations += sweeps
+        if arrived:
+            break
     exact = coeffs.astype(np.clongdouble)
     if p.tails is not None:
         exact += np.asarray(p.tails).astype(np.clongdouble)

@@ -241,6 +241,19 @@ class TestHeadlineBound:
         assert d["small_bound"] == bounds.small_circle_bound(0.5)
         assert d["k_prime"] == bounds.k_prime(0.5)
 
+    @pytest.mark.parametrize("fn, args", [
+        (bounds.final_bound, (1e-50,)), (bounds.final_bound, (1e-46,)),
+        (bounds.n0, (1e-170,)), (bounds.n0, (1e-160,)),
+        (bounds.n1, (1e-170,)), (bounds.n1, (1e-160,)),
+        (bounds.n2, (1e-170, 9e-171)),
+        (bounds.small_circle_bound, (1e-170,)), (bounds.small_circle_bound, (1e-160,)),
+    ], ids=lambda v: v.__name__ if callable(v) else repr(v[0]))
+    def test_threshold_past_binary64_range_names_a(self, fn, args):
+        # A power of a underflows to 0 or the threshold overflows: neither
+        # a ZeroDivisionError, an OverflowError, inf nor a capped value.
+        with pytest.raises(DomainError, match=f"a={args[0]!r}"):
+            fn(*args)
+
 
 class TestMeanBound:
     def test_frozen_values(self):
