@@ -22,7 +22,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
+
+import numpy as np
 
 __all__ = [
     "DomainError",
@@ -56,14 +58,20 @@ class DomainError(ValueError):
     unreadable input or unwritable output file."""
 
 
-def _real_in(name: str, value, lo: float, hi: float, *, closed_right: bool = False) -> float:
-    """value as a float, if it is a real (not bool) in (lo, hi), or (lo, hi]
-    with closed_right.  The bounds are finite, so NaN and infinities fail."""
+def _real_in(
+    name: str, value, lo: float, hi: float, *, closed_left: bool = False, closed_right: bool = False
+) -> float:
+    """value as a float, if it is a real (not bool) in (lo, hi), with either
+    end included on request.  The bounds are finite, so NaN and infinities
+    fail."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DomainError(f"{name} must be a real number, got {value!r}")
-    if not (lo < value and (value <= hi if closed_right else value < hi)):
+    above = lo <= value if closed_left else lo < value
+    below = value <= hi if closed_right else value < hi
+    if not (above and below):
         raise DomainError(
-            f"{name} must lie in ({lo!r}, {hi!r}{']' if closed_right else ')'}, got {value!r}"
+            f"{name} must lie in {'[' if closed_left else '('}{lo!r}, {hi!r}"
+            f"{']' if closed_right else ')'}, got {value!r}"
         )
     return float(value)
 
@@ -186,20 +194,34 @@ def n2(a: float, c: float) -> float:
 def d_function(a: float, c: float, x: float) -> float:
     """Contraction factor max{ (1/(1+a))^x, ((1+c)/(1+a))^x * sqrt(1+c^2-ac)^(1-x) }.
 
-    Strictly below 1 for x in (0, 1) and at least c/(1+a) everywhere.
+    Strictly below 1 for x in (0, 1) and at least c/(1+a) everywhere.  Each
+    power is a scalar libm call, so the value is bit for bit the sample the
+    verifier's D-contraction check takes at (a, c, x).
     """
     _check_a(a)
     _real_in("c", c, 0, a)
     _real_in("x", x, 0, 1)
-    return _d_values(a, c, (x,))[0]
+    return float(_d_values((a,), (c,), (x,))[0, 0])
 
 
-def _d_values(a: float, c: float, xs: Iterable[float]) -> list[float]:
-    """D(a, c, x) for each x, unvalidated; the bases are computed once per (a, c)."""
-    first_base = 1.0 / (1.0 + a)
-    second_base = (1.0 + c) / (1.0 + a)
-    root = math.sqrt(1.0 + c * c - a * c)
-    return [max(first_base ** x, second_base ** x * root ** (1.0 - x)) for x in xs]
+def _d_values(a: Sequence[float], c: Sequence[float], xs: Sequence[float]) -> np.ndarray:
+    """D(a[i], c[i], xs[j]) at [i, j], unvalidated; a and c have equal length.
+
+    Each power is a scalar libm call, on bases computed once per (a, c):
+    numpy's SIMD power can differ from libm pow in the last bit.  Rows are
+    filled one at a time, and only the max of the two branches is taken on
+    the whole array.
+    """
+    first = np.empty((len(a), len(xs)))
+    second = np.empty_like(first)
+    co_xs = [1.0 - x for x in xs]
+    for i, (ai, ci) in enumerate(zip(a, c)):
+        first_base = 1.0 / (1.0 + ai)
+        second_base = (1.0 + ci) / (1.0 + ai)
+        root = math.sqrt(1.0 + ci * ci - ai * ci)
+        first[i] = [first_base ** x for x in xs]
+        second[i] = [second_base ** x * root ** y for x, y in zip(xs, co_xs)]
+    return np.maximum(first, second, out=first)
 
 
 def log_k_factors(a: float, c: float, p: float, q: float) -> tuple[float, float]:

@@ -573,7 +573,7 @@ def _aberth_corrections(w, zeta, kc, points) -> np.ndarray:
     np.divide(1.0, r, out=r)
     rk = r if kc is None else r * kc[t]
     f = rk.sum(axis=-1)
-    newton = f * r.sum(axis=-1)
+    newton = f * (f if kc is None else r.sum(axis=-1))
     newton -= np.multiply(rk, r, out=rk).sum(axis=-1)
     del r, rk
     np.divide(f, newton, out=newton)

@@ -96,7 +96,17 @@ class FuzzReport:
     violation_instances: tuple[str, ...] = ()
 
 
+# The finest a-grid a suite accepts: 99,999 points, where each (points x 99)
+# array of the D-contraction check holds about 80 MB.
+_MIN_GRID_STEP = 1e-5
+
+
 def _grid(grid_step: float) -> np.ndarray:
+    """The a-grid k * grid_step, k = 1 .. round(1/grid_step) - 1, for a
+    grid_step in [_MIN_GRID_STEP, 0.01]."""
+    grid_step = bounds._real_in(
+        "grid_step", grid_step, _MIN_GRID_STEP, 0.01, closed_left=True, closed_right=True
+    )
     count = int(round(1.0 / grid_step)) - 1
     return np.array([k * grid_step for k in range(1, count + 1)])
 
@@ -151,7 +161,7 @@ def run_inequality_suite(
     like a^2 into binary64 roundoff, so sampling outside the grid span would
     measure noise, not mathematics.)  Failures are reported, not raised.
     """
-    grid = _grid(bounds._real_in("grid_step", grid_step, 0, 0.01, closed_right=True))
+    grid = _grid(grid_step)
     extra_random = bounds._int_in("extra_random", extra_random, 0)
     seed = bounds._int_in("seed", seed, 0)
     rng = np.random.default_rng(seed)
@@ -252,11 +262,13 @@ def run_inequality_suite(
     # AVX-512 hardware numpy's SIMD power differs from libm pow in the last
     # bit on about 6% of these (a, x) pairs (its log1p and log differ on a
     # few inputs too), and any such bit would change the report's bytes.
+    # The max and min are taken on the (points x x_set) array: on finite
+    # values they round exactly as Python's do, and the row-major ravel
+    # keeps each sample's index for d_location.
     x_set = [k * 0.01 for k in range(1, 100)]
-    d_margins = []
-    for a, cv in zip(pts_f, c.tolist()):
-        floor = cv / (1.0 + a)
-        d_margins.extend(min(1.0 - d, d - floor) for d in bounds._d_values(a, cv, x_set))
+    d = bounds._d_values(pts_f, c.tolist(), x_set)
+    above_floor = d - (c / (1.0 + pts))[:, None]
+    d_margins = np.minimum(np.subtract(1.0, d, out=d), above_floor, out=d).ravel()
 
     def d_location(i: int) -> tuple[float, float]:
         ia, ix = divmod(i, len(x_set))
@@ -312,7 +324,7 @@ def verify_estimate_chain(grid_step: float = 1e-3) -> list[VerificationOutcome]:
     compares the differing branches directly, otherwise shared-branch ties
     would report zero margin for a true strict inequality.
     """
-    grid = _grid(bounds._real_in("grid_step", grid_step, 0, 0.01, closed_right=True))
+    grid = _grid(grid_step)
 
     per_check: dict[str, tuple[list, str]] = {
         "chain.n3_exact_le_estimate": ([], "n3_estimate(a) - n3_exact(a)"),

@@ -73,18 +73,20 @@ def test_criterion_2_endpoint_constants():
 
 def test_criterion_3_inequality_suite():
     start = time.perf_counter()
-    outcomes = (
-        verify.run_inequality_suite(grid_step=1e-3, extra_random=100, seed=DEFAULT_SEED)
-        + verify.verify_estimate_chain(grid_step=1e-3)
-    )
+    suite = verify.run_inequality_suite(grid_step=1e-3, extra_random=100, seed=DEFAULT_SEED)
+    suite_s = time.perf_counter() - start
+    chain = verify.verify_estimate_chain(grid_step=1e-3)
     elapsed = time.perf_counter() - start
+    outcomes = suite + chain
     failed = [o.check_id for o in outcomes if not (o.passed and o.worst_margin > 0.0)]
     smallest = min(outcomes, key=lambda o: o.worst_margin)
+    d_samples = next(o.samples for o in suite if o.check_id == "bounds.d_contraction")
     ok = not failed and elapsed < 30.0
     detail = (
         f"{len(outcomes)} grid checks all strictly positive at step 1e-3 "
         f"plus 100 random points; smallest margin {smallest.worst_margin:.3e} "
-        f"({smallest.check_id}); {elapsed:.1f}s"
+        f"({smallest.check_id}); {elapsed:.2f}s = inequality suite {suite_s:.3f}s "
+        f"({d_samples} d_contraction samples) + estimate chain {elapsed - suite_s:.3f}s"
         + (f"; FAILED: {failed}" if failed else "")
     )
     record_criterion(3, ok, detail)

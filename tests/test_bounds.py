@@ -165,6 +165,30 @@ class TestGrowthFactors:
         assert c / (1.0 + a) <= d < 1.0
 
 
+class TestDValues:
+    """The batch D array the verifier reads is bit for bit d_function."""
+
+    def test_batch_equals_scalar_exactly(self):
+        rng = np.random.default_rng(11)
+        a_list = [0.001, 0.999] + rng.uniform(0.001, 0.999, size=298).tolist()
+        c_list = [bounds.aux_params(a).c for a in a_list]
+        # The verifier's x-grid (0.01 .. 0.99) and a few random x: rows this
+        # long are where a vectorized numpy power would round differently.
+        xs = [k * 0.01 for k in range(1, 100)] + rng.uniform(0.01, 0.99, size=8).tolist()
+        d = bounds._d_values(a_list, c_list, xs)
+        assert d.shape == (len(a_list), len(xs)) and d.dtype == np.float64
+        for i, (a, c) in enumerate(zip(a_list, c_list)):
+            root = math.sqrt(1.0 + c * c - a * c)
+            for j, x in enumerate(xs):
+                # Python float powers are libm pow calls, as in the verifier.
+                second = ((1.0 + c) / (1.0 + a)) ** x * root ** (1.0 - x)
+                libm = max((1.0 / (1.0 + a)) ** x, second)
+                assert d[i, j] == bounds.d_function(a, c, x) == libm, (a, x)
+
+    def test_d_function_returns_a_python_float(self):
+        assert type(bounds.d_function(0.5, 0.475, 0.5)) is float
+
+
 class TestAlphaChain:
     def test_r_values_at_half(self):
         r, r_prime = bounds.r_param(0.5, 0.475)

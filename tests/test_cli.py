@@ -165,6 +165,13 @@ class TestVerifyCommand:
         assert code == 2
         assert "grid_step" in err
 
+    @pytest.mark.parametrize("step", ["5e-324", "1e-12"])
+    def test_grid_step_below_floor_exit_two(self, capsys, step):
+        code, out, err = run(capsys, "verify", "--grid-step", step)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: grid_step must lie in [1e-05")
+
     # 1, 2, 5, 6, 13, 14 and 15 are the seeds with distinct golden digests.
     @pytest.mark.parametrize("seed", ["1", "2", "5", "6", "13", "14", "15"])
     def test_json_bytes_match_golden_digests(self, capsys, seed):

@@ -95,9 +95,7 @@ class TestInequalitySuite:
         a, x = o.worst_location
         d = bounds.d_function(a, a * (0.1 * a + 0.9), x)
         c = a * (0.1 * a + 0.9)
-        assert np.allclose(
-            min(1.0 - d, d - c / (1.0 + a)), o.worst_margin, rtol=1e-12, atol=0
-        )
+        assert min(1.0 - d, d - c / (1.0 + a)) == o.worst_margin
 
     def test_deterministic_bytes(self, coarse_suite):
         again = run_inequality_suite(grid_step=0.01, extra_random=20, seed=DEFAULT_SEED)
@@ -113,6 +111,12 @@ class TestInequalitySuite:
         for bad in (0.5, 0.0, -1e-3, float("nan")):
             with pytest.raises(bounds.DomainError):
                 run_inequality_suite(grid_step=bad)
+        # Below 1e-5 the grid would not fit in memory, or 1/grid_step
+        # would not round to an int.
+        for suite in (run_inequality_suite, verify_estimate_chain):
+            for bad in (5e-324, 1e-12, 9.99e-6):
+                with pytest.raises(bounds.DomainError, match=r"must lie in \[1e-05, 0.01\]"):
+                    suite(grid_step=bad)
         # True is an int to Python but not a count; numpy raised on it.
         for bad in (-1, True, 2.0):
             with pytest.raises(bounds.DomainError, match="extra_random"):
@@ -122,6 +126,22 @@ class TestInequalitySuite:
     def test_rejects_bad_seed(self, seed):
         with pytest.raises(bounds.DomainError, match="seed"):
             run_inequality_suite(grid_step=0.01, seed=seed)
+
+    def test_finest_grid_step_is_accepted(self):
+        grid = verify._grid(1e-5)
+        assert len(grid) == 99_999 and grid[0] == 1e-5
+
+    def test_default_suite_memory_peak(self):
+        # One float64 array per D-contraction branch (1099 x 99 values,
+        # 0.87 MB each); a Python float per sample held about 4.9 MB.
+        run_inequality_suite()  # the first call also builds state that numpy keeps
+        tracemalloc.start()
+        try:
+            run_inequality_suite()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5e6, peak
 
     def test_sample_counts(self, coarse_suite):
         by_id = {o.check_id: o for o in coarse_suite}
