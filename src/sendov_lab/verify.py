@@ -96,9 +96,13 @@ class FuzzReport:
     violation_instances: tuple[str, ...] = ()
 
 
-# The finest a-grid a suite accepts: 99,999 points, where each (points x 99)
-# array of the D-contraction check holds about 80 MB.
+# The finest a-grid a suite accepts: 99,999 points, where each of the two
+# (points x 99) arrays the D-contraction screen keeps holds about 80 MB.
 _MIN_GRID_STEP = 1e-5
+
+# The most random points a suite adds to its grid; beyond the finest grid
+# they would grow the D-contraction arrays without bound.
+_MAX_EXTRA_RANDOM = 100_000
 
 
 def _grid(grid_step: float) -> np.ndarray:
@@ -116,10 +120,13 @@ def _min_outcome(
     margins: Sequence[float],
     locations: np.ndarray | Callable[[int], tuple[float, ...]],
     notes: str,
+    samples: int | None = None,
 ) -> VerificationOutcome:
     """The outcome at the first smallest margin; ``locations`` gives the
     sample point of each margin by index, as a 1-D array of values of a or
-    x, or as a function returning an (a, x) tuple."""
+    x, or as a function returning an (a, x) tuple.  ``samples`` is the
+    number of margins unless given, as by a check that passes only the
+    margins it confirmed out of more samples."""
     margins = np.asarray(margins, dtype=float)
     i = int(np.argmin(margins))
     worst = float(margins[i])
@@ -128,9 +135,29 @@ def _min_outcome(
         passed=bool(worst > 0.0),
         worst_margin=worst,
         worst_location=locations(i) if callable(locations) else float(locations[i]),
-        samples=len(margins),
+        samples=len(margins) if samples is None else samples,
         notes=notes,
     )
+
+
+def _screened_min(
+    screened: np.ndarray, exact_at: Callable[[int], float], tol: float
+) -> tuple[int, float]:
+    """(i, exact_at(i)) at the first i where the exact margin is smallest,
+    given screened margins within tol of the exact ones.
+
+    exact_at is called only on the candidates: every i whose screened
+    margin is at most min(screened) + 2 tol, or is not finite.  Any other
+    i has an exact margin above min(screened) + tol, which is at least the
+    exact margin at the screened minimum, so it can neither be the minimum
+    nor tie it.
+    """
+    finite = np.isfinite(screened)
+    bound = screened.min(where=finite, initial=math.inf) + 2.0 * tol
+    candidates = np.flatnonzero(~finite | (screened <= bound))
+    exact = np.array([exact_at(i) for i in candidates.tolist()])
+    k = int(np.argmin(exact))
+    return int(candidates[k]), float(exact[k])
 
 
 def _mu2_scaled_residual(a: float, x: float) -> float:
@@ -162,7 +189,7 @@ def run_inequality_suite(
     measure noise, not mathematics.)  Failures are reported, not raised.
     """
     grid = _grid(grid_step)
-    extra_random = bounds._int_in("extra_random", extra_random, 0)
+    extra_random = bounds._int_in("extra_random", extra_random, 0, _MAX_EXTRA_RANDOM)
     seed = bounds._int_in("seed", seed, 0)
     rng = np.random.default_rng(seed)
     pts = np.concatenate([grid, rng.uniform(grid[0], grid[-1], size=extra_random)])
@@ -258,27 +285,33 @@ def run_inequality_suite(
     ))
 
     # D(a, c, x) < 1 on 0 < x < 1 and D >= c/(1+a), at c = a*gamma(a).
-    # The powers stay scalar libm calls, not one vectorized numpy power: on
-    # AVX-512 hardware numpy's SIMD power differs from libm pow in the last
-    # bit on about 6% of these (a, x) pairs (its log1p and log differ on a
-    # few inputs too), and any such bit would change the report's bytes.
-    # The max and min are taken on the (points x x_set) array: on finite
-    # values they round exactly as Python's do, and the row-major ravel
-    # keeps each sample's index for d_location.
+    # numpy's vectorized power screens all samples in one pass.  On AVX-512
+    # hardware its D differs from the libm value in the last bit on about
+    # 13% of these samples, so it only picks the samples that could hold the
+    # minimum.  Those are re-evaluated with bounds.d_function's scalar libm
+    # powers, and the report holds only exact values: its bytes do not
+    # depend on the SIMD code numpy runs.  The row-major ravel keeps each
+    # sample's flat index, so ties go to the lowest one.
     x_set = [k * 0.01 for k in range(1, 100)]
-    d = bounds._d_values(pts_f, c.tolist(), x_set)
+    d = bounds._d_screen(pts, c, np.array(x_set))
     above_floor = d - (c / (1.0 + pts))[:, None]
-    d_margins = np.minimum(np.subtract(1.0, d, out=d), above_floor, out=d).ravel()
+    d_screened = np.minimum(np.subtract(1.0, d, out=d), above_floor, out=d).ravel()
+    del above_floor  # so the confirm step's masks come on top of one array, not two
 
-    def d_location(i: int) -> tuple[float, float]:
+    def d_exact(i: int) -> float:
         ia, ix = divmod(i, len(x_set))
-        return pts_f[ia], x_set[ix]
+        a, ci = pts_f[ia], float(c[ia])
+        dv = bounds.d_function(a, ci, x_set[ix])
+        return min(1.0 - dv, dv - ci / (1.0 + a))
 
+    worst_i, worst = _screened_min(d_screened, d_exact, bounds._SCREEN_TOL)
+    ia, ix = divmod(worst_i, len(x_set))
     outcomes.append(_min_outcome(
         "bounds.d_contraction",
-        d_margins,
-        d_location,
+        [worst],
+        lambda _: (pts_f[ia], x_set[ix]),
         "min{1 - D(a, a*gamma, x), D(a, a*gamma, x) - a*gamma/(1+a)}; location is (a, x)",
+        samples=d_screened.size,
     ))
 
     return outcomes

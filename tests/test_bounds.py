@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_values as ref
-from sendov_lab import bounds
+from sendov_lab import bounds, verify
 from sendov_lab.bounds import DomainError
 from sendov_lab.cli import _row
 
@@ -166,24 +166,48 @@ class TestGrowthFactors:
 
 
 class TestDValues:
-    """The batch D array the verifier reads is bit for bit d_function."""
+    """d_function is the plain libm expression; the verifier's numpy screen
+    is within a tolerance of it, not bit for bit equal."""
 
-    def test_batch_equals_scalar_exactly(self):
+    def test_d_function_is_the_libm_expression(self):
         rng = np.random.default_rng(11)
         a_list = [0.001, 0.999] + rng.uniform(0.001, 0.999, size=298).tolist()
-        c_list = [bounds.aux_params(a).c for a in a_list]
-        # The verifier's x-grid (0.01 .. 0.99) and a few random x: rows this
-        # long are where a vectorized numpy power would round differently.
+        # The verifier's x-grid (0.01 .. 0.99) and a few random x.
         xs = [k * 0.01 for k in range(1, 100)] + rng.uniform(0.01, 0.99, size=8).tolist()
-        d = bounds._d_values(a_list, c_list, xs)
-        assert d.shape == (len(a_list), len(xs)) and d.dtype == np.float64
-        for i, (a, c) in enumerate(zip(a_list, c_list)):
+        for a in a_list:
+            c = bounds.aux_params(a).c
             root = math.sqrt(1.0 + c * c - a * c)
-            for j, x in enumerate(xs):
-                # Python float powers are libm pow calls, as in the verifier.
+            for x in xs:
+                # Python float powers are libm pow calls.
                 second = ((1.0 + c) / (1.0 + a)) ** x * root ** (1.0 - x)
                 libm = max((1.0 / (1.0 + a)) ** x, second)
-                assert d[i, j] == bounds.d_function(a, c, x) == libm, (a, x)
+                assert bounds.d_function(a, c, x) == libm, (a, x)
+
+    def test_screen_is_within_tolerance_on_the_verify_grid(self):
+        grid = verify._grid(1e-3)
+        rng = np.random.default_rng(verify.DEFAULT_SEED)
+        pts = np.concatenate([grid, rng.uniform(grid[0], grid[-1], size=100)])
+        c = pts * (0.1 * pts + 0.9)
+        xs = [k * 0.01 for k in range(1, 100)]
+        screen = bounds._d_screen(pts, c, np.array(xs))
+        assert screen.shape == (len(pts), len(xs)) and screen.dtype == np.float64
+        exact = np.array([
+            [bounds.d_function(a, ci, x) for x in xs]
+            for a, ci in zip(pts.tolist(), c.tolist())
+        ])
+        assert np.abs(screen - exact).max() <= bounds._SCREEN_TOL / 1000
+
+    @pytest.mark.parametrize("a, x, expected", [
+        (0.5, 0.25, ref.D_05_025),
+        (0.5, 0.75, ref.D_05_075),
+        # The worst location of verify's D-contraction check at every seed.
+        (0.001, 0.01, ref.D_0001_001),
+    ])
+    def test_frozen_values(self, a, x, expected):
+        c = bounds.aux_params(a).c
+        assert np.allclose(bounds.d_function(a, c, x), expected, rtol=1e-14, atol=0)
+        screen = bounds._d_screen(np.array([a]), np.array([c]), np.array([x]))
+        assert np.allclose(screen[0, 0], expected, rtol=1e-14, atol=0)
 
     def test_d_function_returns_a_python_float(self):
         assert type(bounds.d_function(0.5, 0.475, 0.5)) is float

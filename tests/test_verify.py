@@ -122,6 +122,15 @@ class TestInequalitySuite:
             with pytest.raises(bounds.DomainError, match="extra_random"):
                 run_inequality_suite(extra_random=bad)
 
+    def test_rejects_extra_random_past_cap(self):
+        # Rejected before any point is drawn: 10**7 points would need two
+        # (points x 99) float64 arrays of about 8 GB each.
+        for bad in (100_001, 10**7, np.int64(10**9)):
+            with pytest.raises(
+                bounds.DomainError, match=r"extra_random must be an integer in \[0, 100000\]"
+            ):
+                run_inequality_suite(extra_random=bad)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
     def test_rejects_bad_seed(self, seed):
         with pytest.raises(bounds.DomainError, match="seed"):
@@ -132,8 +141,8 @@ class TestInequalitySuite:
         assert len(grid) == 99_999 and grid[0] == 1e-5
 
     def test_default_suite_memory_peak(self):
-        # One float64 array per D-contraction branch (1099 x 99 values,
-        # 0.87 MB each); a Python float per sample held about 4.9 MB.
+        # The D-contraction screen keeps two float64 arrays (1099 x 99
+        # values, 0.87 MB each); a Python float per sample held about 4.9 MB.
         run_inequality_suite()  # the first call also builds state that numpy keeps
         tracemalloc.start()
         try:
@@ -149,6 +158,95 @@ class TestInequalitySuite:
         assert by_id["bounds.gamma_dominates_mu2"].samples == grid_points + 20
         assert by_id["bounds.lemma_log_bounds"].samples == 3000
         assert by_id["bounds.d_contraction"].samples == (grid_points + 20) * 99
+
+
+def _libm_d_contraction(grid_step, extra_random, seed):
+    """bounds.d_contraction's outcome from every sample's libm margin: each
+    row of D filled with Python float powers (libm pow), then the first
+    smallest margin over all samples."""
+    grid = verify._grid(grid_step)
+    rng = np.random.default_rng(seed)
+    pts = np.concatenate([grid, rng.uniform(grid[0], grid[-1], size=extra_random)]).tolist()
+    xs = [k * 0.01 for k in range(1, 100)]
+    margins = np.empty((len(pts), len(xs)))
+    for i, a in enumerate(pts):
+        c = a * (0.1 * a + 0.9)
+        first_base = 1.0 / (1.0 + a)
+        second_base = (1.0 + c) / (1.0 + a)
+        root = math.sqrt(1.0 + c * c - a * c)
+        floor = c / (1.0 + a)
+        row = [max(first_base ** x, second_base ** x * root ** (1.0 - x)) for x in xs]
+        margins[i] = [min(1.0 - d, d - floor) for d in row]
+    k = int(np.argmin(margins))
+    ia, ix = divmod(k, len(xs))
+    return float(margins.flat[k]), (pts[ia], xs[ix]), margins.size
+
+
+class TestDContraction:
+    """The screened check reports exactly what every libm sample gives."""
+
+    @pytest.mark.parametrize(
+        "grid_step, extra_random, seed",
+        [(0.01, 20, DEFAULT_SEED), (1e-3, 100, DEFAULT_SEED), (1e-3, 100, 5)],
+    )
+    def test_outcome_equals_exhaustive_libm(self, grid_step, extra_random, seed):
+        suite = run_inequality_suite(grid_step=grid_step, extra_random=extra_random, seed=seed)
+        o = next(o for o in suite if o.check_id == "bounds.d_contraction")
+        worst, location, samples = _libm_d_contraction(grid_step, extra_random, seed)
+        assert o.worst_margin == worst
+        assert o.worst_location == location
+        assert o.samples == samples
+        assert o.passed == (worst > 0.0)
+
+    def test_outcome_survives_a_screen_off_by_its_tolerance(self, monkeypatch):
+        # A screen that errs by up to 0.9 _SCREEN_TOL either way, as other
+        # SIMD code might, still gives the exhaustive libm outcome.
+        screen = bounds._d_screen
+
+        def skewed(a, c, xs):
+            d = screen(a, c, xs)
+            d += 0.9 * bounds._SCREEN_TOL * np.cos(np.arange(d.size)).reshape(d.shape)
+            return d
+
+        monkeypatch.setattr(bounds, "_d_screen", skewed)
+        suite = run_inequality_suite(grid_step=0.01, extra_random=20, seed=DEFAULT_SEED)
+        o = next(o for o in suite if o.check_id == "bounds.d_contraction")
+        worst, location, samples = _libm_d_contraction(0.01, 20, DEFAULT_SEED)
+        assert (o.worst_margin, o.worst_location, o.samples) == (worst, location, samples)
+
+    @staticmethod
+    def _rule(screened, exact):
+        calls = []
+
+        def exact_at(i):
+            calls.append(i)
+            return exact[i]
+
+        return verify._screened_min(np.array(screened), exact_at, 1e-12), calls
+
+    def test_exact_order_beats_screened_order(self):
+        # The screen ranks 1 below 2; the exact margins rank 2 first.
+        exact = [0.5, 0.1 + 5e-13, 0.1 + 2e-13, 0.9]
+        (i, worst), _ = self._rule([0.5, 0.1, 0.1 + 1e-13, 0.9], exact)
+        assert (i, worst) == (2, exact[2])
+
+    def test_exact_tie_goes_to_lower_index(self):
+        exact = [0.5, 0.1 + 5e-13, 0.9, 0.1 + 5e-13]
+        (i, worst), _ = self._rule([0.5, 0.1 + 1e-13, 0.9, 0.1], exact)
+        assert (i, worst) == (1, exact[1])
+
+    def test_far_samples_are_never_confirmed(self):
+        screened = [0.1 + 3e-12, 0.1, 0.1 + 1.5e-12, 0.1 + 2.5e-12, 0.7]
+        (i, worst), calls = self._rule(screened, screened)
+        assert (i, worst) == (1, 0.1)
+        assert calls == [1, 2]
+
+    def test_non_finite_screened_values_are_confirmed(self):
+        screened = [0.1, math.nan, 0.3, math.inf, -math.inf]
+        exact = [0.1, 0.05, 0.3, 0.2, 0.4]
+        (i, worst), calls = self._rule(screened, exact)
+        assert (i, worst) == (1, 0.05)
+        assert calls == [0, 1, 3, 4]
 
 
 class TestLimits:

@@ -53,6 +53,11 @@ def k_prime(a):
     return min(k1(a, c, p_prime(a)), k2(a, c, q_prime(a)))
 
 
+def d_contraction(a, x):
+    c = a * gamma(a)
+    return max((1 / (1 + a)) ** x, ((1 + c) / (1 + a)) ** x * sqrt(1 + c * c - a * c) ** (1 - x))
+
+
 def mu2(a):
     # Textbook radical form; fine at 50 digits even with the small-a cancellation.
     t = a**4 + 4 * a**3 + 16 * a**2 + 32 * a + 64
@@ -151,6 +156,9 @@ def main():
         ("K1_05", k1(a, c, p_prime(a))),
         ("K2_05", k2(a, c, q_prime(a))),
         ("K_PRIME_05", k_prime(a)),
+        ("D_05_025", d_contraction(a, mpf("0.25"))),
+        ("D_05_075", d_contraction(a, mpf("0.75"))),
+        ("D_0001_001", d_contraction(mpf("0.001"), mpf("0.01"))),
         ("R_05", r),
         ("R_PRIME_05", rp),
         ("ALPHA_05", alpha(a, c, r)),
