@@ -15,10 +15,20 @@ individually so each inequality in the derivation can be checked on its own.
 Everything is evaluated in binary64.  Where a textbook expression loses
 precision for small ``a`` (mu1, mu2, the log of a K-factor barely above 1),
 an algebraically equivalent stable rewrite is used and documented inline.
+
+The per-a closed forms the verifier sweeps (aux_params, n0, mu1,
+log_k_factors, r_param, alpha_param, final_bound and n3's two parts) take
+a float or a 1-D float64 array of a; their other arguments follow a, as
+floats or as arrays of the same length.  A float gives Python floats, an
+array gives arrays, and every entry of an array result is bit for bit the
+float the same call gives on that entry: + - * / and sqrt are correctly
+rounded in numpy as in Python, and every log, log1p and power goes through
+``_libm``, a libm call per entry, never numpy's SIMD versions.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -62,17 +72,47 @@ def _real_in(
 ) -> float:
     """value as a float, if it is a real (not bool) in (lo, hi), with either
     end included on request.  The bounds are finite, so NaN and infinities
-    fail."""
+    fail.  A 1-D array passes, as a float64 array, if every entry passes;
+    hi may then be an array of the same length."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if isinstance(value, np.ndarray):
+            return _real_array(name, value, lo, hi, closed_left, closed_right)
         raise DomainError(f"{name} must be a real number, got {value!r}")
     above = lo <= value if closed_left else lo < value
     below = value <= hi if closed_right else value < hi
     if not (above and below):
-        raise DomainError(
-            f"{name} must lie in {'[' if closed_left else '('}{lo!r}, {hi!r}"
-            f"{']' if closed_right else ')'}, got {value!r}"
-        )
+        raise DomainError(_outside(name, value, lo, hi, closed_left, closed_right))
     return float(value)
+
+
+def _outside(name: str, value, lo, hi, closed_left: bool, closed_right: bool) -> str:
+    """_real_in's message for a value outside its interval."""
+    return (
+        f"{name} must lie in {'[' if closed_left else '('}{lo!r}, {hi!r}"
+        f"{']' if closed_right else ')'}, got {value!r}"
+    )
+
+
+def _real_array(
+    name: str, value: np.ndarray, lo: float, hi, closed_left: bool, closed_right: bool
+) -> np.ndarray:
+    """value, if it is a 1-D float64 array whose every entry passes
+    _real_in; else the error the first failing entry gets, with its index.
+    Entries of any other dtype are numpy scalars that are not floats."""
+    if value.ndim != 1:
+        raise DomainError(f"{name} must be a real number or a 1-D array, got shape {value.shape}")
+    if value.dtype != np.float64:
+        first = f"{value[0]!r} at index 0 of a" if value.size else "an empty"
+        raise DomainError(f"{name} must be a real number, got {first} {value.dtype} array")
+    above = lo <= value if closed_left else lo < value
+    below = value <= hi if closed_right else value < hi
+    ok = above & below
+    if not ok.all():
+        i = int(np.argmin(ok))
+        hi_i = hi.item(i) if isinstance(hi, np.ndarray) else hi
+        message = _outside(name, value.item(i), lo, hi_i, closed_left, closed_right)
+        raise DomainError(f"{message} at index {i}")
+    return value
 
 
 def _int_in(name: str, value, lo: int, hi: int | None = None) -> int:
@@ -94,16 +134,53 @@ def _int_in(name: str, value, lo: int, hi: int | None = None) -> int:
 
 
 def _check_a(a: float) -> float:
-    """a as a float, if it lies in (0, 1): the zero every formula here is about."""
+    """a as a float, if it lies in (0, 1): the zero every formula here is about.
+    An array of a comes back as a float64 array, if every entry does."""
     return _real_in("a", a, 0, 1)
+
+
+def _require(ok, a, message: str) -> None:
+    """Raise DomainError(message.format(a)) unless ok; on arrays, unless ok
+    holds at every entry, and then for the first a where it does not."""
+    if isinstance(ok, np.ndarray):
+        if not ok.all():
+            raise DomainError(message.format(a.item(int(np.argmin(ok)))))
+    elif not ok:
+        raise DomainError(message.format(a))
 
 
 def _finite(name: str, a: float, value: float) -> float:
     """value = name(a), unless a tiny a sent it past binary64 range (to inf,
     which callers also pass where the power of a they divide by is 0)."""
-    if value == math.inf:
-        raise DomainError(f"a={a!r} is too small: {name}(a) is past binary64 range")
+    _require(value != math.inf, a, "a={!r} is too small: " + name + "(a) is past binary64 range")
     return value
+
+
+def _libm(fn, x, *args):
+    """fn(x, *args) for a float x; for an array, fn called on each entry as a
+    Python float, so math's functions and pow are libm's on every entry.
+
+    numpy's log, log1p, exp and power are SIMD code that rounds differently
+    from libm on a few percent of inputs, and x*x*x is not pow(x, 3) either.
+    """
+    if isinstance(x, np.ndarray):
+        values = map(fn, x.tolist(), *map(itertools.repeat, args))
+        return np.fromiter(values, np.float64, count=x.size)
+    return fn(x, *args)
+
+
+def _sqrt(x):
+    """Correctly rounded square root of a float or of an array's entries."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _ratio(num, den):
+    """num / den for num > 0, or inf where den is 0 (and where the quotient
+    overflows, as it does for floats)."""
+    if isinstance(den, np.ndarray):
+        with np.errstate(divide="ignore", over="ignore"):
+            return num / den
+    return num / den if den else math.inf
 
 
 @dataclass(frozen=True)
@@ -152,12 +229,11 @@ class MeanBound:
 
 def aux_params(a: float) -> AuxParams:
     """q' = (a/4)/(1+a/2), p' = (a/4)/(1-a/2), gamma = 0.1a+0.9, c = a*gamma."""
-    _check_a(a)
+    a = _check_a(a)
     c = a * (0.1 * a + 0.9)
     # a - c = 0.1 a (1 - a) is below half an ulp of a within about 1e-15 of
     # 1, and on subnormal a; every formula that takes c needs c < a.
-    if not c < a:
-        raise DomainError(f"a={a!r} leaves no binary64 value of c = a*gamma below a")
+    _require(c < a, a, "a={!r} leaves no binary64 value of c = a*gamma below a")
     return AuxParams(
         a=a,
         q_prime=(a / 4.0) / (1.0 + a / 2.0),
@@ -169,24 +245,35 @@ def aux_params(a: float) -> AuxParams:
 
 def n0(a: float) -> float:
     """Degree threshold 32*log(40/a^2)/a^2 forcing the zero-mean bound a/4."""
-    _check_a(a)
+    a = _check_a(a)
     a2 = a * a
-    return _finite("n0", a, 32.0 * math.log(40.0 / a2) / a2 if a2 else math.inf)
+    return _finite("n0", a, _ratio(32.0 * _libm(math.log, _ratio(40.0, a2)), a2))
+
+
+def _n1_branch(a: float) -> float:
+    """9*((4+2a)/a)^2, n1's branch besides n0; a is already checked."""
+    return 9.0 * _libm(pow, (4.0 + 2.0 * a) / a, 2)
 
 
 def n1(a: float) -> float:
     """max{ 9*((4+2a)/a)^2, n0(a) }."""
-    _check_a(a)
+    a = _check_a(a)
     # n0 rejects every a small enough to overflow the square (a < 3e-154).
     floor = n0(a)
-    return _finite("n1", a, max(9.0 * ((4.0 + 2.0 * a) / a) ** 2, floor))
+    return _finite("n1", a, max(_n1_branch(a), floor))
+
+
+def _n2_ratio(a: float, c: float) -> float:
+    """log(a/16)/log(c/(1+a)), whose square times 9 is n2's branch besides
+    n0; a and c are already checked."""
+    return _libm(math.log, a / 16.0) / _libm(math.log, c / (1.0 + a))
 
 
 def n2(a: float, c: float) -> float:
     """max{ 9*(log(a/16)/log(c/(1+a)))^2, n0(a) }; both logs are negative."""
-    _check_a(a)
-    _real_in("c", c, 0, a)
-    ratio = math.log(a / 16.0) / math.log(c / (1.0 + a))
+    a = _check_a(a)
+    c = _real_in("c", c, 0, a)
+    ratio = _n2_ratio(a, c)
     return max(9.0 * ratio * ratio, n0(a))
 
 
@@ -198,9 +285,9 @@ def d_function(a: float, c: float, x: float) -> float:
     D-contraction check reports, after ``_d_screen`` has picked the samples
     that could hold its minimum.
     """
-    _check_a(a)
-    _real_in("c", c, 0, a)
-    _real_in("x", x, 0, 1)
+    a = _check_a(a)
+    c = _real_in("c", c, 0, a)
+    x = _real_in("x", x, 0, 1)
     root = math.sqrt(1.0 + c * c - a * c)
     return max((1.0 / (1.0 + a)) ** x, ((1.0 + c) / (1.0 + a)) ** x * root ** (1.0 - x))
 
@@ -237,13 +324,13 @@ def log_k_factors(a: float, c: float, p: float, q: float) -> tuple[float, float]
     For small a both K-factors are 1 + O(a^2); going through exp/log of the
     factor itself would wipe out the margin of the K' > 1 inequality.
     """
-    _check_a(a)
-    _real_in("c", c, 0, a)
-    _real_in("p", p, 0, 1)
-    _real_in("q", q, 0, 1)
-    log_disc = math.log1p(c * c - a * c)
-    log_k1 = p * math.log1p(c - a * c) + 0.5 * (1.0 - p) * log_disc
-    log_k2 = q * math.log1p(c) + 0.5 * (1.0 - q) * log_disc
+    a = _check_a(a)
+    c = _real_in("c", c, 0, a)
+    p = _real_in("p", p, 0, 1)
+    q = _real_in("q", q, 0, 1)
+    log_disc = _libm(math.log1p, c * c - a * c)
+    log_k1 = p * _libm(math.log1p, c - a * c) + 0.5 * (1.0 - p) * log_disc
+    log_k2 = q * _libm(math.log1p, c) + 0.5 * (1.0 - q) * log_disc
     return log_k1, log_k2
 
 
@@ -256,7 +343,7 @@ def k_factors(a: float, c: float, p: float, q: float) -> tuple[float, float]:
 def log_k_prime(a: float) -> float:
     """log of k_prime(a) = min{K1, K2} at c = a*gamma(a) with exponents p', q'."""
     aux = aux_params(a)
-    log_k1, log_k2 = log_k_factors(a, aux.c, aux.p_prime, aux.q_prime)
+    log_k1, log_k2 = log_k_factors(aux.a, aux.c, aux.p_prime, aux.q_prime)
     return min(log_k1, log_k2)
 
 
@@ -287,7 +374,7 @@ def mu2(a: float) -> float:
     exactly, and the one rounding is CPython's correctly rounded int / int.
     Defined on (0, 1]; mu2(1) = 3(sqrt(13)-3)/2.
     """
-    _real_in("a", a, 0, 1, closed_right=True)
+    a = _real_in("a", a, 0, 1, closed_right=True)
     t = (((a + 4.0) * a + 16.0) * a + 32.0) * a + 64.0
     x0 = (14.0 + 4.0 * a) / (math.sqrt(t) + 8.0 + 2.0 * a - a * a)
     na, da = a.as_integer_ratio()
@@ -308,15 +395,15 @@ def mu1(a: float) -> float:
     nor divides by zero as a -> 1.  The domain stays the open interval
     (the textbook form has a pole at a = 1).
     """
-    _check_a(a)
+    a = _check_a(a)
     g = ((((((a - 2.0) * a + 9.0) * a - 20.0) * a + 48.0) * a - 96.0) * a) + 64.0
-    return 2.0 * (7.0 - 5.0 * a) / (math.sqrt(g) + 8.0 - 6.0 * a - a * a + a ** 3)
+    return 2.0 * (7.0 - 5.0 * a) / (_sqrt(g) + 8.0 - 6.0 * a - a * a + _libm(pow, a, 3))
 
 
 def r_param(a: float, c: float) -> tuple[float, float]:
     """(r, r') = (c(a-c)/(2(1-c^2)), c(a-c)/2); 0 < r' < r < 1."""
-    _check_a(a)
-    _real_in("c", c, 0, a)
+    a = _check_a(a)
+    c = _real_in("c", c, 0, a)
     half_num = 0.5 * c * (a - c)
     return half_num / (1.0 - c * c), half_num
 
@@ -329,38 +416,37 @@ def alpha_param(a: float, c: float, r_val: float) -> float:
     alpha(r') < alpha(r) for r' < r, while the product alpha * log(1/r)
     moves the other way (see the chain checks in the verifier).
     """
-    _check_a(a)
-    _real_in("c", c, 0, a)
+    a = _check_a(a)
+    c = _real_in("c", c, 0, a)
     # (c+r)/(1+cr) = 1 - (1-c)(1-r)/(1+cr), kept in log1p form for accuracy
     # when c -> a -> 1 drives the ratio toward 1.  Below c = 2**-54 (a about
     # 6e-17) 1 - c rounds to 1 and the form takes log1p(-1).
-    if not 1.0 - c < 1.0:
-        raise DomainError(f"a={a!r} is too small: 1 - c rounds to 1 in binary64")
-    _real_in("r_val", r_val, 0, 1)
-    log_ratio = math.log1p(-(1.0 - c) * (1.0 - r_val) / (1.0 + c * r_val))
-    return math.log(a / 16.0) / log_ratio
+    _require(1.0 - c < 1.0, a, "a={!r} is too small: 1 - c rounds to 1 in binary64")
+    r_val = _real_in("r_val", r_val, 0, 1)
+    log_ratio = _libm(math.log1p, -(1.0 - c) * (1.0 - r_val) / (1.0 + c * r_val))
+    return _libm(math.log, a / 16.0) / log_ratio
 
 
 def _n3_exact(a: float, c: float, r: float, log_kp: float) -> float:
-    """n3_exact from the c, r and log K' already computed at a."""
+    """n3_exact from the c, r and log K' already computed at a checked a."""
     numerator = (
-        math.log((1.0 + a) / (a - c))
-        + math.log1p(c * (1.0 - a) / (1.0 - c))  # log((1-ac)/(1-c))
-        - alpha_param(a, c, r) * math.log(r)
+        _libm(math.log, (1.0 + a) / (a - c))
+        + _libm(math.log1p, c * (1.0 - a) / (1.0 - c))  # log((1-ac)/(1-c))
+        - alpha_param(a, c, r) * _libm(math.log, r)
     )
-    if log_kp <= 0.0:
-        raise DomainError(f"growth factor not above 1 at a={a!r}; no finite threshold")
+    _require(log_kp > 0.0, a, "growth factor not above 1 at a={!r}; no finite threshold")
     return numerator / log_kp + 1.0
 
 
 def _n3_estimate(a: float) -> float:
-    gamma = 0.1 * a + 0.9
+    """n3_estimate at a checked a; see n3."""
     one_minus_gamma = 0.1 * (1.0 - a)
-    log_inv_a = -math.log(a)
-    bracket = 3.0 / (a * one_minus_gamma) + (2.0 / (a ** 3 * one_minus_gamma)) * (
+    log_inv_a = -_libm(math.log, a)
+    a3 = _libm(pow, a, 3)
+    bracket = 3.0 / (a * one_minus_gamma) + (2.0 / (a3 * one_minus_gamma)) * (
         32.0 / (a * log_inv_a)
     )
-    return bracket * 16.0 / (a ** 3 * (1.0 - a)) + 1.0
+    return bracket * 16.0 / (a3 * (1.0 - a)) + 1.0
 
 
 def n3(a: float) -> tuple[float, float]:
@@ -373,16 +459,17 @@ def n3(a: float) -> tuple[float, float]:
 
         (3/(a(1-gamma)) + 2/(a^3(1-gamma)) * 32/(a log(1/a))) * 16/(a^3(1-a)) + 1.
     """
-    c = aux_params(a).c
+    aux = aux_params(a)
+    a, c = aux.a, aux.c
     r, _ = r_param(a, c)
     return _n3_exact(a, c, r, log_k_prime(a)), _n3_estimate(a)
 
 
 def final_bound(a: float) -> float:
     """The headline explicit threshold 20800 / (a^7 (1-a)^4)."""
-    _check_a(a)
-    denominator = a ** 7 * (1.0 - a) ** 4
-    return _finite("final_bound", a, 20800.0 / denominator if denominator else math.inf)
+    a = _check_a(a)
+    denominator = _libm(pow, a, 7) * _libm(pow, 1.0 - a, 4)
+    return _finite("final_bound", a, _ratio(20800.0, denominator))
 
 
 def _mean_objective(a: float, n: int, delta: float) -> float:
@@ -406,7 +493,7 @@ def mean_upper_bound(a: float, n: int) -> MeanBound:
     bound_at_quarter is the plain evaluation at delta = a/4 (the choice that
     yields the closed-form threshold n0).
     """
-    _check_a(a)
+    a = _check_a(a)
     n = _int_in("n", n, 2)
 
     eps = 1e-9
@@ -447,7 +534,7 @@ def mean_upper_bound(a: float, n: int) -> MeanBound:
 
 def small_circle_bound(a: float) -> float:
     """Comparison threshold 2 + (60-a^2)/(a^2(1-a^2)) for zeros on the unit circle."""
-    _check_a(a)
+    a = _check_a(a)
     a2 = a * a
     value = 2.0 + (60.0 - a2) / (a2 * (1.0 - a2)) if a2 else math.inf
     return _finite("small_circle_bound", a, value)
@@ -456,7 +543,7 @@ def small_circle_bound(a: float) -> float:
 def breakdown(a: float) -> BoundBreakdown:
     """Evaluate every intermediate quantity at one a; see BoundBreakdown."""
     aux = aux_params(a)
-    c = aux.c
+    a, c = aux.a, aux.c
     k1, k2 = k_factors(a, c, aux.p_prime, aux.q_prime)
     r, r_prime = r_param(a, c)
     n3_exact, n3_estimate = n3(a)

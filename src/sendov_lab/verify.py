@@ -193,20 +193,17 @@ def run_inequality_suite(
     seed = bounds._int_in("seed", seed, 0)
     rng = np.random.default_rng(seed)
     pts = np.concatenate([grid, rng.uniform(grid[0], grid[-1], size=extra_random)])
-    # Per-point quantities are computed once, on Python floats: arithmetic
-    # on numpy scalars costs several times more, and the grid's values are
-    # the first len(grid) entries of every per-point list.
+    # Each per-point quantity is one bounds call on the array of points, bit
+    # for bit the scalar call at each point; the grid's values are its first
+    # len(grid) entries.  mu2 and its residual are exact integer arithmetic,
+    # so they alone go point by point, on Python floats.
     pts_f = pts.tolist()
 
-    gamma = 0.1 * pts + 0.9
-    c = pts * gamma
-    mu1 = np.array([bounds.mu1(a) for a in pts_f])
+    aux = bounds.aux_params(pts)
+    gamma, c = aux.gamma, aux.c
+    mu1 = bounds.mu1(pts)
     mu2 = np.array([bounds.mu2(a) for a in pts_f])
-    aux = [bounds.aux_params(a) for a in pts_f]
-    log_k1 = np.empty(len(pts))
-    log_k2 = np.empty(len(pts))
-    for i, (a, x) in enumerate(zip(pts_f, aux)):
-        log_k1[i], log_k2[i] = bounds.log_k_factors(a, x.c, x.p_prime, x.q_prime)
+    log_k1, log_k2 = bounds.log_k_factors(pts, c, aux.p_prime, aux.q_prime)
     log_kp = np.minimum(log_k1, log_k2)
 
     outcomes = []
@@ -250,13 +247,13 @@ def run_inequality_suite(
     ))
     outcomes.append(_min_outcome(
         "bounds.log_k_prime_floor",
-        log_kp - pts ** 3 * (1.0 - pts) / 16.0,
+        log_kp - bounds._libm(pow, pts, 3) * (1.0 - pts) / 16.0,
         pts,
         "log K'(a) - a^3 (1-a)/16",
     ))
     outcomes.append(_min_outcome(
         "bounds.k2_log_floor",
-        log_k2 - pts * np.array([x.q_prime for x in aux]) * gamma / 4.0,
+        log_k2 - pts * aux.q_prime * gamma / 4.0,
         pts,
         "log K2(a, a*gamma, q') - a q' gamma / 4",
     ))
@@ -264,10 +261,11 @@ def run_inequality_suite(
     # Elementary log lemmas on their own x-grids (independent of a).
     x_unit = np.array([k * 1e-3 for k in range(1, 1001)])        # (0, 1]
     x_wide = np.array([k * 4e-3 for k in range(1, 1001)])        # (0, 4]
+    log1p_wide = bounds._libm(math.log1p, x_wide)
     lemma_margins = np.concatenate([
-        np.log1p(x_unit) - x_unit / 2.0,
-        np.log1p(x_wide) - x_wide / (1.0 + x_wide),
-        x_wide - np.log1p(x_wide),
+        bounds._libm(math.log1p, x_unit) - x_unit / 2.0,
+        log1p_wide - x_wide / (1.0 + x_wide),
+        x_wide - log1p_wide,
     ])
     lemma_locs = np.concatenate([x_unit, x_wide, x_wide])
     outcomes.append(_min_outcome(
@@ -357,61 +355,63 @@ def verify_estimate_chain(grid_step: float = 1e-3) -> list[VerificationOutcome]:
     compares the differing branches directly, otherwise shared-branch ties
     would report zero margin for a true strict inequality.
     """
-    grid = _grid(grid_step)
+    a = _grid(grid_step)
+    # Each quantity is one bounds call on the whole grid, bit for bit the
+    # scalar call at each point; every power and log is a libm call.
+    aux = bounds.aux_params(a)
+    c, gamma = aux.c, aux.gamma
+    n0 = bounds.n0(a)
+    n1_branch = bounds._n1_branch(a)
+    ratio = bounds._n2_ratio(a, c)
+    r, r_prime = bounds.r_param(a, c)
+    alpha_prime = bounds.alpha_param(a, c, r_prime)
+    log_kp = np.minimum(*bounds.log_k_factors(a, c, aux.p_prime, aux.q_prime))
+    n3_exact = bounds._n3_exact(a, c, r, log_kp)
+    n3_estimate = bounds._n3_estimate(a)
+    headline = bounds.final_bound(a)
+    min_branch = np.minimum(
+        a * a * gamma / (4.0 * (4.0 + 2.0 * a)),
+        a * a * (1.0 - a) * gamma / (4.0 * (4.0 - 2.0 * a)),
+    )
 
-    per_check: dict[str, tuple[list, str]] = {
-        "chain.n3_exact_le_estimate": ([], "n3_estimate(a) - n3_exact(a)"),
-        "chain.n0_le_1280_over_a4": ([], "1280/a^4 - n0(a)"),
-        "chain.n1_le_max_324_over_a2": ([], "324/a^2 - 9((4+2a)/a)^2"),
-        "chain.n2_le_max_5760_over_a2": ([], "5760/a^2 - 9(log(a/16)/log(c/(1+a)))^2 at c = a*gamma"),
-        "chain.thresholds_le_5760_over_a4": ([], "5760/a^4 - max{n0, n1, n2}"),
-        "chain.alpha_prime_le_32_over_a_log": ([], "32/(a log(1/a)) - alpha(a, c, r')"),
-        "chain.log_k_prime_gt_min_branch": ([], "log K' - min{a^2 g/(4(4+2a)), a^2 (1-a) g/(4(4-2a))}, g = gamma"),
-        "chain.min_branch_ge_a3_floor": ([], "min{a^2 g/(4(4+2a)), a^2 (1-a) g/(4(4-2a))} - a^3(1-a)/16"),
-        "chain.n3_estimate_le_headline": ([], "20800/(a^7 (1-a)^4) - n3_estimate(a)"),
-        "chain.end_to_end": ([], "20800/(a^7 (1-a)^4) - n3_exact(a)"),
-    }
+    def power(x: np.ndarray, k: int) -> np.ndarray:
+        return bounds._libm(pow, x, k)
 
-    # Each quantity is computed once per point, on Python floats.
-    for a in grid.tolist():
-        aux = bounds.aux_params(a)
-        c = aux.c
-        gamma = aux.gamma
-        n0 = bounds.n0(a)
-        n1_branch = 9.0 * ((4.0 + 2.0 * a) / a) ** 2
-        ratio = math.log(a / 16.0) / math.log(c / (1.0 + a))
-        r, r_prime = bounds.r_param(a, c)
-        alpha_prime = bounds.alpha_param(a, c, r_prime)
-        log_kp = min(bounds.log_k_factors(a, c, aux.p_prime, aux.q_prime))
-        n3_exact = bounds._n3_exact(a, c, r, log_kp)
-        n3_estimate = bounds._n3_estimate(a)
-        headline = bounds.final_bound(a)
-        min_branch = min(
-            a * a * gamma / (4.0 * (4.0 + 2.0 * a)),
-            a * a * (1.0 - a) * gamma / (4.0 * (4.0 - 2.0 * a)),
-        )
-
-        per_check["chain.n3_exact_le_estimate"][0].append(n3_estimate - n3_exact)
-        per_check["chain.n0_le_1280_over_a4"][0].append(1280.0 / a ** 4 - n0)
-        per_check["chain.n1_le_max_324_over_a2"][0].append(324.0 / a ** 2 - n1_branch)
-        per_check["chain.n2_le_max_5760_over_a2"][0].append(5760.0 / a ** 2 - 9.0 * ratio ** 2)
+    per_check = {
+        "chain.n3_exact_le_estimate": (n3_estimate - n3_exact, "n3_estimate(a) - n3_exact(a)"),
+        "chain.n0_le_1280_over_a4": (1280.0 / power(a, 4) - n0, "1280/a^4 - n0(a)"),
+        "chain.n1_le_max_324_over_a2": (
+            324.0 / power(a, 2) - n1_branch, "324/a^2 - 9((4+2a)/a)^2"
+        ),
+        "chain.n2_le_max_5760_over_a2": (
+            5760.0 / power(a, 2) - 9.0 * power(ratio, 2),
+            "5760/a^2 - 9(log(a/16)/log(c/(1+a)))^2 at c = a*gamma",
+        ),
         # max{n0, n1, n2} with n1 and n2 as bounds.n1 and bounds.n2 form them:
-        # each is the max of its branch (written exactly as there) and n0.
-        per_check["chain.thresholds_le_5760_over_a4"][0].append(
-            5760.0 / a ** 4 - max(n0, n1_branch, 9.0 * ratio * ratio)
-        )
-        per_check["chain.alpha_prime_le_32_over_a_log"][0].append(
-            32.0 / (a * math.log(1.0 / a)) - alpha_prime
-        )
-        per_check["chain.log_k_prime_gt_min_branch"][0].append(log_kp - min_branch)
-        per_check["chain.min_branch_ge_a3_floor"][0].append(
-            min_branch - a ** 3 * (1.0 - a) / 16.0
-        )
-        per_check["chain.n3_estimate_le_headline"][0].append(headline - n3_estimate)
-        per_check["chain.end_to_end"][0].append(headline - n3_exact)
-
+        # each is the max of its branch and n0.
+        "chain.thresholds_le_5760_over_a4": (
+            5760.0 / power(a, 4) - np.maximum(np.maximum(n0, n1_branch), 9.0 * ratio * ratio),
+            "5760/a^4 - max{n0, n1, n2}",
+        ),
+        "chain.alpha_prime_le_32_over_a_log": (
+            32.0 / (a * bounds._libm(math.log, 1.0 / a)) - alpha_prime,
+            "32/(a log(1/a)) - alpha(a, c, r')",
+        ),
+        "chain.log_k_prime_gt_min_branch": (
+            log_kp - min_branch,
+            "log K' - min{a^2 g/(4(4+2a)), a^2 (1-a) g/(4(4-2a))}, g = gamma",
+        ),
+        "chain.min_branch_ge_a3_floor": (
+            min_branch - power(a, 3) * (1.0 - a) / 16.0,
+            "min{a^2 g/(4(4+2a)), a^2 (1-a) g/(4(4-2a))} - a^3(1-a)/16",
+        ),
+        "chain.n3_estimate_le_headline": (
+            headline - n3_estimate, "20800/(a^7 (1-a)^4) - n3_estimate(a)"
+        ),
+        "chain.end_to_end": (headline - n3_exact, "20800/(a^7 (1-a)^4) - n3_exact(a)"),
+    }
     return [
-        _min_outcome(check_id, margins, grid, notes)
+        _min_outcome(check_id, margins, a, notes)
         for check_id, (margins, notes) in per_check.items()
     ]
 

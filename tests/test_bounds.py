@@ -5,6 +5,7 @@ arithmetic and rounded once to binary64; see tools/make_reference_values.py.
 """
 
 import math
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -322,3 +323,192 @@ class TestMeanBound:
     def test_rejects_bad_n(self, bad_n):
         with pytest.raises(DomainError):
             bounds.mean_upper_bound(0.5, bad_n)
+
+
+class TestPythonFloats:
+    """A numpy float64 argument gives the same Python floats as a float."""
+
+    A = np.float64(0.5)
+    C = np.float64(0.475)
+
+    @pytest.mark.parametrize("fn, args", [
+        (bounds.n0, (A,)), (bounds.n1, (A,)), (bounds.n2, (A, C)),
+        (bounds.d_function, (A, C, np.float64(0.5))),
+        (bounds.k_factors, (A, C, np.float64(0.1), np.float64(0.1))),
+        (bounds.log_k_factors, (A, C, np.float64(0.1), np.float64(0.1))),
+        (bounds.k_prime, (A,)), (bounds.log_k_prime, (A,)),
+        (bounds.mu1, (A,)), (bounds.mu2, (A,)),
+        (bounds.r_param, (A, C)), (bounds.alpha_param, (A, C, np.float64(0.1))),
+        (bounds.n3, (A,)), (bounds.final_bound, (A,)), (bounds.small_circle_bound, (A,)),
+    ], ids=lambda v: v.__name__ if callable(v) else "")
+    def test_closed_form(self, fn, args):
+        result = fn(*args)
+        values = result if isinstance(result, tuple) else (result,)
+        assert [type(v) for v in values] == [float] * len(values)
+        plain = fn(*(float(x) for x in args))
+        assert result == plain
+
+    @pytest.mark.parametrize("report", [
+        lambda a: bounds.aux_params(a),
+        lambda a: bounds.breakdown(a),
+        lambda a: bounds.mean_upper_bound(a, 10),
+    ], ids=["aux_params", "breakdown", "mean_upper_bound"])
+    def test_report_fields(self, report):
+        row = _row(report(self.A))
+        assert {k for k, v in row.items() if type(v) is not float} <= {"n"}
+        assert row == _row(report(0.5))
+
+
+def _array_points():
+    rng = np.random.default_rng(13)
+    return np.concatenate([
+        verify._grid(1e-4), rng.uniform(1e-5, 1.0 - 1e-5, size=1000), [1e-5, 1.0 - 1e-5],
+    ])
+
+
+def _pin_cases():
+    """name -> (array result, scalar results) for every array-capable
+    closed form, each fed the same inputs entry by entry."""
+    pts = _array_points()
+    aux = bounds.aux_params(pts)
+    c = aux.c
+    r, r_prime = bounds.r_param(pts, c)
+    log_k1, log_k2 = bounds.log_k_factors(pts, c, aux.p_prime, aux.q_prime)
+    log_kp = np.minimum(log_k1, log_k2)
+
+    def each(fn, *arrays):
+        return [fn(*args) for args in zip(*(x.tolist() for x in arrays))]
+
+    scalar_aux = each(bounds.aux_params, pts)
+    scalar_r = each(bounds.r_param, pts, c)
+    scalar_log_k = each(bounds.log_k_factors, pts, c, aux.p_prime, aux.q_prime)
+    cases = {
+        f"aux_params.{f}": (getattr(aux, f), [getattr(x, f) for x in scalar_aux])
+        for f in ("a", "q_prime", "p_prime", "gamma", "c")
+    }
+    cases.update({
+        "n0": (bounds.n0(pts), each(bounds.n0, pts)),
+        "_n1_branch": (bounds._n1_branch(pts), each(bounds._n1_branch, pts)),
+        "_n2_ratio": (bounds._n2_ratio(pts, c), each(bounds._n2_ratio, pts, c)),
+        "mu1": (bounds.mu1(pts), each(bounds.mu1, pts)),
+        "log_k_factors.k1": (log_k1, [k1 for k1, _ in scalar_log_k]),
+        "log_k_factors.k2": (log_k2, [k2 for _, k2 in scalar_log_k]),
+        "r_param.r": (r, [x for x, _ in scalar_r]),
+        "r_param.r_prime": (r_prime, [x for _, x in scalar_r]),
+        "alpha_param.r": (bounds.alpha_param(pts, c, r), each(bounds.alpha_param, pts, c, r)),
+        "alpha_param.r_prime": (
+            bounds.alpha_param(pts, c, r_prime), each(bounds.alpha_param, pts, c, r_prime)
+        ),
+        "_n3_exact": (
+            bounds._n3_exact(pts, c, r, log_kp), each(bounds._n3_exact, pts, c, r, log_kp)
+        ),
+        "_n3_estimate": (bounds._n3_estimate(pts), each(bounds._n3_estimate, pts)),
+        "final_bound": (bounds.final_bound(pts), each(bounds.final_bound, pts)),
+    })
+    return cases
+
+
+PINNED = [
+    "aux_params.a", "aux_params.q_prime", "aux_params.p_prime", "aux_params.gamma",
+    "aux_params.c", "n0", "_n1_branch", "_n2_ratio", "mu1", "log_k_factors.k1",
+    "log_k_factors.k2", "r_param.r", "r_param.r_prime", "alpha_param.r",
+    "alpha_param.r_prime", "_n3_exact", "_n3_estimate", "final_bound",
+]
+
+
+class TestArrayPath:
+    """Every array-capable closed form gives, at each entry, the bits of
+    the scalar call on that entry."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return _pin_cases()
+
+    def test_every_form_is_pinned(self, cases):
+        assert list(cases) == PINNED
+
+    @pytest.mark.parametrize("name", PINNED)
+    def test_bits_equal_scalar_calls(self, cases, name):
+        got, scalar = cases[name]
+        assert all(type(v) is float for v in scalar)
+        expected = np.array(scalar)
+        assert got.dtype == np.float64 and got.shape == expected.shape == _array_points().shape
+        differ = np.flatnonzero(got.view(np.uint64) != expected.view(np.uint64))
+        assert differ.size == 0, f"{differ.size} entries differ, first at index {differ[0]}"
+
+    def test_libm_maps_python_functions(self):
+        x = np.array([0.1, 0.5, 3.0])
+        assert bounds._libm(math.log1p, x).tolist() == [math.log1p(v) for v in x.tolist()]
+        assert bounds._libm(pow, x, 3).tolist() == [v ** 3 for v in x.tolist()]
+        assert type(bounds._libm(pow, 0.5, 3)) is float
+        assert bounds._libm(math.log, np.array([])).shape == (0,)
+
+
+class TestArrayValidation:
+    """An array of a passes if every entry would; otherwise the first bad
+    entry gets its scalar error, and no numpy warning leaks."""
+
+    @staticmethod
+    def _scalar_message(fn, a):
+        with pytest.raises(DomainError) as excinfo:
+            fn(a)
+        return str(excinfo.value)
+
+    @pytest.mark.parametrize("fn", [
+        bounds.aux_params, bounds.n0, bounds.mu1, bounds.final_bound, bounds._check_a,
+    ], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("bad", [0.0, 1.0, math.nan, math.inf, -math.inf])
+    def test_bad_entry_gets_its_scalar_error(self, fn, bad):
+        message = self._scalar_message(fn, bad)
+        with pytest.raises(DomainError, match=re.escape(message + " at index 2")):
+            fn(np.array([0.5, 0.25, bad, 0.75]))
+
+    def test_subnormal_entry_leaves_no_c_below_a(self):
+        message = self._scalar_message(bounds.aux_params, 5e-324)
+        assert message == "a=5e-324 leaves no binary64 value of c = a*gamma below a"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            bounds.aux_params(np.array([0.5, 0.25, 5e-324, 0.75]))
+
+    def test_index_of_the_first_bad_entry_is_named(self):
+        with pytest.raises(DomainError, match=r"^a must lie in \(0, 1\), got 1\.5 at index 2$"):
+            bounds.n0(np.array([0.5, 0.25, 1.5, 0.0]))
+
+    def test_bool_array(self):
+        message = self._scalar_message(bounds.aux_params, np.True_)
+        assert message == "a must be a real number, got np.True_"
+        with pytest.raises(DomainError, match=re.escape(message + " at index 0 of a bool array")):
+            bounds.aux_params(np.array([True, False]))
+
+    @pytest.mark.parametrize("bad", [
+        np.full((2, 2), 0.5), np.array(0.5), np.array([0.5], dtype=np.float32),
+        np.array([], dtype=np.int64), np.array([0.5], dtype=object),
+    ], ids=["2-D", "0-D", "float32", "empty int", "object"])
+    def test_other_shapes_and_dtypes(self, bad):
+        with pytest.raises(DomainError, match="a must be a real number"):
+            bounds.aux_params(bad)
+
+    def test_other_arguments_are_checked_against_their_own_entry(self):
+        a = np.array([0.5, 0.4])
+        with pytest.raises(DomainError, match=r"c must lie in \(0, 0\.4\), got 0\.6 at index 1"):
+            bounds.r_param(a, np.array([0.3, 0.6]))
+        with pytest.raises(DomainError, match=r"r_val must lie in \(0, 1\), got 1\.0 at index 0"):
+            bounds.alpha_param(a, np.array([0.3, 0.3]), np.array([1.0, 0.5]))
+
+    @pytest.mark.parametrize("fn, tiny", [
+        (bounds.final_bound, 1e-50), (bounds.n0, 1e-170), (bounds.n0, 1e-160),
+    ], ids=lambda v: v.__name__ if callable(v) else repr(v))
+    def test_threshold_past_binary64_range_names_the_entry(self, fn, tiny):
+        with pytest.raises(DomainError, match=re.escape(self._scalar_message(fn, tiny))):
+            fn(np.array([0.5, tiny]))
+
+    def test_checks_past_validation_name_the_entry(self):
+        # a = 1e-17 passes aux_params but leaves 1 - c == 1.
+        a = np.array([0.5, 1e-17])
+        c = bounds.aux_params(a).c
+        with pytest.raises(DomainError, match=re.escape("a=1e-17 is too small: 1 - c")):
+            bounds.alpha_param(a, c, np.array([0.1, 0.1]))
+        a = np.array([0.5, 0.6])
+        c = bounds.aux_params(a).c
+        r, _ = bounds.r_param(a, c)
+        with pytest.raises(DomainError, match=re.escape("not above 1 at a=0.6;")):
+            bounds._n3_exact(a, c, r, np.array([0.1, 0.0]))

@@ -80,9 +80,7 @@ class TestInequalitySuite:
         by_id = {o.check_id: o for o in coarse_suite}
         o = by_id["bounds.gamma_dominates_mu2"]
         a = o.worst_location
-        assert np.allclose(
-            bounds.aux_params(a).gamma - bounds.mu2(a), o.worst_margin, rtol=1e-12, atol=0
-        )
+        assert bounds.aux_params(a).gamma - bounds.mu2(a) == o.worst_margin
         o = by_id["bounds.radical_gap"]
         a = o.worst_location
         assert np.allclose(
@@ -274,8 +272,7 @@ class TestEstimateChain:
         o = coarse_chain[-1]
         assert o.check_id == "chain.end_to_end"
         a = o.worst_location
-        margin = bounds.final_bound(a) - bounds.n3(a)[0]
-        assert np.allclose(margin, o.worst_margin, rtol=1e-12, atol=0)
+        assert bounds.final_bound(a) - bounds.n3(a)[0] == o.worst_margin
 
 
 class TestFuzz:
