@@ -16,14 +16,17 @@ Everything is evaluated in binary64.  Where a textbook expression loses
 precision for small ``a`` (mu1, mu2, the log of a K-factor barely above 1),
 an algebraically equivalent stable rewrite is used and documented inline.
 
-The per-a closed forms the verifier sweeps (aux_params, n0, mu1,
+The per-a closed forms the verifier sweeps (aux_params, n0, mu1, mu2,
 log_k_factors, r_param, alpha_param, final_bound and n3's two parts) take
 a float or a 1-D float64 array of a; their other arguments follow a, as
 floats or as arrays of the same length.  A float gives Python floats, an
 array gives arrays, and every entry of an array result is bit for bit the
 float the same call gives on that entry: + - * / and sqrt are correctly
 rounded in numpy as in Python, and every log, log1p and power goes through
-``_libm``, a libm call per entry, never numpy's SIMD versions.
+``_libm``, a libm call per entry, never numpy's SIMD versions.  mu2's
+exact Newton step is taken in double-double on an array and kept where its
+rounding is certified; the other entries take the float call's integer
+step (see mu2).
 """
 
 from __future__ import annotations
@@ -352,6 +355,72 @@ def k_prime(a: float) -> float:
     return math.exp(log_k_prime(a))
 
 
+def _two_sum(x, y):
+    """(s, e) with s = fl(x + y) and s + e = x + y exactly (Knuth's TwoSum)."""
+    s = x + y
+    bv = s - x
+    return s, (x - (s - bv)) + (y - bv)
+
+
+def _split(x):
+    """(hi, lo) with hi + lo = x and each half 26 bits or fewer (Veltkamp)."""
+    c = 134217729.0 * x  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _two_product(x, y):
+    """(p, e) with p = fl(x * y) and p + e = x * y exactly (Dekker's
+    TwoProduct, which needs no fused multiply-add), barring underflow."""
+    p = x * y
+    xh, xl = _split(x)
+    yh, yl = _split(y)
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
+def _mu2_quadratic(a, x):
+    """mu2's quadratic a^2 x^2 + (8+2a-a^2) x - (7+2a) as a double-double
+    (hi, lo), with hi = fl(hi + lo), for x in [1/2, 7/4]; a and x are floats
+    or arrays of the same length.
+
+    Written as (x-1)(a(ax + 2)) + (8x-7), where x - 1 and 8x - 7 are exact
+    on that span (Sterbenz), so every error comes from the low parts of the
+    two products and one sum: about 1e-32 absolute where hi + lo is near 0,
+    as it is at mu2's root, against ~1e-16 for the binary64 evaluation.
+    """
+    u = x - 1.0
+    w = 8.0 * x - 7.0
+    p, p_lo = _two_product(a, x)
+    s, s_lo = _two_sum(p, 2.0)
+    s_lo = s_lo + p_lo
+    v, v_lo = _two_product(a, s)
+    v_lo = v_lo + a * s_lo
+    m, m_lo = _two_product(u, v)
+    m_lo = m_lo + u * v_lo
+    q, q_lo = _two_sum(m, w)
+    return _two_sum(q, q_lo + m_lo)
+
+
+# A Newton step of mu2's quadratic in double-double keeps its rounded value
+# only where the rounding is certain with this much room to spare, relative
+# to the step delta and absolute.  delta errs by about 1e-15 of itself (f'
+# and the quotient round in binary64) plus 1e-31 (f errs by about 1e-32),
+# so each term leaves a factor of a thousand or more.
+_MU2_SLACK_REL = 1e-12
+_MU2_SLACK_ABS = 2.0**-90
+
+
+def _mu2_step(a: float, x0: float) -> float:
+    """x0 - f(x0)/f'(x0) for mu2's quadratic f, correctly rounded: the exact
+    Newton step on the integers behind the binary fractions a and x0."""
+    na, da = a.as_integer_ratio()
+    nx, dx = x0.as_integer_ratio()
+    lin = (8 * da + 2 * na) * da - na * na
+    f = (na * na * nx + lin * dx) * nx - (7 * da + 2 * na) * da * dx * dx
+    df = 2 * na * na * nx + lin * dx
+    return (nx * df - f) / (df * dx)
+
+
 def mu2(a: float) -> float:
     """Threshold sqrt((a^4+4a^3+16a^2+32a+64)/(4a^4)) + (a^2-2a-8)/(2a^2).
 
@@ -372,17 +441,30 @@ def mu2(a: float) -> float:
         F' = 2 na^2 nx + L dx,
 
     exactly, and the one rounding is CPython's correctly rounded int / int.
-    Defined on (0, 1]; mu2(1) = 3(sqrt(13)-3)/2.
+
+    An array of a takes the step in double-double instead, with the
+    error-free TwoSum and TwoProduct (Dekker, Numer. Math. 18, 1971; Ogita,
+    Rump & Oishi, SIAM J. Sci. Comput. 26, 2005): f(x0) from
+    _mu2_quadratic, delta = f/f', and TwoSum(x0, -delta) = (s, e) exactly.
+    Where |e| plus a slack far above delta's error is below half the gap
+    from s to either neighbouring double, the exact step rounds to s; every
+    other entry takes the integer step.  Either way each entry is bit for
+    bit the float call.  Defined on (0, 1]; mu2(1) = 3(sqrt(13)-3)/2.
     """
     a = _real_in("a", a, 0, 1, closed_right=True)
     t = (((a + 4.0) * a + 16.0) * a + 32.0) * a + 64.0
-    x0 = (14.0 + 4.0 * a) / (math.sqrt(t) + 8.0 + 2.0 * a - a * a)
-    na, da = a.as_integer_ratio()
-    nx, dx = x0.as_integer_ratio()
-    lin = (8 * da + 2 * na) * da - na * na
-    f = (na * na * nx + lin * dx) * nx - (7 * da + 2 * na) * da * dx * dx
-    df = 2 * na * na * nx + lin * dx
-    return (nx * df - f) / (df * dx)
+    x0 = (14.0 + 4.0 * a) / (_sqrt(t) + 8.0 + 2.0 * a - a * a)
+    if not isinstance(a, np.ndarray):
+        return _mu2_step(a, x0)
+    f, _ = _mu2_quadratic(a, x0)
+    delta = f / (2.0 * a * a * x0 + (8.0 + 2.0 * a - a * a))
+    s, e = _two_sum(x0, -delta)
+    slack = _MU2_SLACK_REL * np.abs(delta) + _MU2_SLACK_ABS
+    # Doubles in (1/2, 1), where mu2 lies, are 2^-53 apart on both sides.
+    sure = (np.abs(e) + slack < 2.0**-54) & (0.5 < s) & (s < 1.0)
+    for i in np.flatnonzero(~sure).tolist():
+        s[i] = _mu2_step(a.item(i), x0.item(i))
+    return s
 
 
 def mu1(a: float) -> float:

@@ -112,7 +112,7 @@ def _grid(grid_step: float) -> np.ndarray:
         "grid_step", grid_step, _MIN_GRID_STEP, 0.01, closed_left=True, closed_right=True
     )
     count = int(round(1.0 / grid_step)) - 1
-    return np.array([k * grid_step for k in range(1, count + 1)])
+    return np.arange(1.0, count + 1.0) * grid_step
 
 
 def _min_outcome(
@@ -160,6 +160,12 @@ def _screened_min(
     return int(candidates[k]), float(exact[k])
 
 
+# The mu2 residual screen's promise: |screened - exact margin| stays below
+# this.  The double-double residual errs by at most about 1e-31 (measured),
+# and 1e-9 - r rounds by half an ulp of 1e-9, about 1e-25.
+_MU2_RESIDUAL_TOL = 1e-24
+
+
 def _mu2_scaled_residual(a: float, x: float) -> float:
     # Exact evaluation of |a^2 x^2 + (8+2a-a^2) x - (7+2a)| at x = mu2(a):
     # binary64 evaluation of the residual would drown in its own roundoff
@@ -195,25 +201,33 @@ def run_inequality_suite(
     pts = np.concatenate([grid, rng.uniform(grid[0], grid[-1], size=extra_random)])
     # Each per-point quantity is one bounds call on the array of points, bit
     # for bit the scalar call at each point; the grid's values are its first
-    # len(grid) entries.  mu2 and its residual are exact integer arithmetic,
-    # so they alone go point by point, on Python floats.
+    # len(grid) entries.
     pts_f = pts.tolist()
 
     aux = bounds.aux_params(pts)
     gamma, c = aux.gamma, aux.c
     mu1 = bounds.mu1(pts)
-    mu2 = np.array([bounds.mu2(a) for a in pts_f])
+    mu2 = bounds.mu2(pts)
     log_k1, log_k2 = bounds.log_k_factors(pts, c, aux.p_prime, aux.q_prime)
     log_kp = np.minimum(log_k1, log_k2)
 
     outcomes = []
 
-    residuals = np.array([_mu2_scaled_residual(a, x) for a, x in zip(pts_f, mu2.tolist())])
+    # The double-double residual screens every point; the points that could
+    # hold the smallest margin are re-evaluated in exact arithmetic, so the
+    # report holds only exact values.
+    screened = 1e-9 - np.abs(bounds._mu2_quadratic(pts, mu2)[0])
+
+    def residual_exact(i: int) -> float:
+        return 1e-9 - _mu2_scaled_residual(pts_f[i], mu2.item(i))
+
+    worst_i, worst = _screened_min(screened, residual_exact, _MU2_RESIDUAL_TOL)
     outcomes.append(_min_outcome(
         "bounds.mu2_root_residual",
-        1e-9 - residuals,
-        pts,
+        [worst],
+        pts[[worst_i]],
         "1e-9 - |a^2 mu2^2 + (8+2a-a^2) mu2 - (7+2a)|, residual in exact arithmetic",
+        samples=len(pts),
     ))
 
     outcomes.append(_min_outcome(
@@ -259,8 +273,8 @@ def run_inequality_suite(
     ))
 
     # Elementary log lemmas on their own x-grids (independent of a).
-    x_unit = np.array([k * 1e-3 for k in range(1, 1001)])        # (0, 1]
-    x_wide = np.array([k * 4e-3 for k in range(1, 1001)])        # (0, 4]
+    x_unit = np.arange(1.0, 1001.0) * 1e-3  # (0, 1]
+    x_wide = np.arange(1.0, 1001.0) * 4e-3  # (0, 4]
     log1p_wide = bounds._libm(math.log1p, x_wide)
     lemma_margins = np.concatenate([
         bounds._libm(math.log1p, x_unit) - x_unit / 2.0,
@@ -377,20 +391,22 @@ def verify_estimate_chain(grid_step: float = 1e-3) -> list[VerificationOutcome]:
     def power(x: np.ndarray, k: int) -> np.ndarray:
         return bounds._libm(pow, x, k)
 
+    a2, a4 = power(a, 2), power(a, 4)
+
     per_check = {
         "chain.n3_exact_le_estimate": (n3_estimate - n3_exact, "n3_estimate(a) - n3_exact(a)"),
-        "chain.n0_le_1280_over_a4": (1280.0 / power(a, 4) - n0, "1280/a^4 - n0(a)"),
+        "chain.n0_le_1280_over_a4": (1280.0 / a4 - n0, "1280/a^4 - n0(a)"),
         "chain.n1_le_max_324_over_a2": (
-            324.0 / power(a, 2) - n1_branch, "324/a^2 - 9((4+2a)/a)^2"
+            324.0 / a2 - n1_branch, "324/a^2 - 9((4+2a)/a)^2"
         ),
         "chain.n2_le_max_5760_over_a2": (
-            5760.0 / power(a, 2) - 9.0 * power(ratio, 2),
+            5760.0 / a2 - 9.0 * power(ratio, 2),
             "5760/a^2 - 9(log(a/16)/log(c/(1+a)))^2 at c = a*gamma",
         ),
         # max{n0, n1, n2} with n1 and n2 as bounds.n1 and bounds.n2 form them:
         # each is the max of its branch and n0.
         "chain.thresholds_le_5760_over_a4": (
-            5760.0 / power(a, 4) - np.maximum(np.maximum(n0, n1_branch), 9.0 * ratio * ratio),
+            5760.0 / a4 - np.maximum(np.maximum(n0, n1_branch), 9.0 * ratio * ratio),
             "5760/a^4 - max{n0, n1, n2}",
         ),
         "chain.alpha_prime_le_32_over_a_log": (

@@ -391,6 +391,7 @@ def _pin_cases():
         "_n1_branch": (bounds._n1_branch(pts), each(bounds._n1_branch, pts)),
         "_n2_ratio": (bounds._n2_ratio(pts, c), each(bounds._n2_ratio, pts, c)),
         "mu1": (bounds.mu1(pts), each(bounds.mu1, pts)),
+        "mu2": (bounds.mu2(pts), each(bounds.mu2, pts)),
         "log_k_factors.k1": (log_k1, [k1 for k1, _ in scalar_log_k]),
         "log_k_factors.k2": (log_k2, [k2 for _, k2 in scalar_log_k]),
         "r_param.r": (r, [x for x, _ in scalar_r]),
@@ -410,7 +411,7 @@ def _pin_cases():
 
 PINNED = [
     "aux_params.a", "aux_params.q_prime", "aux_params.p_prime", "aux_params.gamma",
-    "aux_params.c", "n0", "_n1_branch", "_n2_ratio", "mu1", "log_k_factors.k1",
+    "aux_params.c", "n0", "_n1_branch", "_n2_ratio", "mu1", "mu2", "log_k_factors.k1",
     "log_k_factors.k2", "r_param.r", "r_param.r_prime", "alpha_param.r",
     "alpha_param.r_prime", "_n3_exact", "_n3_estimate", "final_bound",
 ]
@@ -435,6 +436,71 @@ class TestArrayPath:
         assert got.dtype == np.float64 and got.shape == expected.shape == _array_points().shape
         differ = np.flatnonzero(got.view(np.uint64) != expected.view(np.uint64))
         assert differ.size == 0, f"{differ.size} entries differ, first at index {differ[0]}"
+
+    def test_mu2_at_its_closed_end(self):
+        got = bounds.mu2(np.array([1.0]))
+        assert got.dtype == np.float64 and got.tolist()[0].hex() == bounds.mu2(1.0).hex()
+
+    def test_mu2_fallback_gives_the_same_bits(self, monkeypatch):
+        # With a slack no rounding can clear, every entry takes the integer
+        # step, and the bits stay those of the certified double-double path.
+        pts = _array_points()
+        certified = bounds.mu2(pts)
+        step = bounds._mu2_step
+        calls = []
+
+        def counted(a, x0):
+            calls.append(a)
+            return step(a, x0)
+
+        monkeypatch.setattr(bounds, "_mu2_step", counted)
+        monkeypatch.setattr(bounds, "_MU2_SLACK_ABS", 1.0)
+        fallback = bounds.mu2(pts)
+        assert calls == pts.tolist()
+        assert (fallback.view(np.uint64) == certified.view(np.uint64)).all()
+
+    def test_mu2_near_a_rounding_midpoint_takes_the_integer_step(self, monkeypatch):
+        # a chosen so that mu2's root lies within 2e-31 of the midpoint
+        # 7/8 + (2j+1) 2^-54 between two doubles: the root of the quadratic
+        # in a at that x, rounded to a double, moves the root by at most
+        # ulp(a)/64.  The slack, at least 2^-90, is wider, so none certifies.
+        def near_midpoint(j):
+            m = Fraction(7, 8) + Fraction(2 * j + 1, 2**54)
+            qa, qb, qc = m * (m - 1), 2 * (m - 1), 8 * m - 7
+            a = qc / -qb
+            for _ in range(3):
+                a -= (qa * a * a + qb * a + qc) / (2 * qa * a + qb)
+            return float(a)
+
+        pts = np.array([near_midpoint(j) for j in range(20)])
+        step = bounds._mu2_step
+        calls = []
+
+        def counted(a, x0):
+            calls.append((a, x0))
+            return step(a, x0)
+
+        monkeypatch.setattr(bounds, "_mu2_step", counted)
+        got = bounds.mu2(pts).tolist()
+        assert [a for a, _ in calls] == pts.tolist()
+        assert [x.hex() for x in got] == [step(a, x0).hex() for a, x0 in calls]
+
+    def test_mu2_quadratic_error_on_the_verify_grid(self):
+        # The double-double quadratic at mu2, against exact rationals; the
+        # verifier's residual screen relies on the error staying far below
+        # its tolerance.
+        grid = verify._grid(1e-3)
+        rng = np.random.default_rng(verify.DEFAULT_SEED)
+        pts = np.concatenate([grid, rng.uniform(grid[0], grid[-1], size=100), [1.0]])
+        x = bounds.mu2(pts)
+        hi, lo = bounds._mu2_quadratic(pts, x)
+        worst = 0.0
+        for a, xi, h, l in zip(pts.tolist(), x.tolist(), hi.tolist(), lo.tolist()):
+            af, xf = Fraction(a), Fraction(xi)
+            exact = af * af * xf * xf + (8 + 2 * af - af * af) * xf - (7 + 2 * af)
+            assert h == h + l
+            worst = max(worst, abs(float(exact - Fraction(h) - Fraction(l))))
+        assert worst <= 1e-30
 
     def test_libm_maps_python_functions(self):
         x = np.array([0.1, 0.5, 3.0])
@@ -462,6 +528,13 @@ class TestArrayValidation:
         message = self._scalar_message(fn, bad)
         with pytest.raises(DomainError, match=re.escape(message + " at index 2")):
             fn(np.array([0.5, 0.25, bad, 0.75]))
+
+    # mu2 is defined at a = 1; TestArrayPath pins an array holding it.
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf, -math.inf])
+    def test_mu2_bad_entry_gets_its_scalar_error(self, bad):
+        message = self._scalar_message(bounds.mu2, bad)
+        with pytest.raises(DomainError, match=re.escape(message + " at index 2")):
+            bounds.mu2(np.array([0.5, 0.25, bad, 0.75]))
 
     def test_subnormal_entry_leaves_no_c_below_a(self):
         message = self._scalar_message(bounds.aux_params, 5e-324)

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -134,6 +135,14 @@ class TestInequalitySuite:
         with pytest.raises(bounds.DomainError, match="seed"):
             run_inequality_suite(grid_step=0.01, seed=seed)
 
+    @pytest.mark.parametrize("step", [0.01, 3e-3, 1e-3, 7e-4, 1e-5])
+    def test_grid_bits_equal_the_float_products(self, step):
+        grid = verify._grid(step)
+        count = int(round(1.0 / step)) - 1
+        expected = np.array([k * step for k in range(1, count + 1)])
+        assert grid.dtype == np.float64
+        assert grid.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
     def test_finest_grid_step_is_accepted(self):
         grid = verify._grid(1e-5)
         assert len(grid) == 99_999 and grid[0] == 1e-5
@@ -245,6 +254,62 @@ class TestDContraction:
         (i, worst), calls = self._rule(screened, exact)
         assert (i, worst) == (1, 0.05)
         assert calls == [0, 1, 3, 4]
+
+
+def _exact_mu2_residual(grid_step, extra_random, seed):
+    """bounds.mu2_root_residual's outcome from every point's exact margin:
+    scalar mu2 calls, each residual in Fraction arithmetic, rounded once,
+    then the first smallest margin over all points."""
+    grid = verify._grid(grid_step)
+    rng = np.random.default_rng(seed)
+    pts = np.concatenate([grid, rng.uniform(grid[0], grid[-1], size=extra_random)]).tolist()
+    margins = []
+    for a in pts:
+        af, x = Fraction(a), Fraction(bounds.mu2(a))
+        residual = af * af * x * x + (8 + 2 * af - af * af) * x - (7 + 2 * af)
+        margins.append(1e-9 - float(abs(residual)))
+    k = int(np.argmin(margins))
+    return margins[k], pts[k], len(pts)
+
+
+class TestMu2Residual:
+    """The screened residual check reports exactly what every point's exact
+    residual gives."""
+
+    @pytest.mark.parametrize(
+        "grid_step, extra_random, seed",
+        [(0.01, 20, DEFAULT_SEED), (1e-3, 100, DEFAULT_SEED), (1e-3, 100, 5)],
+    )
+    def test_outcome_equals_exhaustive_exact(self, grid_step, extra_random, seed):
+        suite = run_inequality_suite(grid_step=grid_step, extra_random=extra_random, seed=seed)
+        o = next(o for o in suite if o.check_id == "bounds.mu2_root_residual")
+        worst, location, samples = _exact_mu2_residual(grid_step, extra_random, seed)
+        assert o.worst_margin == worst
+        assert o.worst_location == location
+        assert o.samples == samples
+        assert o.passed == (worst > 0.0)
+
+    def test_outcome_survives_a_screen_off_by_its_tolerance(self, monkeypatch):
+        # A residual that errs by up to 0.9 of the screen's tolerance either
+        # way still gives the exhaustive exact outcome.  mu2's own Newton
+        # step keeps the true quadratic: only the screen is skewed.
+        quadratic, mu2 = bounds._mu2_quadratic, bounds.mu2
+
+        def skewed(a, x):
+            hi, lo = quadratic(a, x)
+            return hi + 0.9 * verify._MU2_RESIDUAL_TOL * np.cos(np.arange(hi.size)), lo
+
+        def unskewed_mu2(a):
+            with monkeypatch.context() as m:
+                m.setattr(bounds, "_mu2_quadratic", quadratic)
+                return mu2(a)
+
+        monkeypatch.setattr(bounds, "_mu2_quadratic", skewed)
+        monkeypatch.setattr(bounds, "mu2", unskewed_mu2)
+        suite = run_inequality_suite(grid_step=0.01, extra_random=20, seed=DEFAULT_SEED)
+        o = next(o for o in suite if o.check_id == "bounds.mu2_root_residual")
+        worst, location, samples = _exact_mu2_residual(0.01, 20, DEFAULT_SEED)
+        assert (o.worst_margin, o.worst_location, o.samples) == (worst, location, samples)
 
 
 class TestLimits:
