@@ -266,17 +266,17 @@ def n1(a: float) -> float:
     return _finite("n1", a, max(_n1_branch(a), floor))
 
 
-def _n2_ratio(a: float, c: float) -> float:
-    """log(a/16)/log(c/(1+a)), whose square times 9 is n2's branch besides
-    n0; a and c are already checked."""
-    return _libm(math.log, a / 16.0) / _libm(math.log, c / (1.0 + a))
+def _n2_ratio(a: float, c: float, log_a16: float) -> float:
+    """log(a/16)/log(c/(1+a)) from log_a16 = log(a/16), whose square times
+    9 is n2's branch besides n0; a and c are already checked."""
+    return log_a16 / _libm(math.log, c / (1.0 + a))
 
 
 def n2(a: float, c: float) -> float:
     """max{ 9*(log(a/16)/log(c/(1+a)))^2, n0(a) }; both logs are negative."""
     a = _check_a(a)
     c = _real_in("c", c, 0, a)
-    ratio = _n2_ratio(a, c)
+    ratio = _n2_ratio(a, c, _libm(math.log, a / 16.0))
     return max(9.0 * ratio * ratio, n0(a))
 
 
@@ -304,18 +304,23 @@ _SCREEN_TOL = 1e-12
 def _d_screen(a: np.ndarray, c: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """D(a[i], c[i], xs[j]) at [i, j], unvalidated; a and c have equal length.
 
-    The bases are d_function's, computed once per (a, c), but the powers are
-    numpy's vectorized power, which may differ from libm pow in the last
-    bits: the values are within _SCREEN_TOL of d_function, not bit for bit
+    The bases b1 = 1/(1+a), b2 = (1+c)/(1+a) and r = sqrt(1+c^2-ac) are
+    d_function's, and D = max{b1^x, r (b2/r)^x} is exp of the larger of
+    x log b1 and log r + x log(b2/r): three np.log per (a, c) and one
+    np.exp per sample, numpy's SIMD code, which may differ from libm in the
+    last bits.  Every exponent lies in [-1, 1], so its rounding moves D by a few
+    ulp: the values are within _SCREEN_TOL of d_function, not bit for bit
     equal to it.  At most two arrays of the result's shape are alive at once.
     """
-    a = a[:, None]
-    c = c[:, None]
-    d = np.power((1.0 + c) / (1.0 + a), xs)
-    other = np.power(np.sqrt(1.0 + c * c - a * c), 1.0 - xs)
-    d *= other
-    np.power(1.0 / (1.0 + a), xs, out=other)
-    return np.maximum(d, other, out=d)
+    root = np.sqrt(1.0 + c * c - a * c)
+    log_first = np.log(1.0 / (1.0 + a))
+    log_root = np.log(root)
+    log_ratio = np.log((1.0 + c) / (1.0 + a) / root)
+    d = np.multiply.outer(log_first, xs)
+    other = np.multiply.outer(log_ratio, xs)
+    other += log_root[:, None]
+    np.maximum(d, other, out=d)
+    return np.exp(d, out=d)
 
 
 def log_k_factors(a: float, c: float, p: float, q: float) -> tuple[float, float]:
@@ -467,6 +472,12 @@ def mu2(a: float) -> float:
     return s
 
 
+def _mu1(a: float, a3: float) -> float:
+    """mu1 from a3 = pow(a, 3) at a checked a; see mu1."""
+    g = ((((((a - 2.0) * a + 9.0) * a - 20.0) * a + 48.0) * a - 96.0) * a) + 64.0
+    return 2.0 * (7.0 - 5.0 * a) / (_sqrt(g) + 8.0 - 6.0 * a - a * a + a3)
+
+
 def mu1(a: float) -> float:
     """Threshold (-a^3+a^2+6a-8 + sqrt(g(a))) / (2a^2(1-a)), g as below.
 
@@ -478,8 +489,7 @@ def mu1(a: float) -> float:
     (the textbook form has a pole at a = 1).
     """
     a = _check_a(a)
-    g = ((((((a - 2.0) * a + 9.0) * a - 20.0) * a + 48.0) * a - 96.0) * a) + 64.0
-    return 2.0 * (7.0 - 5.0 * a) / (_sqrt(g) + 8.0 - 6.0 * a - a * a + _libm(pow, a, 3))
+    return _mu1(a, _libm(pow, a, 3))
 
 
 def r_param(a: float, c: float) -> tuple[float, float]:
@@ -498,7 +508,13 @@ def alpha_param(a: float, c: float, r_val: float) -> float:
     alpha(r') < alpha(r) for r' < r, while the product alpha * log(1/r)
     moves the other way (see the chain checks in the verifier).
     """
-    a = _check_a(a)
+    return _alpha(_check_a(a), c, r_val, None)
+
+
+def _alpha(a: float, c: float, r_val: float, log_a16: float | None) -> float:
+    """alpha_param from log_a16 = log(a/16) at a checked a; c and r_val are
+    checked here.  alpha_param passes None and the log is taken after the
+    checks: a/16 underflows to 0 only where 1 - c rounds to 1."""
     c = _real_in("c", c, 0, a)
     # (c+r)/(1+cr) = 1 - (1-c)(1-r)/(1+cr), kept in log1p form for accuracy
     # when c -> a -> 1 drives the ratio toward 1.  Below c = 2**-54 (a about
@@ -506,25 +522,27 @@ def alpha_param(a: float, c: float, r_val: float) -> float:
     _require(1.0 - c < 1.0, a, "a={!r} is too small: 1 - c rounds to 1 in binary64")
     r_val = _real_in("r_val", r_val, 0, 1)
     log_ratio = _libm(math.log1p, -(1.0 - c) * (1.0 - r_val) / (1.0 + c * r_val))
-    return _libm(math.log, a / 16.0) / log_ratio
+    if log_a16 is None:
+        log_a16 = _libm(math.log, a / 16.0)
+    return log_a16 / log_ratio
 
 
-def _n3_exact(a: float, c: float, r: float, log_kp: float) -> float:
-    """n3_exact from the c, r and log K' already computed at a checked a."""
+def _n3_exact(a: float, c: float, r: float, log_kp: float, log_a16: float) -> float:
+    """n3_exact from the c, r, log K' and log(a/16) already computed at a
+    checked a."""
     numerator = (
         _libm(math.log, (1.0 + a) / (a - c))
         + _libm(math.log1p, c * (1.0 - a) / (1.0 - c))  # log((1-ac)/(1-c))
-        - alpha_param(a, c, r) * _libm(math.log, r)
+        - _alpha(a, c, r, log_a16) * _libm(math.log, r)
     )
     _require(log_kp > 0.0, a, "growth factor not above 1 at a={!r}; no finite threshold")
     return numerator / log_kp + 1.0
 
 
-def _n3_estimate(a: float) -> float:
-    """n3_estimate at a checked a; see n3."""
+def _n3_estimate(a: float, a3: float) -> float:
+    """n3_estimate from a3 = pow(a, 3) at a checked a; see n3."""
     one_minus_gamma = 0.1 * (1.0 - a)
     log_inv_a = -_libm(math.log, a)
-    a3 = _libm(pow, a, 3)
     bracket = 3.0 / (a * one_minus_gamma) + (2.0 / (a3 * one_minus_gamma)) * (
         32.0 / (a * log_inv_a)
     )
@@ -544,7 +562,8 @@ def n3(a: float) -> tuple[float, float]:
     aux = aux_params(a)
     a, c = aux.a, aux.c
     r, _ = r_param(a, c)
-    return _n3_exact(a, c, r, log_k_prime(a)), _n3_estimate(a)
+    n3_exact = _n3_exact(a, c, r, log_k_prime(a), _libm(math.log, a / 16.0))
+    return n3_exact, _n3_estimate(a, _libm(pow, a, 3))
 
 
 def final_bound(a: float) -> float:

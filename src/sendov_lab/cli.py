@@ -75,16 +75,18 @@ def _emit(args: argparse.Namespace, rows: list[dict], text_lines, csv_columns=No
 
 
 def _row(report) -> dict:
-    """The output row of a report dataclass: its fields, as
-    ``dataclasses.asdict`` gives them, with the fields of a nested dataclass
-    (``BoundBreakdown.aux``) inlined in its place.  A tuple stays a tuple:
-    json writes it as a list, csv as "(x y)" and text as Python prints it."""
+    """The output row of a report dataclass: its fields in order, with the
+    fields of a nested dataclass (``BoundBreakdown.aux``) inlined in its
+    place.  A tuple stays a tuple: json writes it as a list, csv as "(x y)"
+    and text as Python prints it.  Reports are frozen and hold only
+    numbers, strings and tuples, so the values need no copy."""
     row = {}
-    for key, value in dataclasses.asdict(report).items():
-        if isinstance(value, dict):
-            row.update(value)
+    for field in dataclasses.fields(report):
+        value = getattr(report, field.name)
+        if dataclasses.is_dataclass(value):
+            row.update(_row(value))
         else:
-            row[key] = value
+            row[field.name] = value
     return row
 
 

@@ -206,7 +206,8 @@ def run_inequality_suite(
 
     aux = bounds.aux_params(pts)
     gamma, c = aux.gamma, aux.c
-    mu1 = bounds.mu1(pts)
+    a3 = bounds._libm(pow, pts, 3)
+    mu1 = bounds._mu1(pts, a3)
     mu2 = bounds.mu2(pts)
     log_k1, log_k2 = bounds.log_k_factors(pts, c, aux.p_prime, aux.q_prime)
     log_kp = np.minimum(log_k1, log_k2)
@@ -261,7 +262,7 @@ def run_inequality_suite(
     ))
     outcomes.append(_min_outcome(
         "bounds.log_k_prime_floor",
-        log_kp - bounds._libm(pow, pts, 3) * (1.0 - pts) / 16.0,
+        log_kp - a3 * (1.0 - pts) / 16.0,
         pts,
         "log K'(a) - a^3 (1-a)/16",
     ))
@@ -297,13 +298,14 @@ def run_inequality_suite(
     ))
 
     # D(a, c, x) < 1 on 0 < x < 1 and D >= c/(1+a), at c = a*gamma(a).
-    # numpy's vectorized power screens all samples in one pass.  On AVX-512
-    # hardware its D differs from the libm value in the last bit on about
-    # 13% of these samples, so it only picks the samples that could hold the
-    # minimum.  Those are re-evaluated with bounds.d_function's scalar libm
-    # powers, and the report holds only exact values: its bytes do not
-    # depend on the SIMD code numpy runs.  The row-major ravel keeps each
-    # sample's flat index, so ties go to the lowest one.
+    # bounds._d_screen screens all samples in one pass with numpy's exp of
+    # per-a logs.  On AVX-512 hardware its D differs from the libm value by
+    # up to 2 ulp on about 36% of these samples, so it only picks the
+    # samples that could hold the minimum.  Those are re-evaluated with
+    # bounds.d_function's scalar libm powers, and the report holds only
+    # exact values: its bytes do not depend on the SIMD code numpy runs.
+    # The row-major ravel keeps each sample's flat index, so ties go to the
+    # lowest one.
     x_set = [k * 0.01 for k in range(1, 100)]
     d = bounds._d_screen(pts, c, np.array(x_set))
     above_floor = d - (c / (1.0 + pts))[:, None]
@@ -371,27 +373,29 @@ def verify_estimate_chain(grid_step: float = 1e-3) -> list[VerificationOutcome]:
     """
     a = _grid(grid_step)
     # Each quantity is one bounds call on the whole grid, bit for bit the
-    # scalar call at each point; every power and log is a libm call.
+    # scalar call at each point; every power and log is a libm call, and
+    # each one shared by several quantities is mapped once.
+
+    def power(x: np.ndarray, k: int) -> np.ndarray:
+        return bounds._libm(pow, x, k)
+
     aux = bounds.aux_params(a)
     c, gamma = aux.c, aux.gamma
+    a2, a3, a4 = power(a, 2), power(a, 3), power(a, 4)
+    log_a16 = bounds._libm(math.log, a / 16.0)
     n0 = bounds.n0(a)
     n1_branch = bounds._n1_branch(a)
-    ratio = bounds._n2_ratio(a, c)
+    ratio = bounds._n2_ratio(a, c, log_a16)
     r, r_prime = bounds.r_param(a, c)
-    alpha_prime = bounds.alpha_param(a, c, r_prime)
+    alpha_prime = bounds._alpha(a, c, r_prime, log_a16)
     log_kp = np.minimum(*bounds.log_k_factors(a, c, aux.p_prime, aux.q_prime))
-    n3_exact = bounds._n3_exact(a, c, r, log_kp)
-    n3_estimate = bounds._n3_estimate(a)
+    n3_exact = bounds._n3_exact(a, c, r, log_kp, log_a16)
+    n3_estimate = bounds._n3_estimate(a, a3)
     headline = bounds.final_bound(a)
     min_branch = np.minimum(
         a * a * gamma / (4.0 * (4.0 + 2.0 * a)),
         a * a * (1.0 - a) * gamma / (4.0 * (4.0 - 2.0 * a)),
     )
-
-    def power(x: np.ndarray, k: int) -> np.ndarray:
-        return bounds._libm(pow, x, k)
-
-    a2, a4 = power(a, 2), power(a, 4)
 
     per_check = {
         "chain.n3_exact_le_estimate": (n3_estimate - n3_exact, "n3_estimate(a) - n3_exact(a)"),
@@ -418,7 +422,7 @@ def verify_estimate_chain(grid_step: float = 1e-3) -> list[VerificationOutcome]:
             "log K' - min{a^2 g/(4(4+2a)), a^2 (1-a) g/(4(4-2a))}, g = gamma",
         ),
         "chain.min_branch_ge_a3_floor": (
-            min_branch - power(a, 3) * (1.0 - a) / 16.0,
+            min_branch - a3 * (1.0 - a) / 16.0,
             "min{a^2 g/(4(4+2a)), a^2 (1-a) g/(4(4-2a))} - a^3(1-a)/16",
         ),
         "chain.n3_estimate_le_headline": (

@@ -185,9 +185,15 @@ class TestDValues:
                 assert bounds.d_function(a, c, x) == libm, (a, x)
 
     def test_screen_is_within_tolerance_on_the_verify_grid(self):
+        # The default grid with its random points, and the ends of the
+        # finest grid, where the logs of bases near 1 that the screen takes
+        # lose the most relative accuracy.
         grid = verify._grid(1e-3)
         rng = np.random.default_rng(verify.DEFAULT_SEED)
-        pts = np.concatenate([grid, rng.uniform(grid[0], grid[-1], size=100)])
+        pts = np.concatenate([
+            grid, rng.uniform(grid[0], grid[-1], size=100),
+            [1e-5, 2e-5, 1.0 - 2e-5, 1.0 - 1e-5], rng.uniform(1e-5, 1.0 - 1e-5, size=100),
+        ])
         c = pts * (0.1 * pts + 0.9)
         xs = [k * 0.01 for k in range(1, 100)]
         screen = bounds._d_screen(pts, c, np.array(xs))
@@ -375,6 +381,8 @@ def _pin_cases():
     r, r_prime = bounds.r_param(pts, c)
     log_k1, log_k2 = bounds.log_k_factors(pts, c, aux.p_prime, aux.q_prime)
     log_kp = np.minimum(log_k1, log_k2)
+    a3 = bounds._libm(pow, pts, 3)
+    log_a16 = bounds._libm(math.log, pts / 16.0)
 
     def each(fn, *arrays):
         return [fn(*args) for args in zip(*(x.tolist() for x in arrays))]
@@ -389,8 +397,11 @@ def _pin_cases():
     cases.update({
         "n0": (bounds.n0(pts), each(bounds.n0, pts)),
         "_n1_branch": (bounds._n1_branch(pts), each(bounds._n1_branch, pts)),
-        "_n2_ratio": (bounds._n2_ratio(pts, c), each(bounds._n2_ratio, pts, c)),
+        "_n2_ratio": (
+            bounds._n2_ratio(pts, c, log_a16), each(bounds._n2_ratio, pts, c, log_a16)
+        ),
         "mu1": (bounds.mu1(pts), each(bounds.mu1, pts)),
+        "_mu1": (bounds._mu1(pts, a3), each(bounds._mu1, pts, a3)),
         "mu2": (bounds.mu2(pts), each(bounds.mu2, pts)),
         "log_k_factors.k1": (log_k1, [k1 for k1, _ in scalar_log_k]),
         "log_k_factors.k2": (log_k2, [k2 for _, k2 in scalar_log_k]),
@@ -400,10 +411,18 @@ def _pin_cases():
         "alpha_param.r_prime": (
             bounds.alpha_param(pts, c, r_prime), each(bounds.alpha_param, pts, c, r_prime)
         ),
-        "_n3_exact": (
-            bounds._n3_exact(pts, c, r, log_kp), each(bounds._n3_exact, pts, c, r, log_kp)
+        "_alpha.r": (
+            bounds._alpha(pts, c, r, log_a16), each(bounds._alpha, pts, c, r, log_a16)
         ),
-        "_n3_estimate": (bounds._n3_estimate(pts), each(bounds._n3_estimate, pts)),
+        "_alpha.r_prime": (
+            bounds._alpha(pts, c, r_prime, log_a16),
+            each(bounds._alpha, pts, c, r_prime, log_a16),
+        ),
+        "_n3_exact": (
+            bounds._n3_exact(pts, c, r, log_kp, log_a16),
+            each(bounds._n3_exact, pts, c, r, log_kp, log_a16),
+        ),
+        "_n3_estimate": (bounds._n3_estimate(pts, a3), each(bounds._n3_estimate, pts, a3)),
         "final_bound": (bounds.final_bound(pts), each(bounds.final_bound, pts)),
     })
     return cases
@@ -411,9 +430,10 @@ def _pin_cases():
 
 PINNED = [
     "aux_params.a", "aux_params.q_prime", "aux_params.p_prime", "aux_params.gamma",
-    "aux_params.c", "n0", "_n1_branch", "_n2_ratio", "mu1", "mu2", "log_k_factors.k1",
-    "log_k_factors.k2", "r_param.r", "r_param.r_prime", "alpha_param.r",
-    "alpha_param.r_prime", "_n3_exact", "_n3_estimate", "final_bound",
+    "aux_params.c", "n0", "_n1_branch", "_n2_ratio", "mu1", "_mu1", "mu2",
+    "log_k_factors.k1", "log_k_factors.k2", "r_param.r", "r_param.r_prime", "alpha_param.r",
+    "alpha_param.r_prime", "_alpha.r", "_alpha.r_prime", "_n3_exact", "_n3_estimate",
+    "final_bound",
 ]
 
 
@@ -583,5 +603,6 @@ class TestArrayValidation:
         a = np.array([0.5, 0.6])
         c = bounds.aux_params(a).c
         r, _ = bounds.r_param(a, c)
+        log_a16 = bounds._libm(math.log, a / 16.0)
         with pytest.raises(DomainError, match=re.escape("not above 1 at a=0.6;")):
-            bounds._n3_exact(a, c, r, np.array([0.1, 0.0]))
+            bounds._n3_exact(a, c, r, np.array([0.1, 0.0]), log_a16)

@@ -256,6 +256,40 @@ class TestDContraction:
         assert calls == [0, 1, 3, 4]
 
 
+class TestWorkPerPass:
+    """How much libm and confirm work a default verify pass does: a shared
+    quantity mapped twice, or a screen drifting toward its tolerance, shows
+    here before it shows in the timings."""
+
+    def test_libm_array_maps(self, capsys, monkeypatch):
+        maps = []
+        libm = bounds._libm
+
+        def counted(fn, x, *args):
+            if isinstance(x, np.ndarray):
+                maps.append(x.size)
+            return libm(fn, x, *args)
+
+        monkeypatch.setattr(bounds, "_libm", counted)
+        assert main(["verify", "--seed", "5"]) == 0
+        capsys.readouterr()
+        assert (len(maps), sum(maps)) == (26, 26_376)
+
+    @pytest.mark.parametrize("seed", [1, 5, DEFAULT_SEED])
+    def test_d_contraction_confirms_one_sample(self, monkeypatch, seed):
+        calls = []
+        d_function = bounds.d_function
+
+        def counted(a, c, x):
+            calls.append((a, x))
+            return d_function(a, c, x)
+
+        monkeypatch.setattr(bounds, "d_function", counted)
+        suite = run_inequality_suite(seed=seed)
+        o = next(o for o in suite if o.check_id == "bounds.d_contraction")
+        assert calls == [o.worst_location]
+
+
 def _exact_mu2_residual(grid_step, extra_random, seed):
     """bounds.mu2_root_residual's outcome from every point's exact margin:
     scalar mu2 calls, each residual in Fraction arithmetic, rounded once,
