@@ -513,8 +513,8 @@ def alpha_param(a: float, c: float, r_val: float) -> float:
 
 def _alpha(a: float, c: float, r_val: float, log_a16: float | None) -> float:
     """alpha_param from log_a16 = log(a/16) at a checked a; c and r_val are
-    checked here.  alpha_param passes None and the log is taken after the
-    checks: a/16 underflows to 0 only where 1 - c rounds to 1."""
+    checked here.  alpha_param and n3 pass None and the log is taken after
+    the checks: a/16 underflows to 0 only where 1 - c rounds to 1."""
     c = _real_in("c", c, 0, a)
     # (c+r)/(1+cr) = 1 - (1-c)(1-r)/(1+cr), kept in log1p form for accuracy
     # when c -> a -> 1 drives the ratio toward 1.  Below c = 2**-54 (a about
@@ -527,9 +527,11 @@ def _alpha(a: float, c: float, r_val: float, log_a16: float | None) -> float:
     return log_a16 / log_ratio
 
 
-def _n3_exact(a: float, c: float, r: float, log_kp: float, log_a16: float) -> float:
+def _n3_exact(
+    a: float, c: float, r: float, log_kp: float, log_a16: float | None
+) -> float:
     """n3_exact from the c, r, log K' and log(a/16) already computed at a
-    checked a."""
+    checked a; log_a16 is None to take the log inside _alpha, after its checks."""
     numerator = (
         _libm(math.log, (1.0 + a) / (a - c))
         + _libm(math.log1p, c * (1.0 - a) / (1.0 - c))  # log((1-ac)/(1-c))
@@ -562,7 +564,7 @@ def n3(a: float) -> tuple[float, float]:
     aux = aux_params(a)
     a, c = aux.a, aux.c
     r, _ = r_param(a, c)
-    n3_exact = _n3_exact(a, c, r, log_k_prime(a), _libm(math.log, a / 16.0))
+    n3_exact = _n3_exact(a, c, r, log_k_prime(a), None)
     return n3_exact, _n3_estimate(a, _libm(pow, a, 3))
 
 

@@ -309,6 +309,12 @@ class TestHeadlineBound:
         with pytest.raises(DomainError, match=f"a={args[0]!r}"):
             fn(*args)
 
+    @pytest.mark.parametrize("a", [1e-17, 3e-323, 4e-323])
+    def test_n3_names_a_where_one_minus_c_rounds_to_one(self, a):
+        # Below 5e-323, a/16 rounds to 0 as well: its log comes after the check.
+        with pytest.raises(DomainError, match=re.escape(f"a={a!r} is too small: 1 - c")):
+            bounds.n3(a)
+
 
 class TestMeanBound:
     def test_frozen_values(self):

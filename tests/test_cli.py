@@ -339,7 +339,7 @@ class TestMeanBoundCommand:
 
 # Values of a in (0, 1) past what binary64 carries through a command: each
 # exits 2 naming a, except mean-bound near 1, whose objective never forms c.
-EXTREME_A = [5e-324, 1e-200, 1e-20, 1e-17, 1 - 2 ** -53]
+EXTREME_A = [5e-324, 3e-323, 4e-323, 1e-200, 1e-20, 1e-17, 1 - 2 ** -53]
 
 
 class TestExtremeA:
