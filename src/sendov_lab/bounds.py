@@ -276,8 +276,11 @@ def n2(a: float, c: float) -> float:
     """max{ 9*(log(a/16)/log(c/(1+a)))^2, n0(a) }; both logs are negative."""
     a = _check_a(a)
     c = _real_in("c", c, 0, a)
+    # n0 rejects every a below about 3e-154, far above the a < 5e-323 where
+    # a/16 rounds to 0, so the log below never sees 0.
+    floor = n0(a)
     ratio = _n2_ratio(a, c, _libm(math.log, a / 16.0))
-    return max(9.0 * ratio * ratio, n0(a))
+    return max(9.0 * ratio * ratio, floor)
 
 
 def d_function(a: float, c: float, x: float) -> float:

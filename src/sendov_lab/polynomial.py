@@ -14,12 +14,12 @@ result does not depend on what else is in the block.
 
 The coefficient side (``from_roots``, ``find_roots``) stays for general
 polynomials.  A ``Polynomial`` holds coefficients and tails only.  One
-Aberth sweep loop, from one start rule for every degree, runs in the dtype
-of its coefficients: first on the binary64 coefficients, then in
-clongdouble on the extended-precision coefficients ``from_roots`` keeps as
-head + tail pairs, with an mpmath Newton rescue for the few roots still
-adrift.  One Vandermonde evaluator gives p and p' everywhere, and each root
-gets a residual certificate.
+Aberth sweep loop, from the Newton-polygon starts at every degree, runs
+once in the dtype of its coefficients: first on the binary64
+coefficients, then in clongdouble on the extended-precision coefficients
+``from_roots`` keeps as head + tail pairs, with an mpmath Newton rescue
+for the few roots still adrift.  One Vandermonde evaluator gives p and p'
+everywhere, and each root gets a residual certificate.
 
 All public values are immutable and safe to share across threads.  Every
 rejected argument or instance raises ``bounds.DomainError``, the package's
@@ -68,9 +68,8 @@ _MAX_SWEEPS = 300
 _BLOCK_TEMPORARY = 2 ** 18
 # Unit roundoff of binary64.
 _U = 2.0 ** -53
-_RESTARTS = 3
-# Irrational angular offset keeps the initial circle off axes and off any
-# symmetric root configuration.
+# Irrational angular offset keeps each circle of start points off axes and
+# off any symmetric root configuration.
 _ANGULAR_OFFSET = 1.0 / math.sqrt(2.0)
 
 
@@ -225,8 +224,8 @@ class RootResult:
     residuals[i] = |P(roots[i])| / (max|coeff| * (1+|roots[i]|)^degree);
     converged means every residual is at or below RESIDUAL_TOL.  clusters
     lists index groups whose pairwise distance is below CLUSTER_TOL (likely
-    multiple roots); iterations counts binary64 Aberth sweeps across all
-    restarts, at least 1 and at most 200 per attempt, at every degree.
+    multiple roots); iterations counts the binary64 Aberth sweeps, at most
+    200, and is 0 when every root is 0.
     """
 
     roots: tuple[complex, ...]
@@ -432,42 +431,48 @@ def _clusters(z: np.ndarray) -> tuple[tuple[int, ...], ...]:
 def find_roots(p: Polynomial) -> RootResult:
     """All roots of p with residual certificates.
 
-    Every degree starts the same way: from a circle of radius
-    1 + max|c_k/c_n| at equal angles plus a fixed irrational offset, swept
-    by ``_aberth`` on the binary64 monic coefficients.  An attempt that does
-    not arrive gets up to 3 deterministic perturb-and-continue restarts,
-    which carry on from where it stopped: from a start circle far too large
-    for the roots, 200 sweeps may not reach them.  The same sweeps then run
-    in clongdouble on coefficients + ``tails``, and ``_polish`` finishes any
+    The zero coefficients below the lowest nonzero one are exact roots at 0
+    and come back as 0j.  The other roots start from the Newton polygon
+    (Bini 1996, as in MPSolve): each edge k1 -> k2 of the upper convex hull
+    of the points (k, log|c_k|) puts k2 - k1 starts on the circle of radius
+    (|c_k1|/|c_k2|)^(1/(k2 - k1)), at equal angles turned by a multiple of
+    a fixed irrational offset, so roots whose moduli span decades each
+    start near their own modulus.  One run of ``_aberth`` on the binary64
+    monic coefficients c_k/c_n follows.  The same sweeps then run in
+    clongdouble on coefficients + ``tails``, and ``_polish`` finishes any
     root still adrift.  ``converged`` reflects the binary64 residual
     certificates of the final values (a non-converged report is returned
-    rather than guessing); ``iterations`` counts the binary64 sweeps.
+    rather than guessing); ``iterations`` counts the binary64 sweeps.  A
+    ratio c_k/c_n past binary64 range raises ``DomainError``.
     """
     if p.degree < 1:
         raise DomainError("find_roots needs degree >= 1")
-    n = p.degree
     coeffs = np.asarray(p.coefficients, dtype=np.complex128)
+    nonzero = np.flatnonzero(coeffs)
+    low = int(nonzero[0])
+    z = np.zeros(p.degree - low, dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        monic = coeffs[low:] / coeffs[-1]
+        if not np.isfinite(monic).all():
+            k = low + int(np.flatnonzero(~np.isfinite(monic))[0])
+            raise DomainError(f"coefficient ratio c_{k}/c_{p.degree} overflows binary64")
+        logs = np.log(np.abs(coeffs))
+        # Fed from k = n down, the chain's left turns trace the upper hull.
+        hull = _convex_chain([(k, logs[k]) for k in nonzero[::-1].tolist()])
+        for e, ((k2, log2), (k1, log1)) in enumerate(zip(hull, hull[1:]), 1):
+            # The e-th circle from the outside turns by e offsets, so starts
+            # on neighbouring circles do not line up along one ray.
+            angles = 2.0 * np.pi * np.arange(k2 - k1) / (k2 - k1) + e * _ANGULAR_OFFSET
+            z[k1 - low:k2 - low] = np.exp((log1 - log2) / (k2 - k1)) * np.exp(1j * angles)
     iterations = 0
-    monic = coeffs / coeffs[-1]
-    radius = 1.0 + float(np.abs(monic[:-1]).max())
-    z = radius * np.exp(1j * (2.0 * np.pi * np.arange(n) / n + _ANGULAR_OFFSET))
-    # Restart jitter is deterministic: same polynomial, same answer, always.
-    rng = np.random.default_rng(0x53454E44)
-    for attempt in range(_RESTARTS + 1):
-        if attempt:
-            jig = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            # continue from the current cloud, nudged; do not reset to
-            # the initial circle or the far-field progress is thrown away
-            z = z * (1.0 + 1e-3 * jig) + 1e-6 * jig
-        z, sweeps, arrived = _aberth(monic, z)
-        iterations += sweeps
-        if arrived:
-            break
-    exact = coeffs.astype(np.clongdouble)
-    if p.tails is not None:
-        exact += np.asarray(p.tails).astype(np.clongdouble)
-    z, _, _ = _aberth(exact, z.astype(np.clongdouble))
-    z = _polish(p, exact, z)
+    if z.size:
+        z, iterations, _ = _aberth(monic, z)
+        exact = coeffs[low:].astype(np.clongdouble)
+        if p.tails is not None:
+            exact += np.asarray(p.tails[low:]).astype(np.clongdouble)
+        z, _, _ = _aberth(exact, z.astype(np.clongdouble))
+        z = _polish(p, exact, z)
+    z = np.concatenate((np.zeros(low, dtype=np.complex128), z))
     order = np.lexsort((z.imag, z.real))
     z = z[order]
     residuals = _certified_residuals(coeffs, z)
@@ -874,28 +879,14 @@ def hull_distance(point: complex, vertices: Sequence[complex]) -> float:
     xy = sorted((z.real, z.imag) for z in uniq)
     if len(xy) == 1:
         return abs(w - complex(*xy[0]))
-
-    def cross(o, p, q):
-        return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
-
-    lower: list[tuple[float, float]] = []
-    for pt in xy:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], pt) <= 0:
-            lower.pop()
-        lower.append(pt)
-    upper: list[tuple[float, float]] = []
-    for pt in reversed(xy):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], pt) <= 0:
-            upper.pop()
-        upper.append(pt)
-    hull = lower[:-1] + upper[:-1]
+    hull = _convex_chain(xy)[:-1] + _convex_chain(xy[::-1])[:-1]
 
     if len(hull) == 2:
         return _segment_distance(w, hull[0], hull[1])
 
     inside = True
     for i in range(len(hull)):
-        if cross(hull[i], hull[(i + 1) % len(hull)], (w.real, w.imag)) < 0:
+        if _cross(hull[i], hull[(i + 1) % len(hull)], (w.real, w.imag)) < 0:
             inside = False
             break
     if inside:
@@ -904,6 +895,23 @@ def hull_distance(point: complex, vertices: Sequence[complex]) -> float:
         _segment_distance(w, hull[i], hull[(i + 1) % len(hull)])
         for i in range(len(hull))
     )
+
+
+def _cross(o, p, q) -> float:
+    """z-component of (p - o) x (q - o): positive for a left turn o -> p -> q."""
+    return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+
+
+def _convex_chain(points: list) -> list:
+    """Andrew's monotone chain over points in the given order, keeping only
+    left turns: the lower hull of points sorted by x, the upper hull of
+    points sorted by decreasing x, from end to end."""
+    chain: list = []
+    for pt in points:
+        while len(chain) >= 2 and _cross(chain[-2], chain[-1], pt) <= 0:
+            chain.pop()
+        chain.append(pt)
+    return chain
 
 
 def _segment_distance(w: complex, p: tuple[float, float], q: tuple[float, float]) -> float:

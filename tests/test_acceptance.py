@@ -125,7 +125,6 @@ def test_criterion_5_root_finder_oracle():
     over_budget = 0
     n_converged = 0
     sweeps = 0
-    restarted = 0
     for _ in range(500):
         degree = int(rng.integers(2, 51))
         roots = []
@@ -138,8 +137,6 @@ def test_criterion_5_root_finder_oracle():
         res = find_roots(p)
         n_converged += res.converged
         sweeps += res.iterations
-        # One attempt runs at most 200 sweeps; more means it restarted.
-        restarted += res.iterations > 200
         _, w = match_roots(res.roots, roots)
         if w > 1e-8:
             over_budget += 1
@@ -170,7 +167,7 @@ def test_criterion_5_root_finder_oracle():
     detail = (
         f"500 polynomials deg<=50: convergence {n_converged}/500, "
         f"round-trip worst {worst:.3e} (limit 1e-8, {over_budget} draws over), "
-        f"{sweeps} binary64 sweeps, {restarted} draws restarted, "
+        f"{sweeps} binary64 sweeps, "
         f"{elapsed:.1f}s; worst draw (degree {p.degree}) decomposes into "
         f"finder-vs-exact {finder_err:.3e} plus the shift of the exact roots "
         f"of the extended-precision (head + tail) coefficients "

@@ -301,11 +301,13 @@ class TestHeadlineBound:
         (bounds.n0, (1e-170,)), (bounds.n0, (1e-160,)),
         (bounds.n1, (1e-170,)), (bounds.n1, (1e-160,)),
         (bounds.n2, (1e-170, 9e-171)),
+        (bounds.n2, (1e-323, 5e-324)), (bounds.n2, (4e-323, 5e-324)),
         (bounds.small_circle_bound, (1e-170,)), (bounds.small_circle_bound, (1e-160,)),
     ], ids=lambda v: v.__name__ if callable(v) else repr(v[0]))
     def test_threshold_past_binary64_range_names_a(self, fn, args):
         # A power of a underflows to 0 or the threshold overflows: neither
         # a ZeroDivisionError, an OverflowError, inf nor a capped value.
+        # Below 5e-323, n2's a/16 rounds to 0: no ValueError from its log.
         with pytest.raises(DomainError, match=f"a={args[0]!r}"):
             fn(*args)
 

@@ -178,9 +178,12 @@ class TestFindRoots:
         assert res.converged
 
     def test_quintuple_root_clusters(self):
+        # Zero coefficients below the lowest nonzero one are exact roots at
+        # 0: no sweep runs when every root is 0.
         res = find_roots(Polynomial((0.0, 0.0, 0.0, 0.0, 0.0, 1.0)))
         assert res.converged
-        assert max(abs(z) for z in res.roots) <= 1e-3
+        assert res.roots == (0j,) * 5
+        assert res.iterations == 0
         assert res.clusters == ((0, 1, 2, 3, 4),)
 
     def test_triple_root_at_half(self):
@@ -189,15 +192,21 @@ class TestFindRoots:
         assert max(abs(z - 0.5) for z in res.roots) <= 1e-4
         assert res.clusters == ((0, 1, 2),)
 
-    @pytest.mark.parametrize("p, root", [
-        (from_roots((0.5, 0.5)), 0.5), (Polynomial((0.0, 0.0, 1.0)), 0.0),
-    ], ids=["half", "origin"])
-    def test_double_root(self, p, root):
-        # Degree 2 takes the same sweeps as every other degree.
+    @pytest.mark.parametrize("p, roots, exact_zeros, clusters", [
+        (from_roots((0.5, 0.5)), (0.5, 0.5), 0, ((0, 1),)),
+        (Polynomial((0.0, 0.0, 1.0)), (0.0, 0.0), 2, ((0, 1),)),
+        (from_roots((0.0, 0.0, 0.5, -0.25j)), (0.0, 0.0, 0.5, -0.25j), 2, ((1, 2),)),
+    ], ids=["half", "origin", "origin_and_two_simple"])
+    def test_double_root(self, p, roots, exact_zeros, clusters):
+        # Degree 2 takes the same sweeps as every other degree.  A double
+        # root at 0 (c_0 = c_1 = 0) comes back as exactly 0j, also beside
+        # other roots.
         res = find_roots(p)
         assert res.converged
-        assert max(abs(z - root) for z in res.roots) <= 1e-4
-        assert res.clusters == ((0, 1),)
+        _, worst = match_roots(res.roots, roots)
+        assert worst <= 1e-4
+        assert res.roots.count(0j) == exact_zeros
+        assert res.clusters == clusters
 
     def test_roots_of_unity_recovered(self):
         expected = tuple(cmath.exp(2j * cmath.pi * k / 12) for k in range(12))
@@ -276,28 +285,37 @@ class TestFindRoots:
         assert keys == sorted(keys)
 
     def test_far_root_leaks_no_warning(self):
-        # A root at 1e6 puts the start circle past binary64 range for
-        # z^60: every attempt runs its 200 sweeps, the restarts follow, and
-        # the overflowing values are handled without a numpy warning.
+        # A root at 1e6 puts 1e6^60 past binary64 range: p overflows there,
+        # the one run of sweeps stops at its cap of 200 and the root does
+        # not certify, all without a numpy warning.
         ring = [0.5 * cmath.exp(2j * cmath.pi * k / 59 + 0.1j) for k in range(59)]
         p = Polynomial(tuple(complex(c) for c in np.poly([1e6] + ring)[::-1]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = find_roots(p)
         assert res.converged == all(r <= RESIDUAL_TOL for r in res.residuals)
-        assert res.iterations > 200
+        assert res.iterations <= 200
 
-    def test_restarts_carry_a_start_circle_far_too_large(self):
-        # Moduli from 1e-2 to 1e2 put the start circle near 1e28.  The first
-        # 200 sweeps do not arrive, and the restarts go on from where they
-        # stopped; without them the roots are up to ~0.2 off while every
-        # residual certifies (the largest is ~2e-17).
+    def test_newton_polygon_starts_reach_roots_spanning_decades(self):
+        # Moduli from 1e-2 to 1e2: each edge of the Newton polygon starts
+        # its roots near their own modulus.  One circle of radius
+        # 1 + max|c_k/c_n|, near 1e28 here, needs over 400 sweeps, and 200
+        # of them leave roots up to ~0.2 off while every residual certifies.
         rng = np.random.default_rng(0)
         roots = 10.0 ** rng.uniform(-2, 2, 50) * np.exp(2j * np.pi * rng.uniform(size=50))
         res = find_roots(Polynomial(tuple(np.poly(roots)[::-1].tolist())))
-        assert res.iterations > 200
+        assert res.iterations <= 40
         _, worst = match_roots(res.roots, roots)
         assert worst <= 1e-9
+
+    @pytest.mark.parametrize("coefficients", [(1e300, 1e-300), (1e308, 1e308, 1e-308)])
+    def test_coefficient_ratio_past_binary64_range_raises(self, coefficients):
+        # c_0/c_n overflows: a DomainError naming the ratio, not a numpy
+        # warning and NaN roots.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=f"c_0/c_{len(coefficients) - 1} overflows"):
+                find_roots(Polynomial(coefficients))
 
     def test_requires_degree_at_least_one(self):
         with pytest.raises(InvalidInputError):
