@@ -510,20 +510,20 @@ def match_roots(
     return tuple(cols.tolist()), float(dist[np.arange(cols.size), cols].max())
 
 
-def _starts(zeta: np.ndarray, k: np.ndarray) -> np.ndarray:
+def _starts(zeta: np.ndarray, k: np.ndarray | None) -> np.ndarray:
     """g - 1 start points per row for the roots of Q, one Newton step of Q
     from the zeros.
 
     ``zeta`` holds one row of g distinct zeros per instance and ``k`` their
-    multiplicities.  At zeta_j, where f has a pole but Q does not, the
-    Newton step of Q has the finite limit Q/Q' = k_j / (k_j S_j + F_j), with
-    S_j = sum_{l != j} 1/(zeta_j - zeta_l) and
-    F_j = sum_{l != j} k_l/(zeta_j - zeta_l).  Each zero less the one with
-    the longest step gives a start; from there a random degree-64 instance
-    settles in about 7 sweeps, where the circle about the zero centroid
-    through the farthest zero takes about 25.  A start takes its point on
-    that circle instead when it has no finite value (two zeros so close
-    that 1/(zeta_j - zeta_l) overflows), or when an earlier start lies
+    multiplicities, or None when every one is 1.  At zeta_j, where f has a
+    pole but Q does not, the Newton step of Q has the finite limit
+    Q/Q' = k_j / (k_j S_j + F_j), with S_j = sum_{l != j} 1/(zeta_j - zeta_l)
+    and F_j = sum_{l != j} k_l/(zeta_j - zeta_l).  Each zero less the one
+    with the longest step gives a start; from there a random degree-64
+    instance settles in about 7 sweeps, where the circle about the zero
+    centroid through the farthest zero takes about 25.  A start takes its
+    point on that circle instead when it has no finite value (two zeros so
+    close that 1/(zeta_j - zeta_l) overflows), or when an earlier start lies
     within 1e-6 of its step length: the steps from both zeros of a tight
     pair can land on the pair's one critical point, where Aberth cannot
     part the two points.  The test is relative to the step and not to the
@@ -537,29 +537,44 @@ def _starts(zeta: np.ndarray, k: np.ndarray) -> np.ndarray:
         gaps = np.subtract(zeta[:, :, None], zeta[:, None, :])
         np.divide(1.0, gaps, out=gaps)
         gaps[:, diagonal, diagonal] = 0.0
-        steps = k * gaps.sum(axis=-1)
-        steps += np.multiply(gaps, k[:, None, :], out=gaps).sum(axis=-1)
+        sums = gaps.sum(axis=-1)
+        if k is None:
+            # k S + F is S + S for unit k, except where S is not finite:
+            # k * S then has a NaN part, and so the start takes the circle.
+            steps = np.divide(1.0, np.where(np.isfinite(sums), sums + sums, np.nan))
+        else:
+            steps = k * sums + np.multiply(gaps, k[:, None, :], out=gaps).sum(axis=-1)
+            np.divide(k, steps, out=steps)
         del gaps
-        np.divide(k, steps, out=steps)
         kept = np.ones((rows, g), dtype=bool)
         kept[np.arange(rows), np.argmax(np.abs(steps), axis=-1)] = False
         near = (zeta - steps)[kept].reshape(rows, m)
-        reach = np.abs(steps)[kept].reshape(rows, m)
-        crowded = np.abs(near[:, :, None] - near[:, None, :]) <= 1e-6 * reach[:, :, None]
-    crowded = np.tril(crowded, -1).any(axis=-1)
-    center = (k * zeta).sum(axis=-1) / k.sum(axis=-1)
+        bound = 1e-6 * np.abs(steps)[kept].reshape(rows, m)
+        # |Re d| <= |d|: only pairs whose real parts lie within the bound
+        # can lie within it, so only those have their modulus taken.
+        apart = near.real[:, :, None] - near.real[:, None, :]
+        pairs = np.abs(apart, out=apart) <= bound[:, :, None]
+        pairs &= np.tri(m, m, -1, dtype=bool)
+        t, i, j = np.unravel_index(np.flatnonzero(pairs), pairs.shape)
+        close = np.abs(near[t, i] - near[t, j]) <= bound[t, i]
+    crowded = np.zeros((rows, m), dtype=bool)
+    crowded[t[close], i[close]] = True
+    if k is None:
+        center = zeta.sum(axis=-1) / g
+    else:
+        center = (k * zeta).sum(axis=-1) / k.sum(axis=-1)
     radius = np.abs(zeta - center[:, None]).max(axis=-1)
     angles = 2.0 * np.pi * np.arange(m) / m + _ANGULAR_OFFSET
     circle = center[:, None] + radius[:, None] * np.exp(1j * angles)
     return np.where(np.isfinite(near) & ~crowded, near, circle)
 
 
-def _minus_rows(w, x, points) -> np.ndarray:
-    """w[t, i] - x[t] for each point (t, i) of ``points``, one row per point.
-    The gathered rows are a fresh copy: the difference overwrites it."""
-    t, i = points
+def _minus_rows(column, x, t) -> np.ndarray:
+    """column - x[t], one row per point: ``column`` holds the points w[t, i]
+    as a column.  The gathered rows are a fresh copy: the difference
+    overwrites it."""
     gathered = x[t]
-    return np.subtract(w[t, i, None], gathered, out=gathered)
+    return np.subtract(column, gathered, out=gathered)
 
 
 def _aberth_corrections(w, zeta, kc, points) -> np.ndarray:
@@ -574,7 +589,8 @@ def _aberth_corrections(w, zeta, kc, points) -> np.ndarray:
     The points x g temporaries are gathered, and freed, one at a time.
     """
     t, i = points
-    r = _minus_rows(w, zeta, points)
+    column = w[t, i, None]
+    r = _minus_rows(column, zeta, t)
     np.divide(1.0, r, out=r)
     rk = r if kc is None else r * kc[t]
     f = rk.sum(axis=-1)
@@ -582,7 +598,7 @@ def _aberth_corrections(w, zeta, kc, points) -> np.ndarray:
     newton -= np.multiply(rk, r, out=rk).sum(axis=-1)
     del r, rk
     np.divide(f, newton, out=newton)
-    diff = _minus_rows(w, w, points)
+    diff = _minus_rows(column, w, t)
     diff[np.arange(t.size), i] = np.inf
     np.divide(1.0, diff, out=diff)
     return newton / (1.0 - newton * diff.sum(axis=-1))
@@ -592,21 +608,24 @@ def _nearest(w, zeta, points) -> np.ndarray:
     """Distance from each point w[t, i] of ``points`` = (t, i) to the
     nearest zero or other point of its row."""
     t, i = points
-    nearest = np.abs(_minus_rows(w, zeta, points)).min(axis=-1)
-    gap = _minus_rows(w, w, points)
+    column = w[t, i, None]
+    nearest = np.abs(_minus_rows(column, zeta, t)).min(axis=-1)
+    gap = _minus_rows(column, w, t)
     gap[np.arange(t.size), i] = np.inf
     return np.minimum(nearest, np.abs(gap).min(axis=-1))
 
 
 def _secular_aberth(
-    zeta: np.ndarray, k: np.ndarray, w: np.ndarray
+    zeta: np.ndarray, k: np.ndarray | None, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roots of Q = prod(z - zeta_j) * f, f = sum_j k_j / (z - zeta_j), for
     each row.
 
     Row t of ``zeta`` holds g >= 3 distinct zeros of one instance and of
-    ``k`` their multiplicities, so Q has degree g - 1 and its roots are the
-    critical points of P that are not repeated zeros.  Starts from ``w``
+    ``k`` their multiplicities (None when every one is 1: the product by
+    unit multiplicities would cost a full pass, and a temporary, of the
+    points x zeros array every sweep), so Q has degree g - 1 and its roots
+    are the critical points of P that are not repeated zeros.  Starts from ``w``
     (rows x (g - 1)) and returns (approximations, settled per row).
 
     A point stops moving once its own step is at most 1e-13 * scale, with
@@ -631,9 +650,7 @@ def _secular_aberth(
     # part them.
     angles = 2.0 * np.pi * np.arange(m) / m + _ANGULAR_OFFSET
     nudge = 1e-7 * scale[:, None] * ((1.0 + np.arange(m) / m) * np.exp(1j * (angles + 1.0)))
-    # The product by unit multiplicities is exact and would cost a full
-    # pass, and a temporary, of the points x zeros array every sweep.
-    kc = None if (k == 1.0).all() else k.astype(np.complex128)
+    kc = None if k is None else k.astype(np.complex128)
     moving = np.ones((rows, m), dtype=bool)
     settled = np.zeros(rows, dtype=bool)
     stall = np.zeros(rows, dtype=int)
@@ -679,13 +696,14 @@ def _secular_aberth(
     return w, settled
 
 
-def _inclusion_radii(w: np.ndarray, zeta: np.ndarray, k: np.ndarray) -> np.ndarray:
+def _inclusion_radii(w: np.ndarray, zeta: np.ndarray, k: np.ndarray | None) -> np.ndarray:
     """Weierstrass inclusion radii (g - 1)|W_i| for the roots of Q, per row.
 
     W_i = Q(w_i) / (n prod_{j != i}(w_i - w_j)), where n = sum(k) is Q's
-    leading coefficient.  The union of the discs |z - w_i| <= (g - 1)|W_i|
-    holds every root of Q, and a connected group of d discs holds exactly d
-    (Gerschgorin's theorem on the Weierstrass matrix).  The products are
+    leading coefficient (``k`` None means every multiplicity is 1).  The
+    union of the discs |z - w_i| <= (g - 1)|W_i| holds every root of Q, and
+    a connected group of d discs holds exactly d (Gerschgorin's theorem on
+    the Weierstrass matrix).  The products are
     taken as sums of logs, so no degree over- or underflows them, and each
     radius is widened by a rounding-error bound on f and on the log sums
     (Higham, Accuracy and Stability of Numerical Algorithms, 5.1).  A
@@ -693,7 +711,8 @@ def _inclusion_radii(w: np.ndarray, zeta: np.ndarray, k: np.ndarray) -> np.ndarr
     """
     g = zeta.shape[-1]
     m = w.shape[-1]
-    kk = k[:, None, :]
+    kk = 1.0 if k is None else k[:, None, :]
+    log_n = np.log(float(g)) if k is None else np.log(k.sum(axis=-1))[:, None]
     diagonal = np.arange(m)
     with np.errstate(all="ignore"):
         d = np.subtract(w[:, :, None], zeta[:, None, :])
@@ -706,8 +725,9 @@ def _inclusion_radii(w: np.ndarray, zeta: np.ndarray, k: np.ndarray) -> np.ndarr
         # On a zero, Q(zeta_j) = k_j prod_{l != j}(zeta_j - zeta_l): the
         # pole of f leaves the products and k_j takes the place of |f|.
         hit = mod_d == 0.0
-        f_bound = np.where(hit.any(axis=-1), (hit * kk).sum(axis=-1), f_bound)
-        mod_d[hit] = 1.0
+        if hit.any():
+            f_bound = np.where(hit.any(axis=-1), (hit * kk).sum(axis=-1), f_bound)
+            mod_d[hit] = 1.0
         log_d = np.log(mod_d, out=mod_d)
         sum_d, size_d = log_d.sum(axis=-1), np.abs(log_d).sum(axis=-1)
         del mod_d, log_d
@@ -716,10 +736,7 @@ def _inclusion_radii(w: np.ndarray, zeta: np.ndarray, k: np.ndarray) -> np.ndarr
         log_e[:, diagonal, diagonal] = 0.0
         sum_e, size_e = log_e.sum(axis=-1), np.abs(log_e).sum(axis=-1)
         slack = 4.0 * (g + m) * _U * (1.0 + size_d + size_e)
-        log_radius = (
-            math.log(m) + sum_d + np.log(f_bound)
-            - np.log(k.sum(axis=-1))[:, None] - sum_e + slack
-        )
+        log_radius = math.log(m) + sum_d + np.log(f_bound) - log_n - sum_e + slack
         radii = np.exp(log_radius)
     return np.where(np.isnan(radii), np.inf, radii)
 
@@ -745,6 +762,8 @@ def _free_points(
         points = (k[:, :1] * zeta[:, 1:] + k[:, 1:] * zeta[:, :1]) / n
         radii = 5.0 * _U * (k[:, :1] * np.abs(zeta[:, 1:]) + k[:, 1:] * np.abs(zeta[:, :1])) / n
         return points, radii, np.ones(rows, bool)
+    if (k == 1.0).all():
+        k = None
     points, settled = _secular_aberth(zeta, k, _starts(zeta, k))
     return points, _inclusion_radii(points, zeta, k), settled
 

@@ -460,13 +460,11 @@ def fuzz_sendov(a: float, degree: int, trials: int, seed: int = DEFAULT_SEED) ->
     violating: list[str] = []
     for first in range(0, trials, block):
         indices = range(first, min(first + block, trials))
-        u = np.empty((len(indices), m))
-        angle = np.empty((len(indices), m))
+        # Each trial's m radius and then m angle uniforms, from one stream.
+        draws = np.empty((len(indices), 2 * m))
         for row, index in enumerate(indices):
-            rng = np.random.default_rng([seed, index])
-            u[row] = rng.uniform(size=m)
-            angle[row] = rng.uniform(0.0, 2.0 * np.pi, size=m)
-        others = np.sqrt(u) * np.exp(1j * angle)
+            draws[row] = np.random.default_rng([seed, index]).random(2 * m)
+        others = np.sqrt(draws[:, :m]) * np.exp(1j * (draws[:, m:] * (2.0 * np.pi)))
         distance, radius = sendov_distances(a, others)
         verdicts = bracket_verdict(distance, radius, VIOLATION_THRESHOLD)
         resolved = verdicts != "UNRESOLVED"

@@ -759,6 +759,97 @@ class TestPinnedKernelBytes:
         assert digests == KERNEL_DIGESTS[degree]
 
 
+def _full_matrix_starts(zeta, k):
+    """(starts, crowded) by the crowded rule over every pair of steps, with
+    np.tril on the whole matrix: the reference for ``_starts``."""
+    rows, g = zeta.shape
+    m = g - 1
+    with np.errstate(all="ignore"):
+        gaps = 1.0 / (zeta[:, :, None] - zeta[:, None, :])
+        gaps[:, np.arange(g), np.arange(g)] = 0.0
+        steps = k / (k * gaps.sum(axis=-1) + (gaps * k[:, None, :]).sum(axis=-1))
+        kept = np.ones((rows, g), dtype=bool)
+        kept[np.arange(rows), np.argmax(np.abs(steps), axis=-1)] = False
+        near = (zeta - steps)[kept].reshape(rows, m)
+        reach = np.abs(steps)[kept].reshape(rows, m)
+        crowded = np.abs(near[:, :, None] - near[:, None, :]) <= 1e-6 * reach[:, :, None]
+    crowded = np.tril(crowded, -1).any(axis=-1)
+    center = (k * zeta).sum(axis=-1) / k.sum(axis=-1)
+    radius = np.abs(zeta - center[:, None]).max(axis=-1)
+    angles = 2.0 * np.pi * np.arange(m) / m + poly._ANGULAR_OFFSET
+    circle = center[:, None] + radius[:, None] * np.exp(1j * angles)
+    return np.where(np.isfinite(near) & ~crowded, near, circle), crowded
+
+
+class TestKernelStages:
+    @pytest.mark.parametrize("degree", list(KERNEL_DIGESTS))
+    def test_unit_multiplicities_as_none_give_the_same_bytes(self, degree):
+        # k=None skips the exact products by 1.0; the general path, which
+        # repeated zeros take, must give the same bytes on simple zeros.
+        a, rows = _kernel_rows(degree)
+        zeros = np.sort(np.concatenate([np.full((len(rows), 1), complex(a)), rows], axis=1), axis=1)
+        zeta = zeros[~(zeros[:, 1:] == zeros[:, :-1]).any(axis=1)]
+        ones = np.ones(zeta.shape)
+        starts = poly._starts(zeta, None)
+        assert starts.tobytes() == poly._starts(zeta, ones).tobytes()
+        w, settled = poly._secular_aberth(zeta, None, starts)
+        w_ones, settled_ones = poly._secular_aberth(zeta, ones, starts)
+        assert w.tobytes() == w_ones.tobytes()
+        assert settled.tolist() == settled_ones.tolist()
+        radii = poly._inclusion_radii(w, zeta, None)
+        assert radii.tobytes() == poly._inclusion_radii(w, zeta, ones).tobytes()
+
+    def test_gap_sum_past_binary64_range_sends_the_start_to_the_circle(self):
+        # 1/(0 - 1e-308) + 1/(0 - 1.05e-308) overflows in its real part
+        # alone; 1.0 * S then has a NaN imaginary part, and S + S would not.
+        zeta = np.array([[0j, 1e-308 + 0j, 1.05e-308 + 0j, 0.5 + 0j]])
+        ones = np.ones(zeta.shape)
+        starts, _ = _full_matrix_starts(zeta, ones)
+        assert poly._starts(zeta, None).tobytes() == starts.tobytes()
+        assert poly._starts(zeta, ones).tobytes() == starts.tobytes()
+
+    @pytest.mark.parametrize("zeros, fires", [
+        # The two pairs of test_tight_pair_of_zeros_resolves, with their a.
+        ((0.6356051866396851, -0.5569498201504334 + 0.6709579856690978j,
+          -0.5569476262478652 + 0.6709776624485464j), True),
+        ((0.43488594609300407, -0.2430322689513025 - 0.2665345899540236j,
+          -0.24303379100304126 - 0.2665292627339832j), True),
+        # Five zeros of spread 1e-9, two of them 1e-13 apart, and a zero at
+        # 0.6; without the tight pair no start in such a cluster is crowded.
+        (tuple(0.3 - 0.2j + 1e-9 * np.array([0.5, 0.5 + 1e-4, -0.4 + 0.3j, 0.1 - 0.6j, -0.7j]))
+         + (0.6,), True),
+        # Conjugate zeros give steps with the same real part exactly, but
+        # imaginary parts far more than 1e-6 of a step apart.
+        ((0.1 + 0.2j, 0.1 - 0.2j, 0.9), False),
+    ])
+    def test_crowded_rule_matches_the_full_matrix(self, zeros, fires):
+        zeta = np.unique(np.array(zeros, dtype=complex))[None]
+        ones = np.ones(zeta.shape)
+        starts, crowded = _full_matrix_starts(zeta, ones)
+        assert crowded.any() == fires
+        assert poly._starts(zeta, None).tobytes() == starts.tobytes()
+        assert poly._starts(zeta, ones).tobytes() == starts.tobytes()
+        if not fires:
+            assert starts[0, 0].real == starts[0, 1].real
+            assert starts[0, 0].imag != starts[0, 1].imag
+
+    @pytest.mark.parametrize("k", [None, (2.0, 1.0, 3.0, 1.0, 2.0)])
+    def test_point_on_a_zero_takes_its_multiplicity(self, k):
+        # On zeta_j, Q(zeta_j) = k_j prod_{l != j}(zeta_j - zeta_l): the
+        # pole of f leaves W_i, and the radius stays finite.
+        zeta = np.array([[0.5, -0.3 + 0.4j, 0.1 - 0.7j, -0.6 - 0.2j, 0.2 + 0.1j]])
+        mult = np.ones(5) if k is None else np.array(k)
+        w = np.array([[zeta[0, 2], 0.05 + 0.3j, -0.4 - 0.1j, 0.3 - 0.3j]])
+        radii = poly._inclusion_radii(w, zeta, None if k is None else mult[None])
+        assert np.isfinite(radii).all()
+        with mpmath.workdps(30):
+            zs = [mpmath.mpc(z) for z in zeta[0]]
+            ws = [mpmath.mpc(x) for x in w[0]]
+            q = mult[2] * mpmath.fprod(abs(zs[2] - z) for z in zs[:2] + zs[3:])
+            expected = 4 * q / (mult.sum() * mpmath.fprod(abs(ws[0] - x) for x in ws[1:]))
+        assert expected <= radii[0, 0] <= expected * (1 + 1e-12)
+
+
 class TestHullDistance:
     def test_interior_and_vertex(self):
         square = (1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j)
