@@ -87,8 +87,8 @@ def _require_finite_complex(values, what: str, ndim: int = 1) -> np.ndarray:
     else:
         values = np.asarray(values, dtype=object)
         numbers = all(
-            isinstance(v, (int, float, complex, np.number)) and not isinstance(v, bool)
-            for v in values.flat
+            issubclass(kind, (int, float, complex, np.number)) and not issubclass(kind, bool)
+            for kind in set(map(type, values.flat))
         )
     if not numbers or values.ndim != ndim:
         raise DomainError(
@@ -173,7 +173,7 @@ class SendovInstance:
             raise DomainError("need at least one other zero (degree >= 2)")
         _require_unit_disk(zeros)
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "other_zeros", tuple(complex(z) for z in zeros))
+        object.__setattr__(self, "other_zeros", tuple(zeros.tolist()))
 
     @property
     def degree(self) -> int:
@@ -196,9 +196,11 @@ class SendovInstance:
         try:
             a = data["a"]
             pairs = [(re, im) for re, im in data["zeros"]]
-            for part in (x for pair in pairs for x in pair):
-                if isinstance(part, bool) or not isinstance(part, (int, float)):
-                    raise TypeError(f"zero component {part!r} is not a number")
+            bad = {kind for kind in set(map(type, (x for pair in pairs for x in pair)))
+                   if issubclass(kind, bool) or not issubclass(kind, (int, float))}
+            if bad:
+                part = next(x for pair in pairs for x in pair if type(x) in bad)
+                raise TypeError(f"zero component {part!r} is not a number")
             zeros = tuple(complex(re, im) for re, im in pairs)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"bad instance payload: {exc}") from None
@@ -535,7 +537,7 @@ def _starts(zeta: np.ndarray, k: np.ndarray | None) -> np.ndarray:
     diagonal = np.arange(g)
     with np.errstate(all="ignore"):
         gaps = np.subtract(zeta[:, :, None], zeta[:, None, :])
-        np.divide(1.0, gaps, out=gaps)
+        np.reciprocal(gaps, out=gaps)
         gaps[:, diagonal, diagonal] = 0.0
         sums = gaps.sum(axis=-1)
         if k is None:
@@ -591,7 +593,7 @@ def _aberth_corrections(w, zeta, kc, points) -> np.ndarray:
     t, i = points
     column = w[t, i, None]
     r = _minus_rows(column, zeta, t)
-    np.divide(1.0, r, out=r)
+    np.reciprocal(r, out=r)
     rk = r if kc is None else r * kc[t]
     f = rk.sum(axis=-1)
     newton = f * (f if kc is None else r.sum(axis=-1))
@@ -600,7 +602,7 @@ def _aberth_corrections(w, zeta, kc, points) -> np.ndarray:
     np.divide(f, newton, out=newton)
     diff = _minus_rows(column, w, t)
     diff[np.arange(t.size), i] = np.inf
-    np.divide(1.0, diff, out=diff)
+    np.reciprocal(diff, out=diff)
     return newton / (1.0 - newton * diff.sum(axis=-1))
 
 
@@ -628,15 +630,17 @@ def _secular_aberth(
     are the critical points of P that are not repeated zeros.  Starts from ``w``
     (rows x (g - 1)) and returns (approximations, settled per row).
 
-    A point stops moving once its own step is at most 1e-13 * scale, with
-    scale = 1 + max|zeta_j|, and at most 1e-3 of its distance to the
-    nearest zero or other point (MPSolve's per-root stopping rule); the
-    others go on using it.  A row ends when none of its points move, or
-    when its largest steps are small and stop shrinking, or at the sweep
-    cap, which leaves it not settled.  Each sweep gathers only the moving
-    points, each with its row, and a point's arithmetic does not depend on
-    what else is gathered, so a row's result does not depend on the other
-    rows.
+    A point stops moving once its own step s is at most 1e-10 * scale, with
+    scale = 1 + max|zeta_j|, at most 1e-3 of its distance delta to the
+    nearest zero or other point (MPSolve's per-root stopping rule), and so
+    small that the error it leaves, about s^2 sum_j e_j / |w - w_j|^2 for
+    neighbours off by e_j, is at most 1e-16 * scale even with all m at delta
+    and off by the row's largest step; the others go on using it.  A row
+    ends when none of its points move, or when its largest steps are small
+    and stop shrinking, or at the sweep cap, which leaves it not settled.
+    Each sweep gathers only the moving points, each with its row, and a
+    point's arithmetic does not depend on what else is gathered, so a row's
+    result does not depend on the other rows.
     """
     rows, m = w.shape
     # By Gauss-Lucas every root of Q lies in the hull of the zeros, so this
@@ -663,7 +667,7 @@ def _secular_aberth(
             corr = np.zeros((rows, m), dtype=np.complex128)
             corr[points] = _aberth_corrections(w, zeta, kc, points)
             step = np.abs(corr) / scale[:, None]
-            small = moving & (step <= 1e-13)
+            small = moving & (step <= 1e-10)
             finite = np.isfinite(corr)
             if finite.all():
                 w = w - corr
@@ -673,19 +677,20 @@ def _secular_aberth(
                 w = np.where(finite, np.where(nudged[:, None], w, w - corr), w + nudge)
                 swept = moving.any(axis=-1) & ~nudged
                 small &= swept[:, None]
-            # A small step freezes a point only where it is also small
-            # against the distance to the point's nearest zero or neighbour:
-            # inside a tight cluster every step is small, and a point frozen
-            # there early leaves discs that overlap.
+            # A small step freezes a point only if it is also small against
+            # the nearest zero or neighbour (in a tight cluster every step is
+            # small, and points frozen early leave discs that overlap) and
+            # leaves an error at the rounding floor, as the docstring says.
+            largest = step.max(axis=-1)
             if small.any():
-                points = np.nonzero(small)
-                small[points] = np.abs(corr[points]) <= 1e-3 * _nearest(w, zeta, points)
+                t, _ = points = np.nonzero(small)
+                s, near = np.abs(corr[points]), _nearest(w, zeta, points)
+                small[points] = (s <= 1e-3 * near) & (s * s * m * largest[t] <= 1e-16 * near**2)
                 moving &= ~small
             # Ill-conditioned points rattle at a rounding noise floor; once a
             # row's steps are small and stop shrinking, more sweeps only
             # re-sample it.  The inclusion radii then say how far off the
             # points are.
-            largest = step.max(axis=-1)
             improved = swept & (largest < 0.7 * best_step)
             best_step = np.where(improved, largest, best_step)
             stall += swept
@@ -696,8 +701,9 @@ def _secular_aberth(
     return w, settled
 
 
-def _inclusion_radii(w: np.ndarray, zeta: np.ndarray, k: np.ndarray | None) -> np.ndarray:
-    """Weierstrass inclusion radii (g - 1)|W_i| for the roots of Q, per row.
+def _inclusion_radii(w, zeta, k) -> tuple[np.ndarray, np.ndarray]:
+    """Weierstrass inclusion radii (g - 1)|W_i| for the roots of Q, per row,
+    and each w_i's distance to its nearest w_j, from the products' |w_i - w_j|.
 
     W_i = Q(w_i) / (n prod_{j != i}(w_i - w_j)), where n = sum(k) is Q's
     leading coefficient (``k`` None means every multiplicity is 1).  The
@@ -717,7 +723,9 @@ def _inclusion_radii(w: np.ndarray, zeta: np.ndarray, k: np.ndarray | None) -> n
     with np.errstate(all="ignore"):
         d = np.subtract(w[:, :, None], zeta[:, None, :])
         mod_d = np.abs(d)
-        f = np.divide(kk, d, out=d).sum(axis=-1)
+        # k scales the reciprocals once taken, so unit k gives k None's bits.
+        f = np.reciprocal(d, out=d)
+        f = (f if k is None else np.multiply(f, kk, out=f)).sum(axis=-1)
         del d
         # Each term k/(w - zeta) is off by a few units of roundoff and the
         # sum adds at most (g - 1) more, each relative to sum |terms|.
@@ -732,20 +740,21 @@ def _inclusion_radii(w: np.ndarray, zeta: np.ndarray, k: np.ndarray | None) -> n
         sum_d, size_d = log_d.sum(axis=-1), np.abs(log_d).sum(axis=-1)
         del mod_d, log_d
         log_e = np.abs(w[:, :, None] - w[:, None, :])
+        log_e[:, diagonal, diagonal] = np.inf
+        nearest = log_e.min(axis=-1)
         np.log(log_e, out=log_e)
         log_e[:, diagonal, diagonal] = 0.0
         sum_e, size_e = log_e.sum(axis=-1), np.abs(log_e).sum(axis=-1)
         slack = 4.0 * (g + m) * _U * (1.0 + size_d + size_e)
         log_radius = math.log(m) + sum_d + np.log(f_bound) - log_n - sum_e + slack
         radii = np.exp(log_radius)
-    return np.where(np.isnan(radii), np.inf, radii)
+    return np.where(np.isnan(radii), np.inf, radii), nearest
 
 
-def _free_points(
-    zeta: np.ndarray, k: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(points, radii, settled): the critical points that are not repeated
-    zeros, for each row of distinct zeros ``zeta`` with multiplicities ``k``.
+def _free_points(zeta: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(points, radii, nearest, settled): the critical points that are not
+    repeated zeros, each with its distance to the nearest other, for each
+    row of distinct zeros ``zeta`` with multiplicities ``k``.
 
     They are the roots of Q = prod(z - zeta_j) * sum_j k_j/(z - zeta_j):
     none for one zero; (k_1 zeta_2 + k_2 zeta_1)/n with a rounding radius for
@@ -754,41 +763,41 @@ def _free_points(
     """
     rows, g = zeta.shape
     if g == 1:
-        return np.empty((rows, 0), np.complex128), np.empty((rows, 0)), np.ones(rows, bool)
+        return np.empty((rows, 0), np.complex128), *np.empty((2, rows, 0)), np.ones(rows, bool)
     if g == 2:
         # Two roundings in the numerator and one in the quotient, per
         # component: at most gamma_3 * sqrt(2) relative to the sum of moduli.
         n = k.sum(axis=-1, keepdims=True)
         points = (k[:, :1] * zeta[:, 1:] + k[:, 1:] * zeta[:, :1]) / n
         radii = 5.0 * _U * (k[:, :1] * np.abs(zeta[:, 1:]) + k[:, 1:] * np.abs(zeta[:, :1])) / n
-        return points, radii, np.ones(rows, bool)
+        return points, radii, np.full((rows, 1), np.inf), np.ones(rows, bool)
     if (k == 1.0).all():
         k = None
     points, settled = _secular_aberth(zeta, k, _starts(zeta, k))
-    return points, _inclusion_radii(points, zeta, k), settled
+    return (points, *_inclusion_radii(points, zeta, k), settled)
 
 
-def _distance_bracket(
-    a: np.ndarray, exact: np.ndarray, free: np.ndarray, free_radii: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _distance_bracket(a, exact, free, free_radii, free_nearest) -> tuple[np.ndarray, np.ndarray]:
     """(nearest distance to a, bracket half-width), per row.
 
     Every critical point lies in some disc, so none is nearer than
     min(dist - radius).  An exact point, or a disc that meets no other
     disc, holds a critical point within dist + radius; any other disc's
-    connected group holds one within 2 * sum(radii) of its centre.  The
-    computed |w - a| is within 3 roundings of the true one, and the final
-    4u * upper covers the arithmetic on the bracket ends.
+    connected group holds one within 2 * sum(radii) of its centre.  A disc
+    whose ``free_nearest`` centre is farther than its radius plus the row's
+    largest meets no other, even rounded; only the rest are tested pair by
+    pair.  The computed |w - a| is within 3 roundings of the true one, and
+    the final 4u * upper covers the arithmetic on the bracket ends.
     """
-    m = free.shape[-1]
     points = np.concatenate([exact, free], axis=-1)
     radii = np.concatenate([np.zeros(exact.shape), free_radii], axis=-1)
     dist = np.abs(points - a[:, None])
-    diagonal = np.arange(m)
     with np.errstate(invalid="ignore"):
-        gap = np.abs(free[:, :, None] - free[:, None, :])
-        gap[:, diagonal, diagonal] = np.inf
-        alone = (gap > free_radii[:, :, None] + free_radii[:, None, :]).all(axis=-1)
+        alone = free_nearest > free_radii + free_radii.max(axis=-1, initial=0.0, keepdims=True)
+        t, i = np.nonzero(~alone)
+        gap = np.abs(_minus_rows(free[t, i, None], free, t))
+        gap[np.arange(t.size), i] = np.inf
+        alone[t, i] = (gap > free_radii[t, i, None] + free_radii[t]).all(axis=-1)
         isolated = np.concatenate([np.ones(exact.shape, dtype=bool), alone], axis=-1)
         reach = np.where(isolated, radii, 2.0 * radii.sum(axis=-1, keepdims=True))
         upper = (dist * (1.0 + 4.0 * _U) + reach).min(axis=-1)
@@ -823,15 +832,15 @@ def critical_report(inst: SendovInstance) -> CriticalPointReport:
     n = zeros.size
     zeta, counts = np.unique(zeros, return_counts=True)
     exact = np.repeat(zeta, counts - 1)
-    free, free_radii, settled = _free_points(zeta[None], counts[None].astype(np.float64))
+    free, free_radii, free_nearest, settled = _free_points(zeta[None], counts[None] * 1.0)
     nearest, half_width = _distance_bracket(
-        np.array([inst.a]), exact[None], free, free_radii
+        np.array([inst.a]), exact[None], free, free_radii, free_nearest
     )
 
     points = np.concatenate([exact, free[0]])
     radii = np.concatenate([np.zeros(exact.size), free_radii[0]])
     order = np.lexsort((points.imag, points.real))
-    mean = sum(z.real for z in inst.all_zeros()) / n
+    mean = sum(zeros.real.tolist()) / n
     return CriticalPointReport(
         critical_points=tuple(points[order].tolist()),
         sendov_distance=float(nearest[0]),
@@ -877,9 +886,9 @@ def sendov_distances(a: float, other_zeros) -> tuple[np.ndarray, np.ndarray]:
     for start in range(0, distinct.size, block):
         t = distinct[start:start + block]
         zeta = zeros[t]
-        free, free_radii, _ = _free_points(zeta, np.ones(zeta.shape))
+        free = _free_points(zeta, np.ones(zeta.shape))[:3]
         distance[t], radius[t] = _distance_bracket(
-            np.full(t.size, a), np.empty((t.size, 0), np.complex128), free, free_radii
+            np.full(t.size, a), np.empty((t.size, 0), np.complex128), *free
         )
     return distance, radius
 

@@ -436,6 +436,11 @@ def verify_estimate_chain(grid_step: float = 1e-3) -> list[VerificationOutcome]:
     ]
 
 
+def _words(n: int) -> list[int]:
+    """n >= 0 as numpy coerces seed entropy: little-endian 32-bit words, [0] for 0."""
+    return [(n >> shift) & 0xFFFFFFFF for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
 def fuzz_sendov(a: float, degree: int, trials: int, seed: int = DEFAULT_SEED) -> FuzzReport:
     """Randomized check of the conjecture at one (a, degree) cell.
 
@@ -463,7 +468,8 @@ def fuzz_sendov(a: float, degree: int, trials: int, seed: int = DEFAULT_SEED) ->
         # Each trial's m radius and then m angle uniforms, from one stream.
         draws = np.empty((len(indices), 2 * m))
         for row, index in enumerate(indices):
-            draws[row] = np.random.default_rng([seed, index]).random(2 * m)
+            entropy = np.array(_words(seed) + _words(index), dtype=np.uint32)
+            draws[row] = np.random.default_rng(entropy).random(2 * m)
         others = np.sqrt(draws[:, :m]) * np.exp(1j * (draws[:, m:] * (2.0 * np.pi)))
         distance, radius = sendov_distances(a, others)
         verdicts = bracket_verdict(distance, radius, VIOLATION_THRESHOLD)

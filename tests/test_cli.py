@@ -51,7 +51,7 @@ STDOUT_DIGESTS = {
     ("verify", "json"): "473c6dd4099c9aa6ebc9dde28c3ea046422f2f1db16f97911f677278a1097485",
     ("verify", "csv"): "3cc015ff1154e7c5557ffc8aef09f327dbf417404990c88db531be88cc1c7ff0",
     ("check", "text"): "8695a81cd09297a87e89a26009fd523fa9331ef609201e64b45471a88adee5a0",
-    ("check", "json"): "6a3613052d0e7a87f6f52bbc64a56e77ed404024d1e12d421e9e9fd19938464e",
+    ("check", "json"): "87e961fdd77bf1f27255c404cf47d867956d7ad0b475dee1546739fc43566913",
 }
 
 BREAKDOWN_FIELDS = [

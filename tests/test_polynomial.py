@@ -729,16 +729,16 @@ def _kernel_rows(degree):
 # SHA-256 of the kernel's output on _kernel_rows: sendov_distances'
 # (distance, radius) bytes, and every row's critical_report points and radii.
 KERNEL_DIGESTS = {
-    3: ("34c3eaba271b2643ae85af6b9a5ea02078b462775891df51f644a54b95c992db",
-        "281825bd1b450a3de81dc0ba9217ab551392862b5adef593a2fde3186d8c08ef"),
-    8: ("d7118604835f0d8a10d9ebd16148503702857364000d664cf2ab52364ca1f1ed",
-        "bf2d43b285a9abbf36f81c0b22bff027ef4a66b53e1754efb8c0d309011af0cf"),
-    17: ("43ffec8815a951cdf936ce48a2987b45c1007d70bd387d2d7aa5b3fdc6f7e255",
-         "3c2306f3987925de3f4c696c5e2c8a65f5db40993ffdc605451f7ef72ac050d4"),
-    64: ("1c439e3cba6a9d7ecd6244de7be3430fa9c8d8a656b5a2828b0740cf85c4fe80",
-         "5434fed205398efa2a9302f90fe166c856582371efe069935daa13b1c3bbb586"),
-    200: ("829194270ecee94730690fc7df81eafd48d11c9d9c6e78ecf7269754b71d3254",
-          "061f8215e6db0c784c7a65b838629c804aec590cd0f9ef6cfa483269e8442da1"),
+    3: ("1897b0bafcfae64acdb6c55092767d98330aeea1bd88580d55f0df32b4a96eed",
+        "58b51538632893b37d72eaf3108c7629200b2d8f2af30d087b94cb19088468dc"),
+    8: ("297d39c9b06805d6062dc2e8832054e80fc9900e7c18f530501c77a8607414e0",
+        "eccca48085ce98db05c07e89f3581d1064260bfb79f7488a64414e4cf897f20f"),
+    17: ("e0b67cb7aa8a9e7b879ee05ab0781c45924148ac9e77339fa74c2537f4a2fee1",
+         "1fd1bf7165382736deab740f13b9dfd54cfb7d74bf041be295120786e05bd5bb"),
+    64: ("b0a81acec117c2dba73ebc8ab10af90da2d0ce68c9f798a346d6d887296f60c4",
+         "ad4fca2f9920179944db4881a0339ce542f02a75d2cae6b49751fa26e911c63f"),
+    200: ("81c51497ac364905d692a53b021a340153d88706db0e0c83eb97f64b2182fb19",
+          "5adfc4bcce52d8eb734279644eea6b03e850724f5463ec199ffb6891316655c1"),
 }
 
 
@@ -781,6 +781,26 @@ def _full_matrix_starts(zeta, k):
     return np.where(np.isfinite(near) & ~crowded, near, circle), crowded
 
 
+def _all_pairs_bracket(a, exact, free, free_radii):
+    """(distance, half-width) with a disc alone when it misses every other
+    disc, pair by pair: the reference for ``_distance_bracket``'s isolation
+    test from each point's nearest neighbour."""
+    m = free.shape[-1]
+    points = np.concatenate([exact, free], axis=-1)
+    radii = np.concatenate([np.zeros(exact.shape), free_radii], axis=-1)
+    dist = np.abs(points - a[:, None])
+    with np.errstate(invalid="ignore"):
+        gap = np.abs(free[:, :, None] - free[:, None, :])
+        gap[:, np.arange(m), np.arange(m)] = np.inf
+        alone = (gap > free_radii[:, :, None] + free_radii[:, None, :]).all(axis=-1)
+        isolated = np.concatenate([np.ones(exact.shape, dtype=bool), alone], axis=-1)
+        reach = np.where(isolated, radii, 2.0 * radii.sum(axis=-1, keepdims=True))
+        upper = (dist * (1.0 + 4.0 * poly._U) + reach).min(axis=-1)
+        lower = np.maximum(dist * (1.0 - 4.0 * poly._U) - radii, 0.0).min(axis=-1)
+    nearest = dist.min(axis=-1)
+    return nearest, np.maximum(upper - nearest, nearest - lower) + 4.0 * poly._U * upper
+
+
 class TestKernelStages:
     @pytest.mark.parametrize("degree", list(KERNEL_DIGESTS))
     def test_unit_multiplicities_as_none_give_the_same_bytes(self, degree):
@@ -796,8 +816,10 @@ class TestKernelStages:
         w_ones, settled_ones = poly._secular_aberth(zeta, ones, starts)
         assert w.tobytes() == w_ones.tobytes()
         assert settled.tolist() == settled_ones.tolist()
-        radii = poly._inclusion_radii(w, zeta, None)
-        assert radii.tobytes() == poly._inclusion_radii(w, zeta, ones).tobytes()
+        radii, nearest = poly._inclusion_radii(w, zeta, None)
+        radii_ones, nearest_ones = poly._inclusion_radii(w, zeta, ones)
+        assert radii.tobytes() == radii_ones.tobytes()
+        assert nearest.tobytes() == nearest_ones.tobytes()
 
     def test_gap_sum_past_binary64_range_sends_the_start_to_the_circle(self):
         # 1/(0 - 1e-308) + 1/(0 - 1.05e-308) overflows in its real part
@@ -833,6 +855,50 @@ class TestKernelStages:
             assert starts[0, 0].real == starts[0, 1].real
             assert starts[0, 0].imag != starts[0, 1].imag
 
+    @pytest.mark.parametrize("degree", list(KERNEL_DIGESTS))
+    def test_isolation_from_the_radii_matches_the_all_pairs_rule(self, degree):
+        # A disc farther from its nearest neighbour than its radius plus the
+        # row's largest misses every other disc; the discs that test leaves
+        # in doubt (as in the clusters here) are tested pairwise.
+        a, rows = _kernel_rows(degree)
+        at = np.array([a])
+        for row in rows:
+            zeta, counts = np.unique(np.concatenate([[complex(a)], row]), return_counts=True)
+            exact = np.repeat(zeta, counts - 1)[None]
+            free, radii, nearest, _ = poly._free_points(zeta[None], counts[None].astype(float))
+            distance, half_width = poly._distance_bracket(at, exact, free, radii, nearest)
+            reference = _all_pairs_bracket(at, exact, free, radii)
+            assert distance == reference[0]
+            assert half_width >= reference[1]
+            assert half_width == reference[1]
+
+    def test_disc_in_doubt_is_tested_pairwise(self):
+        # Points 1 and 2 are 1e-9 apart with radii 1e-12: pairwise they are
+        # apart, but not by more than the wide radius of point 0.
+        free = np.array([[0.0, 0.5, 0.5 + 1e-9]], dtype=complex)
+        radii = np.array([[1e-3, 1e-12, 1e-12]])
+        nearest = np.array([[0.5, 1e-9, 1e-9]])
+        exact = np.empty((1, 0), dtype=complex)
+        at = np.array([0.5 + 2e-9])
+        _, half_width = poly._distance_bracket(at, exact, free, radii, nearest)
+        _, reference = _all_pairs_bracket(at, exact, free, radii)
+        assert half_width == reference < 1e-11
+
+    @pytest.mark.parametrize("degree", list(KERNEL_DIGESTS))
+    def test_frozen_points_lie_at_the_rounding_floor(self, degree):
+        # A point frozen once its step is 1e-10 of scale sits within a few
+        # roundings of its root, on the disk rows and in the clusters too,
+        # where a point frozen while its neighbours still move used to be
+        # left up to 8.4 roundings off.
+        a, rows = _kernel_rows(degree)
+        zeta = np.sort(np.concatenate([np.full((6, 1), complex(a)), rows[:6]], axis=1), axis=1)
+        free, _, _, settled = poly._free_points(zeta, np.ones(zeta.shape))
+        assert settled.all()
+        for zeros, points in zip(zeta, free):
+            scale = 1.0 + np.abs(zeros).max()
+            for w in points.tolist():
+                assert abs(complex(_mp_newton(zeros, w, 20)) - w) <= 4 * poly._U * scale
+
     @pytest.mark.parametrize("k", [None, (2.0, 1.0, 3.0, 1.0, 2.0)])
     def test_point_on_a_zero_takes_its_multiplicity(self, k):
         # On zeta_j, Q(zeta_j) = k_j prod_{l != j}(zeta_j - zeta_l): the
@@ -840,7 +906,7 @@ class TestKernelStages:
         zeta = np.array([[0.5, -0.3 + 0.4j, 0.1 - 0.7j, -0.6 - 0.2j, 0.2 + 0.1j]])
         mult = np.ones(5) if k is None else np.array(k)
         w = np.array([[zeta[0, 2], 0.05 + 0.3j, -0.4 - 0.1j, 0.3 - 0.3j]])
-        radii = poly._inclusion_radii(w, zeta, None if k is None else mult[None])
+        radii, _ = poly._inclusion_radii(w, zeta, None if k is None else mult[None])
         assert np.isfinite(radii).all()
         with mpmath.workdps(30):
             zs = [mpmath.mpc(z) for z in zeta[0]]

@@ -431,6 +431,13 @@ class TestFuzz:
         assert report.non_converged == trials - resolved.sum()
         assert report.max_sendov_distance == alone[resolved, 0].max()
 
+    @pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 5])
+    @pytest.mark.parametrize("index", [0, 1, 2**32])
+    def test_trial_entropy_words_give_the_documented_generator(self, seed, index):
+        entropy = np.array(verify._words(seed) + verify._words(index), dtype=np.uint32)
+        draws = np.random.default_rng(entropy).random(8)
+        assert draws.tobytes() == np.random.default_rng([seed, index]).random(8).tobytes()
+
     def test_cell_of_many_blocks_gives_the_same_report(self, monkeypatch):
         whole = fuzz_sendov(0.4, 8, 300, seed=9)
         monkeypatch.setattr(poly, "_block_rows", lambda g: 7)
