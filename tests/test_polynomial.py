@@ -869,7 +869,6 @@ class TestKernelStages:
             distance, half_width = poly._distance_bracket(at, exact, free, radii, nearest)
             reference = _all_pairs_bracket(at, exact, free, radii)
             assert distance == reference[0]
-            assert half_width >= reference[1]
             assert half_width == reference[1]
 
     def test_disc_in_doubt_is_tested_pairwise(self):
@@ -888,8 +887,8 @@ class TestKernelStages:
     def test_frozen_points_lie_at_the_rounding_floor(self, degree):
         # A point frozen once its step is 1e-10 of scale sits within a few
         # roundings of its root, on the disk rows and in the clusters too,
-        # where a point frozen while its neighbours still move used to be
-        # left up to 8.4 roundings off.
+        # where a point frozen while its neighbours still move can be left
+        # 8 roundings off (1e-4 clusters at degree 64).
         a, rows = _kernel_rows(degree)
         zeta = np.sort(np.concatenate([np.full((6, 1), complex(a)), rows[:6]], axis=1), axis=1)
         free, _, _, settled = poly._free_points(zeta, np.ones(zeta.shape))
