@@ -13,13 +13,13 @@ each Aberth sweep gathers only the points still moving, and an instance's
 result does not depend on what else is in the block.
 
 The coefficient side (``from_roots``, ``find_roots``) stays for general
-polynomials.  A ``Polynomial`` holds coefficients and tails only.  One
-Aberth sweep loop, from the Newton-polygon starts at every degree, runs
-once in the dtype of its coefficients: first on the binary64
-coefficients, then in clongdouble on the extended-precision coefficients
-``from_roots`` keeps as head + tail pairs, with an mpmath Newton rescue
-for the few roots still adrift.  One Vandermonde evaluator gives p and p'
-everywhere, and each root gets a residual certificate.
+polynomials.  A ``Polynomial`` holds coefficients and tails only;
+``from_roots`` expands in complex double-double, so head + tail carries
+about twice binary64 precision on every platform.  One Aberth sweep loop
+runs from the Newton-polygon starts on the binary64 coefficients, then
+again with p from compensated Horner on head + tail, built on the
+error-free transformations of ``bounds``.  One Vandermonde evaluator gives
+the binary64 p and p', and each root gets a residual certificate.
 
 All public values are immutable and safe to share across threads.  Every
 rejected argument or instance raises ``bounds.DomainError``, the package's
@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import DomainError, _check_a
+from .bounds import DomainError, _check_a, _two_product, _two_sum
 
 __all__ = [
     "InvalidInputError",
@@ -113,12 +113,11 @@ class Polynomial:
     degree >= 1 themselves.
 
     ``tails`` optionally carries the rounding residual of each coefficient,
-    so that coefficients[k] + tails[k] is the polynomial's exact coefficient
-    when that needs more than binary64 (``from_roots`` fills it from its
-    clongdouble expansion).  None means the coefficients are exact.  The
+    so that coefficients[k] + tails[k] is the polynomial's coefficient to
+    about twice binary64 precision (``from_roots`` fills it from its
+    double-double expansion).  None means the coefficients are exact.  The
     tails are finite, one per coefficient, and take no part in equality or
-    ``repr``; only ``find_roots``' clongdouble sweeps and its mpmath rescue
-    read them.
+    ``repr``; only ``find_roots``' compensated sweeps read them.
     """
 
     coefficients: tuple[complex, ...]
@@ -226,8 +225,8 @@ class RootResult:
     residuals[i] = |P(roots[i])| / (max|coeff| * (1+|roots[i]|)^degree);
     converged means every residual is at or below RESIDUAL_TOL.  clusters
     lists index groups whose pairwise distance is below CLUSTER_TOL (likely
-    multiple roots); iterations counts the binary64 Aberth sweeps, at most
-    200, and is 0 when every root is 0.
+    multiple roots); iterations counts the sweeps of the binary64 run
+    before the refinement, at most 200, and is 0 when every root is 0.
     """
 
     roots: tuple[complex, ...]
@@ -265,30 +264,64 @@ class CriticalPointReport:
 def from_roots(roots: Sequence[complex]) -> Polynomial:
     """Monic polynomial with the given roots (incremental (z - r) products).
 
-    The expansion runs in extended precision (clongdouble) and is kept:
-    ``coefficients`` holds each expanded coefficient rounded to binary64
-    and ``tails`` the rounding residual, so head + tail is the clongdouble
-    value exactly.  For ill-conditioned root sets (sensitivity ~1e12 is
-    reachable at degree ~50 in the unit disk) one rounding to binary64
-    already moves the true roots by up to ~2e-7, while the extended
-    coefficients keep them within ~4e-11 on an 80-bit longdouble.  Where
-    longdouble is binary64 (``np.finfo(np.longdouble).nmant <= 52``) the
-    tails are zero and only the binary64 accuracy remains.
+    The expansion runs in complex double-double, on every platform:
+    ``coefficients`` holds each coefficient rounded to binary64 and
+    ``tails`` its low double, and head + tail errs by a few n u^2 of the
+    coefficients of prod(z + |r_j|).  One rounding to binary64 can move the
+    true roots of an ill-conditioned set by up to ~2e-7 at degree ~50 in the
+    unit disk; the tails take that back.  The roots are scaled by a power of
+    two to components of at most 1, and the coefficients back, so Veltkamp's
+    split (x * (2^27 + 1)) stays in range.
     """
     arr = _require_finite_complex(roots, "roots")
     if arr.size == 0:
         raise DomainError("from_roots needs at least one root")
-    coeffs = np.ones(1, dtype=np.clongdouble)
+    n, parts = arr.size, np.ascontiguousarray(arr).view(np.float64)
+    scale = math.frexp(float(np.abs(parts).max()))[1]
+    head, tail = c = np.zeros((2, n + 1), dtype=np.complex128)
+    head[-1] = 1.0
     # An expansion past binary64 range is rejected by Polynomial's finiteness
     # check; numpy's overflow warnings on the way there say nothing more.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r in arr.astype(np.clongdouble):
-            coeffs = np.convolve(coeffs, np.array([-r, 1.0], dtype=np.clongdouble))
-        head = coeffs.astype(np.complex128)
-        tail = (coeffs - head).astype(np.complex128)
+    with np.errstate(all="ignore"):
+        # From z^n, each root multiplies by (z - r)/z: c_k -= r c_(k+1).
+        for r in np.ldexp(parts, -scale).view(np.complex128):
+            p, e = _complex_product(head[1:], r)
+            s, f = _two_sum(head[:-1], -p)
+            head[:-1], tail[:-1] = _two_sum(s, f + tail[:-1] - e - r * tail[1:])
+        powers = np.repeat(scale * np.arange(n, -1, -1), 2)
+        c = np.ldexp(c.view(np.float64), powers).view(np.complex128)
     # tolist() hands over Python complex values, which validate faster than
     # numpy scalars; the values are the same.
-    return Polynomial(tuple(head.tolist()), tuple(tail.tolist()))
+    return Polynomial(tuple(c[0].tolist()), tuple(c[1].tolist()))
+
+
+def _complex_product(x: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
+    """(s, e) with s + e = x * y up to a few u^2 |x| |y|, for a complex array
+    x and a complex y that broadcasts against it (TwoProdCplx of Graillat &
+    Menissier-Morain 2012): ``bounds._two_product`` makes the four real
+    products exact and ``_two_sum`` the two sums, barring under- and overflow."""
+    p, e = _two_product(
+        x.view(np.float64).reshape(*x.shape, 2, 1),
+        np.stack([y.real, y.imag, -y.imag, y.real], axis=-1).reshape(*np.shape(y), 2, 2),
+    )
+    p, e = p.view(np.complex128), e.view(np.complex128)
+    s, f = _two_sum(p[..., 0, 0], p[..., 1, 0])
+    return s, f + e[..., 0, 0] + e[..., 1, 0]
+
+
+def _compensated_horner(head: np.ndarray, tail: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """p(z) at every z for p = sum (head_k + tail_k) z^k, as accurate as
+    Horner in twice binary64 precision then rounded (Graillat, Langlois &
+    Louvet 2009): each step's rounding errors, exact by ``_complex_product``
+    and ``_two_sum``, and the tails feed a second, binary64 Horner added at
+    the end.  A value past Veltkamp's split range gives NaN."""
+    s = np.full_like(z, head[-1])
+    r = np.full_like(z, tail[-1])
+    for h, t in zip(head[-2::-1], tail[-2::-1]):
+        p, e = _complex_product(s, z)
+        s, f = _two_sum(p, h)
+        r = r * z + (e + f + t)
+    return s + r
 
 
 def evaluate(p: Polynomial, z: complex) -> complex:
@@ -298,8 +331,8 @@ def evaluate(p: Polynomial, z: complex) -> complex:
 
 
 def _values(c: np.ndarray, z: np.ndarray, derivative: bool = False):
-    """p(z) for every z at once, and p'(z) too with ``derivative``, in the
-    dtype of c and z: one Vandermonde matrix V[i, k] = z_i^k gives p = V c
+    """p(z) for every z at once, and p'(z) too with ``derivative``, in
+    binary64: one Vandermonde matrix V[i, k] = z_i^k gives p = V c
     and p' = V[:, :-1] (k c_k).  A value past the floating range comes back
     inf or nan without a warning; every caller handles it."""
     n = len(c) - 1
@@ -322,9 +355,11 @@ def _certified_residuals(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(pz), residuals, np.inf)
 
 
-def _aberth(c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, int, bool]:
+def _aberth(c: np.ndarray, z: np.ndarray, tails=None) -> tuple[np.ndarray, int, bool]:
     """Aberth-Ehrlich sweeps on the roots of sum c_k z^k from the
-    approximations z, in the dtype of c; returns (z, sweeps, arrived).
+    approximations z; returns (z, sweeps, arrived).  p' always comes from
+    binary64, and so does p unless ``tails`` are given: then p is the
+    compensated Horner value on c + tails, wherever that stays in range.
     It arrives after two sweeps in a row whose steps are all at most 1e-13
     of 1 + |z|, or once they are at most 1e-5 and have not shrunk in ten
     sweeps, and gives up after 200 sweeps."""
@@ -336,6 +371,9 @@ def _aberth(c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, int, bool]:
         for _ in range(_MAX_ITER):
             sweeps += 1
             pz, dpz = _values(c, z, derivative=True)
+            if tails is not None:
+                exact = _compensated_horner(c, tails, z)
+                pz = np.where(np.isfinite(exact), exact, pz)
             w = pz / dpz
             bad = ~np.isfinite(w)
             if bad.any():
@@ -368,42 +406,6 @@ def _aberth(c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, int, bool]:
                 if stall >= 10 and step_max <= 1e-5:
                     return z, sweeps, True
     return z, sweeps, False
-
-
-def _polish(p: Polynomial, exact: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """50-digit Newton finish for the roots z still adrift after the sweeps
-    on ``exact``, p's coefficients + ``tails`` in clongdouble.
-
-    A random degree-50 unit-disk polynomial can have |p'(root)| ~ 1e-9 with
-    coefficient mass ~ 1e4, putting even the 80-bit evaluation noise floor
-    above 1e-8 of root error.  A root whose Newton step on ``exact`` is over
-    1e-10 of 1 + |z| is refined in mpmath against coefficients + tails.
-    """
-    pz, dpz = _values(exact, z, derivative=True)
-    with np.errstate(all="ignore"):
-        w = pz / dpz
-    w = np.where(np.isfinite(w), w, 0.0)
-    stubborn = np.nonzero(np.abs(w) > 1e-10 * (1.0 + np.abs(z)))[0]
-    if stubborn.size:
-        import mpmath as mp
-
-        with mp.workdps(50):
-            cs = [mp.mpc(c) for c in p.coefficients]
-            if p.tails is not None:
-                cs = [c + mp.mpc(t) for c, t in zip(cs, p.tails)]
-            cs.reverse()
-            for i in stubborn:
-                x = mp.mpc(complex(z[i]))
-                for _ in range(8):
-                    pv, dv = mp.polyval(cs, x, derivative=True)
-                    if dv == 0:
-                        break
-                    delta = pv / dv
-                    x -= delta
-                    if abs(delta) <= 1e-16 * (1 + abs(x)):
-                        break
-                z[i] = complex(x)
-    return z.astype(np.complex128)
 
 
 def _clusters(z: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -440,12 +442,13 @@ def find_roots(p: Polynomial) -> RootResult:
     (|c_k1|/|c_k2|)^(1/(k2 - k1)), at equal angles turned by a multiple of
     a fixed irrational offset, so roots whose moduli span decades each
     start near their own modulus.  One run of ``_aberth`` on the binary64
-    monic coefficients c_k/c_n follows.  The same sweeps then run in
-    clongdouble on coefficients + ``tails``, and ``_polish`` finishes any
-    root still adrift.  ``converged`` reflects the binary64 residual
-    certificates of the final values (a non-converged report is returned
-    rather than guessing); ``iterations`` counts the binary64 sweeps.  A
-    ratio c_k/c_n past binary64 range raises ``DomainError``.
+    monic coefficients c_k/c_n follows; the same sweeps then refine the
+    roots, usually in two or three, with p from compensated Horner on
+    coefficients + ``tails`` and p' from binary64.  ``converged`` reflects
+    the binary64 residual certificates of the final values (a non-converged
+    report is returned rather than guessing); ``iterations`` counts the
+    sweeps of the first run.  A ratio c_k/c_n past binary64 range raises
+    ``DomainError``.
     """
     if p.degree < 1:
         raise DomainError("find_roots needs degree >= 1")
@@ -469,11 +472,8 @@ def find_roots(p: Polynomial) -> RootResult:
     iterations = 0
     if z.size:
         z, iterations, _ = _aberth(monic, z)
-        exact = coeffs[low:].astype(np.clongdouble)
-        if p.tails is not None:
-            exact += np.asarray(p.tails[low:]).astype(np.clongdouble)
-        z, _, _ = _aberth(exact, z.astype(np.clongdouble))
-        z = _polish(p, exact, z)
+        tails = np.zeros_like(coeffs) if p.tails is None else np.asarray(p.tails)
+        z, _, _ = _aberth(coeffs[low:], z, tails[low:])
     z = np.concatenate((np.zeros(low, dtype=np.complex128), z))
     order = np.lexsort((z.imag, z.real))
     z = z[order]

@@ -140,12 +140,13 @@ def test_criterion_5_root_finder_oracle():
         _, w = match_roots(res.roots, roots)
         if w > 1e-8:
             over_budget += 1
-        if w > worst:
+        # >= keeps a worst draw when every round trip is exact.
+        if w >= worst:
             worst, worst_case = w, (roots, p, res)
     elapsed = time.perf_counter() - start
 
     # Attribute the worst draw by comparing against 60-digit roots of the
-    # coefficients the finder consumes: the extended-precision expansion,
+    # coefficients the finder consumes: the double-double expansion,
     # binary64 head + tail, summed exactly in mpmath.
     roots, p, res = worst_case
     mpmath.mp.dps = 60
@@ -170,7 +171,7 @@ def test_criterion_5_root_finder_oracle():
         f"{sweeps} binary64 sweeps, "
         f"{elapsed:.1f}s; worst draw (degree {p.degree}) decomposes into "
         f"finder-vs-exact {finder_err:.3e} plus the shift of the exact roots "
-        f"of the extended-precision (head + tail) coefficients "
+        f"of the double-double (head + tail) coefficients "
         f"{representation_err:.3e}"
     )
     record_criterion(5, ok, detail)

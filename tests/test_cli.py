@@ -411,9 +411,10 @@ class TestOneProcess:
         assert code == 0
 
     def test_no_command_imports_scipy_or_mpmath(self, tmp_path):
-        # find_roots' mpmath rescue and match_roots' scipy assignment import
-        # lazily; importing scipy.optimize alone costs a large share of a
-        # command's start-up.  Every command runs once in a fresh interpreter.
+        # No module of the package imports mpmath, and match_roots' scipy
+        # assignment imports lazily; importing scipy.optimize alone costs a
+        # large share of a command's start-up.  Every command runs once in a
+        # fresh interpreter.
         path = tmp_path / "inst.json"
         path.write_text(THREE_ZEROS)
         script = (

@@ -3,8 +3,12 @@
 import cmath
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -39,6 +43,14 @@ def _disk_roots(rng, degree, separation=1e-3):
         if all(abs(z - w) >= separation for w in roots):
             roots.append(z)
     return tuple(roots)
+
+
+def _tail_draws():
+    """Disk draws of degree 3, 34 and 64, the last with a pair 1e-5 apart
+    added."""
+    draws = [_disk_roots(np.random.default_rng(d), d) for d in (3, 34, 64)]
+    draws[-1] += (draws[-1][0] + 1e-5,)
+    return draws
 
 
 complex_in_disk = st.builds(
@@ -125,16 +137,61 @@ class TestFromRootsAndEvaluate:
         p = from_roots((1.0, -1.0))
         assert np.allclose(p.coefficients, (-1.0, 0.0, 1.0), rtol=0, atol=1e-15)
 
-    def test_head_plus_tail_is_the_extended_expansion(self):
-        roots = _disk_roots(np.random.default_rng(3), 30)
-        expanded = np.ones(1, dtype=np.clongdouble)
-        for r in np.asarray(roots).astype(np.clongdouble):
-            expanded = np.convolve(expanded, np.array([-r, 1.0], dtype=np.clongdouble))
+    def test_strided_roots_expand_as_a_tuple_does(self):
+        roots = np.array([0.5, 9.0, -0.25j, 9.0, 0.1 + 0.2j, 9.0])[::2]
         p = from_roots(roots)
-        head = np.asarray(p.coefficients).astype(np.clongdouble)
-        tail = np.asarray(p.tails).astype(np.clongdouble)
-        assert np.array_equal(head + tail, expanded)
-        assert np.array_equal(head, expanded.astype(np.complex128))
+        assert p.coefficients == from_roots(tuple(roots.tolist())).coefficients
+        assert p.tails == from_roots(tuple(roots.tolist())).tails
+
+    def test_head_plus_tail_is_the_extended_expansion(self):
+        # Against the exact expansion (60 digits hold it exactly here), the
+        # double-double head + tail errs by a few n u^2 of the coefficients
+        # of prod(z + |r_j|): about 3e-32 at degree 30.  The head is head +
+        # tail rounded to binary64.
+        roots = _disk_roots(np.random.default_rng(3), 30)
+        with mpmath.workdps(60):
+            exact, absolute = [mpmath.mpc(1)], [mpmath.mpf(1)]
+            for r in map(mpmath.mpc, roots):
+                exact = [c - r * b for c, b in zip([0] + exact, exact + [0])]
+                absolute = [c + abs(r) * b for c, b in zip([0] + absolute, absolute + [0])]
+            p = from_roots(roots)
+            for h, t, c, bound in zip(p.coefficients, p.tails, exact, absolute):
+                assert abs(mpmath.mpc(h) + mpmath.mpc(t) - c) <= 1e-30 * bound
+                assert h + t == h
+
+    def test_compensated_horner_is_twice_binary64(self):
+        # Near its roots p(z) cancels to about 1e-16 of sum |c_k| |z|^k, the
+        # error of binary64 Horner; the compensated value is correct to a
+        # few units of its own size plus a few u^2 of that sum.
+        roots = _disk_roots(np.random.default_rng(5), 30)
+        p = from_roots(roots)
+        rng = np.random.default_rng(6)
+        # Half the points lie within 1e-9 of a root, half about 0.3 off one.
+        z = np.asarray(roots) * (1.0 + 1e-9 * rng.normal(size=30))
+        z[1::2] += 0.3 * rng.normal(size=15)
+        values = poly._compensated_horner(np.asarray(p.coefficients), np.asarray(p.tails), z)
+        with mpmath.workdps(60):
+            cs = [mpmath.mpc(h) + mpmath.mpc(t) for h, t in zip(p.coefficients, p.tails)][::-1]
+            for x, value in zip(z, values):
+                exact = mpmath.polyval(cs, mpmath.mpc(x))
+                size = mpmath.polyval([abs(c) for c in cs], abs(mpmath.mpc(x)))
+                assert abs(value - exact) <= 4 * 2.0 ** -53 * abs(exact) + 1e-29 * size
+
+    @pytest.mark.parametrize("roots", [(1.5e300,), (2e150, 3e150j), (3e-300, -2e-300j)])
+    def test_expansion_scales_roots_near_the_ends_of_binary64(self, roots):
+        # Veltkamp's split multiplies by 2^27 + 1 and overflows above about
+        # 1.3e300: from_roots scales the roots by a power of two, so these
+        # expand with finite tails and no warning.  The constant term of
+        # the last, 6e-600, is below binary64 range and comes back as 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = from_roots(roots)
+        with mpmath.workdps(60):
+            exact = [mpmath.mpc(1)]
+            for r in map(mpmath.mpc, roots):
+                exact = [c - r * b for c, b in zip([0] + exact, exact + [0])]
+            for h, t, c in zip(p.coefficients, p.tails, exact):
+                assert abs(mpmath.mpc(h) + mpmath.mpc(t) - c) <= 1e-30 * abs(c) + 2.0 ** -1074
 
     def test_evaluate_matches_numpy_polyval(self):
         rng = np.random.default_rng(7)
@@ -219,8 +276,7 @@ class TestFindRoots:
     def test_round_trip_low_degree(self):
         # At degree <= 20 with separation >= 1e-3 the full pipeline -- expand
         # to coefficients, refind -- stays below 1e-8.  It holds from the
-        # binary64 coefficients alone as well, so also where longdouble is
-        # binary64 and the tails are zero.
+        # binary64 coefficients alone as well.
         rng = np.random.default_rng(20800)
         worst = 0.0
         for _ in range(200):
@@ -246,7 +302,8 @@ class TestFindRoots:
             res = find_roots(p)
             assert res.converged
             _, w = match_roots(res.roots, roots)
-            if w > worst[0]:
+            # >= keeps a draw when every round trip is exact.
+            if w >= worst[0]:
                 worst = (w, p, res)
         _, p, res = worst
         mpmath.mp.dps = 60
@@ -265,16 +322,34 @@ class TestFindRoots:
         assert finder_err <= 1e-8
 
     def test_solves_from_coefficients_and_tails_only(self):
-        # The last draw adds a pair 1e-5 apart at degree 65, which sends
-        # roots through the mpmath rescue: summing the tails there too keeps
-        # its round trip at ~1.5e-9, where the binary64 coefficients alone
-        # give ~5e-6.
-        draws = [_disk_roots(np.random.default_rng(d), d) for d in (3, 34, 64)]
-        draws[-1] += (draws[-1][0] + 1e-5,)
-        for roots in draws:
+        # The last draw adds a pair 1e-5 apart at degree 65: the compensated
+        # sweeps on head + tail bring its round trip within 1e-8, where the
+        # binary64 coefficients alone give ~3e-6.
+        for roots in _tail_draws():
             res = find_roots(from_roots(roots))
             _, worst = match_roots(res.roots, roots)
             assert worst <= 1e-8
+
+    def test_finder_never_imports_mpmath(self):
+        # The finder refines the degree-65 draw above with error-free
+        # transformations of binary64 alone: a fresh interpreter that runs
+        # it has not imported mpmath.
+        roots = _tail_draws()[-1]
+        script = (
+            "import sys\n"
+            "from sendov_lab.polynomial import find_roots, from_roots, match_roots\n"
+            f"roots = {roots!r}\n"
+            "res = find_roots(from_roots(roots))\n"
+            "print(match_roots(res.roots, roots)[1], 'mpmath' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(sendov_lab.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=False,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        worst, imported = done.stdout.split()
+        assert float(worst) <= 1e-8
+        assert imported == "False"
 
     def test_sorted_deterministically(self):
         roots = (0.5, -0.5, 0.3j, -0.3j)
