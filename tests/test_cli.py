@@ -45,13 +45,13 @@ STDOUT_DIGESTS = {
     ("mean-bound", "json"): "846c4f6437205eea17f5d16fd79254792cb5e027bd111b33f29054ad6b657db4",
     ("mean-bound", "csv"): "833af997b8a6089c95e413cd2bcc72d6b2354fe6ba4a858a583741417a429513",
     ("fuzz", "text"): "3a1acae1e95ad2ea6ca8482140ed28eeea52ebe3038024789ccdb36327267caf",
-    ("fuzz", "json"): "7b62aba7e03992a7582f9cb9f04851d48e5a45d339143c9a0bca09c50e8a8801",
-    ("fuzz", "csv"): "0221db2db3db066a66719a2bbc34458bd3b75033bf949ef7e8e3c2bb30d83646",
+    ("fuzz", "json"): "e2e939378f1815b0e115ff1272bca1c56e0cf0359511dbd48a19d04cba5b3c1c",
+    ("fuzz", "csv"): "cfd5fb7ffdef578ee25c0b8909185e71bce3691c0515c17fe90819eb7f6488f6",
     ("verify", "text"): "449d0485194dd4ad0c8e0d6b2f25d75ae7643674ae674764d97be755ba4d10e6",
     ("verify", "json"): "473c6dd4099c9aa6ebc9dde28c3ea046422f2f1db16f97911f677278a1097485",
     ("verify", "csv"): "3cc015ff1154e7c5557ffc8aef09f327dbf417404990c88db531be88cc1c7ff0",
     ("check", "text"): "8695a81cd09297a87e89a26009fd523fa9331ef609201e64b45471a88adee5a0",
-    ("check", "json"): "87e961fdd77bf1f27255c404cf47d867956d7ad0b475dee1546739fc43566913",
+    ("check", "json"): "91447583d720e181c12f5489246f14042788aeedd0f911d0237b3eb0243320b4",
 }
 
 BREAKDOWN_FIELDS = [

@@ -682,6 +682,31 @@ class TestCertifiedCriticalPoints:
             assert abs(rep.sendov_distance - reference) <= rep.distance_radius
         assert rep.verdict(1.0 + 1e-9) == "PASS"
 
+    def test_tight_pair_at_a_resolves(self):
+        # A zero 4.1e-14 from a: Newton steps of Q from the pair's two zeros
+        # put their starts one ulp apart, beyond 1e-6 of their 2e-14 steps,
+        # and both settled on one root (UNRESOLVED, half-width 1.06).
+        a = 0.5989060069822403
+        zeros = ((0.5989060069822073 - 2.4140235746681387e-14j),
+                 (-0.9037225893838114 - 0.21361327858733783j),
+                 (-0.6050448140385332 + 0.3221081468771404j),
+                 (0.013008066243261089 + 0.2762881009318874j),
+                 (0.06513850961545585 + 0.21062142428989847j))
+        rep = critical_report(SendovInstance(a=a, other_zeros=zeros))
+        assert rep.verdict(1.0 + 1e-9) == "PASS"
+        with mpmath.workdps(30):
+            coeffs = [mpmath.mpc(1)]
+            for z in (a,) + zeros:
+                coeffs = [c - mpmath.mpc(z) * b for c, b in zip(coeffs + [0], [0] + coeffs)]
+            n = len(coeffs) - 1
+            derivative = [c * (n - j) for j, c in enumerate(coeffs[:-1])]
+            roots = mpmath.polyroots(derivative, maxsteps=200, extraprec=60)
+            reference = min(abs(w - a) for w in roots)
+            # A critical point rounded to binary64 before |w - a| gives
+            # 2.04777e-14 (as bench/oracle.py does): 4.5e-17 off.
+            assert math.isclose(reference, 2.0432883e-14, rel_tol=1e-7)
+            assert abs(rep.sendov_distance - reference) <= rep.distance_radius
+
     def test_zeros_crowding_a_resolve(self):
         # Two zeros within 4e-12 of a: every step there is below 1e-13, and
         # points frozen at their first small step stopped before they had
@@ -804,16 +829,16 @@ def _kernel_rows(degree):
 # SHA-256 of the kernel's output on _kernel_rows: sendov_distances'
 # (distance, radius) bytes, and every row's critical_report points and radii.
 KERNEL_DIGESTS = {
-    3: ("1897b0bafcfae64acdb6c55092767d98330aeea1bd88580d55f0df32b4a96eed",
-        "58b51538632893b37d72eaf3108c7629200b2d8f2af30d087b94cb19088468dc"),
-    8: ("297d39c9b06805d6062dc2e8832054e80fc9900e7c18f530501c77a8607414e0",
-        "eccca48085ce98db05c07e89f3581d1064260bfb79f7488a64414e4cf897f20f"),
-    17: ("e0b67cb7aa8a9e7b879ee05ab0781c45924148ac9e77339fa74c2537f4a2fee1",
-         "1fd1bf7165382736deab740f13b9dfd54cfb7d74bf041be295120786e05bd5bb"),
-    64: ("b0a81acec117c2dba73ebc8ab10af90da2d0ce68c9f798a346d6d887296f60c4",
-         "ad4fca2f9920179944db4881a0339ce542f02a75d2cae6b49751fa26e911c63f"),
-    200: ("81c51497ac364905d692a53b021a340153d88706db0e0c83eb97f64b2182fb19",
-          "5adfc4bcce52d8eb734279644eea6b03e850724f5463ec199ffb6891316655c1"),
+    3: ("d4c12371937d8663ce4286ce6c6e970b688750765519dad425abcd62b849457b",
+        "97b1bad00d574b333028fea773aa8dc520c4fad5b722bd88d5fda2f98e729f06"),
+    8: ("9ebc51a79a50904ddab48253066d89b4d1ca757adbb7eac62e5889062397a726",
+        "79d0103196c26c81de281f348bb6d4c993c60cebf17c2c884367cae475518481"),
+    17: ("e18205a6311680b27c6c9341c95d84bd0c865511d7f503af54df9502a6a393eb",
+         "3b7b9ff243aa395c74461bfcbe89a7b21c59b6ff7afe5fa7046aec05cb343cf0"),
+    64: ("6c3cdf94438575abfc83c44dae5196c15f2c9323d0a804b5b1b9238cd310239d",
+         "f47ee6202792806b7700c37757f3cd45ceb435cbe3c3416cc1d1c2581260dd70"),
+    200: ("c83b9529e401c694e571ab5b047337ead4455fa87f0a1a3f4b6a465f153c0084",
+          "252ab30f817c9c01ef6ae9448ea5cda18506d26c22086916d2f1fa9fa9243c26"),
 }
 
 
@@ -835,19 +860,25 @@ class TestPinnedKernelBytes:
 
 
 def _full_matrix_starts(zeta, k):
-    """(starts, crowded) by the crowded rule over every pair of steps, with
-    np.tril on the whole matrix: the reference for ``_starts``."""
+    """(starts, crowded) by the second-order step k/(F + k T/F) and the
+    crowded rule over every pair of steps, with np.tril on the whole matrix:
+    the reference for ``_starts``."""
     rows, g = zeta.shape
     m = g - 1
     with np.errstate(all="ignore"):
-        gaps = 1.0 / (zeta[:, :, None] - zeta[:, None, :])
+        gaps = np.reciprocal(zeta[:, :, None] - zeta[:, None, :])
         gaps[:, np.arange(g), np.arange(g)] = 0.0
-        steps = k / (k * gaps.sum(axis=-1) + (gaps * k[:, None, :]).sum(axis=-1))
+        f = (gaps * k[:, None, :]).sum(axis=-1)
+        t = (gaps * k[:, None, :] * gaps).sum(axis=-1)
+        steps = k / (f + k * t / f)
+        steps[~np.isfinite(steps) | (steps == 0.0)] = np.nan
         kept = np.ones((rows, g), dtype=bool)
         kept[np.arange(rows), np.argmax(np.abs(steps), axis=-1)] = False
         near = (zeta - steps)[kept].reshape(rows, m)
-        reach = np.abs(steps)[kept].reshape(rows, m)
-        crowded = np.abs(near[:, :, None] - near[:, None, :]) <= 1e-6 * reach[:, :, None]
+        reach = np.maximum(
+            1e-6 * np.abs(steps)[kept].reshape(rows, m), 4.0 * poly._U * np.abs(near)
+        )
+        crowded = np.abs(near[:, :, None] - near[:, None, :]) <= reach[:, :, None]
     crowded = np.tril(crowded, -1).any(axis=-1)
     center = (k * zeta).sum(axis=-1) / k.sum(axis=-1)
     radius = np.abs(zeta - center[:, None]).max(axis=-1)
@@ -930,6 +961,23 @@ class TestKernelStages:
             assert starts[0, 0].real == starts[0, 1].real
             assert starts[0, 0].imag != starts[0, 1].imag
 
+    def test_crowded_floor_matches_the_full_matrix(self):
+        # A zero 8e-13 from a: the pair's two starts lie one ulp (1.1e-16)
+        # apart, where 1e-6 of their 4.2e-13 steps is 4e-19.  Only the 4u
+        # floor finds them crowded; without it both settle on one root
+        # (UNRESOLVED, half-width 3.4).
+        a = 0.9167938890820101
+        zeros = (0.9167938890811962 + 2.2065812524919434e-13j,
+                 0.004242042995801971 + 0.8883383887593382j)
+        zeta = np.unique(np.array((a,) + zeros))[None]
+        ones = np.ones(zeta.shape)
+        starts, crowded = _full_matrix_starts(zeta, ones)
+        assert crowded.tolist() == [[False, True]]
+        assert poly._starts(zeta, None).tobytes() == starts.tobytes()
+        assert poly._starts(zeta, ones).tobytes() == starts.tobytes()
+        rep = critical_report(SendovInstance(a=a, other_zeros=zeros))
+        assert rep.verdict(1.0 + 1e-9) == "PASS"
+
     @pytest.mark.parametrize("degree", list(KERNEL_DIGESTS))
     def test_isolation_from_the_radii_matches_the_all_pairs_rule(self, degree):
         # A disc farther from its nearest neighbour than its radius plus the
@@ -972,6 +1020,29 @@ class TestKernelStages:
             scale = 1.0 + np.abs(zeros).max()
             for w in points.tolist():
                 assert abs(complex(_mp_newton(zeros, w, 20)) - w) <= 4 * poly._U * scale
+
+    def test_second_order_starts_save_evaluations(self, monkeypatch):
+        # Points that _aberth_corrections evaluates, over all sweeps.  A
+        # Newton step of Q from each zero gave 4.16 per point on this block
+        # and 1161 (6 sweeps) on the circle row; the second-order step gives
+        # 3.30 and 960 (5 sweeps).  The bounds lie halfway between.
+        evaluated = []
+
+        def counted(w, zeta, kc, points):
+            evaluated.append(points[0].size)
+            return corrections(w, zeta, kc, points)
+
+        corrections = poly._aberth_corrections
+        monkeypatch.setattr(poly, "_aberth_corrections", counted)
+        rng = np.random.default_rng([0x53574545, 0])
+        radius, angle = np.sqrt(rng.uniform(size=(200, 63))), rng.uniform(size=(200, 63))
+        others = radius * np.exp(2j * np.pi * angle)
+        poly.sendov_distances(0.5, others)
+        assert sum(evaluated) / others.size <= 3.73
+        evaluated.clear()
+        circle = tuple(np.exp(2j * np.pi * np.arange(199) / 199).tolist())
+        critical_report(SendovInstance(a=0.5, other_zeros=circle))
+        assert sum(evaluated) <= 1060
 
     @pytest.mark.parametrize("k", [None, (2.0, 1.0, 3.0, 1.0, 2.0)])
     def test_point_on_a_zero_takes_its_multiplicity(self, k):

@@ -13,10 +13,13 @@ z^m = -1 turned by a seeded angle.
 Over all rows it prints the worst distance from a critical point of one
 tree to the nearest point of the other, the range of the ratio of each
 row's largest radius (change over parent), the largest ratio of bracket
-half-widths, and the worst difference between the Sendov distances.  The
-two versions agree within the certified error bar when every difference of
-distances is at most the sum of the two half-widths; the script exits 1 if
-one is not.
+half-widths, and the worst difference between the Sendov distances.  For
+each family it prints the rows whose verdict at 1 + 1e-9 differs between
+the two trees.  The two versions agree within the certified error bar when
+every difference of distances is at most the sum of the two half-widths,
+and the change resolves every row the parent resolves; the script exits 1
+on a distance beyond the brackets or on a PASS or FAIL of the parent that
+is UNRESOLVED in the change.
 """
 
 from __future__ import annotations
@@ -31,6 +34,18 @@ DEGREES = (3, 4, 5, 6, 8, 11, 16, 17, 23, 32, 45, 64, 90, 128, 200)
 # Rounds of the eight row families per degree: 15 degrees x 34 x 8 = 4080 rows.
 ROUNDS = 34
 _TAG = 0x41475245
+# The rows of one round, in the order ``rows`` builds them.
+FAMILIES = (
+    "disk, first draw",
+    "disk, second draw",
+    "clusters of spread 1e-9",
+    "clusters of spread 1e-4",
+    "repeated zeros",
+    "a zero equal to a",
+    "zeros within 1e-12 of a",
+    "unit circle",
+)
+THRESHOLD = 1.0 + 1e-9
 
 
 def load(src: str, name: str):
@@ -48,7 +63,8 @@ def load(src: str, name: str):
 
 
 def rows(degree: int, round_: int) -> tuple[float, list[np.ndarray]]:
-    """(a, eight rows of other zeros) for one round at one degree."""
+    """(a, rows of other zeros) for one round at one degree, one row per
+    entry of ``FAMILIES``."""
     rng = np.random.default_rng([_TAG, degree, round_])
     m = degree - 1
 
@@ -81,10 +97,12 @@ def main(argv: list[str]) -> int:
     worst_bracket = 0.0
     worst_distance = 0.0
     beyond = 0
+    changed = {family: [] for family in FAMILIES}
+    lost = 0
     for degree in DEGREES:
         for round_ in range(ROUNDS):
             a, others = rows(degree, round_)
-            for row in others:
+            for family, row in zip(FAMILIES, others):
                 zeros = tuple(row.tolist())
                 old = parent.critical_report(parent.SendovInstance(a, zeros))
                 new = change.critical_report(change.SendovInstance(a, zeros))
@@ -109,6 +127,13 @@ def main(argv: list[str]) -> int:
                     beyond += 1
                     print(f"beyond the brackets: degree {degree}, round {round_}, a {a!r}, "
                           f"|delta distance| {difference:.3e}")
+                verdicts = old.verdict(THRESHOLD), new.verdict(THRESHOLD)
+                if verdicts[0] != verdicts[1]:
+                    changed[family].append(
+                        f"degree {degree}, round {round_}: {verdicts[0]} -> {verdicts[1]}, "
+                        f"half-width {old.distance_radius:.3e} -> {new.distance_radius:.3e}"
+                    )
+                    lost += verdicts[0] != "UNRESOLVED" and verdicts[1] == "UNRESOLVED"
     ratios = np.array(ratios)
     print(f"rows: {count} at degrees {DEGREES[0]}-{DEGREES[-1]}")
     print(f"worst point difference: {worst_point:.3e}")
@@ -116,7 +141,13 @@ def main(argv: list[str]) -> int:
     print(f"largest bracket growth, change / parent: {max(worst_bracket, 1.0):.4f}")
     print(f"worst |delta distance|: {worst_distance:.3e}")
     print(f"distances beyond the two brackets: {beyond}")
-    return 1 if beyond else 0
+    print(f"verdict changes at {THRESHOLD!r}, per family:")
+    for family, lines in changed.items():
+        print(f"  {family}: {len(lines)}")
+        for line in lines:
+            print(f"    {line}")
+    print(f"rows resolved by the parent, UNRESOLVED in the change: {lost}")
+    return 1 if beyond or lost else 0
 
 
 if __name__ == "__main__":
