@@ -5,8 +5,8 @@ The package has three layers:
 * :mod:`sendov_lab.bounds` — closed-form evaluation of every quantity in the
   effective degree threshold, culminating in 20800 / (a^7 (1-a)^4);
 * :mod:`sendov_lab.polynomial` — critical points of Sendov instances computed
-  from their zeros and certified by inclusion discs, plus a residual-certified
-  root finder for polynomials in coefficient form;
+  from their zeros and certified by inclusion discs, plus a root finder for
+  polynomials in coefficient form whose roots get inclusion discs too;
 * :mod:`sendov_lab.verify` — deterministic inequality suites, limit checks,
   the majorization-chain audit, and randomized conjecture fuzzing.
 

@@ -15,11 +15,12 @@ result does not depend on what else is in the block.
 The coefficient side (``from_roots``, ``find_roots``) stays for general
 polynomials.  A ``Polynomial`` holds coefficients and tails only;
 ``from_roots`` expands in complex double-double, so head + tail carries
-about twice binary64 precision on every platform.  One Aberth sweep loop
-runs from the Newton-polygon starts on the binary64 coefficients, then
-again with p from compensated Horner on head + tail, built on the
-error-free transformations of ``bounds``.  One Vandermonde evaluator gives
-the binary64 p and p', and each root gets a residual certificate.
+about twice binary64 precision on every platform.  One Borsch-Supan sweep
+loop, which reads p alone, runs from the Newton-polygon starts on the
+binary64 coefficients, then again with p from compensated Horner on
+head + tail, built on the error-free transformations of ``bounds``.  The
+Weierstrass corrections of its last sweep give each root an inclusion
+radius, as the critical points get theirs.
 
 All public values are immutable and safe to share across threads.  Every
 rejected argument or instance raises ``bounds.DomainError``, the package's
@@ -54,12 +55,7 @@ __all__ = [
     "hull_distance",
 ]
 
-# Residual threshold certifying a reported root: |P(r)| <= tol * scale with
-# scale = max |coeff| * (1 + |r|)^degree.
-RESIDUAL_TOL = 1e-10
-# Two reported roots closer than this are flagged as one cluster.
-CLUSTER_TOL = 1e-7
-
+# Sweeps in each run of the root finder before it gives up.
 _MAX_ITER = 200
 # Sweeps of the critical-point iteration before it reports not converged.
 _MAX_SWEEPS = 300
@@ -220,17 +216,18 @@ class SendovInstance:
 
 @dataclass(frozen=True)
 class RootResult:
-    """Roots reported by find_roots plus their certificates.
+    """Roots reported by find_roots with their inclusion discs.
 
-    residuals[i] = |P(roots[i])| / (max|coeff| * (1+|roots[i]|)^degree);
-    converged means every residual is at or below RESIDUAL_TOL.  clusters
-    lists index groups whose pairwise distance is below CLUSTER_TOL (likely
-    multiple roots); iterations counts the sweeps of the binary64 run
-    before the refinement, at most 200, and is 0 when every root is 0.
+    Every root of P lies in the union of the discs |z - roots[i]| <= radii[i],
+    and a connected group of d overlapping discs holds d of them; radius 0
+    marks an exact root at 0.  converged means every radius is finite.
+    clusters lists the groups of two or more discs (likely multiple roots);
+    iterations counts the sweeps of the binary64 run before the refinement,
+    at most 200, and is 0 when every root is 0.
     """
 
     roots: tuple[complex, ...]
-    residuals: tuple[float, ...]
+    radii: tuple[float, ...]
     converged: bool
     iterations: int
     clusters: tuple[tuple[int, ...], ...]
@@ -330,138 +327,142 @@ def evaluate(p: Polynomial, z: complex) -> complex:
     return complex(_values(np.asarray(p.coefficients), z)[0])
 
 
-def _values(c: np.ndarray, z: np.ndarray, derivative: bool = False):
-    """p(z) for every z at once, and p'(z) too with ``derivative``, in
-    binary64: one Vandermonde matrix V[i, k] = z_i^k gives p = V c
-    and p' = V[:, :-1] (k c_k).  A value past the floating range comes back
-    inf or nan without a warning; every caller handles it."""
-    n = len(c) - 1
+def _values(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """p(z) for every z at once in binary64, from the Vandermonde matrix of
+    z; a value past the floating range comes back inf or nan, unwarned."""
     with np.errstate(all="ignore"):
-        v = np.vander(z, n + 1, increasing=True)
-        pz = v @ c
-        if not derivative:
-            return pz
-        return pz, v[:, :n] @ (c[1:] * np.arange(1, n + 1))
+        return np.vander(z, len(c), increasing=True) @ c
 
 
-def _certified_residuals(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """|p(z)| / (max|c| (1+|z|)^deg), with the scale kept in log space so a
-    far-out root cannot overflow the denominator into a vacuous certificate."""
-    deg = len(coeffs) - 1
-    pz = np.abs(_values(coeffs, z))
-    log_scale = math.log(np.abs(coeffs).max()) + deg * np.log1p(np.abs(z))
-    with np.errstate(all="ignore"):
-        residuals = np.exp(np.log(pz) - log_scale)
-    return np.where(np.isfinite(pz), residuals, np.inf)
+def _borsch_supan(c: np.ndarray, z: np.ndarray, tails=None) -> tuple[np.ndarray, ...]:
+    """Borsch-Supan sweeps on the roots of sum c_k z^k from the
+    approximations z; returns (z, sweeps, z', p(z')) for the points z' that
+    the last sweep evaluated.
 
-
-def _aberth(c: np.ndarray, z: np.ndarray, tails=None) -> tuple[np.ndarray, int, bool]:
-    """Aberth-Ehrlich sweeps on the roots of sum c_k z^k from the
-    approximations z; returns (z, sweeps, arrived).  p' always comes from
-    binary64, and so does p unless ``tails`` are given: then p is the
-    compensated Horner value on c + tails, wherever that stays in range.
-    It arrives after two sweeps in a row whose steps are all at most 1e-13
-    of 1 + |z|, or once they are at most 1e-5 and have not shrunk in ten
+    A sweep takes the Weierstrass corrections
+    W_i = p(z_i) / (c_n prod_{j != i}(z_i - z_j)) and steps
+    z_i -= W_i / (1 + sum_{j != i} W_j / (z_i - z_j)): cubic convergence to
+    simple roots, as Aberth's step has, from p alone (Borsch-Supan 1963).
+    p is binary64, or with ``tails`` compensated Horner on c + tails.  A
+    point whose W is not finite (p past binary64 range, or the point on
+    another) moves by its own nudge and the sweep is retried.  The loop
+    stops after two sweeps in a row whose steps are all at most 1e-13 of
+    1 + |z|, or once they are at most 1e-5 and have not shrunk in ten
     sweeps, and gives up after 200 sweeps."""
-    sweeps = 0
-    quiet = 0
-    stall = 0
+    n = z.size
+    # Equal nudges would move two coincident points together.
+    angles = 2.0 * np.pi * np.arange(n) / n + _ANGULAR_OFFSET
+    nudge = 1e-7 * (1.0 + np.abs(z).max()) * ((1.0 + np.arange(n) / n) * np.exp(1j * (angles + 1.0)))
+    quiet = stall = 0
     best_step = np.inf
     with np.errstate(all="ignore"):
-        for _ in range(_MAX_ITER):
-            sweeps += 1
-            pz, dpz = _values(c, z, derivative=True)
-            if tails is not None:
-                exact = _compensated_horner(c, tails, z)
-                pz = np.where(np.isfinite(exact), exact, pz)
-            w = pz / dpz
+        for sweeps in range(1, _MAX_ITER + 1):
+            evaluated = z
+            pz = _values(c, z) if tails is None else _compensated_horner(c, tails, z)
+            # Column i holds z_i - z_j: numpy reduces down columns faster.
+            diff = z[None, :] - z[:, None]
+            np.fill_diagonal(diff, 1.0)
+            w = pz / (c[-1] * diff.prod(axis=0))
             bad = ~np.isfinite(w)
             if bad.any():
-                # overflow far from the root cloud, or p' = 0 on a multiple
-                # root: move the offenders and sweep again
-                z = np.where(bad, 0.5 * z, z)
+                # Where p overflows, the point is also halved, towards the roots.
+                z = np.where(bad, np.where(np.isfinite(pz), z, 0.5 * z) + nudge, z)
                 continue
-            diff = z[:, None] - z[None, :]
             np.fill_diagonal(diff, np.inf)
-            s = (1.0 / diff).sum(axis=1)
-            corr = w / (1.0 - w * s)
+            corr = w / (1.0 + w @ np.reciprocal(diff))
             corr = np.where(np.isfinite(corr), corr, w)
             z = z - corr
             step_max = float((np.abs(corr) / (1.0 + np.abs(z))).max())
-            if step_max <= 1e-13:
-                quiet += 1
-                if quiet >= 2:
-                    return z, sweeps, True
-            else:
-                quiet = 0
-            # Ill-conditioned roots rattle at a noise floor of roughly
-            # eps * sum|c_k| / |p'(root)|, which can sit many decades above
-            # 1e-13; once steps are small and stop improving, more sweeps
-            # only re-sample that noise.
+            quiet = quiet + 1 if step_max <= 1e-13 else 0
+            # Ill-conditioned roots rattle at a rounding noise floor, which
+            # can sit many decades above 1e-13; once steps are small and
+            # stop improving, more sweeps only re-sample that noise.
             if step_max < 0.7 * best_step:
-                best_step = step_max
-                stall = 0
+                best_step, stall = step_max, 0
             else:
                 stall += 1
-                if stall >= 10 and step_max <= 1e-5:
-                    return z, sweeps, True
-    return z, sweeps, False
+            if quiet >= 2 or (stall >= 10 and step_max <= 1e-5):
+                break
+    return z, sweeps, evaluated, pz
 
 
-def _clusters(z: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the 'closer than CLUSTER_TOL' graph, size >= 2."""
-    n = len(z)
-    parent = list(range(n))
+def _radii(head, tail, z, evaluated, pz) -> np.ndarray:
+    """Inclusion radii of the roots z of p = sum (head_k + tail_k) z^k, from
+    the compensated values pz at the points z' (``evaluated``) one step back.
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    The discs |w - z'_i| <= n (|p(z'_i)| + e_i) / (|c_n| prod_{j != i}|z'_i - z'_j|)
+    hold every root of p, d in each connected group of d (Carstensen, Numer.
+    Math. 59, 1991), with e_i >= u |p| + O(n^2 u^2) sum |c_k| |z|^k, the
+    error of compensated Horner (Graillat & Menissier-Morain 2012).  Each
+    grows by the step |z_i - z'_i| to centre on z_i, which keeps both.  The
+    product is a sum of logs, so no degree over- or underflows it; a radius
+    that cannot be bounded is inf.
+    """
+    n = z.size
+    with np.errstate(all="ignore"):
+        size = _values(np.stack((np.abs(head), np.abs(tail)), axis=-1), np.abs(evaluated))
+        # The n + 1 steps' rounding errors add up to 4u (n + 1) sum |c_k| |z|^k;
+        # the binary64 Horner summing them, and the tails, errs by
+        # 2 gamma_(2n+2) of theirs: 16 (n + 1)^2 u^2, taken four times over.
+        error = (2.0 * _U * np.abs(pz) + 64.0 * ((n + 1) * _U) ** 2 * size[:, 0]
+                 + 4.0 * (n + 2) * _U * size[:, 1])
+        log_d = np.abs(evaluated[:, None] - evaluated[None, :])
+        np.fill_diagonal(log_d, 1.0)
+        np.log(log_d, out=log_d)
+        log_p, log_c = np.log(np.abs(pz) + error), np.log(abs(head[-1] + tail[-1]))
+        slack = 4.0 * (n + 4) * _U * (1.0 + np.abs(log_d).sum(axis=1) + np.abs(log_p) + abs(log_c))
+        log_radius = math.log(n) + log_p - log_c - log_d.sum(axis=1) + slack
+        radii = (np.exp(log_radius) + np.abs(z - evaluated)) * (1.0 + 4.0 * _U)
+    return np.where(np.isnan(radii), np.inf, radii)
 
-    close = np.abs(z[:, None] - z[None, :]) < CLUSTER_TOL
-    for i in range(n):
-        for j in range(i + 1, n):
-            if close[i, j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(tuple(g) for g in groups.values() if len(g) >= 2)
+
+def _groups(z: np.ndarray, radii: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Connected groups of two or more overlapping discs |w - z_i| <= radii[i],
+    each by its indices in order: every disc takes the least label among
+    the discs it meets until no label moves."""
+    meets = np.abs(z[:, None] - z[None, :]) * (1.0 - 4.0 * _U) <= radii[:, None] + radii[None, :]
+    label = np.arange(z.size)
+    while True:
+        reached = np.where(meets, label, z.size).min(axis=1)
+        if (reached == label).all():
+            break
+        label = reached
+    groups = [np.flatnonzero(label == i) for i in np.unique(label)]
+    return tuple(tuple(g.tolist()) for g in groups if g.size >= 2)
 
 
 def find_roots(p: Polynomial) -> RootResult:
-    """All roots of p with residual certificates.
+    """All roots of p, each with an inclusion radius.
 
-    The zero coefficients below the lowest nonzero one are exact roots at 0
-    and come back as 0j.  The other roots start from the Newton polygon
-    (Bini 1996, as in MPSolve): each edge k1 -> k2 of the upper convex hull
-    of the points (k, log|c_k|) puts k2 - k1 starts on the circle of radius
-    (|c_k1|/|c_k2|)^(1/(k2 - k1)), at equal angles turned by a multiple of
-    a fixed irrational offset, so roots whose moduli span decades each
-    start near their own modulus.  One run of ``_aberth`` on the binary64
-    monic coefficients c_k/c_n follows; the same sweeps then refine the
-    roots, usually in two or three, with p from compensated Horner on
-    coefficients + ``tails`` and p' from binary64.  ``converged`` reflects
-    the binary64 residual certificates of the final values (a non-converged
-    report is returned rather than guessing); ``iterations`` counts the
-    sweeps of the first run.  A ratio c_k/c_n past binary64 range raises
-    ``DomainError``.
+    The coefficients c_k = head + tail that are 0 below the lowest nonzero
+    one are exact roots at 0 and come back as 0j with radius 0.  The others
+    start from the Newton polygon (Bini 1996, as in MPSolve): each edge
+    k1 -> k2 of the upper convex hull of the points (k, log|c_k|) puts
+    k2 - k1 starts on the circle of radius (|c_k1|/|c_k2|)^(1/(k2 - k1)),
+    at equal angles turned by a multiple of a fixed irrational offset, so
+    roots whose moduli span decades each start near their own.  One run of
+    ``_borsch_supan`` on the binary64 monic coefficients c_k/c_n follows;
+    the same sweeps then refine the roots, usually in two or three, with p
+    from compensated Horner on coefficients + ``tails``, and the last of
+    them gives each root its radius (see ``_radii``).  ``converged`` means
+    every radius is finite, and ``clusters`` lists the connected groups of
+    overlapping discs; ``iterations`` counts the sweeps of the first run.
+    A ratio c_k/c_n past binary64 range raises ``DomainError``.
     """
     if p.degree < 1:
         raise DomainError("find_roots needs degree >= 1")
     coeffs = np.asarray(p.coefficients, dtype=np.complex128)
-    nonzero = np.flatnonzero(coeffs)
+    tails = np.zeros_like(coeffs) if p.tails is None else np.asarray(p.tails)
+    nonzero = np.flatnonzero(coeffs + tails)
     low = int(nonzero[0])
     z = np.zeros(p.degree - low, dtype=np.complex128)
+    radii = np.zeros(p.degree)
     with np.errstate(all="ignore"):
         monic = coeffs[low:] / coeffs[-1]
         if not np.isfinite(monic).all():
             k = low + int(np.flatnonzero(~np.isfinite(monic))[0])
             raise DomainError(f"coefficient ratio c_{k}/c_{p.degree} overflows binary64")
-        logs = np.log(np.abs(coeffs))
+        logs = np.log(np.abs(coeffs + tails))
         # Fed from k = n down, the chain's left turns trace the upper hull.
         hull = _convex_chain([(k, logs[k]) for k in nonzero[::-1].tolist()])
         for e, ((k2, log2), (k1, log1)) in enumerate(zip(hull, hull[1:]), 1):
@@ -471,20 +472,18 @@ def find_roots(p: Polynomial) -> RootResult:
             z[k1 - low:k2 - low] = np.exp((log1 - log2) / (k2 - k1)) * np.exp(1j * angles)
     iterations = 0
     if z.size:
-        z, iterations, _ = _aberth(monic, z)
-        tails = np.zeros_like(coeffs) if p.tails is None else np.asarray(p.tails)
-        z, _, _ = _aberth(coeffs[low:], z, tails[low:])
+        z, iterations, _, _ = _borsch_supan(monic, z)
+        z, _, evaluated, pz = _borsch_supan(coeffs[low:], z, tails[low:])
+        radii[low:] = _radii(coeffs[low:], tails[low:], z, evaluated, pz)
     z = np.concatenate((np.zeros(low, dtype=np.complex128), z))
     order = np.lexsort((z.imag, z.real))
-    z = z[order]
-    residuals = _certified_residuals(coeffs, z)
-    converged = bool((residuals <= RESIDUAL_TOL).all())
+    z, radii = z[order], radii[order]
     return RootResult(
         roots=tuple(complex(v) for v in z),
-        residuals=tuple(float(r) for r in residuals),
-        converged=converged,
+        radii=tuple(radii.tolist()),
+        converged=bool(np.isfinite(radii).all()),
         iterations=iterations,
-        clusters=_clusters(z),
+        clusters=_groups(z, radii),
     )
 
 

@@ -125,6 +125,7 @@ def test_criterion_5_root_finder_oracle():
     over_budget = 0
     n_converged = 0
     sweeps = 0
+    worst_radius = 0.0
     for _ in range(500):
         degree = int(rng.integers(2, 51))
         roots = []
@@ -137,6 +138,7 @@ def test_criterion_5_root_finder_oracle():
         res = find_roots(p)
         n_converged += res.converged
         sweeps += res.iterations
+        worst_radius = max(worst_radius, *res.radii)
         _, w = match_roots(res.roots, roots)
         if w > 1e-8:
             over_budget += 1
@@ -164,10 +166,11 @@ def test_criterion_5_root_finder_oracle():
     _, finder_err = match_roots(res.roots, exact)
     _, representation_err = match_roots(exact, roots)
 
-    ok = worst <= 1e-8 and n_converged == 500 and elapsed < 60.0
+    ok = worst <= 1e-8 and worst_radius <= 1e-8 and n_converged == 500 and elapsed < 60.0
     detail = (
         f"500 polynomials deg<=50: convergence {n_converged}/500, "
         f"round-trip worst {worst:.3e} (limit 1e-8, {over_budget} draws over), "
+        f"worst inclusion radius {worst_radius:.3e} (limit 1e-8), "
         f"{sweeps} binary64 sweeps, "
         f"{elapsed:.1f}s; worst draw (degree {p.degree}) decomposes into "
         f"finder-vs-exact {finder_err:.3e} plus the shift of the exact roots "

@@ -21,8 +21,6 @@ import sendov_lab
 from sendov_lab import bounds
 from sendov_lab import polynomial as poly
 from sendov_lab.polynomial import (
-    CLUSTER_TOL,
-    RESIDUAL_TOL,
     CriticalPointReport,
     InvalidInputError,
     Polynomial,
@@ -51,6 +49,17 @@ def _tail_draws():
     draws = [_disk_roots(np.random.default_rng(d), d) for d in (3, 34, 64)]
     draws[-1] += (draws[-1][0] + 1e-5,)
     return draws
+
+
+def _overlapping_groups(centres, radii):
+    """Connected groups of the discs |z - centres[i]| <= radii[i] that
+    touch or overlap, singletons too, each by its indices in order."""
+    groups = []
+    for i in range(len(centres)):
+        joined = [g for g in groups
+                  if any(abs(centres[i] - centres[j]) <= radii[i] + radii[j] for j in g)]
+        groups = [g for g in groups if g not in joined] + [sum(joined, []) + [i]]
+    return sorted(tuple(sorted(g)) for g in groups)
 
 
 complex_in_disk = st.builds(
@@ -265,6 +274,19 @@ class TestFindRoots:
         assert res.roots.count(0j) == exact_zeros
         assert res.clusters == clusters
 
+    @pytest.mark.parametrize("p, roots", [
+        (Polynomial((0.0, 1.0), tails=(1e-20, 0.0)), (-1e-20,)),
+        (Polynomial((0.0, 0.0, 1.0), tails=(0.0, 1e-20, 0.0)), (-1e-20, 0.0)),
+        (Polynomial((1.0, 0.0, 1.0), tails=(-1.0, 0.0, 0.0)), (0.0, 0.0)),
+    ], ids=["tail_below_zero_head", "zero_and_tail", "tail_cancels_head"])
+    def test_exact_zeros_are_read_from_head_plus_tail(self, p, roots):
+        # A zero head with a nonzero tail is no exact root at 0, and a tail
+        # that cancels its head is one: each root lies in its own disc.
+        res = find_roots(p)
+        cols, _ = match_roots(res.roots, roots)
+        assert all(abs(res.roots[c] - r) <= res.radii[c] for c, r in zip(cols, roots))
+        assert res.roots.count(0j) == roots.count(0.0)
+
     def test_roots_of_unity_recovered(self):
         expected = tuple(cmath.exp(2j * cmath.pi * k / 12) for k in range(12))
         res = find_roots(from_roots(expected))
@@ -361,27 +383,91 @@ class TestFindRoots:
 
     def test_far_root_leaks_no_warning(self):
         # A root at 1e6 puts 1e6^60 past binary64 range: p overflows there,
-        # the one run of sweeps stops at its cap of 200 and the root does
-        # not certify, all without a numpy warning.
+        # the point is halved until p is finite, steps back out, and both
+        # runs of sweeps stop at their cap of 200, all without a numpy
+        # warning.  Its radius, taken where the last sweep evaluated p,
+        # says how far it may be off.
         ring = [0.5 * cmath.exp(2j * cmath.pi * k / 59 + 0.1j) for k in range(59)]
         p = Polynomial(tuple(complex(c) for c in np.poly([1e6] + ring)[::-1]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = find_roots(p)
-        assert res.converged == all(r <= RESIDUAL_TOL for r in res.residuals)
+        assert res.converged == all(math.isfinite(r) for r in res.radii)
         assert res.iterations <= 200
+        far = int(np.argmax(np.abs(res.roots)))
+        assert abs(res.roots[far] - 1e6) <= res.radii[far]
 
     def test_newton_polygon_starts_reach_roots_spanning_decades(self):
         # Moduli from 1e-2 to 1e2: each edge of the Newton polygon starts
         # its roots near their own modulus.  One circle of radius
-        # 1 + max|c_k/c_n|, near 1e28 here, needs over 400 sweeps, and 200
-        # of them leave roots up to ~0.2 off while every residual certifies.
+        # 1 + max|c_k/c_n|, near 1e28 here, puts the products of the
+        # Weierstrass corrections past binary64 range, and 1000 sweeps from
+        # it leave the roots about 4e21 off.
         rng = np.random.default_rng(0)
         roots = 10.0 ** rng.uniform(-2, 2, 50) * np.exp(2j * np.pi * rng.uniform(size=50))
         res = find_roots(Polynomial(tuple(np.poly(roots)[::-1].tolist())))
         assert res.iterations <= 40
         _, worst = match_roots(res.roots, roots)
         assert worst <= 1e-9
+
+    @pytest.mark.parametrize("degree", range(18, 23))
+    def test_wilkinson_like_roots_within_1e_8_relative(self, degree):
+        # prod(z - s k): the refinement reads p alone, from compensated
+        # Horner, so at degree 22 no binary64 p' stops it short of the
+        # roots that the double-double coefficients hold.
+        for s in (0.5, 0.9, 1.0, 1.1, 1.3):
+            roots = [s * k for k in range(1, degree + 1)]
+            res = find_roots(from_roots(roots))
+            cols, _ = match_roots(res.roots, roots)
+            assert max(abs(res.roots[c] - r) / r for c, r in zip(cols, roots)) <= 1e-8
+
+    @pytest.mark.parametrize("case", [
+        "disk-6", "disk-13", "disk-20", "integers-22", "tiny-scale", "double-half", "triple-half",
+    ])
+    def test_discs_hold_every_root_and_each_group_its_count(self, case):
+        # The exact roots of head + tail are the integers, or the repeated
+        # 0.5, where those are exact; else 60-digit mpmath roots.
+        draws = {"disk-6": (1, 6), "disk-13": (2, 13), "disk-20": (3, 20)}
+        known = {
+            "integers-22": tuple(range(1, 23)),
+            "double-half": (0.5, 0.5),
+            "triple-half": (0.5, 0.5, 0.5),
+        }
+        if case in draws:
+            seed, degree = draws[case]
+            p = from_roots(_disk_roots(np.random.default_rng(seed), degree))
+        else:
+            p = from_roots(known.get(case, (3e-21, -5e-21j, 2e-21 + 1e-21j)))
+        res = find_roots(p)
+        assert res.converged
+        with mpmath.workdps(60):
+            if case in known:
+                exact = [mpmath.mpc(r) for r in known[case]]
+            else:
+                exact = mpmath.polyroots(
+                    [mpmath.mpc(c) + mpmath.mpc(t)
+                     for c, t in zip(reversed(p.coefficients), reversed(p.tails))],
+                    maxsteps=200, extraprec=200,
+                )
+            inside = [
+                {i for i, (z, r) in enumerate(zip(res.roots, res.radii))
+                 if abs(e - mpmath.mpc(z)) <= r}
+                for e in exact
+            ]
+        assert all(inside)
+        groups = _overlapping_groups(res.roots, res.radii)
+        assert res.clusters == tuple(g for g in groups if len(g) >= 2)
+        for group in groups:
+            assert sum(bool(hit & set(group)) for hit in inside) == len(group)
+
+    def test_coincident_iterates_part(self):
+        # Two equal starts make W infinite at both: each moves by its own
+        # nudge, so they part and reach distinct roots.
+        roots = (0.3, -0.4j, 0.5 + 0.5j, -0.6)
+        starts = np.array([0.1 + 0.1j, 0.1 + 0.1j, -0.2, 0.4j])
+        z, _, _, _ = poly._borsch_supan(np.asarray(from_roots(roots).coefficients), starts)
+        _, worst = match_roots(z, roots)
+        assert worst <= 1e-12
 
     @pytest.mark.parametrize("coefficients", [(1e300, 1e-300), (1e308, 1e308, 1e-308)])
     def test_coefficient_ratio_past_binary64_range_raises(self, coefficients):
