@@ -9,18 +9,18 @@ critical point carries a Weierstrass inclusion radius with a rounding bound,
 so the Sendov distance min |w - a| comes with a bracket that holds the true
 value.  One kernel serves one instance (``critical_report``) and many at
 once (``sendov_distances``): its stages take a leading axis of instances,
-each Aberth sweep gathers only the points still moving, and an instance's
-result does not depend on what else is in the block.
+each sweep of ``_sweeps`` gathers only the points still moving, and an
+instance's result does not depend on what else is in the block.
 
 The coefficient side (``from_roots``, ``find_roots``) stays for general
 polynomials.  A ``Polynomial`` holds coefficients and tails only;
 ``from_roots`` expands in complex double-double, so head + tail carries
-about twice binary64 precision on every platform.  One Borsch-Supan sweep
-loop, which reads p alone, runs from the Newton-polygon starts on the
-binary64 coefficients, then again with p from compensated Horner on
-head + tail, built on the error-free transformations of ``bounds``.  The
-Weierstrass corrections of its last sweep give each root an inclusion
-radius, as the critical points get theirs.
+about twice binary64 precision on every platform.  ``find_roots`` runs the
+same sweep loop with Borsch-Supan's step, which reads p alone: on the
+binary64 coefficients from Newton-polygon starts, then with p from
+compensated Horner on head + tail, built on the error-free transformations
+of ``bounds``, to each root's rounding floor.  The Weierstrass corrections
+at the final points give the roots inclusion radii, as for critical points.
 
 All public values are immutable and safe to share across threads.  Every
 rejected argument or instance raises ``bounds.DomainError``, the package's
@@ -334,86 +334,72 @@ def _values(c: np.ndarray, z: np.ndarray) -> np.ndarray:
         return np.vander(z, len(c), increasing=True) @ c
 
 
-def _borsch_supan(c: np.ndarray, z: np.ndarray, tails=None) -> tuple[np.ndarray, ...]:
-    """Borsch-Supan sweeps on the roots of sum c_k z^k from the
-    approximations z; returns (z, sweeps, z', p(z')) for the points z' that
-    the last sweep evaluated.
-
-    A sweep takes the Weierstrass corrections
-    W_i = p(z_i) / (c_n prod_{j != i}(z_i - z_j)) and steps
-    z_i -= W_i / (1 + sum_{j != i} W_j / (z_i - z_j)): cubic convergence to
-    simple roots, as Aberth's step has, from p alone (Borsch-Supan 1963).
-    p is binary64, or with ``tails`` compensated Horner on c + tails.  A
-    point whose W is not finite (p past binary64 range, or the point on
-    another) moves by its own nudge and the sweep is retried.  The loop
-    stops after two sweeps in a row whose steps are all at most 1e-13 of
-    1 + |z|, or once they are at most 1e-5 and have not shrunk in ten
-    sweeps, and gives up after 200 sweeps."""
-    n = z.size
-    # Equal nudges would move two coincident points together.
-    angles = 2.0 * np.pi * np.arange(n) / n + _ANGULAR_OFFSET
-    nudge = 1e-7 * (1.0 + np.abs(z).max()) * ((1.0 + np.arange(n) / n) * np.exp(1j * (angles + 1.0)))
-    quiet = stall = 0
-    best_step = np.inf
-    with np.errstate(all="ignore"):
-        for sweeps in range(1, _MAX_ITER + 1):
-            evaluated = z
-            pz = _values(c, z) if tails is None else _compensated_horner(c, tails, z)
-            # Column i holds z_i - z_j: numpy reduces down columns faster.
-            diff = z[None, :] - z[:, None]
-            np.fill_diagonal(diff, 1.0)
-            w = pz / (c[-1] * diff.prod(axis=0))
-            bad = ~np.isfinite(w)
-            if bad.any():
-                # Where p overflows, the point is also halved, towards the roots.
-                z = np.where(bad, np.where(np.isfinite(pz), z, 0.5 * z) + nudge, z)
-                continue
-            np.fill_diagonal(diff, np.inf)
-            corr = w / (1.0 + w @ np.reciprocal(diff))
-            corr = np.where(np.isfinite(corr), corr, w)
-            z = z - corr
-            step_max = float((np.abs(corr) / (1.0 + np.abs(z))).max())
-            quiet = quiet + 1 if step_max <= 1e-13 else 0
-            # Ill-conditioned roots rattle at a rounding noise floor, which
-            # can sit many decades above 1e-13; once steps are small and
-            # stop improving, more sweeps only re-sample that noise.
-            if step_max < 0.7 * best_step:
-                best_step, stall = step_max, 0
-            else:
-                stall += 1
-            if quiet >= 2 or (stall >= 10 and step_max <= 1e-5):
-                break
-    return z, sweeps, evaluated, pz
+def _horner_error(head, tail, z, pz) -> np.ndarray:
+    """Bounds e_i >= u |p| + O(n^2 u^2) sum |c_k| |z|^k on the errors of the compensated
+    values pz of p = sum (head_k + tail_k) z^k (Graillat & Menissier-Morain 2012)."""
+    n = head.size - 1
+    size = _values(np.stack((np.abs(head), np.abs(tail)), axis=-1), np.abs(z))
+    # The n + 1 steps' rounding errors add up to 4u (n + 1) sum |c_k| |z|^k;
+    # the binary64 Horner summing them, and the tails, errs by
+    # 2 gamma_(2n+2) of theirs: 16 (n + 1)^2 u^2, taken four times over.
+    return (2.0 * _U * np.abs(pz) + 64.0 * ((n + 1) * _U) ** 2 * size[:, 0]
+            + 4.0 * (n + 2) * _U * size[:, 1])
 
 
-def _radii(head, tail, z, evaluated, pz) -> np.ndarray:
-    """Inclusion radii of the roots z of p = sum (head_k + tail_k) z^k, from
-    the compensated values pz at the points z' (``evaluated``) one step back.
+def _radii(head, tail, z) -> np.ndarray:
+    """Inclusion radii of the approximations z to the roots of
+    p = sum (head_k + tail_k) z^k, from one compensated evaluation at z.
 
-    The discs |w - z'_i| <= n (|p(z'_i)| + e_i) / (|c_n| prod_{j != i}|z'_i - z'_j|)
+    The discs |w - z_i| <= n (|p(z_i)| + e_i) / (|c_n| prod_{j != i}|z_i - z_j|)
     hold every root of p, d in each connected group of d (Carstensen, Numer.
-    Math. 59, 1991), with e_i >= u |p| + O(n^2 u^2) sum |c_k| |z|^k, the
-    error of compensated Horner (Graillat & Menissier-Morain 2012).  Each
-    grows by the step |z_i - z'_i| to centre on z_i, which keeps both.  The
+    Math. 59, 1991), with e_i the error bound of ``_horner_error``.  The
     product is a sum of logs, so no degree over- or underflows it; a radius
     that cannot be bounded is inf.
     """
     n = z.size
     with np.errstate(all="ignore"):
-        size = _values(np.stack((np.abs(head), np.abs(tail)), axis=-1), np.abs(evaluated))
-        # The n + 1 steps' rounding errors add up to 4u (n + 1) sum |c_k| |z|^k;
-        # the binary64 Horner summing them, and the tails, errs by
-        # 2 gamma_(2n+2) of theirs: 16 (n + 1)^2 u^2, taken four times over.
-        error = (2.0 * _U * np.abs(pz) + 64.0 * ((n + 1) * _U) ** 2 * size[:, 0]
-                 + 4.0 * (n + 2) * _U * size[:, 1])
-        log_d = np.abs(evaluated[:, None] - evaluated[None, :])
+        pz = _compensated_horner(head, tail, z)
+        log_d = np.abs(z[:, None] - z[None, :])
         np.fill_diagonal(log_d, 1.0)
         np.log(log_d, out=log_d)
-        log_p, log_c = np.log(np.abs(pz) + error), np.log(abs(head[-1] + tail[-1]))
+        log_p = np.log(np.abs(pz) + _horner_error(head, tail, z, pz))
+        log_c = np.log(abs(head[-1] + tail[-1]))
         slack = 4.0 * (n + 4) * _U * (1.0 + np.abs(log_d).sum(axis=1) + np.abs(log_p) + abs(log_c))
         log_radius = math.log(n) + log_p - log_c - log_d.sum(axis=1) + slack
-        radii = (np.exp(log_radius) + np.abs(z - evaluated)) * (1.0 + 4.0 * _U)
+        radii = np.exp(log_radius) * (1.0 + 4.0 * _U)
     return np.where(np.isnan(radii), np.inf, radii)
+
+
+def _root_corrections(c, tails=None):
+    """Borsch-Supan's step on the roots of p = sum c_k z^k, as the
+    ``corrections`` of ``_sweeps`` for one row of approximations z.
+
+    The Weierstrass corrections W_i = p(z_i) / (c_n prod_{j != i}(z_i - z_j))
+    give the step W_i / (1 + sum_{j != i} W_j / (z_i - z_j)): cubic
+    convergence to simple roots, as Aberth's step has, from p alone
+    (Borsch-Supan 1963).  p is binary64, or with ``tails`` compensated
+    Horner on c + tails, read as 0, for a zero step, where |p| is at most
+    its finite error bound e_i.  p is taken at every point, frozen ones
+    too, since each W_j enters the other points' steps.  A point where p is
+    not finite, or that sits on another, gets no finite step: run with
+    ``pull`` 0.5, ``_sweeps`` pulls it halfway to the origin while the
+    others wait, whose steps, without its W, would be off by the ratio of
+    their distances to its root and to it.
+    """
+    def corrections(w, points):
+        z = w[0]
+        pz = _values(c, z) if tails is None else _compensated_horner(c, tails, z)
+        if tails is not None:
+            error = _horner_error(c, tails, z, pz)
+            pz[(np.abs(pz) <= error) & (error < np.inf)] = 0.0
+        # Column i holds z_i - z_j: numpy reduces down columns faster.
+        diff = z[None, :] - z[:, None]
+        np.fill_diagonal(diff, 1.0)
+        weier = pz / (c[-1] * diff.prod(axis=0))
+        np.fill_diagonal(diff, np.inf)
+        corr = weier / (1.0 + weier @ np.reciprocal(diff))
+        return np.where(np.isfinite(corr), corr, weier)[points[1]]
+    return corrections
 
 
 def _groups(z: np.ndarray, radii: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -440,11 +426,12 @@ def find_roots(p: Polynomial) -> RootResult:
     k1 -> k2 of the upper convex hull of the points (k, log|c_k|) puts
     k2 - k1 starts on the circle of radius (|c_k1|/|c_k2|)^(1/(k2 - k1)),
     at equal angles turned by a multiple of a fixed irrational offset, so
-    roots whose moduli span decades each start near their own.  One run of
-    ``_borsch_supan`` on the binary64 monic coefficients c_k/c_n follows;
-    the same sweeps then refine the roots, usually in two or three, with p
-    from compensated Horner on coefficients + ``tails``, and the last of
-    them gives each root its radius (see ``_radii``).  ``converged`` means
+    roots whose moduli span decades each start near their own.  Two runs of
+    ``_sweeps`` with Borsch-Supan's step (``_root_corrections``) follow: on
+    the binary64 monic coefficients c_k/c_n, then with p from compensated
+    Horner on coefficients + ``tails``, which stops each root at its
+    rounding floor (Bini 1996).  A compensated evaluation at the final
+    points gives each root its radius (see ``_radii``).  ``converged`` means
     every radius is finite, and ``clusters`` lists the connected groups of
     overlapping discs; ``iterations`` counts the sweeps of the first run.
     A ratio c_k/c_n past binary64 range raises ``DomainError``.
@@ -472,9 +459,13 @@ def find_roots(p: Polynomial) -> RootResult:
             z[k1 - low:k2 - low] = np.exp((log1 - log2) / (k2 - k1)) * np.exp(1j * angles)
     iterations = 0
     if z.size:
-        z, iterations, _, _ = _borsch_supan(monic, z)
-        z, _, evaluated, pz = _borsch_supan(coeffs[low:], z, tails[low:])
-        radii[low:] = _radii(coeffs[low:], tails[low:], z, evaluated, pz)
+        head, tail = coeffs[low:], tails[low:]
+        # Twice the outer start circle's radius bounds every root (Fujiwara's
+        # bound), and the row has no fixed points besides its own.
+        scale, none = np.array([1.0 + 2.0 * np.abs(z).max()]), np.empty((1, 0), np.complex128)
+        w, _, iterations = _sweeps(z[None], none, _root_corrections(monic), scale, _MAX_ITER, 0.5)
+        (z,), _, _ = _sweeps(w, none, _root_corrections(head, tail), scale, _MAX_ITER, 0.5)
+        radii[low:] = _radii(head, tail, z)
     z = np.concatenate((np.zeros(low, dtype=np.complex128), z))
     order = np.lexsort((z.imag, z.real))
     z, radii = z[order], radii[order]
@@ -617,64 +608,56 @@ def _aberth_corrections(w, zeta, kc, points) -> np.ndarray:
 
 def _nearest(w, zeta, points) -> np.ndarray:
     """Distance from each point w[t, i] of ``points`` = (t, i) to the
-    nearest zero or other point of its row."""
+    nearest zero or other point of its row; a row may have no zeros."""
     t, i = points
     column = w[t, i, None]
-    nearest = np.abs(_minus_rows(column, zeta, t)).min(axis=-1)
+    nearest = np.abs(_minus_rows(column, zeta, t)).min(axis=-1, initial=np.inf)
     gap = _minus_rows(column, w, t)
     gap[np.arange(t.size), i] = np.inf
     return np.minimum(nearest, np.abs(gap).min(axis=-1))
 
 
-def _secular_aberth(
-    zeta: np.ndarray, k: np.ndarray | None, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of Q = prod(z - zeta_j) * f, f = sum_j k_j / (z - zeta_j), for
-    each row.
+def _sweeps(w, zeta, corrections, scale, cap, pull=1.0) -> tuple[np.ndarray, np.ndarray, int]:
+    """Sweeps of the step ``corrections`` on each row of approximations
+    ``w``; returns (approximations, settled per row, sweeps run).
 
-    Row t of ``zeta`` holds g >= 3 distinct zeros of one instance and of
-    ``k`` their multiplicities (None when every one is 1: the product by
-    unit multiplicities would cost a full pass, and a temporary, of the
-    points x zeros array every sweep), so Q has degree g - 1 and its roots
-    are the critical points of P that are not repeated zeros.  Starts from ``w``
-    (rows x (g - 1)) and returns (approximations, settled per row).
+    ``corrections(w, points)`` gives the step of each point w[t, i] of
+    ``points`` = (t, i).  Row t of ``zeta`` holds the fixed points of row t
+    that a point's nearest distance also counts (the kernel's zeros; the
+    root finder has none), and ``scale`` per row must bound 1 + |r| for
+    every root r the row approximates: steps are measured against it.
 
-    A point stops moving once its own step s is at most 1e-10 * scale, with
-    scale = 1 + max|zeta_j|, at most 1e-3 of its distance delta to the
-    nearest zero or other point (MPSolve's per-root stopping rule), and so
-    small that the error it leaves, about s^2 sum_j e_j / |w - w_j|^2 for
-    neighbours off by e_j, is at most 1e-16 * scale even with all m at delta
-    and off by the row's largest step; the others go on using it.  A row
-    ends when none of its points move, or when its largest steps are small
-    and stop shrinking, or at the sweep cap, which leaves it not settled.
-    Each sweep gathers only the moving points, each with its row, and a
-    point's arithmetic does not depend on what else is gathered, so a row's
-    result does not depend on the other rows.
+    A point stops moving once its own step s is at most 1e-10 * scale, at
+    most 1e-3 of its distance delta to the nearest zero or other point
+    (MPSolve's per-root stopping rule), and so small that the error it
+    leaves, about s^2 sum_j e_j / |w - w_j|^2 for neighbours off by e_j, is
+    at most 1e-16 * scale even with all m at delta and off by the row's
+    largest step; the others go on using it.  A zero step passes all three
+    tests.  A point whose step is not finite moves to ``pull`` * w plus a
+    fixed nudge while the rest of its row waits.  A row ends when none of
+    its points move, or when its largest steps are small and stop
+    shrinking, or at ``cap`` sweeps, which leaves it not settled.  Each
+    sweep gathers only the moving points, each with its row, and where a
+    point's step does not depend on what else is gathered, a row's result
+    does not depend on the other rows.
     """
     rows, m = w.shape
-    # By Gauss-Lucas every root of Q lies in the hull of the zeros, so this
-    # bounds 1 + |w| for the points worth measuring steps against.
-    scale = 1.0 + np.abs(zeta).max(axis=-1)
-    # A point whose step is not finite (it sits on a zero or on another
-    # point, or Q' vanishes there) moves off by this fixed offset and its
-    # row retries the sweep.  The offsets differ in length: two points
-    # nudged off one root by equal lengths sit symmetrically about it, where
-    # Aberth's repulsion (which cubes the ratio of their errors) cannot
-    # part them.
+    # The nudges differ in length: two points nudged off one root by equal
+    # lengths sit symmetrically about it, where Aberth's repulsion (which
+    # cubes the ratio of their errors) cannot part them.
     angles = 2.0 * np.pi * np.arange(m) / m + _ANGULAR_OFFSET
     nudge = 1e-7 * scale[:, None] * ((1.0 + np.arange(m) / m) * np.exp(1j * (angles + 1.0)))
-    kc = None if k is None else k.astype(np.complex128)
     moving = np.ones((rows, m), dtype=bool)
     settled = np.zeros(rows, dtype=bool)
     stall = np.zeros(rows, dtype=int)
     best_step = np.full(rows, np.inf)
+    sweeps = 0
     with np.errstate(all="ignore"):
-        for _ in range(_MAX_SWEEPS):
+        while sweeps < cap and moving.any():
+            sweeps += 1
             points = np.nonzero(moving)
-            if points[0].size == 0:
-                break
             corr = np.zeros((rows, m), dtype=np.complex128)
-            corr[points] = _aberth_corrections(w, zeta, kc, points)
+            corr[points] = corrections(w, points)
             step = np.abs(corr) / scale[:, None]
             small = moving & (step <= 1e-10)
             finite = np.isfinite(corr)
@@ -683,7 +666,7 @@ def _secular_aberth(
                 swept = moving.any(axis=-1)
             else:
                 nudged = ~finite.all(axis=-1)
-                w = np.where(finite, np.where(nudged[:, None], w, w - corr), w + nudge)
+                w = np.where(finite, np.where(nudged[:, None], w, w - corr), pull * w + nudge)
                 swept = moving.any(axis=-1) & ~nudged
                 small &= swept[:, None]
             # A small step freezes a point only if it is also small against
@@ -707,7 +690,22 @@ def _secular_aberth(
             ended = swept & (~moving.any(axis=-1) | ((stall >= 10) & (largest <= 1e-5)))
             settled |= ended
             moving[ended] = False
-    return w, settled
+    return w, settled, sweeps
+
+
+def _secular_aberth(zeta, k, w) -> tuple[np.ndarray, np.ndarray]:
+    """(approximations, settled per row) for the roots of
+    Q = prod(z - zeta_j) * sum_j k_j / (z - zeta_j), from the starts ``w``
+    (rows x (g - 1)), by ``_sweeps`` with ``_aberth_corrections``' step.
+    Row t of ``zeta`` holds g >= 3 distinct zeros and of ``k`` their
+    multiplicities, or ``k`` is None when every one is 1."""
+    kc = None if k is None else k.astype(np.complex128)
+    # By Gauss-Lucas every root of Q lies in the hull of the zeros, so this
+    # bounds 1 + |w| for the points worth measuring steps against.
+    scale = 1.0 + np.abs(zeta).max(axis=-1)
+    return _sweeps(
+        w, zeta, lambda w, points: _aberth_corrections(w, zeta, kc, points), scale, _MAX_SWEEPS
+    )[:2]
 
 
 def _inclusion_radii(w, zeta, k) -> tuple[np.ndarray, np.ndarray]:

@@ -253,26 +253,46 @@ class TestFindRoots:
         assert res.clusters == ((0, 1, 2, 3, 4),)
 
     def test_triple_root_at_half(self):
+        # Each iterate stops at the rounding floor of p, so the three stay
+        # apart and their discs stay small.
         res = find_roots(from_roots((0.5, 0.5, 0.5)))
         assert res.converged
         assert max(abs(z - 0.5) for z in res.roots) <= 1e-4
+        assert max(res.radii) <= 1e-4
         assert res.clusters == ((0, 1, 2),)
 
-    @pytest.mark.parametrize("p, roots, exact_zeros, clusters", [
-        (from_roots((0.5, 0.5)), (0.5, 0.5), 0, ((0, 1),)),
-        (Polynomial((0.0, 0.0, 1.0)), (0.0, 0.0), 2, ((0, 1),)),
-        (from_roots((0.0, 0.0, 0.5, -0.25j)), (0.0, 0.0, 0.5, -0.25j), 2, ((1, 2),)),
+    @pytest.mark.parametrize("p, roots, exact_zeros, largest_radius", [
+        (from_roots((0.5, 0.5)), (0.5, 0.5), 0, 1e-12),
+        (Polynomial((0.0, 0.0, 1.0)), (0.0, 0.0), 2, 0.0),
+        (from_roots((0.0, 0.0, 0.5, -0.25j)), (0.0, 0.0, 0.5, -0.25j), 2, 1e-12),
     ], ids=["half", "origin", "origin_and_two_simple"])
-    def test_double_root(self, p, roots, exact_zeros, clusters):
+    def test_double_root(self, p, roots, exact_zeros, largest_radius):
         # Degree 2 takes the same sweeps as every other degree.  A double
         # root at 0 (c_0 = c_1 = 0) comes back as exactly 0j, also beside
-        # other roots.
+        # other roots.  The one cluster is the pair of discs that hold the
+        # double root; where a simple root with a real part far below its
+        # radius sorts against the pair is not part of the claim.
         res = find_roots(p)
         assert res.converged
         _, worst = match_roots(res.roots, roots)
         assert worst <= 1e-4
         assert res.roots.count(0j) == exact_zeros
-        assert res.clusters == clusters
+        assert max(res.radii) <= largest_radius
+        (cluster,) = res.clusters
+        assert len(cluster) == 2
+        assert all(abs(res.roots[i] - roots[0]) <= res.radii[i] for i in cluster)
+
+    def test_tiny_scale_roots_within_1e_12_relative(self):
+        # Each point stops against its nearest neighbour and at its rounding
+        # floor, not at a step absolute in 1 + |z|, so roots near 1e-21 come
+        # back to full relative accuracy, in discs that do not overlap.
+        roots = (3e-21, -5e-21j, 2e-21 + 1e-21j)
+        res = find_roots(from_roots(roots))
+        cols, _ = match_roots(res.roots, roots)
+        for c, r in zip(cols, roots):
+            assert abs(res.roots[c] - r) <= 1e-12 * abs(r)
+            assert res.radii[c] <= 1e-12 * abs(res.roots[c])
+        assert res.clusters == ()
 
     @pytest.mark.parametrize("p, roots", [
         (Polynomial((0.0, 1.0), tails=(1e-20, 0.0)), (-1e-20,)),
@@ -383,10 +403,13 @@ class TestFindRoots:
 
     def test_far_root_leaks_no_warning(self):
         # A root at 1e6 puts 1e6^60 past binary64 range: p overflows there,
-        # the point is halved until p is finite, steps back out, and both
-        # runs of sweeps stop at their cap of 200, all without a numpy
-        # warning.  Its radius, taken where the last sweep evaluated p,
-        # says how far it may be off.
+        # so the point has no finite step and is pulled halfway to the
+        # origin, sweep after sweep, until p is finite; its next step takes
+        # it back out.  Both runs of sweeps stop at their cap of 200, all
+        # without a numpy warning, and where the cap falls in that cycle
+        # decides where the far root ends: near 1e6 or at a halved point.
+        # Its radius, taken at the point returned, says how far it may be
+        # off, and is inf where p overflows.
         ring = [0.5 * cmath.exp(2j * cmath.pi * k / 59 + 0.1j) for k in range(59)]
         p = Polynomial(tuple(complex(c) for c in np.poly([1e6] + ring)[::-1]))
         with warnings.catch_warnings():
@@ -461,12 +484,17 @@ class TestFindRoots:
             assert sum(bool(hit & set(group)) for hit in inside) == len(group)
 
     def test_coincident_iterates_part(self):
-        # Two equal starts make W infinite at both: each moves by its own
-        # nudge, so they part and reach distinct roots.
+        # Two equal starts make W infinite at both: in the shared sweep loop,
+        # with the finder's binary64 step, each is pulled halfway to the
+        # origin plus its own nudge while the others wait, so they part and
+        # reach distinct roots.
         roots = (0.3, -0.4j, 0.5 + 0.5j, -0.6)
-        starts = np.array([0.1 + 0.1j, 0.1 + 0.1j, -0.2, 0.4j])
-        z, _, _, _ = poly._borsch_supan(np.asarray(from_roots(roots).coefficients), starts)
-        _, worst = match_roots(z, roots)
+        c = np.asarray(from_roots(roots).coefficients)
+        starts = np.array([[0.1 + 0.1j, 0.1 + 0.1j, -0.2, 0.4j]])
+        steps = poly._root_corrections(c)
+        # 2 bounds 1 + |r| for every root r.
+        w, _, _ = poly._sweeps(starts, np.empty((1, 0), complex), steps, np.array([2.0]), 200, 0.5)
+        _, worst = match_roots(w[0], roots)
         assert worst <= 1e-12
 
     @pytest.mark.parametrize("coefficients", [(1e300, 1e-300), (1e308, 1e308, 1e-308)])
