@@ -1,12 +1,13 @@
 """Explicit degree bounds for Sendov's conjecture, with numerical verification.
 
-The package has three layers:
+The package has four layers:
 
 * :mod:`sendov_lab.bounds` — closed-form evaluation of every quantity in the
   effective degree threshold, culminating in 20800 / (a^7 (1-a)^4);
 * :mod:`sendov_lab.polynomial` — critical points of Sendov instances computed
-  from their zeros and certified by inclusion discs, plus a root finder for
-  polynomials in coefficient form whose roots get inclusion discs too;
+  from their zeros and certified by inclusion discs;
+* :mod:`sendov_lab.roots` — polynomials in coefficient form and a root
+  finder whose roots get inclusion discs too, run on the same sweep loop;
 * :mod:`sendov_lab.verify` — deterministic inequality suites, limit checks,
   the majorization-chain audit, and randomized conjecture fuzzing.
 
@@ -30,15 +31,11 @@ from .bounds import (
 from .polynomial import (
     CriticalPointReport,
     InvalidInputError,
-    Polynomial,
-    RootResult,
     SendovInstance,
     critical_report,
-    find_roots,
-    from_roots,
     hull_distance,
-    match_roots,
 )
+from .roots import Polynomial, RootResult, find_roots, from_roots, match_roots
 from .verify import (
     DEFAULT_SEED,
     FuzzReport,

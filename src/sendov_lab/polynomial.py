@@ -1,4 +1,4 @@
-"""Complex polynomials, certified root finding, and critical points.
+"""Critical points of Sendov instances, certified by inclusion discs.
 
 This module carries the empirical side of the package.  Critical points of
 P(z) = (z - a) * prod(z - z_j) are computed from the zeros themselves, never
@@ -12,15 +12,8 @@ once (``sendov_distances``): its stages take a leading axis of instances,
 each sweep of ``_sweeps`` gathers only the points still moving, and an
 instance's result does not depend on what else is in the block.
 
-The coefficient side (``from_roots``, ``find_roots``) stays for general
-polynomials.  A ``Polynomial`` holds coefficients and tails only;
-``from_roots`` expands in complex double-double, so head + tail carries
-about twice binary64 precision on every platform.  ``find_roots`` runs the
-same sweep loop with Borsch-Supan's step, which reads p alone: on the
-binary64 coefficients from Newton-polygon starts, then with p from
-compensated Horner on head + tail, built on the error-free transformations
-of ``bounds``, to each root's rounding floor.  The Weierstrass corrections
-at the final points give the roots inclusion radii, as for critical points.
+The coefficient root finder lives in ``roots``, which runs this module's
+sweep loop ``_sweeps`` with its own step; nothing here imports it.
 
 All public values are immutable and safe to share across threads.  Every
 rejected argument or instance raises ``bounds.DomainError``, the package's
@@ -32,31 +25,23 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .bounds import DomainError, _check_a, _two_product, _two_sum
+from .bounds import DomainError, _check_a
 
 __all__ = [
     "InvalidInputError",
-    "Polynomial",
     "SendovInstance",
-    "RootResult",
     "CriticalPointReport",
-    "from_roots",
-    "evaluate",
-    "find_roots",
-    "match_roots",
     "critical_report",
     "sendov_distances",
     "bracket_verdict",
     "hull_distance",
 ]
 
-# Sweeps in each run of the root finder before it gives up.
-_MAX_ITER = 200
 # Sweeps of the critical-point iteration before it reports not converged.
 _MAX_SWEEPS = 300
 # Complex values in each of the kernel's rows x (g - 1) x g temporaries
@@ -99,44 +84,6 @@ def _require_finite_complex(values, what: str, ndim: int = 1) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise DomainError(f"{what} must be finite")
     return arr
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Coefficient-form polynomial, ascending degree, nonzero leading term.
-
-    Degree 0 values are permitted; operations that need roots demand
-    degree >= 1 themselves.
-
-    ``tails`` optionally carries the rounding residual of each coefficient,
-    so that coefficients[k] + tails[k] is the polynomial's coefficient to
-    about twice binary64 precision (``from_roots`` fills it from its
-    double-double expansion).  None means the coefficients are exact.  The
-    tails are finite, one per coefficient, and take no part in equality or
-    ``repr``; only ``find_roots``' compensated sweeps read them.
-    """
-
-    coefficients: tuple[complex, ...]
-    tails: tuple[complex, ...] | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        coeffs = _require_finite_complex(self.coefficients, "coefficients")
-        if coeffs.size == 0:
-            raise DomainError("a polynomial needs at least one coefficient")
-        if coeffs[-1] == 0:
-            raise DomainError("leading coefficient must be nonzero")
-        object.__setattr__(self, "coefficients", tuple(coeffs.tolist()))
-        if self.tails is not None:
-            tails = _require_finite_complex(self.tails, "tails")
-            if tails.size != coeffs.size:
-                raise DomainError(
-                    f"{tails.size} tails for {coeffs.size} coefficients"
-                )
-            object.__setattr__(self, "tails", tuple(tails.tolist()))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
 
 
 def _require_unit_disk(zeros: np.ndarray) -> None:
@@ -215,25 +162,6 @@ class SendovInstance:
 
 
 @dataclass(frozen=True)
-class RootResult:
-    """Roots reported by find_roots with their inclusion discs.
-
-    Every root of P lies in the union of the discs |z - roots[i]| <= radii[i],
-    and a connected group of d overlapping discs holds d of them; radius 0
-    marks an exact root at 0.  converged means every radius is finite.
-    clusters lists the groups of two or more discs (likely multiple roots);
-    iterations counts the sweeps of the binary64 run before the refinement,
-    at most 200, and is 0 when every root is 0.
-    """
-
-    roots: tuple[complex, ...]
-    radii: tuple[float, ...]
-    converged: bool
-    iterations: int
-    clusters: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class CriticalPointReport:
     """Critical points of one SendovInstance and the derived measurements.
 
@@ -256,250 +184,6 @@ class CriticalPointReport:
         """PASS or FAIL when the whole distance bracket lies on one side of
         threshold (FAIL above it), else UNRESOLVED."""
         return str(bracket_verdict(self.sendov_distance, self.distance_radius, threshold))
-
-
-def from_roots(roots: Sequence[complex]) -> Polynomial:
-    """Monic polynomial with the given roots (incremental (z - r) products).
-
-    The expansion runs in complex double-double, on every platform:
-    ``coefficients`` holds each coefficient rounded to binary64 and
-    ``tails`` its low double, and head + tail errs by a few n u^2 of the
-    coefficients of prod(z + |r_j|).  One rounding to binary64 can move the
-    true roots of an ill-conditioned set by up to ~2e-7 at degree ~50 in the
-    unit disk; the tails take that back.  The roots are scaled by a power of
-    two to components of at most 1, and the coefficients back, so Veltkamp's
-    split (x * (2^27 + 1)) stays in range.
-    """
-    arr = _require_finite_complex(roots, "roots")
-    if arr.size == 0:
-        raise DomainError("from_roots needs at least one root")
-    n, parts = arr.size, np.ascontiguousarray(arr).view(np.float64)
-    scale = math.frexp(float(np.abs(parts).max()))[1]
-    head, tail = c = np.zeros((2, n + 1), dtype=np.complex128)
-    head[-1] = 1.0
-    # An expansion past binary64 range is rejected by Polynomial's finiteness
-    # check; numpy's overflow warnings on the way there say nothing more.
-    with np.errstate(all="ignore"):
-        # From z^n, each root multiplies by (z - r)/z: c_k -= r c_(k+1).
-        for r in np.ldexp(parts, -scale).view(np.complex128):
-            p, e = _complex_product(head[1:], r)
-            s, f = _two_sum(head[:-1], -p)
-            head[:-1], tail[:-1] = _two_sum(s, f + tail[:-1] - e - r * tail[1:])
-        powers = np.repeat(scale * np.arange(n, -1, -1), 2)
-        c = np.ldexp(c.view(np.float64), powers).view(np.complex128)
-    # tolist() hands over Python complex values, which validate faster than
-    # numpy scalars; the values are the same.
-    return Polynomial(tuple(c[0].tolist()), tuple(c[1].tolist()))
-
-
-def _complex_product(x: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
-    """(s, e) with s + e = x * y up to a few u^2 |x| |y|, for a complex array
-    x and a complex y that broadcasts against it (TwoProdCplx of Graillat &
-    Menissier-Morain 2012): ``bounds._two_product`` makes the four real
-    products exact and ``_two_sum`` the two sums, barring under- and overflow."""
-    p, e = _two_product(
-        x.view(np.float64).reshape(*x.shape, 2, 1),
-        np.stack([y.real, y.imag, -y.imag, y.real], axis=-1).reshape(*np.shape(y), 2, 2),
-    )
-    p, e = p.view(np.complex128), e.view(np.complex128)
-    s, f = _two_sum(p[..., 0, 0], p[..., 1, 0])
-    return s, f + e[..., 0, 0] + e[..., 1, 0]
-
-
-def _compensated_horner(head: np.ndarray, tail: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """p(z) at every z for p = sum (head_k + tail_k) z^k, as accurate as
-    Horner in twice binary64 precision then rounded (Graillat, Langlois &
-    Louvet 2009): each step's rounding errors, exact by ``_complex_product``
-    and ``_two_sum``, and the tails feed a second, binary64 Horner added at
-    the end.  A value past Veltkamp's split range gives NaN."""
-    s = np.full_like(z, head[-1])
-    r = np.full_like(z, tail[-1])
-    for h, t in zip(head[-2::-1], tail[-2::-1]):
-        p, e = _complex_product(s, z)
-        s, f = _two_sum(p, h)
-        r = r * z + (e + f + t)
-    return s + r
-
-
-def evaluate(p: Polynomial, z: complex) -> complex:
-    """p(z), for a finite z."""
-    z = _require_finite_complex((z,), "evaluation point")
-    return complex(_values(np.asarray(p.coefficients), z)[0])
-
-
-def _values(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """p(z) for every z at once in binary64, from the Vandermonde matrix of
-    z; a value past the floating range comes back inf or nan, unwarned."""
-    with np.errstate(all="ignore"):
-        return np.vander(z, len(c), increasing=True) @ c
-
-
-def _horner_error(head, tail, z, pz) -> np.ndarray:
-    """Bounds e_i >= u |p| + O(n^2 u^2) sum |c_k| |z|^k on the errors of the compensated
-    values pz of p = sum (head_k + tail_k) z^k (Graillat & Menissier-Morain 2012)."""
-    n = head.size - 1
-    size = _values(np.stack((np.abs(head), np.abs(tail)), axis=-1), np.abs(z))
-    # The n + 1 steps' rounding errors add up to 4u (n + 1) sum |c_k| |z|^k;
-    # the binary64 Horner summing them, and the tails, errs by
-    # 2 gamma_(2n+2) of theirs: 16 (n + 1)^2 u^2, taken four times over.
-    return (2.0 * _U * np.abs(pz) + 64.0 * ((n + 1) * _U) ** 2 * size[:, 0]
-            + 4.0 * (n + 2) * _U * size[:, 1])
-
-
-def _radii(head, tail, z) -> np.ndarray:
-    """Inclusion radii of the approximations z to the roots of
-    p = sum (head_k + tail_k) z^k, from one compensated evaluation at z.
-
-    The discs |w - z_i| <= n (|p(z_i)| + e_i) / (|c_n| prod_{j != i}|z_i - z_j|)
-    hold every root of p, d in each connected group of d (Carstensen, Numer.
-    Math. 59, 1991), with e_i the error bound of ``_horner_error``.  The
-    product is a sum of logs, so no degree over- or underflows it; a radius
-    that cannot be bounded is inf.
-    """
-    n = z.size
-    with np.errstate(all="ignore"):
-        pz = _compensated_horner(head, tail, z)
-        log_d = np.abs(z[:, None] - z[None, :])
-        np.fill_diagonal(log_d, 1.0)
-        np.log(log_d, out=log_d)
-        log_p = np.log(np.abs(pz) + _horner_error(head, tail, z, pz))
-        log_c = np.log(abs(head[-1] + tail[-1]))
-        slack = 4.0 * (n + 4) * _U * (1.0 + np.abs(log_d).sum(axis=1) + np.abs(log_p) + abs(log_c))
-        log_radius = math.log(n) + log_p - log_c - log_d.sum(axis=1) + slack
-        radii = np.exp(log_radius) * (1.0 + 4.0 * _U)
-    return np.where(np.isnan(radii), np.inf, radii)
-
-
-def _root_corrections(c, tails=None):
-    """Borsch-Supan's step on the roots of p = sum c_k z^k, as the
-    ``corrections`` of ``_sweeps`` for one row of approximations z.
-
-    The Weierstrass corrections W_i = p(z_i) / (c_n prod_{j != i}(z_i - z_j))
-    give the step W_i / (1 + sum_{j != i} W_j / (z_i - z_j)): cubic
-    convergence to simple roots, as Aberth's step has, from p alone
-    (Borsch-Supan 1963).  p is binary64, or with ``tails`` compensated
-    Horner on c + tails, read as 0, for a zero step, where |p| is at most
-    its finite error bound e_i.  p is taken at every point, frozen ones
-    too, since each W_j enters the other points' steps.  A point where p is
-    not finite, or that sits on another, gets no finite step: run with
-    ``pull`` 0.5, ``_sweeps`` pulls it halfway to the origin while the
-    others wait, whose steps, without its W, would be off by the ratio of
-    their distances to its root and to it.
-    """
-    def corrections(w, points):
-        z = w[0]
-        pz = _values(c, z) if tails is None else _compensated_horner(c, tails, z)
-        if tails is not None:
-            error = _horner_error(c, tails, z, pz)
-            pz[(np.abs(pz) <= error) & (error < np.inf)] = 0.0
-        # Column i holds z_i - z_j: numpy reduces down columns faster.
-        diff = z[None, :] - z[:, None]
-        np.fill_diagonal(diff, 1.0)
-        weier = pz / (c[-1] * diff.prod(axis=0))
-        np.fill_diagonal(diff, np.inf)
-        corr = weier / (1.0 + weier @ np.reciprocal(diff))
-        return np.where(np.isfinite(corr), corr, weier)[points[1]]
-    return corrections
-
-
-def _groups(z: np.ndarray, radii: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Connected groups of two or more overlapping discs |w - z_i| <= radii[i],
-    each by its indices in order: every disc takes the least label among
-    the discs it meets until no label moves."""
-    meets = np.abs(z[:, None] - z[None, :]) * (1.0 - 4.0 * _U) <= radii[:, None] + radii[None, :]
-    label = np.arange(z.size)
-    while True:
-        reached = np.where(meets, label, z.size).min(axis=1)
-        if (reached == label).all():
-            break
-        label = reached
-    groups = [np.flatnonzero(label == i) for i in np.unique(label)]
-    return tuple(tuple(g.tolist()) for g in groups if g.size >= 2)
-
-
-def find_roots(p: Polynomial) -> RootResult:
-    """All roots of p, each with an inclusion radius.
-
-    The coefficients c_k = head + tail that are 0 below the lowest nonzero
-    one are exact roots at 0 and come back as 0j with radius 0.  The others
-    start from the Newton polygon (Bini 1996, as in MPSolve): each edge
-    k1 -> k2 of the upper convex hull of the points (k, log|c_k|) puts
-    k2 - k1 starts on the circle of radius (|c_k1|/|c_k2|)^(1/(k2 - k1)),
-    at equal angles turned by a multiple of a fixed irrational offset, so
-    roots whose moduli span decades each start near their own.  Two runs of
-    ``_sweeps`` with Borsch-Supan's step (``_root_corrections``) follow: on
-    the binary64 monic coefficients c_k/c_n, then with p from compensated
-    Horner on coefficients + ``tails``, which stops each root at its
-    rounding floor (Bini 1996).  A compensated evaluation at the final
-    points gives each root its radius (see ``_radii``).  ``converged`` means
-    every radius is finite, and ``clusters`` lists the connected groups of
-    overlapping discs; ``iterations`` counts the sweeps of the first run.
-    A ratio c_k/c_n past binary64 range raises ``DomainError``.
-    """
-    if p.degree < 1:
-        raise DomainError("find_roots needs degree >= 1")
-    coeffs = np.asarray(p.coefficients, dtype=np.complex128)
-    tails = np.zeros_like(coeffs) if p.tails is None else np.asarray(p.tails)
-    nonzero = np.flatnonzero(coeffs + tails)
-    low = int(nonzero[0])
-    z = np.zeros(p.degree - low, dtype=np.complex128)
-    radii = np.zeros(p.degree)
-    with np.errstate(all="ignore"):
-        monic = coeffs[low:] / coeffs[-1]
-        if not np.isfinite(monic).all():
-            k = low + int(np.flatnonzero(~np.isfinite(monic))[0])
-            raise DomainError(f"coefficient ratio c_{k}/c_{p.degree} overflows binary64")
-        logs = np.log(np.abs(coeffs + tails))
-        # Fed from k = n down, the chain's left turns trace the upper hull.
-        hull = _convex_chain([(k, logs[k]) for k in nonzero[::-1].tolist()])
-        for e, ((k2, log2), (k1, log1)) in enumerate(zip(hull, hull[1:]), 1):
-            # The e-th circle from the outside turns by e offsets, so starts
-            # on neighbouring circles do not line up along one ray.
-            angles = 2.0 * np.pi * np.arange(k2 - k1) / (k2 - k1) + e * _ANGULAR_OFFSET
-            z[k1 - low:k2 - low] = np.exp((log1 - log2) / (k2 - k1)) * np.exp(1j * angles)
-    iterations = 0
-    if z.size:
-        head, tail = coeffs[low:], tails[low:]
-        # Twice the outer start circle's radius bounds every root (Fujiwara's
-        # bound), and the row has no fixed points besides its own.
-        scale, none = np.array([1.0 + 2.0 * np.abs(z).max()]), np.empty((1, 0), np.complex128)
-        w, _, iterations = _sweeps(z[None], none, _root_corrections(monic), scale, _MAX_ITER, 0.5)
-        (z,), _, _ = _sweeps(w, none, _root_corrections(head, tail), scale, _MAX_ITER, 0.5)
-        radii[low:] = _radii(head, tail, z)
-    z = np.concatenate((np.zeros(low, dtype=np.complex128), z))
-    order = np.lexsort((z.imag, z.real))
-    z, radii = z[order], radii[order]
-    return RootResult(
-        roots=tuple(complex(v) for v in z),
-        radii=tuple(radii.tolist()),
-        converged=bool(np.isfinite(radii).all()),
-        iterations=iterations,
-        clusters=_groups(z, radii),
-    )
-
-
-def match_roots(
-    found: Sequence[complex], expected: Sequence[complex]
-) -> tuple[tuple[int, ...], float]:
-    """Pair each expected root with a distinct found root.
-
-    Returns (assignment, worst_distance) where assignment[i] indexes the
-    found root paired with expected[i]: the Hungarian assignment, which
-    minimises the total distance over the pairs.  Where every expected
-    root's nearest found root is a different one, that pairing already
-    attains the minimum, row by row, and scipy is not imported.
-    """
-    f = _require_finite_complex(found, "found")
-    e = _require_finite_complex(expected, "expected")
-    if f.size != e.size or f.size == 0:
-        raise DomainError("matching needs two equal nonempty root lists")
-    dist = np.abs(e[:, None] - f[None, :])
-    cols = dist.argmin(axis=1)
-    if np.unique(cols).size < cols.size:
-        from scipy.optimize import linear_sum_assignment
-
-        cols = linear_sum_assignment(dist)[1]
-    return tuple(cols.tolist()), float(dist[np.arange(cols.size), cols].max())
 
 
 def _starts(zeta: np.ndarray, k: np.ndarray | None) -> np.ndarray:
@@ -634,7 +318,13 @@ def _sweeps(w, zeta, corrections, scale, cap, pull=1.0) -> tuple[np.ndarray, np.
     at most 1e-16 * scale even with all m at delta and off by the row's
     largest step; the others go on using it.  A zero step passes all three
     tests.  A point whose step is not finite moves to ``pull`` * w plus a
-    fixed nudge while the rest of its row waits.  A row ends when none of
+    fixed nudge, 1e-7 to 2e-7 of the scale, while the rest of its row
+    waits.  With ``pull`` < 1 that retry map w -> pull * w + nudge settles
+    near nudge / (1 - pull), twice the nudge at the finder's 0.5, so a
+    row's scale must also stay within a few decades of its roots, as
+    ``roots.find_roots``' 1 + twice the outer Newton-polygon radius does:
+    under a scale far above them every retried point is held near 2e-7 of
+    it (ROADMAP, Known defects).  A row ends when none of
     its points move, or when its largest steps are small and stop
     shrinking, or at ``cap`` sweeps, which leaves it not settled.  Each
     sweep gathers only the moving points, each with its row, and where a

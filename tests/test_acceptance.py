@@ -16,7 +16,7 @@ import numpy as np
 from conftest import record_criterion
 from sendov_lab import bounds, verify
 from sendov_lab.cli import main
-from sendov_lab.polynomial import find_roots, from_roots, match_roots
+from sendov_lab.roots import find_roots, from_roots, match_roots
 from sendov_lab.verify import DEFAULT_SEED
 
 

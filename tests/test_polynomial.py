@@ -23,13 +23,17 @@ from sendov_lab import polynomial as poly
 from sendov_lab.polynomial import (
     CriticalPointReport,
     InvalidInputError,
-    Polynomial,
     SendovInstance,
     critical_report,
+    hull_distance,
+)
+from sendov_lab.roots import (
+    Polynomial,
+    _compensated_horner,
+    _root_corrections,
     evaluate,
     find_roots,
     from_roots,
-    hull_distance,
     match_roots,
 )
 
@@ -178,7 +182,7 @@ class TestFromRootsAndEvaluate:
         # Half the points lie within 1e-9 of a root, half about 0.3 off one.
         z = np.asarray(roots) * (1.0 + 1e-9 * rng.normal(size=30))
         z[1::2] += 0.3 * rng.normal(size=15)
-        values = poly._compensated_horner(np.asarray(p.coefficients), np.asarray(p.tails), z)
+        values = _compensated_horner(np.asarray(p.coefficients), np.asarray(p.tails), z)
         with mpmath.workdps(60):
             cs = [mpmath.mpc(h) + mpmath.mpc(t) for h, t in zip(p.coefficients, p.tails)][::-1]
             for x, value in zip(z, values):
@@ -379,7 +383,7 @@ class TestFindRoots:
         roots = _tail_draws()[-1]
         script = (
             "import sys\n"
-            "from sendov_lab.polynomial import find_roots, from_roots, match_roots\n"
+            "from sendov_lab.roots import find_roots, from_roots, match_roots\n"
             f"roots = {roots!r}\n"
             "res = find_roots(from_roots(roots))\n"
             "print(match_roots(res.roots, roots)[1], 'mpmath' in sys.modules)\n"
@@ -491,7 +495,7 @@ class TestFindRoots:
         roots = (0.3, -0.4j, 0.5 + 0.5j, -0.6)
         c = np.asarray(from_roots(roots).coefficients)
         starts = np.array([[0.1 + 0.1j, 0.1 + 0.1j, -0.2, 0.4j]])
-        steps = poly._root_corrections(c)
+        steps = _root_corrections(c)
         # 2 bounds 1 + |r| for every root r.
         w, _, _ = poly._sweeps(starts, np.empty((1, 0), complex), steps, np.array([2.0]), 200, 0.5)
         _, worst = match_roots(w[0], roots)
