@@ -77,14 +77,17 @@ def _emit(args: argparse.Namespace, rows: list[dict], text_lines, csv_columns=No
 def _row(report) -> dict:
     """The output row of a report dataclass: its fields in order, with the
     fields of a nested dataclass (``BoundBreakdown.aux``) inlined in its
-    place.  A tuple stays a tuple: json writes it as a list, csv as "(x y)"
-    and text as Python prints it.  Reports are frozen and hold only
+    place.  A tuple of complex numbers becomes a list of [re, im] pairs;
+    any other tuple stays a tuple: json writes it as a list, csv as
+    "(x y)" and text as Python prints it.  Reports are frozen and hold only
     numbers, strings and tuples, so the values need no copy."""
     row = {}
     for field in dataclasses.fields(report):
         value = getattr(report, field.name)
         if dataclasses.is_dataclass(value):
             row.update(_row(value))
+        elif isinstance(value, tuple) and value and isinstance(value[0], complex):
+            row[field.name] = [[w.real, w.imag] for w in value]
         else:
             row[field.name] = value
     return row
@@ -228,16 +231,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise bounds.DomainError(f"cannot read instance file: {exc}") from None
     report = critical_report(SendovInstance.from_json(payload))
     verdict = report.verdict(verify.VIOLATION_THRESHOLD)
-    row = {
-        "critical_points": [[w.real, w.imag] for w in report.critical_points],
-        "sendov_distance": report.sendov_distance,
-        "mean_real_part": report.mean_real_part,
-        "radii": list(report.radii),
-        "distance_radius": report.distance_radius,
-        "converged": report.converged,
-        "verdict": verdict,
-    }
-    _emit(args, [row], _check_lines)
+    _emit(args, [dict(_row(report), verdict=verdict)], _check_lines)
     return 0 if verdict == "PASS" else 1
 
 

@@ -134,19 +134,22 @@ class SendovInstance:
     def from_dict(cls, data: dict) -> "SendovInstance":
         """The instance of a ``to_dict`` payload.  ``a`` and every zero
         component must be numbers already: a string or a bool is rejected,
-        not converted."""
+        not converted.  ``zeros`` passes ``_require_finite_complex`` as
+        rows, each of two real components [re, im]."""
         try:
-            a = data["a"]
-            pairs = [(re, im) for re, im in data["zeros"]]
-            bad = {kind for kind in set(map(type, (x for pair in pairs for x in pair)))
-                   if issubclass(kind, bool) or not issubclass(kind, (int, float))}
-            if bad:
-                part = next(x for pair in pairs for x in pair if type(x) in bad)
-                raise TypeError(f"zero component {part!r} is not a number")
-            zeros = tuple(complex(re, im) for re, im in pairs)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            a, zeros = data["a"], data["zeros"]
+        except (KeyError, TypeError) as exc:
             raise DomainError(f"bad instance payload: {exc}") from None
-        return cls(a=a, other_zeros=zeros)
+        # An empty list or tuple has no second axis: it is no zeros, which the
+        # constructor rejects by name.
+        if isinstance(zeros, (list, tuple)) and not zeros:
+            rows = np.empty((0, 2))
+        else:
+            rows = _require_finite_complex(zeros, "zeros", ndim=2)
+        if rows.shape[1] != 2 or rows.imag.any():
+            raise DomainError("each zero must be a row [re, im] of two real numbers")
+        # Viewing each row as one complex keeps a -0.0 component's sign.
+        return cls(a=a, other_zeros=np.ascontiguousarray(rows.real).view(np.complex128)[:, 0])
 
     @classmethod
     def from_json(cls, text: str) -> "SendovInstance":

@@ -8,9 +8,9 @@ precision on every platform.  ``find_roots`` runs the kernel's sweep loop,
 ``polynomial._sweeps``, with Borsch-Supan's step, which reads p alone: on
 the binary64 coefficients from Newton-polygon starts, then with p from
 compensated Horner on head + tail, built on the error-free transformations
-of ``bounds``, to each root's rounding floor.  The Weierstrass corrections
-at the final points give the roots inclusion radii, as the kernel's do for
-critical points.
+of ``bounds``, to each root's rounding floor; one Horner pass gives p and
+its error bound.  The Weierstrass corrections at the final points give the
+roots inclusion radii, as the kernel's do for critical points.
 
 All public values are immutable and safe to share across threads.  Every
 rejected argument raises ``bounds.DomainError``, the package's one error
@@ -149,19 +149,31 @@ def _complex_product(x: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
     return s, f + e[..., 0, 0] + e[..., 1, 0]
 
 
-def _compensated_horner(head: np.ndarray, tail: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """p(z) at every z for p = sum (head_k + tail_k) z^k, as accurate as
-    Horner in twice binary64 precision then rounded (Graillat, Langlois &
-    Louvet 2009): each step's rounding errors, exact by ``_complex_product``
-    and ``_two_sum``, and the tails feed a second, binary64 Horner added at
-    the end.  A value past Veltkamp's split range gives NaN."""
+def _compensated_horner(head, tail, z) -> tuple[np.ndarray, np.ndarray]:
+    """(p, e): p(z) at every z for p = sum (head_k + tail_k) z^k, as
+    accurate as Horner in twice binary64 precision then rounded (Graillat,
+    Langlois & Louvet 2009), and bounds e >= |p - p(z)|.  Each step's
+    rounding errors, exact by ``_complex_product`` and ``_two_sum``, and the
+    tails feed a second, binary64 Horner added at the end; two more carry
+    sum |head_k| |z|^k and sum |tail_k| |z|^k for the bound, about
+    u |p| + O(n^2 u^2) sum |c_k| |z|^k (Graillat & Menissier-Morain 2012).
+    A value past Veltkamp's split range gives NaN."""
+    n = head.size - 1
     s = np.full_like(z, head[-1])
     r = np.full_like(z, tail[-1])
-    for h, t in zip(head[-2::-1], tail[-2::-1]):
+    absz, sizes = np.abs(z)[:, None], np.stack((np.abs(head), np.abs(tail)), axis=-1)
+    size = np.repeat(sizes[-1:], z.size, axis=0)
+    for h, t, c in zip(head[-2::-1], tail[-2::-1], sizes[-2::-1]):
         p, e = _complex_product(s, z)
         s, f = _two_sum(p, h)
         r = r * z + (e + f + t)
-    return s + r
+        size = size * absz + c
+    pz = s + r
+    # The n + 1 steps' rounding errors add up to 4u (n + 1) sum |c_k| |z|^k;
+    # the binary64 Horner summing them, and the tails, errs by
+    # 2 gamma_(2n+2) of theirs: 16 (n + 1)^2 u^2, taken four times over.
+    return pz, (2.0 * _U * np.abs(pz) + 64.0 * ((n + 1) * _U) ** 2 * size[:, 0]
+                + 4.0 * (n + 2) * _U * size[:, 1])
 
 
 def evaluate(p: Polynomial, z: complex) -> complex:
@@ -177,35 +189,23 @@ def _values(c: np.ndarray, z: np.ndarray) -> np.ndarray:
         return np.vander(z, len(c), increasing=True) @ c
 
 
-def _horner_error(head, tail, z, pz) -> np.ndarray:
-    """Bounds e_i >= u |p| + O(n^2 u^2) sum |c_k| |z|^k on the errors of the compensated
-    values pz of p = sum (head_k + tail_k) z^k (Graillat & Menissier-Morain 2012)."""
-    n = head.size - 1
-    size = _values(np.stack((np.abs(head), np.abs(tail)), axis=-1), np.abs(z))
-    # The n + 1 steps' rounding errors add up to 4u (n + 1) sum |c_k| |z|^k;
-    # the binary64 Horner summing them, and the tails, errs by
-    # 2 gamma_(2n+2) of theirs: 16 (n + 1)^2 u^2, taken four times over.
-    return (2.0 * _U * np.abs(pz) + 64.0 * ((n + 1) * _U) ** 2 * size[:, 0]
-            + 4.0 * (n + 2) * _U * size[:, 1])
-
-
 def _radii(head, tail, z) -> np.ndarray:
     """Inclusion radii of the approximations z to the roots of
     p = sum (head_k + tail_k) z^k, from one compensated evaluation at z.
 
     The discs |w - z_i| <= n (|p(z_i)| + e_i) / (|c_n| prod_{j != i}|z_i - z_j|)
     hold every root of p, d in each connected group of d (Carstensen, Numer.
-    Math. 59, 1991), with e_i the error bound of ``_horner_error``.  The
+    Math. 59, 1991), with e_i the error bound of ``_compensated_horner``.  The
     product is a sum of logs, so no degree over- or underflows it; a radius
     that cannot be bounded is inf.
     """
     n = z.size
     with np.errstate(all="ignore"):
-        pz = _compensated_horner(head, tail, z)
+        pz, error = _compensated_horner(head, tail, z)
         log_d = np.abs(z[:, None] - z[None, :])
         np.fill_diagonal(log_d, 1.0)
         np.log(log_d, out=log_d)
-        log_p = np.log(np.abs(pz) + _horner_error(head, tail, z, pz))
+        log_p = np.log(np.abs(pz) + error)
         log_c = np.log(abs(head[-1] + tail[-1]))
         slack = 4.0 * (n + 4) * _U * (1.0 + np.abs(log_d).sum(axis=1) + np.abs(log_p) + abs(log_c))
         log_radius = math.log(n) + log_p - log_c - log_d.sum(axis=1) + slack
@@ -231,9 +231,10 @@ def _root_corrections(c, tails=None):
     """
     def corrections(w, points):
         z = w[0]
-        pz = _values(c, z) if tails is None else _compensated_horner(c, tails, z)
-        if tails is not None:
-            error = _horner_error(c, tails, z, pz)
+        if tails is None:
+            pz = _values(c, z)
+        else:
+            pz, error = _compensated_horner(c, tails, z)
             pz[(np.abs(pz) <= error) & (error < np.inf)] = 0.0
         # Column i holds z_i - z_j: numpy reduces down columns faster.
         diff = z[None, :] - z[:, None]

@@ -21,7 +21,13 @@ VERIFY_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "verify_golden.j
 # The committed instance `check` is pinned on: a = 0.6 and three other zeros.
 THREE_ZEROS = '{"a": 0.6, "zeros": [[0.5, 0.5], [-0.9, 0.1], [0.0, -1.0]]}'
 
-# One small call per command; "<instance>" stands for a file holding THREE_ZEROS.
+# Two repeated zeros, signed -0.0: check's exact critical point -0 - 0i, radius 0.
+REPEATED_ZEROS = '{"a": 0.6, "zeros": [[-0.0, -0.0], [-0.0, -0.0], [0.0, 0.5]]}'
+
+# The file each instance placeholder of PINNED_ARGV stands for holds this text.
+PINNED_INSTANCES = {"<instance>": THREE_ZEROS, "<repeated>": REPEATED_ZEROS}
+
+# One small call per command, and check on each pinned instance.
 PINNED_ARGV = {
     "bound": ["bound", "--a", "0.5"],
     "table": ["table"],
@@ -29,6 +35,7 @@ PINNED_ARGV = {
     "fuzz": ["fuzz", "--a", "0.5", "--degree", "6", "--trials", "20", "--seed", "7"],
     "verify": ["verify", "--grid-step", "0.01", "--seed", "3"],
     "check": ["check", "--instance", "<instance>"],
+    "check-repeated": ["check", "--instance", "<repeated>"],
 }
 
 # SHA-256 of the stdout of each PINNED_ARGV call per --format, on x86-64
@@ -52,6 +59,8 @@ STDOUT_DIGESTS = {
     ("verify", "csv"): "3cc015ff1154e7c5557ffc8aef09f327dbf417404990c88db531be88cc1c7ff0",
     ("check", "text"): "8695a81cd09297a87e89a26009fd523fa9331ef609201e64b45471a88adee5a0",
     ("check", "json"): "91447583d720e181c12f5489246f14042788aeedd0f911d0237b3eb0243320b4",
+    ("check-repeated", "text"): "1a6c868f020eef5e55d72e94f41397018e89e2872f1bd0e3a3ec670dc7fa7fa0",
+    ("check-repeated", "json"): "5b6a57590b7a1a6f6045d34096aade9b5dd18e408e133feeee69f5849030fa25",
 }
 
 BREAKDOWN_FIELDS = [
@@ -360,8 +369,10 @@ class TestPinnedBytes:
     @pytest.mark.parametrize("command, fmt", list(STDOUT_DIGESTS))
     def test_stdout_matches_digest(self, capsys, tmp_path, command, fmt):
         path = tmp_path / "inst.json"
-        path.write_text(THREE_ZEROS)
-        argv = [str(path) if arg == "<instance>" else arg for arg in PINNED_ARGV[command]]
+        argv = PINNED_ARGV[command]
+        if argv[-1] in PINNED_INSTANCES:
+            path.write_text(PINNED_INSTANCES[argv[-1]])
+        argv = [str(path) if arg in PINNED_INSTANCES else arg for arg in argv]
         code, out, err = run(capsys, *argv, "--format", fmt)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS[command, fmt]

@@ -182,13 +182,15 @@ class TestFromRootsAndEvaluate:
         # Half the points lie within 1e-9 of a root, half about 0.3 off one.
         z = np.asarray(roots) * (1.0 + 1e-9 * rng.normal(size=30))
         z[1::2] += 0.3 * rng.normal(size=15)
-        values = _compensated_horner(np.asarray(p.coefficients), np.asarray(p.tails), z)
+        values, errors = _compensated_horner(np.asarray(p.coefficients), np.asarray(p.tails), z)
         with mpmath.workdps(60):
             cs = [mpmath.mpc(h) + mpmath.mpc(t) for h, t in zip(p.coefficients, p.tails)][::-1]
-            for x, value in zip(z, values):
+            for x, value, error in zip(z, values, errors):
                 exact = mpmath.polyval(cs, mpmath.mpc(x))
                 size = mpmath.polyval([abs(c) for c in cs], abs(mpmath.mpc(x)))
                 assert abs(value - exact) <= 4 * 2.0 ** -53 * abs(exact) + 1e-29 * size
+                # The returned bound, which the finder's discs rest on, holds.
+                assert abs(value - exact) <= error
 
     @pytest.mark.parametrize("roots", [(1.5e300,), (2e150, 3e150j), (3e-300, -2e-300j)])
     def test_expansion_scales_roots_near_the_ends_of_binary64(self, roots):
@@ -570,10 +572,19 @@ class TestSendovInstance:
         '{"a": 0.5, "zeros": [[true, false]]}',
         '{"a": 0.5, "zeros": [["0.1", 0]]}',
         '{"a": 0.5, "zeros": [[0, null]]}',
-    ], ids=["string_a", "bool_a", "bool_zero", "string_zero", "null_zero"])
+        '{"a": 0.5, "zeros": 5}',
+        '{"a": 0.5, "zeros": [[0.1]]}',
+        '{"a": 0.5, "zeros": [[0.1, 0.2, 0.3]]}',
+        '{"a": 0.5, "zeros": [[[0.1, 0.2]]]}',
+    ], ids=["string_a", "bool_a", "bool_zero", "string_zero", "null_zero", "number_zeros",
+            "one_component", "three_components", "nested_row"])
     def test_from_json_converts_no_field(self, text):
         with pytest.raises(bounds.DomainError):
             SendovInstance.from_json(text)
+
+    def test_from_json_without_zeros_names_the_degree(self):
+        with pytest.raises(bounds.DomainError, match="need at least one other zero"):
+            SendovInstance.from_json('{"a": 0.5, "zeros": []}')
 
     def test_numpy_scalars_accepted(self):
         zeros = (np.int64(0), np.float32(0.5), np.complex128(0.25j))
