@@ -304,7 +304,7 @@ def _nearest(w, zeta, points) -> np.ndarray:
     return np.minimum(nearest, np.abs(gap).min(axis=-1))
 
 
-def _sweeps(w, zeta, corrections, scale, cap, pull=1.0) -> tuple[np.ndarray, np.ndarray, int]:
+def _sweeps(w, zeta, corrections, scale, cap) -> tuple[np.ndarray, np.ndarray, int]:
     """Sweeps of the step ``corrections`` on each row of approximations
     ``w``; returns (approximations, settled per row, sweeps run).
 
@@ -320,18 +320,12 @@ def _sweeps(w, zeta, corrections, scale, cap, pull=1.0) -> tuple[np.ndarray, np.
     leaves, about s^2 sum_j e_j / |w - w_j|^2 for neighbours off by e_j, is
     at most 1e-16 * scale even with all m at delta and off by the row's
     largest step; the others go on using it.  A zero step passes all three
-    tests.  A point whose step is not finite moves to ``pull`` * w plus a
-    fixed nudge, 1e-7 to 2e-7 of the scale, while the rest of its row
-    waits.  With ``pull`` < 1 that retry map w -> pull * w + nudge settles
-    near nudge / (1 - pull), twice the nudge at the finder's 0.5, so a
-    row's scale must also stay within a few decades of its roots, as
-    ``roots.find_roots``' 1 + twice the outer Newton-polygon radius does:
-    under a scale far above them every retried point is held near 2e-7 of
-    it (ROADMAP, Known defects).  A row ends when none of
-    its points move, or when its largest steps are small and stop
-    shrinking, or at ``cap`` sweeps, which leaves it not settled.  Each
-    sweep gathers only the moving points, each with its row, and where a
-    point's step does not depend on what else is gathered, a row's result
+    tests.  A point whose step is not finite moves by a fixed nudge, 1e-7
+    to 2e-7 of the scale, while the rest of its row waits.  A row ends
+    when none of its points move, or when its largest steps are small and
+    stop shrinking, or at ``cap`` sweeps, which leaves it not settled.
+    Each sweep gathers only the moving points, each with its row, and where
+    a point's step does not depend on what else is gathered, a row's result
     does not depend on the other rows.
     """
     rows, m = w.shape
@@ -359,7 +353,7 @@ def _sweeps(w, zeta, corrections, scale, cap, pull=1.0) -> tuple[np.ndarray, np.
                 swept = moving.any(axis=-1)
             else:
                 nudged = ~finite.all(axis=-1)
-                w = np.where(finite, np.where(nudged[:, None], w, w - corr), pull * w + nudge)
+                w = np.where(finite, np.where(nudged[:, None], w, w - corr), w + nudge)
                 swept = moving.any(axis=-1) & ~nudged
                 small &= swept[:, None]
             # A small step freezes a point only if it is also small against

@@ -9,8 +9,10 @@ precision on every platform.  ``find_roots`` runs the kernel's sweep loop,
 the binary64 coefficients from Newton-polygon starts, then with p from
 compensated Horner on head + tail, built on the error-free transformations
 of ``bounds``, to each root's rounding floor; one Horner pass gives p and
-its error bound.  The Weierstrass corrections at the final points give the
-roots inclusion radii, as the kernel's do for critical points.
+its error bound.  Every evaluation at a point outside the unit circle runs
+at an exact power-of-two scale, so p and the Weierstrass products stay in
+range at a far root.  The Weierstrass corrections at the final points give
+the roots inclusion radii, as the kernel's do for critical points.
 
 All public values are immutable and safe to share across threads.  Every
 rejected argument raises ``bounds.DomainError``, the package's one error
@@ -125,7 +127,7 @@ def from_roots(roots: Sequence[complex]) -> Polynomial:
     with np.errstate(all="ignore"):
         # From z^n, each root multiplies by (z - r)/z: c_k -= r c_(k+1).
         for r in np.ldexp(parts, -scale).view(np.complex128):
-            p, e = _complex_product(head[1:], r)
+            p, e = _complex_product(head[1:], _product_matrix(r))
             s, f = _two_sum(head[:-1], -p)
             head[:-1], tail[:-1] = _two_sum(s, f + tail[:-1] - e - r * tail[1:])
         powers = np.repeat(scale * np.arange(n, -1, -1), 2)
@@ -135,45 +137,74 @@ def from_roots(roots: Sequence[complex]) -> Polynomial:
     return Polynomial(tuple(c[0].tolist()), tuple(c[1].tolist()))
 
 
-def _complex_product(x: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
+def _product_matrix(y) -> np.ndarray:
+    """The real 2 x 2 matrix of each complex y, as ``_complex_product``
+    reads it; a loop that multiplies by one y builds it once."""
+    return np.stack([y.real, y.imag, -y.imag, y.real], axis=-1).reshape(*np.shape(y), 2, 2)
+
+
+def _complex_product(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(s, e) with s + e = x * y up to a few u^2 |x| |y|, for a complex array
-    x and a complex y that broadcasts against it (TwoProdCplx of Graillat &
-    Menissier-Morain 2012): ``bounds._two_product`` makes the four real
-    products exact and ``_two_sum`` the two sums, barring under- and overflow."""
-    p, e = _two_product(
-        x.view(np.float64).reshape(*x.shape, 2, 1),
-        np.stack([y.real, y.imag, -y.imag, y.real], axis=-1).reshape(*np.shape(y), 2, 2),
-    )
+    x and the ``_product_matrix`` of a complex y that broadcasts against it
+    (TwoProdCplx of Graillat & Menissier-Morain 2012): ``bounds._two_product``
+    makes the four real products exact and ``_two_sum`` the two sums,
+    barring under- and overflow."""
+    p, e = _two_product(x.view(np.float64).reshape(*x.shape, 2, 1), y)
     p, e = p.view(np.complex128), e.view(np.complex128)
     s, f = _two_sum(p[..., 0, 0], p[..., 1, 0])
     return s, f + e[..., 0, 0] + e[..., 1, 0]
 
 
-def _compensated_horner(head, tail, z) -> tuple[np.ndarray, np.ndarray]:
-    """(p, e): p(z) at every z for p = sum (head_k + tail_k) z^k, as
-    accurate as Horner in twice binary64 precision then rounded (Graillat,
-    Langlois & Louvet 2009), and bounds e >= |p - p(z)|.  Each step's
-    rounding errors, exact by ``_complex_product`` and ``_two_sum``, and the
-    tails feed a second, binary64 Horner added at the end; two more carry
-    sum |head_k| |z|^k and sum |tail_k| |z|^k for the bound, about
-    u |p| + O(n^2 u^2) sum |c_k| |z|^k (Graillat & Menissier-Morain 2012).
-    A value past Veltkamp's split range gives NaN."""
+def _compensated_horner(head, tail, z, e=0) -> tuple[np.ndarray, np.ndarray]:
+    """(p, b): p(z) 2^(-n e) at every z for p = sum (head_k + tail_k) z^k,
+    as accurate as Horner in twice binary64 precision then rounded
+    (Graillat, Langlois & Louvet 2009), and bounds b >= |p - p(z) 2^(-n e)|.
+
+    Horner runs at y = z 2^-e on each point's own coefficients, c_k times
+    2^(-(n - k) e), so that with ``_exponents``' e no term overflows at a
+    far point; e = 0 evaluates p(z) itself.  Each step's rounding errors,
+    exact by ``_complex_product`` and ``_two_sum``, and the tails feed a
+    second, binary64 Horner added at the end; two more carry
+    sum |head_k| |y|^k and sum |tail_k| |y|^k, scaled alike, for the bound:
+    about u |p| + O(n^2 u^2) sum |c_k| |y|^k (Graillat & Menissier-Morain
+    2012), plus an absolute term for gradual underflow that holds where
+    |y| <= 1.  A value past Veltkamp's split range gives NaN.
+    """
     n = head.size - 1
+    # Row k holds, per point, head_k and tail_k times 2^(-(n - k) e), each
+    # part rounded once (exact unless it is subnormal), and their moduli.
+    parts = np.stack((head, tail), axis=-1)[:, None]
+    shift = (np.arange(-n, 1, dtype=np.int32)[:, None] * e)[..., None]
+    scaled = np.ldexp(parts.view(np.float64), shift).view(np.complex128).transpose(0, 2, 1)
+    sizes = np.ldexp(np.abs(parts), shift)
+    y = z * np.ldexp(1.0, -e)
     s = np.full_like(z, head[-1])
     r = np.full_like(z, tail[-1])
-    absz, sizes = np.abs(z)[:, None], np.stack((np.abs(head), np.abs(tail)), axis=-1)
-    size = np.repeat(sizes[-1:], z.size, axis=0)
-    for h, t, c in zip(head[-2::-1], tail[-2::-1], sizes[-2::-1]):
-        p, e = _complex_product(s, z)
-        s, f = _two_sum(p, h)
-        r = r * z + (e + f + t)
-        size = size * absz + c
+    absy, matrix = np.abs(y)[:, None], _product_matrix(y)
+    size = np.repeat(sizes[-1, :1], z.size, axis=0)
+    for (h, t), c in zip(scaled[-2::-1], sizes[-2::-1]):
+        p, f = _complex_product(s, matrix)
+        s, g = _two_sum(p, h)
+        r = r * y + (f + g + t)
+        size = size * absy + c
     pz = s + r
-    # The n + 1 steps' rounding errors add up to 4u (n + 1) sum |c_k| |z|^k;
+    # The n + 1 steps' rounding errors add up to 4u (n + 1) sum |c_k| |y|^k;
     # the binary64 Horner summing them, and the tails, errs by
     # 2 gamma_(2n+2) of theirs: 16 (n + 1)^2 u^2, taken four times over.
+    # Underflow in a step, the coefficients' scaling included, adds less
+    # than 16 times the least subnormal 2^-1074, which no later step
+    # enlarges while |y| <= 1; y's own rounding moves p by less than
+    # n 2^-1074 sum |c_k| |y|^k, inside the spare of the size term.
     return pz, (2.0 * _U * np.abs(pz) + 64.0 * ((n + 1) * _U) ** 2 * size[:, 0]
-                + 4.0 * (n + 2) * _U * size[:, 1])
+                + 4.0 * (n + 2) * _U * size[:, 1] + (n + 1) * 2.0 ** -1069)
+
+
+def _exponents(z: np.ndarray) -> np.ndarray:
+    """e_i = 0 where |z_i| <= 1 or is not finite, else the binary exponent
+    of |z_i|: |z_i 2^-e_i| <= 1 wherever |z_i| is finite, and scaling by
+    2^-e_i rounds nothing above the subnormal range."""
+    size = np.abs(z)
+    return np.frexp(size)[1] * (size > 1.0)
 
 
 def evaluate(p: Polynomial, z: complex) -> complex:
@@ -182,33 +213,45 @@ def evaluate(p: Polynomial, z: complex) -> complex:
     return complex(_values(np.asarray(p.coefficients), z)[0])
 
 
-def _values(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """p(z) for every z at once in binary64, from the Vandermonde matrix of
-    z; a value past the floating range comes back inf or nan, unwarned."""
+def _values(c: np.ndarray, z: np.ndarray, e=0) -> np.ndarray:
+    """p(z) 2^(-n e) for every z at once in binary64, as the Vandermonde
+    matrix of y = z 2^-e, its column k times 2^(-(n - k) e), times c; e = 0
+    gives p(z).  A value past the floating range comes back inf or nan,
+    unwarned."""
+    n = len(c) - 1
     with np.errstate(all="ignore"):
-        return np.vander(z, len(c), increasing=True) @ c
+        scale = np.ldexp(np.ones(z.shape), -e)
+        v = np.vander(z * scale, n + 1, increasing=True)
+        v *= np.vander(scale, n + 1)
+        return v @ c
 
 
 def _radii(head, tail, z) -> np.ndarray:
     """Inclusion radii of the approximations z to the roots of
     p = sum (head_k + tail_k) z^k, from one compensated evaluation at z.
 
-    The discs |w - z_i| <= n (|p(z_i)| + e_i) / (|c_n| prod_{j != i}|z_i - z_j|)
+    The discs |w - z_i| <= n (|p(z_i)| + b_i) / (|c_n| prod_{j != i}|z_i - z_j|)
     hold every root of p, d in each connected group of d (Carstensen, Numer.
-    Math. 59, 1991), with e_i the error bound of ``_compensated_horner``.  The
-    product is a sum of logs, so no degree over- or underflows it; a radius
-    that cannot be bounded is inf.
+    Math. 59, 1991), with b_i the error bound of ``_compensated_horner``.
+    p(z_i) is taken at ``_exponents``' scale 2^(-n e_i), whose log is added
+    back, and the product is a sum of logs, so neither over- or underflows
+    at any degree or distance; a radius that cannot be bounded is inf.
     """
     n = z.size
+    e = _exponents(z)
     with np.errstate(all="ignore"):
-        pz, error = _compensated_horner(head, tail, z)
+        pz, error = _compensated_horner(head, tail, z, e)
         log_d = np.abs(z[:, None] - z[None, :])
         np.fill_diagonal(log_d, 1.0)
         np.log(log_d, out=log_d)
         log_p = np.log(np.abs(pz) + error)
         log_c = np.log(abs(head[-1] + tail[-1]))
-        slack = 4.0 * (n + 4) * _U * (1.0 + np.abs(log_d).sum(axis=1) + np.abs(log_p) + abs(log_c))
-        log_radius = math.log(n) + log_p - log_c - log_d.sum(axis=1) + slack
+        # |p(z_i)| is |pz_i| 2^(n e_i) exactly; the slack also covers the
+        # two roundings of n e_i log 2.
+        log_scale = n * e * math.log(2.0)
+        slack = 4.0 * (n + 4) * _U * (
+            1.0 + np.abs(log_d).sum(axis=1) + np.abs(log_p) + abs(log_c) + log_scale)
+        log_radius = math.log(n) + log_p + log_scale - log_c - log_d.sum(axis=1) + slack
         radii = np.exp(log_radius) * (1.0 + 4.0 * _U)
     return np.where(np.isnan(radii), np.inf, radii)
 
@@ -222,26 +265,31 @@ def _root_corrections(c, tails=None):
     convergence to simple roots, as Aberth's step has, from p alone
     (Borsch-Supan 1963).  p is binary64, or with ``tails`` compensated
     Horner on c + tails, read as 0, for a zero step, where |p| is at most
-    its finite error bound e_i.  p is taken at every point, frozen ones
-    too, since each W_j enters the other points' steps.  A point where p is
-    not finite, or that sits on another, gets no finite step: run with
-    ``pull`` 0.5, ``_sweeps`` pulls it halfway to the origin while the
-    others wait, whose steps, without its W, would be off by the ratio of
-    their distances to its root and to it.
+    its finite error bound.  p is taken at every point, frozen ones too,
+    since each W_j enters the other points' steps.  Both p(z_i) and each
+    factor z_i - z_j are taken at ``_exponents``' scale 2^-e_i, exactly, so
+    neither overflows at a far point.  A point where W is not finite, as on
+    another point, gets no finite step, and ``_sweeps`` nudges it while the
+    others wait.
     """
     def corrections(w, points):
         z = w[0]
+        e = _exponents(z)
         if tails is None:
-            pz = _values(c, z)
+            pz = _values(c, z, e)
         else:
-            pz, error = _compensated_horner(c, tails, z)
+            pz, error = _compensated_horner(c, tails, z, e)
             pz[(np.abs(pz) <= error) & (error < np.inf)] = 0.0
-        # Column i holds z_i - z_j: numpy reduces down columns faster.
+        # Column i holds (z_i - z_j) 2^-e_i, and 2^-e_i on the diagonal, so
+        # its product carries p(z_i)'s scale 2^(-n e_i): numpy reduces down
+        # columns faster.
+        scale = np.ldexp(1.0, -e)
         diff = z[None, :] - z[:, None]
         np.fill_diagonal(diff, 1.0)
+        diff *= scale
         weier = pz / (c[-1] * diff.prod(axis=0))
         np.fill_diagonal(diff, np.inf)
-        corr = weier / (1.0 + weier @ np.reciprocal(diff))
+        corr = weier / (1.0 + (weier @ np.reciprocal(diff)) * scale)
         return np.where(np.isfinite(corr), corr, weier)[points[1]]
     return corrections
 
@@ -274,11 +322,14 @@ def find_roots(p: Polynomial) -> RootResult:
     ``_sweeps`` with Borsch-Supan's step (``_root_corrections``) follow: on
     the binary64 monic coefficients c_k/c_n, then with p from compensated
     Horner on coefficients + ``tails``, which stops each root at its
-    rounding floor (Bini 1996).  A compensated evaluation at the final
-    points gives each root its radius (see ``_radii``).  ``converged`` means
-    every radius is finite, and ``clusters`` lists the connected groups of
-    overlapping discs; ``iterations`` counts the sweeps of the first run.
-    A ratio c_k/c_n past binary64 range raises ``DomainError``.
+    rounding floor (Bini 1996).  Both runs evaluate a point outside the
+    unit circle at a power-of-two scale (``_exponents``), so a root whose
+    |z|^n is past binary64 range is found and certified as any other.  A
+    compensated evaluation at the final points gives each root its radius
+    (see ``_radii``).  ``converged`` means every radius is finite, and
+    ``clusters`` lists the connected groups of overlapping discs;
+    ``iterations`` counts the sweeps of the first run.  A ratio c_k/c_n past
+    binary64 range raises ``DomainError``.
     """
     if p.degree < 1:
         raise DomainError("find_roots needs degree >= 1")
@@ -307,8 +358,8 @@ def find_roots(p: Polynomial) -> RootResult:
         # Twice the outer start circle's radius bounds every root (Fujiwara's
         # bound), and the row has no fixed points besides its own.
         scale, none = np.array([1.0 + 2.0 * np.abs(z).max()]), np.empty((1, 0), np.complex128)
-        w, _, iterations = _sweeps(z[None], none, _root_corrections(monic), scale, _MAX_ITER, 0.5)
-        (z,), _, _ = _sweeps(w, none, _root_corrections(head, tail), scale, _MAX_ITER, 0.5)
+        w, _, iterations = _sweeps(z[None], none, _root_corrections(monic), scale, _MAX_ITER)
+        (z,), _, _ = _sweeps(w, none, _root_corrections(head, tail), scale, _MAX_ITER)
         radii[low:] = _radii(head, tail, z)
     z = np.concatenate((np.zeros(low, dtype=np.complex128), z))
     order = np.lexsort((z.imag, z.real))
