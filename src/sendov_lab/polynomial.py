@@ -12,8 +12,10 @@ once (``sendov_distances``): its stages take a leading axis of instances,
 each sweep of ``_sweeps`` gathers only the points still moving, and an
 instance's result does not depend on what else is in the block.
 
-The coefficient root finder lives in ``roots``, which runs this module's
-sweep loop ``_sweeps`` with its own step; nothing here imports it.
+The root finder in ``roots`` runs this module's sweep loop ``_sweeps`` with
+its own step and certifies by the same two rules: ``_weierstrass_radii``
+gives every radius and ``_discs_meet`` says when two discs meet.  Nothing
+here imports ``roots``.
 
 All public values are immutable and safe to share across threads.  Every
 rejected argument or instance raises ``bounds.DomainError``, the package's
@@ -395,25 +397,46 @@ def _secular_aberth(zeta, k, w) -> tuple[np.ndarray, np.ndarray]:
     )[:2]
 
 
-def _inclusion_radii(w, zeta, k) -> tuple[np.ndarray, np.ndarray]:
-    """Weierstrass inclusion radii (g - 1)|W_i| for the roots of Q, per row,
-    and each w_i's distance to its nearest w_j, from the products' |w_i - w_j|.
-
-    W_i = Q(w_i) / (n prod_{j != i}(w_i - w_j)), where n = sum(k) is Q's
-    leading coefficient (``k`` None means every multiplicity is 1).  The
-    union of the discs |z - w_i| <= (g - 1)|W_i| holds every root of Q, and
-    a connected group of d discs holds exactly d (Gerschgorin's theorem on
-    the Weierstrass matrix).  The products are
-    taken as sums of logs, so no degree over- or underflows them, and each
-    radius is widened by a rounding-error bound on f and on the log sums
-    (Higham, Accuracy and Stability of Numerical Algorithms, 5.1).  A
-    radius that cannot be bounded is inf.
-    """
-    g = zeta.shape[-1]
+def _weierstrass_radii(w, first, second, lead, size, count) -> tuple[np.ndarray, np.ndarray]:
+    """(radii, nearest): m exp(first + second - lead - sum_{j != i} log|w_i - w_j|
+    + slack) for the m points w_i of each row, and each one's nearest distance.
+    Where first + second >= log|v(w_i)| and lead = log|c| for a polynomial v
+    of degree m and leading coefficient c, every root of v lies in the discs
+    |z - w_i| <= radii[i], d in each connected group of d (Carstensen, Numer.
+    Math. 59, 1991); as sums of logs the products never over- or underflow.
+    The slack 4 count u (1 + size + sum_j |log|w_i - w_j||), given the
+    caller's term count >= 5 and size (sum of |log| of its own terms), covers
+    the rounding of the logs and their sum; its constant term, at least 20u,
+    covers exp's rounding of a few ulps.  NaN gives inf."""
     m = w.shape[-1]
+    diagonal = np.arange(m)
+    with np.errstate(all="ignore"):
+        log_e = np.abs(w[..., :, None] - w[..., None, :])
+        log_e[..., diagonal, diagonal] = np.inf
+        nearest = log_e.min(axis=-1)
+        np.log(log_e, out=log_e)
+        log_e[..., diagonal, diagonal] = 0.0
+        sum_e, size_e = log_e.sum(axis=-1), np.abs(log_e).sum(axis=-1)
+        slack = 4.0 * count * _U * (1.0 + size + size_e)
+        radii = np.exp(math.log(m) + first + second - lead - sum_e + slack)
+    return np.where(np.isnan(radii), np.inf, radii), nearest
+
+
+def _discs_meet(gap, reach) -> np.ndarray:
+    """Whether discs whose centres lie a computed |w_i - w_j| = ``gap`` apart,
+    with radii summing to ``reach``, meet: the margin 1 - 4u covers the
+    gap's three roundings, so discs that meet are never parted."""
+    return gap * (1.0 - 4.0 * _U) <= reach
+
+
+def _inclusion_radii(w, zeta, k) -> tuple[np.ndarray, np.ndarray]:
+    """``_weierstrass_radii`` for the roots of Q = prod(z - zeta_j) * f,
+    f = sum_j k_j/(z - zeta_j), of leading coefficient n = sum(k) (``k`` None
+    for all ones): |Q(w)| <= prod_j |w - zeta_j| * f_bound, with f_bound |f|
+    widened by an a-priori bound on its rounding (Higham 2002, ch. 3-4)."""
+    g = zeta.shape[-1]
     kk = 1.0 if k is None else k[:, None, :]
     log_n = np.log(float(g)) if k is None else np.log(k.sum(axis=-1))[:, None]
-    diagonal = np.arange(m)
     with np.errstate(all="ignore"):
         d = np.subtract(w[:, :, None], zeta[:, None, :])
         mod_d = np.abs(d)
@@ -431,18 +454,9 @@ def _inclusion_radii(w, zeta, k) -> tuple[np.ndarray, np.ndarray]:
             f_bound = np.where(hit.any(axis=-1), (hit * kk).sum(axis=-1), f_bound)
             mod_d[hit] = 1.0
         log_d = np.log(mod_d, out=mod_d)
-        sum_d, size_d = log_d.sum(axis=-1), np.abs(log_d).sum(axis=-1)
+        sum_d, size_d, log_f = log_d.sum(axis=-1), np.abs(log_d).sum(axis=-1), np.log(f_bound)
         del mod_d, log_d
-        log_e = np.abs(w[:, :, None] - w[:, None, :])
-        log_e[:, diagonal, diagonal] = np.inf
-        nearest = log_e.min(axis=-1)
-        np.log(log_e, out=log_e)
-        log_e[:, diagonal, diagonal] = 0.0
-        sum_e, size_e = log_e.sum(axis=-1), np.abs(log_e).sum(axis=-1)
-        slack = 4.0 * (g + m) * _U * (1.0 + size_d + size_e)
-        log_radius = math.log(m) + sum_d + np.log(f_bound) - log_n - sum_e + slack
-        radii = np.exp(log_radius)
-    return np.where(np.isnan(radii), np.inf, radii), nearest
+    return _weierstrass_radii(w, sum_d, log_f, log_n, size_d, g + w.shape[-1])
 
 
 def _free_points(zeta: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -477,22 +491,23 @@ def _distance_bracket(a, exact, free, free_radii, free_nearest) -> tuple[np.ndar
     Every critical point lies in some disc, so none is nearer than
     min(dist - radius).  An exact point, or a disc that meets no other
     disc, holds a critical point within dist + radius; any other disc's
-    connected group holds one within 2 * sum(radii) of its centre.  A disc
-    whose ``free_nearest`` centre is farther than its radius plus the row's
-    largest meets no other, even rounded; only the rest are tested pair by
-    pair.  The computed |w - a| is within 3 roundings of the true one, and
-    the final 4u * upper covers the arithmetic on the bracket ends.
+    connected group holds one within 2 * sum(radii) of its centre.  By
+    ``_discs_meet``, a disc that misses one of the row's largest radius at
+    its ``free_nearest`` distance misses all; only the rest are tested pair
+    by pair.  The computed |w - a| is within 3 roundings of the true one,
+    and the final 4u * upper covers the arithmetic on the bracket ends.
     """
     points = np.concatenate([exact, free], axis=-1)
     radii = np.concatenate([np.zeros(exact.shape), free_radii], axis=-1)
     dist = np.abs(points - a[:, None])
     with np.errstate(invalid="ignore"):
-        alone = free_nearest > free_radii + free_radii.max(axis=-1, initial=0.0, keepdims=True)
-        t, i = np.nonzero(~alone)
+        widest = free_radii.max(axis=-1, initial=0.0, keepdims=True)
+        meets = _discs_meet(free_nearest, free_radii + widest)
+        t, i = np.nonzero(meets)
         gap = np.abs(_minus_rows(free[t, i, None], free, t))
         gap[np.arange(t.size), i] = np.inf
-        alone[t, i] = (gap > free_radii[t, i, None] + free_radii[t]).all(axis=-1)
-        isolated = np.concatenate([np.ones(exact.shape, dtype=bool), alone], axis=-1)
+        meets[t, i] = _discs_meet(gap, free_radii[t, i, None] + free_radii[t]).any(axis=-1)
+        isolated = np.concatenate([np.ones(exact.shape, dtype=bool), ~meets], axis=-1)
         reach = np.where(isolated, radii, 2.0 * radii.sum(axis=-1, keepdims=True))
         upper = (dist * (1.0 + 4.0 * _U) + reach).min(axis=-1)
         lower = np.maximum(dist * (1.0 - 4.0 * _U) - radii, 0.0).min(axis=-1)

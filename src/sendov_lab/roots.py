@@ -11,8 +11,8 @@ compensated Horner on head + tail, built on the error-free transformations
 of ``bounds``, to each root's rounding floor; one Horner pass gives p and
 its error bound.  Every evaluation at a point outside the unit circle runs
 at an exact power-of-two scale, so p and the Weierstrass products stay in
-range at a far root.  The Weierstrass corrections at the final points give
-the roots inclusion radii, as the kernel's do for critical points.
+range at a far root.  The final points take their inclusion radii, and
+their discs meet, by the kernel's rules (see ``polynomial``).
 
 All public values are immutable and safe to share across threads.  Every
 rejected argument raises ``bounds.DomainError``, the package's one error
@@ -28,7 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import DomainError, _two_product, _two_sum
-from .polynomial import _ANGULAR_OFFSET, _U, _convex_chain, _require_finite_complex, _sweeps
+from .polynomial import _ANGULAR_OFFSET, _U, _convex_chain, _discs_meet, _require_finite_complex
+from .polynomial import _sweeps, _weierstrass_radii
 
 __all__ = [
     "Polynomial",
@@ -82,7 +83,6 @@ class Polynomial:
         return len(self.coefficients) - 1
 
 
-
 @dataclass(frozen=True)
 class RootResult:
     """Roots reported by find_roots with their inclusion discs.
@@ -100,7 +100,6 @@ class RootResult:
     converged: bool
     iterations: int
     clusters: tuple[tuple[int, ...], ...]
-
 
 
 def from_roots(roots: Sequence[complex]) -> Polynomial:
@@ -227,33 +226,19 @@ def _values(c: np.ndarray, z: np.ndarray, e=0) -> np.ndarray:
 
 
 def _radii(head, tail, z) -> np.ndarray:
-    """Inclusion radii of the approximations z to the roots of
-    p = sum (head_k + tail_k) z^k, from one compensated evaluation at z.
-
-    The discs |w - z_i| <= n (|p(z_i)| + b_i) / (|c_n| prod_{j != i}|z_i - z_j|)
-    hold every root of p, d in each connected group of d (Carstensen, Numer.
-    Math. 59, 1991), with b_i the error bound of ``_compensated_horner``.
-    p(z_i) is taken at ``_exponents``' scale 2^(-n e_i), whose log is added
-    back, and the product is a sum of logs, so neither over- or underflows
-    at any degree or distance; a radius that cannot be bounded is inf.
-    """
+    """``polynomial._weierstrass_radii`` of the approximations z to the roots
+    of p = sum (head_k + tail_k) z^k: |p(z_i)| <= (|pz_i| + b_i) 2^(n e_i) for
+    ``_compensated_horner``'s pz_i and bound b_i at ``_exponents``' scale."""
     n = z.size
     e = _exponents(z)
     with np.errstate(all="ignore"):
         pz, error = _compensated_horner(head, tail, z, e)
-        log_d = np.abs(z[:, None] - z[None, :])
-        np.fill_diagonal(log_d, 1.0)
-        np.log(log_d, out=log_d)
         log_p = np.log(np.abs(pz) + error)
         log_c = np.log(abs(head[-1] + tail[-1]))
-        # |p(z_i)| is |pz_i| 2^(n e_i) exactly; the slack also covers the
-        # two roundings of n e_i log 2.
+        # The size term also covers the two roundings of n e_i log 2.
         log_scale = n * e * math.log(2.0)
-        slack = 4.0 * (n + 4) * _U * (
-            1.0 + np.abs(log_d).sum(axis=1) + np.abs(log_p) + abs(log_c) + log_scale)
-        log_radius = math.log(n) + log_p + log_scale - log_c - log_d.sum(axis=1) + slack
-        radii = np.exp(log_radius) * (1.0 + 4.0 * _U)
-    return np.where(np.isnan(radii), np.inf, radii)
+        size = np.abs(log_p) + abs(log_c) + log_scale
+    return _weierstrass_radii(z[None], log_p, log_scale, log_c, size, n + 4)[0][0]
 
 
 def _root_corrections(c, tails=None):
@@ -295,10 +280,10 @@ def _root_corrections(c, tails=None):
 
 
 def _groups(z: np.ndarray, radii: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Connected groups of two or more overlapping discs |w - z_i| <= radii[i],
-    each by its indices in order: every disc takes the least label among
-    the discs it meets until no label moves."""
-    meets = np.abs(z[:, None] - z[None, :]) * (1.0 - 4.0 * _U) <= radii[:, None] + radii[None, :]
+    """Connected groups of two or more discs |w - z_i| <= radii[i] that meet
+    by ``polynomial._discs_meet``, each by its indices in order: every disc
+    takes the least label among the discs it meets until no label moves."""
+    meets = _discs_meet(np.abs(z[:, None] - z[None, :]), radii[:, None] + radii[None, :])
     label = np.arange(z.size)
     while True:
         reached = np.where(meets, label, z.size).min(axis=1)

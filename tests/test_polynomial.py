@@ -2,6 +2,7 @@
 
 import cmath
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -30,12 +31,19 @@ from sendov_lab.polynomial import (
 from sendov_lab.roots import (
     Polynomial,
     _compensated_horner,
+    _groups,
     _root_corrections,
     evaluate,
     find_roots,
     from_roots,
     match_roots,
 )
+
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+# The true roots of Q for test_frozen_points_lie_at_the_rounding_floor's
+# rows, by degree: tools/make_reference_values.py --frozen-roots.
+FROZEN_ROOTS = json.loads((Path(__file__).resolve().parent / "frozen_roots.json").read_text())
 
 
 def _disk_roots(rng, degree, separation=1e-3):
@@ -1034,8 +1042,9 @@ def _full_matrix_starts(zeta, k):
 
 def _all_pairs_bracket(a, exact, free, free_radii):
     """(distance, half-width) with a disc alone when it misses every other
-    disc, pair by pair: the reference for ``_distance_bracket``'s isolation
-    test from each point's nearest neighbour."""
+    disc, pair by pair, by a computed gap beyond the radii by more than its
+    roundings (the factor 1 - 4u): the reference for ``_distance_bracket``'s
+    isolation test from each point's nearest neighbour."""
     m = free.shape[-1]
     points = np.concatenate([exact, free], axis=-1)
     radii = np.concatenate([np.zeros(exact.shape), free_radii], axis=-1)
@@ -1043,7 +1052,8 @@ def _all_pairs_bracket(a, exact, free, free_radii):
     with np.errstate(invalid="ignore"):
         gap = np.abs(free[:, :, None] - free[:, None, :])
         gap[:, np.arange(m), np.arange(m)] = np.inf
-        alone = (gap > free_radii[:, :, None] + free_radii[:, None, :]).all(axis=-1)
+        alone = (gap * (1.0 - 4.0 * poly._U) > free_radii[:, :, None] + free_radii[:, None, :])
+        alone = alone.all(axis=-1)
         isolated = np.concatenate([np.ones(exact.shape, dtype=bool), alone], axis=-1)
         reach = np.where(isolated, radii, 2.0 * radii.sum(axis=-1, keepdims=True))
         upper = (dist * (1.0 + 4.0 * poly._U) + reach).min(axis=-1)
@@ -1151,20 +1161,48 @@ class TestKernelStages:
         _, reference = _all_pairs_bracket(at, exact, free, radii)
         assert half_width == reference < 1e-11
 
+    def test_discs_a_rounding_apart_meet(self):
+        # Points 0 and 1 with radii (1 - 2u)/2: the computed gap exceeds
+        # r_0 + r_1 by 2u, less than its own roundings, so the discs may
+        # meet, and each reaches 2 * sum(radii), not its own radius.  The
+        # finder's groups take the same rule.
+        r = 0.5 * (1.0 - 2.0 * poly._U)
+        free = np.array([[0.0, 1.0]], dtype=complex)
+        radii = np.array([[r, r]])
+        exact = np.empty((1, 0), dtype=complex)
+        at = np.array([0.25])
+        _, half_width = poly._distance_bracket(at, exact, free, radii, np.array([[1.0, 1.0]]))
+        assert half_width[0] >= 2.0 * radii.sum()
+        assert half_width == _all_pairs_bracket(at, exact, free, radii)[1]
+        assert _groups(free[0], radii[0]) == ((0, 1),)
+
     @pytest.mark.parametrize("degree", list(KERNEL_DIGESTS))
     def test_frozen_points_lie_at_the_rounding_floor(self, degree):
         # A point frozen once its step is 1e-10 of scale sits within a few
         # roundings of its root, on the disk rows and in the clusters too,
         # where a point frozen while its neighbours still move can be left
-        # 8 roundings off (1e-4 clusters at degree 64).
+        # 8 roundings off (1e-4 clusters at degree 64).  The roots are
+        # frozen (see test_frozen_roots_match_their_generator); each point
+        # is matched to its nearest, one to one.
         a, rows = _kernel_rows(degree)
         zeta = np.sort(np.concatenate([np.full((6, 1), complex(a)), rows[:6]], axis=1), axis=1)
         free, _, _, settled = poly._free_points(zeta, np.ones(zeta.shape))
         assert settled.all()
-        for zeros, points in zip(zeta, free):
+        for zeros, points, frozen in zip(zeta, free, FROZEN_ROOTS[str(degree)]):
+            truth = np.array([complex(*z) for z in frozen])
+            nearest = np.abs(points[:, None] - truth[None, :]).argmin(axis=1)
+            assert sorted(nearest.tolist()) == list(range(truth.size))
             scale = 1.0 + np.abs(zeros).max()
-            for w in points.tolist():
-                assert abs(complex(_mp_newton(zeros, w, 20)) - w) <= 4 * poly._U * scale
+            assert (np.abs(truth[nearest] - points) <= 4 * poly._U * scale).all()
+
+    def test_frozen_roots_match_their_generator(self):
+        # The generator's 20-digit Newton, at degree 8, gives the frozen
+        # roots exactly.
+        printed = subprocess.run(
+            [sys.executable, str(TOOLS / "make_reference_values.py"), "--frozen-roots", "8"],
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert json.loads(printed) == {"8": FROZEN_ROOTS["8"]}
 
     def test_second_order_starts_save_evaluations(self, monkeypatch):
         # Points that _aberth_corrections evaluates, over all sweeps.  A
@@ -1204,6 +1242,63 @@ class TestKernelStages:
             q = mult[2] * mpmath.fprod(abs(zs[2] - z) for z in zs[:2] + zs[3:])
             expected = 4 * q / (mult.sum() * mpmath.fprod(abs(ws[0] - x) for x in ws[1:]))
         assert expected <= radii[0, 0] <= expected * (1 + 1e-12)
+
+
+def _exact_radii(points, value):
+    """m |value(w_i)| / prod_{j != i} |w_i - w_j| for the m float points w_i,
+    in 60-digit mpmath: with value = v/c, for a polynomial v of degree m and
+    leading coefficient c, the Weierstrass radii with no rounding in them."""
+    with mpmath.workdps(60):
+        ws = [mpmath.mpc(w) for w in points]
+        return [
+            len(ws) * abs(value(w)) / mpmath.fprod(abs(w - x) for j, x in enumerate(ws) if j != i)
+            for i, w in enumerate(ws)
+        ]
+
+
+class TestRadiusCertificate:
+    """Every float radius of both solvers is at least the exact Weierstrass
+    radius at the same float points: the rounding slack of
+    ``poly._weierstrass_radii`` and the value bounds of its two callers are
+    checked against exact arithmetic, not against another float version."""
+
+    @pytest.mark.parametrize("case", ["disk", "cluster-1e-9", "near-a-1e-12", "near-extremal"])
+    def test_kernel_radii_hold_the_exact_radii(self, case):
+        if case == "near-extremal":
+            # a = 1 - 1e-12 and the 8th roots of unity other than 1: f
+            # cancels from sum |1/(w - zeta)| down to rounding level.
+            a, row = 1.0 - 1e-12, np.exp(2j * np.pi * np.arange(1, 8) / 8)
+        else:
+            a, rows = _kernel_rows(16)
+            row = rows[{"disk": 0, "cluster-1e-9": 4, "near-a-1e-12": 8}[case]]
+        zeta = np.unique(np.concatenate([[complex(a)], row]))
+        assert zeta.size == row.size + 1
+        free, radii, _, _ = poly._free_points(zeta[None], np.ones((1, zeta.size)))
+        with mpmath.workdps(60):
+            zs = [mpmath.mpc(z) for z in zeta]
+
+            def q_over_n(w):
+                f = mpmath.fsum(1 / (w - z) for z in zs)
+                return mpmath.fprod(w - z for z in zs) * f / len(zs)
+
+            exact = _exact_radii(free[0], q_over_n)
+        assert all(r >= e for r, e in zip(radii[0].tolist(), exact))
+
+    @pytest.mark.parametrize("case", ["wilkinson-10", "far-root"])
+    def test_finder_radii_hold_the_exact_radii(self, case):
+        # Integer roots come back exactly, where p and every exact radius
+        # are 0; the roots 1.1 k do not.
+        if case == "wilkinson-10":
+            p = from_roots([1.1 * k for k in range(1, 11)])
+        else:
+            p = _far_root_polynomial()
+        res = find_roots(p)
+        with mpmath.workdps(60):
+            tails = p.tails or (0j,) * len(p.coefficients)
+            cs = [mpmath.mpc(c) + mpmath.mpc(t)
+                  for c, t in zip(reversed(p.coefficients), reversed(tails))]
+            exact = _exact_radii(res.roots, lambda w: mpmath.polyval(cs, w) / cs[0])
+        assert all(r >= e for r, e in zip(res.radii, exact))
 
 
 class TestHullDistance:

@@ -8,18 +8,23 @@ the ``src`` of a checkout.  Both trees run ``critical_report`` on the same
 seeded rows at degrees 3 to 200: area-uniform draws in the unit disk,
 clusters of spread 1e-9 and 1e-4, exactly repeated zeros, a zero equal to
 a, zeros within 1e-12 of a, and the unit-circle families z^m = 1 and
-z^m = -1 turned by a seeded angle.
+z^m = -1 turned by a seeded angle.  Three families that reach the limits
+of the certificate follow: near-extremal rows, with a = 1 - eps for eps
+1e-9 and 1e-12 and the other zeros at the n-th roots of unity other than
+1 (one row per degree, since they draw nothing), and clusters of spread
+1e-15.
 
 Over all rows it prints the worst distance from a critical point of one
 tree to the nearest point of the other, the range of the ratio of each
 row's largest radius (change over parent), the largest ratio of bracket
 half-widths, and the worst difference between the Sendov distances.  For
 each family it prints the rows whose verdict at 1 + 1e-9 differs between
-the two trees.  The two versions agree within the certified error bar when
-every difference of distances is at most the sum of the two half-widths,
-and the change resolves every row the parent resolves; the script exits 1
-on a distance beyond the brackets or on a PASS or FAIL of the parent that
-is UNRESOLVED in the change.
+the two trees, and each tree's PASS, FAIL and UNRESOLVED counts.  The two
+versions agree within the certified error bar when every difference of
+distances is at most the sum of the two half-widths, and the change
+resolves every row the parent resolves; the script exits 1 on a distance
+beyond the brackets or on a PASS or FAIL of the parent that is UNRESOLVED
+in the change.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from pathlib import Path
 import numpy as np
 
 DEGREES = (3, 4, 5, 6, 8, 11, 16, 17, 23, 32, 45, 64, 90, 128, 200)
-# Rounds of the eight row families per degree: 15 degrees x 34 x 8 = 4080 rows.
+# Rounds of the row families per degree: the first eight give
+# 15 degrees x 34 x 8 = 4080 rows.
 ROUNDS = 34
 _TAG = 0x41475245
 # The rows of one round, in the order ``rows`` builds them.
@@ -44,6 +50,9 @@ FAMILIES = (
     "a zero equal to a",
     "zeros within 1e-12 of a",
     "unit circle",
+    "near-extremal, eps 1e-9",
+    "near-extremal, eps 1e-12",
+    "clusters of spread 1e-15",
 )
 THRESHOLD = 1.0 + 1e-9
 
@@ -62,9 +71,11 @@ def load(src: str, name: str):
     return module
 
 
-def rows(degree: int, round_: int) -> tuple[float, list[np.ndarray]]:
-    """(a, rows of other zeros) for one round at one degree, one row per
-    entry of ``FAMILIES``."""
+def rows(degree: int, round_: int) -> list[tuple[str, float, np.ndarray]]:
+    """(family, a, other zeros) for one round at one degree, in the order of
+    ``FAMILIES``; the near-extremal families come in round 0 only.  The
+    draws of the first eight families come first, so adding a family after
+    them leaves their rows as they were."""
     rng = np.random.default_rng([_TAG, degree, round_])
     m = degree - 1
 
@@ -83,7 +94,13 @@ def rows(degree: int, round_: int) -> tuple[float, list[np.ndarray]]:
     sign = rng.integers(2)
     angles = (2.0 * np.pi * np.arange(m) + sign * np.pi) / m + rng.uniform(0.0, 2.0 * np.pi)
     out.append(np.exp(1j * angles))
-    return a, out
+    out = [(family, a, row) for family, row in zip(FAMILIES, out)]
+    if round_ == 0:
+        unity = np.exp(2j * np.pi * np.arange(1, degree) / degree)
+        out += [(FAMILIES[8], 1.0 - 1e-9, unity), (FAMILIES[9], 1.0 - 1e-12, unity)]
+    centres = 0.9 * disk(3)
+    out.append((FAMILIES[10], a, centres[rng.integers(3, size=m)] + 1e-15 * disk(m)))
+    return out
 
 
 def main(argv: list[str]) -> int:
@@ -98,11 +115,11 @@ def main(argv: list[str]) -> int:
     worst_distance = 0.0
     beyond = 0
     changed = {family: [] for family in FAMILIES}
+    counts = {family: ({}, {}) for family in FAMILIES}
     lost = 0
     for degree in DEGREES:
         for round_ in range(ROUNDS):
-            a, others = rows(degree, round_)
-            for family, row in zip(FAMILIES, others):
+            for family, a, row in rows(degree, round_):
                 zeros = tuple(row.tolist())
                 old = parent.critical_report(parent.SendovInstance(a, zeros))
                 new = change.critical_report(change.SendovInstance(a, zeros))
@@ -128,6 +145,8 @@ def main(argv: list[str]) -> int:
                     print(f"beyond the brackets: degree {degree}, round {round_}, a {a!r}, "
                           f"|delta distance| {difference:.3e}")
                 verdicts = old.verdict(THRESHOLD), new.verdict(THRESHOLD)
+                for tally, verdict in zip(counts[family], verdicts):
+                    tally[verdict] = tally.get(verdict, 0) + 1
                 if verdicts[0] != verdicts[1]:
                     changed[family].append(
                         f"degree {degree}, round {round_}: {verdicts[0]} -> {verdicts[1]}, "
@@ -146,6 +165,11 @@ def main(argv: list[str]) -> int:
         print(f"  {family}: {len(lines)}")
         for line in lines:
             print(f"    {line}")
+    print("verdicts per family, PASS / FAIL / UNRESOLVED, parent | change:")
+    for family, tallies in counts.items():
+        parent_, change_ = (" / ".join(str(t.get(v, 0)) for v in ("PASS", "FAIL", "UNRESOLVED"))
+                            for t in tallies)
+        print(f"  {family}: {parent_} | {change_}")
     print(f"rows resolved by the parent, UNRESOLVED in the change: {lost}")
     return 1 if beyond or lost else 0
 

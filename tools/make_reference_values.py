@@ -8,8 +8,22 @@ values computed here with mpmath at 50 significant digits, using the
 rewrites the engine uses).  Run this script by hand and paste the printed
 block into tests/reference_values.py whenever a formula changes.
 
+    python3 tools/make_reference_values.py --frozen-roots > tests/frozen_roots.json
+
+prints instead the true critical points that
+``test_frozen_points_lie_at_the_rounding_floor`` measures the kernel
+against: for the first six rows of ``_kernel_rows`` at each degree of
+``KERNEL_DIGESTS``, the roots of Q, each by 20-digit Newton from one of the
+kernel's float points and rounded to binary64, as [re, im] pairs.  The roots
+depend on the seeded rows alone; the float points only pick which root each
+Newton run reaches.  ``--frozen-roots DEGREE ...`` prints those degrees only.
+
 Requires mpmath (dev-only dependency; not needed to use the package).
 """
+
+import json
+import sys
+from pathlib import Path
 
 from mpmath import mp, mpf, sqrt, log, exp, polyroots, mpc
 
@@ -196,5 +210,43 @@ def main():
     print("}")
 
 
+def _kernel_tests():
+    """The module test_polynomial, with src and tests on the import path."""
+    root = Path(__file__).resolve().parent.parent
+    sys.path[:0] = [str(root / d) for d in ("src", "tests") if str(root / d) not in sys.path]
+    import test_polynomial
+
+    return test_polynomial
+
+
+def frozen_roots(degree):
+    """The true roots of Q for the six rows of the frozen-points test at one
+    degree, row by row, as lists of [re, im]."""
+    import numpy as np
+
+    tests = _kernel_tests()
+    a, rows = tests._kernel_rows(degree)
+    zeta = np.sort(np.concatenate([np.full((6, 1), complex(a)), rows[:6]], axis=1), axis=1)
+    free = tests.poly._free_points(zeta, np.ones(zeta.shape))[0]
+    out = []
+    for zeros, points in zip(zeta, free):
+        roots = [complex(tests._mp_newton(zeros, w, 20)) for w in points.tolist()]
+        out.append([[z.real, z.imag] for z in roots])
+    return out
+
+
+def print_frozen_roots(degrees):
+    """``frozen_roots`` by degree as one JSON object, one row per line."""
+    degrees = degrees or [str(d) for d in _kernel_tests().KERNEL_DIGESTS]
+    blocks = []
+    for degree in degrees:
+        lines = ",\n".join(f"    {json.dumps(row)}" for row in frozen_roots(int(degree)))
+        blocks.append(f'  "{degree}": [\n{lines}\n  ]')
+    print("{\n" + ",\n".join(blocks) + "\n}")
+
+
 if __name__ == "__main__":
-    main()
+    if sys.argv[1:2] == ["--frozen-roots"]:
+        print_frozen_roots(sys.argv[2:])
+    else:
+        main()
