@@ -418,15 +418,25 @@ _MU2_SLACK_REL = 1e-12
 _MU2_SLACK_ABS = 2.0**-90
 
 
-def _mu2_step(a: float, x0: float) -> float:
-    """x0 - f(x0)/f'(x0) for mu2's quadratic f, correctly rounded: the exact
-    Newton step on the integers behind the binary fractions a and x0."""
+def _mu2_integers(a: float, x: float) -> tuple[int, int, int]:
+    """(F, F', D) with f(x) = F/D and f'(x) = F'/D exactly, f being mu2's
+    quadratic a^2 x^2 + (8+2a-a^2) x - (7+2a): with a = na/da and x = nx/dx
+    the binary fractions behind the floats, L = 8 da^2 + 2 na da - na^2,
+    F = na^2 nx^2 + L nx dx - (7 da + 2 na) da dx^2, F' = (2 na^2 nx + L dx) dx
+    and D = (da dx)^2.  A quotient of them rounds once, as int / int does."""
     na, da = a.as_integer_ratio()
-    nx, dx = x0.as_integer_ratio()
+    nx, dx = x.as_integer_ratio()
     lin = (8 * da + 2 * na) * da - na * na
     f = (na * na * nx + lin * dx) * nx - (7 * da + 2 * na) * da * dx * dx
-    df = 2 * na * na * nx + lin * dx
-    return (nx * df - f) / (df * dx)
+    return f, (2 * na * na * nx + lin * dx) * dx, da * da * dx * dx
+
+
+def _mu2_step(a: float, x0: float) -> float:
+    """x0 - f(x0)/f'(x0) for mu2's quadratic f, correctly rounded: the exact
+    Newton step (nx F' - dx F) / (dx F') on ``_mu2_integers``, x0 = nx/dx."""
+    f, df, _ = _mu2_integers(a, x0)
+    nx, dx = x0.as_integer_ratio()
+    return (nx * df - dx * f) / (dx * df)
 
 
 def mu2(a: float) -> float:
@@ -440,15 +450,8 @@ def mu2(a: float) -> float:
     1e-9 for the smallest grid points, so one Newton step of the (cleared)
     quadratic a^2 x^2 + (8+2a-a^2) x - (7+2a) is taken in exact rational
     arithmetic: the returned double is then the correctly rounded root.
-    Both a = na/da and x0 = nx/dx are binary fractions, so the step is done
-    on those integers: with L = 8 da^2 + 2 na da - na^2 (the linear
-    coefficient times da^2),
-
-        x0 - f/f' = (nx F' - F) / (F' dx),
-        F  = na^2 nx^2 + L nx dx - (7 da + 2 na) da dx^2,
-        F' = 2 na^2 nx + L dx,
-
-    exactly, and the one rounding is CPython's correctly rounded int / int.
+    The step is done on the integers behind the binary fractions a and x0
+    (``_mu2_integers``), with one correctly rounded int / int.
 
     An array of a takes the step in double-double instead, with the
     error-free TwoSum and TwoProduct (Dekker, Numer. Math. 18, 1971; Ogita,

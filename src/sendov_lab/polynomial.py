@@ -88,14 +88,20 @@ def _require_finite_complex(values, what: str, ndim: int = 1) -> np.ndarray:
     return arr
 
 
-def _require_unit_disk(zeros: np.ndarray) -> None:
-    """Every other zero of a SendovInstance has modulus <= 1, up to 1e-12 of
-    slack."""
+def _sendov_zeros(a, other_zeros, ndim: int = 1) -> tuple[float, np.ndarray]:
+    """(a, other zeros as complex128) by SendovInstance's rule: a in (0, 1),
+    and at least one other zero, each a finite number of modulus <= 1 up to
+    1e-12 of slack.  ndim=2 takes rows of instances that share a."""
+    a = _check_a(a)
+    zeros = _require_finite_complex(other_zeros, "other_zeros", ndim)
+    if zeros.size == 0:
+        raise DomainError("need at least one other zero (degree >= 2)")
     worst = float(np.abs(zeros).max())
     if worst > 1.0 + 1e-12:
         raise DomainError(
             f"every other zero must have modulus <= 1, worst is {worst!r}"
         )
+    return a, zeros
 
 
 @dataclass(frozen=True)
@@ -111,11 +117,7 @@ class SendovInstance:
     other_zeros: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        a = _check_a(self.a)
-        zeros = _require_finite_complex(self.other_zeros, "other_zeros")
-        if zeros.size == 0:
-            raise DomainError("need at least one other zero (degree >= 2)")
-        _require_unit_disk(zeros)
+        a, zeros = _sendov_zeros(self.a, self.other_zeros)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "other_zeros", tuple(zeros.tolist()))
 
@@ -576,11 +578,7 @@ def sendov_distances(a: float, other_zeros) -> tuple[np.ndarray, np.ndarray]:
     ``_block_rows``), and a row with a repeated zero runs through
     ``critical_report`` itself.
     """
-    others = _require_finite_complex(other_zeros, "other_zeros", ndim=2)
-    if others.size == 0:
-        raise DomainError("other_zeros must be a nonempty array of rows of zeros")
-    a = _check_a(a)
-    _require_unit_disk(others)
+    a, others = _sendov_zeros(a, other_zeros, ndim=2)
     rows, g = others.shape[0], others.shape[1] + 1
     # Sorted as np.unique sorts, so a block row matches critical_report's zeta.
     zeros = np.sort(np.concatenate([np.full((rows, 1), complex(a)), others], axis=1), axis=1)

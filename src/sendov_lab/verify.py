@@ -117,27 +117,23 @@ def _grid(grid_step: float) -> np.ndarray:
 
 def _min_outcome(
     check_id: str,
-    margins: Sequence[float],
-    locations: np.ndarray | Callable[[int], tuple[float, ...]],
+    margins: Sequence[float] | np.ndarray,
+    locations: np.ndarray | tuple[np.ndarray, ...],
     notes: str,
-    samples: int | None = None,
 ) -> VerificationOutcome:
-    """The outcome at the first smallest margin; ``locations`` gives the
-    sample point of each margin by index, as a 1-D array of values of a or
-    x, or as a function returning an (a, x) tuple.  ``samples`` is the
-    number of margins unless given, as by a check that passes only the
-    margins it confirmed out of more samples."""
+    """The outcome at the first smallest margin (in row-major order), passed
+    iff that margin is positive.  ``locations`` holds each margin's sample
+    point: an array of values of a or x beside 1-D margins, or one array
+    per axis of n-D margins, whose point is then a tuple."""
     margins = np.asarray(margins, dtype=float)
     i = int(np.argmin(margins))
-    worst = float(margins[i])
-    return VerificationOutcome(
-        check_id=check_id,
-        passed=bool(worst > 0.0),
-        worst_margin=worst,
-        worst_location=locations(i) if callable(locations) else float(locations[i]),
-        samples=len(margins) if samples is None else samples,
-        notes=notes,
-    )
+    if isinstance(locations, tuple):
+        index = np.unravel_index(i, margins.shape)
+        point = tuple(axis.item(j) for axis, j in zip(locations, index))
+    else:
+        point = locations.item(i)
+    worst = margins.item(i)
+    return VerificationOutcome(check_id, worst > 0.0, worst, point, margins.size, notes)
 
 
 def _screened_min(
@@ -160,26 +156,20 @@ def _screened_min(
     return int(candidates[k]), float(exact[k])
 
 
+def _confirmed(screened: np.ndarray, exact_at: Callable[[int], float], tol: float) -> np.ndarray:
+    """The margins ``_screened_min`` confirms, written over screened: the
+    exact minimum at its flat index, and +inf, a margin known only to lie
+    above it, elsewhere."""
+    i, worst = _screened_min(screened.ravel(), exact_at, tol)
+    screened.fill(math.inf)
+    screened.flat[i] = worst
+    return screened
+
+
 # The mu2 residual screen's promise: |screened - exact margin| stays below
 # this.  The double-double residual errs by at most about 1e-31 (measured),
 # and 1e-9 - r rounds by half an ulp of 1e-9, about 1e-25.
 _MU2_RESIDUAL_TOL = 1e-24
-
-
-def _mu2_scaled_residual(a: float, x: float) -> float:
-    # Exact evaluation of |a^2 x^2 + (8+2a-a^2) x - (7+2a)| at x = mu2(a):
-    # binary64 evaluation of the residual would drown in its own roundoff
-    # precisely where the check is interesting.  With a = na/da and
-    # x = nx/dx (binary fractions), da^2 dx^2 times the quadratic is the
-    # integer below, and int / int rounds the quotient correctly.
-    na, da = a.as_integer_ratio()
-    nx, dx = x.as_integer_ratio()
-    value = (
-        na * na * nx * nx
-        + (8 * da * da + 2 * na * da - na * na) * nx * dx
-        - (7 * da + 2 * na) * da * dx * dx
-    )
-    return abs(value) / (da * da * dx * dx)
 
 
 def run_inequality_suite(
@@ -212,123 +202,93 @@ def run_inequality_suite(
     log_k1, log_k2 = bounds.log_k_factors(pts, c, aux.p_prime, aux.q_prime)
     log_kp = np.minimum(log_k1, log_k2)
 
-    outcomes = []
-
-    # The double-double residual screens every point; the points that could
-    # hold the smallest margin are re-evaluated in exact arithmetic, so the
-    # report holds only exact values.
-    screened = 1e-9 - np.abs(bounds._mu2_quadratic(pts, mu2)[0])
-
+    # Two checks are screened: the samples that could hold the smallest
+    # margin are re-evaluated exactly, so the report holds only exact values.
+    # mu2's residual is screened in double-double and confirmed on integers.
     def residual_exact(i: int) -> float:
-        return 1e-9 - _mu2_scaled_residual(pts_f[i], mu2.item(i))
+        f, _, den = bounds._mu2_integers(pts_f[i], mu2.item(i))
+        return 1e-9 - abs(f) / den
 
-    worst_i, worst = _screened_min(screened, residual_exact, _MU2_RESIDUAL_TOL)
-    outcomes.append(_min_outcome(
-        "bounds.mu2_root_residual",
-        [worst],
-        pts[[worst_i]],
-        "1e-9 - |a^2 mu2^2 + (8+2a-a^2) mu2 - (7+2a)|, residual in exact arithmetic",
-        samples=len(pts),
-    ))
-
-    outcomes.append(_min_outcome(
-        "bounds.mu_order_and_bounds",
-        np.minimum(np.minimum(mu2 - 0.875, mu1 - mu2), 1.0 - mu1),
-        pts,
-        "min{mu2 - 7/8, mu1 - mu2, 1 - mu1}",
-    ))
-
-    # Shape facts need even spacing: uniform grid only.  mu2 is increasing
-    # but loses convexity near a = 0.998, so convexity is asserted for mu1.
-    mu1_g = mu1[:len(grid)]
-    mu2_g = mu2[:len(grid)]
-    shape_margins = np.concatenate([np.diff(mu2_g), np.diff(mu1_g), np.diff(mu1_g, 2)])
-    shape_locs = np.concatenate([grid[:-1], grid[:-1], grid[1:-1]])
-    outcomes.append(_min_outcome(
-        "bounds.mu_shape",
-        shape_margins,
-        shape_locs,
-        "first differences of mu1 and mu2 and second differences of mu1 on the uniform grid",
-    ))
-
-    outcomes.append(_min_outcome(
-        "bounds.gamma_dominates_mu2", gamma - mu2, pts, "gamma(a) - mu2(a)",
-    ))
-    outcomes.append(_min_outcome(
-        "bounds.gamma_dominates_mu1", gamma - mu1, pts, "gamma(a) - mu1(a)",
-    ))
-    outcomes.append(_min_outcome(
-        "bounds.k_prime_gt_one", log_kp, pts, "log K'(a); positive iff K' > 1",
-    ))
-    outcomes.append(_min_outcome(
-        "bounds.log_k_prime_floor",
-        log_kp - a3 * (1.0 - pts) / 16.0,
-        pts,
-        "log K'(a) - a^3 (1-a)/16",
-    ))
-    outcomes.append(_min_outcome(
-        "bounds.k2_log_floor",
-        log_k2 - pts * aux.q_prime * gamma / 4.0,
-        pts,
-        "log K2(a, a*gamma, q') - a q' gamma / 4",
-    ))
-
-    # Elementary log lemmas on their own x-grids (independent of a).
-    x_unit = np.arange(1.0, 1001.0) * 1e-3  # (0, 1]
-    x_wide = np.arange(1.0, 1001.0) * 4e-3  # (0, 4]
-    log1p_wide = bounds._libm(math.log1p, x_wide)
-    lemma_margins = np.concatenate([
-        bounds._libm(math.log1p, x_unit) - x_unit / 2.0,
-        log1p_wide - x_wide / (1.0 + x_wide),
-        x_wide - log1p_wide,
-    ])
-    lemma_locs = np.concatenate([x_unit, x_wide, x_wide])
-    outcomes.append(_min_outcome(
-        "bounds.lemma_log_bounds",
-        lemma_margins,
-        lemma_locs,
-        "log(1+x) >= x/2 on (0,1]; x/(1+x) <= log(1+x) <= x on (0,4]; location is x",
-    ))
-
-    outcomes.append(_min_outcome(
-        "bounds.radical_gap",
-        4.0 - np.sqrt(16.0 - 3.0 * pts * pts) - pts * pts / 10.0,
-        pts,
-        "4 - sqrt(16 - 3a^2) - a^2/10",
-    ))
+    residual = _confirmed(
+        1e-9 - np.abs(bounds._mu2_quadratic(pts, mu2)[0]), residual_exact, _MU2_RESIDUAL_TOL
+    )
 
     # D(a, c, x) < 1 on 0 < x < 1 and D >= c/(1+a), at c = a*gamma(a).
-    # bounds._d_screen screens all samples in one pass with numpy's exp of
-    # per-a logs.  On AVX-512 hardware its D differs from the libm value by
-    # up to 2 ulp on about 36% of these samples, so it only picks the
-    # samples that could hold the minimum.  Those are re-evaluated with
-    # bounds.d_function's scalar libm powers, and the report holds only
-    # exact values: its bytes do not depend on the SIMD code numpy runs.
-    # The row-major ravel keeps each sample's flat index, so ties go to the
-    # lowest one.
-    x_set = [k * 0.01 for k in range(1, 100)]
-    d = bounds._d_screen(pts, c, np.array(x_set))
+    # bounds._d_screen screens all (a, x) samples with numpy's exp of per-a
+    # logs, which on AVX-512 hardware differs from libm by up to 2 ulp on
+    # about 36% of them; the confirmed samples take bounds.d_function's
+    # scalar libm powers, so no byte depends on the SIMD code numpy runs.
+    x_set = np.arange(1.0, 100.0) * 0.01
+    d = bounds._d_screen(pts, c, x_set)
     above_floor = d - (c / (1.0 + pts))[:, None]
-    d_screened = np.minimum(np.subtract(1.0, d, out=d), above_floor, out=d).ravel()
+    d = np.minimum(np.subtract(1.0, d, out=d), above_floor, out=d)
     del above_floor  # so the confirm step's masks come on top of one array, not two
 
     def d_exact(i: int) -> float:
         ia, ix = divmod(i, len(x_set))
         a, ci = pts_f[ia], float(c[ia])
-        dv = bounds.d_function(a, ci, x_set[ix])
+        dv = bounds.d_function(a, ci, x_set.item(ix))
         return min(1.0 - dv, dv - ci / (1.0 + a))
 
-    worst_i, worst = _screened_min(d_screened, d_exact, bounds._SCREEN_TOL)
-    ia, ix = divmod(worst_i, len(x_set))
-    outcomes.append(_min_outcome(
-        "bounds.d_contraction",
-        [worst],
-        lambda _: (pts_f[ia], x_set[ix]),
-        "min{1 - D(a, a*gamma, x), D(a, a*gamma, x) - a*gamma/(1+a)}; location is (a, x)",
-        samples=d_screened.size,
-    ))
+    d = _confirmed(d, d_exact, bounds._SCREEN_TOL)
 
-    return outcomes
+    # Shape facts need even spacing: uniform grid only.  mu2 is increasing
+    # but loses convexity near a = 0.998, so convexity is asserted for mu1.
+    mu1_g, mu2_g = mu1[:len(grid)], mu2[:len(grid)]
+    # Elementary log lemmas on their own x-grids (independent of a).
+    x_unit = np.arange(1.0, 1001.0) * 1e-3  # (0, 1]
+    x_wide = np.arange(1.0, 1001.0) * 4e-3  # (0, 4]
+    log1p_wide = bounds._libm(math.log1p, x_wide)
+
+    per_check = {
+        "bounds.mu2_root_residual": (
+            residual,
+            pts,
+            "1e-9 - |a^2 mu2^2 + (8+2a-a^2) mu2 - (7+2a)|, residual in exact arithmetic",
+        ),
+        "bounds.mu_order_and_bounds": (
+            np.minimum(np.minimum(mu2 - 0.875, mu1 - mu2), 1.0 - mu1),
+            pts,
+            "min{mu2 - 7/8, mu1 - mu2, 1 - mu1}",
+        ),
+        "bounds.mu_shape": (
+            np.concatenate([np.diff(mu2_g), np.diff(mu1_g), np.diff(mu1_g, 2)]),
+            np.concatenate([grid[:-1], grid[:-1], grid[1:-1]]),
+            "first differences of mu1 and mu2 and second differences of mu1 on the uniform grid",
+        ),
+        "bounds.gamma_dominates_mu2": (gamma - mu2, pts, "gamma(a) - mu2(a)"),
+        "bounds.gamma_dominates_mu1": (gamma - mu1, pts, "gamma(a) - mu1(a)"),
+        "bounds.k_prime_gt_one": (log_kp, pts, "log K'(a); positive iff K' > 1"),
+        "bounds.log_k_prime_floor": (
+            log_kp - a3 * (1.0 - pts) / 16.0, pts, "log K'(a) - a^3 (1-a)/16"
+        ),
+        "bounds.k2_log_floor": (
+            log_k2 - pts * aux.q_prime * gamma / 4.0, pts, "log K2(a, a*gamma, q') - a q' gamma / 4"
+        ),
+        "bounds.lemma_log_bounds": (
+            np.concatenate([
+                bounds._libm(math.log1p, x_unit) - x_unit / 2.0,
+                log1p_wide - x_wide / (1.0 + x_wide),
+                x_wide - log1p_wide,
+            ]),
+            np.concatenate([x_unit, x_wide, x_wide]),
+            "log(1+x) >= x/2 on (0,1]; x/(1+x) <= log(1+x) <= x on (0,4]; location is x",
+        ),
+        "bounds.radical_gap": (
+            4.0 - np.sqrt(16.0 - 3.0 * pts * pts) - pts * pts / 10.0,
+            pts,
+            "4 - sqrt(16 - 3a^2) - a^2/10",
+        ),
+        "bounds.d_contraction": (
+            d,
+            (pts, x_set),
+            "min{1 - D(a, a*gamma, x), D(a, a*gamma, x) - a*gamma/(1+a)}; location is (a, x)",
+        ),
+    }
+    return [
+        _min_outcome(check_id, margins, locations, notes)
+        for check_id, (margins, locations, notes) in per_check.items()
+    ]
 
 
 def verify_limits() -> list[VerificationOutcome]:
@@ -338,29 +298,23 @@ def verify_limits() -> list[VerificationOutcome]:
     Richardson extrapolation from a = 1e-4, 1e-5 (first-order model, per the
     series 7/8 + a/32 + O(a^2)) against 0.875 with tolerance 1e-6; the slope
     by the finite difference between a = 1e-4 and 1e-3 against 1/32 with
-    tolerance 1e-3.
+    tolerance 1e-3.  Each check's margin stands for both of its samples and
+    is located at the first.
     """
     outcomes = []
     for name, fn in (("mu2", bounds.mu2), ("mu1", bounds.mu1)):
         f3, f4, f5 = fn(1e-3), fn(1e-4), fn(1e-5)
         extrapolated = (10.0 * f5 - f4) / 9.0
-        outcomes.append(VerificationOutcome(
-            check_id=f"limits.{name}_limit_richardson",
-            passed=bool(abs(extrapolated - 0.875) <= 1e-6),
-            worst_margin=float(1e-6 - abs(extrapolated - 0.875)),
-            worst_location=1e-5,
-            samples=2,
-            notes=f"(10 f(1e-5) - f(1e-4))/9 = {extrapolated!r}, target 7/8 within 1e-6",
-        ))
         slope = (f3 - f4) / (1e-3 - 1e-4)
-        outcomes.append(VerificationOutcome(
-            check_id=f"limits.{name}_slope",
-            passed=bool(abs(slope - 1.0 / 32.0) <= 1e-3),
-            worst_margin=float(1e-3 - abs(slope - 1.0 / 32.0)),
-            worst_location=1e-4,
-            samples=2,
-            notes=f"(f(1e-3) - f(1e-4))/9e-4 = {slope!r}, target 1/32 within 1e-3",
-        ))
+        outcomes += [
+            _min_outcome(f"limits.{name}_{check}", [margin, margin], np.array(samples), notes)
+            for check, margin, samples, notes in (
+                ("limit_richardson", 1e-6 - abs(extrapolated - 0.875), (1e-5, 1e-4),
+                 f"(10 f(1e-5) - f(1e-4))/9 = {extrapolated!r}, target 7/8 within 1e-6"),
+                ("slope", 1e-3 - abs(slope - 1.0 / 32.0), (1e-4, 1e-3),
+                 f"(f(1e-3) - f(1e-4))/9e-4 = {slope!r}, target 1/32 within 1e-3"),
+            )
+        ]
     return outcomes
 
 

@@ -306,6 +306,13 @@ class TestCheckCommand:
         code, _, _ = run(capsys, "check", "--instance", str(path))
         assert code == 2
 
+    def test_array_instance_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text('[0.5, [[0.5, 0.0]]]')
+        code, out, err = run(capsys, "check", "--instance", str(path))
+        assert (code, out) == (2, "")
+        assert "instance JSON must be an object" in err
+
     def test_missing_file_exit_two(self, capsys, tmp_path):
         code, _, _ = run(capsys, "check", "--instance", str(tmp_path / "absent.json"))
         assert code == 2

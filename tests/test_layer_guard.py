@@ -6,6 +6,10 @@ finder serves only the round-trip criterion and its tests, and
 ``polynomial`` does not take the double-double transformations that only
 ``roots`` needs.  ``roots`` itself imports the sweep loop from
 ``polynomial``.
+
+One form per job in ``verify``: a single function builds every
+``VerificationOutcome``, and no exact quadratic is written there, since
+mu2's lives in ``bounds`` alone (``verify`` takes no ``as_integer_ratio``).
 """
 
 import ast
@@ -58,3 +62,59 @@ def test_guard_finds_each_form():
         "5: _two_product", "5: _two_sum", "8: roots",
     ]
 
+
+
+def outcome_builders(source: str, filename: str) -> list[str]:
+    """The innermost enclosing function ('<module>' at top level) of every
+    call of ``VerificationOutcome``, by name or as an attribute, in source."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            owner = getattr(node, "name", "<lambda>")
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "VerificationOutcome":
+                found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source, filename), "<module>")
+    return found
+
+
+def integer_ratio_lines(source: str, filename: str) -> list[int]:
+    """The line of every use of an ``as_integer_ratio`` attribute in source."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source, filename))
+        if isinstance(node, ast.Attribute) and node.attr == "as_integer_ratio"
+    )
+
+
+def test_verify_builds_outcomes_in_one_function():
+    source = (SRC / "verify.py").read_text(encoding="utf-8")
+    assert len(set(outcome_builders(source, "verify.py"))) == 1
+
+
+def test_verify_writes_no_exact_quadratic():
+    source = (SRC / "verify.py").read_text(encoding="utf-8")
+    assert integer_ratio_lines(source, "verify.py") == []
+
+
+def test_outcome_guards_find_each_form():
+    source = (
+        "from . import verify\n"
+        "def one():\n"
+        "    return VerificationOutcome('a', True, 1.0, 0.5, 1, '')\n"
+        "def two():\n"
+        "    def inner():\n"
+        "        return verify.VerificationOutcome(*args)\n"
+        "    return [VerificationOutcome(*x) for x in y]\n"
+        "def three(a):\n"
+        "    na, da = a.as_integer_ratio()\n"
+        "    return float.as_integer_ratio\n"
+        "OUT = VerificationOutcome(*z)\n"
+    )
+    assert outcome_builders(source, "x.py") == ["one", "inner", "two", "<module>"]
+    assert integer_ratio_lines(source, "x.py") == [9, 10]

@@ -243,6 +243,10 @@ class TestFromRootsAndEvaluate:
             with pytest.raises(InvalidInputError):
                 from_roots([1e200, 1e200])
 
+    def test_from_roots_rejects_no_roots(self):
+        with pytest.raises(InvalidInputError, match="from_roots needs at least one root"):
+            from_roots([])
+
     @given(st.lists(complex_in_disk, min_size=1, max_size=8))
     @settings(max_examples=100)
     def test_from_roots_vanishes_at_its_roots(self, roots):
@@ -938,7 +942,7 @@ class TestSendovDistances:
             poly.sendov_distances(1.0, np.array([[0.5]]))
         with pytest.raises(InvalidInputError):
             poly.sendov_distances(0.5, np.array([0.5, 0.2]))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="need at least one other zero"):
             poly.sendov_distances(0.5, np.empty((0, 3)))
         with pytest.raises(InvalidInputError):
             poly.sendov_distances(0.5, [["zero"]])
@@ -1327,6 +1331,10 @@ class TestHullDistance:
     def test_rejects_string_vertices(self):
         with pytest.raises(bounds.DomainError, match="numbers"):
             hull_distance(0.5, ["1", "-1"])
+
+    def test_rejects_no_vertices(self):
+        with pytest.raises(bounds.DomainError, match="hull needs at least one vertex"):
+            hull_distance(0.5, [])
 
     @given(complex_in_disk, st.lists(complex_in_disk, min_size=1, max_size=6))
     @settings(max_examples=100)

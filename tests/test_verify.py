@@ -360,6 +360,30 @@ class TestLimits:
         assert repr(extrapolated) in outcomes["limits.mu2_limit_richardson"].notes
 
 
+class TestOutcomeRule:
+    """Every outcome passes iff its worst margin is positive."""
+
+    def test_every_outcome_of_a_default_pass(self):
+        outcomes = run_inequality_suite() + verify_limits() + verify_estimate_chain()
+        assert len(outcomes) == len(SUITE_IDS) + len(LIMIT_IDS) + len(CHAIN_IDS)
+        for o in outcomes:
+            assert o.passed == (o.worst_margin > 0.0), o
+
+    def test_a_margin_at_its_tolerance_fails(self):
+        # A limit whose deviation equals its tolerance: margin 0, so FAIL,
+        # located at the first of its two samples.  (Binary64 values of mu2
+        # cannot reach this tie: |deviation| is a multiple of 2^-53 or 2^-58,
+        # and neither 1e-6 nor 1e-3 is.)
+        o = verify._min_outcome("limits.tie", [0.0, 0.0], np.array([1e-5, 1e-4]), "tie")
+        assert (o.passed, o.worst_margin, o.worst_location, o.samples) == (False, 0.0, 1e-5, 2)
+
+    def test_two_dimensional_margins_locate_a_pair(self):
+        margins = np.array([[0.3, 0.2, 0.4], [0.1, 0.5, 0.1]])
+        o = verify._min_outcome("pair", margins, (np.array([0.25, 0.75]), np.arange(3.0)), "")
+        assert (o.worst_margin, o.worst_location, o.samples) == (0.1, (0.75, 0.0), 6)
+        assert type(o.worst_location[0]) is float and o.passed
+
+
 class TestEstimateChain:
     def test_all_links_pass(self, coarse_chain):
         assert [o.check_id for o in coarse_chain] == CHAIN_IDS

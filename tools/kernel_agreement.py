@@ -18,8 +18,10 @@ Over all rows it prints the worst distance from a critical point of one
 tree to the nearest point of the other, the range of the ratio of each
 row's largest radius (change over parent), the largest ratio of bracket
 half-widths, and the worst difference between the Sendov distances.  For
-each family it prints the rows whose verdict at 1 + 1e-9 differs between
-the two trees, and each tree's PASS, FAIL and UNRESOLVED counts.  The two
+each family it prints the rows whose verdict differs between the two
+trees at ``check``'s threshold (the change tree's
+``verify.VIOLATION_THRESHOLD``), and each tree's PASS, FAIL and
+UNRESOLVED counts.  The two
 versions agree within the certified error bar when every difference of
 distances is at most the sum of the two half-widths, and the change
 resolves every row the parent resolves; the script exits 1 on a distance
@@ -54,7 +56,6 @@ FAMILIES = (
     "near-extremal, eps 1e-12",
     "clusters of spread 1e-15",
 )
-THRESHOLD = 1.0 + 1e-9
 
 
 def load(src: str, name: str):
@@ -108,6 +109,7 @@ def main(argv: list[str]) -> int:
         print("usage: python3 tools/kernel_agreement.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
         return 2
     parent, change = load(argv[0], "parent_sendov_lab"), load(argv[1], "change_sendov_lab")
+    threshold = change.verify.VIOLATION_THRESHOLD
     count = 0
     worst_point = 0.0
     ratios = []
@@ -144,7 +146,7 @@ def main(argv: list[str]) -> int:
                     beyond += 1
                     print(f"beyond the brackets: degree {degree}, round {round_}, a {a!r}, "
                           f"|delta distance| {difference:.3e}")
-                verdicts = old.verdict(THRESHOLD), new.verdict(THRESHOLD)
+                verdicts = old.verdict(threshold), new.verdict(threshold)
                 for tally, verdict in zip(counts[family], verdicts):
                     tally[verdict] = tally.get(verdict, 0) + 1
                 if verdicts[0] != verdicts[1]:
@@ -160,7 +162,7 @@ def main(argv: list[str]) -> int:
     print(f"largest bracket growth, change / parent: {max(worst_bracket, 1.0):.4f}")
     print(f"worst |delta distance|: {worst_distance:.3e}")
     print(f"distances beyond the two brackets: {beyond}")
-    print(f"verdict changes at {THRESHOLD!r}, per family:")
+    print(f"verdict changes at {threshold!r}, per family:")
     for family, lines in changed.items():
         print(f"  {family}: {len(lines)}")
         for line in lines:
