@@ -44,7 +44,7 @@ __all__ = [
     "hull_distance",
 ]
 
-# Sweeps of the critical-point iteration before it reports not converged.
+# Sweeps of ``_sweeps`` before it ends a row not settled, for both solvers.
 _MAX_SWEEPS = 300
 # Complex values in each of the kernel's rows x (g - 1) x g temporaries
 # (4 MB), which sets the rows in one block of sendov_distances.
@@ -175,9 +175,9 @@ class CriticalPointReport:
     Every critical point lies in the union of the discs
     |z - critical_points[i]| <= radii[i]; a radius of 0 marks an exact
     critical point (a repeated zero).  The true Sendov distance lies in
-    sendov_distance +- distance_radius.  converged says whether the
-    iteration settled within its sweep cap; the discs hold either way, so
-    the verdict rests on the bracket alone.
+    sendov_distance +- distance_radius.  converged says that the iteration
+    settled within ``_MAX_SWEEPS`` sweeps and that every radius is finite;
+    the discs hold either way, so the verdict rests on the bracket alone.
     """
 
     critical_points: tuple[complex, ...]
@@ -308,7 +308,7 @@ def _nearest(w, zeta, points) -> np.ndarray:
     return np.minimum(nearest, np.abs(gap).min(axis=-1))
 
 
-def _sweeps(w, zeta, corrections, scale, cap) -> tuple[np.ndarray, np.ndarray, int]:
+def _sweeps(w, zeta, corrections, scale) -> tuple[np.ndarray, np.ndarray, int]:
     """Sweeps of the step ``corrections`` on each row of approximations
     ``w``; returns (approximations, settled per row, sweeps run).
 
@@ -327,7 +327,7 @@ def _sweeps(w, zeta, corrections, scale, cap) -> tuple[np.ndarray, np.ndarray, i
     tests.  A point whose step is not finite moves by a fixed nudge, 1e-7
     to 2e-7 of the scale, while the rest of its row waits.  A row ends
     when none of its points move, or when its largest steps are small and
-    stop shrinking, or at ``cap`` sweeps, which leaves it not settled.
+    stop shrinking, or, not settled, at ``_MAX_SWEEPS`` sweeps.
     Each sweep gathers only the moving points, each with its row, and where
     a point's step does not depend on what else is gathered, a row's result
     does not depend on the other rows.
@@ -344,7 +344,7 @@ def _sweeps(w, zeta, corrections, scale, cap) -> tuple[np.ndarray, np.ndarray, i
     best_step = np.full(rows, np.inf)
     sweeps = 0
     with np.errstate(all="ignore"):
-        while sweeps < cap and moving.any():
+        while sweeps < _MAX_SWEEPS and moving.any():
             sweeps += 1
             points = np.nonzero(moving)
             corr = np.zeros((rows, m), dtype=np.complex128)
@@ -382,21 +382,6 @@ def _sweeps(w, zeta, corrections, scale, cap) -> tuple[np.ndarray, np.ndarray, i
             settled |= ended
             moving[ended] = False
     return w, settled, sweeps
-
-
-def _secular_aberth(zeta, k, w) -> tuple[np.ndarray, np.ndarray]:
-    """(approximations, settled per row) for the roots of
-    Q = prod(z - zeta_j) * sum_j k_j / (z - zeta_j), from the starts ``w``
-    (rows x (g - 1)), by ``_sweeps`` with ``_aberth_corrections``' step.
-    Row t of ``zeta`` holds g >= 3 distinct zeros and of ``k`` their
-    multiplicities, or ``k`` is None when every one is 1."""
-    kc = None if k is None else k.astype(np.complex128)
-    # By Gauss-Lucas every root of Q lies in the hull of the zeros, so this
-    # bounds 1 + |w| for the points worth measuring steps against.
-    scale = 1.0 + np.abs(zeta).max(axis=-1)
-    return _sweeps(
-        w, zeta, lambda w, points: _aberth_corrections(w, zeta, kc, points), scale, _MAX_SWEEPS
-    )[:2]
 
 
 def _weierstrass_radii(w, first, second, lead, size, count) -> tuple[np.ndarray, np.ndarray]:
@@ -468,8 +453,8 @@ def _free_points(zeta: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
 
     They are the roots of Q = prod(z - zeta_j) * sum_j k_j/(z - zeta_j):
     none for one zero; (k_1 zeta_2 + k_2 zeta_1)/n with a rounding radius for
-    two; otherwise ``_secular_aberth`` finds them and ``_inclusion_radii``
-    certifies them.
+    two; otherwise ``_sweeps`` finds them with ``_aberth_corrections``' step
+    from ``_starts``, and ``_inclusion_radii`` certifies them.
     """
     rows, g = zeta.shape
     if g == 1:
@@ -483,7 +468,13 @@ def _free_points(zeta: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
         return points, radii, np.full((rows, 1), np.inf), np.ones(rows, bool)
     if (k == 1.0).all():
         k = None
-    points, settled = _secular_aberth(zeta, k, _starts(zeta, k))
+    kc = None if k is None else k.astype(np.complex128)
+    # By Gauss-Lucas every root of Q lies in the hull of the zeros, so this
+    # bounds 1 + |w| for the points worth measuring steps against.
+    scale = 1.0 + np.abs(zeta).max(axis=-1)
+    points, settled, _ = _sweeps(
+        _starts(zeta, k), zeta, lambda w, moving: _aberth_corrections(w, zeta, kc, moving), scale
+    )
     return (points, *_inclusion_radii(points, zeta, k), settled)
 
 
@@ -558,7 +549,7 @@ def critical_report(inst: SendovInstance) -> CriticalPointReport:
         mean_real_part=float(mean),
         radii=tuple(radii[order].tolist()),
         distance_radius=float(half_width[0]),
-        converged=bool(settled[0]),
+        converged=bool(settled[0]) and bool(np.isfinite(free_radii).all()),
     )
 
 

@@ -41,10 +41,6 @@ __all__ = [
 ]
 
 
-# Sweeps in each run of the root finder before it gives up.
-_MAX_ITER = 200
-
-
 @dataclass(frozen=True)
 class Polynomial:
     """Coefficient-form polynomial, ascending degree, nonzero leading term.
@@ -92,7 +88,7 @@ class RootResult:
     marks an exact root at 0.  converged means every radius is finite.
     clusters lists the groups of two or more discs (likely multiple roots);
     iterations counts the sweeps of the binary64 run before the refinement,
-    at most 200, and is 0 when every root is 0.
+    at most ``polynomial._MAX_SWEEPS`` (300), and is 0 when every root is 0.
     """
 
     roots: tuple[complex, ...]
@@ -343,8 +339,8 @@ def find_roots(p: Polynomial) -> RootResult:
         # Twice the outer start circle's radius bounds every root (Fujiwara's
         # bound), and the row has no fixed points besides its own.
         scale, none = np.array([1.0 + 2.0 * np.abs(z).max()]), np.empty((1, 0), np.complex128)
-        w, _, iterations = _sweeps(z[None], none, _root_corrections(monic), scale, _MAX_ITER)
-        (z,), _, _ = _sweeps(w, none, _root_corrections(head, tail), scale, _MAX_ITER)
+        w, _, iterations = _sweeps(z[None], none, _root_corrections(monic), scale)
+        (z,), _, _ = _sweeps(w, none, _root_corrections(head, tail), scale)
         radii[low:] = _radii(head, tail, z)
     z = np.concatenate((np.zeros(low, dtype=np.complex128), z))
     order = np.lexsort((z.imag, z.real))

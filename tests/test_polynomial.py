@@ -2,6 +2,7 @@
 
 import cmath
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -527,7 +528,7 @@ class TestFindRoots:
         starts = np.array([[0.1 + 0.1j, 0.1 + 0.1j, -0.2, 0.4j]])
         steps = _root_corrections(c)
         # 2 bounds 1 + |r| for every root r.
-        w, _, _ = poly._sweeps(starts, np.empty((1, 0), complex), steps, np.array([2.0]), 200)
+        w, _, _ = poly._sweeps(starts, np.empty((1, 0), complex), steps, np.array([2.0]))
         _, worst = match_roots(w[0], roots)
         assert worst <= 1e-12
 
@@ -645,6 +646,22 @@ class TestCriticalReport:
         assert rep.radii == (0.0, 0.0)
         assert (rep.sendov_distance, rep.distance_radius) == (0.0, 0.0)
         assert rep.converged
+
+    def test_infinite_radius_is_not_converged(self):
+        # The last row of tools/kernel_agreement.py's rows(90, 30), a cluster
+        # of spread 1e-15, settles two critical points on one float: both
+        # radii are inf and the bracket is UNRESOLVED.  converged reads
+        # False there, as it does for a RootResult with an infinite radius.
+        path = TOOLS / "kernel_agreement.py"
+        spec = importlib.util.spec_from_file_location("kernel_agreement", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        family, a, row = tool.rows(90, 30)[-1]
+        assert family == "clusters of spread 1e-15"
+        rep = critical_report(SendovInstance(a, tuple(row.tolist())))
+        assert np.isinf(rep.radii).sum() == 2
+        assert rep.verdict(1.0 + 1e-9) == "UNRESOLVED"
+        assert not rep.converged
 
     def test_two_point_midpoint(self):
         rep = critical_report(SendovInstance(a=0.9, other_zeros=(-1.0,)))
@@ -1077,8 +1094,14 @@ class TestKernelStages:
         ones = np.ones(zeta.shape)
         starts = poly._starts(zeta, None)
         assert starts.tobytes() == poly._starts(zeta, ones).tobytes()
-        w, settled = poly._secular_aberth(zeta, None, starts)
-        w_ones, settled_ones = poly._secular_aberth(zeta, ones, starts)
+        scale = 1.0 + np.abs(zeta).max(axis=-1)
+        w, settled, _ = poly._sweeps(
+            starts, zeta, lambda w, at: poly._aberth_corrections(w, zeta, None, at), scale
+        )
+        kc = ones.astype(complex)
+        w_ones, settled_ones, _ = poly._sweeps(
+            starts, zeta, lambda w, at: poly._aberth_corrections(w, zeta, kc, at), scale
+        )
         assert w.tobytes() == w_ones.tobytes()
         assert settled.tolist() == settled_ones.tolist()
         radii, nearest = poly._inclusion_radii(w, zeta, None)
@@ -1258,6 +1281,20 @@ def _exact_radii(points, value):
             len(ws) * abs(value(w)) / mpmath.fprod(abs(w - x) for j, x in enumerate(ws) if j != i)
             for i, w in enumerate(ws)
         ]
+
+
+class TestSweepBudget:
+    def test_one_budget_ends_both_solvers(self, monkeypatch):
+        # _sweeps ends every row at polynomial._MAX_SWEEPS, in the kernel and
+        # in the finder alike: a budget of 3 cuts both short.
+        a, rows = _kernel_rows(17)
+        inst = SendovInstance(a, tuple(rows[0].tolist()))
+        wilkinson = from_roots(range(1, 11))
+        assert critical_report(inst).converged
+        assert find_roots(wilkinson).iterations > 3
+        monkeypatch.setattr(poly, "_MAX_SWEEPS", 3)
+        assert not critical_report(inst).converged
+        assert find_roots(wilkinson).iterations == 3
 
 
 class TestRadiusCertificate:

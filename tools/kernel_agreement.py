@@ -20,8 +20,9 @@ row's largest radius (change over parent), the largest ratio of bracket
 half-widths, and the worst difference between the Sendov distances.  For
 each family it prints the rows whose verdict differs between the two
 trees at ``check``'s threshold (the change tree's
-``verify.VIOLATION_THRESHOLD``), and each tree's PASS, FAIL and
-UNRESOLVED counts.  The two
+``verify.VIOLATION_THRESHOLD``), each tree's PASS, FAIL and
+UNRESOLVED counts, and each tree's count of rows whose report is not
+``converged`` with the seconds its ``critical_report`` calls took.  The two
 versions agree within the certified error bar when every difference of
 distances is at most the sum of the two half-widths, and the change
 resolves every row the parent resolves; the script exits 1 on a distance
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -118,13 +120,21 @@ def main(argv: list[str]) -> int:
     beyond = 0
     changed = {family: [] for family in FAMILIES}
     counts = {family: ({}, {}) for family in FAMILIES}
+    # Per family and tree: [rows not converged, seconds in critical_report].
+    costs = {family: ([0, 0.0], [0, 0.0]) for family in FAMILIES}
     lost = 0
     for degree in DEGREES:
         for round_ in range(ROUNDS):
             for family, a, row in rows(degree, round_):
                 zeros = tuple(row.tolist())
-                old = parent.critical_report(parent.SendovInstance(a, zeros))
-                new = change.critical_report(change.SendovInstance(a, zeros))
+                reports = []
+                for tree, cost in zip((parent, change), costs[family]):
+                    instance = tree.SendovInstance(a, zeros)
+                    start = time.perf_counter()
+                    reports.append(tree.critical_report(instance))
+                    cost[1] += time.perf_counter() - start
+                    cost[0] += not reports[-1].converged
+                old, new = reports
                 count += 1
                 p_old = np.array(old.critical_points)
                 p_new = np.array(new.critical_points)
@@ -173,6 +183,9 @@ def main(argv: list[str]) -> int:
                             for t in tallies)
         print(f"  {family}: {parent_} | {change_}")
     print(f"rows resolved by the parent, UNRESOLVED in the change: {lost}")
+    print("rows not converged and seconds in critical_report per family, parent | change:")
+    for family, (old, new) in costs.items():
+        print(f"  {family}: {old[0]} in {old[1]:.2f} s | {new[0]} in {new[1]:.2f} s")
     return 1 if beyond or lost else 0
 
 
