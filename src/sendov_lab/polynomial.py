@@ -595,20 +595,18 @@ def hull_distance(point: complex, vertices: Sequence[complex]) -> float:
     """Euclidean distance from point to the convex hull of vertices (0 inside).
 
     Monotone-chain hull; degenerate vertex sets (single point, collinear)
-    fall back to point/segment distance.
+    fall back to the distance to the segment from the least to the greatest
+    vertex.
     """
     w = complex(_require_finite_complex((point,), "point")[0])
     pts = _require_finite_complex(vertices, "vertices")
     if pts.size == 0:
         raise DomainError("hull needs at least one vertex")
-    uniq = np.unique(pts)
-    xy = sorted((z.real, z.imag) for z in uniq)
-    if len(xy) == 1:
-        return abs(w - complex(*xy[0]))
+    # np.unique orders complex values by (real, imag), as the chain needs.
+    xy = [(z.real, z.imag) for z in np.unique(pts).tolist()]
     hull = _convex_chain(xy)[:-1] + _convex_chain(xy[::-1])[:-1]
-
-    if len(hull) == 2:
-        return _segment_distance(w, hull[0], hull[1])
+    if len(hull) < 3:
+        return _segment_distance(w, xy[0], xy[-1])
 
     inside = True
     for i in range(len(hull)):

@@ -277,16 +277,13 @@ def _root_corrections(c, tails=None):
 
 def _groups(z: np.ndarray, radii: np.ndarray) -> tuple[tuple[int, ...], ...]:
     """Connected groups of two or more discs |w - z_i| <= radii[i] that meet
-    by ``polynomial._discs_meet``, each by its indices in order: every disc
-    takes the least label among the discs it meets until no label moves."""
+    by ``polynomial._discs_meet``, each by its indices in order, the groups
+    by their least index: scipy labels the components in that order."""
+    from scipy.sparse.csgraph import connected_components
+
     meets = _discs_meet(np.abs(z[:, None] - z[None, :]), radii[:, None] + radii[None, :])
-    label = np.arange(z.size)
-    while True:
-        reached = np.where(meets, label, z.size).min(axis=1)
-        if (reached == label).all():
-            break
-        label = reached
-    groups = [np.flatnonzero(label == i) for i in np.unique(label)]
+    count, label = connected_components(meets, directed=False)
+    groups = [np.flatnonzero(label == i) for i in range(count)]
     return tuple(tuple(g.tolist()) for g in groups if g.size >= 2)
 
 
@@ -316,16 +313,18 @@ def find_roots(p: Polynomial) -> RootResult:
         raise DomainError("find_roots needs degree >= 1")
     coeffs = np.asarray(p.coefficients, dtype=np.complex128)
     tails = np.zeros_like(coeffs) if p.tails is None else np.asarray(p.tails)
-    nonzero = np.flatnonzero(coeffs + tails)
+    total = coeffs + tails
+    nonzero = np.flatnonzero(total)
     low = int(nonzero[0])
     z = np.zeros(p.degree - low, dtype=np.complex128)
     radii = np.zeros(p.degree)
     with np.errstate(all="ignore"):
         monic = coeffs[low:] / coeffs[-1]
-        if not np.isfinite(monic).all():
-            k = low + int(np.flatnonzero(~np.isfinite(monic))[0])
+        overflows = np.flatnonzero(~np.isfinite(monic))
+        if overflows.size:
+            k = low + int(overflows[0])
             raise DomainError(f"coefficient ratio c_{k}/c_{p.degree} overflows binary64")
-        logs = np.log(np.abs(coeffs + tails))
+        logs = np.log(np.abs(total))
         # Fed from k = n down, the chain's left turns trace the upper hull.
         hull = _convex_chain([(k, logs[k]) for k in nonzero[::-1].tolist()])
         for e, ((k2, log2), (k1, log1)) in enumerate(zip(hull, hull[1:]), 1):
@@ -361,18 +360,14 @@ def match_roots(
 
     Returns (assignment, worst_distance) where assignment[i] indexes the
     found root paired with expected[i]: the Hungarian assignment, which
-    minimises the total distance over the pairs.  Where every expected
-    root's nearest found root is a different one, that pairing already
-    attains the minimum, row by row, and scipy is not imported.
+    minimises the total distance over the pairs.
     """
+    from scipy.optimize import linear_sum_assignment
+
     f = _require_finite_complex(found, "found")
     e = _require_finite_complex(expected, "expected")
     if f.size != e.size or f.size == 0:
         raise DomainError("matching needs two equal nonempty root lists")
     dist = np.abs(e[:, None] - f[None, :])
-    cols = dist.argmin(axis=1)
-    if np.unique(cols).size < cols.size:
-        from scipy.optimize import linear_sum_assignment
-
-        cols = linear_sum_assignment(dist)[1]
-    return tuple(cols.tolist()), float(dist[np.arange(cols.size), cols].max())
+    rows, cols = linear_sum_assignment(dist)
+    return tuple(cols.tolist()), float(dist[rows, cols].max())

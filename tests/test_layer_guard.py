@@ -5,7 +5,9 @@ coefficient root finder.
 finder serves only the round-trip criterion and its tests, and
 ``polynomial`` does not take the double-double transformations that only
 ``roots`` needs.  ``roots`` itself imports the sweep loop from
-``polynomial``.
+``polynomial``.  No module imports scipy at module level: the finder's
+functions import it when called, so importing the package, or running a
+command, loads no scipy.
 
 One form per job in ``verify``: a single function builds every
 ``VerificationOutcome``, and no exact quadratic is written there, since
@@ -62,6 +64,52 @@ def test_guard_finds_each_form():
         "5: _two_product", "5: _two_sum", "8: roots",
     ]
 
+
+def module_level_scipy_imports(source: str, filename: str) -> list[str]:
+    """'line: module' for every import of scipy, or from it, outside a
+    function body in source (class bodies and ``if`` blocks run at import)."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return
+        if isinstance(node, ast.Import):
+            found.extend(f"{node.lineno}: {alias.name}" for alias in node.names
+                         if alias.name.split(".")[0] == "scipy")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if (node.module or "").split(".")[0] == "scipy":
+                found.append(f"{node.lineno}: {node.module}")
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source, filename))
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in SRC.glob("*.py")))
+def test_no_module_level_scipy_import(name):
+    path = SRC / name
+    assert module_level_scipy_imports(path.read_text(encoding="utf-8"), name) == []
+
+
+def test_scipy_guard_finds_each_form():
+    source = (
+        "import scipy\n"
+        "import numpy, scipy.optimize as opt\n"
+        "from scipy.sparse import csgraph\n"
+        "from .scipy import helper\n"
+        "import scipyx\n"
+        "class C:\n"
+        "    from scipy import linalg\n"
+        "def f():\n"
+        "    from scipy.optimize import linear_sum_assignment\n"
+        "    import scipy\n"
+        "if True:\n"
+        "    import scipy.special\n"
+    )
+    assert module_level_scipy_imports(source, "x.py") == [
+        "1: scipy", "2: scipy.optimize", "3: scipy.sparse", "7: scipy", "12: scipy.special",
+    ]
 
 
 def outcome_builders(source: str, filename: str) -> list[str]:

@@ -532,6 +532,16 @@ class TestFindRoots:
         _, worst = match_roots(w[0], roots)
         assert worst <= 1e-12
 
+    def test_groups_join_chains_and_order_by_least_index(self):
+        # Discs 1, 4 and 2 form a chain: 1 meets 4, 4 meets 2, 1 misses 2,
+        # so 2 joins 1's group only through 4.  Discs 0 and 3 form a
+        # separate pair and 5 stands alone.
+        z = np.array([10.0, 0.0, 2.0, 10.5, 1.0, -5.0], dtype=complex)
+        radii = np.array([0.3, 0.6, 0.6, 0.3, 0.6, 0.1])
+        expected = ((0, 3), (1, 2, 4))
+        assert tuple(g for g in _overlapping_groups(z, radii) if len(g) >= 2) == expected
+        assert _groups(z, radii) == expected
+
     @pytest.mark.parametrize("coefficients", [(1e300, 1e-300), (1e308, 1e308, 1e-308)])
     def test_coefficient_ratio_past_binary64_range_raises(self, coefficients):
         # c_0/c_n overflows: a DomainError naming the ratio, not a numpy

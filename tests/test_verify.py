@@ -462,6 +462,27 @@ class TestFuzz:
         draws = np.random.default_rng(entropy).random(8)
         assert draws.tobytes() == np.random.default_rng([seed, index]).random(8).tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 5])
+    def test_trial_draws_come_from_seed_and_index(self, monkeypatch, seed):
+        # Trial index draws m radius and then m angle uniforms from
+        # default_rng([seed, index]), in blocks of 2 rows here.
+        degree, trials = 6, 5
+        m = degree - 1
+        rows = []
+
+        def record(a, others):
+            rows.extend(others.copy())
+            return poly.sendov_distances(a, others)
+
+        monkeypatch.setattr(poly, "_block_rows", lambda g: 2)
+        monkeypatch.setattr(verify, "sendov_distances", record)
+        fuzz_sendov(0.5, degree, trials, seed=seed)
+        assert len(rows) == trials
+        for index, row in enumerate(rows):
+            u = np.random.default_rng([seed, index]).random(2 * m)
+            expected = np.sqrt(u[:m]) * np.exp(1j * (u[m:] * (2.0 * np.pi)))
+            assert row.tobytes() == expected.tobytes(), index
+
     def test_cell_of_many_blocks_gives_the_same_report(self, monkeypatch):
         whole = fuzz_sendov(0.4, 8, 300, seed=9)
         monkeypatch.setattr(poly, "_block_rows", lambda g: 7)
