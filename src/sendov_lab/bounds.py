@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -584,9 +585,10 @@ def final_bound(a: float) -> float:
 def _mean_objective(a: float, n: int, delta: float) -> float:
     # delta/2 - log(1 - sqrt(1 + delta^2 - delta*a)) / (delta*n), with the
     # 1 - sqrt term rewritten as delta*(a-delta)/(1 + sqrt(...)) because the
-    # direct subtraction cancels to nothing at both ends of (0, a).
-    s = math.sqrt(1.0 + delta * (delta - a))
-    return 0.5 * delta - math.log(delta * (a - delta) / (1.0 + s)) / (delta * n)
+    # direct subtraction cancels to nothing at both ends of (0, a).  delta
+    # is a float or an array of them.
+    s = _sqrt(1.0 + delta * (delta - a))
+    return 0.5 * delta - _libm(math.log, delta * (a - delta) / (1.0 + s)) / (delta * n)
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -596,11 +598,12 @@ def mean_upper_bound(a: float, n: int) -> MeanBound:
     """Best upper bound for the mean real part of the zeros, degree-n case.
 
     The objective delta/2 - log(1 - sqrt(1+delta^2-delta*a))/(delta*n) is
-    minimized over delta in (0, a) by a 1024-point scan followed by
-    golden-section refinement of the best bracket down to a 1e-12 interval.
-    The scan keeps 1e-9 from each end, so a must exceed 2e-9.
-    bound_at_quarter is the plain evaluation at delta = a/4 (the choice that
-    yields the closed-form threshold n0).
+    minimized over delta in (0, a) by a 1024-point scan, evaluated as one
+    array, followed by golden-section refinement of the bracket around its
+    first minimum down to a 1e-12 interval.  The scan keeps 1e-9 from each
+    end, so a must exceed 2e-9; delta*n is taken in binary64, so n must not
+    exceed the largest float.  bound_at_quarter is the plain evaluation at
+    delta = a/4 (the choice that yields the closed-form threshold n0).
     """
     a = _check_a(a)
     n = _int_in("n", n, 2)
@@ -609,13 +612,16 @@ def mean_upper_bound(a: float, n: int) -> MeanBound:
     lo_edge, hi_edge = eps, a - eps
     if not lo_edge < hi_edge:
         raise DomainError(f"a={a!r} is too small: the scan of (0, a) keeps {eps!r} from each end")
+    if n > sys.float_info.max:
+        raise DomainError(
+            f"n must be at most the largest float, {sys.float_info.max!r}, "
+            f"got an integer of {n.bit_length()} bits"
+        )
     count = 1024
     step = (hi_edge - lo_edge) / (count - 1)
-    best_i, best_v = 0, math.inf
-    for i in range(count):
-        v = _mean_objective(a, n, lo_edge + i * step)
-        if v < best_v:
-            best_i, best_v = i, v
+    scan = _mean_objective(a, n, lo_edge + np.arange(count) * step)
+    best_i = int(np.argmin(scan))
+    best_v = scan.item(best_i)
 
     lo = lo_edge + max(best_i - 1, 0) * step
     hi = lo_edge + min(best_i + 1, count - 1) * step
@@ -645,8 +651,7 @@ def small_circle_bound(a: float) -> float:
     """Comparison threshold 2 + (60-a^2)/(a^2(1-a^2)) for zeros on the unit circle."""
     a = _check_a(a)
     a2 = a * a
-    value = 2.0 + (60.0 - a2) / (a2 * (1.0 - a2)) if a2 else math.inf
-    return _finite("small_circle_bound", a, value)
+    return _finite("small_circle_bound", a, 2.0 + _ratio(60.0 - a2, a2 * (1.0 - a2)))
 
 
 def breakdown(a: float) -> BoundBreakdown:

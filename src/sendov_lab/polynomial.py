@@ -565,9 +565,9 @@ def sendov_distances(a: float, other_zeros) -> tuple[np.ndarray, np.ndarray]:
     rows are validated together by ``SendovInstance``'s rule.  Each row's
     pair is bit for bit what ``critical_report`` gives for that instance:
     rows whose zeros are all distinct run through the same kernel in
-    blocks whose temporaries hold at most 2**18 values each (see
-    ``_block_rows``), and a row with a repeated zero runs through
-    ``critical_report`` itself.
+    blocks whose temporaries hold at most max(2**18, g(g - 1)) values each
+    for g zeros a row (see ``_block_rows``: a block is at least one row),
+    and a row with a repeated zero runs through ``critical_report`` itself.
     """
     a, others = _sendov_zeros(a, other_zeros, ndim=2)
     rows, g = others.shape[0], others.shape[1] + 1

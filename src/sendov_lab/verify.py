@@ -136,33 +136,24 @@ def _min_outcome(
     return VerificationOutcome(check_id, worst > 0.0, worst, point, margins.size, notes)
 
 
-def _screened_min(
-    screened: np.ndarray, exact_at: Callable[[int], float], tol: float
-) -> tuple[int, float]:
-    """(i, exact_at(i)) at the first i where the exact margin is smallest,
-    given screened margins within tol of the exact ones.
+def _confirmed(screened: np.ndarray, exact_at: Callable[[int], float], tol: float) -> np.ndarray:
+    """The exact minimum of the margins that screened holds to within tol,
+    written over screened: at the first flat index where it falls, and +inf,
+    a margin known only to lie above it, elsewhere.
 
-    exact_at is called only on the candidates: every i whose screened
-    margin is at most min(screened) + 2 tol, or is not finite.  Any other
-    i has an exact margin above min(screened) + tol, which is at least the
-    exact margin at the screened minimum, so it can neither be the minimum
-    nor tie it.
+    exact_at is called only on the candidates: every flat index whose
+    screened margin is at most min(screened) + 2 tol, or is not finite.  Any
+    other has an exact margin above min(screened) + tol, which is at least
+    the exact margin at the screened minimum, so it can neither be the
+    minimum nor tie it.
     """
     finite = np.isfinite(screened)
     bound = screened.min(where=finite, initial=math.inf) + 2.0 * tol
     candidates = np.flatnonzero(~finite | (screened <= bound))
     exact = np.array([exact_at(i) for i in candidates.tolist()])
     k = int(np.argmin(exact))
-    return int(candidates[k]), float(exact[k])
-
-
-def _confirmed(screened: np.ndarray, exact_at: Callable[[int], float], tol: float) -> np.ndarray:
-    """The margins ``_screened_min`` confirms, written over screened: the
-    exact minimum at its flat index, and +inf, a margin known only to lie
-    above it, elsewhere."""
-    i, worst = _screened_min(screened.ravel(), exact_at, tol)
     screened.fill(math.inf)
-    screened.flat[i] = worst
+    screened.flat[candidates[k]] = exact[k]
     return screened
 
 
@@ -329,13 +320,9 @@ def verify_estimate_chain(grid_step: float = 1e-3) -> list[VerificationOutcome]:
     # Each quantity is one bounds call on the whole grid, bit for bit the
     # scalar call at each point; every power and log is a libm call, and
     # each one shared by several quantities is mapped once.
-
-    def power(x: np.ndarray, k: int) -> np.ndarray:
-        return bounds._libm(pow, x, k)
-
     aux = bounds.aux_params(a)
     c, gamma = aux.c, aux.gamma
-    a2, a3, a4 = power(a, 2), power(a, 3), power(a, 4)
+    a2, a3, a4 = (bounds._libm(pow, a, k) for k in (2, 3, 4))
     log_a16 = bounds._libm(math.log, a / 16.0)
     n0 = bounds.n0(a)
     n1_branch = bounds._n1_branch(a)
@@ -358,7 +345,7 @@ def verify_estimate_chain(grid_step: float = 1e-3) -> list[VerificationOutcome]:
             324.0 / a2 - n1_branch, "324/a^2 - 9((4+2a)/a)^2"
         ),
         "chain.n2_le_max_5760_over_a2": (
-            5760.0 / a2 - 9.0 * power(ratio, 2),
+            5760.0 / a2 - 9.0 * bounds._libm(pow, ratio, 2),
             "5760/a^2 - 9(log(a/16)/log(c/(1+a)))^2 at c = a*gamma",
         ),
         # max{n0, n1, n2} with n1 and n2 as bounds.n1 and bounds.n2 form them:

@@ -4,6 +4,7 @@ Reference constants in reference_values.py were computed with 50-digit
 arithmetic and rounded once to binary64; see tools/make_reference_values.py.
 """
 
+import hashlib
 import math
 import re
 import subprocess
@@ -318,7 +319,33 @@ class TestHeadlineBound:
             bounds.n3(a)
 
 
+# SHA-256 of the reprs of mean_upper_bound on _mean_bound_pairs.
+MEAN_BOUND_DIGEST = "4949e9f69fb0bc501da043a6c84de99233c2abea9c74480b346223fdd90cb923"
+
+
+def _mean_bound_pairs():
+    """200 seeded (a, n): a uniform over [2.1e-9, 1 - 1e-9] and log-uniform
+    over [2.1e-9, 1), with n log-uniform from 2 to about 1e6 or to about
+    1e299; past 2**53 most n are not floats."""
+    rng = np.random.default_rng(31)
+    a = np.concatenate([
+        rng.uniform(2.1e-9, 1.0 - 1e-9, 100),
+        np.minimum(10.0 ** rng.uniform(math.log10(2.1e-9), 0.0, 100), 1.0 - 1e-9),
+    ])
+    n = [max(2, round(10.0 ** x)) for x in rng.uniform(0.3, 6.0, 100).tolist()] + [
+        max(2, int(10.0 ** x) + k)
+        for x, k in zip(rng.uniform(0.3, 299.0, 100).tolist(), rng.integers(0, 1000, 100).tolist())
+    ]
+    return list(zip(a.tolist(), n))
+
+
 class TestMeanBound:
+    def test_reprs_match_digest(self):
+        # Every bit of every field: the scan, the refinement and the
+        # objective's roundings all show here.
+        reprs = "\n".join(repr(bounds.mean_upper_bound(a, n)) for a, n in _mean_bound_pairs())
+        assert hashlib.sha256(reprs.encode()).hexdigest() == MEAN_BOUND_DIGEST
+
     def test_frozen_values(self):
         mb = bounds.mean_upper_bound(0.5, 650)
         assert np.allclose(mb.bound_at_quarter, ref.MEAN_QUARTER_05_650, rtol=RTOL, atol=0)
@@ -333,7 +360,10 @@ class TestMeanBound:
         mb = bounds.mean_upper_bound(a, n)
         assert mb.bound_inf <= mb.bound_at_quarter + 1e-9
 
-    @pytest.mark.parametrize("bad_n", [1, 0, -3, True, 2.0])
+    @pytest.mark.parametrize("bad_n", [
+        1, 0, -3, True, 2.0,
+        pytest.param(10**309, id="10**309"), pytest.param(10**400, id="10**400"),
+    ])
     def test_rejects_bad_n(self, bad_n):
         with pytest.raises(DomainError):
             bounds.mean_upper_bound(0.5, bad_n)
@@ -432,6 +462,11 @@ def _pin_cases():
         ),
         "_n3_estimate": (bounds._n3_estimate(pts, a3), each(bounds._n3_estimate, pts, a3)),
         "final_bound": (bounds.final_bound(pts), each(bounds.final_bound, pts)),
+        # The array here is of delta, at one a above every point and one n.
+        "_mean_objective": (
+            bounds._mean_objective(1.0 - 1e-6, 650, pts),
+            [bounds._mean_objective(1.0 - 1e-6, 650, d) for d in pts.tolist()],
+        ),
     })
     return cases
 
@@ -441,7 +476,7 @@ PINNED = [
     "aux_params.c", "n0", "_n1_branch", "_n2_ratio", "mu1", "_mu1", "mu2",
     "log_k_factors.k1", "log_k_factors.k2", "r_param.r", "r_param.r_prime", "alpha_param.r",
     "alpha_param.r_prime", "_alpha.r", "_alpha.r_prime", "_n3_exact", "_n3_estimate",
-    "final_bound",
+    "final_bound", "_mean_objective",
 ]
 
 

@@ -352,6 +352,15 @@ class TestMeanBoundCommand:
         code, _, _ = run(capsys, "mean-bound", "--a", "0.5", "--n", "1")
         assert code == 2
 
+    def test_n_past_binary64_range_exits_two(self, capsys):
+        # delta * n would overflow: a domain error, not a traceback.
+        code, out, err = run(capsys, "mean-bound", "--a", "0.5", "--n", str(10**400))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: n must be at most the largest float, 1.7976931348623157e+308, "
+            "got an integer of 1329 bits\n"
+        )
+
 
 # Values of a in (0, 1) past what binary64 carries through a command: each
 # exits 2 naming a, except mean-bound near 1, whose objective never forms c.

@@ -20,7 +20,7 @@ FORBIDDEN = {"log", "log1p", "exp", "power", "float_power"}
 ALLOWED_IN = {
     ("bounds.py", "_d_screen"): (
         "np.log of the bases per a and np.exp per sample screen D; "
-        "verify._screened_min confirms its minimum with libm"
+        "verify._confirmed confirms its minimum with libm"
     ),
     ("verify.py", "fuzz_sendov"): "complex exp of random angles draws the trial zeros",
     ("verify.py", "check_extremal"): "complex exp places the extremal families' zeros",

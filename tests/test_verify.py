@@ -229,7 +229,10 @@ class TestDContraction:
             calls.append(i)
             return exact[i]
 
-        return verify._screened_min(np.array(screened), exact_at, 1e-12), calls
+        confirmed = verify._confirmed(np.array(screened), exact_at, 1e-12)
+        i = int(np.argmin(confirmed))
+        assert np.delete(confirmed, i).tolist() == [math.inf] * (len(screened) - 1)
+        return (i, confirmed.item(i)), calls
 
     def test_exact_order_beats_screened_order(self):
         # The screen ranks 1 below 2; the exact margins rank 2 first.
@@ -482,6 +485,31 @@ class TestFuzz:
             u = np.random.default_rng([seed, index]).random(2 * m)
             expected = np.sqrt(u[:m]) * np.exp(1j * (u[m:] * (2.0 * np.pi)))
             assert row.tobytes() == expected.tobytes(), index
+
+    def test_violating_trial_is_kept_and_fails_the_command(self, monkeypatch, capsys):
+        # One trial of the cell's one block put at distance 1.5 with a zero
+        # half-width: a resolved FAIL, so the report counts it and keeps the
+        # trial's instance as JSON, and `fuzz` exits 1.
+        degree, trials, seed, bad = 6, 5, 7, 3
+        m = degree - 1
+
+        def one_violation(a, others):
+            distance, radius = poly.sendov_distances(a, others)
+            distance[bad], radius[bad] = 1.5, 0.0
+            return distance, radius
+
+        monkeypatch.setattr(verify, "sendov_distances", one_violation)
+        report = fuzz_sendov(0.5, degree, trials, seed=seed)
+        assert (report.violations, report.max_sendov_distance) == (1, 1.5)
+        (kept,) = report.violation_instances
+        instance = poly.SendovInstance.from_json(kept)
+        u = np.random.default_rng([seed, bad]).random(2 * m)
+        expected = np.sqrt(u[:m]) * np.exp(1j * (u[m:] * (2.0 * np.pi)))
+        assert instance.a == 0.5
+        assert np.array(instance.other_zeros).tobytes() == expected.tobytes()
+
+        assert main(["fuzz", "--a", "0.5", "--degree", "6", "--trials", "5", "--seed", "7"]) == 1
+        assert "\nviolation_instances  1\n" in capsys.readouterr().out
 
     def test_cell_of_many_blocks_gives_the_same_report(self, monkeypatch):
         whole = fuzz_sendov(0.4, 8, 300, seed=9)
