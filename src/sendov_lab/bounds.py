@@ -93,8 +93,15 @@ def _outside(name: str, value, lo, hi, closed_left: bool, closed_right: bool) ->
     """_real_in's message for a value outside its interval."""
     return (
         f"{name} must lie in {'[' if closed_left else '('}{lo!r}, {hi!r}"
-        f"{']' if closed_right else ')'}, got {value!r}"
+        f"{']' if closed_right else ')'}, got {_shown(value)}"
     )
+
+
+def _shown(value) -> str:
+    """repr(value); an int past binary64 range by bit length, as repr fails past 4,300 digits."""
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+    return repr(value)
 
 
 def _real_array(
@@ -134,7 +141,7 @@ def _int_in(name: str, value, lo: int, hi: int | None = None) -> int:
         span = f"an integer in [{lo}, {hi}]"
     else:
         span = {0: "a non-negative integer", 1: "a positive integer"}.get(lo, f"an integer >= {lo}")
-    raise DomainError(f"{name} must be {span}, got {value!r}")
+    raise DomainError(f"{name} must be {span}, got {_shown(value)}")
 
 
 def _check_a(a: float) -> float:
@@ -614,8 +621,7 @@ def mean_upper_bound(a: float, n: int) -> MeanBound:
         raise DomainError(f"a={a!r} is too small: the scan of (0, a) keeps {eps!r} from each end")
     if n > sys.float_info.max:
         raise DomainError(
-            f"n must be at most the largest float, {sys.float_info.max!r}, "
-            f"got an integer of {n.bit_length()} bits"
+            f"n must be at most the largest float, {sys.float_info.max!r}, got {_shown(n)}"
         )
     count = 1024
     step = (hi_edge - lo_edge) / (count - 1)

@@ -98,9 +98,7 @@ def _sendov_zeros(a, other_zeros, ndim: int = 1) -> tuple[float, np.ndarray]:
         raise DomainError("need at least one other zero (degree >= 2)")
     worst = float(np.abs(zeros).max())
     if worst > 1.0 + 1e-12:
-        raise DomainError(
-            f"every other zero must have modulus <= 1, worst is {worst!r}"
-        )
+        raise DomainError(f"every other zero must have modulus <= 1, worst is {worst!r}")
     return a, zeros
 
 
@@ -252,10 +250,7 @@ def _starts(zeta: np.ndarray, k: np.ndarray | None) -> np.ndarray:
         close = np.abs(near[t, i] - near[t, j]) <= bound[t, i]
     crowded = np.zeros((rows, m), dtype=bool)
     crowded[t[close], i[close]] = True
-    if k is None:
-        center = zeta.sum(axis=-1) / g
-    else:
-        center = (k * zeta).sum(axis=-1) / k.sum(axis=-1)
+    center = zeta.sum(axis=-1) / g if k is None else (k * zeta).sum(axis=-1) / k.sum(axis=-1)
     radius = np.abs(zeta - center[:, None]).max(axis=-1)
     angles = 2.0 * np.pi * np.arange(m) / m + _ANGULAR_OFFSET
     circle = center[:, None] + radius[:, None] * np.exp(1j * angles)
@@ -384,29 +379,27 @@ def _sweeps(w, zeta, corrections, scale) -> tuple[np.ndarray, np.ndarray, int]:
     return w, settled, sweeps
 
 
-def _weierstrass_radii(w, first, second, lead, size, count) -> tuple[np.ndarray, np.ndarray]:
-    """(radii, nearest): m exp(first + second - lead - sum_{j != i} log|w_i - w_j|
-    + slack) for the m points w_i of each row, and each one's nearest distance.
-    Where first + second >= log|v(w_i)| and lead = log|c| for a polynomial v
-    of degree m and leading coefficient c, every root of v lies in the discs
-    |z - w_i| <= radii[i], d in each connected group of d (Carstensen, Numer.
-    Math. 59, 1991); as sums of logs the products never over- or underflow.
-    The slack 4 count u (1 + size + sum_j |log|w_i - w_j||), given the
-    caller's term count >= 5 and size (sum of |log| of its own terms), covers
-    the rounding of the logs and their sum; its constant term, at least 20u,
-    covers exp's rounding of a few ulps.  NaN gives inf."""
+def _weierstrass_radii(w, first, second, lead, size, count) -> np.ndarray:
+    """The radii m exp(first + second - lead - sum_{j != i} log|w_i - w_j|
+    + slack) of the m points w_i of each row.  Where first + second >=
+    log|v(w_i)| and lead = log|c| for a polynomial v of degree m and
+    leading coefficient c, every root of v lies in the discs
+    |z - w_i| <= radii[i], d in each connected group of d (Carstensen,
+    Numer. Math. 59, 1991); as sums of logs the products never over- or
+    underflow.  The slack 4 count u (1 + size + sum_j |log|w_i - w_j||),
+    given the caller's term count >= 5 and size (sum of |log| of its own
+    terms), covers the rounding of the logs and their sum; its constant
+    term, at least 20u, covers exp's rounding of a few ulps.  NaN gives inf."""
     m = w.shape[-1]
     diagonal = np.arange(m)
     with np.errstate(all="ignore"):
         log_e = np.abs(w[..., :, None] - w[..., None, :])
-        log_e[..., diagonal, diagonal] = np.inf
-        nearest = log_e.min(axis=-1)
         np.log(log_e, out=log_e)
         log_e[..., diagonal, diagonal] = 0.0
         sum_e, size_e = log_e.sum(axis=-1), np.abs(log_e).sum(axis=-1)
         slack = 4.0 * count * _U * (1.0 + size + size_e)
         radii = np.exp(math.log(m) + first + second - lead - sum_e + slack)
-    return np.where(np.isnan(radii), np.inf, radii), nearest
+    return np.where(np.isnan(radii), np.inf, radii)
 
 
 def _discs_meet(gap, reach) -> np.ndarray:
@@ -416,7 +409,7 @@ def _discs_meet(gap, reach) -> np.ndarray:
     return gap * (1.0 - 4.0 * _U) <= reach
 
 
-def _inclusion_radii(w, zeta, k) -> tuple[np.ndarray, np.ndarray]:
+def _inclusion_radii(w, zeta, k) -> np.ndarray:
     """``_weierstrass_radii`` for the roots of Q = prod(z - zeta_j) * f,
     f = sum_j k_j/(z - zeta_j), of leading coefficient n = sum(k) (``k`` None
     for all ones): |Q(w)| <= prod_j |w - zeta_j| * f_bound, with f_bound |f|
@@ -447,9 +440,9 @@ def _inclusion_radii(w, zeta, k) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _free_points(zeta: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(points, radii, nearest, settled): the critical points that are not
-    repeated zeros, each with its distance to the nearest other, for each
-    row of distinct zeros ``zeta`` with multiplicities ``k``.
+    """(points, radii, settled): the critical points that are not repeated
+    zeros, each with its inclusion radius, for each row of distinct zeros
+    ``zeta`` with multiplicities ``k``.
 
     They are the roots of Q = prod(z - zeta_j) * sum_j k_j/(z - zeta_j):
     none for one zero; (k_1 zeta_2 + k_2 zeta_1)/n with a rounding radius for
@@ -458,14 +451,14 @@ def _free_points(zeta: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
     """
     rows, g = zeta.shape
     if g == 1:
-        return np.empty((rows, 0), np.complex128), *np.empty((2, rows, 0)), np.ones(rows, bool)
+        return np.empty((rows, 0), np.complex128), np.empty((rows, 0)), np.ones(rows, bool)
     if g == 2:
         # Two roundings in the numerator and one in the quotient, per
         # component: at most gamma_3 * sqrt(2) relative to the sum of moduli.
         n = k.sum(axis=-1, keepdims=True)
         points = (k[:, :1] * zeta[:, 1:] + k[:, 1:] * zeta[:, :1]) / n
         radii = 5.0 * _U * (k[:, :1] * np.abs(zeta[:, 1:]) + k[:, 1:] * np.abs(zeta[:, :1])) / n
-        return points, radii, np.full((rows, 1), np.inf), np.ones(rows, bool)
+        return points, radii, np.ones(rows, bool)
     if (k == 1.0).all():
         k = None
     kc = None if k is None else k.astype(np.complex128)
@@ -475,34 +468,36 @@ def _free_points(zeta: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
     points, settled, _ = _sweeps(
         _starts(zeta, k), zeta, lambda w, moving: _aberth_corrections(w, zeta, kc, moving), scale
     )
-    return (points, *_inclusion_radii(points, zeta, k), settled)
+    return points, _inclusion_radii(points, zeta, k), settled
 
 
-def _distance_bracket(a, exact, free, free_radii, free_nearest) -> tuple[np.ndarray, np.ndarray]:
+def _distance_bracket(a, exact, free, free_radii) -> tuple[np.ndarray, np.ndarray]:
     """(nearest distance to a, bracket half-width), per row.
 
     Every critical point lies in some disc, so none is nearer than
     min(dist - radius).  An exact point, or a disc that meets no other
     disc, holds a critical point within dist + radius; any other disc's
-    connected group holds one within 2 * sum(radii) of its centre.  By
-    ``_discs_meet``, a disc that misses one of the row's largest radius at
-    its ``free_nearest`` distance misses all; only the rest are tested pair
-    by pair.  The computed |w - a| is within 3 roundings of the true one,
-    and the final 4u * upper covers the arithmetic on the bracket ends.
+    connected group holds one within 2 * sum(radii) of its centre.  Each
+    disc's term lies between these two, rounded alike, so only a disc
+    whose dist + radius is at most the row's least dist + 2 * sum(radii)
+    can set the upper end; only those are tested pair by pair, by
+    ``_discs_meet``.  The computed |w - a| is within 3 roundings of the
+    true one, and the final 4u * upper covers the arithmetic on the
+    bracket ends.
     """
     points = np.concatenate([exact, free], axis=-1)
     radii = np.concatenate([np.zeros(exact.shape), free_radii], axis=-1)
     dist = np.abs(points - a[:, None])
     with np.errstate(invalid="ignore"):
-        widest = free_radii.max(axis=-1, initial=0.0, keepdims=True)
-        meets = _discs_meet(free_nearest, free_radii + widest)
-        t, i = np.nonzero(meets)
+        far, spread = dist * (1.0 + 4.0 * _U), 2.0 * radii.sum(axis=-1, keepdims=True)
+        ceiling = (far + spread).min(axis=-1, keepdims=True)
+        e = exact.shape[-1]
+        t, i = np.nonzero(far[:, e:] + free_radii <= ceiling)
         gap = np.abs(_minus_rows(free[t, i, None], free, t))
         gap[np.arange(t.size), i] = np.inf
-        meets[t, i] = _discs_meet(gap, free_radii[t, i, None] + free_radii[t]).any(axis=-1)
-        isolated = np.concatenate([np.ones(exact.shape, dtype=bool), ~meets], axis=-1)
-        reach = np.where(isolated, radii, 2.0 * radii.sum(axis=-1, keepdims=True))
-        upper = (dist * (1.0 + 4.0 * _U) + reach).min(axis=-1)
+        meets = np.zeros(points.shape, dtype=bool)
+        meets[t, e + i] = _discs_meet(gap, free_radii[t, i, None] + free_radii[t]).any(axis=-1)
+        upper = (far + np.where(meets, spread, radii)).min(axis=-1)
         lower = np.maximum(dist * (1.0 - 4.0 * _U) - radii, 0.0).min(axis=-1)
     nearest = dist.min(axis=-1)
     half_width = np.maximum(upper - nearest, nearest - lower) + 4.0 * _U * upper
@@ -534,10 +529,8 @@ def critical_report(inst: SendovInstance) -> CriticalPointReport:
     n = zeros.size
     zeta, counts = np.unique(zeros, return_counts=True)
     exact = np.repeat(zeta, counts - 1)
-    free, free_radii, free_nearest, settled = _free_points(zeta[None], counts[None] * 1.0)
-    nearest, half_width = _distance_bracket(
-        np.array([inst.a]), exact[None], free, free_radii, free_nearest
-    )
+    free, free_radii, settled = _free_points(zeta[None], counts[None] * 1.0)
+    nearest, half_width = _distance_bracket(np.array([inst.a]), exact[None], free, free_radii)
 
     points = np.concatenate([exact, free[0]])
     radii = np.concatenate([np.zeros(exact.size), free_radii[0]])
@@ -584,7 +577,7 @@ def sendov_distances(a: float, other_zeros) -> tuple[np.ndarray, np.ndarray]:
     for start in range(0, distinct.size, block):
         t = distinct[start:start + block]
         zeta = zeros[t]
-        free = _free_points(zeta, np.ones(zeta.shape))[:3]
+        free = _free_points(zeta, np.ones(zeta.shape))[:2]
         distance[t], radius[t] = _distance_bracket(
             np.full(t.size, a), np.empty((t.size, 0), np.complex128), *free
         )

@@ -234,7 +234,7 @@ def _radii(head, tail, z) -> np.ndarray:
         # The size term also covers the two roundings of n e_i log 2.
         log_scale = n * e * math.log(2.0)
         size = np.abs(log_p) + abs(log_c) + log_scale
-    return _weierstrass_radii(z[None], log_p, log_scale, log_c, size, n + 4)[0][0]
+    return _weierstrass_radii(z[None], log_p, log_scale, log_c, size, n + 4)[0]
 
 
 def _root_corrections(c, tails=None):

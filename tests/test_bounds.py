@@ -81,6 +81,13 @@ class TestDegreeThresholds:
         lo, hi = sorted((a1, a2))
         assert bounds.n0(lo) > bounds.n0(hi)
 
+    @pytest.mark.parametrize("fn", [bounds.n0, bounds._check_a], ids=lambda f: f.__name__)
+    def test_int_past_binary64_range_is_named_by_its_bits(self, fn):
+        # Its repr, past 4,300 digits, would raise ValueError instead.
+        message = r"^a must lie in \(0, 1\), got an integer of 16610 bits$"
+        with pytest.raises(DomainError, match=message):
+            fn(10**5000)
+
     def test_n2_rejects_c_outside_zero_a(self):
         with pytest.raises(DomainError):
             bounds.n2(0.5, 0.6)
@@ -363,6 +370,7 @@ class TestMeanBound:
     @pytest.mark.parametrize("bad_n", [
         1, 0, -3, True, 2.0,
         pytest.param(10**309, id="10**309"), pytest.param(10**400, id="10**400"),
+        pytest.param(-10**5000, id="-10**5000"),
     ])
     def test_rejects_bad_n(self, bad_n):
         with pytest.raises(DomainError):

@@ -662,11 +662,7 @@ class TestCriticalReport:
         # of spread 1e-15, settles two critical points on one float: both
         # radii are inf and the bracket is UNRESOLVED.  converged reads
         # False there, as it does for a RootResult with an infinite radius.
-        path = TOOLS / "kernel_agreement.py"
-        spec = importlib.util.spec_from_file_location("kernel_agreement", path)
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
-        family, a, row = tool.rows(90, 30)[-1]
+        family, a, row = _agreement_rows(90, 30)[-1]
         assert family == "clusters of spread 1e-15"
         rep = critical_report(SendovInstance(a, tuple(row.tolist())))
         assert np.isinf(rep.radii).sum() == 2
@@ -984,6 +980,14 @@ class TestSendovDistances:
         assert verdicts.tolist() == ["PASS", "FAIL", "UNRESOLVED", "UNRESOLVED"]
 
 
+def _agreement_rows(degree, round_):
+    """``tools/kernel_agreement.py``'s rows of one round at one degree."""
+    spec = importlib.util.spec_from_file_location("kernel_agreement", TOOLS / "kernel_agreement.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool.rows(degree, round_)
+
+
 def _kernel_rows(degree):
     """(a, rows of other zeros) at one degree, seeded: disk draws, tight
     clusters, exactly repeated zeros, zeros within 1e-12 of a (one of them
@@ -1074,8 +1078,8 @@ def _full_matrix_starts(zeta, k):
 def _all_pairs_bracket(a, exact, free, free_radii):
     """(distance, half-width) with a disc alone when it misses every other
     disc, pair by pair, by a computed gap beyond the radii by more than its
-    roundings (the factor 1 - 4u): the reference for ``_distance_bracket``'s
-    isolation test from each point's nearest neighbour."""
+    roundings (the factor 1 - 4u): the reference for ``_distance_bracket``,
+    which tests only the discs that can set the upper end."""
     m = free.shape[-1]
     points = np.concatenate([exact, free], axis=-1)
     radii = np.concatenate([np.zeros(exact.shape), free_radii], axis=-1)
@@ -1114,10 +1118,8 @@ class TestKernelStages:
         )
         assert w.tobytes() == w_ones.tobytes()
         assert settled.tolist() == settled_ones.tolist()
-        radii, nearest = poly._inclusion_radii(w, zeta, None)
-        radii_ones, nearest_ones = poly._inclusion_radii(w, zeta, ones)
-        assert radii.tobytes() == radii_ones.tobytes()
-        assert nearest.tobytes() == nearest_ones.tobytes()
+        radii = poly._inclusion_radii(w, zeta, None)
+        assert radii.tobytes() == poly._inclusion_radii(w, zeta, ones).tobytes()
 
     def test_gap_sum_past_binary64_range_sends_the_start_to_the_circle(self):
         # 1/(0 - 1e-308) + 1/(0 - 1.05e-308) overflows in its real part
@@ -1171,30 +1173,53 @@ class TestKernelStages:
         assert rep.verdict(1.0 + 1e-9) == "PASS"
 
     @pytest.mark.parametrize("degree", list(KERNEL_DIGESTS))
-    def test_isolation_from_the_radii_matches_the_all_pairs_rule(self, degree):
-        # A disc farther from its nearest neighbour than its radius plus the
-        # row's largest misses every other disc; the discs that test leaves
-        # in doubt (as in the clusters here) are tested pairwise.
+    def test_isolation_matches_the_all_pairs_rule(self, degree):
+        # Only the discs that can set the upper end are tested pair by pair;
+        # whether the others meet a disc cannot move the bracket.
         a, rows = _kernel_rows(degree)
         at = np.array([a])
         for row in rows:
             zeta, counts = np.unique(np.concatenate([[complex(a)], row]), return_counts=True)
             exact = np.repeat(zeta, counts - 1)[None]
-            free, radii, nearest, _ = poly._free_points(zeta[None], counts[None].astype(float))
-            distance, half_width = poly._distance_bracket(at, exact, free, radii, nearest)
+            free, radii, _ = poly._free_points(zeta[None], counts[None].astype(float))
+            distance, half_width = poly._distance_bracket(at, exact, free, radii)
             reference = _all_pairs_bracket(at, exact, free, radii)
             assert distance == reference[0]
             assert half_width == reference[1]
 
+    @pytest.mark.parametrize("degree, meeting, tested", [
+        (23, 16, 16), (28, 27, 27), (8, 4, 0),
+    ], ids=["unity-23", "unity-28", "cluster-1e-15"])
+    def test_meeting_discs_match_the_all_pairs_rule(self, degree, meeting, tested):
+        # No _kernel_rows row has two discs that meet.  At a = 1 - 1e-12,
+        # with the other zeros at the roots of unity other than 1, 16 discs
+        # meet at degree 23 and each can set the upper end; at degree 28
+        # all 27 meet, and 2 * sum(radii) sets it.  In a degree-8 row of
+        # clusters of spread 1e-15, 4 discs meet and none can set it.
+        if degree == 8:
+            family, a, row = _agreement_rows(8, 2)[-1]
+            assert family == "clusters of spread 1e-15"
+        else:
+            a, row = 1.0 - 1e-12, np.exp(2j * np.pi * np.arange(1, degree) / degree)
+        at, exact = np.array([a]), np.empty((1, 0), dtype=complex)
+        zeta = np.unique(np.concatenate([[complex(a)], row]))[None]
+        free, radii, _ = poly._free_points(zeta, np.ones(zeta.shape))
+        met = [i for group in _groups(free[0], radii[0]) for i in group]
+        far = np.abs(free[0] - a) * (1.0 + 4.0 * poly._U)
+        candidate = far + radii[0] <= (far + 2.0 * radii.sum()).min()
+        assert (len(met), candidate[met].sum()) == (meeting, tested)
+        distance, half_width = poly._distance_bracket(at, exact, free, radii)
+        assert (distance, half_width) == _all_pairs_bracket(at, exact, free, radii)
+
     def test_disc_in_doubt_is_tested_pairwise(self):
         # Points 1 and 2 are 1e-9 apart with radii 1e-12: pairwise they are
-        # apart, but not by more than the wide radius of point 0.
+        # apart, though the wide radius of point 0 puts 2 * sum(radii) far
+        # beyond their gap.  Both can set the upper end; point 0 cannot.
         free = np.array([[0.0, 0.5, 0.5 + 1e-9]], dtype=complex)
         radii = np.array([[1e-3, 1e-12, 1e-12]])
-        nearest = np.array([[0.5, 1e-9, 1e-9]])
         exact = np.empty((1, 0), dtype=complex)
         at = np.array([0.5 + 2e-9])
-        _, half_width = poly._distance_bracket(at, exact, free, radii, nearest)
+        _, half_width = poly._distance_bracket(at, exact, free, radii)
         _, reference = _all_pairs_bracket(at, exact, free, radii)
         assert half_width == reference < 1e-11
 
@@ -1208,7 +1233,7 @@ class TestKernelStages:
         radii = np.array([[r, r]])
         exact = np.empty((1, 0), dtype=complex)
         at = np.array([0.25])
-        _, half_width = poly._distance_bracket(at, exact, free, radii, np.array([[1.0, 1.0]]))
+        _, half_width = poly._distance_bracket(at, exact, free, radii)
         assert half_width[0] >= 2.0 * radii.sum()
         assert half_width == _all_pairs_bracket(at, exact, free, radii)[1]
         assert _groups(free[0], radii[0]) == ((0, 1),)
@@ -1223,7 +1248,7 @@ class TestKernelStages:
         # is matched to its nearest, one to one.
         a, rows = _kernel_rows(degree)
         zeta = np.sort(np.concatenate([np.full((6, 1), complex(a)), rows[:6]], axis=1), axis=1)
-        free, _, _, settled = poly._free_points(zeta, np.ones(zeta.shape))
+        free, _, settled = poly._free_points(zeta, np.ones(zeta.shape))
         assert settled.all()
         for zeros, points, frozen in zip(zeta, free, FROZEN_ROOTS[str(degree)]):
             truth = np.array([complex(*z) for z in frozen])
@@ -1271,7 +1296,7 @@ class TestKernelStages:
         zeta = np.array([[0.5, -0.3 + 0.4j, 0.1 - 0.7j, -0.6 - 0.2j, 0.2 + 0.1j]])
         mult = np.ones(5) if k is None else np.array(k)
         w = np.array([[zeta[0, 2], 0.05 + 0.3j, -0.4 - 0.1j, 0.3 - 0.3j]])
-        radii, _ = poly._inclusion_radii(w, zeta, None if k is None else mult[None])
+        radii = poly._inclusion_radii(w, zeta, None if k is None else mult[None])
         assert np.isfinite(radii).all()
         with mpmath.workdps(30):
             zs = [mpmath.mpc(z) for z in zeta[0]]
@@ -1324,7 +1349,7 @@ class TestRadiusCertificate:
             row = rows[{"disk": 0, "cluster-1e-9": 4, "near-a-1e-12": 8}[case]]
         zeta = np.unique(np.concatenate([[complex(a)], row]))
         assert zeta.size == row.size + 1
-        free, radii, _, _ = poly._free_points(zeta[None], np.ones((1, zeta.size)))
+        free, radii, _ = poly._free_points(zeta[None], np.ones((1, zeta.size)))
         with mpmath.workdps(60):
             zs = [mpmath.mpc(z) for z in zeta]
 

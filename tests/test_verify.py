@@ -124,7 +124,7 @@ class TestInequalitySuite:
     def test_rejects_extra_random_past_cap(self):
         # Rejected before any point is drawn: 10**7 points would need two
         # (points x 99) float64 arrays of about 8 GB each.
-        for bad in (100_001, 10**7, np.int64(10**9)):
+        for bad in (100_001, 10**7, np.int64(10**9), 10**5000):
             with pytest.raises(
                 bounds.DomainError, match=r"extra_random must be an integer in \[0, 100000\]"
             ):
@@ -545,6 +545,8 @@ class TestFuzz:
             fuzz_sendov(0.5, 4, 0)
         with pytest.raises(bounds.DomainError):
             fuzz_sendov(0.5, 4.0, 10)
+        with pytest.raises(bounds.DomainError, match="got an integer of 16610 bits"):
+            fuzz_sendov(0.5, 10**5000, 1)
 
     def test_numpy_integer_arguments_give_a_plain_report(self):
         report = fuzz_sendov(0.5, np.int64(4), np.int64(5), seed=np.int64(5))

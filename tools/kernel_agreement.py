@@ -17,7 +17,9 @@ of the certificate follow: near-extremal rows, with a = 1 - eps for eps
 Over all rows it prints the worst distance from a critical point of one
 tree to the nearest point of the other, the range of the ratio of each
 row's largest radius (change over parent), the largest ratio of bracket
-half-widths, and the worst difference between the Sendov distances.  For
+half-widths, the worst difference between the Sendov distances, and how
+many rows give reports identical in bytes: critical points, radii,
+distance, half-width and ``converged``.  For
 each family it prints the rows whose verdict differs between the two
 trees at ``check``'s threshold (the change tree's
 ``verify.VIOLATION_THRESHOLD``), each tree's PASS, FAIL and
@@ -106,6 +108,17 @@ def rows(degree: int, round_: int) -> list[tuple[str, float, np.ndarray]]:
     return out
 
 
+def report_bytes(report) -> bytes:
+    """The critical points, radii, distance, half-width and ``converged``
+    flag of one ``critical_report``, as bytes."""
+    return b"".join((
+        np.array(report.critical_points, dtype=complex).tobytes(),
+        np.array(report.radii, dtype=float).tobytes(),
+        np.array([report.sendov_distance, report.distance_radius]).tobytes(),
+        bytes([report.converged]),
+    ))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python3 tools/kernel_agreement.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
@@ -118,6 +131,7 @@ def main(argv: list[str]) -> int:
     worst_bracket = 0.0
     worst_distance = 0.0
     beyond = 0
+    identical = 0
     changed = {family: [] for family in FAMILIES}
     counts = {family: ({}, {}) for family in FAMILIES}
     # Per family and tree: [rows not converged, seconds in critical_report].
@@ -136,6 +150,7 @@ def main(argv: list[str]) -> int:
                     cost[0] += not reports[-1].converged
                 old, new = reports
                 count += 1
+                identical += report_bytes(old) == report_bytes(new)
                 p_old = np.array(old.critical_points)
                 p_new = np.array(new.critical_points)
                 gap = np.abs(p_new[:, None] - p_old[None, :])
@@ -172,6 +187,7 @@ def main(argv: list[str]) -> int:
     print(f"largest bracket growth, change / parent: {max(worst_bracket, 1.0):.4f}")
     print(f"worst |delta distance|: {worst_distance:.3e}")
     print(f"distances beyond the two brackets: {beyond}")
+    print(f"reports identical in bytes: {identical} of {count}")
     print(f"verdict changes at {threshold!r}, per family:")
     for family, lines in changed.items():
         print(f"  {family}: {len(lines)}")
