@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,6 +51,12 @@ _MAX_SWEEPS = 300
 # Complex values in each of the kernel's rows x (g - 1) x g temporaries
 # (4 MB), which sets the rows in one block of sendov_distances.
 _BLOCK_TEMPORARY = 2 ** 18
+# Values in a block's temporaries (rows x g x (g - 1)) from which
+# sendov_distances solves it as two halves on two threads.  On a 2-core
+# Xeon two threads break even between 45k and 80k values: 20 x 64 (80,640
+# values) took 0.86 of its serial time, 65 x 64 0.62 and 2 x 200 0.81, but
+# 10 x 64 (40,320) took 1.05 and 20 x 32 (19,840) 1.42.
+_SPLIT_TEMPORARY = 2 ** 16
 # Unit roundoff of binary64.
 _U = 2.0 ** -53
 # Irrational angular offset keeps each circle of start points off axes and
@@ -273,7 +281,9 @@ def _aberth_corrections(w, zeta, kc, points) -> np.ndarray:
     means all ones).  Q'/Q = sum_j 1/(z - zeta_j) + f'/f gives the Newton
     step f / (f * sum_j 1/(z - zeta_j) + f') at O(g) per point.  Sums run
     along the last axis only, with no matrix products: a point's sums then
-    round the same whatever else is gathered, and no BLAS threads start.
+    round the same whatever else is gathered, and no BLAS threads start
+    (``sendov_distances`` may run two halves of a block on two Python
+    threads, each with its own gathers).
     The points x g temporaries are gathered, and freed, one at a time.
     """
     t, i = points
@@ -325,7 +335,8 @@ def _sweeps(w, zeta, corrections, scale) -> tuple[np.ndarray, np.ndarray, int]:
     stop shrinking, or, not settled, at ``_MAX_SWEEPS`` sweeps.
     Each sweep gathers only the moving points, each with its row, and where
     a point's step does not depend on what else is gathered, a row's result
-    does not depend on the other rows.
+    does not depend on the other rows.  A row has m >= 1 points: the kernel
+    sends g <= 2 zeros to closed forms and the finder skips an empty row.
     """
     rows, m = w.shape
     # The nudges differ in length: two points nudged off one root by equal
@@ -334,14 +345,15 @@ def _sweeps(w, zeta, corrections, scale) -> tuple[np.ndarray, np.ndarray, int]:
     angles = 2.0 * np.pi * np.arange(m) / m + _ANGULAR_OFFSET
     nudge = 1e-7 * scale[:, None] * ((1.0 + np.arange(m) / m) * np.exp(1j * (angles + 1.0)))
     moving = np.ones((rows, m), dtype=bool)
-    settled = np.zeros(rows, dtype=bool)
     stall = np.zeros(rows, dtype=int)
     best_step = np.full(rows, np.inf)
     sweeps = 0
     with np.errstate(all="ignore"):
-        while sweeps < _MAX_SWEEPS and moving.any():
-            sweeps += 1
+        while sweeps < _MAX_SWEEPS:
             points = np.nonzero(moving)
+            if not points[0].size:
+                break
+            sweeps += 1
             corr = np.zeros((rows, m), dtype=np.complex128)
             corr[points] = corrections(w, points)
             step = np.abs(corr) / scale[:, None]
@@ -371,12 +383,11 @@ def _sweeps(w, zeta, corrections, scale) -> tuple[np.ndarray, np.ndarray, int]:
             # points are.
             improved = swept & (largest < 0.7 * best_step)
             best_step = np.where(improved, largest, best_step)
-            stall += swept
-            stall[improved] = 0
-            ended = swept & (~moving.any(axis=-1) | ((stall >= 10) & (largest <= 1e-5)))
-            settled |= ended
-            moving[ended] = False
-    return w, settled, sweeps
+            stall = np.where(improved, 0, stall + swept)
+            moving[swept & (stall >= 10) & (largest <= 1e-5)] = False
+    # A row ends by clearing its moving points, so the rows still moving
+    # are those the budget cut short.
+    return w, ~moving.any(axis=-1), sweeps
 
 
 def _weierstrass_radii(w, first, second, lead, size, count) -> np.ndarray:
@@ -551,6 +562,38 @@ def _block_rows(g: int) -> int:
     return max(1, _BLOCK_TEMPORARY // (g * (g - 1)))
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_halves(solve, t) -> None:
+    """``solve`` on the second half of the rows ``t`` on a helper thread
+    and on the first half here.  The helper is joined before this returns
+    or raises, and an exception it raised is raised here."""
+    half = t.size // 2
+    failed = []
+
+    def helper_half():
+        # Any exit of the helper leaves its rows unset, so the caller
+        # raises whatever ended it.
+        try:
+            solve(t[half:])
+        except BaseException as exc:
+            failed.append(exc)
+
+    helper = threading.Thread(target=helper_half)
+    helper.start()
+    try:
+        solve(t[:half])
+    finally:
+        helper.join()
+    if failed:
+        raise failed[0]
+
+
 def sendov_distances(a: float, other_zeros) -> tuple[np.ndarray, np.ndarray]:
     """Sendov distance and bracket half-width of many instances sharing a.
 
@@ -560,7 +603,12 @@ def sendov_distances(a: float, other_zeros) -> tuple[np.ndarray, np.ndarray]:
     rows whose zeros are all distinct run through the same kernel in
     blocks whose temporaries hold at most max(2**18, g(g - 1)) values each
     for g zeros a row (see ``_block_rows``: a block is at least one row),
-    and a row with a repeated zero runs through ``critical_report`` itself.
+    and a row with a repeated zero runs through ``critical_report`` itself,
+    on the calling thread.  When the process may run on two or more CPUs, a
+    block of two or more rows whose temporaries hold at least 2**16 values
+    (``_SPLIT_TEMPORARY``) is solved as two halves, one on a helper thread
+    that is joined before the next block starts: the two halves together
+    hold the one block's temporaries, so the memory bound is unchanged.
     """
     a, others = _sendov_zeros(a, other_zeros, ndim=2)
     rows, g = others.shape[0], others.shape[1] + 1
@@ -572,15 +620,22 @@ def sendov_distances(a: float, other_zeros) -> tuple[np.ndarray, np.ndarray]:
     for t in np.nonzero(repeated)[0]:
         report = critical_report(SendovInstance(a, tuple(others[t].tolist())))
         distance[t], radius[t] = report.sendov_distance, report.distance_radius
-    distinct = np.nonzero(~repeated)[0]
-    block = _block_rows(g)
-    for start in range(0, distinct.size, block):
-        t = distinct[start:start + block]
+
+    def solve(t):
         zeta = zeros[t]
         free = _free_points(zeta, np.ones(zeta.shape))[:2]
         distance[t], radius[t] = _distance_bracket(
             np.full(t.size, a), np.empty((t.size, 0), np.complex128), *free
         )
+
+    distinct = np.nonzero(~repeated)[0]
+    block = _block_rows(g)
+    for start in range(0, distinct.size, block):
+        t = distinct[start:start + block]
+        if t.size >= 2 and t.size * g * (g - 1) >= _SPLIT_TEMPORARY and _cpus() >= 2:
+            _in_halves(solve, t)
+        else:
+            solve(t)
     return distance, radius
 
 

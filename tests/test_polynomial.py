@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -934,7 +935,82 @@ class TestCertifiedCriticalPoints:
         assert verdict(0.5, 1e-12, converged=False) == "PASS"
 
 
+def _disk_block(rows, degree):
+    """(a, rows of degree - 1 other zeros drawn area-uniformly from the
+    unit disk), seeded by the block's shape."""
+    rng = np.random.default_rng([0x48414C46, rows, degree])
+    radius, angle = rng.uniform(size=(2, rows, degree - 1))
+    return 0.4, np.sqrt(radius) * np.exp(2j * np.pi * angle)
+
+
 class TestSendovDistances:
+    @pytest.mark.parametrize("rows, degree, split", [(20, 64, True), (2, 200, True), (20, 32, False)])
+    def test_block_bytes_do_not_depend_on_the_cpus(self, monkeypatch, rows, degree, split):
+        # With two CPUs a block whose temporaries hold at least
+        # _SPLIT_TEMPORARY values runs as two halves on two threads; either
+        # way every row is critical_report's, bit for bit, also when the
+        # threads hand over the interpreter lock every microsecond.
+        a, others = _disk_block(rows, degree)
+        halves = []
+
+        def counted(solve, t):
+            halves.append(t.size)
+            in_halves(solve, t)
+
+        in_halves = poly._in_halves
+        monkeypatch.setattr(poly, "_in_halves", counted)
+        alone = [critical_report(SendovInstance(a, tuple(row.tolist()))) for row in others]
+        expected = (np.array([rep.sendov_distance for rep in alone]).tobytes()
+                    + np.array([rep.distance_radius for rep in alone]).tobytes())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 2):
+                monkeypatch.setattr(poly, "_cpus", lambda: cpus)
+                distance, radius = poly.sendov_distances(a, others)
+                assert distance.tobytes() + radius.tobytes() == expected, cpus
+        finally:
+            sys.setswitchinterval(interval)
+        assert halves == ([rows] if split else [])
+
+    def test_error_in_the_helper_half_reaches_the_caller(self, monkeypatch):
+        # Row 15 of 20 lies in the second half, which the helper thread
+        # solves; its error must be raised by sendov_distances, not lost
+        # with half the rows left unset.
+        a, others = _disk_block(20, 64)
+        marked = np.sort(np.concatenate([[complex(a)], others[15]]))
+        raised_on = []
+
+        def failing(zeta, k):
+            if (zeta == marked).all(axis=-1).any():
+                raised_on.append(threading.current_thread())
+                raise ArithmeticError("marked row")
+            return free_points(zeta, k)
+
+        free_points = poly._free_points
+        monkeypatch.setattr(poly, "_free_points", failing)
+        monkeypatch.setattr(poly, "_cpus", lambda: 2)
+        threads = threading.active_count()
+        with pytest.raises(ArithmeticError, match="marked row"):
+            poly.sendov_distances(a, others)
+        assert len(raised_on) == 1 and raised_on[0] is not threading.current_thread()
+        assert threading.active_count() == threads
+
+    def test_one_cpu_or_one_row_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread started")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        a, others = _disk_block(20, 64)
+        monkeypatch.setattr(poly, "_cpus", lambda: 1)
+        poly.sendov_distances(a, others)
+        monkeypatch.setattr(poly, "_cpus", lambda: 2)
+        _, row = _disk_block(1, 200)
+        poly.sendov_distances(a, row)
+        critical_report(SendovInstance(a, tuple(row[0].tolist())))
+        with pytest.raises(AssertionError, match="a thread started"):
+            poly.sendov_distances(a, others)
+
     def test_rows_with_repeated_zeros_match_critical_report(self):
         a = 0.3
         others = np.array([

@@ -30,6 +30,15 @@ distances is at most the sum of the two half-widths, and the change
 resolves every row the parent resolves; the script exits 1 on a distance
 beyond the brackets or on a PASS or FAIL of the parent that is UNRESOLVED
 in the change.
+
+The change tree also runs ``sendov_distances`` once per degree and round,
+on that round's rows that share a (all but the near-extremal ones), and
+the script prints how many of those rows get the (distance, half-width)
+bytes of the same tree's ``critical_report``; it exits 1 on any that do
+not.  A row with a repeated zero goes through ``critical_report`` there
+too, while the others run as one block of the kernel; at degrees 128 and
+200 that block's temporaries pass ``_SPLIT_TEMPORARY``, and on two or more
+CPUs it runs as two halves on two threads.
 """
 
 from __future__ import annotations
@@ -137,9 +146,14 @@ def main(argv: list[str]) -> int:
     # Per family and tree: [rows not converged, seconds in critical_report].
     costs = {family: ([0, 0.0], [0, 0.0]) for family in FAMILIES}
     lost = 0
+    block_count = 0
+    block_identical = 0
     for degree in DEGREES:
         for round_ in range(ROUNDS):
-            for family, a, row in rows(degree, round_):
+            round_rows = rows(degree, round_)
+            shared = round_rows[0][1]
+            block = []
+            for family, a, row in round_rows:
                 zeros = tuple(row.tolist())
                 reports = []
                 for tree, cost in zip((parent, change), costs[family]):
@@ -180,6 +194,14 @@ def main(argv: list[str]) -> int:
                         f"half-width {old.distance_radius:.3e} -> {new.distance_radius:.3e}"
                     )
                     lost += verdicts[0] != "UNRESOLVED" and verdicts[1] == "UNRESOLVED"
+                if a == shared:
+                    block.append((row, new))
+            others = np.array([row for row, _ in block])
+            distance, radius = change.polynomial.sendov_distances(shared, others)
+            for (_, report), d, r in zip(block, distance, radius):
+                alone = np.array([report.sendov_distance, report.distance_radius])
+                block_identical += np.array([d, r]).tobytes() == alone.tobytes()
+            block_count += len(block)
     ratios = np.array(ratios)
     print(f"rows: {count} at degrees {DEGREES[0]}-{DEGREES[-1]}")
     print(f"worst point difference: {worst_point:.3e}")
@@ -188,6 +210,7 @@ def main(argv: list[str]) -> int:
     print(f"worst |delta distance|: {worst_distance:.3e}")
     print(f"distances beyond the two brackets: {beyond}")
     print(f"reports identical in bytes: {identical} of {count}")
+    print(f"block rows identical to critical_report: {block_identical} of {block_count}")
     print(f"verdict changes at {threshold!r}, per family:")
     for family, lines in changed.items():
         print(f"  {family}: {len(lines)}")
@@ -202,7 +225,7 @@ def main(argv: list[str]) -> int:
     print("rows not converged and seconds in critical_report per family, parent | change:")
     for family, (old, new) in costs.items():
         print(f"  {family}: {old[0]} in {old[1]:.2f} s | {new[0]} in {new[1]:.2f} s")
-    return 1 if beyond or lost else 0
+    return 1 if beyond or lost or block_identical < block_count else 0
 
 
 if __name__ == "__main__":
