@@ -455,15 +455,14 @@ def _free_points(zeta: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
     zeros, each with its inclusion radius, for each row of distinct zeros
     ``zeta`` with multiplicities ``k``.
 
-    They are the roots of Q = prod(z - zeta_j) * sum_j k_j/(z - zeta_j):
-    none for one zero; (k_1 zeta_2 + k_2 zeta_1)/n with a rounding radius for
-    two; otherwise ``_sweeps`` finds them with ``_aberth_corrections``' step
-    from ``_starts``, and ``_inclusion_radii`` certifies them.
+    They are the roots of Q = prod(z - zeta_j) * sum_j k_j/(z - zeta_j).
+    For g <= 2 one closed form gives them, (k_1 zeta_2 + k_2 zeta_1)/n with
+    a rounding radius, and none for one zero, whose column slices are empty.
+    Otherwise ``_sweeps`` finds them with ``_aberth_corrections``' step from
+    ``_starts``, and ``_inclusion_radii`` certifies them.
     """
     rows, g = zeta.shape
-    if g == 1:
-        return np.empty((rows, 0), np.complex128), np.empty((rows, 0)), np.ones(rows, bool)
-    if g == 2:
+    if g <= 2:
         # Two roundings in the numerator and one in the quotient, per
         # component: at most gamma_3 * sqrt(2) relative to the sum of moduli.
         n = k.sum(axis=-1, keepdims=True)
@@ -569,29 +568,36 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _in_halves(solve, t) -> None:
-    """``solve`` on the second half of the rows ``t`` on a helper thread
-    and on the first half here.  The helper is joined before this returns
-    or raises, and an exception it raised is raised here."""
-    half = t.size // 2
-    failed = []
+def _brackets(a: float, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distance, half-width) for rows ``zeta`` of distinct zeros sharing a."""
+    rows = zeta.shape[0]
+    free = _free_points(zeta, np.ones(zeta.shape))[:2]
+    return _distance_bracket(np.full(rows, a), np.empty((rows, 0), np.complex128), *free)
+
+
+def _in_halves(a: float, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_brackets`` of the rows ``zeta``: the second half on a helper
+    thread, the first half here.  The helper hands back its half's value,
+    or the exception that ended it, and is joined before this returns or
+    raises; that exception is raised here."""
+    half = zeta.shape[0] // 2
+    handed = []
 
     def helper_half():
-        # Any exit of the helper leaves its rows unset, so the caller
-        # raises whatever ended it.
         try:
-            solve(t[half:])
+            handed.append(_brackets(a, zeta[half:]))
         except BaseException as exc:
-            failed.append(exc)
+            handed.append(exc)
 
     helper = threading.Thread(target=helper_half)
     helper.start()
     try:
-        solve(t[:half])
+        first = _brackets(a, zeta[:half])
     finally:
         helper.join()
-    if failed:
-        raise failed[0]
+    if isinstance(handed[0], BaseException):
+        raise handed[0]
+    return tuple(np.concatenate(pair) for pair in zip(first, handed[0]))
 
 
 def sendov_distances(a: float, other_zeros) -> tuple[np.ndarray, np.ndarray]:
@@ -620,22 +626,12 @@ def sendov_distances(a: float, other_zeros) -> tuple[np.ndarray, np.ndarray]:
     for t in np.nonzero(repeated)[0]:
         report = critical_report(SendovInstance(a, tuple(others[t].tolist())))
         distance[t], radius[t] = report.sendov_distance, report.distance_radius
-
-    def solve(t):
-        zeta = zeros[t]
-        free = _free_points(zeta, np.ones(zeta.shape))[:2]
-        distance[t], radius[t] = _distance_bracket(
-            np.full(t.size, a), np.empty((t.size, 0), np.complex128), *free
-        )
-
     distinct = np.nonzero(~repeated)[0]
     block = _block_rows(g)
     for start in range(0, distinct.size, block):
         t = distinct[start:start + block]
-        if t.size >= 2 and t.size * g * (g - 1) >= _SPLIT_TEMPORARY and _cpus() >= 2:
-            _in_halves(solve, t)
-        else:
-            solve(t)
+        split = t.size >= 2 and t.size * g * (g - 1) >= _SPLIT_TEMPORARY and _cpus() >= 2
+        distance[t], radius[t] = (_in_halves if split else _brackets)(a, zeros[t])
     return distance, radius
 
 

@@ -403,6 +403,7 @@ def fuzz_sendov(a: float, degree: int, trials: int, seed: int = DEFAULT_SEED) ->
     seed = bounds._int_in("seed", seed, 0)
     m = degree - 1
     block = polynomial._block_rows(degree)
+    seed_words = _words(seed)
     largest = 0.0
     unresolved = 0
     violating: list[str] = []
@@ -411,7 +412,7 @@ def fuzz_sendov(a: float, degree: int, trials: int, seed: int = DEFAULT_SEED) ->
         # Each trial's m radius and then m angle uniforms, from one stream.
         draws = np.empty((len(indices), 2 * m))
         for row, index in enumerate(indices):
-            entropy = np.array(_words(seed) + _words(index), dtype=np.uint32)
+            entropy = np.array(seed_words + _words(index), dtype=np.uint32)
             draws[row] = np.random.default_rng(entropy).random(2 * m)
         others = np.sqrt(draws[:, :m]) * np.exp(1j * (draws[:, m:] * (2.0 * np.pi)))
         distance, radius = sendov_distances(a, others)

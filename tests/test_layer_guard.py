@@ -7,7 +7,9 @@ finder serves only the round-trip criterion and its tests, and
 ``roots`` needs.  ``roots`` itself imports the sweep loop from
 ``polynomial``.  No module imports scipy at module level: the finder's
 functions import it when called, so importing the package, or running a
-command, loads no scipy.
+command, loads no scipy.  No module imports ``logging`` or
+``concurrent.futures`` anywhere, so the kernel's helper thread is a plain
+``threading.Thread``.
 
 One form per job in ``verify``: a single function builds every
 ``VerificationOutcome``, and no exact quadratic is written there, since
@@ -109,6 +111,57 @@ def test_scipy_guard_finds_each_form():
     )
     assert module_level_scipy_imports(source, "x.py") == [
         "1: scipy", "2: scipy.optimize", "3: scipy.sparse", "7: scipy", "12: scipy.special",
+    ]
+
+
+# Modules no src module imports, nor any module under them:
+# concurrent.futures imports logging, which costs 2.8 ms of import and adds
+# 0.64-0.93 MB of peak RSS to a run, more than the 0.2-0.35 MB that
+# fuzz-matrix peak_rss_mb spreads over runs of one commit.
+HEAVY = ("logging", "concurrent.futures")
+
+
+def heavy_imports(source: str, filename: str) -> list[str]:
+    """'line: module' for every import of a HEAVY module, or of anything
+    from it or under it, at any depth of source."""
+
+    def heavy(name):
+        return any(name == top or name.startswith(top + ".") for top in HEAVY)
+
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Import):
+            found += [f"{node.lineno}: {alias.name}" for alias in node.names if heavy(alias.name)]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found += [f"{node.lineno}: {node.module}.{alias.name}" for alias in node.names
+                      if heavy(f"{node.module}.{alias.name}")]
+    return sorted(found, key=lambda hit: int(hit.split(":")[0]))
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in SRC.glob("*.py")))
+def test_no_logging_or_concurrent_futures_import(name):
+    path = SRC / name
+    assert heavy_imports(path.read_text(encoding="utf-8"), name) == []
+
+
+def test_heavy_import_guard_finds_each_form():
+    source = (
+        "import logging\n"
+        "import numpy, concurrent.futures as cf\n"
+        "from logging import getLogger, INFO\n"
+        "from concurrent import futures\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "import logging.handlers\n"
+        "from .logging import helper\n"
+        "import concurrent\n"
+        "import loggingx\n"
+        "def f():\n"
+        "    import logging\n"
+    )
+    assert heavy_imports(source, "x.py") == [
+        "1: logging", "2: concurrent.futures", "3: logging.getLogger", "3: logging.INFO",
+        "4: concurrent.futures", "5: concurrent.futures.ThreadPoolExecutor",
+        "6: logging.handlers", "11: logging",
     ]
 
 

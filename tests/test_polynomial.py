@@ -953,9 +953,9 @@ class TestSendovDistances:
         a, others = _disk_block(rows, degree)
         halves = []
 
-        def counted(solve, t):
-            halves.append(t.size)
-            in_halves(solve, t)
+        def counted(a, zeta):
+            halves.append(zeta.shape[0])
+            return in_halves(a, zeta)
 
         in_halves = poly._in_halves
         monkeypatch.setattr(poly, "_in_halves", counted)
@@ -972,6 +972,25 @@ class TestSendovDistances:
         finally:
             sys.setswitchinterval(interval)
         assert halves == ([rows] if split else [])
+
+    def test_helper_half_keeps_its_own_numpy_error_state(self, monkeypatch):
+        # A new thread starts with numpy's default error state, not its
+        # caller's, so only the stages' own np.errstate blocks keep the
+        # helper quiet.  The helper hands any exception back to the caller,
+        # so a warning it raises as an error fails here.  Rows 3 and 15, one
+        # in each half, hold two zeros a subnormal distance apart, whose
+        # reciprocals overflow.
+        a, others = _disk_block(20, 64)
+        others[[3, 15], :2] = [0.5, complex(0.5, 2.2250738585e-313)]
+        alone = [critical_report(SendovInstance(a, tuple(row.tolist()))) for row in others]
+        expected = (np.array([rep.sendov_distance for rep in alone]).tobytes()
+                    + np.array([rep.distance_radius for rep in alone]).tobytes())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for cpus in (1, 2):
+                monkeypatch.setattr(poly, "_cpus", lambda: cpus)
+                distance, radius = poly.sendov_distances(a, others)
+                assert distance.tobytes() + radius.tobytes() == expected, cpus
 
     def test_error_in_the_helper_half_reaches_the_caller(self, monkeypatch):
         # Row 15 of 20 lies in the second half, which the helper thread
