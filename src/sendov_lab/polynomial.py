@@ -646,11 +646,16 @@ def hull_distance(point: complex, vertices: Sequence[complex]) -> float:
     pts = _require_finite_complex(vertices, "vertices")
     if pts.size == 0:
         raise DomainError("hull needs at least one vertex")
+    # Scaling by 2**-e puts every coordinate in [-1, 1], so no square or
+    # cross product below overflows; ldexp scales exactly, subnormals too.
+    e = math.frexp(max(abs(w.real), abs(w.imag), float(np.abs(pts.real).max()),
+                       float(np.abs(pts.imag).max())))[1]
+    w = complex(math.ldexp(w.real, -e), math.ldexp(w.imag, -e))
     # np.unique orders complex values by (real, imag), as the chain needs.
-    xy = [(z.real, z.imag) for z in np.unique(pts).tolist()]
+    xy = [(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in np.unique(pts).tolist()]
     hull = _convex_chain(xy)[:-1] + _convex_chain(xy[::-1])[:-1]
     if len(hull) < 3:
-        return _segment_distance(w, xy[0], xy[-1])
+        return math.ldexp(_segment_distance(w, xy[0], xy[-1]), e)
 
     inside = True
     for i in range(len(hull)):
@@ -659,10 +664,10 @@ def hull_distance(point: complex, vertices: Sequence[complex]) -> float:
             break
     if inside:
         return 0.0
-    return min(
+    return math.ldexp(min(
         _segment_distance(w, hull[i], hull[(i + 1) % len(hull)])
         for i in range(len(hull))
-    )
+    ), e)
 
 
 def _cross(o, p, q) -> float:

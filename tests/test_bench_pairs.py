@@ -105,8 +105,11 @@ def test_pair_order_and_a_wrong_run_fail_the_comparison(tool, tmp_path, monkeypa
     parent = _tree(tmp_path / "parent", "print(1)\n", spec)
     change = _tree(tmp_path / "change", "print(1)\n", spec)
     order = []
+    real_run = subprocess.run
 
-    def fake_run(command, cwd, **kwargs):
+    def fake_run(command, cwd=None, **kwargs):
+        if cwd is None:  # platform.platform() asks uname for the processor
+            return real_run(command, **kwargs)
         seed = int(command[command.index("--seed") + 1])
         order.append((cwd.name, seed))
         # The command and run length come from BENCHMARK.json.
@@ -125,3 +128,15 @@ def test_pair_order_and_a_wrong_run_fail_the_comparison(tool, tmp_path, monkeypa
     out = capsys.readouterr().out
     assert "pair 2 change: exit=0 correct=False attempted=5 failed=0 ops_per_s=10" in out
     assert "change: attempted 15, failed 0" in out
+    # The last line is the comparison as one JSON object.
+    record = json.loads(out.splitlines()[-1])
+    assert record["workload"] == "verify" and record["seeds"] == [1, 2, 3]
+    assert sorted(record["machine"]) == ["cpus", "numpy", "platform", "python"]
+    assert record["metrics"]["ops_per_s"] == {
+        "better": "higher",
+        "parent": {"values": [10.0, 10.0, 10.0], "median": 10.0, "quartiles": [10.0, 10.0]},
+        "change": {"values": [10.0, 10.0, 10.0], "median": 10.0, "quartiles": [10.0, 10.0]},
+        "wins": 0, "losses": 0, "pairs": 3,
+    }
+    assert record["operations"] == {"parent": {"attempted": 15, "failed": 0},
+                                    "change": {"attempted": 15, "failed": 0}}

@@ -1488,6 +1488,13 @@ class TestHullDistance:
         assert np.allclose(hull_distance(1j, (-1 + 0j, 1 + 0j)), 1.0, rtol=1e-15, atol=0)
         assert hull_distance(0.5 + 0j, (-1 + 0j, 1 + 0j)) == 0.0
 
+    def test_large_and_subnormal_inputs(self):
+        # Squares and cross products of components past about 1e155 overflow
+        # unless the coordinates are scaled first.
+        assert hull_distance(1e308 + 1e308j, [0, 1e308]) == 1e308
+        assert hull_distance(0, [1e308 + 1e308j, -1e308 - 1e308j, 1e308 - 1e308j]) == 0.0
+        assert hull_distance(1e-320, [0, 1e-320j]) == 1e-320
+
     @pytest.mark.parametrize("point", [
         float("nan"), complex(0.0, float("inf")), "inside", "0.5",
     ], ids=["nan", "inf", "string", "numeric_string"])

@@ -1,0 +1,230 @@
+"""Source rules for ``src/sendov_lab``: each is a filter over one walk of a
+module (``facts``), and a new rule adds a filter, a RULES row, its forms to
+SELF_TEST and a CAUGHT row.
+
+*layer*: the critical-point kernel and its callers stand without the
+coefficient root finder.  ``cli``, ``verify`` and ``polynomial`` import
+nothing from ``roots``, whose finder serves only the round-trip criterion
+and its tests, nor the double-double transformations only ``roots`` needs.
+``roots`` itself imports the sweep loop from ``polynomial``.
+
+*scipy*: no module imports scipy at module level.  The finder's functions
+import it when called, so importing the package, or running a command,
+loads no scipy.
+
+*heavy*: no module imports ``logging`` or ``concurrent.futures``, nor any
+module under them, anywhere, so the kernel's helper thread is a plain
+``threading.Thread``.  concurrent.futures imports logging, which costs
+2.8 ms of import and adds 0.64-0.93 MB of peak RSS to a run, more than the
+0.2-0.35 MB that fuzz-matrix peak_rss_mb spreads over runs of one commit.
+
+*libm*: the verifier's numbers never come from numpy's SIMD
+transcendentals, which round differently from libm on a few percent of
+inputs and would make verify's bytes depend on the machine.  ``bounds.py``
+and ``verify.py`` name np.log, np.log1p, np.exp, np.power and
+np.float_power only in the functions ALLOWED_IN lists (a lambda is a
+function of its own); everything else goes through ``bounds._libm``.
+
+*precision*: the package's arithmetic is binary64 and error-free
+transformations of it, the same on every platform.  No module names
+numpy's extended-precision types, whose width depends on the platform
+(binary64 on some), or mpmath, a test-only dependency.  ``from_roots``
+gets twice binary64 precision from ``bounds``' double-double instead.
+
+*builder* and *ratio*: one form per job in ``verify``.  A single function
+builds every ``VerificationOutcome``, and no exact quadratic is written
+there, as mu2's lives in ``bounds`` alone (no ``as_integer_ratio``).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "sendov_lab"
+MODULES = tuple(sorted(path.name for path in SRC.glob("*.py")))
+
+
+def facts(source: str) -> list[tuple]:
+    """(line, function, kind, text, level) for every import, attribute, name
+    and call in source.  function is the innermost enclosing def or
+    "<lambda>", None at module level (class bodies and ``if`` blocks too).
+    An import gives one fact per name it binds, "x.y" for ``import x.y`` and
+    "m.n" for ``from m import n``, level counting the leading dots.  An
+    attribute gives "base.attr", a name its id, a call what it calls."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Lambda):
+            function = "<lambda>"
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, function, "import", alias.name, 0) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.extend((node.lineno, function, "import",
+                          ".".join(filter(None, (node.module, alias.name))), node.level)
+                         for alias in node.names)
+        elif isinstance(node, (ast.Attribute, ast.Name)):
+            found.append((node.lineno, function, type(node).__name__.lower(), ast.unparse(node), 0))
+        elif isinstance(node, ast.Call):
+            found.append((node.lineno, function, "call", ast.unparse(node.func), 0))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def layer(found, filename):
+    return [(line, text) for line, _, kind, text, _ in found if kind == "import"
+            and ("roots" in text.split(".") or text.endswith(("_two_product", "_two_sum")))]
+
+
+def scipy(found, filename):
+    return [(line, text) for line, function, kind, text, level in found if kind == "import"
+            and function is None and level == 0 and text.split(".")[0] == "scipy"]
+
+
+def heavy(found, filename):
+    return [(line, text) for line, _, kind, text, level in found if kind == "import"
+            and level == 0 and (text + ".").startswith(("logging.", "concurrent.futures."))]
+
+
+NUMPY_TRANSCENDENTALS = {f"{base}.{name}" for base in ("np", "numpy")
+                         for name in ("log", "log1p", "exp", "power", "float_power")}
+ALLOWED_IN = {
+    ("bounds.py", "_d_screen"): "np.log of the bases per a and np.exp per sample screen D; "
+                                "verify._confirmed confirms its minimum with libm",
+    ("verify.py", "fuzz_sendov"): "complex exp of random angles draws the trial zeros",
+    ("verify.py", "check_extremal"): "complex exp places the extremal families' zeros",
+}
+
+
+def libm(found, filename):
+    return [(line, text) for line, function, _, text, _ in found
+            if text in NUMPY_TRANSCENDENTALS and (filename, function) not in ALLOWED_IN]
+
+
+# numpy's extended types under every name it has given them, and mpmath.
+EXTENDED = {"longdouble", "clongdouble", "longfloat", "clongfloat", "longcomplex",
+            "float96", "float128", "complex192", "complex256", "mpmath"}
+
+
+def precision(found, filename):
+    return [(line, text) for line, _, _, text, _ in found if EXTENDED & set(text.split("."))]
+
+
+def builder(found, filename):
+    """Unless one function makes them all, each VerificationOutcome call (0 if none)."""
+    builds = [(line, f"built in {function}") for line, function, kind, text, _ in found
+              if kind == "call" and text.split(".")[-1] == "VerificationOutcome"]
+    return [] if len({text for _, text in builds}) == 1 else builds or [(0, "no builder")]
+
+
+def ratio(found, filename):
+    return [(line, text) for line, _, _, text, _ in found if "as_integer_ratio" in text.split(".")]
+
+
+RULES = {
+    "layer": (("cli.py", "polynomial.py", "verify.py"), layer),
+    "scipy": (MODULES, scipy),
+    "heavy": (MODULES, heavy),
+    "libm": (("bounds.py", "verify.py"), libm),
+    "precision": (MODULES, precision),
+    "builder": (("verify.py",), builder),
+    "ratio": (("verify.py",), ratio),
+}
+
+
+def caught(rule: str, source: str, filename: str) -> list[tuple[int, str]]:
+    """(line, text) of each distinct breach of rule in source, by line."""
+    return sorted(set(RULES[rule][1](facts(source), filename)))
+
+
+@pytest.mark.parametrize("rule, filename",
+                         [(rule, name) for rule, (names, _) in RULES.items() for name in names])
+def test_module_keeps_rule(rule, filename):
+    assert caught(rule, (SRC / filename).read_text(encoding="utf-8"), filename) == []
+
+
+SELF_TEST = """\
+from .roots import find_roots
+from . import bounds, roots
+import sendov_lab.roots
+from sendov_lab.roots import Polynomial
+from .bounds import DomainError, _two_product, _two_sum
+from .polynomial import _sweeps
+from . import verify
+import scipy
+import numpy, scipy.optimize as opt
+from scipy.sparse import csgraph
+from .scipy import helper
+import scipyx
+import logging
+import numpy, concurrent.futures as cf
+from logging import getLogger, INFO
+from concurrent import futures
+from concurrent.futures import ThreadPoolExecutor
+import logging.handlers
+from .logging import helper
+import concurrent
+import loggingx
+import numpy as np
+import mpmath as mp
+from mpmath import mpf
+from numpy import clongdouble
+from numpy import log1p
+x = np.longdouble(1)
+y = longcomplex
+g = map(numpy.exp, [1.0])
+OUT = VerificationOutcome(*z)
+class C:
+    from scipy import linalg
+if True:
+    import scipy.special
+def f(x):
+    from . import roots as finder
+    from scipy.optimize import linear_sum_assignment
+    import scipy
+    import logging
+    import mpmath.libmp
+    return np.log(x) + np.power(x, 3)
+def _d_screen(x):
+    return np.float_power(x, 0.5)
+def fuzz_sendov(t):
+    draw = lambda: np.exp(t)
+    return np.exp(t)
+def one():
+    return VerificationOutcome('a', True, 1.0, 0.5, 1, '')
+def two():
+    def inner():
+        return verify.VerificationOutcome(*args)
+    return [VerificationOutcome(*x) for x in y]
+def three(a):
+    na, da = a.as_integer_ratio()
+    return float.as_integer_ratio
+"""
+# The lines of SELF_TEST that each rule catches, once per distinct name.
+CAUGHT = {
+    ("layer", "verify.py"): [1, 2, 3, 4, 5, 5, 36],
+    ("scipy", "verify.py"): [8, 9, 10, 32, 34],
+    ("heavy", "verify.py"): [13, 14, 15, 15, 16, 17, 18, 39],
+    ("libm", "verify.py"): [26, 29, 41, 41, 43, 45],
+    ("libm", "bounds.py"): [26, 29, 41, 41, 45, 46],
+    ("precision", "verify.py"): [23, 24, 25, 27, 28, 40],
+    ("builder", "verify.py"): [30, 48, 51, 52],
+    ("ratio", "verify.py"): [54, 55],
+}
+
+
+@pytest.mark.parametrize("rule, filename", CAUGHT)
+def test_rule_catches_each_form(rule, filename):
+    assert [line for line, _ in caught(rule, SELF_TEST, filename)] == CAUGHT[rule, filename]
+
+
+def test_facts_name_the_innermost_function():
+    assert [function for _, function, kind, text, _ in facts(SELF_TEST) if kind == "call"
+            and text.split(".")[-1] == "VerificationOutcome"] == [None, "one", "inner", "two"]
+    assert [function for line, function, kind, *_ in facts(SELF_TEST)
+            if line == 45 and kind == "call"] == ["<lambda>"]

@@ -21,14 +21,20 @@ machine falls on both sides alike.  It prints each run's metrics as the
 run ends, then, per end-to-end metric of ``BENCHMARK.json``, each side's
 median and quartiles and the change's wins and losses over the pairs by
 the metric's ``better`` (ties count for neither), and each side's
-``attempted`` and ``failed`` operations.  It exits 1 if any run exits
-non-zero or reports ``correct: false``.
+``attempted`` and ``failed`` operations.  Its last line holds the same
+comparison as one JSON object, with the workload, the seeds, each side's
+values in pair order and a record of the machine, ready to append to a
+``BENCH_*.jsonl`` file.  It exits 1 if any run exits non-zero or reports
+``correct: false``.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -94,39 +100,65 @@ def run_line(seed: int, side: str, result: dict) -> str:
             f"attempted={result['attempted']} failed={result['failed']} {metrics}").rstrip()
 
 
-def spread(values: list[float]) -> str:
-    """'median M [Q1, Q3]' of values, with quartiles inclusive of the ends."""
+def spread(values: list[float]) -> dict:
+    """values, their median and their quartiles [Q1, Q3], inclusive of the ends."""
     low, median, high = (statistics.quantiles(values, n=4, method="inclusive")
                          if len(values) > 1 else values * 3)
-    return f"median {median:.6g} [{low:.6g}, {high:.6g}]"
+    return {"values": values, "median": median, "quartiles": [low, high]}
 
 
-def summary(end_to_end: list[dict], runs: dict[str, list[dict]]) -> list[str]:
-    """Per end-to-end metric, each side's median and quartiles over its runs
-    and the change's wins and losses over the pairs; then each side's
-    operations.  ``runs`` holds each side's runs in pair order; a run with
+def comparison(end_to_end: list[dict], runs: dict[str, list[dict]]) -> dict:
+    """Per end-to-end metric, its ``better``, each side's values in pair
+    order with their median and quartiles, and the change's wins and losses
+    over the pairs (None for a metric with no value on one side); then each
+    side's operations.  ``runs`` holds each side's runs in pair order; a run with
     no value of a metric is left out of that metric."""
-    lines = []
+    metrics: dict[str, dict | None] = {}
     for metric in end_to_end:
         name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
         values = {side: [r["metrics"][name] for r in runs[side] if name in r["metrics"]]
                   for side in SIDES}
         if not all(values.values()):
-            lines.append(f"{name}: no value on one side")
+            metrics[name] = None
             continue
         pairs = [(p["metrics"][name], c["metrics"][name])
                  for p, c in zip(runs["parent"], runs["change"])
                  if name in p["metrics"] and name in c["metrics"]]
-        wins = sum(sign * (c - p) > 0 for p, c in pairs)
-        losses = sum(sign * (c - p) < 0 for p, c in pairs)
-        sides = "; ".join(f"{side} {spread(values[side])}" for side in SIDES)
-        lines.append(f"{name} ({metric['better']} is better): {sides}; "
-                     f"change wins {wins}, loses {losses} of {len(pairs)} pairs")
-    for side in SIDES:
-        attempted = sum(r["attempted"] for r in runs[side])
-        failed = sum(r["failed"] for r in runs[side])
-        lines.append(f"{side}: attempted {attempted}, failed {failed}")
+        metrics[name] = {
+            "better": metric["better"],
+            **{side: spread(values[side]) for side in SIDES},
+            "wins": sum(sign * (c - p) > 0 for p, c in pairs),
+            "losses": sum(sign * (c - p) < 0 for p, c in pairs),
+            "pairs": len(pairs),
+        }
+    operations = {side: {"attempted": sum(r["attempted"] for r in runs[side]),
+                         "failed": sum(r["failed"] for r in runs[side])} for side in SIDES}
+    return {"metrics": metrics, "operations": operations}
+
+
+def summary(end_to_end: list[dict], runs: dict[str, list[dict]]) -> list[str]:
+    """The comparison of runs as lines: per end-to-end metric, each side's
+    median [Q1, Q3] and the change's wins and losses; then each side's
+    operations."""
+    compared = comparison(end_to_end, runs)
+    lines = []
+    for name, entry in compared["metrics"].items():
+        if entry is None:
+            lines.append(f"{name}: no value on one side")
+            continue
+        sides = "; ".join("{} median {:.6g} [{:.6g}, {:.6g}]".format(
+            side, entry[side]["median"], *entry[side]["quartiles"]) for side in SIDES)
+        lines.append(f"{name} ({entry['better']} is better): {sides}; change wins "
+                     f"{entry['wins']}, loses {entry['losses']} of {entry['pairs']} pairs")
+    lines += [f"{side}: attempted {ops['attempted']}, failed {ops['failed']}"
+              for side, ops in compared["operations"].items()]
     return lines
+
+
+def machine() -> dict:
+    """The interpreter, numpy and platform the comparison ran on."""
+    return {"python": platform.python_version(), "numpy": importlib.metadata.version("numpy"),
+            "platform": platform.platform(), "cpus": os.cpu_count()}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -151,6 +183,8 @@ def main(argv: list[str] | None = None) -> int:
             print(run_line(seed, side, runs[side][-1]), flush=True)
     for line in summary(spec["end_to_end"], runs):
         print(line)
+    print(json.dumps({"workload": args.workload, "seeds": args.seeds, "machine": machine(),
+                      **comparison(spec["end_to_end"], runs)}))
     bad = [r for side in SIDES for r in runs[side] if r["returncode"] != 0 or not r["correct"]]
     return 1 if bad else 0
 
