@@ -72,8 +72,9 @@ def _require_finite_complex(values, what: str, ndim: int = 1) -> np.ndarray:
     """values as an ndim-dimensional complex128 array, if every entry is a
     finite number: an int, float or complex (numpy's numeric scalars too),
     never a bool or a string, as ``bounds._real_in`` rules for reals.  An
-    ndarray is checked by its dtype alone, with no loop over its entries."""
-    if isinstance(values, np.ndarray):
+    ndarray of a numeric dtype is checked by its dtype alone, with no loop
+    over its entries; one of dtype object, entry by entry."""
+    if isinstance(values, np.ndarray) and values.dtype != object:
         numbers = values.dtype.kind in "iufc"
     else:
         values = np.asarray(values, dtype=object)

@@ -10,9 +10,9 @@ import math
 import time
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
+import exact
 from conftest import record_criterion
 from sendov_lab import bounds, verify
 from sendov_lab.cli import main
@@ -95,19 +95,16 @@ def test_criterion_3_inequality_suite():
 
 def test_criterion_4_quadratic_residual():
     # Exact rational residuals of the mu2 quadratic at every grid point, in
-    # both the cleared form a^2 x^2 + (8+2a-a^2) x - (7+2a) and its monic
+    # both the cleared form that exact.mu2_quadratic returns and its monic
     # normalization (the harder target: dividing by a^2 inflates the
     # residual by ~1e6 at the left edge).
     worst_cleared = 0.0
     worst_monic = 0.0
     for k in range(1, 1000):
         a = k * 1e-3
-        af = Fraction(a)
-        x = Fraction(bounds.mu2(a))
-        aa = af * af
-        cleared = aa * x * x + (8 + 2 * af - aa) * x - (7 + 2 * af)
+        cleared, _ = exact.mu2_quadratic(a, bounds.mu2(a))
         worst_cleared = max(worst_cleared, abs(float(cleared)))
-        worst_monic = max(worst_monic, abs(float(cleared / aa)))
+        worst_monic = max(worst_monic, abs(float(cleared / Fraction(a) ** 2)))
     ok = worst_cleared <= 1e-9 and worst_monic <= 1e-9
     detail = (
         f"mu2 quadratic residual over a = 0.001..0.999: cleared form "
@@ -151,20 +148,9 @@ def test_criterion_5_root_finder_oracle():
     # coefficients the finder consumes: the double-double expansion,
     # binary64 head + tail, summed exactly in mpmath.
     roots, p, res = worst_case
-    mpmath.mp.dps = 60
-    exact = tuple(
-        complex(r)
-        for r in mpmath.polyroots(
-            [
-                mpmath.mpc(c) + mpmath.mpc(t)
-                for c, t in zip(reversed(p.coefficients), reversed(p.tails))
-            ],
-            maxsteps=200,
-            extraprec=200,
-        )
-    )
-    _, finder_err = match_roots(res.roots, exact)
-    _, representation_err = match_roots(exact, roots)
+    truth = tuple(complex(r) for r in exact.roots(p))
+    _, finder_err = match_roots(res.roots, truth)
+    _, representation_err = match_roots(truth, roots)
 
     ok = worst <= 1e-8 and worst_radius <= 1e-8 and n_converged == 500 and elapsed < 60.0
     detail = (

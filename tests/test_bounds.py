@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import exact
 import reference_values as ref
 from sendov_lab import bounds, verify
 from sendov_lab.bounds import DomainError
@@ -108,12 +109,10 @@ class TestMuRoots:
     @given(a_interior)
     @settings(max_examples=200)
     def test_mu2_quadratic_residual_exact(self, a):
-        # a^2 x^2 + (8+2a-a^2) x - (7+2a) evaluated in exact rational
-        # arithmetic at the returned root; a correctly rounded root keeps
-        # this far below a double ulp of the linear coefficient.
-        af = Fraction(a)
-        x = Fraction(bounds.mu2(a))
-        residual = af * af * x * x + (8 + 2 * af - af * af) * x - (7 + 2 * af)
+        # mu2's quadratic in exact rational arithmetic at the returned root;
+        # a correctly rounded root keeps this far below a double ulp of the
+        # linear coefficient.
+        residual, _ = exact.mu2_quadratic(a, bounds.mu2(a))
         assert abs(float(residual)) <= 1e-12
 
     @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
@@ -123,15 +122,11 @@ class TestMuRoots:
     @settings(max_examples=500)
     def test_mu2_integer_step_matches_fraction_step(self, a):
         # The reference: the same starting point x0 and the same Newton step
-        # of a^2 x^2 + (8+2a-a^2) x - (7+2a), taken in Fraction arithmetic.
+        # of mu2's quadratic, taken in Fraction arithmetic.
         t = (((a + 4.0) * a + 16.0) * a + 32.0) * a + 64.0
         x0 = (14.0 + 4.0 * a) / (math.sqrt(t) + 8.0 + 2.0 * a - a * a)
-        af, x = Fraction(a), Fraction(x0)
-        aa = af * af
-        lin = 8 + 2 * af - aa
-        f = aa * x * x + lin * x - (7 + 2 * af)
-        df = 2 * aa * x + lin
-        assert bounds.mu2(a).hex() == float(x - f / df).hex()
+        f, df = exact.mu2_quadratic(a, x0)
+        assert bounds.mu2(a).hex() == float(Fraction(x0) - f / df).hex()
 
     @given(a_interior)
     @settings(max_examples=200)
@@ -206,11 +201,11 @@ class TestDValues:
         xs = [k * 0.01 for k in range(1, 100)]
         screen = bounds._d_screen(pts, c, np.array(xs))
         assert screen.shape == (len(pts), len(xs)) and screen.dtype == np.float64
-        exact = np.array([
+        pointwise = np.array([
             [bounds.d_function(a, ci, x) for x in xs]
             for a, ci in zip(pts.tolist(), c.tolist())
         ])
-        assert np.abs(screen - exact).max() <= bounds._SCREEN_TOL / 1000
+        assert np.abs(screen - pointwise).max() <= bounds._SCREEN_TOL / 1000
 
     @pytest.mark.parametrize("a, x, expected", [
         (0.5, 0.25, ref.D_05_025),
@@ -274,8 +269,8 @@ class TestAlphaChain:
 
 class TestHeadlineBound:
     def test_n3_at_half(self):
-        exact, estimate = bounds.n3(0.5)
-        assert np.allclose(exact, ref.N3_EXACT_05, rtol=RTOL, atol=0)
+        n3_exact, estimate = bounds.n3(0.5)
+        assert np.allclose(n3_exact, ref.N3_EXACT_05, rtol=RTOL, atol=0)
         assert np.allclose(estimate, ref.N3_ESTIMATE_05, rtol=RTOL, atol=0)
 
     def test_final_bound_table(self):
@@ -287,8 +282,8 @@ class TestHeadlineBound:
 
     @given(st.floats(min_value=1e-3, max_value=0.999))
     def test_threshold_ordering(self, a):
-        exact, estimate = bounds.n3(a)
-        assert exact <= estimate <= bounds.final_bound(a)
+        n3_exact, estimate = bounds.n3(a)
+        assert n3_exact <= estimate <= bounds.final_bound(a)
 
     def test_breakdown_matches_parts(self):
         # The row `bound` prints: the aux fields inlined first, in field order.
@@ -567,10 +562,9 @@ class TestArrayPath:
         hi, lo = bounds._mu2_quadratic(pts, x)
         worst = 0.0
         for a, xi, h, l in zip(pts.tolist(), x.tolist(), hi.tolist(), lo.tolist()):
-            af, xf = Fraction(a), Fraction(xi)
-            exact = af * af * xf * xf + (8 + 2 * af - af * af) * xf - (7 + 2 * af)
+            f, _ = exact.mu2_quadratic(a, xi)
             assert h == h + l
-            worst = max(worst, abs(float(exact - Fraction(h) - Fraction(l))))
+            worst = max(worst, abs(float(f - Fraction(h) - Fraction(l))))
         assert worst <= 1e-30
 
     def test_libm_maps_python_functions(self):

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exact
 import reference_values as ref
 import sendov_lab
 from sendov_lab import bounds
@@ -140,7 +141,9 @@ class TestPolynomialType:
 
     @pytest.mark.parametrize("coefficients", [
         ("1", True), (1.0, True), (1.0, "2"), np.array([True, True]), ((1.0, 2.0),),
-    ], ids=["string_and_bool", "bool", "string", "bool_array", "nested"])
+        np.array(["0.5", 1.0], dtype=object), np.array([True, 1.0], dtype=object),
+    ], ids=["string_and_bool", "bool", "string", "bool_array", "nested", "string_object_array",
+            "bool_object_array"])
     def test_rejects_non_numbers(self, coefficients):
         with pytest.raises(InvalidInputError, match="numbers"):
             Polynomial(coefficients)
@@ -179,14 +182,11 @@ class TestFromRootsAndEvaluate:
         # of prod(z + |r_j|): about 3e-32 at degree 30.  The head is head +
         # tail rounded to binary64.
         roots = _disk_roots(np.random.default_rng(3), 30)
-        with mpmath.workdps(60):
-            exact, absolute = [mpmath.mpc(1)], [mpmath.mpf(1)]
-            for r in map(mpmath.mpc, roots):
-                exact = [c - r * b for c, b in zip([0] + exact, exact + [0])]
-                absolute = [c + abs(r) * b for c, b in zip([0] + absolute, absolute + [0])]
-            p = from_roots(roots)
-            for h, t, c, bound in zip(p.coefficients, p.tails, exact, absolute):
-                assert abs(mpmath.mpc(h) + mpmath.mpc(t) - c) <= 1e-30 * bound
+        p = from_roots(roots)
+        with mpmath.workdps(exact.DPS):
+            for h, t, s, c, bound in zip(p.coefficients, p.tails, exact.coefficients(p), exact.expand(roots),
+                                         exact.expand([-abs(mpmath.mpc(r)) for r in roots])):
+                assert abs(s - c) <= 1e-30 * bound.real
                 assert h + t == h
 
     def test_compensated_horner_is_twice_binary64(self):
@@ -200,14 +200,14 @@ class TestFromRootsAndEvaluate:
         z = np.asarray(roots) * (1.0 + 1e-9 * rng.normal(size=30))
         z[1::2] += 0.3 * rng.normal(size=15)
         values, errors = _compensated_horner(np.asarray(p.coefficients), np.asarray(p.tails), z)
-        with mpmath.workdps(60):
-            cs = [mpmath.mpc(h) + mpmath.mpc(t) for h, t in zip(p.coefficients, p.tails)][::-1]
+        cs = exact.coefficients(p)[::-1]
+        with mpmath.workdps(exact.DPS):
             for x, value, error in zip(z, values, errors):
-                exact = mpmath.polyval(cs, mpmath.mpc(x))
+                truth = mpmath.polyval(cs, mpmath.mpc(x))
                 size = mpmath.polyval([abs(c) for c in cs], abs(mpmath.mpc(x)))
-                assert abs(value - exact) <= 4 * 2.0 ** -53 * abs(exact) + 1e-29 * size
+                assert abs(value - truth) <= 4 * 2.0 ** -53 * abs(truth) + 1e-29 * size
                 # The returned bound, which the finder's discs rest on, holds.
-                assert abs(value - exact) <= error
+                assert abs(value - truth) <= error
 
     @pytest.mark.parametrize("roots", [(1.5e300,), (2e150, 3e150j), (3e-300, -2e-300j)])
     def test_expansion_scales_roots_near_the_ends_of_binary64(self, roots):
@@ -218,12 +218,9 @@ class TestFromRootsAndEvaluate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             p = from_roots(roots)
-        with mpmath.workdps(60):
-            exact = [mpmath.mpc(1)]
-            for r in map(mpmath.mpc, roots):
-                exact = [c - r * b for c, b in zip([0] + exact, exact + [0])]
-            for h, t, c in zip(p.coefficients, p.tails, exact):
-                assert abs(mpmath.mpc(h) + mpmath.mpc(t) - c) <= 1e-30 * abs(c) + 2.0 ** -1074
+        with mpmath.workdps(exact.DPS):
+            for s, c in zip(exact.coefficients(p), exact.expand(roots)):
+                assert abs(s - c) <= 1e-30 * abs(c) + 2.0 ** -1074
 
     def test_evaluate_matches_numpy_polyval(self):
         rng = np.random.default_rng(7)
@@ -375,19 +372,7 @@ class TestFindRoots:
             if w >= worst[0]:
                 worst = (w, p, res)
         _, p, res = worst
-        mpmath.mp.dps = 60
-        exact = tuple(
-            complex(r)
-            for r in mpmath.polyroots(
-                [
-                    mpmath.mpc(c) + mpmath.mpc(t)
-                    for c, t in zip(reversed(p.coefficients), reversed(p.tails))
-                ],
-                maxsteps=200,
-                extraprec=200,
-            )
-        )
-        _, finder_err = match_roots(res.roots, exact)
+        _, finder_err = match_roots(res.roots, tuple(complex(r) for r in exact.roots(p)))
         assert finder_err <= 1e-8
 
     def test_solves_from_coefficients_and_tails_only(self):
@@ -496,23 +481,20 @@ class TestFindRoots:
             p = from_roots(known.get(case, (3e-21, -5e-21j, 2e-21 + 1e-21j)))
         res = find_roots(p)
         assert res.converged
-        with mpmath.workdps(60):
-            tails = p.tails or (0j,) * len(p.coefficients)
-            cs = [mpmath.mpc(c) + mpmath.mpc(t)
-                  for c, t in zip(reversed(p.coefficients), reversed(tails))]
+        with mpmath.workdps(exact.DPS):
             if case in known:
-                exact = [mpmath.mpc(r) for r in known[case]]
+                truth = [mpmath.mpc(r) for r in known[case]]
             elif case == "far-root":
-                exact = [mpmath.mpc(z) for z in res.roots]
+                cs = exact.coefficients(p)[::-1]
+                truth = [mpmath.mpc(z) for z in res.roots]
                 for _ in range(5):
-                    exact = [x - mpmath.polyval(cs, x) / mpmath.polyval(cs, x, derivative=True)[1]
-                             for x in exact]
+                    truth = [x - mpmath.polyval(cs, x) / mpmath.polyval(cs, x, derivative=True)[1]
+                             for x in truth]
             else:
-                exact = mpmath.polyroots(cs, maxsteps=200, extraprec=200)
+                truth = exact.roots(p)
             inside = [
-                {i for i, (z, r) in enumerate(zip(res.roots, res.radii))
-                 if abs(e - mpmath.mpc(z)) <= r}
-                for e in exact
+                {i for i, (z, r) in enumerate(zip(res.roots, res.radii)) if abs(e - mpmath.mpc(z)) <= r}
+                for e in truth
             ]
         assert all(inside)
         groups = _overlapping_groups(res.roots, res.radii)
@@ -630,6 +612,11 @@ class TestSendovInstance:
         zeros = (np.int64(0), np.float32(0.5), np.complex128(0.25j))
         inst = SendovInstance(a=0.5, other_zeros=zeros)
         assert inst.other_zeros == (0j, 0.5 + 0j, 0.25j)
+        # An object array is checked entry by entry, as a list is.
+        inst = SendovInstance(a=0.5, other_zeros=np.array([0.1j, 0.2], dtype=object))
+        assert inst.other_zeros == (0.1j, 0.2 + 0j)
+        assert Polynomial(np.array([1, 2j], dtype=object)).coefficients == (1 + 0j, 2j)
+        assert hull_distance(0, np.array([1, 1j], dtype=object)) == hull_distance(0, [1, 1j])
 
     def test_degree_and_all_zeros(self):
         inst = SendovInstance(a=0.3, other_zeros=(0.1, -0.2j))
@@ -741,21 +728,6 @@ class TestCriticalReport:
         assert np.allclose(rep.mean_real_part, expected, rtol=1e-12, atol=1e-12)
 
 
-def _mp_newton(zeros, start, dps=30):
-    """Critical point of prod(z - zeros) nearest start, as an mpc: Newton
-    on sum_j 1/(z - zeros_j) in dps digits, from the zeros alone."""
-    with mpmath.workdps(dps):
-        zs = [mpmath.mpc(complex(z)) for z in zeros]
-        x = mpmath.mpc(start)
-        for _ in range(60):
-            terms = [1 / (x - z) for z in zs]
-            step = mpmath.fsum(terms) / -mpmath.fsum(t * t for t in terms)
-            x -= step
-            if abs(step) <= mpmath.mpf(10) ** (8 - dps) * (1 + abs(x)):
-                return x
-    raise AssertionError(f"reference Newton did not settle from {start!r}")
-
-
 multiplicity_zero_lists = st.lists(
     st.tuples(complex_in_disk, st.integers(min_value=1, max_value=3)),
     min_size=2, max_size=7,
@@ -779,7 +751,7 @@ class TestCertifiedCriticalPoints:
         trinomial[-1] = -sign
         estimates = np.roots(trinomial)
         near = estimates[np.abs(estimates - a) <= np.abs(estimates - a).min() + 1e-4]
-        reference = float(min(abs(_mp_newton(inst.all_zeros(), w) - a) for w in near))
+        reference = float(min(abs(exact.newton(inst.all_zeros(), w, 30) - a) for w in near))
         assert math.isclose(reference, expected, rel_tol=1e-5)
         assert rep.converged and rep.verdict(1.0 + 1e-9) == "PASS"
         assert abs(rep.sendov_distance - reference) <= 1e-10
@@ -793,8 +765,8 @@ class TestCertifiedCriticalPoints:
         rep = critical_report(SendovInstance(a=a, other_zeros=(0j,) * m))
         zero_radii = [r for w, r in zip(rep.critical_points, rep.radii) if w == 0]
         assert len(zero_radii) == m - 1 and set(zero_radii) == {0.0}
-        exact = Fraction(a) / (m + 1)
-        assert abs(Fraction(rep.sendov_distance) - exact) <= Fraction(rep.distance_radius)
+        closed = Fraction(a) / (m + 1)
+        assert abs(Fraction(rep.sendov_distance) - closed) <= Fraction(rep.distance_radius)
         assert rep.distance_radius <= 1e-15
 
     def test_repeated_a_gives_distance_zero(self):
@@ -809,36 +781,12 @@ class TestCertifiedCriticalPoints:
         zeros = tuple(z for z, k in grouped for _ in range(k))
         inst = SendovInstance(a=a, other_zeros=zeros)
         rep = critical_report(inst)
-        # The critical points of P, independently of the program: each
-        # repeated zero, and the roots of Q = sum_j k_j prod_{l != j}(z - zeta_l)
-        # over the distinct zeros, expanded and solved in 50 digits plus as
-        # many as the closest pair of zeros needs, then Newton-refined on
-        # sum_j k_j/(z - zeta_j).
-        counts = {}
-        for z in inst.all_zeros():
-            counts[z] = counts.get(z, 0) + 1
-        distinct = list(counts)
-        # Enough digits to resolve the closest pair of distinct zeros.
-        gap = min((abs(x - y) for x in distinct for y in distinct if x != y), default=1.0)
-        dps = 50 + max(0, -math.floor(math.log10(gap)))
         assert len(rep.critical_points) == inst.degree - 1
-        with mpmath.workdps(dps):
-            truth = [mpmath.mpc(z) for z in distinct if counts[z] > 1]
-            q = [mpmath.mpc(0)] * len(distinct)
-            for j, zj in enumerate(distinct):
-                term = [mpmath.mpc(1)]
-                for zl in distinct[:j] + distinct[j + 1:]:
-                    term = [c - mpmath.mpc(zl) * b for c, b in zip(term + [0], [0] + term)]
-                q = [c + counts[zj] * t for c, t in zip(q, term)]
-            if len(distinct) > 1:
-                estimates = mpmath.polyroots(q, maxsteps=200, extraprec=100)
-                all_zeros = [z for z in distinct for _ in range(counts[z])]
-                truth += [_mp_newton(all_zeros, w, dps) for w in estimates]
-            discs = [(mpmath.mpc(w), r) for w, r in zip(rep.critical_points, rep.radii)]
+        truth = exact.critical_points(inst.all_zeros())
+        with mpmath.workdps(exact.DPS):
             for x in truth:
-                assert any(abs(x - w) <= r for w, r in discs), (x, rep)
-            nearest = min(abs(x - a) for x in truth)
-            assert abs(rep.sendov_distance - nearest) <= rep.distance_radius
+                assert any(abs(x - w) <= r for w, r in zip(rep.critical_points, rep.radii)), (x, rep)
+            assert abs(rep.sendov_distance - min(abs(x - a) for x in truth)) <= rep.distance_radius
 
     @pytest.mark.parametrize("a, zeros, expected", [
         (0.6356051866396851, ((-0.5569498201504334 + 0.6709579856690978j),
@@ -851,15 +799,9 @@ class TestCertifiedCriticalPoints:
         # the pair's one critical point, within 1e-14 of each other; they
         # used to settle there as two copies with radii near 1e4 (UNRESOLVED).
         rep = critical_report(SendovInstance(a=a, other_zeros=zeros))
-        with mpmath.workdps(30):
-            am = mpmath.mpf(a)
-            z1, z2 = (mpmath.mpc(z) for z in zeros)
-            # P'(z) = 3 z^2 - 2 (a + z1 + z2) z + (a z1 + a z2 + z1 z2).
-            roots = mpmath.polyroots(
-                [3, -2 * (am + z1 + z2), am * z1 + am * z2 + z1 * z2], extraprec=60
-            )
-            reference = min(abs(w - am) for w in roots)
-            assert math.isclose(reference, expected, rel_tol=1e-5)
+        reference = exact.sendov_distance(a, zeros)
+        assert math.isclose(reference, expected, rel_tol=1e-5)
+        with mpmath.workdps(exact.DPS):
             assert abs(rep.sendov_distance - reference) <= rep.distance_radius
         assert rep.verdict(1.0 + 1e-9) == "PASS"
 
@@ -875,17 +817,11 @@ class TestCertifiedCriticalPoints:
                  (0.06513850961545585 + 0.21062142428989847j))
         rep = critical_report(SendovInstance(a=a, other_zeros=zeros))
         assert rep.verdict(1.0 + 1e-9) == "PASS"
-        with mpmath.workdps(30):
-            coeffs = [mpmath.mpc(1)]
-            for z in (a,) + zeros:
-                coeffs = [c - mpmath.mpc(z) * b for c, b in zip(coeffs + [0], [0] + coeffs)]
-            n = len(coeffs) - 1
-            derivative = [c * (n - j) for j, c in enumerate(coeffs[:-1])]
-            roots = mpmath.polyroots(derivative, maxsteps=200, extraprec=60)
-            reference = min(abs(w - a) for w in roots)
-            # A critical point rounded to binary64 before |w - a| gives
-            # 2.04777e-14 (as bench/oracle.py does): 4.5e-17 off.
-            assert math.isclose(reference, 2.0432883e-14, rel_tol=1e-7)
+        reference = exact.sendov_distance(a, zeros)
+        # A critical point rounded to binary64 before |w - a| gives
+        # 2.04777e-14 (as bench/oracle.py does): 4.5e-17 off.
+        assert math.isclose(reference, 2.0432883e-14, rel_tol=1e-7)
+        with mpmath.workdps(exact.DPS):
             assert abs(rep.sendov_distance - reference) <= rep.distance_radius
 
     def test_zeros_crowding_a_resolve(self):
@@ -898,15 +834,8 @@ class TestCertifiedCriticalPoints:
                  (0.5939449926263944 + 0.192035958833384j))
         rep = critical_report(SendovInstance(a=a, other_zeros=zeros))
         assert rep.verdict(1.0 + 1e-9) == "PASS"
-        with mpmath.workdps(60):
-            coeffs = [mpmath.mpc(1)]
-            for z in (a,) + zeros:
-                coeffs = [c - mpmath.mpc(z) * b for c, b in zip(coeffs + [0], [0] + coeffs)]
-            n = len(coeffs) - 1
-            derivative = [c * (n - j) for j, c in enumerate(coeffs[:-1])]
-            roots = mpmath.polyroots(derivative, maxsteps=300, extraprec=300)
-            reference = min(abs(w - a) for w in roots)
-            assert abs(rep.sendov_distance - reference) <= rep.distance_radius
+        with mpmath.workdps(exact.DPS):
+            assert abs(rep.sendov_distance - exact.sendov_distance(a, zeros)) <= rep.distance_radius
 
     def test_subnormal_gap_gives_no_warning(self):
         # 1/(w - zeta) overflows between two zeros 2.2e-313 apart.
@@ -1170,21 +1099,21 @@ def _full_matrix_starts(zeta, k):
     return np.where(np.isfinite(near) & ~crowded, near, circle), crowded
 
 
-def _all_pairs_bracket(a, exact, free, free_radii):
+def _all_pairs_bracket(a, repeated, free, free_radii):
     """(distance, half-width) with a disc alone when it misses every other
     disc, pair by pair, by a computed gap beyond the radii by more than its
     roundings (the factor 1 - 4u): the reference for ``_distance_bracket``,
     which tests only the discs that can set the upper end."""
     m = free.shape[-1]
-    points = np.concatenate([exact, free], axis=-1)
-    radii = np.concatenate([np.zeros(exact.shape), free_radii], axis=-1)
+    points = np.concatenate([repeated, free], axis=-1)
+    radii = np.concatenate([np.zeros(repeated.shape), free_radii], axis=-1)
     dist = np.abs(points - a[:, None])
     with np.errstate(invalid="ignore"):
         gap = np.abs(free[:, :, None] - free[:, None, :])
         gap[:, np.arange(m), np.arange(m)] = np.inf
         alone = (gap * (1.0 - 4.0 * poly._U) > free_radii[:, :, None] + free_radii[:, None, :])
         alone = alone.all(axis=-1)
-        isolated = np.concatenate([np.ones(exact.shape, dtype=bool), alone], axis=-1)
+        isolated = np.concatenate([np.ones(repeated.shape, dtype=bool), alone], axis=-1)
         reach = np.where(isolated, radii, 2.0 * radii.sum(axis=-1, keepdims=True))
         upper = (dist * (1.0 + 4.0 * poly._U) + reach).min(axis=-1)
         lower = np.maximum(dist * (1.0 - 4.0 * poly._U) - radii, 0.0).min(axis=-1)
@@ -1275,10 +1204,10 @@ class TestKernelStages:
         at = np.array([a])
         for row in rows:
             zeta, counts = np.unique(np.concatenate([[complex(a)], row]), return_counts=True)
-            exact = np.repeat(zeta, counts - 1)[None]
+            repeated = np.repeat(zeta, counts - 1)[None]
             free, radii, _ = poly._free_points(zeta[None], counts[None].astype(float))
-            distance, half_width = poly._distance_bracket(at, exact, free, radii)
-            reference = _all_pairs_bracket(at, exact, free, radii)
+            distance, half_width = poly._distance_bracket(at, repeated, free, radii)
+            reference = _all_pairs_bracket(at, repeated, free, radii)
             assert distance == reference[0]
             assert half_width == reference[1]
 
@@ -1296,15 +1225,15 @@ class TestKernelStages:
             assert family == "clusters of spread 1e-15"
         else:
             a, row = 1.0 - 1e-12, np.exp(2j * np.pi * np.arange(1, degree) / degree)
-        at, exact = np.array([a]), np.empty((1, 0), dtype=complex)
+        at, repeated = np.array([a]), np.empty((1, 0), dtype=complex)
         zeta = np.unique(np.concatenate([[complex(a)], row]))[None]
         free, radii, _ = poly._free_points(zeta, np.ones(zeta.shape))
         met = [i for group in _groups(free[0], radii[0]) for i in group]
         far = np.abs(free[0] - a) * (1.0 + 4.0 * poly._U)
         candidate = far + radii[0] <= (far + 2.0 * radii.sum()).min()
         assert (len(met), candidate[met].sum()) == (meeting, tested)
-        distance, half_width = poly._distance_bracket(at, exact, free, radii)
-        assert (distance, half_width) == _all_pairs_bracket(at, exact, free, radii)
+        distance, half_width = poly._distance_bracket(at, repeated, free, radii)
+        assert (distance, half_width) == _all_pairs_bracket(at, repeated, free, radii)
 
     def test_disc_in_doubt_is_tested_pairwise(self):
         # Points 1 and 2 are 1e-9 apart with radii 1e-12: pairwise they are
@@ -1312,10 +1241,10 @@ class TestKernelStages:
         # beyond their gap.  Both can set the upper end; point 0 cannot.
         free = np.array([[0.0, 0.5, 0.5 + 1e-9]], dtype=complex)
         radii = np.array([[1e-3, 1e-12, 1e-12]])
-        exact = np.empty((1, 0), dtype=complex)
+        repeated = np.empty((1, 0), dtype=complex)
         at = np.array([0.5 + 2e-9])
-        _, half_width = poly._distance_bracket(at, exact, free, radii)
-        _, reference = _all_pairs_bracket(at, exact, free, radii)
+        _, half_width = poly._distance_bracket(at, repeated, free, radii)
+        _, reference = _all_pairs_bracket(at, repeated, free, radii)
         assert half_width == reference < 1e-11
 
     def test_discs_a_rounding_apart_meet(self):
@@ -1326,11 +1255,11 @@ class TestKernelStages:
         r = 0.5 * (1.0 - 2.0 * poly._U)
         free = np.array([[0.0, 1.0]], dtype=complex)
         radii = np.array([[r, r]])
-        exact = np.empty((1, 0), dtype=complex)
+        repeated = np.empty((1, 0), dtype=complex)
         at = np.array([0.25])
-        _, half_width = poly._distance_bracket(at, exact, free, radii)
+        _, half_width = poly._distance_bracket(at, repeated, free, radii)
         assert half_width[0] >= 2.0 * radii.sum()
-        assert half_width == _all_pairs_bracket(at, exact, free, radii)[1]
+        assert half_width == _all_pairs_bracket(at, repeated, free, radii)[1]
         assert _groups(free[0], radii[0]) == ((0, 1),)
 
     @pytest.mark.parametrize("degree", list(KERNEL_DIGESTS))
@@ -1401,18 +1330,6 @@ class TestKernelStages:
         assert expected <= radii[0, 0] <= expected * (1 + 1e-12)
 
 
-def _exact_radii(points, value):
-    """m |value(w_i)| / prod_{j != i} |w_i - w_j| for the m float points w_i,
-    in 60-digit mpmath: with value = v/c, for a polynomial v of degree m and
-    leading coefficient c, the Weierstrass radii with no rounding in them."""
-    with mpmath.workdps(60):
-        ws = [mpmath.mpc(w) for w in points]
-        return [
-            len(ws) * abs(value(w)) / mpmath.fprod(abs(w - x) for j, x in enumerate(ws) if j != i)
-            for i, w in enumerate(ws)
-        ]
-
-
 class TestSweepBudget:
     def test_one_budget_ends_both_solvers(self, monkeypatch):
         # _sweeps ends every row at polynomial._MAX_SWEEPS, in the kernel and
@@ -1445,15 +1362,7 @@ class TestRadiusCertificate:
         zeta = np.unique(np.concatenate([[complex(a)], row]))
         assert zeta.size == row.size + 1
         free, radii, _ = poly._free_points(zeta[None], np.ones((1, zeta.size)))
-        with mpmath.workdps(60):
-            zs = [mpmath.mpc(z) for z in zeta]
-
-            def q_over_n(w):
-                f = mpmath.fsum(1 / (w - z) for z in zs)
-                return mpmath.fprod(w - z for z in zs) * f / len(zs)
-
-            exact = _exact_radii(free[0], q_over_n)
-        assert all(r >= e for r, e in zip(radii[0].tolist(), exact))
+        assert all(r >= e for r, e in zip(radii[0].tolist(), exact.critical_radii(free[0], zeta)))
 
     @pytest.mark.parametrize("case", ["wilkinson-10", "far-root"])
     def test_finder_radii_hold_the_exact_radii(self, case):
@@ -1464,12 +1373,51 @@ class TestRadiusCertificate:
         else:
             p = _far_root_polynomial()
         res = find_roots(p)
-        with mpmath.workdps(60):
-            tails = p.tails or (0j,) * len(p.coefficients)
-            cs = [mpmath.mpc(c) + mpmath.mpc(t)
-                  for c, t in zip(reversed(p.coefficients), reversed(tails))]
-            exact = _exact_radii(res.roots, lambda w: mpmath.polyval(cs, w) / cs[0])
-        assert all(r >= e for r, e in zip(res.radii, exact))
+        assert all(r >= e for r, e in zip(res.radii, exact.radii(res.roots, p)))
+
+
+class TestExactReference:
+    """tests/exact.py, the truth the tests above check against, checked in
+    turn against closed forms."""
+
+    @pytest.mark.parametrize("a, m", [(0.75, 2), (0.5, 3), (0.5, 7)])
+    def test_origin_family(self, a, m):
+        # (z - a) z^m: 0, m - 1 times, and m a/(m + 1), exact in binary64 here.
+        points = exact.critical_points((a,) + (0.0,) * m)
+        assert points[:-1] == [0] * (m - 1)
+        assert abs(points[-1] - m * a / (m + 1)) <= 1e-40
+        assert abs(exact.sendov_distance(a, (0.0,) * m) - a / (m + 1)) <= 1e-40
+
+    def test_double_zero(self):
+        # (z - a)^2 (z - b): a and (a + 2b)/3.
+        a, b = 0.25 + 0.5j, 0.25 - 0.25j
+        points = exact.critical_points((a, a, b))
+        assert points[0] == a
+        assert abs(points[1] - (a + 2 * b) / 3) <= 1e-40
+
+    def test_integer_roots_and_radii(self):
+        p = from_roots(range(1, 11))
+        assert all(abs(r - k) <= 1e-40 for r, k in zip(sorted(exact.roots(p), key=abs), range(1, 11)))
+        assert exact.radii(range(1, 11), p) == [0] * 10
+        # (z - 1)(z + 1): P'/2 = z, so the radius at w is |w|.
+        assert exact.critical_radii([0.0], (1, -1)) == [0]
+        assert exact.critical_radii([0.5], (1, -1)) == [0.5]
+
+    def test_mu2_quadratic_at_one(self):
+        # mu2(1) = 3 (sqrt(13) - 3)/2 is a root of x^2 + 9x - 9 rounded to
+        # binary64, within an ulp of it; one exact Newton step from it leaves
+        # the quadratic 0 to 1e-30.
+        x = Fraction(bounds.mu2(1.0))
+        f, df = exact.mu2_quadratic(1.0, x)
+        assert (f, df) == (x * x + 9 * x - 9, 2 * x + 9)
+        assert abs(f / df) <= math.ulp(float(x))
+        assert abs(exact.mu2_quadratic(1.0, x - f / df)[0]) <= 1e-30
+
+    def test_precision_is_left_as_found(self):
+        exact.critical_points((0.5, 0.0, 0.0))
+        exact.roots(from_roots((1.0, 2.0)))
+        exact.critical_radii([0.5], (1, -1))
+        assert mpmath.mpf(1) / 3 == 1 / 3
 
 
 class TestHullDistance:

@@ -1,6 +1,6 @@
-"""Source rules for ``src/sendov_lab``: each is a filter over one walk of a
-module (``facts``), and a new rule adds a filter, a RULES row, its forms to
-SELF_TEST and a CAUGHT row.
+"""Source rules for ``src/sendov_lab`` and the tests: each is a filter over
+one walk of a module (``facts``), and a new rule adds a filter, a RULES row,
+its forms to SELF_TEST and a CAUGHT row.
 
 *layer*: the critical-point kernel and its callers stand without the
 coefficient root finder.  ``cli``, ``verify`` and ``polynomial`` import
@@ -34,6 +34,11 @@ gets twice binary64 precision from ``bounds``' double-double instead.
 *builder* and *ratio*: one form per job in ``verify``.  A single function
 builds every ``VerificationOutcome``, and no exact quadratic is written
 there, as mu2's lives in ``bounds`` alone (no ``as_integer_ratio``).
+
+*reference*: the tests take their exact truths from ``tests/exact.py``
+alone.  No other test module calls ``mpmath.polyroots``, or sets mpmath's
+precision through ``mp.dps`` or ``mp.prec``, which would hold for every
+test run after it; ``mpmath.workdps`` sets it for one block.
 """
 
 import ast
@@ -41,8 +46,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sendov_lab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "sendov_lab"
 MODULES = tuple(sorted(path.name for path in SRC.glob("*.py")))
+TEST_MODULES = tuple(sorted(path.name for path in TESTS.glob("*.py") if path.name != "exact.py"))
 
 
 def facts(source: str) -> list[tuple]:
@@ -126,6 +133,11 @@ def ratio(found, filename):
     return [(line, text) for line, _, _, text, _ in found if "as_integer_ratio" in text.split(".")]
 
 
+def reference(found, filename):
+    return [(line, text) for line, _, _, text, _ in found if "polyroots" in text.split(".")
+            or text.split(".")[-2:] in (["mp", "dps"], ["mp", "prec"])]
+
+
 RULES = {
     "layer": (("cli.py", "polynomial.py", "verify.py"), layer),
     "scipy": (MODULES, scipy),
@@ -134,6 +146,7 @@ RULES = {
     "precision": (MODULES, precision),
     "builder": (("verify.py",), builder),
     "ratio": (("verify.py",), ratio),
+    "reference": (TEST_MODULES, reference),
 }
 
 
@@ -145,7 +158,8 @@ def caught(rule: str, source: str, filename: str) -> list[tuple[int, str]]:
 @pytest.mark.parametrize("rule, filename",
                          [(rule, name) for rule, (names, _) in RULES.items() for name in names])
 def test_module_keeps_rule(rule, filename):
-    assert caught(rule, (SRC / filename).read_text(encoding="utf-8"), filename) == []
+    path = (SRC if filename in MODULES else TESTS) / filename
+    assert caught(rule, path.read_text(encoding="utf-8"), filename) == []
 
 
 SELF_TEST = """\
@@ -204,6 +218,13 @@ def two():
 def three(a):
     na, da = a.as_integer_ratio()
     return float.as_integer_ratio
+mpmath.mp.dps = 60
+mp.mp.prec = 200
+from mpmath import mp, polyroots
+mp.dps = 50
+roots = mpmath.polyroots([1, 0, -1])
+with mpmath.workdps(60):
+    x = polyroots(c)
 """
 # The lines of SELF_TEST that each rule catches, once per distinct name.
 CAUGHT = {
@@ -212,9 +233,10 @@ CAUGHT = {
     ("heavy", "verify.py"): [13, 14, 15, 15, 16, 17, 18, 39],
     ("libm", "verify.py"): [26, 29, 41, 41, 43, 45],
     ("libm", "bounds.py"): [26, 29, 41, 41, 45, 46],
-    ("precision", "verify.py"): [23, 24, 25, 27, 28, 40],
+    ("precision", "verify.py"): [23, 24, 25, 27, 28, 40, 56, 56, 56, 58, 58, 60, 60, 61, 61],
     ("builder", "verify.py"): [30, 48, 51, 52],
     ("ratio", "verify.py"): [54, 55],
+    ("reference", "test_polynomial.py"): [56, 57, 58, 59, 60, 62],
 }
 
 

@@ -5,11 +5,11 @@ import dataclasses
 import json
 import math
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import exact
 import reference_values as ref
 from sendov_lab import bounds, verify
 from sendov_lab import polynomial as poly
@@ -222,12 +222,12 @@ class TestDContraction:
         assert (o.worst_margin, o.worst_location, o.samples) == (worst, location, samples)
 
     @staticmethod
-    def _rule(screened, exact):
+    def _rule(screened, margins):
         calls = []
 
         def exact_at(i):
             calls.append(i)
-            return exact[i]
+            return margins[i]
 
         confirmed = verify._confirmed(np.array(screened), exact_at, 1e-12)
         i = int(np.argmin(confirmed))
@@ -236,14 +236,14 @@ class TestDContraction:
 
     def test_exact_order_beats_screened_order(self):
         # The screen ranks 1 below 2; the exact margins rank 2 first.
-        exact = [0.5, 0.1 + 5e-13, 0.1 + 2e-13, 0.9]
-        (i, worst), _ = self._rule([0.5, 0.1, 0.1 + 1e-13, 0.9], exact)
-        assert (i, worst) == (2, exact[2])
+        margins = [0.5, 0.1 + 5e-13, 0.1 + 2e-13, 0.9]
+        (i, worst), _ = self._rule([0.5, 0.1, 0.1 + 1e-13, 0.9], margins)
+        assert (i, worst) == (2, margins[2])
 
     def test_exact_tie_goes_to_lower_index(self):
-        exact = [0.5, 0.1 + 5e-13, 0.9, 0.1 + 5e-13]
-        (i, worst), _ = self._rule([0.5, 0.1 + 1e-13, 0.9, 0.1], exact)
-        assert (i, worst) == (1, exact[1])
+        margins = [0.5, 0.1 + 5e-13, 0.9, 0.1 + 5e-13]
+        (i, worst), _ = self._rule([0.5, 0.1 + 1e-13, 0.9, 0.1], margins)
+        assert (i, worst) == (1, margins[1])
 
     def test_far_samples_are_never_confirmed(self):
         screened = [0.1 + 3e-12, 0.1, 0.1 + 1.5e-12, 0.1 + 2.5e-12, 0.7]
@@ -253,8 +253,8 @@ class TestDContraction:
 
     def test_non_finite_screened_values_are_confirmed(self):
         screened = [0.1, math.nan, 0.3, math.inf, -math.inf]
-        exact = [0.1, 0.05, 0.3, 0.2, 0.4]
-        (i, worst), calls = self._rule(screened, exact)
+        margins = [0.1, 0.05, 0.3, 0.2, 0.4]
+        (i, worst), calls = self._rule(screened, margins)
         assert (i, worst) == (1, 0.05)
         assert calls == [0, 1, 3, 4]
 
@@ -302,8 +302,7 @@ def _exact_mu2_residual(grid_step, extra_random, seed):
     pts = np.concatenate([grid, rng.uniform(grid[0], grid[-1], size=extra_random)]).tolist()
     margins = []
     for a in pts:
-        af, x = Fraction(a), Fraction(bounds.mu2(a))
-        residual = af * af * x * x + (8 + 2 * af - af * af) * x - (7 + 2 * af)
+        residual, _ = exact.mu2_quadratic(a, bounds.mu2(a))
         margins.append(1e-9 - float(abs(residual)))
     k = int(np.argmin(margins))
     return margins[k], pts[k], len(pts)

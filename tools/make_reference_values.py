@@ -13,10 +13,11 @@ block into tests/reference_values.py whenever a formula changes.
 prints instead the true critical points that
 ``test_frozen_points_lie_at_the_rounding_floor`` measures the kernel
 against: for the first six rows of ``_kernel_rows`` at each degree of
-``KERNEL_DIGESTS``, the roots of Q, each by 20-digit Newton from one of the
-kernel's float points and rounded to binary64, as [re, im] pairs.  The roots
-depend on the seeded rows alone; the float points only pick which root each
-Newton run reaches.  ``--frozen-roots DEGREE ...`` prints those degrees only.
+``KERNEL_DIGESTS``, the roots of Q, each by ``tests/exact.py``'s 20-digit
+Newton from one of the kernel's float points and rounded to binary64, as
+[re, im] pairs.  The roots depend on the seeded rows alone; the float points
+only pick which root each Newton run reaches.  ``--frozen-roots DEGREE ...``
+prints those degrees only.
 
 Requires mpmath (dev-only dependency; not needed to use the package).
 """
@@ -25,7 +26,7 @@ import json
 import sys
 from pathlib import Path
 
-from mpmath import mp, mpf, sqrt, log, exp, polyroots, mpc
+from mpmath import mp, mpf, sqrt, log, polyroots, mpc
 
 mp.dps = 50
 
@@ -210,13 +211,15 @@ def main():
     print("}")
 
 
-def _kernel_tests():
-    """The module test_polynomial, with src and tests on the import path."""
+def _test_modules():
+    """The modules test_polynomial and exact, with src and tests on the
+    import path."""
     root = Path(__file__).resolve().parent.parent
     sys.path[:0] = [str(root / d) for d in ("src", "tests") if str(root / d) not in sys.path]
+    import exact
     import test_polynomial
 
-    return test_polynomial
+    return test_polynomial, exact
 
 
 def frozen_roots(degree):
@@ -224,20 +227,20 @@ def frozen_roots(degree):
     degree, row by row, as lists of [re, im]."""
     import numpy as np
 
-    tests = _kernel_tests()
+    tests, exact = _test_modules()
     a, rows = tests._kernel_rows(degree)
     zeta = np.sort(np.concatenate([np.full((6, 1), complex(a)), rows[:6]], axis=1), axis=1)
     free = tests.poly._free_points(zeta, np.ones(zeta.shape))[0]
     out = []
     for zeros, points in zip(zeta, free):
-        roots = [complex(tests._mp_newton(zeros, w, 20)) for w in points.tolist()]
+        roots = [complex(exact.newton(zeros, w, 20)) for w in points.tolist()]
         out.append([[z.real, z.imag] for z in roots])
     return out
 
 
 def print_frozen_roots(degrees):
     """``frozen_roots`` by degree as one JSON object, one row per line."""
-    degrees = degrees or [str(d) for d in _kernel_tests().KERNEL_DIGESTS]
+    degrees = degrees or [str(d) for d in _test_modules()[0].KERNEL_DIGESTS]
     blocks = []
     for degree in degrees:
         lines = ",\n".join(f"    {json.dumps(row)}" for row in frozen_roots(int(degree)))
