@@ -1,16 +1,14 @@
-"""Tests for the closed-form bound formulas against frozen high-precision values.
+"""Tests for the closed-form bound formulas against high-precision values.
 
-Reference constants in reference_values.py were computed with 50-digit
-arithmetic and rounded once to binary64; see tools/make_reference_values.py.
+The reference values come from ``exact.bound_references``, the paper's
+unsimplified formulas computed with 50-digit arithmetic and rounded once to
+binary64.
 """
 
 import hashlib
 import math
 import re
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +16,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import exact
-import reference_values as ref
 from sendov_lab import bounds, verify
 from sendov_lab.bounds import DomainError
 from sendov_lab.cli import _row
@@ -28,16 +25,7 @@ from sendov_lab.cli import _row
 RTOL = 1e-13
 
 a_interior = st.floats(min_value=1e-6, max_value=0.999999)
-
-
-def test_reference_values_match_their_generator():
-    # The frozen file is exactly what the generator prints today.
-    tests = Path(__file__).resolve().parent
-    printed = subprocess.run(
-        [sys.executable, str(tests.parent / "tools" / "make_reference_values.py")],
-        capture_output=True, text=True, check=True,
-    ).stdout
-    assert printed == (tests / "reference_values.py").read_text(encoding="utf-8")
+ref = exact.bound_references()
 
 
 class TestAuxParams:
@@ -102,7 +90,7 @@ class TestMuRoots:
         assert np.allclose(bounds.mu2(0.5), ref.MU2_05, rtol=RTOL, atol=0)
 
     def test_mu2_closed_form_at_one(self):
-        closed = 3.0 * (math.sqrt(13.0) - 3.0) / 2.0
+        closed = ref.MU2_CLOSED_AT_1
         assert abs(bounds.mu2(1.0) - closed) <= 1e-12 * closed
         assert np.allclose(bounds.mu2(1.0), ref.MU2_AT_1, rtol=RTOL, atol=0)
 

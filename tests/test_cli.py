@@ -11,9 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import reference_values as ref
+import exact
 import sendov_lab
 from sendov_lab.cli import build_parser, main
+
+ref = exact.bound_references()
 
 # Digests of `verify --format json` output per seed, kept with the benchmark.
 VERIFY_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "verify_golden.json"

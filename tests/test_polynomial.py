@@ -1,6 +1,7 @@
 """Tests for polynomial arithmetic, the certified root finder, and reports."""
 
 import cmath
+import functools
 import hashlib
 import importlib.util
 import json
@@ -20,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exact
-import reference_values as ref
 import sendov_lab
 from sendov_lab import bounds
 from sendov_lab import polynomial as poly
@@ -43,9 +43,10 @@ from sendov_lab.roots import (
 )
 
 
+ref = exact.bound_references()
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 # The true roots of Q for test_frozen_points_lie_at_the_rounding_floor's
-# rows, by degree: tools/make_reference_values.py --frozen-roots.
+# rows, by degree, as tools/make_reference_values.py prints them.
 FROZEN_ROOTS = json.loads((Path(__file__).resolve().parent / "frozen_roots.json").read_text())
 
 
@@ -838,17 +839,20 @@ class TestCertifiedCriticalPoints:
             assert abs(rep.sendov_distance - exact.sendov_distance(a, zeros)) <= rep.distance_radius
 
     def test_subnormal_gap_gives_no_warning(self):
-        # 1/(w - zeta) overflows between two zeros 2.2e-313 apart.
-        inst = SendovInstance(a=0.5, other_zeros=(0j, 0.5 + 2.2250738585e-313j))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rep = critical_report(inst)
-        verdict = rep.verdict(1.0 + 1e-9)
-        # The nearest critical point sits halfway between the two close zeros.
-        assert verdict == "UNRESOLVED" or (
-            verdict == "PASS"
-            and abs(rep.sendov_distance - 2.2250738585e-313 / 2) <= rep.distance_radius
-        )
+        # 1/(w - zeta) overflows between two zeros 2.2e-313 apart, where the
+        # nearest critical point sits halfway between them, and near two
+        # zeros 1e-310 apart at 0, where it is 2a/3, 1/6 from a.
+        for zeros, distance in [
+            ((0j, 0.5 + 2.2250738585e-313j), 2.2250738585e-313 / 2),
+            ((1e-310, 2e-310), 1 / 6),
+        ]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rep = critical_report(SendovInstance(a=0.5, other_zeros=zeros))
+            verdict = rep.verdict(1.0 + 1e-9)
+            assert verdict == "UNRESOLVED" or (
+                verdict == "PASS" and abs(rep.sendov_distance - distance) <= rep.distance_radius
+            )
 
     def test_verdict_needs_the_whole_bracket(self):
         def verdict(distance, radius, converged=True):
@@ -1004,12 +1008,18 @@ class TestSendovDistances:
         assert verdicts.tolist() == ["PASS", "FAIL", "UNRESOLVED", "UNRESOLVED"]
 
 
-def _agreement_rows(degree, round_):
-    """``tools/kernel_agreement.py``'s rows of one round at one degree."""
+@functools.cache
+def _agreement_tool():
+    """``tools/kernel_agreement.py``, loaded once."""
     spec = importlib.util.spec_from_file_location("kernel_agreement", TOOLS / "kernel_agreement.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    return tool.rows(degree, round_)
+    return tool
+
+
+def _agreement_rows(degree, round_):
+    """``tools/kernel_agreement.py``'s rows of one round at one degree."""
+    return _agreement_tool().rows(degree, round_)
 
 
 def _kernel_rows(degree):
@@ -1285,7 +1295,7 @@ class TestKernelStages:
         # The generator's 20-digit Newton, at degree 8, gives the frozen
         # roots exactly.
         printed = subprocess.run(
-            [sys.executable, str(TOOLS / "make_reference_values.py"), "--frozen-roots", "8"],
+            [sys.executable, str(TOOLS / "make_reference_values.py"), "8"],
             capture_output=True, text=True, check=True,
         ).stdout
         assert json.loads(printed) == {"8": FROZEN_ROOTS["8"]}
@@ -1417,6 +1427,8 @@ class TestExactReference:
         exact.critical_points((0.5, 0.0, 0.0))
         exact.roots(from_roots((1.0, 2.0)))
         exact.critical_radii([0.5], (1, -1))
+        # Past the cache, so the golden-section search runs here.
+        exact.bound_references.__wrapped__()
         assert mpmath.mpf(1) / 3 == 1 / 3
 
 

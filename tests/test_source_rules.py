@@ -1,6 +1,6 @@
-"""Source rules for ``src/sendov_lab`` and the tests: each is a filter over
-one walk of a module (``facts``), and a new rule adds a filter, a RULES row,
-its forms to SELF_TEST and a CAUGHT row.
+"""Source rules for ``src/sendov_lab``, the tests and the tools: each is a
+filter over one walk of a module (``facts``), and a new rule adds a filter,
+a RULES row, its forms to SELF_TEST and a CAUGHT row.
 
 *layer*: the critical-point kernel and its callers stand without the
 coefficient root finder.  ``cli``, ``verify`` and ``polynomial`` import
@@ -35,10 +35,11 @@ gets twice binary64 precision from ``bounds``' double-double instead.
 builds every ``VerificationOutcome``, and no exact quadratic is written
 there, as mu2's lives in ``bounds`` alone (no ``as_integer_ratio``).
 
-*reference*: the tests take their exact truths from ``tests/exact.py``
-alone.  No other test module calls ``mpmath.polyroots``, or sets mpmath's
-precision through ``mp.dps`` or ``mp.prec``, which would hold for every
-test run after it; ``mpmath.workdps`` sets it for one block.
+*reference*: the tests and tools take their exact truths from
+``tests/exact.py`` alone.  No other test module and no tool calls
+``mpmath.polyroots``, or sets mpmath's precision through ``mp.dps`` or
+``mp.prec``, which would hold for every test run after it;
+``mpmath.workdps`` sets it for one block.
 """
 
 import ast
@@ -50,6 +51,8 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "sendov_lab"
 MODULES = tuple(sorted(path.name for path in SRC.glob("*.py")))
 TEST_MODULES = tuple(sorted(path.name for path in TESTS.glob("*.py") if path.name != "exact.py"))
+TOOLS = TESTS.parent / "tools"
+TOOL_MODULES = tuple(sorted(path.name for path in TOOLS.glob("*.py")))
 
 
 def facts(source: str) -> list[tuple]:
@@ -146,7 +149,7 @@ RULES = {
     "precision": (MODULES, precision),
     "builder": (("verify.py",), builder),
     "ratio": (("verify.py",), ratio),
-    "reference": (TEST_MODULES, reference),
+    "reference": (TEST_MODULES + TOOL_MODULES, reference),
 }
 
 
@@ -158,7 +161,7 @@ def caught(rule: str, source: str, filename: str) -> list[tuple[int, str]]:
 @pytest.mark.parametrize("rule, filename",
                          [(rule, name) for rule, (names, _) in RULES.items() for name in names])
 def test_module_keeps_rule(rule, filename):
-    path = (SRC if filename in MODULES else TESTS) / filename
+    path = (SRC if filename in MODULES else TOOLS if filename in TOOL_MODULES else TESTS) / filename
     assert caught(rule, path.read_text(encoding="utf-8"), filename) == []
 
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import exact
-import reference_values as ref
 from sendov_lab import bounds, verify
 from sendov_lab import polynomial as poly
 from sendov_lab.cli import main
@@ -24,6 +23,8 @@ from sendov_lab.verify import (
     verify_estimate_chain,
     verify_limits,
 )
+
+ref = exact.bound_references()
 
 SUITE_IDS = [
     "bounds.mu2_root_residual",
