@@ -3,26 +3,23 @@ refusal to compare trees whose benchmark harness differs.  No test here
 runs the benchmark."""
 
 import argparse
-import importlib.util
 import json
 import subprocess
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+from conftest import load_tool
+
 END_TO_END = [
     {"name": "ops_per_s", "better": "higher"},
     {"name": "peak_rss_mb", "better": "lower"},
 ]
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def tool():
-    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_tool("bench_pairs")
 
 
 def _run(ops, rss, attempted=100, failed=0):

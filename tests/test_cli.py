@@ -146,31 +146,8 @@ class TestTableCommand:
             )
             assert record["degot_n"] in (15064, 3587, 1654, 1004, 718, 563, 560, 616, 1006)
 
-    def test_text_bytes_stable(self, capsys):
-        _, first, _ = run(capsys, "table")
-        _, second, _ = run(capsys, "table")
-        assert first == second
-        assert first.count("*") == 1
-
 
 class TestVerifyCommand:
-    def test_jsonl_report_all_pass(self, capsys):
-        code, out, _ = run(capsys, "verify", "--grid-step", "0.01", "--format", "json")
-        assert code == 0
-        lines = out.strip().split("\n")
-        assert len(lines) == 25
-        for line in lines:
-            record = json.loads(line)
-            assert record["passed"] is True
-            assert record["worst_margin"] > 0.0
-
-    def test_text_report_one_line_per_check(self, capsys):
-        code, out, _ = run(capsys, "verify", "--grid-step", "0.01")
-        assert code == 0
-        lines = out.strip().split("\n")
-        assert len(lines) == 25
-        assert all(line.startswith("PASS") for line in lines)
-
     def test_bad_grid_step_exit_two(self, capsys):
         code, _, err = run(capsys, "verify", "--grid-step", "0.5")
         assert code == 2
@@ -203,13 +180,6 @@ class TestFuzzCommand:
         record = dict(line.split(None, 1) for line in out.strip().split("\n"))
         assert record["violations"] == "0"
         assert record["seed"] == "42"
-
-    def test_csv_deterministic(self, capsys):
-        args = ("fuzz", "--a", "0.4", "--degree", "6", "--trials", "30", "--format", "csv")
-        _, first, _ = run(capsys, *args)
-        _, second, _ = run(capsys, *args)
-        assert first == second
-        assert first.startswith("a,degree,trials,violations,max_distance,non_converged,seed\n")
 
     def test_env_seed_equivalent_to_flag(self, capsys, monkeypatch):
         _, flagged, _ = run(
@@ -295,46 +265,29 @@ class TestCheckCommand:
         assert out.strip().endswith("PASS")
         assert "sendov_distance  0\n" in out
 
-    def test_invariant_violation_exit_two(self, capsys, tmp_path):
-        path = tmp_path / "inst.json"
-        path.write_text('{"a": 0.5, "zeros": [[1.5, 0]]}')
-        code, _, err = run(capsys, "check", "--instance", str(path))
-        assert code == 2
-        assert "modulus" in err
-
-    def test_malformed_json_exit_two(self, capsys, tmp_path):
-        path = tmp_path / "inst.json"
-        path.write_text("{not json")
-        code, _, _ = run(capsys, "check", "--instance", str(path))
-        assert code == 2
-
-    def test_array_instance_exit_two(self, capsys, tmp_path):
-        path = tmp_path / "inst.json"
-        path.write_text('[0.5, [[0.5, 0.0]]]')
-        code, out, err = run(capsys, "check", "--instance", str(path))
-        assert (code, out) == (2, "")
-        assert "instance JSON must be an object" in err
-
     def test_missing_file_exit_two(self, capsys, tmp_path):
         code, _, _ = run(capsys, "check", "--instance", str(tmp_path / "absent.json"))
         assert code == 2
 
-    @pytest.mark.parametrize("payload", [
-        b'{"a": 1' + b"0" * 400 + b', "zeros": [[0, 0]]}',
-        b"[" * 100_000,
-        b'{"a": 0.5, "zeros": [[0, 0]], "note": "\xe9"}',
-        b'{"a": 0.5}',
-        b'{"a": "0.5", "zeros": [[0, 0]]}',
-        b'{"a": 0.5, "zeros": [[true, false]]}',
+    @pytest.mark.parametrize("payload, fragment", [
+        (b'{"a": 1' + b"0" * 400 + b', "zeros": [[0, 0]]}', "must lie in (0, 1)"),
+        (b"[" * 100_000, "not valid JSON"),
+        (b'{"a": 0.5, "zeros": [[0, 0]], "note": "\xe9"}', "cannot read instance file"),
+        (b'{"a": 0.5}', "'zeros'"),
+        (b'{"a": "0.5", "zeros": [[0, 0]]}', "must be a real number"),
+        (b'{"a": 0.5, "zeros": [[true, false]]}', "rows of numbers"),
+        (b'{"a": 0.5, "zeros": [[1.5, 0]]}', "modulus"),
+        (b"{not json", "not valid JSON"),
+        (b'[0.5, [[0.5, 0.0]]]', "must be an object"),
     ], ids=["past_float_range", "nested_too_deep", "not_utf8", "no_zeros", "string_a",
-            "bool_zero"])
-    def test_bad_instance_file_exit_two(self, capsys, tmp_path, payload):
+            "bool_zero", "invariant_violation", "malformed_json", "array_instance"])
+    def test_bad_instance_file_exit_two(self, capsys, tmp_path, payload, fragment):
         path = tmp_path / "inst.json"
         path.write_bytes(payload)
         code, out, err = run(capsys, "check", "--instance", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "malformed instance" not in err
+        assert fragment in err and "malformed instance" not in err
 
     def test_csv_is_not_a_check_format(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -443,7 +396,9 @@ class TestOneProcess:
         # No module of the package imports mpmath, and match_roots' scipy
         # assignment imports lazily; importing scipy.optimize alone costs a
         # large share of a command's start-up.  Every command runs once in a
-        # fresh interpreter.
+        # fresh interpreter; then the root finder, which refines with
+        # error-free transformations of binary64 alone, loads scipy for
+        # match_roots but still no mpmath.
         path = tmp_path / "inst.json"
         path.write_text(THREE_ZEROS)
         script = (
@@ -456,6 +411,10 @@ class TestOneProcess:
             ]) + ":\n"
             "    assert main(argv) == 0, argv\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))\n"
+            "from sendov_lab.roots import find_roots, from_roots, match_roots\n"
+            "roots = (0.5, -0.5, 0.3j, -0.3j)\n"
+            "match_roots(find_roots(from_roots(roots)).roots, roots)\n"
+            "print('scipy' in sys.modules, 'mpmath' in sys.modules)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(sendov_lab.__file__).resolve().parents[1]))
         env.pop("SENDOV_LAB_SEED", None)
@@ -463,7 +422,7 @@ class TestOneProcess:
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=False,
         )
         assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout.splitlines()[-1] == "[]"
+        assert done.stdout.splitlines()[-2:] == ["[]", "True False"]
 
     def test_build_parser_is_fresh(self):
         assert build_parser() is not build_parser()

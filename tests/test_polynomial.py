@@ -3,11 +3,8 @@
 import cmath
 import functools
 import hashlib
-import importlib.util
 import json
 import math
-import os
-import subprocess
 import sys
 import threading
 import warnings
@@ -22,6 +19,7 @@ from hypothesis import strategies as st
 
 import exact
 import sendov_lab
+from conftest import load_tool
 from sendov_lab import bounds
 from sendov_lab import polynomial as poly
 from sendov_lab.polynomial import (
@@ -44,10 +42,15 @@ from sendov_lab.roots import (
 
 
 ref = exact.bound_references()
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
-# The true roots of Q for test_frozen_points_lie_at_the_rounding_floor's
-# rows, by degree, as tools/make_reference_values.py prints them.
-FROZEN_ROOTS = json.loads((Path(__file__).resolve().parent / "frozen_roots.json").read_text())
+
+
+@functools.cache
+def _frozen_roots():
+    """The true roots of Q for test_frozen_points_lie_at_the_rounding_floor's
+    rows, by degree, as tools/make_reference_values.py prints them.  The
+    file is read when a test first asks, not at import: the tool imports
+    this module, so it can rewrite the file in place."""
+    return json.loads((Path(__file__).resolve().parent / "frozen_roots.json").read_text())
 
 
 def _disk_roots(rng, degree, separation=1e-3):
@@ -340,20 +343,6 @@ class TestFindRoots:
         assert res.converged
         assert res.clusters == ()
 
-    def test_round_trip_low_degree(self):
-        # At degree <= 20 with separation >= 1e-3 the full pipeline -- expand
-        # to coefficients, refind -- stays below 1e-8.  It holds from the
-        # binary64 coefficients alone as well.
-        rng = np.random.default_rng(20800)
-        worst = 0.0
-        for _ in range(200):
-            roots = _disk_roots(rng, int(rng.integers(2, 21)))
-            res = find_roots(from_roots(roots))
-            assert res.converged
-            _, w = match_roots(res.roots, roots)
-            worst = max(worst, w)
-        assert worst <= 1e-8
-
     def test_high_degree_error_is_coefficient_rounding_not_finder(self):
         # Take the worst draw of a degree <= 50 ensemble and split its
         # round-trip error at the exact (60-digit) roots of the coefficients
@@ -384,27 +373,6 @@ class TestFindRoots:
             res = find_roots(from_roots(roots))
             _, worst = match_roots(res.roots, roots)
             assert worst <= 1e-8
-
-    def test_finder_never_imports_mpmath(self):
-        # The finder refines the degree-65 draw above with error-free
-        # transformations of binary64 alone: a fresh interpreter that runs
-        # it has not imported mpmath.
-        roots = _tail_draws()[-1]
-        script = (
-            "import sys\n"
-            "from sendov_lab.roots import find_roots, from_roots, match_roots\n"
-            f"roots = {roots!r}\n"
-            "res = find_roots(from_roots(roots))\n"
-            "print(match_roots(res.roots, roots)[1], 'mpmath' in sys.modules)\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(sendov_lab.__file__).resolve().parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=False,
-        )
-        assert (done.returncode, done.stderr) == (0, "")
-        worst, imported = done.stdout.split()
-        assert float(worst) <= 1e-8
-        assert imported == "False"
 
     def test_sorted_deterministically(self):
         roots = (0.5, -0.5, 0.3j, -0.3j)
@@ -630,14 +598,6 @@ class TestSendovInstance:
 
 
 class TestCriticalReport:
-    def test_star_polynomial_closed_form(self):
-        # P = (z - 0.5) z^4: critical points are 0 (triple) and 0.4.
-        rep = critical_report(SendovInstance(a=0.5, other_zeros=(0j, 0j, 0j, 0j)))
-        assert rep.converged
-        assert np.allclose(rep.sendov_distance, 0.1, rtol=0, atol=1e-12)
-        assert np.allclose(rep.mean_real_part, 0.1, rtol=0, atol=1e-15)
-        assert np.allclose(sorted(abs(w - 0.4) for w in rep.critical_points)[0], 0.0, atol=1e-12)
-
     def test_every_zero_at_a(self):
         # P = (z - 0.5)^3: one distinct zero, so both critical points are exact.
         rep = critical_report(SendovInstance(a=0.5, other_zeros=(0.5, 0.5)))
@@ -758,12 +718,12 @@ class TestCertifiedCriticalPoints:
         assert abs(rep.sendov_distance - reference) <= 1e-10
         assert abs(rep.sendov_distance - reference) <= rep.distance_radius
 
-    @pytest.mark.parametrize("m", [127, 199])
-    @pytest.mark.parametrize("a", [0.5, 0.37])
+    @pytest.mark.parametrize("a, m", [(0.5, 4), (0.5, 127), (0.5, 199), (0.37, 127), (0.37, 199)])
     def test_origin_family_closed_form(self, a, m):
         # (z - a) z^m: 0 is an exact (m-1)-fold critical point and the last
         # one is m a/(m+1), at distance a/(m+1) from a.
         rep = critical_report(SendovInstance(a=a, other_zeros=(0j,) * m))
+        assert rep.converged
         zero_radii = [r for w, r in zip(rep.critical_points, rep.radii) if w == 0]
         assert len(zero_radii) == m - 1 and set(zero_radii) == {0.0}
         closed = Fraction(a) / (m + 1)
@@ -963,25 +923,15 @@ class TestSendovDistances:
         with pytest.raises(AssertionError, match="a thread started"):
             poly.sendov_distances(a, others)
 
-    def test_rows_with_repeated_zeros_match_critical_report(self):
-        a = 0.3
-        others = np.array([
-            [0.3, 0.5j, -0.5],
-            [0.2, 0.2, 0.9j],
-            [0.1 + 0.1j, -0.4, 0.6j],
-            [0.7j, 0.7j, 0.7j],
-            [-0.2 - 0.6j, 0.8, -0.2 - 0.6j],
-        ])
+    @pytest.mark.parametrize("a, others", [
+        (0.3, [[0.3, 0.5j, -0.5], [0.2, 0.2, 0.9j], [0.1 + 0.1j, -0.4, 0.6j],
+               [0.7j, 0.7j, 0.7j], [-0.2 - 0.6j, 0.8, -0.2 - 0.6j]]),
+        (0.5, [[0.5, 0.5], [0.5, 0.1]]),
+    ], ids=["repeated_zeros", "every_zero_at_a"])
+    def test_rows_with_repeated_zeros_match_critical_report(self, a, others):
         distance, radius = poly.sendov_distances(a, others)
         for t, row in enumerate(others):
-            rep = critical_report(SendovInstance(a=a, other_zeros=tuple(row.tolist())))
-            assert (distance[t], radius[t]) == (rep.sendov_distance, rep.distance_radius)
-
-    def test_rows_with_every_zero_at_a_match_critical_report(self):
-        others = [[0.5, 0.5], [0.5, 0.1]]
-        distance, radius = poly.sendov_distances(0.5, others)
-        for t, row in enumerate(others):
-            rep = critical_report(SendovInstance(a=0.5, other_zeros=tuple(row)))
+            rep = critical_report(SendovInstance(a=a, other_zeros=tuple(row)))
             assert (distance[t], radius[t]) == (rep.sendov_distance, rep.distance_radius)
 
     def test_rows_checked_by_the_instance_rule(self):
@@ -1008,18 +958,9 @@ class TestSendovDistances:
         assert verdicts.tolist() == ["PASS", "FAIL", "UNRESOLVED", "UNRESOLVED"]
 
 
-@functools.cache
-def _agreement_tool():
-    """``tools/kernel_agreement.py``, loaded once."""
-    spec = importlib.util.spec_from_file_location("kernel_agreement", TOOLS / "kernel_agreement.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
-
-
 def _agreement_rows(degree, round_):
     """``tools/kernel_agreement.py``'s rows of one round at one degree."""
-    return _agreement_tool().rows(degree, round_)
+    return load_tool("kernel_agreement").rows(degree, round_)
 
 
 def _kernel_rows(degree):
@@ -1284,21 +1225,19 @@ class TestKernelStages:
         zeta = np.sort(np.concatenate([np.full((6, 1), complex(a)), rows[:6]], axis=1), axis=1)
         free, _, settled = poly._free_points(zeta, np.ones(zeta.shape))
         assert settled.all()
-        for zeros, points, frozen in zip(zeta, free, FROZEN_ROOTS[str(degree)]):
+        for zeros, points, frozen in zip(zeta, free, _frozen_roots()[str(degree)]):
             truth = np.array([complex(*z) for z in frozen])
             nearest = np.abs(points[:, None] - truth[None, :]).argmin(axis=1)
             assert sorted(nearest.tolist()) == list(range(truth.size))
             scale = 1.0 + np.abs(zeros).max()
             assert (np.abs(truth[nearest] - points) <= 4 * poly._U * scale).all()
 
-    def test_frozen_roots_match_their_generator(self):
-        # The generator's 20-digit Newton, at degree 8, gives the frozen
-        # roots exactly.
-        printed = subprocess.run(
-            [sys.executable, str(TOOLS / "make_reference_values.py"), "8"],
-            capture_output=True, text=True, check=True,
-        ).stdout
-        assert json.loads(printed) == {"8": FROZEN_ROOTS["8"]}
+    def test_frozen_roots_match_their_generator(self, capsys, monkeypatch):
+        # The generator's 20-digit Newton, at degree 8, prints the frozen
+        # roots exactly.  The tool may put src and tests on the import path.
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        load_tool("make_reference_values").print_frozen_roots(["8"])
+        assert json.loads(capsys.readouterr().out) == {"8": _frozen_roots()["8"]}
 
     def test_second_order_starts_save_evaluations(self, monkeypatch):
         # Points that _aberth_corrections evaluates, over all sweeps.  A

@@ -12,6 +12,11 @@ points and rounded to binary64, as [re, im] pairs.  The roots depend on the
 seeded rows alone; the float points only pick which root each Newton run
 reaches.
 
+The rebuild is safe in place: the shell empties the file before the tool
+starts, and ``test_polynomial``, which the tool imports, reads the file
+only when a test first asks for it.  The test suite checks the round trip
+at degree 8 in-process (``test_frozen_roots_match_their_generator``).
+
 Requires mpmath (dev-only dependency; not needed to use the package).
 """
 
