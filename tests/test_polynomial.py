@@ -374,6 +374,19 @@ class TestFindRoots:
             _, worst = match_roots(res.roots, roots)
             assert worst <= 1e-8
 
+    def test_finder_never_imports_mpmath(self, monkeypatch):
+        # The finder refines the degree-65 draw above with error-free
+        # transformations of binary64 alone: with mpmath made unimportable
+        # it still meets 1e-8.  That no module of the package imports
+        # mpmath at load is checked in a fresh interpreter by
+        # test_cli.py::TestOneProcess::test_no_command_imports_scipy_or_mpmath.
+        roots = _tail_draws()[-1]
+        monkeypatch.setitem(sys.modules, "mpmath", None)
+        res = find_roots(from_roots(roots))
+        assert res.converged
+        _, worst = match_roots(res.roots, roots)
+        assert worst <= 1e-8
+
     def test_sorted_deterministically(self):
         roots = (0.5, -0.5, 0.3j, -0.3j)
         a = find_roots(from_roots(roots)).roots
