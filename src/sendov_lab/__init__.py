@@ -30,7 +30,6 @@ from .bounds import (
 )
 from .polynomial import (
     CriticalPointReport,
-    InvalidInputError,
     SendovInstance,
     critical_report,
     hull_distance,
@@ -56,7 +55,6 @@ __all__ = [
     "DEFAULT_SEED",
     "DomainError",
     "FuzzReport",
-    "InvalidInputError",
     "MeanBound",
     "Polynomial",
     "RootResult",

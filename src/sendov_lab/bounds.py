@@ -71,29 +71,33 @@ class DomainError(ValueError):
     unreadable input or unwritable output file."""
 
 
-def _real_in(
-    name: str, value, lo: float, hi: float, *, closed_left: bool = False, closed_right: bool = False
-) -> float:
+def _real_in(name: str, value, lo: float, hi, *, closed_left=False, closed_right=False):
     """value as a float, if it is a real (not bool) in (lo, hi), with either
-    end included on request.  The bounds are finite, so NaN and infinities
-    fail.  A 1-D array passes, as a float64 array, if every entry passes;
-    hi may then be an array of the same length."""
+    end included on request; the bounds are finite, so NaN and infinities
+    fail.  A 1-D float64 array passes as itself if every entry does, else
+    fails at its first that does not; hi may be an array of the same length."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        if isinstance(value, np.ndarray):
-            return _real_array(name, value, lo, hi, closed_left, closed_right)
-        raise DomainError(f"{name} must be a real number, got {value!r}")
+        if not isinstance(value, np.ndarray):
+            raise DomainError(f"{name} must be a real number, got {value!r}")
+        if value.ndim != 1:
+            raise DomainError(f"{name} must be a real number or a 1-D array, got shape {value.shape}")
+        if value.dtype != np.float64:
+            first = f"{value[0]!r} at index 0 of a" if value.size else "an empty"
+            raise DomainError(f"{name} must be a real number, got {first} {value.dtype} array")
     above = lo <= value if closed_left else lo < value
     below = value <= hi if closed_right else value < hi
-    if not (above and below):
-        raise DomainError(_outside(name, value, lo, hi, closed_left, closed_right))
-    return float(value)
-
-
-def _outside(name: str, value, lo, hi, closed_left: bool, closed_right: bool) -> str:
-    """_real_in's message for a value outside its interval."""
-    return (
+    at = ""
+    if isinstance(value, np.ndarray):
+        ok = above & below
+        if ok.all():
+            return value
+        i = int(np.argmin(ok))
+        value, hi, at = value.item(i), np.broadcast_to(hi, ok.shape).item(i), f" at index {i}"
+    elif above and below:
+        return float(value)
+    raise DomainError(
         f"{name} must lie in {'[' if closed_left else '('}{lo!r}, {hi!r}"
-        f"{']' if closed_right else ')'}, got {_shown(value)}"
+        f"{']' if closed_right else ')'}, got {_shown(value)}{at}"
     )
 
 
@@ -102,28 +106,6 @@ def _shown(value) -> str:
     if isinstance(value, int) and abs(value) > sys.float_info.max:
         return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
     return repr(value)
-
-
-def _real_array(
-    name: str, value: np.ndarray, lo: float, hi, closed_left: bool, closed_right: bool
-) -> np.ndarray:
-    """value, if it is a 1-D float64 array whose every entry passes
-    _real_in; else the error the first failing entry gets, with its index.
-    Entries of any other dtype are numpy scalars that are not floats."""
-    if value.ndim != 1:
-        raise DomainError(f"{name} must be a real number or a 1-D array, got shape {value.shape}")
-    if value.dtype != np.float64:
-        first = f"{value[0]!r} at index 0 of a" if value.size else "an empty"
-        raise DomainError(f"{name} must be a real number, got {first} {value.dtype} array")
-    above = lo <= value if closed_left else lo < value
-    below = value <= hi if closed_right else value < hi
-    ok = above & below
-    if not ok.all():
-        i = int(np.argmin(ok))
-        hi_i = hi.item(i) if isinstance(hi, np.ndarray) else hi
-        message = _outside(name, value.item(i), lo, hi_i, closed_left, closed_right)
-        raise DomainError(f"{message} at index {i}")
-    return value
 
 
 def _int_in(name: str, value, lo: int, hi: int | None = None) -> int:

@@ -306,7 +306,3 @@ def main(argv: list[str] | None = None) -> int:
     except bounds.DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -19,8 +19,8 @@ here imports ``roots``.
 
 All public values are immutable and safe to share across threads.  Every
 rejected argument or instance raises ``bounds.DomainError``, the package's
-one error class (``InvalidInputError`` is the same class under its older
-name), and the zero a is checked by the same rule as in ``bounds``.
+one error class, and the zero a is checked by the same rule as in
+``bounds``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import numpy as np
 from .bounds import DomainError, _check_a
 
 __all__ = [
-    "InvalidInputError",
     "SendovInstance",
     "CriticalPointReport",
     "critical_report",
@@ -62,10 +61,6 @@ _U = 2.0 ** -53
 # Irrational angular offset keeps each circle of start points off axes and
 # off any symmetric root configuration.
 _ANGULAR_OFFSET = 1.0 / math.sqrt(2.0)
-
-
-# The package has one error class; this name stays for existing callers.
-InvalidInputError = DomainError
 
 
 def _require_finite_complex(values, what: str, ndim: int = 1) -> np.ndarray:

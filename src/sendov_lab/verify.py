@@ -393,9 +393,9 @@ def fuzz_sendov(a: float, degree: int, trials: int, seed: int = DEFAULT_SEED) ->
     temporaries hold at most 2**18 values, so memory stays that of one
     block however many trials run; a block that the kernel solves as two
     halves on two threads holds the same temporaries between them.  Each
-    trial's distance bracket is bit for
-    bit what ``critical_report`` gives for that trial alone, so no result
-    depends on the number of trials or on the block a trial falls in.
+    trial's distance bracket is bit for bit what ``critical_report`` gives
+    for that trial alone, so no result depends on the number of trials or
+    on the block a trial falls in.
     """
     a = bounds._check_a(a)
     degree = bounds._int_in("degree", degree, 2, 200)

@@ -1,7 +1,6 @@
 """Tests for polynomial arithmetic, the certified root finder, and reports."""
 
 import cmath
-import functools
 import hashlib
 import json
 import math
@@ -22,9 +21,9 @@ import sendov_lab
 from conftest import load_tool
 from sendov_lab import bounds
 from sendov_lab import polynomial as poly
+from sendov_lab.bounds import DomainError
 from sendov_lab.polynomial import (
     CriticalPointReport,
-    InvalidInputError,
     SendovInstance,
     critical_report,
     hull_distance,
@@ -44,13 +43,9 @@ from sendov_lab.roots import (
 ref = exact.bound_references()
 
 
-@functools.cache
-def _frozen_roots():
-    """The true roots of Q for test_frozen_points_lie_at_the_rounding_floor's
-    rows, by degree, as tools/make_reference_values.py prints them.  The
-    file is read when a test first asks, not at import: the tool imports
-    this module, so it can rewrite the file in place."""
-    return json.loads((Path(__file__).resolve().parent / "frozen_roots.json").read_text())
+# The true roots of Q for test_frozen_points_lie_at_the_rounding_floor's
+# rows, by degree, as tools/make_reference_values.py prints them.
+FROZEN_ROOTS = json.loads((Path(__file__).resolve().parent / "frozen_roots.json").read_text())
 
 
 def _disk_roots(rng, degree, separation=1e-3):
@@ -110,13 +105,10 @@ separated_zero_lists = st.lists(complex_in_disk, min_size=1, max_size=7).filter(
 
 
 class TestPackageNames:
-    def test_one_error_class(self):
-        assert InvalidInputError is bounds.DomainError
-
     def test_public_names_unchanged(self):
         assert sendov_lab.__all__ == [
             "AuxParams", "BoundBreakdown", "CriticalPointReport", "DEFAULT_SEED",
-            "DomainError", "FuzzReport", "InvalidInputError", "MeanBound", "Polynomial",
+            "DomainError", "FuzzReport", "MeanBound", "Polynomial",
             "RootResult", "SendovInstance", "VerificationOutcome", "aux_params",
             "breakdown", "check_extremal", "critical_report", "final_bound", "find_roots",
             "from_roots", "fuzz_sendov", "hull_distance", "k_prime", "match_roots",
@@ -132,15 +124,15 @@ class TestPolynomialType:
         assert Polynomial((5.0,)).degree == 0
 
     def test_rejects_empty_and_zero_leading(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DomainError):
             Polynomial(())
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DomainError):
             Polynomial((1.0, 0.0))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DomainError):
             Polynomial((float("nan"), 1.0))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DomainError):
             Polynomial((complex(0, float("inf")), 1.0))
 
     @pytest.mark.parametrize("coefficients", [
@@ -149,11 +141,11 @@ class TestPolynomialType:
     ], ids=["string_and_bool", "bool", "string", "bool_array", "nested", "string_object_array",
             "bool_object_array"])
     def test_rejects_non_numbers(self, coefficients):
-        with pytest.raises(InvalidInputError, match="numbers"):
+        with pytest.raises(DomainError, match="numbers"):
             Polynomial(coefficients)
 
     def test_rejects_an_int_past_float_range(self):
-        with pytest.raises(InvalidInputError, match="finite"):
+        with pytest.raises(DomainError, match="finite"):
             Polynomial((10 ** 400, 1))
 
     def test_tails_validated_and_kept_out_of_equality(self):
@@ -161,11 +153,11 @@ class TestPolynomialType:
         assert p.tails == (1e-17 + 0j, -1e-17j)
         assert p == Polynomial((1.0, 2.0))
         assert "tails" not in repr(p)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DomainError):
             Polynomial((1.0, 2.0), tails=(0.0,))  # one tail per coefficient
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DomainError):
             Polynomial((1.0, 2.0), tails=(0.0, float("nan")))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DomainError):
             Polynomial((1.0, 2.0), tails=(complex(float("inf"), 0), 0.0))
 
 
@@ -236,18 +228,18 @@ class TestFromRootsAndEvaluate:
 
     def test_evaluate_rejects_non_finite_point(self):
         p = Polynomial((1.0, 1.0))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DomainError):
             evaluate(p, complex(float("inf"), 0))
 
     def test_from_roots_overflow_raises_without_warning(self):
         # The expansion has 1e400 as its constant term: past binary64 range.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidInputError):
+            with pytest.raises(DomainError):
                 from_roots([1e200, 1e200])
 
     def test_from_roots_rejects_no_roots(self):
-        with pytest.raises(InvalidInputError, match="from_roots needs at least one root"):
+        with pytest.raises(DomainError, match="from_roots needs at least one root"):
             from_roots([])
 
     @given(st.lists(complex_in_disk, min_size=1, max_size=8))
@@ -513,11 +505,11 @@ class TestFindRoots:
         # warning and NaN roots.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidInputError, match=f"c_0/c_{len(coefficients) - 1} overflows"):
+            with pytest.raises(DomainError, match=f"c_0/c_{len(coefficients) - 1} overflows"):
                 find_roots(Polynomial(coefficients))
 
     def test_requires_degree_at_least_one(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DomainError):
             find_roots(Polynomial((2.0,)))
 
 
@@ -544,23 +536,23 @@ class TestMatchRoots:
         assert worst <= 1.1
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DomainError):
             match_roots((0.0,), (0.0, 1.0))
 
 
 class TestSendovInstance:
     def test_validation(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DomainError):
             SendovInstance(a=0.0, other_zeros=(0.5,))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DomainError):
             SendovInstance(a=1.0, other_zeros=(0.5,))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DomainError):
             SendovInstance(a=0.5, other_zeros=())
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DomainError):
             SendovInstance(a=0.5, other_zeros=(1.5,))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DomainError):
             SendovInstance(a=0.5, other_zeros=(complex(float("nan"), 0),))
-        with pytest.raises(InvalidInputError, match="numbers"):
+        with pytest.raises(DomainError, match="numbers"):
             SendovInstance(a=0.5, other_zeros=("0.5j", True))
 
     def test_json_round_trip_idempotent(self):
@@ -583,11 +575,11 @@ class TestSendovInstance:
     ], ids=["string_a", "bool_a", "bool_zero", "string_zero", "null_zero", "number_zeros",
             "one_component", "three_components", "nested_row"])
     def test_from_json_converts_no_field(self, text):
-        with pytest.raises(bounds.DomainError):
+        with pytest.raises(DomainError):
             SendovInstance.from_json(text)
 
     def test_from_json_without_zeros_names_the_degree(self):
-        with pytest.raises(bounds.DomainError, match="need at least one other zero"):
+        with pytest.raises(DomainError, match="need at least one other zero"):
             SendovInstance.from_json('{"a": 0.5, "zeros": []}')
 
     def test_numpy_scalars_accepted(self):
@@ -828,17 +820,17 @@ class TestCertifiedCriticalPoints:
             )
 
     def test_verdict_needs_the_whole_bracket(self):
-        def verdict(distance, radius, converged=True):
-            rep = CriticalPointReport((), distance, 0.0, (), radius, converged)
-            return rep.verdict(1.0)
-
-        assert verdict(0.9, 0.05) == "PASS"
-        assert verdict(1.1, 0.05) == "FAIL"
-        assert verdict(0.98, 0.05) == "UNRESOLVED"
-        assert verdict(1.02, 0.05) == "UNRESOLVED"
-        assert verdict(0.5, float("inf")) == "UNRESOLVED"
-        # The discs hold whether or not the iteration settled.
-        assert verdict(0.5, 1e-12, converged=False) == "PASS"
+        # bracket_verdict rules on arrays, and a report's verdict agrees
+        # with it entry by entry: the discs hold whether or not the
+        # iteration settled, so converged does not change a verdict.
+        distance = [0.9, 1.1, 0.98, 1.02, 0.5, 0.5]
+        radius = [0.05, 0.05, 0.05, 0.05, float("inf"), 1e-12]
+        verdicts = poly.bracket_verdict(np.array(distance), np.array(radius), 1.0).tolist()
+        assert verdicts == ["PASS", "FAIL", "UNRESOLVED", "UNRESOLVED", "UNRESOLVED", "PASS"]
+        for d, r, expected in zip(distance, radius, verdicts):
+            for converged in (True, False):
+                rep = CriticalPointReport((), d, 0.0, (), r, converged)
+                assert rep.verdict(1.0) == expected
 
 
 def _disk_block(rows, degree):
@@ -948,27 +940,21 @@ class TestSendovDistances:
             assert (distance[t], radius[t]) == (rep.sendov_distance, rep.distance_radius)
 
     def test_rows_checked_by_the_instance_rule(self):
-        with pytest.raises(InvalidInputError, match="modulus"):
+        with pytest.raises(DomainError, match="modulus"):
             poly.sendov_distances(0.5, np.array([[0.5, 0.2j], [1.5, 0.0]]))
-        with pytest.raises(InvalidInputError, match="finite"):
+        with pytest.raises(DomainError, match="finite"):
             poly.sendov_distances(0.5, np.array([[0.5, complex("nan")]]))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DomainError):
             poly.sendov_distances(1.0, np.array([[0.5]]))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DomainError):
             poly.sendov_distances(0.5, np.array([0.5, 0.2]))
-        with pytest.raises(InvalidInputError, match="need at least one other zero"):
+        with pytest.raises(DomainError, match="need at least one other zero"):
             poly.sendov_distances(0.5, np.empty((0, 3)))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DomainError):
             poly.sendov_distances(0.5, [["zero"]])
         for rows in ([[True, 0.5]], [["0.5", 0.5]]):
-            with pytest.raises(InvalidInputError, match="numbers"):
+            with pytest.raises(DomainError, match="numbers"):
                 poly.sendov_distances(0.5, rows)
-
-    def test_bracket_verdict_on_arrays(self):
-        verdicts = poly.bracket_verdict(
-            np.array([0.9, 1.1, 0.98, 0.5]), np.array([0.05, 0.05, 0.05, np.inf]), 1.0
-        )
-        assert verdicts.tolist() == ["PASS", "FAIL", "UNRESOLVED", "UNRESOLVED"]
 
 
 def _agreement_rows(degree, round_):
@@ -977,29 +963,8 @@ def _agreement_rows(degree, round_):
 
 
 def _kernel_rows(degree):
-    """(a, rows of other zeros) at one degree, seeded: disk draws, tight
-    clusters, exactly repeated zeros, zeros within 1e-12 of a (one of them
-    a subnormal distance away, where steps overflow and points are nudged),
-    and the two unit-circle families z^m = 1 and z^m = -1."""
-    rng = np.random.default_rng([0x4B45524E, degree])
-    m = degree - 1
-
-    def disk(size):
-        return np.sqrt(rng.uniform(size=size)) * np.exp(2j * np.pi * rng.uniform(size=size))
-
-    a = float(rng.uniform(0.01, 0.99))
-    rows = [disk(m) for _ in range(4)]
-    for spread in (1e-9, 1e-4):
-        centres = 0.9 * disk(3)
-        rows.append(centres[rng.integers(3, size=m)] + spread * disk(m))
-    rows.append(np.repeat(disk((m + 1) // 2), 2)[:m])
-    rows.append(np.concatenate([[a], disk(m - 1)]))
-    near = max(1, m // 4)
-    rows.append(np.concatenate([a + 1e-12 * disk(near), disk(m - near)]))
-    rows.append(np.concatenate([[complex(a, 2.2250738585e-313)], disk(m - 1)]))
-    angles = np.pi * np.arange(m) / m
-    rows += [np.exp(2j * angles), np.exp(1j * (2.0 * angles + np.pi / m))]
-    return a, np.array(rows)
+    """``tools/kernel_agreement.py``'s pinned rows at one degree."""
+    return load_tool("kernel_agreement").pinned_rows(degree)
 
 
 # SHA-256 of the kernel's output on _kernel_rows: sendov_distances'
@@ -1238,7 +1203,7 @@ class TestKernelStages:
         zeta = np.sort(np.concatenate([np.full((6, 1), complex(a)), rows[:6]], axis=1), axis=1)
         free, _, settled = poly._free_points(zeta, np.ones(zeta.shape))
         assert settled.all()
-        for zeros, points, frozen in zip(zeta, free, _frozen_roots()[str(degree)]):
+        for zeros, points, frozen in zip(zeta, free, FROZEN_ROOTS[str(degree)]):
             truth = np.array([complex(*z) for z in frozen])
             nearest = np.abs(points[:, None] - truth[None, :]).argmin(axis=1)
             assert sorted(nearest.tolist()) == list(range(truth.size))
@@ -1247,10 +1212,10 @@ class TestKernelStages:
 
     def test_frozen_roots_match_their_generator(self, capsys, monkeypatch):
         # The generator's 20-digit Newton, at degree 8, prints the frozen
-        # roots exactly.  The tool may put src and tests on the import path.
+        # roots exactly.  The tool may put src, tests and tools on the import path.
         monkeypatch.setattr(sys, "path", list(sys.path))
         load_tool("make_reference_values").print_frozen_roots(["8"])
-        assert json.loads(capsys.readouterr().out) == {"8": _frozen_roots()["8"]}
+        assert json.loads(capsys.readouterr().out) == {"8": FROZEN_ROOTS["8"]}
 
     def test_second_order_starts_save_evaluations(self, monkeypatch):
         # Points that _aberth_corrections evaluates, over all sweeps.  A
@@ -1411,15 +1376,15 @@ class TestHullDistance:
         float("nan"), complex(0.0, float("inf")), "inside", "0.5",
     ], ids=["nan", "inf", "string", "numeric_string"])
     def test_rejects_a_bad_point(self, point):
-        with pytest.raises(bounds.DomainError):
+        with pytest.raises(DomainError):
             hull_distance(point, (0j, 1 + 0j))
 
     def test_rejects_string_vertices(self):
-        with pytest.raises(bounds.DomainError, match="numbers"):
+        with pytest.raises(DomainError, match="numbers"):
             hull_distance(0.5, ["1", "-1"])
 
     def test_rejects_no_vertices(self):
-        with pytest.raises(bounds.DomainError, match="hull needs at least one vertex"):
+        with pytest.raises(DomainError, match="hull needs at least one vertex"):
             hull_distance(0.5, [])
 
     @given(complex_in_disk, st.lists(complex_in_disk, min_size=1, max_size=6))

@@ -39,6 +39,10 @@ not.  A row with a repeated zero goes through ``critical_report`` there
 too, while the others run as one block of the kernel; at degrees 128 and
 200 that block's temporaries pass ``_SPLIT_TEMPORARY``, and on two or more
 CPUs it runs as two halves on two threads.
+
+``pinned_rows`` gives the rows, one block per degree, on which the tests
+pin the kernel's output bytes; it draws five of its families by the same
+code as ``rows``.
 """
 
 from __future__ import annotations
@@ -54,6 +58,8 @@ DEGREES = (3, 4, 5, 6, 8, 11, 16, 17, 23, 32, 45, 64, 90, 128, 200)
 # Rounds of the row families per degree: the first eight give
 # 15 degrees x 34 x 8 = 4080 rows.
 ROUNDS = 34
+# Degrees of ``pinned_rows``.
+PINNED_DEGREES = (3, 8, 17, 64, 200)
 _TAG = 0x41475245
 # The rows of one round, in the order ``rows`` builds them.
 FAMILIES = (
@@ -85,6 +91,29 @@ def load(src: str, name: str):
     return module
 
 
+def _disk(rng, size):
+    """size points drawn area-uniformly from the unit disk."""
+    return np.sqrt(rng.uniform(size=size)) * np.exp(2j * np.pi * rng.uniform(size=size))
+
+
+def _clusters(rng, spread, m):
+    """m zeros of the given spread around three centres drawn in the disk of radius 0.9."""
+    centres = 0.9 * _disk(rng, 3)
+    return centres[rng.integers(3, size=m)] + spread * _disk(rng, m)
+
+
+def _shared_families(rng, a: float, m: int) -> list[np.ndarray]:
+    """The rows of m zeros that ``rows`` and ``pinned_rows`` both draw, in
+    this order: clusters of spread 1e-9 and 1e-4, exactly repeated zeros, a
+    zero equal to a, and zeros within 1e-12 of a."""
+    out = [_clusters(rng, spread, m) for spread in (1e-9, 1e-4)]
+    out.append(np.repeat(_disk(rng, (m + 1) // 2), 2)[:m])
+    out.append(np.concatenate([[a], _disk(rng, m - 1)]))
+    near = max(1, m // 4)
+    out.append(np.concatenate([a + 1e-12 * _disk(rng, near), _disk(rng, m - near)]))
+    return out
+
+
 def rows(degree: int, round_: int) -> list[tuple[str, float, np.ndarray]]:
     """(family, a, other zeros) for one round at one degree, in the order of
     ``FAMILIES``; the near-extremal families come in round 0 only.  The
@@ -92,19 +121,8 @@ def rows(degree: int, round_: int) -> list[tuple[str, float, np.ndarray]]:
     them leaves their rows as they were."""
     rng = np.random.default_rng([_TAG, degree, round_])
     m = degree - 1
-
-    def disk(size):
-        return np.sqrt(rng.uniform(size=size)) * np.exp(2j * np.pi * rng.uniform(size=size))
-
     a = float(rng.uniform(0.01, 0.99))
-    out = [disk(m), disk(m)]
-    for spread in (1e-9, 1e-4):
-        centres = 0.9 * disk(3)
-        out.append(centres[rng.integers(3, size=m)] + spread * disk(m))
-    out.append(np.repeat(disk((m + 1) // 2), 2)[:m])
-    out.append(np.concatenate([[a], disk(m - 1)]))
-    near = max(1, m // 4)
-    out.append(np.concatenate([a + 1e-12 * disk(near), disk(m - near)]))
+    out = [_disk(rng, m), _disk(rng, m)] + _shared_families(rng, a, m)
     sign = rng.integers(2)
     angles = (2.0 * np.pi * np.arange(m) + sign * np.pi) / m + rng.uniform(0.0, 2.0 * np.pi)
     out.append(np.exp(1j * angles))
@@ -112,9 +130,25 @@ def rows(degree: int, round_: int) -> list[tuple[str, float, np.ndarray]]:
     if round_ == 0:
         unity = np.exp(2j * np.pi * np.arange(1, degree) / degree)
         out += [(FAMILIES[8], 1.0 - 1e-9, unity), (FAMILIES[9], 1.0 - 1e-12, unity)]
-    centres = 0.9 * disk(3)
-    out.append((FAMILIES[10], a, centres[rng.integers(3, size=m)] + 1e-15 * disk(m)))
+    out.append((FAMILIES[10], a, _clusters(rng, 1e-15, m)))
     return out
+
+
+def pinned_rows(degree: int) -> tuple[float, np.ndarray]:
+    """(a, rows of other zeros) at one degree, seeded: four disk draws, the
+    rows of ``_shared_families``, a zero a subnormal distance from a (where
+    steps overflow and points are nudged), and the two unit-circle families
+    z^m = 1 and z^m = -1.  The tests pin the kernel's output on them at
+    ``PINNED_DEGREES``, and ``make_reference_values.py`` prints the true
+    critical points of their first six rows."""
+    rng = np.random.default_rng([0x4B45524E, degree])
+    m = degree - 1
+    a = float(rng.uniform(0.01, 0.99))
+    out = [_disk(rng, m) for _ in range(4)] + _shared_families(rng, a, m)
+    out.append(np.concatenate([[complex(a, 2.2250738585e-313)], _disk(rng, m - 1)]))
+    angles = np.pi * np.arange(m) / m
+    out += [np.exp(2j * angles), np.exp(1j * (2.0 * angles + np.pi / m))]
+    return a, np.array(out)
 
 
 def report_bytes(report) -> bytes:

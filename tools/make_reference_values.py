@@ -5,17 +5,16 @@ against:
 
     python3 tools/make_reference_values.py [DEGREE ...] > tests/frozen_roots.json
 
-For the first six rows of ``_kernel_rows`` at each degree given (every
-degree of ``KERNEL_DIGESTS`` when none is), it prints the roots of Q, each
-by ``tests/exact.py``'s 20-digit Newton from one of the kernel's float
-points and rounded to binary64, as [re, im] pairs.  The roots depend on the
-seeded rows alone; the float points only pick which root each Newton run
-reaches.
+For the first six rows of ``kernel_agreement.pinned_rows`` at each degree
+given (every degree of ``PINNED_DEGREES`` when none is), it prints the
+roots of Q, each by ``tests/exact.py``'s 20-digit Newton from one of the
+kernel's float points and rounded to binary64, as [re, im] pairs.  The
+roots depend on the seeded rows alone; the float points only pick which
+root each Newton run reaches.
 
-The rebuild is safe in place: the shell empties the file before the tool
-starts, and ``test_polynomial``, which the tool imports, reads the file
-only when a test first asks for it.  The test suite checks the round trip
-at degree 8 in-process (``test_frozen_roots_match_their_generator``).
+The rebuild is safe in place: the tool reads nothing from the file it
+rewrites.  The test suite checks the round trip at degree 8 in-process
+(``test_frozen_roots_match_their_generator``).
 
 Requires mpmath (dev-only dependency; not needed to use the package).
 """
@@ -25,15 +24,17 @@ import sys
 from pathlib import Path
 
 
-def _test_modules():
-    """The modules test_polynomial and exact, with src and tests on the
-    import path."""
+def _modules():
+    """The modules kernel_agreement, exact and sendov_lab.polynomial, with
+    src, tests and tools on the import path."""
     root = Path(__file__).resolve().parent.parent
-    sys.path[:0] = [str(root / d) for d in ("src", "tests") if str(root / d) not in sys.path]
+    dirs = [str(root / d) for d in ("src", "tests", "tools")]
+    sys.path[:0] = [d for d in dirs if d not in sys.path]
     import exact
-    import test_polynomial
+    import kernel_agreement
+    from sendov_lab import polynomial
 
-    return test_polynomial, exact
+    return kernel_agreement, exact, polynomial
 
 
 def frozen_roots(degree):
@@ -41,10 +42,10 @@ def frozen_roots(degree):
     degree, row by row, as lists of [re, im]."""
     import numpy as np
 
-    tests, exact = _test_modules()
-    a, rows = tests._kernel_rows(degree)
+    agreement, exact, poly = _modules()
+    a, rows = agreement.pinned_rows(degree)
     zeta = np.sort(np.concatenate([np.full((6, 1), complex(a)), rows[:6]], axis=1), axis=1)
-    free = tests.poly._free_points(zeta, np.ones(zeta.shape))[0]
+    free = poly._free_points(zeta, np.ones(zeta.shape))[0]
     out = []
     for zeros, points in zip(zeta, free):
         roots = [complex(exact.newton(zeros, w, 20)) for w in points.tolist()]
@@ -54,7 +55,7 @@ def frozen_roots(degree):
 
 def print_frozen_roots(degrees):
     """``frozen_roots`` by degree as one JSON object, one row per line."""
-    degrees = degrees or [str(d) for d in _test_modules()[0].KERNEL_DIGESTS]
+    degrees = degrees or [str(d) for d in _modules()[0].PINNED_DEGREES]
     blocks = []
     for degree in degrees:
         lines = ",\n".join(f"    {json.dumps(row)}" for row in frozen_roots(int(degree)))
