@@ -700,6 +700,14 @@ multiplicity_zero_lists = st.lists(
 ).filter(lambda zs: _well_separated([z for z, _ in zs]))
 
 
+# (distance, radius, verdict at threshold 1.0): a bracket rules only when
+# the whole of [distance - radius, distance + radius] lies on one side.
+BRACKETS = [
+    (0.9, 0.05, "PASS"), (1.1, 0.05, "FAIL"), (0.98, 0.05, "UNRESOLVED"),
+    (1.02, 0.05, "UNRESOLVED"), (0.5, float("inf"), "UNRESOLVED"), (0.5, 1e-12, "PASS"),
+]
+
+
 class TestCertifiedCriticalPoints:
     @pytest.mark.parametrize("sign, expected", [(1, 0.0060334), (-1, 0.0122187)])
     def test_unit_circle_degree_200(self, sign, expected):
@@ -820,16 +828,11 @@ class TestCertifiedCriticalPoints:
             )
 
     def test_verdict_needs_the_whole_bracket(self):
-        # bracket_verdict rules on arrays, and a report's verdict agrees
-        # with it entry by entry: the discs hold whether or not the
-        # iteration settled, so converged does not change a verdict.
-        distance = [0.9, 1.1, 0.98, 1.02, 0.5, 0.5]
-        radius = [0.05, 0.05, 0.05, 0.05, float("inf"), 1e-12]
-        verdicts = poly.bracket_verdict(np.array(distance), np.array(radius), 1.0).tolist()
-        assert verdicts == ["PASS", "FAIL", "UNRESOLVED", "UNRESOLVED", "UNRESOLVED", "PASS"]
-        for d, r, expected in zip(distance, radius, verdicts):
+        # The discs hold whether or not the iteration settled, so converged
+        # does not change a verdict.
+        for distance, radius, expected in BRACKETS:
             for converged in (True, False):
-                rep = CriticalPointReport((), d, 0.0, (), r, converged)
+                rep = CriticalPointReport((), distance, 0.0, (), radius, converged)
                 assert rep.verdict(1.0) == expected
 
 
@@ -955,6 +958,12 @@ class TestSendovDistances:
         for rows in ([[True, 0.5]], [["0.5", 0.5]]):
             with pytest.raises(DomainError, match="numbers"):
                 poly.sendov_distances(0.5, rows)
+
+    def test_bracket_verdict_on_arrays(self):
+        # The array rule agrees with a report's verdict entry by entry.
+        distance, radius, expected = zip(*BRACKETS)
+        verdicts = poly.bracket_verdict(np.array(distance), np.array(radius), 1.0)
+        assert verdicts.tolist() == list(expected)
 
 
 def _agreement_rows(degree, round_):
