@@ -16,24 +16,28 @@ Everything is evaluated in binary64.  Where a textbook expression loses
 precision for small ``a`` (mu1, mu2, the log of a K-factor barely above 1),
 an algebraically equivalent stable rewrite is used and documented inline.
 
-The per-a closed forms the verifier sweeps (aux_params, n0, mu1, mu2,
-log_k_factors, r_param, alpha_param, final_bound and n3's two parts) take
-a float or a 1-D float64 array of a; their other arguments follow a, as
-floats or as arrays of the same length.  A float gives Python floats, an
-array gives arrays, and every entry of an array result is bit for bit the
-float the same call gives on that entry: + - * / and sqrt are correctly
-rounded in numpy as in Python, and every log, log1p and power goes through
-``_libm``, a libm call per entry, never numpy's SIMD versions.  mu2's
-exact Newton step is taken in double-double on an array and kept where its
-rounding is certified; the other entries take the float call's integer
-step (see mu2).
+Every argument of the package is checked here by one rule, and a rejected
+one raises DomainError: a real argument is a Python or numpy int or float
+(taken as a float), an integer one a Python or numpy integer (taken as an
+int), a complex one (a zero, coefficient or point) either or a Python or
+numpy complex; a bool is none of them.  The per-a closed forms the verifier
+sweeps (aux_params, n0, mu1, mu2, log_k_factors, r_param, alpha_param,
+final_bound and n3's two parts) also take a 1-D float64 array of a, and
+their other arguments follow a, as numbers or arrays of a's length; every
+other entry, small_circle_bound too (nothing sweeps it), rejects an array.
+A float gives Python floats, an array gives arrays, and every entry of an
+array result is bit for bit the float the same call gives on that entry:
++ - * / and sqrt are correctly rounded in numpy as in Python, and every
+log, log1p and power goes through ``_libm``, a libm call per entry, never
+numpy's SIMD versions.  mu2's exact Newton step is taken in double-double
+on an array and kept where its rounding is certified; the other entries
+take the float call's integer step (see mu2).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 import sys
 from dataclasses import dataclass
 
@@ -71,30 +75,49 @@ class DomainError(ValueError):
     unreadable input or unwritable output file."""
 
 
+_REAL = (int, float, np.integer, np.floating)
+_COMPLEX = (complex, np.number, *_REAL)
+
+
+def _number_type(kind: type, kinds: tuple = _REAL) -> bool:
+    """Whether kind is one of the number types kinds and not bool: the one scalar test."""
+    return issubclass(kind, kinds) and not issubclass(kind, bool)
+
+
 def _real_in(name: str, value, lo: float, hi, *, closed_left=False, closed_right=False):
-    """value as a float, if it is a real (not bool) in (lo, hi), with either
-    end included on request; the bounds are finite, so NaN and infinities
-    fail.  A 1-D float64 array passes as itself if every entry does, else
-    fails at its first that does not; hi may be an array of the same length."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        if not isinstance(value, np.ndarray):
-            raise DomainError(f"{name} must be a real number, got {value!r}")
-        if value.ndim != 1:
-            raise DomainError(f"{name} must be a real number or a 1-D array, got shape {value.shape}")
+    """value as a float, if it is a real number in (lo, hi), either end included
+    on request; the bounds are finite, so NaN and infinities fail.  Against an
+    array hi (see ``_each``) a number or a 1-D float64 array of hi's length
+    passes as itself if every entry does, else fails at its first that does
+    not; against a number hi, an array is not a real number."""
+    if isinstance(value, np.ndarray) and isinstance(hi, np.ndarray):
+        if value.ndim != 1 or value.shape != hi.shape:
+            shape = value.shape
+            raise DomainError(f"{name} must be a real number or a 1-D array, got shape {shape}")
         if value.dtype != np.float64:
             first = f"{value[0]!r} at index 0 of a" if value.size else "an empty"
             raise DomainError(f"{name} must be a real number, got {first} {value.dtype} array")
-    above = lo <= value if closed_left else lo < value
-    below = value <= hi if closed_right else value < hi
+    elif type(value) is not float:
+        if not _number_type(type(value)):
+            raise DomainError(f"{name} must be a real number, got {value!r}")
+        if not isinstance(value, int):
+            value = float(value)
+    try:
+        ok = lo <= value if closed_left else lo < value
+        ok &= value <= hi if closed_right else value < hi
+    except OverflowError:  # an int past binary64 range against an array bound
+        ok = np.zeros(hi.shape, bool)
     at = ""
-    if isinstance(value, np.ndarray):
-        ok = above & below
-        if ok.all():
-            return value
+    if not isinstance(ok, np.ndarray):
+        if ok:
+            return float(value)
+    elif ok.all():
+        return value
+    else:
         i = int(np.argmin(ok))
-        value, hi, at = value.item(i), np.broadcast_to(hi, ok.shape).item(i), f" at index {i}"
-    elif above and below:
-        return float(value)
+        if isinstance(value, np.ndarray):
+            value = value.item(i)
+        hi, at = hi.item(i), f" at index {i}"
     raise DomainError(
         f"{name} must lie in {'[' if closed_left else '('}{lo!r}, {hi!r}"
         f"{']' if closed_right else ')'}, got {_shown(value)}{at}"
@@ -111,14 +134,10 @@ def _shown(value) -> str:
 def _int_in(name: str, value, lo: int, hi: int | None = None) -> int:
     """value as a Python int, if it is a Python or numpy integer (not bool)
     in [lo, hi], or at least lo when hi is None."""
-    if not isinstance(value, bool):
-        try:
-            value = operator.index(value)
-        except TypeError:
-            pass
-        else:
-            if lo <= value and (hi is None or value <= hi):
-                return value
+    if type(value) is not int and _number_type(type(value), (int, np.integer)):
+        value = int(value)
+    if type(value) is int and lo <= value and (hi is None or value <= hi):
+        return value
     if hi is not None:
         span = f"an integer in [{lo}, {hi}]"
     else:
@@ -126,19 +145,48 @@ def _int_in(name: str, value, lo: int, hi: int | None = None) -> int:
     raise DomainError(f"{name} must be {span}, got {_shown(value)}")
 
 
+def _require_finite_complex(values, what: str, ndim: int = 1) -> np.ndarray:
+    """values as an ndim-dimensional complex128 array, if every entry is a
+    finite complex number by ``_number_type``.  An ndarray of a numeric
+    dtype is checked by its dtype alone, with no loop over its entries; one
+    of dtype object, entry by entry."""
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        numbers = values.dtype.kind in "iufc"
+    else:
+        values = np.asarray(values, dtype=object)
+        numbers = all(_number_type(kind, _COMPLEX) for kind in set(map(type, values.flat)))
+    if not numbers or values.ndim != ndim:
+        raise DomainError(
+            f"{what} must be {'rows of ' * (ndim - 1)}numbers: int, float or complex, "
+            "not bool or str"
+        )
+    try:
+        with np.errstate(over="ignore"):
+            arr = values.astype(np.complex128, copy=False)
+    except OverflowError as exc:
+        raise DomainError(f"{what} must be finite: {exc}") from None
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{what} must be finite")
+    return arr
+
+
+def _each(a, bound):
+    """An array form's bound on an argument: one per entry of a, if a is an array."""
+    return np.full(a.shape, bound) if isinstance(a, np.ndarray) else bound
+
+
 def _check_a(a: float) -> float:
-    """a as a float, if it lies in (0, 1): the zero every formula here is about.
-    An array of a comes back as a float64 array, if every entry does."""
-    return _real_in("a", a, 0, 1)
+    """a as a float, if it lies in (0, 1): the zero every formula here is about;
+    an array of a, which only the array forms check here, as itself."""
+    return _real_in("a", a, 0, _each(a, 1))
 
 
 def _require(ok, a, message: str) -> None:
-    """Raise DomainError(message.format(a)) unless ok; on arrays, unless ok
-    holds at every entry, and then for the first a where it does not."""
-    if isinstance(ok, np.ndarray):
-        if not ok.all():
-            raise DomainError(message.format(a.item(int(np.argmin(ok)))))
-    elif not ok:
+    """Raise DomainError(message.format(a)) unless ok; for an array of a,
+    unless ok holds at every entry, and then for the first a where it does not."""
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        if isinstance(a, np.ndarray):
+            a = a.item(int(np.argmin(np.broadcast_to(ok, a.shape))))
         raise DomainError(message.format(a))
 
 
@@ -250,7 +298,7 @@ def _n1_branch(a: float) -> float:
 
 def n1(a: float) -> float:
     """max{ 9*((4+2a)/a)^2, n0(a) }."""
-    a = _check_a(a)
+    a = _real_in("a", a, 0, 1)
     # n0 rejects every a small enough to overflow the square (a < 3e-154).
     floor = n0(a)
     return _finite("n1", a, max(_n1_branch(a), floor))
@@ -264,7 +312,7 @@ def _n2_ratio(a: float, c: float, log_a16: float) -> float:
 
 def n2(a: float, c: float) -> float:
     """max{ 9*(log(a/16)/log(c/(1+a)))^2, n0(a) }; both logs are negative."""
-    a = _check_a(a)
+    a = _real_in("a", a, 0, 1)
     c = _real_in("c", c, 0, a)
     # n0 rejects every a below about 3e-154, far above the a < 5e-323 where
     # a/16 rounds to 0, so the log below never sees 0.
@@ -281,7 +329,7 @@ def d_function(a: float, c: float, x: float) -> float:
     D-contraction check reports, after ``_d_screen`` has picked the samples
     that could hold its minimum.
     """
-    a = _check_a(a)
+    a = _real_in("a", a, 0, 1)
     c = _real_in("c", c, 0, a)
     x = _real_in("x", x, 0, 1)
     root = math.sqrt(1.0 + c * c - a * c)
@@ -327,8 +375,8 @@ def log_k_factors(a: float, c: float, p: float, q: float) -> tuple[float, float]
     """
     a = _check_a(a)
     c = _real_in("c", c, 0, a)
-    p = _real_in("p", p, 0, 1)
-    q = _real_in("q", q, 0, 1)
+    p = _real_in("p", p, 0, _each(a, 1))
+    q = _real_in("q", q, 0, _each(a, 1))
     log_disc = _libm(math.log1p, c * c - a * c)
     log_k1 = p * _libm(math.log1p, c - a * c) + 0.5 * (1.0 - p) * log_disc
     log_k2 = q * _libm(math.log1p, c) + 0.5 * (1.0 - q) * log_disc
@@ -337,15 +385,14 @@ def log_k_factors(a: float, c: float, p: float, q: float) -> tuple[float, float]
 
 def k_factors(a: float, c: float, p: float, q: float) -> tuple[float, float]:
     """(K1, K2) = ((1+c-ac)^p sqrt(1+c^2-ac)^(1-p), (1+c)^q sqrt(1+c^2-ac)^(1-q))."""
-    log_k1, log_k2 = log_k_factors(a, c, p, q)
+    log_k1, log_k2 = log_k_factors(_real_in("a", a, 0, 1), c, p, q)
     return math.exp(log_k1), math.exp(log_k2)
 
 
 def log_k_prime(a: float) -> float:
     """log of k_prime(a) = min{K1, K2} at c = a*gamma(a) with exponents p', q'."""
-    aux = aux_params(a)
-    log_k1, log_k2 = log_k_factors(aux.a, aux.c, aux.p_prime, aux.q_prime)
-    return min(log_k1, log_k2)
+    aux = aux_params(_real_in("a", a, 0, 1))
+    return min(log_k_factors(aux.a, aux.c, aux.p_prime, aux.q_prime))
 
 
 def k_prime(a: float) -> float:
@@ -452,7 +499,7 @@ def mu2(a: float) -> float:
     other entry takes the integer step.  Either way each entry is bit for
     bit the float call.  Defined on (0, 1]; mu2(1) = 3(sqrt(13)-3)/2.
     """
-    a = _real_in("a", a, 0, 1, closed_right=True)
+    a = _real_in("a", a, 0, _each(a, 1), closed_right=True)
     t = (((a + 4.0) * a + 16.0) * a + 32.0) * a + 64.0
     x0 = (14.0 + 4.0 * a) / (_sqrt(t) + 8.0 + 2.0 * a - a * a)
     if not isinstance(a, np.ndarray):
@@ -516,7 +563,7 @@ def _alpha(a: float, c: float, r_val: float, log_a16: float | None) -> float:
     # when c -> a -> 1 drives the ratio toward 1.  Below c = 2**-54 (a about
     # 6e-17) 1 - c rounds to 1 and the form takes log1p(-1).
     _require(1.0 - c < 1.0, a, "a={!r} is too small: 1 - c rounds to 1 in binary64")
-    r_val = _real_in("r_val", r_val, 0, 1)
+    r_val = _real_in("r_val", r_val, 0, _each(a, 1))
     log_ratio = _libm(math.log1p, -(1.0 - c) * (1.0 - r_val) / (1.0 + c * r_val))
     if log_a16 is None:
         log_a16 = _libm(math.log, a / 16.0)
@@ -557,7 +604,7 @@ def n3(a: float) -> tuple[float, float]:
 
         (3/(a(1-gamma)) + 2/(a^3(1-gamma)) * 32/(a log(1/a))) * 16/(a^3(1-a)) + 1.
     """
-    aux = aux_params(a)
+    aux = aux_params(_real_in("a", a, 0, 1))
     a, c = aux.a, aux.c
     r, _ = r_param(a, c)
     n3_exact = _n3_exact(a, c, r, log_k_prime(a), None)
@@ -594,7 +641,7 @@ def mean_upper_bound(a: float, n: int) -> MeanBound:
     exceed the largest float.  bound_at_quarter is the plain evaluation at
     delta = a/4 (the choice that yields the closed-form threshold n0).
     """
-    a = _check_a(a)
+    a = _real_in("a", a, 0, 1)
     n = _int_in("n", n, 2)
 
     eps = 1e-9
@@ -637,14 +684,14 @@ def mean_upper_bound(a: float, n: int) -> MeanBound:
 
 def small_circle_bound(a: float) -> float:
     """Comparison threshold 2 + (60-a^2)/(a^2(1-a^2)) for zeros on the unit circle."""
-    a = _check_a(a)
+    a = _real_in("a", a, 0, 1)
     a2 = a * a
     return _finite("small_circle_bound", a, 2.0 + _ratio(60.0 - a2, a2 * (1.0 - a2)))
 
 
 def breakdown(a: float) -> BoundBreakdown:
     """Evaluate every intermediate quantity at one a; see BoundBreakdown."""
-    aux = aux_params(a)
+    aux = aux_params(_real_in("a", a, 0, 1))
     a, c = aux.a, aux.c
     k1, k2 = k_factors(a, c, aux.p_prime, aux.q_prime)
     r, r_prime = r_param(a, c)

@@ -292,11 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built once per process: building it costs
-    over a millisecond, far more than a parse."""
-    return build_parser()
+# The parser main uses, built once per process: building it costs over a
+# millisecond, and bench/run.py calls main in-process thousands of times.
+_parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -19,8 +19,8 @@ here imports ``roots``.
 
 All public values are immutable and safe to share across threads.  Every
 rejected argument or instance raises ``bounds.DomainError``, the package's
-one error class, and the zero a is checked by the same rule as in
-``bounds``.
+one error class: the zero a and every complex argument are checked by the
+argument rule of ``bounds``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import DomainError, _check_a
+from .bounds import DomainError, _real_in, _require_finite_complex
 
 __all__ = [
     "SendovInstance",
@@ -63,40 +63,11 @@ _U = 2.0 ** -53
 _ANGULAR_OFFSET = 1.0 / math.sqrt(2.0)
 
 
-def _require_finite_complex(values, what: str, ndim: int = 1) -> np.ndarray:
-    """values as an ndim-dimensional complex128 array, if every entry is a
-    finite number: an int, float or complex (numpy's numeric scalars too),
-    never a bool or a string, as ``bounds._real_in`` rules for reals.  An
-    ndarray of a numeric dtype is checked by its dtype alone, with no loop
-    over its entries; one of dtype object, entry by entry."""
-    if isinstance(values, np.ndarray) and values.dtype != object:
-        numbers = values.dtype.kind in "iufc"
-    else:
-        values = np.asarray(values, dtype=object)
-        numbers = all(
-            issubclass(kind, (int, float, complex, np.number)) and not issubclass(kind, bool)
-            for kind in set(map(type, values.flat))
-        )
-    if not numbers or values.ndim != ndim:
-        raise DomainError(
-            f"{what} must be {'rows of ' * (ndim - 1)}numbers: int, float or complex, "
-            "not bool or str"
-        )
-    try:
-        with np.errstate(over="ignore"):
-            arr = values.astype(np.complex128, copy=False)
-    except OverflowError as exc:
-        raise DomainError(f"{what} must be finite: {exc}") from None
-    if not np.isfinite(arr).all():
-        raise DomainError(f"{what} must be finite")
-    return arr
-
-
 def _sendov_zeros(a, other_zeros, ndim: int = 1) -> tuple[float, np.ndarray]:
     """(a, other zeros as complex128) by SendovInstance's rule: a in (0, 1),
     and at least one other zero, each a finite number of modulus <= 1 up to
     1e-12 of slack.  ndim=2 takes rows of instances that share a."""
-    a = _check_a(a)
+    a = _real_in("a", a, 0, 1)
     zeros = _require_finite_complex(other_zeros, "other_zeros", ndim)
     if zeros.size == 0:
         raise DomainError("need at least one other zero (degree >= 2)")

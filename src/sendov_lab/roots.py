@@ -16,7 +16,7 @@ their discs meet, by the kernel's rules (see ``polynomial``).
 
 All public values are immutable and safe to share across threads.  Every
 rejected argument raises ``bounds.DomainError``, the package's one error
-class.
+class, by the argument rule of ``bounds``.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import DomainError, _two_product, _two_sum
-from .polynomial import _ANGULAR_OFFSET, _U, _convex_chain, _discs_meet, _require_finite_complex
+from .bounds import DomainError, _require_finite_complex, _two_product, _two_sum
+from .polynomial import _ANGULAR_OFFSET, _U, _convex_chain, _discs_meet
 from .polynomial import _sweeps, _weierstrass_radii
 
 __all__ = [

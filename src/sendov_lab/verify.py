@@ -397,7 +397,7 @@ def fuzz_sendov(a: float, degree: int, trials: int, seed: int = DEFAULT_SEED) ->
     for that trial alone, so no result depends on the number of trials or
     on the block a trial falls in.
     """
-    a = bounds._check_a(a)
+    a = bounds._real_in("a", a, 0, 1)
     degree = bounds._int_in("degree", degree, 2, 200)
     trials = bounds._int_in("trials", trials, 1)
     seed = bounds._int_in("seed", seed, 0)
@@ -442,7 +442,7 @@ def check_extremal(a: float, degree: int) -> CriticalPointReport:
     Runs (z-a)(z^(n-1) - 1), (z-a)(z^(n-1) + 1), and (z-a) z^(n-1) and
     returns the report with the largest Sendov distance.
     """
-    a = bounds._check_a(a)
+    a = bounds._real_in("a", a, 0, 1)
     degree = bounds._int_in("degree", degree, 2, 200)
     m = degree - 1
     families: list[tuple[complex, ...]] = []

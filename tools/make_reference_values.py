@@ -10,7 +10,8 @@ given (every degree of ``PINNED_DEGREES`` when none is), it prints the
 roots of Q, each by ``tests/exact.py``'s 20-digit Newton from one of the
 kernel's float points and rounded to binary64, as [re, im] pairs.  The
 roots depend on the seeded rows alone; the float points only pick which
-root each Newton run reaches.
+root each Newton run reaches.  An argument that is not an integer gets a
+usage line and exit status 2.
 
 The rebuild is safe in place: the tool reads nothing from the file it
 rewrites.  The test suite checks the round trip at degree 8 in-process
@@ -63,5 +64,17 @@ def print_frozen_roots(degrees):
     print("{\n" + ",\n".join(blocks) + "\n}")
 
 
+def main(argv: list[str]) -> int:
+    try:
+        for degree in argv:
+            int(degree)
+    except ValueError:
+        print("usage: python3 tools/make_reference_values.py [DEGREE ...] "
+              "(no DEGREE: every degree of kernel_agreement.PINNED_DEGREES)", file=sys.stderr)
+        return 2
+    print_frozen_roots(argv)
+    return 0
+
+
 if __name__ == "__main__":
-    print_frozen_roots(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))
