@@ -28,18 +28,12 @@ from .bounds import (
     mu2,
     small_circle_bound,
 )
-from .polynomial import (
-    CriticalPointReport,
-    SendovInstance,
-    critical_report,
-    hull_distance,
-)
+from .polynomial import CriticalPointReport, SendovInstance, critical_report
 from .roots import Polynomial, RootResult, find_roots, from_roots, match_roots
 from .verify import (
     DEFAULT_SEED,
     FuzzReport,
     VerificationOutcome,
-    check_extremal,
     fuzz_sendov,
     run_inequality_suite,
     verify_estimate_chain,
@@ -62,13 +56,11 @@ __all__ = [
     "VerificationOutcome",
     "aux_params",
     "breakdown",
-    "check_extremal",
     "critical_report",
     "final_bound",
     "find_roots",
     "from_roots",
     "fuzz_sendov",
-    "hull_distance",
     "k_prime",
     "match_roots",
     "mean_upper_bound",

@@ -91,9 +91,11 @@ def _real_in(name: str, value, lo: float, hi, *, closed_left=False, closed_right
     passes as itself if every entry does, else fails at its first that does
     not; against a number hi, an array is not a real number."""
     if isinstance(value, np.ndarray) and isinstance(hi, np.ndarray):
-        if value.ndim != 1 or value.shape != hi.shape:
+        if value.ndim != 1:
             shape = value.shape
             raise DomainError(f"{name} must be a real number or a 1-D array, got shape {shape}")
+        if value.size != hi.size:
+            raise DomainError(f"{name} must have a's length {hi.size}, got length {value.size}")
         if value.dtype != np.float64:
             first = f"{value[0]!r} at index 0 of a" if value.size else "an empty"
             raise DomainError(f"{name} must be a real number, got {first} {value.dtype} array")

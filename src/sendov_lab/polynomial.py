@@ -30,7 +30,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +41,6 @@ __all__ = [
     "critical_report",
     "sendov_distances",
     "bracket_verdict",
-    "hull_distance",
 ]
 
 # Sweeps of ``_sweeps`` before it ends a row not settled, for both solvers.
@@ -601,66 +599,3 @@ def sendov_distances(a: float, other_zeros) -> tuple[np.ndarray, np.ndarray]:
         distance[t], radius[t] = (_in_halves if split else _brackets)(a, zeros[t])
     return distance, radius
 
-
-def hull_distance(point: complex, vertices: Sequence[complex]) -> float:
-    """Euclidean distance from point to the convex hull of vertices (0 inside).
-
-    Monotone-chain hull; degenerate vertex sets (single point, collinear)
-    fall back to the distance to the segment from the least to the greatest
-    vertex.
-    """
-    w = complex(_require_finite_complex((point,), "point")[0])
-    pts = _require_finite_complex(vertices, "vertices")
-    if pts.size == 0:
-        raise DomainError("hull needs at least one vertex")
-    # Scaling by 2**-e puts every coordinate in [-1, 1], so no square or
-    # cross product below overflows; ldexp scales exactly, subnormals too.
-    e = math.frexp(max(abs(w.real), abs(w.imag), float(np.abs(pts.real).max()),
-                       float(np.abs(pts.imag).max())))[1]
-    w = complex(math.ldexp(w.real, -e), math.ldexp(w.imag, -e))
-    # np.unique orders complex values by (real, imag), as the chain needs.
-    xy = [(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in np.unique(pts).tolist()]
-    hull = _convex_chain(xy)[:-1] + _convex_chain(xy[::-1])[:-1]
-    if len(hull) < 3:
-        return math.ldexp(_segment_distance(w, xy[0], xy[-1]), e)
-
-    inside = True
-    for i in range(len(hull)):
-        if _cross(hull[i], hull[(i + 1) % len(hull)], (w.real, w.imag)) < 0:
-            inside = False
-            break
-    if inside:
-        return 0.0
-    return math.ldexp(min(
-        _segment_distance(w, hull[i], hull[(i + 1) % len(hull)])
-        for i in range(len(hull))
-    ), e)
-
-
-def _cross(o, p, q) -> float:
-    """z-component of (p - o) x (q - o): positive for a left turn o -> p -> q."""
-    return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
-
-
-def _convex_chain(points: list) -> list:
-    """Andrew's monotone chain over points in the given order, keeping only
-    left turns: the lower hull of points sorted by x, the upper hull of
-    points sorted by decreasing x, from end to end."""
-    chain: list = []
-    for pt in points:
-        while len(chain) >= 2 and _cross(chain[-2], chain[-1], pt) <= 0:
-            chain.pop()
-        chain.append(pt)
-    return chain
-
-
-def _segment_distance(w: complex, p: tuple[float, float], q: tuple[float, float]) -> float:
-    px, py = p
-    qx, qy = q
-    dx, dy = qx - px, qy - py
-    length_sq = dx * dx + dy * dy
-    if length_sq == 0.0:
-        return math.hypot(w.real - px, w.imag - py)
-    t = ((w.real - px) * dx + (w.imag - py) * dy) / length_sq
-    t = min(1.0, max(0.0, t))
-    return math.hypot(w.real - (px + t * dx), w.imag - (py + t * dy))

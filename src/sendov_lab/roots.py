@@ -28,8 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import DomainError, _require_finite_complex, _two_product, _two_sum
-from .polynomial import _ANGULAR_OFFSET, _U, _convex_chain, _discs_meet
-from .polynomial import _sweeps, _weierstrass_radii
+from .polynomial import _ANGULAR_OFFSET, _U, _discs_meet, _sweeps, _weierstrass_radii
 
 __all__ = [
     "Polynomial",
@@ -285,6 +284,23 @@ def _groups(z: np.ndarray, radii: np.ndarray) -> tuple[tuple[int, ...], ...]:
     count, label = connected_components(meets, directed=False)
     groups = [np.flatnonzero(label == i) for i in range(count)]
     return tuple(tuple(g.tolist()) for g in groups if g.size >= 2)
+
+
+def _cross(o, p, q) -> float:
+    """z-component of (p - o) x (q - o): positive for a left turn o -> p -> q."""
+    return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+
+
+def _convex_chain(points: list) -> list:
+    """Andrew's monotone chain over points in the given order, keeping only
+    left turns: the lower hull of points sorted by x, the upper hull of
+    points sorted by decreasing x, from end to end."""
+    chain: list = []
+    for pt in points:
+        while len(chain) >= 2 and _cross(chain[-2], chain[-1], pt) <= 0:
+            chain.pop()
+        chain.append(pt)
+    return chain
 
 
 def find_roots(p: Polynomial) -> RootResult:

@@ -13,11 +13,11 @@ into a named check with an explicit numeric margin:
   sharp threshold n3 into the closed form 20800/(a^7 (1-a)^4), one check
   per link plus the end-to-end comparison.
 
-``fuzz_sendov`` and ``check_extremal`` exercise the conjecture itself on
-random and structured instances.  Identical parameters (including seeds)
-always produce identical reports, byte for byte.  Reports are plain values;
-``sendov_lab.cli`` renders them as text, JSON or CSV.  Arguments are checked
-by the helpers in ``bounds`` and rejected with ``bounds.DomainError``.
+``fuzz_sendov`` exercises the conjecture itself on random instances.
+Identical parameters (including seeds) always produce identical reports,
+byte for byte.  Reports are plain values; ``sendov_lab.cli`` renders them
+as text, JSON or CSV.  Arguments are checked by the helpers in ``bounds``
+and rejected with ``bounds.DomainError``.
 """
 
 from __future__ import annotations
@@ -29,13 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import bounds, polynomial
-from .polynomial import (
-    CriticalPointReport,
-    SendovInstance,
-    bracket_verdict,
-    critical_report,
-    sendov_distances,
-)
+from .polynomial import SendovInstance, bracket_verdict, sendov_distances
 
 __all__ = [
     "DEFAULT_SEED",
@@ -45,7 +39,6 @@ __all__ = [
     "verify_limits",
     "verify_estimate_chain",
     "fuzz_sendov",
-    "check_extremal",
 ]
 
 # Default base seed for anything randomized; chosen as the constant from the
@@ -434,26 +427,4 @@ def fuzz_sendov(a: float, degree: int, trials: int, seed: int = DEFAULT_SEED) ->
         non_converged=unresolved,
         violation_instances=tuple(violating),
     )
-
-
-def check_extremal(a: float, degree: int) -> CriticalPointReport:
-    """Worst critical-point report over the structured boundary family.
-
-    Runs (z-a)(z^(n-1) - 1), (z-a)(z^(n-1) + 1), and (z-a) z^(n-1) and
-    returns the report with the largest Sendov distance.
-    """
-    a = bounds._real_in("a", a, 0, 1)
-    degree = bounds._int_in("degree", degree, 2, 200)
-    m = degree - 1
-    families: list[tuple[complex, ...]] = []
-    for theta in (0.0, math.pi):
-        families.append(tuple(
-            complex(np.exp(1j * (theta + 2.0 * np.pi * k) / m)) for k in range(m)
-        ))
-    families.append((0j,) * m)
-    reports = [
-        critical_report(SendovInstance(a=a, other_zeros=zeros))
-        for zeros in families
-    ]
-    return max(reports, key=lambda r: r.sendov_distance)
 

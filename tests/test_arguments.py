@@ -17,14 +17,9 @@ import pytest
 
 from sendov_lab import bounds
 from sendov_lab.bounds import DomainError
-from sendov_lab.polynomial import SendovInstance, hull_distance, sendov_distances
+from sendov_lab.polynomial import SendovInstance, sendov_distances
 from sendov_lab.roots import Polynomial
-from sendov_lab.verify import (
-    check_extremal,
-    fuzz_sendov,
-    run_inequality_suite,
-    verify_estimate_chain,
-)
+from sendov_lab.verify import fuzz_sendov, run_inequality_suite, verify_estimate_chain
 
 A = np.array([0.5, 0.4])
 F32 = np.float32(0.5)
@@ -69,7 +64,6 @@ SCALAR_A_ENTRIES = {
     "SendovInstance": lambda a: SendovInstance(a, (0.1,)),
     "sendov_distances": lambda a: sendov_distances(a, [[0.1]]),
     "fuzz_sendov": lambda a: fuzz_sendov(a, 4, 5),
-    "check_extremal": lambda a: check_extremal(a, 4),
     "mean_upper_bound": lambda a: bounds.mean_upper_bound(a, 10),
     "breakdown": bounds.breakdown,
     "n1": bounds.n1,
@@ -138,9 +132,11 @@ REJECTED = [
     row(lambda: bounds.log_k_factors(0.5, 0.2, A, 0.1), "p must be a real number",
         "array_p_beside_float_a"),
     row(lambda: bounds.r_param(A, np.array([0.1, 0.1, 0.1])),
-        r"c must be a real number or a 1-D array, got shape \(3,\)", "c_of_another_length"),
+        "^c must have a's length 2, got length 3$", "c_of_another_length"),
     row(lambda: bounds.log_k_factors(A, 0.2, 0.1, np.array([0.1, 0.1, 0.1])),
-        r"q must be a real number or a 1-D array, got shape \(3,\)", "q_of_another_length"),
+        "^q must have a's length 2, got length 3$", "q_of_another_length"),
+    row(lambda: bounds.r_param(A, np.array([[0.1, 0.1]])),
+        r"^c must be a real number or a 1-D array, got shape \(1, 2\)$", "c_2-D"),
 ]
 
 
@@ -152,15 +148,12 @@ ACCEPTED = [
         lambda: SendovInstance(0.5, (0.1j, 0.2 + 0j)), "instance_object_array"),
     row(lambda: Polynomial(np.array([1, 2j], dtype=object)), lambda: Polynomial((1 + 0j, 2j)),
         "polynomial_object_array"),
-    row(lambda: hull_distance(0, np.array([1, 1j], dtype=object)),
-        lambda: hull_distance(0, [1, 1j]), "hull_object_array"),
     row(lambda: fuzz_sendov(0.5, np.int64(4), np.int64(5), seed=np.int64(5)),
         lambda: fuzz_sendov(0.5, 4, 5, seed=5), "fuzz_numpy_integers"),
     row(lambda: SendovInstance(F32, (0.1,)), lambda: SendovInstance(0.5, (0.1,)), "instance_f32"),
     row(lambda: sendov_distances(F32, [[0.1, -0.2j]]),
         lambda: sendov_distances(0.5, [[0.1, -0.2j]]), "sendov_distances_f32"),
     row(lambda: fuzz_sendov(F32, 4, 5), lambda: fuzz_sendov(0.5, 4, 5), "fuzz_f32"),
-    row(lambda: check_extremal(F32, np.int64(5)), lambda: check_extremal(0.5, 5), "extremal_f32"),
     row(lambda: bounds.breakdown(F32), lambda: bounds.breakdown(0.5), "breakdown_f32"),
     row(lambda: bounds.aux_params(F32), lambda: bounds.aux_params(0.5), "aux_params_f32"),
     row(lambda: bounds.mean_upper_bound(F32, np.int64(10)),

