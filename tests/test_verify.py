@@ -511,6 +511,14 @@ def _structured_zeros(degree):
 
 
 class TestExtremal:
+    def test_worst_family_at_half_degree_five(self):
+        reps = [poly.critical_report(poly.SendovInstance(0.5, zeros))
+                for zeros in _structured_zeros(5)]
+        worst = max(rep.sendov_distance for rep in reps)
+        ref = exact.bound_references()
+        assert np.allclose(worst, ref.SENDOV_DIST_05_NEG_ROOTS, rtol=1e-12, atol=0)
+        assert all(rep.converged for rep in reps)
+
     def test_degree_two_closed_form(self):
         # Families are (z-a)(z-1), (z-a)(z+1), (z-a)z; worst midpoint
         # distance is (1+a)/2 from the z = -1 family.
