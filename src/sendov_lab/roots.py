@@ -34,7 +34,6 @@ __all__ = [
     "Polynomial",
     "RootResult",
     "from_roots",
-    "evaluate",
     "find_roots",
     "match_roots",
 ]
@@ -201,13 +200,7 @@ def _exponents(z: np.ndarray) -> np.ndarray:
     return np.frexp(size)[1] * (size > 1.0)
 
 
-def evaluate(p: Polynomial, z: complex) -> complex:
-    """p(z), for a finite z."""
-    z = _require_finite_complex((z,), "evaluation point")
-    return complex(_values(np.asarray(p.coefficients), z)[0])
-
-
-def _values(c: np.ndarray, z: np.ndarray, e=0) -> np.ndarray:
+def _values(c: np.ndarray, z: np.ndarray, e) -> np.ndarray:
     """p(z) 2^(-n e) for every z at once in binary64, as the Vandermonde
     matrix of y = z 2^-e, its column k times 2^(-(n - k) e), times c; e = 0
     gives p(z).  A value past the floating range comes back inf or nan,

@@ -1,5 +1,5 @@
-"""Shared fixtures, the tools loader, plus the acceptance-criteria summary
-block.
+"""Shared fixtures, the tools loader, the disk draws of the finder and
+kernel tests, plus the acceptance-criteria summary block.
 
 Acceptance tests report through ``record_criterion`` so that one PASS/FAIL
 line per criterion is printed in the terminal summary even under default
@@ -10,7 +10,9 @@ import functools
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -28,6 +30,24 @@ def load_tool(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def disk_roots(rng, degree, separation=1e-3):
+    """degree points drawn uniformly from the unit disk, each at least
+    separation from those drawn before it."""
+    roots = []
+    while len(roots) < degree:
+        z = complex(np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+        if all(abs(z - w) >= separation for w in roots):
+            roots.append(z)
+    return tuple(roots)
+
+
+complex_in_disk = st.builds(
+    complex,
+    st.floats(min_value=-0.7, max_value=0.7),
+    st.floats(min_value=-0.7, max_value=0.7),
+)
 
 
 @pytest.fixture(autouse=True)

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 import exact
-from conftest import record_criterion
+from conftest import disk_roots, record_criterion
 from sendov_lab import bounds, verify
 from sendov_lab.cli import main
 from sendov_lab.roots import find_roots, from_roots, match_roots
@@ -125,12 +125,7 @@ def test_criterion_5_root_finder_oracle():
     worst_radius = 0.0
     for _ in range(500):
         degree = int(rng.integers(2, 51))
-        roots = []
-        while len(roots) < degree:
-            z = complex(np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
-            if all(abs(z - w) >= 1e-3 for w in roots):
-                roots.append(z)
-        roots = tuple(roots)
+        roots = disk_roots(rng, degree)
         p = from_roots(roots)
         res = find_roots(p)
         n_converged += res.converged

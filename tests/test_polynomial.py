@@ -1,4 +1,9 @@
-"""Tests for polynomial arithmetic, the certified root finder, and reports."""
+"""Tests of the critical-point kernel (``polynomial``) and its reports.
+
+Ahead of the kernel's tests sit those of the root finder in ``roots`` that
+have not yet moved to ``tests/test_roots.py``: ``TestPolynomialType``,
+``TestFindRoots`` and ``TestMatchRoots``.
+"""
 
 import cmath
 import hashlib
@@ -18,17 +23,15 @@ from hypothesis import strategies as st
 
 import exact
 import sendov_lab
-from conftest import load_tool
+from conftest import complex_in_disk, disk_roots, load_tool
 from sendov_lab import bounds
 from sendov_lab import polynomial as poly
 from sendov_lab.bounds import DomainError
 from sendov_lab.polynomial import CriticalPointReport, SendovInstance, critical_report
 from sendov_lab.roots import (
     Polynomial,
-    _compensated_horner,
     _groups,
     _root_corrections,
-    evaluate,
     find_roots,
     from_roots,
     match_roots,
@@ -43,19 +46,10 @@ ref = exact.bound_references()
 FROZEN_ROOTS = json.loads((Path(__file__).resolve().parent / "frozen_roots.json").read_text())
 
 
-def _disk_roots(rng, degree, separation=1e-3):
-    roots = []
-    while len(roots) < degree:
-        z = complex(np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
-        if all(abs(z - w) >= separation for w in roots):
-            roots.append(z)
-    return tuple(roots)
-
-
 def _tail_draws():
     """Disk draws of degree 3, 34 and 64, the last with a pair 1e-5 apart
     added."""
-    draws = [_disk_roots(np.random.default_rng(d), d) for d in (3, 34, 64)]
+    draws = [disk_roots(np.random.default_rng(d), d) for d in (3, 34, 64)]
     draws[-1] += (draws[-1][0] + 1e-5,)
     return draws
 
@@ -77,12 +71,6 @@ def _overlapping_groups(centres, radii):
         groups = [g for g in groups if g not in joined] + [sum(joined, []) + [i]]
     return sorted(tuple(sorted(g)) for g in groups)
 
-
-complex_in_disk = st.builds(
-    complex,
-    st.floats(min_value=-0.7, max_value=0.7),
-    st.floats(min_value=-0.7, max_value=0.7),
-)
 
 def _well_separated(zeros):
     return all(
@@ -109,7 +97,8 @@ def _gauss_lucas_excess(zeros, points):
     """
     z = np.asarray(zeros, dtype=complex)
     d = (z[:, None] - z).ravel()
-    d = d[d != 0] / np.abs(d[d != 0])
+    # exp(i arg d), not d / |d|: the division overflows at a subnormal |d|.
+    d = np.exp(1j * np.angle(d[d != 0]))
     u = np.concatenate([[1, 1j, -1, -1j], d, 1j * d]).conj()
     reach = np.asarray(points, dtype=complex)[:, None] * u
     return float((reach.real - (z[:, None] * u).real.max(axis=0)).max())
@@ -170,96 +159,6 @@ class TestPolynomialType:
             Polynomial((1.0, 2.0), tails=(0.0, float("nan")))
         with pytest.raises(DomainError):
             Polynomial((1.0, 2.0), tails=(complex(float("inf"), 0), 0.0))
-
-
-class TestFromRootsAndEvaluate:
-    def test_difference_of_squares(self):
-        p = from_roots((1.0, -1.0))
-        assert np.allclose(p.coefficients, (-1.0, 0.0, 1.0), rtol=0, atol=1e-15)
-
-    def test_strided_roots_expand_as_a_tuple_does(self):
-        roots = np.array([0.5, 9.0, -0.25j, 9.0, 0.1 + 0.2j, 9.0])[::2]
-        p = from_roots(roots)
-        assert p.coefficients == from_roots(tuple(roots.tolist())).coefficients
-        assert p.tails == from_roots(tuple(roots.tolist())).tails
-
-    def test_head_plus_tail_is_the_extended_expansion(self):
-        # Against the exact expansion (60 digits hold it exactly here), the
-        # double-double head + tail errs by a few n u^2 of the coefficients
-        # of prod(z + |r_j|): about 3e-32 at degree 30.  The head is head +
-        # tail rounded to binary64.
-        roots = _disk_roots(np.random.default_rng(3), 30)
-        p = from_roots(roots)
-        with mpmath.workdps(exact.DPS):
-            for h, t, s, c, bound in zip(p.coefficients, p.tails, exact.coefficients(p), exact.expand(roots),
-                                         exact.expand([-abs(mpmath.mpc(r)) for r in roots])):
-                assert abs(s - c) <= 1e-30 * bound.real
-                assert h + t == h
-
-    def test_compensated_horner_is_twice_binary64(self):
-        # Near its roots p(z) cancels to about 1e-16 of sum |c_k| |z|^k, the
-        # error of binary64 Horner; the compensated value is correct to a
-        # few units of its own size plus a few u^2 of that sum.
-        roots = _disk_roots(np.random.default_rng(5), 30)
-        p = from_roots(roots)
-        rng = np.random.default_rng(6)
-        # Half the points lie within 1e-9 of a root, half about 0.3 off one.
-        z = np.asarray(roots) * (1.0 + 1e-9 * rng.normal(size=30))
-        z[1::2] += 0.3 * rng.normal(size=15)
-        values, errors = _compensated_horner(np.asarray(p.coefficients), np.asarray(p.tails), z)
-        cs = exact.coefficients(p)[::-1]
-        with mpmath.workdps(exact.DPS):
-            for x, value, error in zip(z, values, errors):
-                truth = mpmath.polyval(cs, mpmath.mpc(x))
-                size = mpmath.polyval([abs(c) for c in cs], abs(mpmath.mpc(x)))
-                assert abs(value - truth) <= 4 * 2.0 ** -53 * abs(truth) + 1e-29 * size
-                # The returned bound, which the finder's discs rest on, holds.
-                assert abs(value - truth) <= error
-
-    @pytest.mark.parametrize("roots", [(1.5e300,), (2e150, 3e150j), (3e-300, -2e-300j)])
-    def test_expansion_scales_roots_near_the_ends_of_binary64(self, roots):
-        # Veltkamp's split multiplies by 2^27 + 1 and overflows above about
-        # 1.3e300: from_roots scales the roots by a power of two, so these
-        # expand with finite tails and no warning.  The constant term of
-        # the last, 6e-600, is below binary64 range and comes back as 0.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            p = from_roots(roots)
-        with mpmath.workdps(exact.DPS):
-            for s, c in zip(exact.coefficients(p), exact.expand(roots)):
-                assert abs(s - c) <= 1e-30 * abs(c) + 2.0 ** -1074
-
-    def test_evaluate_matches_numpy_polyval(self):
-        rng = np.random.default_rng(7)
-        coeffs = tuple(rng.normal(size=6) + 1j * rng.normal(size=6))
-        p = Polynomial(coeffs)
-        for z in (0.3 + 0.1j, -1.5j, 2.0):
-            expected = np.polyval(np.array(coeffs[::-1]), z)
-            assert np.allclose(evaluate(p, z), expected, rtol=1e-12, atol=1e-12)
-
-    def test_evaluate_rejects_non_finite_point(self):
-        p = Polynomial((1.0, 1.0))
-        with pytest.raises(DomainError):
-            evaluate(p, complex(float("inf"), 0))
-
-    def test_from_roots_overflow_raises_without_warning(self):
-        # The expansion has 1e400 as its constant term: past binary64 range.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DomainError):
-                from_roots([1e200, 1e200])
-
-    def test_from_roots_rejects_no_roots(self):
-        with pytest.raises(DomainError, match="from_roots needs at least one root"):
-            from_roots([])
-
-    @given(st.lists(complex_in_disk, min_size=1, max_size=8))
-    @settings(max_examples=100)
-    def test_from_roots_vanishes_at_its_roots(self, roots):
-        p = from_roots(roots)
-        scale = max(abs(c) for c in p.coefficients)
-        for r in roots:
-            assert abs(evaluate(p, r)) <= 1e-10 * scale * (1.0 + abs(r)) ** p.degree
 
 
 class TestFindRoots:
@@ -356,7 +255,7 @@ class TestFindRoots:
         rng = np.random.default_rng(20800)
         worst = (0.0, None, None)
         for _ in range(60):
-            roots = _disk_roots(rng, int(rng.integers(30, 51)))
+            roots = disk_roots(rng, int(rng.integers(30, 51)))
             p = from_roots(roots)
             res = find_roots(p)
             assert res.converged
@@ -459,7 +358,7 @@ class TestFindRoots:
         }
         if case in draws:
             seed, degree = draws[case]
-            p = from_roots(_disk_roots(np.random.default_rng(seed), degree))
+            p = from_roots(disk_roots(np.random.default_rng(seed), degree))
         elif case == "far-root":
             p = _far_root_polynomial()
         else:
@@ -638,6 +537,9 @@ class TestCriticalReport:
         assert np.allclose(rep.mean_real_part, rep_c.mean_real_part, rtol=1e-9, atol=1e-12)
 
     @given(separated_zero_lists, st.floats(min_value=0.1, max_value=0.9))
+    # Zeros a subnormal distance from a.
+    @example(zeros=[0.5 + 2.225073858507203e-309j], a=0.5)
+    @example(zeros=[0.5 + 5e-324j], a=0.5)
     @settings(max_examples=60, deadline=None)
     def test_gauss_lucas_containment(self, zeros, a):
         inst = SendovInstance(a=a, other_zeros=tuple(zeros))
