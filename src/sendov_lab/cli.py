@@ -183,11 +183,7 @@ def _verify_lines(rows: list[dict]) -> list[str]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
-    outcomes = (
-        verify.run_inequality_suite(grid_step=args.grid_step, seed=seed)
-        + verify.verify_limits()
-        + verify.verify_estimate_chain(grid_step=args.grid_step)
-    )
+    outcomes = verify.verify_pass(grid_step=args.grid_step, seed=seed)
     _emit(args, [_row(o) for o in outcomes], _verify_lines, VERIFY_CSV)
     return 0 if all(o.passed for o in outcomes) else 1
 

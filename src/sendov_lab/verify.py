@@ -13,6 +13,9 @@ into a named check with an explicit numeric margin:
   sharp threshold n3 into the closed form 20800/(a^7 (1-a)^4), one check
   per link plus the end-to-end comparison.
 
+``verify_pass`` runs the three in that order, as ``sendov-lab verify``
+does, and builds the per-a arrays that the suite and the chain share once.
+
 ``fuzz_sendov`` exercises the conjecture itself on random instances.
 Identical parameters (including seeds) always produce identical reports,
 byte for byte.  Reports are plain values; ``sendov_lab.cli`` renders them
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,6 +41,7 @@ __all__ = [
     "run_inequality_suite",
     "verify_limits",
     "verify_estimate_chain",
+    "verify_pass",
     "fuzz_sendov",
 ]
 
@@ -96,6 +100,9 @@ _MIN_GRID_STEP = 1e-5
 # The most random points a suite adds to its grid; beyond the finest grid
 # they would grow the D-contraction arrays without bound.
 _MAX_EXTRA_RANDOM = 100_000
+
+# The random points a default suite adds to its grid.
+_EXTRA_RANDOM = 100
 
 
 def _grid(grid_step: float) -> np.ndarray:
@@ -156,9 +163,44 @@ def _confirmed(screened: np.ndarray, exact_at: Callable[[int], float], tol: floa
 _MU2_RESIDUAL_TOL = 1e-24
 
 
+class _PerA(NamedTuple):
+    """The per-a arrays that the suite and the chain both take, each entry
+    bit for bit the scalar call at that a: aux_params' a, gamma, c and q',
+    pow(a, 3) by libm, and log_k_factors at c = a*gamma with exponents p', q'."""
+
+    a: np.ndarray
+    gamma: np.ndarray
+    c: np.ndarray
+    q_prime: np.ndarray
+    a3: np.ndarray
+    log_k1: np.ndarray
+    log_k2: np.ndarray
+
+    def head(self, n: int) -> _PerA:
+        """The arrays' first n entries, as views."""
+        return _PerA(*(values[:n] for values in self))
+
+
+def _per_a(a: np.ndarray) -> _PerA:
+    """The _PerA arrays over the points a."""
+    aux = bounds.aux_params(a)
+    log_k1, log_k2 = bounds.log_k_factors(a, aux.c, aux.p_prime, aux.q_prime)
+    return _PerA(aux.a, aux.gamma, aux.c, aux.q_prime, bounds._libm(pow, a, 3), log_k1, log_k2)
+
+
+def _suite_points(grid_step: float, extra_random: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The a-grid, and the suite's points: the grid followed by extra_random
+    uniform draws from [grid[0], grid[-1]] seeded by seed."""
+    grid = _grid(grid_step)
+    extra_random = bounds._int_in("extra_random", extra_random, 0, _MAX_EXTRA_RANDOM)
+    seed = bounds._int_in("seed", seed, 0)
+    rng = np.random.default_rng(seed)
+    return grid, np.concatenate([grid, rng.uniform(grid[0], grid[-1], size=extra_random)])
+
+
 def run_inequality_suite(
     grid_step: float = 1e-3,
-    extra_random: int = 100,
+    extra_random: int = _EXTRA_RANDOM,
     seed: int = DEFAULT_SEED,
 ) -> list[VerificationOutcome]:
     """Pointwise inequality checks on a uniform a-grid plus random points.
@@ -168,23 +210,22 @@ def run_inequality_suite(
     like a^2 into binary64 roundoff, so sampling outside the grid span would
     measure noise, not mathematics.)  Failures are reported, not raised.
     """
-    grid = _grid(grid_step)
-    extra_random = bounds._int_in("extra_random", extra_random, 0, _MAX_EXTRA_RANDOM)
-    seed = bounds._int_in("seed", seed, 0)
-    rng = np.random.default_rng(seed)
-    pts = np.concatenate([grid, rng.uniform(grid[0], grid[-1], size=extra_random)])
+    grid, pts = _suite_points(grid_step, extra_random, seed)
+    return _suite(grid, _per_a(pts))
+
+
+def _suite(grid: np.ndarray, per_a: _PerA) -> list[VerificationOutcome]:
+    """run_inequality_suite's checks on the points of per_a, whose first
+    len(grid) entries are the grid."""
     # Each per-point quantity is one bounds call on the array of points, bit
     # for bit the scalar call at each point; the grid's values are its first
     # len(grid) entries.
+    pts = per_a.a
     pts_f = pts.tolist()
-
-    aux = bounds.aux_params(pts)
-    gamma, c = aux.gamma, aux.c
-    a3 = bounds._libm(pow, pts, 3)
+    gamma, c, a3 = per_a.gamma, per_a.c, per_a.a3
     mu1 = bounds._mu1(pts, a3)
     mu2 = bounds.mu2(pts)
-    log_k1, log_k2 = bounds.log_k_factors(pts, c, aux.p_prime, aux.q_prime)
-    log_kp = np.minimum(log_k1, log_k2)
+    log_kp = np.minimum(per_a.log_k1, per_a.log_k2)
 
     # Two checks are screened: the samples that could hold the smallest
     # margin are re-evaluated exactly, so the report holds only exact values.
@@ -247,7 +288,9 @@ def run_inequality_suite(
             log_kp - a3 * (1.0 - pts) / 16.0, pts, "log K'(a) - a^3 (1-a)/16"
         ),
         "bounds.k2_log_floor": (
-            log_k2 - pts * aux.q_prime * gamma / 4.0, pts, "log K2(a, a*gamma, q') - a q' gamma / 4"
+            per_a.log_k2 - pts * per_a.q_prime * gamma / 4.0,
+            pts,
+            "log K2(a, a*gamma, q') - a q' gamma / 4",
         ),
         "bounds.lemma_log_bounds": (
             np.concatenate([
@@ -309,20 +352,24 @@ def verify_estimate_chain(grid_step: float = 1e-3) -> list[VerificationOutcome]:
     compares the differing branches directly, otherwise shared-branch ties
     would report zero margin for a true strict inequality.
     """
-    a = _grid(grid_step)
+    return _chain(_per_a(_grid(grid_step)))
+
+
+def _chain(per_a: _PerA) -> list[VerificationOutcome]:
+    """verify_estimate_chain's checks on the a-grid of per_a."""
     # Each quantity is one bounds call on the whole grid, bit for bit the
     # scalar call at each point; every power and log is a libm call, and
-    # each one shared by several quantities is mapped once.
-    aux = bounds.aux_params(a)
-    c, gamma = aux.c, aux.gamma
-    a2, a3, a4 = (bounds._libm(pow, a, k) for k in (2, 3, 4))
+    # each one shared by several quantities is mapped once per pass: a^3
+    # and log K' come with per_a, which verify_pass shares with the suite.
+    a, c, gamma, a3 = per_a.a, per_a.c, per_a.gamma, per_a.a3
+    a2, a4 = (bounds._libm(pow, a, k) for k in (2, 4))
     log_a16 = bounds._libm(math.log, a / 16.0)
     n0 = bounds.n0(a)
     n1_branch = bounds._n1_branch(a)
     ratio = bounds._n2_ratio(a, c, log_a16)
     r, r_prime = bounds.r_param(a, c)
     alpha_prime = bounds._alpha(a, c, r_prime, log_a16)
-    log_kp = np.minimum(*bounds.log_k_factors(a, c, aux.p_prime, aux.q_prime))
+    log_kp = np.minimum(per_a.log_k1, per_a.log_k2)
     n3_exact = bounds._n3_exact(a, c, r, log_kp, log_a16)
     n3_estimate = bounds._n3_estimate(a, a3)
     headline = bounds.final_bound(a)
@@ -368,6 +415,16 @@ def verify_estimate_chain(grid_step: float = 1e-3) -> list[VerificationOutcome]:
         _min_outcome(check_id, margins, a, notes)
         for check_id, (margins, notes) in per_check.items()
     ]
+
+
+def verify_pass(grid_step: float = 1e-3, seed: int = DEFAULT_SEED) -> list[VerificationOutcome]:
+    """run_inequality_suite(grid_step, seed=seed) + verify_limits() +
+    verify_estimate_chain(grid_step), outcome for outcome, with the per-a
+    arrays of the suite's points built once: the chain takes their first
+    len(grid) entries, which are the grid's bit for bit."""
+    grid, pts = _suite_points(grid_step, _EXTRA_RANDOM, seed)
+    per_a = _per_a(pts)
+    return _suite(grid, per_a) + verify_limits() + _chain(per_a.head(len(grid)))
 
 
 def _words(n: int) -> list[int]:

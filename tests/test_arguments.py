@@ -18,7 +18,7 @@ import pytest
 from sendov_lab import bounds
 from sendov_lab.bounds import DomainError
 from sendov_lab.polynomial import SendovInstance, sendov_distances
-from sendov_lab.roots import Polynomial, from_roots
+from sendov_lab.roots import Polynomial, from_roots, match_roots
 from sendov_lab.verify import fuzz_sendov, run_inequality_suite, verify_estimate_chain
 
 A = np.array([0.5, 0.4])
@@ -87,6 +87,8 @@ REJECTED = [
     row(lambda: SendovInstance(0.5, (complex("nan"),)), "finite", "instance_nan_zero"),
     row(lambda: SendovInstance(0.5, ("0.5j", True)), "numbers", "instance_string_and_bool"),
     row(lambda: from_roots([]), "from_roots needs at least one root", "from_roots_no_roots"),
+    row(lambda: match_roots((0.0,), (0.0, 1.0)), "matching needs two equal nonempty root lists",
+        "match_roots_length_mismatch"),
     row(lambda: sendov_distances(0.5, np.array([[0.5, 0.2j], [1.5, 0.0]])), "modulus",
         "rows_zero_outside"),
     row(lambda: sendov_distances(0.5, np.array([[0.5, complex("nan")]])), "finite", "rows_nan"),

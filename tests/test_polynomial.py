@@ -1,8 +1,8 @@
 """Tests of the critical-point kernel (``polynomial``) and its reports.
 
 Ahead of the kernel's tests sit those of the root finder in ``roots`` that
-have not yet moved to ``tests/test_roots.py``: ``TestPolynomialType``,
-``TestFindRoots`` and ``TestMatchRoots``.
+have not yet moved to ``tests/test_roots.py``: ``TestPolynomialType`` and
+``TestFindRoots``.
 """
 
 import cmath
@@ -421,33 +421,6 @@ class TestFindRoots:
     def test_requires_degree_at_least_one(self):
         with pytest.raises(DomainError):
             find_roots(Polynomial((2.0,)))
-
-
-class TestMatchRoots:
-    def test_permutation_has_zero_cost(self):
-        pts = (0.1, 0.5 + 0.5j, -0.9j)
-        assignment, worst = match_roots(pts, (pts[2], pts[0], pts[1]))
-        assert worst == 0.0
-        assert assignment == (2, 0, 1)
-
-    def test_uniform_shift_is_measured(self):
-        pts = (0.0, 1.0, 1j)
-        shifted = tuple(z + 1e-4 for z in pts)
-        _, worst = match_roots(shifted, pts)
-        assert np.allclose(worst, 1e-4, rtol=1e-12, atol=0)
-
-    def test_crossed_pairs_use_optimal_assignment(self):
-        # Greedy pairing from the closest pair on these crossed points would
-        # strand the last point a distance ~2 away; the optimal matching
-        # keeps the worst pair distance at ~1.
-        found = (0.0 + 0j, 1.0 + 0j)
-        expected = (0.45 + 0j, -1.0 + 0j)
-        _, worst = match_roots(found, expected)
-        assert worst <= 1.1
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            match_roots((0.0,), (0.0, 1.0))
 
 
 class TestSendovInstance:

@@ -1,8 +1,9 @@
 """Tests of ``roots``, the coefficient-form root finder: ``from_roots``'
-double-double expansion and the evaluations of p that ``find_roots`` runs.
+double-double expansion, the evaluations of p that ``find_roots`` runs, and
+the assignment ``match_roots`` makes between two root lists.
 
-The finder's other tests, of ``Polynomial``, ``find_roots`` and
-``match_roots``, are still in ``tests/test_polynomial.py``.
+The finder's other tests, of ``Polynomial`` and ``find_roots``, are still in
+``tests/test_polynomial.py``.
 """
 
 import warnings
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import exact
 from conftest import complex_in_disk, disk_roots
 from sendov_lab.bounds import DomainError
-from sendov_lab.roots import _compensated_horner, _exponents, _values, from_roots
+from sendov_lab.roots import _compensated_horner, _exponents, _values, from_roots, match_roots
 
 
 class TestFromRoots:
@@ -104,3 +105,26 @@ class TestFromRoots:
         values = _values(np.asarray(p.coefficients), np.asarray(roots, dtype=complex), 0)
         for r, value in zip(roots, values):
             assert abs(value) <= 1e-10 * scale * (1.0 + abs(r)) ** p.degree
+
+
+class TestMatchRoots:
+    def test_permutation_has_zero_cost(self):
+        pts = (0.1, 0.5 + 0.5j, -0.9j)
+        assignment, worst = match_roots(pts, (pts[2], pts[0], pts[1]))
+        assert worst == 0.0
+        assert assignment == (2, 0, 1)
+
+    def test_uniform_shift_is_measured(self):
+        pts = (0.0, 1.0, 1j)
+        shifted = tuple(z + 1e-4 for z in pts)
+        _, worst = match_roots(shifted, pts)
+        assert np.allclose(worst, 1e-4, rtol=1e-12, atol=0)
+
+    def test_crossed_pairs_use_optimal_assignment(self):
+        # Greedy pairing from the closest pair on these crossed points would
+        # strand the last point a distance ~2 away; the optimal matching
+        # keeps the worst pair distance at ~1.
+        found = (0.0 + 0j, 1.0 + 0j)
+        expected = (0.45 + 0j, -1.0 + 0j)
+        _, worst = match_roots(found, expected)
+        assert worst <= 1.1

@@ -21,6 +21,7 @@ from sendov_lab.verify import (
     run_inequality_suite,
     verify_estimate_chain,
     verify_limits,
+    verify_pass,
 )
 
 SUITE_IDS = [
@@ -231,7 +232,8 @@ class TestDContraction:
 class TestWorkPerPass:
     """How much libm and confirm work a default verify pass does: a shared
     quantity mapped twice, or a screen drifting toward its tolerance, shows
-    here before it shows in the timings."""
+    here before it shows in the timings.  The pass shares its per-a arrays
+    between the suite and the chain, and no outcome may move for it."""
 
     def test_libm_array_maps(self, capsys, monkeypatch):
         maps = []
@@ -245,7 +247,18 @@ class TestWorkPerPass:
         monkeypatch.setattr(bounds, "_libm", counted)
         assert main(["verify", "--seed", "5"]) == 0
         capsys.readouterr()
-        assert (len(maps), sum(maps)) == (26, 26_376)
+        assert (len(maps), sum(maps)) == (22, 22_380)
+
+    @pytest.mark.parametrize("grid_step", [0.01, 0.004, 1e-3])
+    @pytest.mark.parametrize("seed", [1, 5, DEFAULT_SEED])
+    def test_shared_pass_equals_the_three_suites(self, grid_step, seed):
+        # Field by field by repr, so that a -0.0 or a last-bit change shows.
+        def fields(outcomes):
+            return [[repr(getattr(o, f.name)) for f in dataclasses.fields(o)] for o in outcomes]
+
+        alone = (run_inequality_suite(grid_step, seed=seed) + verify_limits()
+                 + verify_estimate_chain(grid_step))
+        assert fields(verify_pass(grid_step, seed)) == fields(alone)
 
     @pytest.mark.parametrize("seed", [1, 5, DEFAULT_SEED])
     def test_d_contraction_confirms_one_sample(self, monkeypatch, seed):
@@ -576,9 +589,7 @@ class TestRenderers:
             check_id="x", passed=True, worst_margin=1.0,
             worst_location=(0.5, 0.25), samples=3, notes="",
         )
-        monkeypatch.setattr(verify, "run_inequality_suite", lambda **kwargs: [o])
-        monkeypatch.setattr(verify, "verify_limits", lambda: [])
-        monkeypatch.setattr(verify, "verify_estimate_chain", lambda **kwargs: [])
+        monkeypatch.setattr(verify, "verify_pass", lambda **kwargs: [o])
         assert main(["verify", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["worst_location"] == [0.5, 0.25]
         assert main(["verify", "--format", "csv"]) == 0
