@@ -326,10 +326,14 @@ def n2(a: float, c: float) -> float:
 def d_function(a: float, c: float, x: float) -> float:
     """Contraction factor max{ (1/(1+a))^x, ((1+c)/(1+a))^x * sqrt(1+c^2-ac)^(1-x) }.
 
-    Strictly below 1 for x in (0, 1) and at least c/(1+a) everywhere.  Each
+    Strictly below 1 for x in (0, 1) and at least c/(1+a) everywhere, and
+    strictly decreasing in x: (1/(1+a))^x decreases, and the second branch is
+    r (b2/r)^x with b2 = (1+c)/(1+a) below r = sqrt(1+c^2-ac), because
+    (1+a)^2 r^2 - (1+c)^2 = (a-c)(2+a)(1-ac) > 0.  So on an x-grid the
+    margins 1 - D and D - c/(1+a) are least at its last and first x.  Each
     power is a scalar libm call: this is the exact reference the verifier's
-    D-contraction check reports, after ``_d_screen`` has picked the samples
-    that could hold its minimum.
+    D-contraction check reports, after ``_d_screen`` has picked, among the
+    samples at those two x, the ones that could hold its minimum.
     """
     a = _real_in("a", a, 0, 1)
     c = _real_in("c", c, 0, a)
@@ -353,7 +357,8 @@ def _d_screen(a: np.ndarray, c: np.ndarray, xs: np.ndarray) -> np.ndarray:
     np.exp per sample, numpy's SIMD code, which may differ from libm in the
     last bits.  Every exponent lies in [-1, 1], so its rounding moves D by a few
     ulp: the values are within _SCREEN_TOL of d_function, not bit for bit
-    equal to it.  At most two arrays of the result's shape are alive at once.
+    equal to it.  D decreases in x (see d_function), so the verifier passes
+    only the first and the last x of its grid: xs of length 2.
     """
     root = np.sqrt(1.0 + c * c - a * c)
     log_first = np.log(1.0 / (1.0 + a))

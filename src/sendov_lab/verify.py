@@ -26,7 +26,7 @@ and rejected with ``bounds.DomainError``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -93,12 +93,15 @@ class FuzzReport:
     violation_instances: tuple[str, ...] = ()
 
 
-# The finest a-grid a suite accepts: 99,999 points, where each of the two
-# (points x 99) arrays the D-contraction screen keeps holds about 80 MB.
+# The finest a-grid a suite accepts: 99,999 points.  A suite holds about
+# 240 bytes per point at its peak (per-a arrays, mu2's double-double terms,
+# the points as Python floats), 26 MB at this step; a finer step grows that
+# as 1/grid_step.
 _MIN_GRID_STEP = 1e-5
 
-# The most random points a suite adds to its grid; beyond the finest grid
-# they would grow the D-contraction arrays without bound.
+# The most random points a suite adds to its grid, another 24 MB at the
+# peak; beyond the finest grid they would grow the per-point arrays without
+# bound.
 _MAX_EXTRA_RANDOM = 100_000
 
 # The random points a default suite adds to its grid.
@@ -238,21 +241,31 @@ def _suite(grid: np.ndarray, per_a: _PerA) -> list[VerificationOutcome]:
         1e-9 - np.abs(bounds._mu2_quadratic(pts, mu2)[0]), residual_exact, _MU2_RESIDUAL_TOL
     )
 
-    # D(a, c, x) < 1 on 0 < x < 1 and D >= c/(1+a), at c = a*gamma(a).
-    # bounds._d_screen screens all (a, x) samples with numpy's exp of per-a
-    # logs, which on AVX-512 hardware differs from libm by up to 2 ulp on
-    # about 36% of them; the confirmed samples take bounds.d_function's
-    # scalar libm powers, so no byte depends on the SIMD code numpy runs.
+    # D(a, c, x) < 1 on 0 < x < 1 and D >= c/(1+a), at c = a*gamma(a), over
+    # the x-grid 0.01 .. 0.99.  D = max{b1^x, r (b2/r)^x} with b1 = 1/(1+a),
+    # b2 = (1+c)/(1+a) and r = sqrt(1+c^2-ac); for 0 < c < a < 1, which
+    # aux_params guarantees, (1+a)^2 r^2 - (1+c)^2 = (a-c)(2+a)(1-ac) > 0,
+    # so b2 < r, and b1 < 1: D decreases strictly in x.  Then 1 - D
+    # increases and D - c/(1+a) decreases, and each a's least margin lies
+    # at the first or the last x, with every other x's strictly larger; only
+    # those two columns are screened and confirmed, and the outcome counts
+    # all 99.  In binary64 the order holds too: on a in [1e-5, 1 - 1e-5]
+    # one column's step drops D by at least 7.9e-14 (at a = 0.99999; 7.9e-10
+    # on the default grid), some 700 ulps of 1, and d_function's libm
+    # powers err by a few ulps.
+    # bounds._d_screen screens the samples with numpy's exp of per-a logs,
+    # which on AVX-512 hardware differs from libm by up to 2 ulp on about
+    # 36% of them; the confirmed samples take bounds.d_function's scalar
+    # libm powers, so no byte depends on the SIMD code numpy runs.
     x_set = np.arange(1.0, 100.0) * 0.01
-    d = bounds._d_screen(pts, c, x_set)
-    above_floor = d - (c / (1.0 + pts))[:, None]
-    d = np.minimum(np.subtract(1.0, d, out=d), above_floor, out=d)
-    del above_floor  # so the confirm step's masks come on top of one array, not two
+    x_ends = x_set[[0, -1]]
+    d = bounds._d_screen(pts, c, x_ends)
+    d = np.minimum(1.0 - d, d - (c / (1.0 + pts))[:, None])
 
     def d_exact(i: int) -> float:
-        ia, ix = divmod(i, len(x_set))
+        ia, ix = divmod(i, len(x_ends))
         a, ci = pts_f[ia], float(c[ia])
-        dv = bounds.d_function(a, ci, x_set.item(ix))
+        dv = bounds.d_function(a, ci, x_ends.item(ix))
         return min(1.0 - dv, dv - ci / (1.0 + a))
 
     d = _confirmed(d, d_exact, bounds._SCREEN_TOL)
@@ -308,14 +321,18 @@ def _suite(grid: np.ndarray, per_a: _PerA) -> list[VerificationOutcome]:
         ),
         "bounds.d_contraction": (
             d,
-            (pts, x_set),
+            (pts, x_ends),
             "min{1 - D(a, a*gamma, x), D(a, a*gamma, x) - a*gamma/(1+a)}; location is (a, x)",
         ),
     }
-    return [
-        _min_outcome(check_id, margins, locations, notes)
+    outcomes = {
+        check_id: _min_outcome(check_id, margins, locations, notes)
         for check_id, (margins, locations, notes) in per_check.items()
-    ]
+    }
+    outcomes["bounds.d_contraction"] = replace(
+        outcomes["bounds.d_contraction"], samples=len(pts) * len(x_set)
+    )
+    return list(outcomes.values())
 
 
 def verify_limits() -> list[VerificationOutcome]:

@@ -86,6 +86,21 @@ REJECTED = [
     row(lambda: SendovInstance(0.5, (1.5,)), "modulus", "instance_zero_outside"),
     row(lambda: SendovInstance(0.5, (complex("nan"),)), "finite", "instance_nan_zero"),
     row(lambda: SendovInstance(0.5, ("0.5j", True)), "numbers", "instance_string_and_bool"),
+    row(lambda: Polynomial(()), "a polynomial needs at least one coefficient",
+        "polynomial_no_coefficients"),
+    row(lambda: Polynomial((1.0, 0.0)), "leading coefficient must be nonzero",
+        "polynomial_zero_leading"),
+    row(lambda: Polynomial((math.nan, 1.0)), "coefficients must be finite", "polynomial_nan"),
+    row(lambda: Polynomial((complex(0, math.inf), 1.0)), "coefficients must be finite",
+        "polynomial_inf_imaginary"),
+    row(lambda: Polynomial((10 ** 400, 1)), "coefficients must be finite",
+        "polynomial_int_past_float_range"),
+    *(row(lambda bad=bad: Polynomial(bad), "coefficients must be numbers", f"polynomial_{name}")
+      for bad, name in ((("1", True), "string_and_bool"), ((1.0, True), "bool"),
+                        ((1.0, "2"), "string"), (np.array([True, True]), "bool_array"),
+                        (((1.0, 2.0),), "nested"),
+                        (np.array(["0.5", 1.0], dtype=object), "string_object_array"),
+                        (np.array([True, 1.0], dtype=object), "bool_object_array"))),
     row(lambda: from_roots([]), "from_roots needs at least one root", "from_roots_no_roots"),
     row(lambda: match_roots((0.0,), (0.0, 1.0)), "matching needs two equal nonempty root lists",
         "match_roots_length_mismatch"),
@@ -121,8 +136,8 @@ REJECTED = [
     # True is an int to Python but not a count; numpy raised on it.
     *(row(lambda bad=bad: run_inequality_suite(extra_random=bad), "extra_random",
           f"extra_random_{bad!r}") for bad in (-1, True, 2.0)),
-    # Rejected before any point is drawn: 10**7 points would need two
-    # (points x 99) float64 arrays of about 8 GB each.
+    # Rejected before any point is drawn: 10**7 points would hold about
+    # 2.4 GB of per-point arrays at the suite's peak.
     *(row(lambda bad=bad: run_inequality_suite(extra_random=bad),
           r"extra_random must be an integer in \[0, 100000\]", f"extra_random_{name}")
       for bad, name in ((100_001, "100001"), (10**7, "10**7"), (np.int64(10**9), "np_10**9"),

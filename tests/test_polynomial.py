@@ -1,7 +1,7 @@
 """Tests of the critical-point kernel (``polynomial``) and its reports.
 
-Ahead of the kernel's tests sit those of the root finder in ``roots`` that
-have not yet moved to ``tests/test_roots.py``: ``TestPolynomialType`` and
+Ahead of the kernel's tests sits the one class of the root finder in
+``roots`` that has not yet moved to ``tests/test_roots.py``:
 ``TestFindRoots``.
 """
 
@@ -115,50 +115,6 @@ class TestPackageNames:
             "mean_upper_bound", "mu1", "mu2", "run_inequality_suite",
             "small_circle_bound", "verify_estimate_chain", "verify_limits", "__version__",
         ]
-
-
-class TestPolynomialType:
-    def test_degree_bookkeeping(self):
-        p = Polynomial((1.0, 2.0, 3.0))
-        assert p.degree == 2
-        assert Polynomial((5.0,)).degree == 0
-
-    def test_rejects_empty_and_zero_leading(self):
-        with pytest.raises(DomainError):
-            Polynomial(())
-        with pytest.raises(DomainError):
-            Polynomial((1.0, 0.0))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(DomainError):
-            Polynomial((float("nan"), 1.0))
-        with pytest.raises(DomainError):
-            Polynomial((complex(0, float("inf")), 1.0))
-
-    @pytest.mark.parametrize("coefficients", [
-        ("1", True), (1.0, True), (1.0, "2"), np.array([True, True]), ((1.0, 2.0),),
-        np.array(["0.5", 1.0], dtype=object), np.array([True, 1.0], dtype=object),
-    ], ids=["string_and_bool", "bool", "string", "bool_array", "nested", "string_object_array",
-            "bool_object_array"])
-    def test_rejects_non_numbers(self, coefficients):
-        with pytest.raises(DomainError, match="numbers"):
-            Polynomial(coefficients)
-
-    def test_rejects_an_int_past_float_range(self):
-        with pytest.raises(DomainError, match="finite"):
-            Polynomial((10 ** 400, 1))
-
-    def test_tails_validated_and_kept_out_of_equality(self):
-        p = Polynomial((1.0, 2.0), tails=(1e-17, -1e-17j))
-        assert p.tails == (1e-17 + 0j, -1e-17j)
-        assert p == Polynomial((1.0, 2.0))
-        assert "tails" not in repr(p)
-        with pytest.raises(DomainError):
-            Polynomial((1.0, 2.0), tails=(0.0,))  # one tail per coefficient
-        with pytest.raises(DomainError):
-            Polynomial((1.0, 2.0), tails=(0.0, float("nan")))
-        with pytest.raises(DomainError):
-            Polynomial((1.0, 2.0), tails=(complex(float("inf"), 0), 0.0))
 
 
 class TestFindRoots:

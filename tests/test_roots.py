@@ -1,8 +1,10 @@
-"""Tests of ``roots``, the coefficient-form root finder: ``from_roots``'
-double-double expansion, the evaluations of p that ``find_roots`` runs, and
-the assignment ``match_roots`` makes between two root lists.
+"""Tests of ``roots``, the coefficient-form root finder: the ``Polynomial``
+type, ``from_roots``' double-double expansion, the evaluations of p that
+``find_roots`` runs, and the assignment ``match_roots`` makes between two
+root lists.  ``Polynomial``'s rejected arguments are rows of
+``tests/test_arguments.py``.
 
-The finder's other tests, of ``Polynomial`` and ``find_roots``, are still in
+The finder's other tests, of ``find_roots``, are still in
 ``tests/test_polynomial.py``.
 """
 
@@ -17,7 +19,33 @@ from hypothesis import strategies as st
 import exact
 from conftest import complex_in_disk, disk_roots
 from sendov_lab.bounds import DomainError
-from sendov_lab.roots import _compensated_horner, _exponents, _values, from_roots, match_roots
+from sendov_lab.roots import (
+    Polynomial,
+    _compensated_horner,
+    _exponents,
+    _values,
+    from_roots,
+    match_roots,
+)
+
+
+class TestPolynomialType:
+    def test_degree_bookkeeping(self):
+        p = Polynomial((1.0, 2.0, 3.0))
+        assert p.degree == 2
+        assert Polynomial((5.0,)).degree == 0
+
+    def test_tails_validated_and_kept_out_of_equality(self):
+        p = Polynomial((1.0, 2.0), tails=(1e-17, -1e-17j))
+        assert p.tails == (1e-17 + 0j, -1e-17j)
+        assert p == Polynomial((1.0, 2.0))
+        assert "tails" not in repr(p)
+        with pytest.raises(DomainError):
+            Polynomial((1.0, 2.0), tails=(0.0,))  # one tail per coefficient
+        with pytest.raises(DomainError):
+            Polynomial((1.0, 2.0), tails=(0.0, float("nan")))
+        with pytest.raises(DomainError):
+            Polynomial((1.0, 2.0), tails=(complex(float("inf"), 0), 0.0))
 
 
 class TestFromRoots:

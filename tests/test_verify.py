@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -118,8 +119,10 @@ class TestInequalitySuite:
         assert len(grid) == 99_999 and grid[0] == 1e-5
 
     def test_default_suite_memory_peak(self):
-        # The D-contraction screen keeps two float64 arrays (1099 x 99
-        # values, 0.87 MB each); a Python float per sample held about 4.9 MB.
+        # The D-contraction screen holds 1099 x 2 values, the first and the
+        # last x of each a, and the suite peaks at 0.36 MB.  The bound leaves
+        # 1.45 MB of headroom, so a screen of all 1099 x 99 samples (a 2.05 MB
+        # peak) fails it.
         run_inequality_suite()  # the first call also builds state that numpy keeps
         tracemalloc.start()
         try:
@@ -127,7 +130,7 @@ class TestInequalitySuite:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5e6, peak
+        assert peak <= 1.8e6, peak
 
     def test_sample_counts(self, coarse_suite):
         by_id = {o.check_id: o for o in coarse_suite}
@@ -191,6 +194,23 @@ class TestDContraction:
         worst, location, samples = _libm_d_contraction(0.01, 20, DEFAULT_SEED)
         assert (o.worst_margin, o.worst_location, o.samples) == (worst, location, samples)
 
+    def test_least_margin_sits_at_the_first_or_last_x(self):
+        # The lemma behind the two-column screen (bounds.d_function): its
+        # identity and sign exactly in Fractions of the float a and c, and
+        # the column order on libm rows at both ends of the finest grid,
+        # where one step of x moves D least, and at a few random a.
+        grid = verify._grid(1e-5)
+        rng = np.random.default_rng(44)
+        points = np.concatenate([grid[:20], grid[-20:], rng.uniform(grid[0], grid[-1], 5)])
+        xs = (np.arange(1.0, 100.0) * 0.01).tolist()
+        for a, c in zip(points.tolist(), bounds.aux_params(points).c.tolist()):
+            fa, fc = Fraction(a), Fraction(c)
+            gap = (1 + fa) ** 2 * (1 + fc * fc - fa * fc) - (1 + fc) ** 2
+            assert gap == (fa - fc) * (2 + fa) * (1 - fa * fc) > 0, a
+            floor = c / (1.0 + a)
+            margins = [min(1.0 - d, d - floor) for d in (bounds.d_function(a, c, x) for x in xs)]
+            assert min(margins[1:-1]) > min(margins[0], margins[-1]), a
+
     @staticmethod
     def _rule(screened, margins):
         calls = []
@@ -230,10 +250,11 @@ class TestDContraction:
 
 
 class TestWorkPerPass:
-    """How much libm and confirm work a default verify pass does: a shared
-    quantity mapped twice, or a screen drifting toward its tolerance, shows
-    here before it shows in the timings.  The pass shares its per-a arrays
-    between the suite and the chain, and no outcome may move for it."""
+    """How much libm, screen and confirm work a default verify pass does: a
+    shared quantity mapped twice, a screen wider than it needs, or a screen
+    drifting toward its tolerance, shows here before it shows in the
+    timings.  The pass shares its per-a arrays between the suite and the
+    chain, and no outcome may move for it."""
 
     def test_libm_array_maps(self, capsys, monkeypatch):
         maps = []
@@ -248,6 +269,21 @@ class TestWorkPerPass:
         assert main(["verify", "--seed", "5"]) == 0
         capsys.readouterr()
         assert (len(maps), sum(maps)) == (22, 22_380)
+
+    def test_d_screen_takes_the_two_end_columns(self, capsys, monkeypatch):
+        # D decreases in x, so only the first and the last x can hold an
+        # a's least D-contraction margin.
+        widths = []
+        screen = bounds._d_screen
+
+        def counted(a, c, xs):
+            widths.append(len(xs))
+            return screen(a, c, xs)
+
+        monkeypatch.setattr(bounds, "_d_screen", counted)
+        assert main(["verify", "--seed", "5"]) == 0
+        capsys.readouterr()
+        assert widths == [2]
 
     @pytest.mark.parametrize("grid_step", [0.01, 0.004, 1e-3])
     @pytest.mark.parametrize("seed", [1, 5, DEFAULT_SEED])
