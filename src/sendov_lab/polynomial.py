@@ -13,9 +13,9 @@ each sweep of ``_sweeps`` gathers only the points still moving, and an
 instance's result does not depend on what else is in the block.
 
 The root finder in ``roots`` runs this module's sweep loop ``_sweeps`` with
-its own step and certifies by the same two rules: ``_weierstrass_radii``
-gives every radius and ``_discs_meet`` says when two discs meet.  Nothing
-here imports ``roots``.
+its own step and takes its radii by the same rule, ``_weierstrass_radii``;
+``_discs_meet``, which says when two discs meet, serves the kernel's
+bracket alone.  Nothing here imports ``roots``.
 
 All public values are immutable and safe to share across threads.  Every
 rejected argument or instance raises ``bounds.DomainError``, the package's

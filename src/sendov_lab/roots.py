@@ -11,8 +11,8 @@ compensated Horner on head + tail, built on the error-free transformations
 of ``bounds``, to each root's rounding floor; one Horner pass gives p and
 its error bound.  Every evaluation at a point outside the unit circle runs
 at an exact power-of-two scale, so p and the Weierstrass products stay in
-range at a far root.  The final points take their inclusion radii, and
-their discs meet, by the kernel's rules (see ``polynomial``).
+range at a far root.  The final points take their inclusion radii by the
+kernel's rule, ``polynomial._weierstrass_radii``.
 
 All public values are immutable and safe to share across threads.  Every
 rejected argument raises ``bounds.DomainError``, the package's one error
@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import DomainError, _require_finite_complex, _two_product, _two_sum
-from .polynomial import _ANGULAR_OFFSET, _U, _discs_meet, _sweeps, _weierstrass_radii
+from .polynomial import _ANGULAR_OFFSET, _U, _sweeps, _weierstrass_radii
 
 __all__ = [
     "Polynomial",
@@ -83,8 +83,7 @@ class RootResult:
 
     Every root of P lies in the union of the discs |z - roots[i]| <= radii[i],
     and a connected group of d overlapping discs holds d of them; radius 0
-    marks an exact root at 0.  converged means every radius is finite.
-    clusters lists the groups of two or more discs (likely multiple roots);
+    marks an exact root at 0.  converged means every radius is finite;
     iterations counts the sweeps of the binary64 run before the refinement,
     at most ``polynomial._MAX_SWEEPS`` (300), and is 0 when every root is 0.
     """
@@ -93,7 +92,6 @@ class RootResult:
     radii: tuple[float, ...]
     converged: bool
     iterations: int
-    clusters: tuple[tuple[int, ...], ...]
 
 
 def from_roots(roots: Sequence[complex]) -> Polynomial:
@@ -148,7 +146,7 @@ def _complex_product(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return s, f + e[..., 0, 0] + e[..., 1, 0]
 
 
-def _compensated_horner(head, tail, z, e=0) -> tuple[np.ndarray, np.ndarray]:
+def _compensated_horner(head, tail, z, e) -> tuple[np.ndarray, np.ndarray]:
     """(p, b): p(z) 2^(-n e) at every z for p = sum (head_k + tail_k) z^k,
     as accurate as Horner in twice binary64 precision then rounded
     (Graillat, Langlois & Louvet 2009), and bounds b >= |p - p(z) 2^(-n e)|.
@@ -267,18 +265,6 @@ def _root_corrections(c, tails=None):
     return corrections
 
 
-def _groups(z: np.ndarray, radii: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Connected groups of two or more discs |w - z_i| <= radii[i] that meet
-    by ``polynomial._discs_meet``, each by its indices in order, the groups
-    by their least index: scipy labels the components in that order."""
-    from scipy.sparse.csgraph import connected_components
-
-    meets = _discs_meet(np.abs(z[:, None] - z[None, :]), radii[:, None] + radii[None, :])
-    count, label = connected_components(meets, directed=False)
-    groups = [np.flatnonzero(label == i) for i in range(count)]
-    return tuple(tuple(g.tolist()) for g in groups if g.size >= 2)
-
-
 def _cross(o, p, q) -> float:
     """z-component of (p - o) x (q - o): positive for a left turn o -> p -> q."""
     return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
@@ -314,7 +300,6 @@ def find_roots(p: Polynomial) -> RootResult:
     |z|^n is past binary64 range is found and certified as any other.  A
     compensated evaluation at the final points gives each root its radius
     (see ``_radii``).  ``converged`` means every radius is finite, and
-    ``clusters`` lists the connected groups of overlapping discs;
     ``iterations`` counts the sweeps of the first run.  A ratio c_k/c_n past
     binary64 range raises ``DomainError``.
     """
@@ -358,7 +343,6 @@ def find_roots(p: Polynomial) -> RootResult:
         radii=tuple(radii.tolist()),
         converged=bool(np.isfinite(radii).all()),
         iterations=iterations,
-        clusters=_groups(z, radii),
     )
 
 

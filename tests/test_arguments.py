@@ -18,7 +18,7 @@ import pytest
 from sendov_lab import bounds
 from sendov_lab.bounds import DomainError
 from sendov_lab.polynomial import SendovInstance, sendov_distances
-from sendov_lab.roots import Polynomial, from_roots, match_roots
+from sendov_lab.roots import Polynomial, find_roots, from_roots, match_roots
 from sendov_lab.verify import fuzz_sendov, run_inequality_suite, verify_estimate_chain
 
 A = np.array([0.5, 0.4])
@@ -102,6 +102,8 @@ REJECTED = [
                         (np.array(["0.5", 1.0], dtype=object), "string_object_array"),
                         (np.array([True, 1.0], dtype=object), "bool_object_array"))),
     row(lambda: from_roots([]), "from_roots needs at least one root", "from_roots_no_roots"),
+    row(lambda: find_roots(Polynomial((2.0,))), "find_roots needs degree >= 1",
+        "find_roots_degree_0"),
     row(lambda: match_roots((0.0,), (0.0, 1.0)), "matching needs two equal nonempty root lists",
         "match_roots_length_mismatch"),
     row(lambda: sendov_distances(0.5, np.array([[0.5, 0.2j], [1.5, 0.0]])), "modulus",

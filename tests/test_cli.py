@@ -397,8 +397,8 @@ class TestOneProcess:
         # assignment imports lazily; importing scipy.optimize alone costs a
         # large share of a command's start-up.  Every command runs once in a
         # fresh interpreter; then the root finder, which refines with
-        # error-free transformations of binary64 alone, loads scipy for
-        # match_roots but still no mpmath.
+        # error-free transformations of binary64 alone, loads neither, and
+        # match_roots loads scipy but still no mpmath.
         path = tmp_path / "inst.json"
         path.write_text(THREE_ZEROS)
         script = (
@@ -413,7 +413,9 @@ class TestOneProcess:
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))\n"
             "from sendov_lab.roots import find_roots, from_roots, match_roots\n"
             "roots = (0.5, -0.5, 0.3j, -0.3j)\n"
-            "match_roots(find_roots(from_roots(roots)).roots, roots)\n"
+            "found = find_roots(from_roots(roots)).roots\n"
+            "print('scipy' in sys.modules, 'mpmath' in sys.modules)\n"
+            "match_roots(found, roots)\n"
             "print('scipy' in sys.modules, 'mpmath' in sys.modules)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(sendov_lab.__file__).resolve().parents[1]))
@@ -422,7 +424,7 @@ class TestOneProcess:
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=False,
         )
         assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout.splitlines()[-2:] == ["[]", "True False"]
+        assert done.stdout.splitlines()[-3:] == ["[]", "False False", "True False"]
 
     def test_build_parser_is_fresh(self):
         assert build_parser() is not build_parser()

@@ -1,11 +1,10 @@
-"""Tests of the critical-point kernel (``polynomial``) and its reports.
-
-Ahead of the kernel's tests sits the one class of the root finder in
-``roots`` that has not yet moved to ``tests/test_roots.py``:
-``TestFindRoots``.
+"""Tests of the critical-point kernel (``polynomial``) and its reports,
+and of the package's public names.  The root finder in ``roots`` is tested
+in ``tests/test_roots.py``; here it only builds inputs.
 """
 
 import cmath
+import dataclasses
 import hashlib
 import json
 import math
@@ -23,19 +22,12 @@ from hypothesis import strategies as st
 
 import exact
 import sendov_lab
-from conftest import complex_in_disk, disk_roots, load_tool
+from conftest import complex_in_disk, load_tool
 from sendov_lab import bounds
 from sendov_lab import polynomial as poly
 from sendov_lab.bounds import DomainError
 from sendov_lab.polynomial import CriticalPointReport, SendovInstance, critical_report
-from sendov_lab.roots import (
-    Polynomial,
-    _groups,
-    _root_corrections,
-    find_roots,
-    from_roots,
-    match_roots,
-)
+from sendov_lab.roots import find_roots, from_roots
 
 
 ref = exact.bound_references()
@@ -44,32 +36,6 @@ ref = exact.bound_references()
 # The true roots of Q for test_frozen_points_lie_at_the_rounding_floor's
 # rows, by degree, as tools/make_reference_values.py prints them.
 FROZEN_ROOTS = json.loads((Path(__file__).resolve().parent / "frozen_roots.json").read_text())
-
-
-def _tail_draws():
-    """Disk draws of degree 3, 34 and 64, the last with a pair 1e-5 apart
-    added."""
-    draws = [disk_roots(np.random.default_rng(d), d) for d in (3, 34, 64)]
-    draws[-1] += (draws[-1][0] + 1e-5,)
-    return draws
-
-
-def _far_root_polynomial():
-    """(z - 1e6) times 59 roots on |z| = 0.5, from binary64 coefficients:
-    1e6^60 is past binary64 range."""
-    ring = [0.5 * cmath.exp(2j * cmath.pi * k / 59 + 0.1j) for k in range(59)]
-    return Polynomial(tuple(complex(c) for c in np.poly([1e6] + ring)[::-1]))
-
-
-def _overlapping_groups(centres, radii):
-    """Connected groups of the discs |z - centres[i]| <= radii[i] that
-    touch or overlap, singletons too, each by its indices in order."""
-    groups = []
-    for i in range(len(centres)):
-        joined = [g for g in groups
-                  if any(abs(centres[i] - centres[j]) <= radii[i] + radii[j] for j in g)]
-        groups = [g for g in groups if g not in joined] + [sum(joined, []) + [i]]
-    return sorted(tuple(sorted(g)) for g in groups)
 
 
 def _well_separated(zeros):
@@ -115,268 +81,8 @@ class TestPackageNames:
             "mean_upper_bound", "mu1", "mu2", "run_inequality_suite",
             "small_circle_bound", "verify_estimate_chain", "verify_limits", "__version__",
         ]
-
-
-class TestFindRoots:
-    def test_linear(self):
-        res = find_roots(Polynomial((-1.5 + 0.5j, 3.0)))
-        assert np.allclose(res.roots, [(1.5 - 0.5j) / 3.0], rtol=1e-15, atol=0)
-        assert res.converged
-
-    def test_quadratic_closed_form(self):
-        res = find_roots(from_roots((0.25 + 0.25j, -0.5)))
-        _, worst = match_roots(res.roots, (0.25 + 0.25j, -0.5))
-        assert worst <= 1e-15
-        assert res.converged
-
-    def test_quintuple_root_clusters(self):
-        # Zero coefficients below the lowest nonzero one are exact roots at
-        # 0: no sweep runs when every root is 0.
-        res = find_roots(Polynomial((0.0, 0.0, 0.0, 0.0, 0.0, 1.0)))
-        assert res.converged
-        assert res.roots == (0j,) * 5
-        assert res.iterations == 0
-        assert res.clusters == ((0, 1, 2, 3, 4),)
-
-    def test_triple_root_at_half(self):
-        # Each iterate stops at the rounding floor of p, so the three stay
-        # apart and their discs stay small.
-        res = find_roots(from_roots((0.5, 0.5, 0.5)))
-        assert res.converged
-        assert max(abs(z - 0.5) for z in res.roots) <= 1e-4
-        assert max(res.radii) <= 1e-4
-        assert res.clusters == ((0, 1, 2),)
-
-    @pytest.mark.parametrize("p, roots, exact_zeros, largest_radius", [
-        (from_roots((0.5, 0.5)), (0.5, 0.5), 0, 1e-12),
-        (Polynomial((0.0, 0.0, 1.0)), (0.0, 0.0), 2, 0.0),
-        (from_roots((0.0, 0.0, 0.5, -0.25j)), (0.0, 0.0, 0.5, -0.25j), 2, 1e-12),
-    ], ids=["half", "origin", "origin_and_two_simple"])
-    def test_double_root(self, p, roots, exact_zeros, largest_radius):
-        # Degree 2 takes the same sweeps as every other degree.  A double
-        # root at 0 (c_0 = c_1 = 0) comes back as exactly 0j, also beside
-        # other roots.  The one cluster is the pair of discs that hold the
-        # double root; where a simple root with a real part far below its
-        # radius sorts against the pair is not part of the claim.
-        res = find_roots(p)
-        assert res.converged
-        _, worst = match_roots(res.roots, roots)
-        assert worst <= 1e-4
-        assert res.roots.count(0j) == exact_zeros
-        assert max(res.radii) <= largest_radius
-        (cluster,) = res.clusters
-        assert len(cluster) == 2
-        assert all(abs(res.roots[i] - roots[0]) <= res.radii[i] for i in cluster)
-
-    def test_tiny_scale_roots_within_1e_12_relative(self):
-        # Each point stops against its nearest neighbour and at its rounding
-        # floor, not at a step absolute in 1 + |z|, so roots near 1e-21 come
-        # back to full relative accuracy, in discs that do not overlap.
-        roots = (3e-21, -5e-21j, 2e-21 + 1e-21j)
-        res = find_roots(from_roots(roots))
-        cols, _ = match_roots(res.roots, roots)
-        for c, r in zip(cols, roots):
-            assert abs(res.roots[c] - r) <= 1e-12 * abs(r)
-            assert res.radii[c] <= 1e-12 * abs(res.roots[c])
-        assert res.clusters == ()
-
-    @pytest.mark.parametrize("p, roots", [
-        (Polynomial((0.0, 1.0), tails=(1e-20, 0.0)), (-1e-20,)),
-        (Polynomial((0.0, 0.0, 1.0), tails=(0.0, 1e-20, 0.0)), (-1e-20, 0.0)),
-        (Polynomial((1.0, 0.0, 1.0), tails=(-1.0, 0.0, 0.0)), (0.0, 0.0)),
-    ], ids=["tail_below_zero_head", "zero_and_tail", "tail_cancels_head"])
-    def test_exact_zeros_are_read_from_head_plus_tail(self, p, roots):
-        # A zero head with a nonzero tail is no exact root at 0, and a tail
-        # that cancels its head is one: each root lies in its own disc.
-        res = find_roots(p)
-        cols, _ = match_roots(res.roots, roots)
-        assert all(abs(res.roots[c] - r) <= res.radii[c] for c, r in zip(cols, roots))
-        assert res.roots.count(0j) == roots.count(0.0)
-
-    def test_roots_of_unity_recovered(self):
-        expected = tuple(cmath.exp(2j * cmath.pi * k / 12) for k in range(12))
-        res = find_roots(from_roots(expected))
-        _, worst = match_roots(res.roots, expected)
-        assert worst <= 1e-13
-        assert res.converged
-        assert res.clusters == ()
-
-    def test_high_degree_error_is_coefficient_rounding_not_finder(self):
-        # Take the worst draw of a degree <= 50 ensemble and split its
-        # round-trip error at the exact (60-digit) roots of the coefficients
-        # the finder consumes, head + tail summed exactly: the finder lands
-        # within 1e-8 of those exact roots, and whatever remains is the
-        # rounding of the expanded coefficients, which moves them away from
-        # the sampled roots.
-        rng = np.random.default_rng(20800)
-        worst = (0.0, None, None)
-        for _ in range(60):
-            roots = disk_roots(rng, int(rng.integers(30, 51)))
-            p = from_roots(roots)
-            res = find_roots(p)
-            assert res.converged
-            _, w = match_roots(res.roots, roots)
-            # >= keeps a draw when every round trip is exact.
-            if w >= worst[0]:
-                worst = (w, p, res)
-        _, p, res = worst
-        _, finder_err = match_roots(res.roots, tuple(complex(r) for r in exact.roots(p)))
-        assert finder_err <= 1e-8
-
-    def test_solves_from_coefficients_and_tails_only(self):
-        # The last draw adds a pair 1e-5 apart at degree 65: the compensated
-        # sweeps on head + tail bring its round trip within 1e-8, where the
-        # binary64 coefficients alone give ~3e-6.
-        for roots in _tail_draws():
-            res = find_roots(from_roots(roots))
-            _, worst = match_roots(res.roots, roots)
-            assert worst <= 1e-8
-
-    def test_finder_never_imports_mpmath(self, monkeypatch):
-        # The finder refines the degree-65 draw above with error-free
-        # transformations of binary64 alone: with mpmath made unimportable
-        # it still meets 1e-8.  That no module of the package imports
-        # mpmath at load is checked in a fresh interpreter by
-        # test_cli.py::TestOneProcess::test_no_command_imports_scipy_or_mpmath.
-        roots = _tail_draws()[-1]
-        monkeypatch.setitem(sys.modules, "mpmath", None)
-        res = find_roots(from_roots(roots))
-        assert res.converged
-        _, worst = match_roots(res.roots, roots)
-        assert worst <= 1e-8
-
-    def test_sorted_deterministically(self):
-        roots = (0.5, -0.5, 0.3j, -0.3j)
-        a = find_roots(from_roots(roots)).roots
-        b = find_roots(from_roots(roots)).roots
-        assert a == b
-        keys = [(z.real, z.imag) for z in a]
-        assert keys == sorted(keys)
-
-    def test_far_root_leaks_no_warning(self):
-        # A root at 1e6 puts 1e6^60 past binary64 range.  The finder takes p
-        # and the Weierstrass products there at the exact scale 2^-20 per
-        # factor, so nothing overflows, no numpy warning is raised, and the
-        # far root is found and certified like the ring's.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            res = find_roots(_far_root_polynomial())
-        assert res.converged
-        assert res.iterations <= 10
-        far = int(np.argmax(np.abs(res.roots)))
-        assert abs(res.roots[far] - 1e6) <= 1e-12 * 1e6
-        assert abs(res.roots[far] - 1e6) <= res.radii[far]
-
-    @pytest.mark.parametrize("degree", [50, 200])
-    def test_newton_polygon_starts_reach_roots_spanning_decades(self, degree):
-        # Moduli from 1e-2 to 1e2: each edge of the Newton polygon starts
-        # its roots near their own modulus.  One circle of radius
-        # 1 + max|c_k/c_n|, near 1e28 at degree 50, would start them decades
-        # off, from where Weierstrass's contraction is slow.  At degree 200
-        # the rounding of np.poly's coefficients alone moves the roots by
-        # about 1e-8, so there the discs, not the round trip, are checked.
-        rng = np.random.default_rng(0)
-        roots = 10.0 ** rng.uniform(-2, 2, degree) * np.exp(2j * np.pi * rng.uniform(size=degree))
-        res = find_roots(Polynomial(tuple(np.poly(roots)[::-1].tolist())))
-        assert res.iterations <= 40
-        if degree == 50:
-            _, worst = match_roots(res.roots, roots)
-            assert worst <= 1e-9
-        else:
-            assert res.converged
-            assert max(res.radii) <= 1e-9
-
-    @pytest.mark.parametrize("degree", range(18, 23))
-    def test_wilkinson_like_roots_within_1e_8_relative(self, degree):
-        # prod(z - s k): the refinement reads p alone, from compensated
-        # Horner, so at degree 22 no binary64 p' stops it short of the
-        # roots that the double-double coefficients hold.
-        for s in (0.5, 0.9, 1.0, 1.1, 1.3):
-            roots = [s * k for k in range(1, degree + 1)]
-            res = find_roots(from_roots(roots))
-            cols, _ = match_roots(res.roots, roots)
-            assert max(abs(res.roots[c] - r) / r for c, r in zip(cols, roots)) <= 1e-8
-
-    @pytest.mark.parametrize("case", [
-        "disk-6", "disk-13", "disk-20", "integers-22", "tiny-scale", "double-half", "triple-half",
-        "far-root",
-    ])
-    def test_discs_hold_every_root_and_each_group_its_count(self, case):
-        # The exact roots of head + tail are the integers, or the repeated
-        # 0.5, where those are exact; else 60-digit mpmath roots, which for
-        # the far root, whose scaled low coefficients underflow, are Newton
-        # steps from the roots found.
-        draws = {"disk-6": (1, 6), "disk-13": (2, 13), "disk-20": (3, 20)}
-        known = {
-            "integers-22": tuple(range(1, 23)),
-            "double-half": (0.5, 0.5),
-            "triple-half": (0.5, 0.5, 0.5),
-        }
-        if case in draws:
-            seed, degree = draws[case]
-            p = from_roots(disk_roots(np.random.default_rng(seed), degree))
-        elif case == "far-root":
-            p = _far_root_polynomial()
-        else:
-            p = from_roots(known.get(case, (3e-21, -5e-21j, 2e-21 + 1e-21j)))
-        res = find_roots(p)
-        assert res.converged
-        with mpmath.workdps(exact.DPS):
-            if case in known:
-                truth = [mpmath.mpc(r) for r in known[case]]
-            elif case == "far-root":
-                cs = exact.coefficients(p)[::-1]
-                truth = [mpmath.mpc(z) for z in res.roots]
-                for _ in range(5):
-                    truth = [x - mpmath.polyval(cs, x) / mpmath.polyval(cs, x, derivative=True)[1]
-                             for x in truth]
-            else:
-                truth = exact.roots(p)
-            inside = [
-                {i for i, (z, r) in enumerate(zip(res.roots, res.radii)) if abs(e - mpmath.mpc(z)) <= r}
-                for e in truth
-            ]
-        assert all(inside)
-        groups = _overlapping_groups(res.roots, res.radii)
-        assert res.clusters == tuple(g for g in groups if len(g) >= 2)
-        for group in groups:
-            assert sum(bool(hit & set(group)) for hit in inside) == len(group)
-
-    def test_coincident_iterates_part(self):
-        # Two equal starts make W infinite at both: in the shared sweep loop,
-        # with the finder's binary64 step, each takes its own nudge while
-        # the others wait, so they part and reach distinct roots.
-        roots = (0.3, -0.4j, 0.5 + 0.5j, -0.6)
-        c = np.asarray(from_roots(roots).coefficients)
-        starts = np.array([[0.1 + 0.1j, 0.1 + 0.1j, -0.2, 0.4j]])
-        steps = _root_corrections(c)
-        # 2 bounds 1 + |r| for every root r.
-        w, _, _ = poly._sweeps(starts, np.empty((1, 0), complex), steps, np.array([2.0]))
-        _, worst = match_roots(w[0], roots)
-        assert worst <= 1e-12
-
-    def test_groups_join_chains_and_order_by_least_index(self):
-        # Discs 1, 4 and 2 form a chain: 1 meets 4, 4 meets 2, 1 misses 2,
-        # so 2 joins 1's group only through 4.  Discs 0 and 3 form a
-        # separate pair and 5 stands alone.
-        z = np.array([10.0, 0.0, 2.0, 10.5, 1.0, -5.0], dtype=complex)
-        radii = np.array([0.3, 0.6, 0.6, 0.3, 0.6, 0.1])
-        expected = ((0, 3), (1, 2, 4))
-        assert tuple(g for g in _overlapping_groups(z, radii) if len(g) >= 2) == expected
-        assert _groups(z, radii) == expected
-
-    @pytest.mark.parametrize("coefficients", [(1e300, 1e-300), (1e308, 1e308, 1e-308)])
-    def test_coefficient_ratio_past_binary64_range_raises(self, coefficients):
-        # c_0/c_n overflows: a DomainError naming the ratio, not a numpy
-        # warning and NaN roots.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DomainError, match=f"c_0/c_{len(coefficients) - 1} overflows"):
-                find_roots(Polynomial(coefficients))
-
-    def test_requires_degree_at_least_one(self):
-        with pytest.raises(DomainError):
-            find_roots(Polynomial((2.0,)))
+        fields = [f.name for f in dataclasses.fields(sendov_lab.RootResult)]
+        assert fields == ["roots", "radii", "converged", "iterations"]
 
 
 class TestSendovInstance:
@@ -969,7 +675,10 @@ class TestKernelStages:
         at, repeated = np.array([a]), np.empty((1, 0), dtype=complex)
         zeta = np.unique(np.concatenate([[complex(a)], row]))[None]
         free, radii, _ = poly._free_points(zeta, np.ones(zeta.shape))
-        met = [i for group in _groups(free[0], radii[0]) for i in group]
+        # A disc lies in a group of two or more exactly when it meets another.
+        meets = poly._discs_meet(np.abs(free[0, :, None] - free[0]), radii[0, :, None] + radii[0])
+        np.fill_diagonal(meets, False)
+        met = np.flatnonzero(meets.any(axis=-1))
         far = np.abs(free[0] - a) * (1.0 + 4.0 * poly._U)
         candidate = far + radii[0] <= (far + 2.0 * radii.sum()).min()
         assert (len(met), candidate[met].sum()) == (meeting, tested)
@@ -991,8 +700,7 @@ class TestKernelStages:
     def test_discs_a_rounding_apart_meet(self):
         # Points 0 and 1 with radii (1 - 2u)/2: the computed gap exceeds
         # r_0 + r_1 by 2u, less than its own roundings, so the discs may
-        # meet, and each reaches 2 * sum(radii), not its own radius.  The
-        # finder's groups take the same rule.
+        # meet, and each reaches 2 * sum(radii), not its own radius.
         r = 0.5 * (1.0 - 2.0 * poly._U)
         free = np.array([[0.0, 1.0]], dtype=complex)
         radii = np.array([[r, r]])
@@ -1001,7 +709,6 @@ class TestKernelStages:
         _, half_width = poly._distance_bracket(at, repeated, free, radii)
         assert half_width[0] >= 2.0 * radii.sum()
         assert half_width == _all_pairs_bracket(at, repeated, free, radii)[1]
-        assert _groups(free[0], radii[0]) == ((0, 1),)
 
     @pytest.mark.parametrize("degree", list(KERNEL_DIGESTS))
     def test_frozen_points_lie_at_the_rounding_floor(self, degree):
@@ -1084,10 +791,11 @@ class TestSweepBudget:
 
 
 class TestRadiusCertificate:
-    """Every float radius of both solvers is at least the exact Weierstrass
+    """Every float radius of the kernel is at least the exact Weierstrass
     radius at the same float points: the rounding slack of
-    ``poly._weierstrass_radii`` and the value bounds of its two callers are
-    checked against exact arithmetic, not against another float version."""
+    ``poly._weierstrass_radii`` and the value bound of ``_inclusion_radii``
+    are checked against exact arithmetic, not against another float
+    version.  The finder's radii are checked so in ``tests/test_roots.py``."""
 
     @pytest.mark.parametrize("case", ["disk", "cluster-1e-9", "near-a-1e-12", "near-extremal"])
     def test_kernel_radii_hold_the_exact_radii(self, case):
@@ -1102,18 +810,6 @@ class TestRadiusCertificate:
         assert zeta.size == row.size + 1
         free, radii, _ = poly._free_points(zeta[None], np.ones((1, zeta.size)))
         assert all(r >= e for r, e in zip(radii[0].tolist(), exact.critical_radii(free[0], zeta)))
-
-    @pytest.mark.parametrize("case", ["wilkinson-10", "far-root"])
-    def test_finder_radii_hold_the_exact_radii(self, case):
-        # Integer roots come back exactly, where p and every exact radius
-        # are 0; the roots 1.1 k do not.
-        if case == "wilkinson-10":
-            p = from_roots([1.1 * k for k in range(1, 11)])
-        else:
-            p = _far_root_polynomial()
-        res = find_roots(p)
-        assert all(r >= e for r, e in zip(res.radii, exact.radii(res.roots, p)))
-
 
 class TestExactReference:
     """tests/exact.py, the truth the tests above check against, checked in

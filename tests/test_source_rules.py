@@ -8,9 +8,9 @@ nothing from ``roots``, whose finder serves only the round-trip criterion
 and its tests, nor the double-double transformations only ``roots`` needs.
 ``roots`` itself imports the sweep loop from ``polynomial``.
 
-*scipy*: no module imports scipy at module level.  The finder's functions
-import it when called, so importing the package, or running a command,
-loads no scipy.
+*scipy*: no module imports scipy at module level.  ``match_roots``, its
+one user, imports it when called, so importing the package, running a
+command or finding roots loads no scipy.
 
 *heavy*: no module imports ``logging`` or ``concurrent.futures``, nor any
 module under them, anywhere, so the kernel's helper thread is a plain
