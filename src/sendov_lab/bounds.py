@@ -424,9 +424,14 @@ def _split(x):
 def _two_product(x, y):
     """(p, e) with p = fl(x * y) and p + e = x * y exactly (Dekker's
     TwoProduct, which needs no fused multiply-add), barring underflow."""
+    return _presplit_two_product(x, y, *_split(y))
+
+
+def _presplit_two_product(x, y, yh, yl):
+    """``_two_product`` given y's ``_split`` (yh, yl), which a loop that
+    multiplies by one y takes once."""
     p = x * y
     xh, xl = _split(x)
-    yh, yl = _split(y)
     return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
 
 

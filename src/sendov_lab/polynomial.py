@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,12 +46,6 @@ _MAX_SWEEPS = 300
 # Complex values in each of the kernel's rows x (g - 1) x g temporaries
 # (4 MB), which sets the rows in one block of sendov_distances.
 _BLOCK_TEMPORARY = 2 ** 18
-# Values in a block's temporaries (rows x g x (g - 1)) from which
-# sendov_distances solves it as two halves on two threads.  On a 2-core
-# Xeon two threads break even between 45k and 80k values: 20 x 64 (80,640
-# values) took 0.86 of its serial time, 65 x 64 0.62 and 2 x 200 0.81, but
-# 10 x 64 (40,320) took 1.05 and 20 x 32 (19,840) 1.42.
-_SPLIT_TEMPORARY = 2 ** 16
 # Unit roundoff of binary64.
 _U = 2.0 ** -53
 # Irrational angular offset keeps each circle of start points off axes and
@@ -246,9 +238,7 @@ def _aberth_corrections(w, zeta, kc, points) -> np.ndarray:
     means all ones).  Q'/Q = sum_j 1/(z - zeta_j) + f'/f gives the Newton
     step f / (f * sum_j 1/(z - zeta_j) + f') at O(g) per point.  Sums run
     along the last axis only, with no matrix products: a point's sums then
-    round the same whatever else is gathered, and no BLAS threads start
-    (``sendov_distances`` may run two halves of a block on two Python
-    threads, each with its own gathers).
+    round the same whatever else is gathered, and no BLAS threads start.
     The points x g temporaries are gathered, and freed, one at a time.
     """
     t, i = points
@@ -526,43 +516,11 @@ def _block_rows(g: int) -> int:
     return max(1, _BLOCK_TEMPORARY // (g * (g - 1)))
 
 
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _brackets(a: float, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(distance, half-width) for rows ``zeta`` of distinct zeros sharing a."""
     rows = zeta.shape[0]
     free = _free_points(zeta, np.ones(zeta.shape))[:2]
     return _distance_bracket(np.full(rows, a), np.empty((rows, 0), np.complex128), *free)
-
-
-def _in_halves(a: float, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_brackets`` of the rows ``zeta``: the second half on a helper
-    thread, the first half here.  The helper hands back its half's value,
-    or the exception that ended it, and is joined before this returns or
-    raises; that exception is raised here."""
-    half = zeta.shape[0] // 2
-    handed = []
-
-    def helper_half():
-        try:
-            handed.append(_brackets(a, zeta[half:]))
-        except BaseException as exc:
-            handed.append(exc)
-
-    helper = threading.Thread(target=helper_half)
-    helper.start()
-    try:
-        first = _brackets(a, zeta[:half])
-    finally:
-        helper.join()
-    if isinstance(handed[0], BaseException):
-        raise handed[0]
-    return tuple(np.concatenate(pair) for pair in zip(first, handed[0]))
 
 
 def sendov_distances(a: float, other_zeros) -> tuple[np.ndarray, np.ndarray]:
@@ -574,12 +532,7 @@ def sendov_distances(a: float, other_zeros) -> tuple[np.ndarray, np.ndarray]:
     rows whose zeros are all distinct run through the same kernel in
     blocks whose temporaries hold at most max(2**18, g(g - 1)) values each
     for g zeros a row (see ``_block_rows``: a block is at least one row),
-    and a row with a repeated zero runs through ``critical_report`` itself,
-    on the calling thread.  When the process may run on two or more CPUs, a
-    block of two or more rows whose temporaries hold at least 2**16 values
-    (``_SPLIT_TEMPORARY``) is solved as two halves, one on a helper thread
-    that is joined before the next block starts: the two halves together
-    hold the one block's temporaries, so the memory bound is unchanged.
+    and a row with a repeated zero runs through ``critical_report`` itself.
     """
     a, others = _sendov_zeros(a, other_zeros, ndim=2)
     rows, g = others.shape[0], others.shape[1] + 1
@@ -595,7 +548,6 @@ def sendov_distances(a: float, other_zeros) -> tuple[np.ndarray, np.ndarray]:
     block = _block_rows(g)
     for start in range(0, distinct.size, block):
         t = distinct[start:start + block]
-        split = t.size >= 2 and t.size * g * (g - 1) >= _SPLIT_TEMPORARY and _cpus() >= 2
-        distance[t], radius[t] = (_in_halves if split else _brackets)(a, zeros[t])
+        distance[t], radius[t] = _brackets(a, zeros[t])
     return distance, radius
 

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import DomainError, _require_finite_complex, _two_product, _two_sum
+from .bounds import DomainError, _presplit_two_product, _require_finite_complex, _split, _two_sum
 from .polynomial import _ANGULAR_OFFSET, _U, _sweeps, _weierstrass_radii
 
 __all__ = [
@@ -128,19 +128,21 @@ def from_roots(roots: Sequence[complex]) -> Polynomial:
     return Polynomial(tuple(c[0].tolist()), tuple(c[1].tolist()))
 
 
-def _product_matrix(y) -> np.ndarray:
-    """The real 2 x 2 matrix of each complex y, as ``_complex_product``
-    reads it; a loop that multiplies by one y builds it once."""
-    return np.stack([y.real, y.imag, -y.imag, y.real], axis=-1).reshape(*np.shape(y), 2, 2)
+def _product_matrix(y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The real 2 x 2 matrix of each complex y and its Veltkamp halves, as
+    ``_complex_product`` reads them; a loop that multiplies by one y builds
+    them once."""
+    matrix = np.stack([y.real, y.imag, -y.imag, y.real], axis=-1).reshape(*np.shape(y), 2, 2)
+    return (matrix, *_split(matrix))
 
 
-def _complex_product(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _complex_product(x: np.ndarray, y: tuple) -> tuple[np.ndarray, np.ndarray]:
     """(s, e) with s + e = x * y up to a few u^2 |x| |y|, for a complex array
     x and the ``_product_matrix`` of a complex y that broadcasts against it
-    (TwoProdCplx of Graillat & Menissier-Morain 2012): ``bounds._two_product``
-    makes the four real products exact and ``_two_sum`` the two sums,
-    barring under- and overflow."""
-    p, e = _two_product(x.view(np.float64).reshape(*x.shape, 2, 1), y)
+    (TwoProdCplx of Graillat & Menissier-Morain 2012): ``bounds``' Dekker
+    product makes the four real products exact and ``_two_sum`` the two
+    sums, barring under- and overflow."""
+    p, e = _presplit_two_product(x.view(np.float64).reshape(*x.shape, 2, 1), *y)
     p, e = p.view(np.complex128), e.view(np.complex128)
     s, f = _two_sum(p[..., 0, 0], p[..., 1, 0])
     return s, f + e[..., 0, 0] + e[..., 1, 0]

@@ -458,11 +458,10 @@ def fuzz_sendov(a: float, degree: int, trials: int, seed: int = DEFAULT_SEED) ->
     The trials are drawn and checked a block at a time by
     ``sendov_distances``, one kernel call per block of rows whose
     temporaries hold at most 2**18 values, so memory stays that of one
-    block however many trials run; a block that the kernel solves as two
-    halves on two threads holds the same temporaries between them.  Each
-    trial's distance bracket is bit for bit what ``critical_report`` gives
-    for that trial alone, so no result depends on the number of trials or
-    on the block a trial falls in.
+    block however many trials run.  Each trial's distance bracket is bit
+    for bit what ``critical_report`` gives for that trial alone, so no
+    result depends on the number of trials or on the block a trial falls
+    in.
     """
     a = bounds._real_in("a", a, 0, 1)
     degree = bounds._int_in("degree", degree, 2, 200)

@@ -86,6 +86,21 @@ REJECTED = [
     row(lambda: SendovInstance(0.5, (1.5,)), "modulus", "instance_zero_outside"),
     row(lambda: SendovInstance(0.5, (complex("nan"),)), "finite", "instance_nan_zero"),
     row(lambda: SendovInstance(0.5, ("0.5j", True)), "numbers", "instance_string_and_bool"),
+    # from_json converts no field: a string or a bool stays one.
+    *(row(lambda text=text: SendovInstance.from_json(text), fragment, f"from_json_{name}")
+      for text, fragment, name in (
+          ('{"a": "0.5", "zeros": [[0, 0]]}', "^a must be a real number, got '0.5'$", "string_a"),
+          ('{"a": true, "zeros": [[0, 0]]}', "^a must be a real number, got True$", "bool_a"),
+          ('{"a": 0.5, "zeros": [[true, false]]}', "^zeros must be rows of numbers", "bool_zero"),
+          ('{"a": 0.5, "zeros": [["0.1", 0]]}', "^zeros must be rows of numbers", "string_zero"),
+          ('{"a": 0.5, "zeros": [[0, null]]}', "^zeros must be rows of numbers", "null_zero"),
+          ('{"a": 0.5, "zeros": 5}', "^zeros must be rows of numbers", "number_zeros"),
+          ('{"a": 0.5, "zeros": [[0.1]]}', r"^each zero must be a row \[re, im\]",
+           "one_component"),
+          ('{"a": 0.5, "zeros": [[0.1, 0.2, 0.3]]}', r"^each zero must be a row \[re, im\]",
+           "three_components"),
+          ('{"a": 0.5, "zeros": [[[0.1, 0.2]]]}', "^zeros must be rows of numbers", "nested_row"),
+          ('{"a": 0.5, "zeros": []}', "need at least one other zero", "no_zeros"))),
     row(lambda: Polynomial(()), "a polynomial needs at least one coefficient",
         "polynomial_no_coefficients"),
     row(lambda: Polynomial((1.0, 0.0)), "leading coefficient must be nonzero",

@@ -93,26 +93,6 @@ class TestSendovInstance:
         assert again == inst
         assert again.to_json() == text
 
-    @pytest.mark.parametrize("text", [
-        '{"a": "0.5", "zeros": [[0, 0]]}',
-        '{"a": true, "zeros": [[0, 0]]}',
-        '{"a": 0.5, "zeros": [[true, false]]}',
-        '{"a": 0.5, "zeros": [["0.1", 0]]}',
-        '{"a": 0.5, "zeros": [[0, null]]}',
-        '{"a": 0.5, "zeros": 5}',
-        '{"a": 0.5, "zeros": [[0.1]]}',
-        '{"a": 0.5, "zeros": [[0.1, 0.2, 0.3]]}',
-        '{"a": 0.5, "zeros": [[[0.1, 0.2]]]}',
-    ], ids=["string_a", "bool_a", "bool_zero", "string_zero", "null_zero", "number_zeros",
-            "one_component", "three_components", "nested_row"])
-    def test_from_json_converts_no_field(self, text):
-        with pytest.raises(DomainError):
-            SendovInstance.from_json(text)
-
-    def test_from_json_without_zeros_names_the_degree(self):
-        with pytest.raises(DomainError, match="need at least one other zero"):
-            SendovInstance.from_json('{"a": 0.5, "zeros": []}')
-
     def test_degree_and_all_zeros(self):
         inst = SendovInstance(a=0.3, other_zeros=(0.1, -0.2j))
         assert inst.degree == 3
@@ -371,42 +351,21 @@ def _disk_block(rows, degree):
 
 
 class TestSendovDistances:
-    @pytest.mark.parametrize("rows, degree, split", [(20, 64, True), (2, 200, True), (20, 32, False)])
-    def test_block_bytes_do_not_depend_on_the_cpus(self, monkeypatch, rows, degree, split):
-        # With two CPUs a block whose temporaries hold at least
-        # _SPLIT_TEMPORARY values runs as two halves on two threads; either
-        # way every row is critical_report's, bit for bit, also when the
-        # threads hand over the interpreter lock every microsecond.
+    @pytest.mark.parametrize("rows, degree", [(20, 64), (2, 200), (20, 32)])
+    def test_block_bytes_match_critical_report(self, rows, degree):
+        # Every row of a block is critical_report's, bit for bit.
         a, others = _disk_block(rows, degree)
-        halves = []
-
-        def counted(a, zeta):
-            halves.append(zeta.shape[0])
-            return in_halves(a, zeta)
-
-        in_halves = poly._in_halves
-        monkeypatch.setattr(poly, "_in_halves", counted)
         alone = [critical_report(SendovInstance(a, tuple(row.tolist()))) for row in others]
         expected = (np.array([rep.sendov_distance for rep in alone]).tobytes()
                     + np.array([rep.distance_radius for rep in alone]).tobytes())
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for cpus in (1, 2):
-                monkeypatch.setattr(poly, "_cpus", lambda: cpus)
-                distance, radius = poly.sendov_distances(a, others)
-                assert distance.tobytes() + radius.tobytes() == expected, cpus
-        finally:
-            sys.setswitchinterval(interval)
-        assert halves == ([rows] if split else [])
+        distance, radius = poly.sendov_distances(a, others)
+        assert distance.tobytes() + radius.tobytes() == expected
 
-    def test_helper_half_keeps_its_own_numpy_error_state(self, monkeypatch):
-        # A new thread starts with numpy's default error state, not its
-        # caller's, so only the stages' own np.errstate blocks keep the
-        # helper quiet.  The helper hands any exception back to the caller,
-        # so a warning it raises as an error fails here.  Rows 3 and 15, one
-        # in each half, hold two zeros a subnormal distance apart, whose
-        # reciprocals overflow.
+    def test_subnormal_gap_rows_give_no_warning_in_a_block(self):
+        # Rows 3 and 15 of a 20-row block hold two zeros a subnormal
+        # distance apart, whose reciprocals overflow: the stages' own
+        # np.errstate blocks keep the kernel quiet, and each row is still
+        # critical_report's.
         a, others = _disk_block(20, 64)
         others[[3, 15], :2] = [0.5, complex(0.5, 2.2250738585e-313)]
         alone = [critical_report(SendovInstance(a, tuple(row.tolist()))) for row in others]
@@ -414,48 +373,19 @@ class TestSendovDistances:
                     + np.array([rep.distance_radius for rep in alone]).tobytes())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for cpus in (1, 2):
-                monkeypatch.setattr(poly, "_cpus", lambda: cpus)
-                distance, radius = poly.sendov_distances(a, others)
-                assert distance.tobytes() + radius.tobytes() == expected, cpus
+            distance, radius = poly.sendov_distances(a, others)
+        assert distance.tobytes() + radius.tobytes() == expected
 
-    def test_error_in_the_helper_half_reaches_the_caller(self, monkeypatch):
-        # Row 15 of 20 lies in the second half, which the helper thread
-        # solves; its error must be raised by sendov_distances, not lost
-        # with half the rows left unset.
-        a, others = _disk_block(20, 64)
-        marked = np.sort(np.concatenate([[complex(a)], others[15]]))
-        raised_on = []
-
-        def failing(zeta, k):
-            if (zeta == marked).all(axis=-1).any():
-                raised_on.append(threading.current_thread())
-                raise ArithmeticError("marked row")
-            return free_points(zeta, k)
-
-        free_points = poly._free_points
-        monkeypatch.setattr(poly, "_free_points", failing)
-        monkeypatch.setattr(poly, "_cpus", lambda: 2)
-        threads = threading.active_count()
-        with pytest.raises(ArithmeticError, match="marked row"):
-            poly.sendov_distances(a, others)
-        assert len(raised_on) == 1 and raised_on[0] is not threading.current_thread()
-        assert threading.active_count() == threads
-
-    def test_one_cpu_or_one_row_starts_no_thread(self, monkeypatch):
+    def test_no_call_starts_a_thread(self, monkeypatch):
         def no_thread(*args, **kwargs):
             raise AssertionError("a thread started")
 
         monkeypatch.setattr(threading, "Thread", no_thread)
-        a, others = _disk_block(20, 64)
-        monkeypatch.setattr(poly, "_cpus", lambda: 1)
+        a, others = _disk_block(65, 64)
         poly.sendov_distances(a, others)
-        monkeypatch.setattr(poly, "_cpus", lambda: 2)
+        poly.sendov_distances(a, _disk_block(2, 200)[1])
         _, row = _disk_block(1, 200)
-        poly.sendov_distances(a, row)
         critical_report(SendovInstance(a, tuple(row[0].tolist())))
-        with pytest.raises(AssertionError, match="a thread started"):
-            poly.sendov_distances(a, others)
 
     @pytest.mark.parametrize("a, others", [
         (0.3, [[0.3, 0.5j, -0.5], [0.2, 0.2, 0.9j], [0.1 + 0.1j, -0.4, 0.6j],

@@ -13,10 +13,10 @@ one user, imports it when called, so importing the package, running a
 command or finding roots loads no scipy.
 
 *heavy*: no module imports ``logging`` or ``concurrent.futures``, nor any
-module under them, anywhere, so the kernel's helper thread is a plain
-``threading.Thread``.  concurrent.futures imports logging, which costs
-2.8 ms of import and adds 0.64-0.93 MB of peak RSS to a run, more than the
-0.2-0.35 MB that fuzz-matrix peak_rss_mb spreads over runs of one commit.
+module under them, anywhere.  concurrent.futures imports logging, which
+costs 2.8 ms of import and adds 0.64-0.93 MB of peak RSS to a run, more
+than the 0.2-0.35 MB that fuzz-matrix peak_rss_mb spreads over runs of one
+commit.
 
 *libm*: the verifier's numbers never come from numpy's SIMD
 transcendentals, which round differently from libm on a few percent of

@@ -36,9 +36,7 @@ on that round's rows that share a (all but the near-extremal ones), and
 the script prints how many of those rows get the (distance, half-width)
 bytes of the same tree's ``critical_report``; it exits 1 on any that do
 not.  A row with a repeated zero goes through ``critical_report`` there
-too, while the others run as one block of the kernel; at degrees 128 and
-200 that block's temporaries pass ``_SPLIT_TEMPORARY``, and on two or more
-CPUs it runs as two halves on two threads.
+too, while the others run through the kernel in blocks.
 
 ``pinned_rows`` gives the rows, one block per degree, on which the tests
 pin the kernel's output bytes; it draws five of its families by the same
