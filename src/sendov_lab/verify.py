@@ -273,9 +273,17 @@ def _suite(grid: np.ndarray, per_a: _PerA) -> list[VerificationOutcome]:
     # Shape facts need even spacing: uniform grid only.  mu2 is increasing
     # but loses convexity near a = 0.998, so convexity is asserted for mu1.
     mu1_g, mu2_g = mu1[:len(grid)], mu2[:len(grid)]
-    # Elementary log lemmas on their own x-grids (independent of a).
-    x_unit = np.arange(1.0, 1001.0) * 1e-3  # (0, 1]
-    x_wide = np.arange(1.0, 1001.0) * 4e-3  # (0, 4]
+    # Elementary log lemmas on their own x-grids, independent of a: 1000
+    # steps of 1e-3 over (0, 1] and of 4e-3 over (0, 4].  Each margin
+    # increases strictly in x, with derivative (1-x)/(2(1+x)), x/(1+x)^2 and
+    # x/(1+x), positive inside the grids, so each is least at its grid's
+    # first x, every other x's strictly larger: only x = 1e-3 and 4e-3 are
+    # computed, and the outcome counts all 3000 samples.  The floats keep
+    # the order: each first margin lies at least 2.3e-5 below its grid's
+    # second one, and so below all the others, while every margin is below
+    # 5 and rounds by a few ulps.
+    x_unit = np.array([1e-3])
+    x_wide = np.array([4e-3])
     log1p_wide = bounds._libm(math.log1p, x_wide)
 
     per_check = {
@@ -329,6 +337,9 @@ def _suite(grid: np.ndarray, per_a: _PerA) -> list[VerificationOutcome]:
         check_id: _min_outcome(check_id, margins, locations, notes)
         for check_id, (margins, locations, notes) in per_check.items()
     }
+    outcomes["bounds.lemma_log_bounds"] = replace(
+        outcomes["bounds.lemma_log_bounds"], samples=3000
+    )
     outcomes["bounds.d_contraction"] = replace(
         outcomes["bounds.d_contraction"], samples=len(pts) * len(x_set)
     )
@@ -374,16 +385,41 @@ def verify_estimate_chain(grid_step: float = 1e-3) -> list[VerificationOutcome]:
 
 def _chain(per_a: _PerA) -> list[VerificationOutcome]:
     """verify_estimate_chain's checks on the a-grid of per_a."""
-    # Each quantity is one bounds call on the whole grid, bit for bit the
-    # scalar call at each point; every power and log is a libm call, and
-    # each one shared by several quantities is mapped once per pass: a^3
-    # and log K' come with per_a, which verify_pass shares with the suite.
+    # Each quantity is one bounds call on the grid, bit for bit the scalar
+    # call at each point; every power and log is a libm call, and each one
+    # shared by several quantities is mapped once per pass: a^3 and log K'
+    # come with per_a, which verify_pass shares with the suite.
     a, c, gamma, a3 = per_a.a, per_a.c, per_a.gamma, per_a.a3
-    a2, a4 = (bounds._libm(pow, a, k) for k in (2, 4))
     log_a16 = bounds._libm(math.log, a / 16.0)
-    n0 = bounds.n0(a)
-    n1_branch = bounds._n1_branch(a)
-    ratio = bounds._n2_ratio(a, c, log_a16)
+    # The four threshold links' margins M decrease strictly in a on (0, 1),
+    # so each is least at the grid's last a, every other a's strictly
+    # larger: their quantities are computed there only (the slices below),
+    # and their outcomes count the whole grid.  With u = 1/a^2:
+    # * n0 link: M = 1280 u^2 - 32 u log(40 u), dM/du = 2560 u - 32 log(40 u)
+    #   - 32, about 2,410 at u = 1, and d^2M/du^2 = 2560 - 32/u > 0, so
+    #   dM/du > 0 for every u >= 1.
+    # * n1 link: M = 324/a^2 - 9((4+2a)/a)^2 = 180/a^2 - 144/a - 36, and
+    #   M' = (144 a - 360)/a^3 < 0.
+    # * n2 link: M = 5760/a^2 - 9 rho^2, rho = log(16/a)/log(10(1+a)/(a(a+9)))
+    #   > 1, and rho' > 0 iff log(1.6(a+9)/(1+a)) > 8a log(16/a)/((1+a)(a+9)):
+    #   the left side is at least log 8 = 2.08, the right side at most
+    #   (22.2a + 2.95)/(9 + 10a) <= 1.33.
+    # * threshold link: M is the least of 5760/a^4 - n0, 5760/a^4 - 9((4+2a)/a)^2
+    #   and 5760/a^4 - 9 rho^2, and each decreases strictly: |n0'| =
+    #   64(log(40/a^2) + 1)/a^3 and |n1'| = 72(4+2a)/a^3 are both below
+    #   |(5760/a^4)'| = 23040/a^5, and 9 rho^2 increases.
+    # The floats keep the order: |M'| is at least 4,819, 216, 11,665 and
+    # about 22,600 on (0, 1), so on the finest grid (1e-5) the last a's
+    # margin lies at least 2.2e-3 below the one before it, and so below all
+    # the others, while near a = 1 the margins' terms are below 6,000 and
+    # round by a few ulps.  Where the terms are large, |M'| is at least
+    # 2T/(3a), T the leading term (1280/a^4, 324/a^2, 5760/a^2, 5760/a^4),
+    # so a step still moves M by over 6e-6 T.
+    last_a, last_c = a[-1:], c[-1:]
+    a2, a4 = (bounds._libm(pow, last_a, k) for k in (2, 4))
+    n0 = bounds.n0(last_a)
+    n1_branch = bounds._n1_branch(last_a)
+    ratio = bounds._n2_ratio(last_a, last_c, log_a16[-1:])
     r, r_prime = bounds.r_param(a, c)
     alpha_prime = bounds._alpha(a, c, r_prime, log_a16)
     log_kp = np.minimum(per_a.log_k1, per_a.log_k2)
@@ -396,42 +432,51 @@ def _chain(per_a: _PerA) -> list[VerificationOutcome]:
     )
 
     per_check = {
-        "chain.n3_exact_le_estimate": (n3_estimate - n3_exact, "n3_estimate(a) - n3_exact(a)"),
-        "chain.n0_le_1280_over_a4": (1280.0 / a4 - n0, "1280/a^4 - n0(a)"),
+        "chain.n3_exact_le_estimate": (
+            n3_estimate - n3_exact, a, "n3_estimate(a) - n3_exact(a)"
+        ),
+        "chain.n0_le_1280_over_a4": (1280.0 / a4 - n0, last_a, "1280/a^4 - n0(a)"),
         "chain.n1_le_max_324_over_a2": (
-            324.0 / a2 - n1_branch, "324/a^2 - 9((4+2a)/a)^2"
+            324.0 / a2 - n1_branch, last_a, "324/a^2 - 9((4+2a)/a)^2"
         ),
         "chain.n2_le_max_5760_over_a2": (
             5760.0 / a2 - 9.0 * bounds._libm(pow, ratio, 2),
+            last_a,
             "5760/a^2 - 9(log(a/16)/log(c/(1+a)))^2 at c = a*gamma",
         ),
         # max{n0, n1, n2} with n1 and n2 as bounds.n1 and bounds.n2 form them:
         # each is the max of its branch and n0.
         "chain.thresholds_le_5760_over_a4": (
             5760.0 / a4 - np.maximum(np.maximum(n0, n1_branch), 9.0 * ratio * ratio),
+            last_a,
             "5760/a^4 - max{n0, n1, n2}",
         ),
         "chain.alpha_prime_le_32_over_a_log": (
             32.0 / (a * bounds._libm(math.log, 1.0 / a)) - alpha_prime,
+            a,
             "32/(a log(1/a)) - alpha(a, c, r')",
         ),
         "chain.log_k_prime_gt_min_branch": (
             log_kp - min_branch,
+            a,
             "log K' - min{a^2 g/(4(4+2a)), a^2 (1-a) g/(4(4-2a))}, g = gamma",
         ),
         "chain.min_branch_ge_a3_floor": (
             min_branch - a3 * (1.0 - a) / 16.0,
+            a,
             "min{a^2 g/(4(4+2a)), a^2 (1-a) g/(4(4-2a))} - a^3(1-a)/16",
         ),
         "chain.n3_estimate_le_headline": (
-            headline - n3_estimate, "20800/(a^7 (1-a)^4) - n3_estimate(a)"
+            headline - n3_estimate, a, "20800/(a^7 (1-a)^4) - n3_estimate(a)"
         ),
-        "chain.end_to_end": (headline - n3_exact, "20800/(a^7 (1-a)^4) - n3_exact(a)"),
+        "chain.end_to_end": (headline - n3_exact, a, "20800/(a^7 (1-a)^4) - n3_exact(a)"),
     }
-    return [
-        _min_outcome(check_id, margins, a, notes)
-        for check_id, (margins, notes) in per_check.items()
+    outcomes = [
+        _min_outcome(check_id, margins, locations, notes)
+        for check_id, (margins, locations, notes) in per_check.items()
     ]
+    # A link computed at the last a only stands for every a of the grid.
+    return [o if o.samples == len(a) else replace(o, samples=len(a)) for o in outcomes]
 
 
 def verify_pass(grid_step: float = 1e-3, seed: int = DEFAULT_SEED) -> list[VerificationOutcome]:

@@ -11,6 +11,7 @@ added unless the message names the entry's a.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -150,6 +151,12 @@ REJECTED = [
       for bad in (5e-324, 1e-12, 9.99e-6)),
     row(lambda: run_inequality_suite(grid_step=np.array([0.01])), "grid_step must be a real number",
         "grid_step_array"),
+    *(row(lambda bad=bad: run_inequality_suite(grid_step=0.01, seed=bad),
+          f"^seed must be a non-negative integer, got {re.escape(repr(bad))}$",
+          f"suite_seed_{bad!r}") for bad in (-1, 1.5, True, None)),
+    *(row(lambda bad=bad: fuzz_sendov(0.5, 4, 10, seed=bad),
+          f"^seed must be a non-negative integer, got {re.escape(repr(bad))}$",
+          f"fuzz_seed_{bad!r}") for bad in (-1, -(2**70), 2.0)),
     # True is an int to Python but not a count; numpy raised on it.
     *(row(lambda bad=bad: run_inequality_suite(extra_random=bad), "extra_random",
           f"extra_random_{bad!r}") for bad in (-1, True, 2.0)),

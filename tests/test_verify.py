@@ -7,6 +7,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -100,11 +101,6 @@ class TestInequalitySuite:
         other = run_inequality_suite(grid_step=0.01, extra_random=20, seed=1)
         assert all(o.passed for o in other)
         assert other != coarse_suite
-
-    @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
-    def test_rejects_bad_seed(self, seed):
-        with pytest.raises(bounds.DomainError, match="seed"):
-            run_inequality_suite(grid_step=0.01, seed=seed)
 
     @pytest.mark.parametrize("step", [0.01, 3e-3, 1e-3, 7e-4, 1e-5])
     def test_grid_bits_equal_the_float_products(self, step):
@@ -249,6 +245,189 @@ class TestDContraction:
         assert calls == [0, 1, 3, 4]
 
 
+def _fields(outcomes):
+    """Each outcome's fields by repr, so that a -0.0 or a last-bit change shows."""
+    return [[repr(getattr(o, f.name)) for f in dataclasses.fields(o)] for o in outcomes]
+
+
+def _threshold_link_margins(grid_step):
+    """The grid, and the four threshold links' margins at every a of it, by
+    check id: each link computed on the whole grid by bounds' array forms."""
+    a = verify._grid(grid_step)
+    c = bounds.aux_params(a).c
+    a2, a4 = (bounds._libm(pow, a, k) for k in (2, 4))
+    n0 = bounds.n0(a)
+    n1_branch = bounds._n1_branch(a)
+    ratio = bounds._n2_ratio(a, c, bounds._libm(math.log, a / 16.0))
+    return a, {
+        "chain.n0_le_1280_over_a4": 1280.0 / a4 - n0,
+        "chain.n1_le_max_324_over_a2": 324.0 / a2 - n1_branch,
+        "chain.n2_le_max_5760_over_a2": 5760.0 / a2 - 9.0 * bounds._libm(pow, ratio, 2),
+        "chain.thresholds_le_5760_over_a4": (
+            5760.0 / a4 - np.maximum(np.maximum(n0, n1_branch), 9.0 * ratio * ratio)
+        ),
+    }
+
+
+def _log_lemma_margins():
+    """The log lemmas' x-grids and margins at every x of them: 1000 steps of
+    1e-3 over (0, 1], and of 4e-3 over (0, 4] twice."""
+    x_unit = np.arange(1.0, 1001.0) * 1e-3
+    x_wide = np.arange(1.0, 1001.0) * 4e-3
+    log1p_wide = bounds._libm(math.log1p, x_wide)
+    return [x_unit, x_wide, x_wide], [
+        bounds._libm(math.log1p, x_unit) - x_unit / 2.0,
+        log1p_wide - x_wide / (1.0 + x_wide),
+        x_wide - log1p_wide,
+    ]
+
+
+def _proof_points():
+    """a over (0, 1) at the working precision: 999 even steps, and points
+    within 1e-12 of either end."""
+    ten = mpmath.mpf(10)
+    return ([ten ** -k for k in range(3, 13)] + [mpmath.mpf(k) / 1000 for k in range(1, 1000)]
+            + [1 - ten ** -k for k in range(4, 13)])
+
+
+def _rho(a):
+    """log(16/a)/log(10(1+a)/(a(a+9))): n2's ratio at c = a*gamma."""
+    return mpmath.log(16 / a) / mpmath.log(10 * (1 + a) / (a * (a + 9)))
+
+
+def _rho_slope(a):
+    """rho'(a) by the quotient rule."""
+    top, bottom = mpmath.log(16 / a), mpmath.log(10 * (1 + a) / (a * (a + 9)))
+    return (-bottom / a - top * (1 / (1 + a) - 1 / a - 1 / (a + 9))) / bottom ** 2
+
+
+class TestMonotoneChecks:
+    """verify computes the chain's four threshold links at the grid's last a
+    and the log lemmas at the first x of their grids, where each margin is
+    least (the proofs are in verify._chain and verify._suite).  Here: the
+    proofs' facts in Fractions or at 50 digits, and the outcomes of every
+    sample's margin."""
+
+    def test_n1_link_identity(self):
+        # 324/a^2 - 9((4+2a)/a)^2 = 180/a^2 - 144/a - 36, whose derivative
+        # (144a - 360)/a^3 is negative on (0, 1), exactly at float a's.
+        grid = verify._grid(1e-5)
+        rng = np.random.default_rng(48)
+        for a in np.concatenate([grid[:20], grid[-20:], rng.uniform(0.0, 1.0, 20)]).tolist():
+            fa = Fraction(a)
+            margin = 180 / fa**2 - 144 / fa - 36
+            assert 324 / fa**2 - 9 * ((4 + 2 * fa) / fa) ** 2 == margin, a
+            assert -360 / fa**3 + 144 / fa**2 == (144 * fa - 360) / fa**3 < 0, a
+
+    def test_n0_link_rises_in_u(self):
+        # M = 1280u^2 - 32u log(40u), u = 1/a^2: dM/du = 2560u - 32 log(40u) - 32
+        # is about 2,410 at u = 1 and grows, as d^2M/du^2 = 2560 - 32/u > 0.
+        with mpmath.workdps(exact.DPS):
+            def margin(u):
+                return 1280 * u**2 - 32 * u * mpmath.log(40 * u)
+
+            def slope(u):
+                return 2560 * u - 32 * mpmath.log(40 * u) - 32
+
+            assert 2409 < slope(1) < 2411
+            for a in _proof_points():
+                u = 1 / a**2
+                assert slope(u) > 0 and 2560 - 32 / u > 0, a
+            for u in (1, 2, 100, mpmath.mpf(10) ** 6):
+                assert mpmath.almosteq(mpmath.diff(margin, u), slope(u), 1e-30), u
+
+    def test_n2_ratio_increases(self):
+        # rho > 1, and rho' > 0 iff log(1.6(a+9)/(1+a)) > 8a log(16/a)/((1+a)(a+9)):
+        # the left side is at least log 8, the right at most
+        # (22.2a + 2.95)/(9 + 10a) <= 1.33.
+        with mpmath.workdps(exact.DPS):
+            points = _proof_points()
+            for a in points:
+                left = mpmath.log(mpmath.mpf("1.6") * (a + 9) / (1 + a))
+                right = 8 * a * mpmath.log(16 / a) / ((1 + a) * (a + 9))
+                cap = (mpmath.mpf("22.2") * a + mpmath.mpf("2.95")) / (9 + 10 * a)
+                assert left >= mpmath.log(8) > mpmath.mpf("1.33") >= cap >= right, a
+                assert _rho(a) > 1 and _rho_slope(a) > 0, a
+            for a in points[::100]:
+                assert mpmath.almosteq(mpmath.diff(_rho, a), _rho_slope(a), 1e-30), a
+
+    def test_threshold_branches_fall_slower_than_its_bound(self):
+        # |n0'| = 64(log(40/a^2) + 1)/a^3 and |n1'| = 72(4+2a)/a^3 are below
+        # |(5760/a^4)'| = 23040/a^5, so 5760/a^4 - n0 and 5760/a^4 - n1 decrease.
+        with mpmath.workdps(exact.DPS):
+            def n0(a):
+                return 32 * mpmath.log(40 / a**2) / a**2
+
+            def n1_branch(a):
+                return 9 * ((4 + 2 * a) / a) ** 2
+
+            def n0_fall(a):
+                return 64 * (mpmath.log(40 / a**2) + 1) / a**3
+
+            def n1_fall(a):
+                return 72 * (4 + 2 * a) / a**3
+
+            points = _proof_points()
+            for a in points:
+                assert max(n0_fall(a), n1_fall(a)) < 23040 / a**5, a
+            for a in points[::100]:
+                assert mpmath.almosteq(mpmath.diff(n0, a), -n0_fall(a), 1e-30), a
+                assert mpmath.almosteq(mpmath.diff(n1_branch, a), -n1_fall(a), 1e-30), a
+
+    def test_margins_fall_fast_enough_for_binary64(self):
+        # |M'| is at least 4,819, 216, 11,665 and 22,600 for the n0, n1, n2
+        # and threshold links, and at least 2T/(3a), T the margin's leading term.
+        with mpmath.workdps(exact.DPS):
+            for a in _proof_points():
+                u = 1 / a**2
+                n0_fall = 64 * (mpmath.log(40 * u) + 1) / a**3
+                rho_rise = 18 * _rho(a) * _rho_slope(a)
+                falls = {
+                    "n0": (2 / a**3 * (2560 * u - 32 * mpmath.log(40 * u) - 32), 4819, 1280 * u**2),
+                    "n1": ((360 - 144 * a) / a**3, 216, 324 * u),
+                    "n2": (11520 / a**3 + rho_rise, 11665, 5760 * u),
+                    "thresholds": (
+                        23040 / a**5 - max(n0_fall, 72 * (4 + 2 * a) / a**3), 22600, 5760 * u**2
+                    ),
+                }
+                for link, (fall, floor, term) in falls.items():
+                    assert fall >= floor and fall >= 2 * term / (3 * a), (link, a)
+
+    def test_log_lemma_slopes(self):
+        # The margins' derivatives (1-x)/(2(1+x)), x/(1+x)^2 and x/(1+x) are
+        # positive inside the grids (the first is 0 at x = 1, their end).
+        lemmas = (
+            (lambda x: mpmath.log1p(x) - x / 2, lambda x: (1 - x) / (2 * (1 + x))),
+            (lambda x: mpmath.log1p(x) - x / (1 + x), lambda x: x / (1 + x) ** 2),
+            (lambda x: x - mpmath.log1p(x), lambda x: x / (1 + x)),
+        )
+        with mpmath.workdps(exact.DPS):
+            for (margin, slope), top in zip(lemmas, (1, 4, 4)):
+                for x in (mpmath.mpf(k) * top / 1000 for k in range(1, 1001)):
+                    assert slope(x) > 0 or x == 1, x
+                    if x * 1000 % 97 == 0:
+                        assert mpmath.almosteq(mpmath.diff(margin, x), slope(x), 1e-30), x
+
+    @pytest.mark.parametrize("grid_step", [1e-2, 4e-3, 1e-3, 1e-4, 1e-5])
+    def test_threshold_links_equal_their_full_grid(self, grid_step):
+        chain = {o.check_id: o for o in verify_estimate_chain(grid_step)}
+        a, links = _threshold_link_margins(grid_step)
+        for check_id, margins in links.items():
+            assert int(np.argmin(margins)) == len(a) - 1, check_id
+            full = verify._min_outcome(check_id, margins, a, chain[check_id].notes)
+            assert _fields([full]) == _fields([chain[check_id]])
+
+    def test_log_lemmas_equal_their_full_x_grids(self, coarse_suite):
+        o = next(o for o in coarse_suite if o.check_id == "bounds.lemma_log_bounds")
+        grids, margins = _log_lemma_margins()
+        for lemma in margins:
+            assert int(np.argmin(lemma)) == 0
+            assert lemma[1] - lemma[0] >= 2.3e-5
+        full = verify._min_outcome(o.check_id, np.concatenate(margins), np.concatenate(grids),
+                                   o.notes)
+        assert _fields([full]) == _fields([o])
+
+
 class TestWorkPerPass:
     """How much libm, screen and confirm work a default verify pass does: a
     shared quantity mapped twice, a screen wider than it needs, or a screen
@@ -268,7 +447,10 @@ class TestWorkPerPass:
         monkeypatch.setattr(bounds, "_libm", counted)
         assert main(["verify", "--seed", "5"]) == 0
         capsys.readouterr()
-        assert (len(maps), sum(maps)) == (22, 22_380)
+        # Eight maps take one entry: six for the chain's threshold links at
+        # the last a, two for the log lemmas at the first x of their grids.
+        assert (len(maps), sum(maps)) == (22, 14_394)
+        assert maps.count(1) == 8
 
     def test_d_screen_takes_the_two_end_columns(self, capsys, monkeypatch):
         # D decreases in x, so only the first and the last x can hold an
@@ -288,13 +470,9 @@ class TestWorkPerPass:
     @pytest.mark.parametrize("grid_step", [0.01, 0.004, 1e-3])
     @pytest.mark.parametrize("seed", [1, 5, DEFAULT_SEED])
     def test_shared_pass_equals_the_three_suites(self, grid_step, seed):
-        # Field by field by repr, so that a -0.0 or a last-bit change shows.
-        def fields(outcomes):
-            return [[repr(getattr(o, f.name)) for f in dataclasses.fields(o)] for o in outcomes]
-
         alone = (run_inequality_suite(grid_step, seed=seed) + verify_limits()
                  + verify_estimate_chain(grid_step))
-        assert fields(verify_pass(grid_step, seed)) == fields(alone)
+        assert _fields(verify_pass(grid_step, seed)) == _fields(alone)
 
     @pytest.mark.parametrize("seed", [1, 5, DEFAULT_SEED])
     def test_d_contraction_confirms_one_sample(self, monkeypatch, seed):
@@ -544,11 +722,6 @@ class TestFuzz:
         peak(100)  # the first call also builds state that numpy keeps
         small, large = peak(100), peak(3000)
         assert large < 1.5 * small, (small, large)
-
-    @pytest.mark.parametrize("seed", [-1, -(2**70), 2.0])
-    def test_rejects_bad_seed(self, seed):
-        with pytest.raises(bounds.DomainError, match="seed"):
-            fuzz_sendov(0.5, 4, 10, seed=seed)
 
 
 def _structured_zeros(degree):
