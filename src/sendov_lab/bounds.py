@@ -31,7 +31,9 @@ array result is bit for bit the float the same call gives on that entry:
 log, log1p and power goes through ``_libm``, a libm call per entry, never
 numpy's SIMD versions.  mu2's exact Newton step is taken in double-double
 on an array and kept where its rounding is certified; the other entries
-take the float call's integer step (see mu2).
+take the float call's integer step (see mu2).  numpy's SIMD transcendentals
+(``_simd``, ``_d_screen``) may screen, never report: they only find the
+samples that the verifier then evaluates with libm.
 """
 
 from __future__ import annotations
@@ -210,6 +212,12 @@ def _libm(fn, x, *args):
         values = map(fn, x.tolist(), *map(itertools.repeat, args))
         return np.fromiter(values, np.float64, count=x.size)
     return fn(x, *args)
+
+
+def _simd(fn, x, *args):
+    """_libm(fn, x, *args) for an array x by numpy's SIMD code, for a screen:
+    each entry within a few ulps of libm's, so no reported value comes from it."""
+    return {math.log: np.log, math.log1p: np.log1p, pow: np.power}[fn](x, *args)
 
 
 def _sqrt(x):
@@ -566,40 +574,41 @@ def alpha_param(a: float, c: float, r_val: float) -> float:
     return _alpha(_check_a(a), c, r_val, None)
 
 
-def _alpha(a: float, c: float, r_val: float, log_a16: float | None) -> float:
-    """alpha_param from log_a16 = log(a/16) at a checked a; c and r_val are
-    checked here.  alpha_param and n3 pass None and the log is taken after
-    the checks: a/16 underflows to 0 only where 1 - c rounds to 1."""
+def _alpha(a: float, c: float, r_val: float, log_a16: float | None, lib=_libm) -> float:
+    """alpha_param from log_a16 = log(a/16) at a checked a, logs by lib (or
+    _simd to screen); c and r_val are checked here.  alpha_param and n3 pass
+    None and the log is taken after the checks: a/16 underflows to 0 only
+    where 1 - c rounds to 1."""
     c = _real_in("c", c, 0, a)
     # (c+r)/(1+cr) = 1 - (1-c)(1-r)/(1+cr), kept in log1p form for accuracy
     # when c -> a -> 1 drives the ratio toward 1.  Below c = 2**-54 (a about
     # 6e-17) 1 - c rounds to 1 and the form takes log1p(-1).
     _require(1.0 - c < 1.0, a, "a={!r} is too small: 1 - c rounds to 1 in binary64")
     r_val = _real_in("r_val", r_val, 0, _each(a, 1))
-    log_ratio = _libm(math.log1p, -(1.0 - c) * (1.0 - r_val) / (1.0 + c * r_val))
+    log_ratio = lib(math.log1p, -(1.0 - c) * (1.0 - r_val) / (1.0 + c * r_val))
     if log_a16 is None:
-        log_a16 = _libm(math.log, a / 16.0)
+        log_a16 = lib(math.log, a / 16.0)
     return log_a16 / log_ratio
 
 
 def _n3_exact(
-    a: float, c: float, r: float, log_kp: float, log_a16: float | None
+    a: float, c: float, r: float, log_kp: float, log_a16: float | None, lib=_libm
 ) -> float:
     """n3_exact from the c, r, log K' and log(a/16) already computed at a
-    checked a; log_a16 is None to take the log inside _alpha, after its checks."""
+    checked a, logs by lib; log_a16 is None to log inside _alpha, after its checks."""
     numerator = (
-        _libm(math.log, (1.0 + a) / (a - c))
-        + _libm(math.log1p, c * (1.0 - a) / (1.0 - c))  # log((1-ac)/(1-c))
-        - _alpha(a, c, r, log_a16) * _libm(math.log, r)
+        lib(math.log, (1.0 + a) / (a - c))
+        + lib(math.log1p, c * (1.0 - a) / (1.0 - c))  # log((1-ac)/(1-c))
+        - _alpha(a, c, r, log_a16, lib) * lib(math.log, r)
     )
     _require(log_kp > 0.0, a, "growth factor not above 1 at a={!r}; no finite threshold")
     return numerator / log_kp + 1.0
 
 
-def _n3_estimate(a: float, a3: float) -> float:
-    """n3_estimate from a3 = pow(a, 3) at a checked a; see n3."""
+def _n3_estimate(a: float, a3: float, lib=_libm) -> float:
+    """n3_estimate from a3 = pow(a, 3) at a checked a, its log by lib; see n3."""
     one_minus_gamma = 0.1 * (1.0 - a)
-    log_inv_a = -_libm(math.log, a)
+    log_inv_a = -lib(math.log, a)
     bracket = 3.0 / (a * one_minus_gamma) + (2.0 / (a3 * one_minus_gamma)) * (
         32.0 / (a * log_inv_a)
     )
@@ -625,8 +634,12 @@ def n3(a: float) -> tuple[float, float]:
 
 def final_bound(a: float) -> float:
     """The headline explicit threshold 20800 / (a^7 (1-a)^4)."""
-    a = _check_a(a)
-    denominator = _libm(pow, a, 7) * _libm(pow, 1.0 - a, 4)
+    return _final_bound(_check_a(a))
+
+
+def _final_bound(a: float, lib=_libm) -> float:
+    """final_bound at a checked a, its powers by lib."""
+    denominator = lib(pow, a, 7) * lib(pow, 1.0 - a, 4)
     return _finite("final_bound", a, _ratio(20800.0, denominator))
 
 

@@ -139,20 +139,23 @@ def _min_outcome(
     return VerificationOutcome(check_id, worst > 0.0, worst, point, margins.size, notes)
 
 
-def _confirmed(screened: np.ndarray, exact_at: Callable[[int], float], tol: float) -> np.ndarray:
-    """The exact minimum of the margins that screened holds to within tol,
-    written over screened: at the first flat index where it falls, and +inf,
-    a margin known only to lie above it, elsewhere.
+def _confirmed(
+    screened: np.ndarray, exact_at: Callable[[int], float], tol: float | np.ndarray
+) -> np.ndarray:
+    """The exact minimum of the margins that screened holds to within tol (a
+    number, or one per entry), written over screened: at the first flat
+    index where it falls, and +inf, a margin known only to lie above it,
+    elsewhere.
 
-    exact_at is called only on the candidates: every flat index whose
-    screened margin is at most min(screened) + 2 tol, or is not finite.  Any
-    other has an exact margin above min(screened) + tol, which is at least
-    the exact margin at the screened minimum, so it can neither be the
-    minimum nor tie it.
+    exact_at is called only on the candidates: every flat index i where
+    screened[i] + tol[i] is not finite or screened[i] - tol[i] <= U =
+    min(screened + tol), which is at least the least exact margin.  Any other
+    has an exact margin above U, so it can neither be the minimum nor tie it.
     """
-    finite = np.isfinite(screened)
-    bound = screened.min(where=finite, initial=math.inf) + 2.0 * tol
-    candidates = np.flatnonzero(~finite | (screened <= bound))
+    reach = screened + tol
+    finite = np.isfinite(reach)
+    least = reach.min(where=finite, initial=math.inf)
+    candidates = np.flatnonzero(~finite | (screened - tol <= least))
     exact = np.array([exact_at(i) for i in candidates.tolist()])
     k = int(np.argmin(exact))
     screened.fill(math.inf)
@@ -164,6 +167,22 @@ def _confirmed(screened: np.ndarray, exact_at: Callable[[int], float], tol: floa
 # this.  The double-double residual errs by at most about 1e-31 (measured),
 # and 1e-9 - r rounds by half an ulp of 1e-9, about 1e-25.
 _MU2_RESIDUAL_TOL = 1e-24
+
+
+# The chain screen's promise: |screened - exact margin| < _CHAIN_SCREEN_REL
+# (|A| + |B|) for a margin A - B of _interior_links.  Both forms do the same
+# + - * / on the same exact per-a values (log K' and a^3 from _per_a), so
+# they part only where numpy's SIMD log, log1p or power errs by a few ulps
+# (u = 2^-53; at most 5.5 u measured on AVX-512) against libm's on the same
+# argument, never another log's or power's result.  Every quantity has terms
+# of one sign: n3_exact's numerator is three positive terms (alpha is a
+# quotient of negative logs, log r < 0); n3_estimate, the headline and
+# 32/(a log(1/a)) are positive sums, products and quotients.  These keep
+# relative deviations additive, so each quantity errs by under 100 u: a few
+# per transcendental (five in n3_exact) and one per operation.  A - B adds
+# one rounding; the bound, about 9,000 u, leaves a factor of 90 for the
+# roundings of tol and of _confirmed's comparison.
+_CHAIN_SCREEN_REL = 1e-12
 
 
 class _PerA(NamedTuple):
@@ -383,14 +402,30 @@ def verify_estimate_chain(grid_step: float = 1e-3) -> list[VerificationOutcome]:
     return _chain(_per_a(_grid(grid_step)))
 
 
+def _interior_links(lib, a, c, r, r_prime, log_kp, a3) -> dict:
+    """(A, B) by check id for the chain links whose margin A - B is least inside
+    the grid, logs and powers by lib: bounds._simd to screen, _libm to confirm."""
+    log_a16 = lib(math.log, a / 16.0)
+    n3_exact = bounds._n3_exact(a, c, r, log_kp, log_a16, lib)
+    n3_estimate = bounds._n3_estimate(a, a3, lib)
+    headline = bounds._final_bound(a, lib)
+    return {
+        "chain.n3_exact_le_estimate": (n3_estimate, n3_exact),
+        "chain.alpha_prime_le_32_over_a_log": (
+            32.0 / (a * lib(math.log, 1.0 / a)), bounds._alpha(a, c, r_prime, log_a16, lib)
+        ),
+        "chain.n3_estimate_le_headline": (headline, n3_estimate),
+        "chain.end_to_end": (headline, n3_exact),
+    }
+
+
 def _chain(per_a: _PerA) -> list[VerificationOutcome]:
     """verify_estimate_chain's checks on the a-grid of per_a."""
-    # Each quantity is one bounds call on the grid, bit for bit the scalar
-    # call at each point; every power and log is a libm call, and each one
-    # shared by several quantities is mapped once per pass: a^3 and log K'
-    # come with per_a, which verify_pass shares with the suite.
+    # Each reported quantity is bit for bit the scalar bounds call at its a,
+    # by libm; a^3 and log K' come with per_a, shared with the suite.  The
+    # _interior_links are screened on the grid by numpy, domain checks and
+    # all, and the a's that could hold each least margin confirmed by libm.
     a, c, gamma, a3 = per_a.a, per_a.c, per_a.gamma, per_a.a3
-    log_a16 = bounds._libm(math.log, a / 16.0)
     # The four threshold links' margins M decrease strictly in a on (0, 1),
     # so each is least at the grid's last a, every other a's strictly
     # larger: their quantities are computed there only (the slices below),
@@ -419,13 +454,17 @@ def _chain(per_a: _PerA) -> list[VerificationOutcome]:
     a2, a4 = (bounds._libm(pow, last_a, k) for k in (2, 4))
     n0 = bounds.n0(last_a)
     n1_branch = bounds._n1_branch(last_a)
-    ratio = bounds._n2_ratio(last_a, last_c, log_a16[-1:])
-    r, r_prime = bounds.r_param(a, c)
-    alpha_prime = bounds._alpha(a, c, r_prime, log_a16)
+    ratio = bounds._n2_ratio(last_a, last_c, bounds._libm(math.log, last_a / 16.0))
     log_kp = np.minimum(per_a.log_k1, per_a.log_k2)
-    n3_exact = bounds._n3_exact(a, c, r, log_kp, log_a16)
-    n3_estimate = bounds._n3_estimate(a, a3)
-    headline = bounds.final_bound(a)
+    links = (a, c, *bounds.r_param(a, c), log_kp, a3)
+    interior = {}
+    for check_id, (big, small) in _interior_links(bounds._simd, *links).items():
+        def libm_margin(i: int, check_id: str = check_id) -> float:
+            exact = _interior_links(bounds._libm, *(v.item(i) for v in links))[check_id]
+            return exact[0] - exact[1]
+
+        tol = _CHAIN_SCREEN_REL * (np.abs(big) + np.abs(small))
+        interior[check_id] = _confirmed(big - small, libm_margin, tol)
     min_branch = np.minimum(
         a * a * gamma / (4.0 * (4.0 + 2.0 * a)),
         a * a * (1.0 - a) * gamma / (4.0 * (4.0 - 2.0 * a)),
@@ -433,7 +472,7 @@ def _chain(per_a: _PerA) -> list[VerificationOutcome]:
 
     per_check = {
         "chain.n3_exact_le_estimate": (
-            n3_estimate - n3_exact, a, "n3_estimate(a) - n3_exact(a)"
+            interior["chain.n3_exact_le_estimate"], a, "n3_estimate(a) - n3_exact(a)"
         ),
         "chain.n0_le_1280_over_a4": (1280.0 / a4 - n0, last_a, "1280/a^4 - n0(a)"),
         "chain.n1_le_max_324_over_a2": (
@@ -452,7 +491,7 @@ def _chain(per_a: _PerA) -> list[VerificationOutcome]:
             "5760/a^4 - max{n0, n1, n2}",
         ),
         "chain.alpha_prime_le_32_over_a_log": (
-            32.0 / (a * bounds._libm(math.log, 1.0 / a)) - alpha_prime,
+            interior["chain.alpha_prime_le_32_over_a_log"],
             a,
             "32/(a log(1/a)) - alpha(a, c, r')",
         ),
@@ -467,9 +506,11 @@ def _chain(per_a: _PerA) -> list[VerificationOutcome]:
             "min{a^2 g/(4(4+2a)), a^2 (1-a) g/(4(4-2a))} - a^3(1-a)/16",
         ),
         "chain.n3_estimate_le_headline": (
-            headline - n3_estimate, a, "20800/(a^7 (1-a)^4) - n3_estimate(a)"
+            interior["chain.n3_estimate_le_headline"], a, "20800/(a^7 (1-a)^4) - n3_estimate(a)"
         ),
-        "chain.end_to_end": (headline - n3_exact, a, "20800/(a^7 (1-a)^4) - n3_exact(a)"),
+        "chain.end_to_end": (
+            interior["chain.end_to_end"], a, "20800/(a^7 (1-a)^4) - n3_exact(a)"
+        ),
     }
     outcomes = [
         _min_outcome(check_id, margins, locations, notes)

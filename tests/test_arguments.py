@@ -141,6 +141,21 @@ REJECTED = [
     row(lambda: fuzz_sendov(0.5, _Index(), 5), "degree must be an integer", "degree_index"),
     row(lambda: fuzz_sendov(0.5, np.True_, 5), "degree must be an integer", "degree_np_bool"),
     row(lambda: bounds.mean_upper_bound(0.5, np.array([10])), "n must be an integer", "n_array"),
+    *(row(lambda bad=bad: bounds.aux_params(bad),
+          rf"^a must lie in \(0, 1\), got {re.escape(repr(bad))}$", f"aux_params_{bad!r}")
+      for bad in (0.0, 1.0, -0.5, 1.5, math.nan, math.inf)),
+    row(lambda: bounds.aux_params(True), "^a must be a real number, got True$", "aux_params_True"),
+    # An int past binary64 range is named by its bit length, as its repr
+    # fails past 4,300 digits.
+    *(row(lambda bad=bad: bounds.mean_upper_bound(0.5, bad),
+          f"^n must be an integer >= 2, got {re.escape(shown)}$", f"mean_upper_bound_n_{name}")
+      for bad, name, shown in ((1, "1", "1"), (0, "0", "0"), (-3, "-3", "-3"),
+                               (True, "True", "True"), (2.0, "2.0", "2.0"),
+                               (-10**5000, "-10**5000", "a negative integer of 16610 bits"))),
+    *(row(lambda bad=bad: bounds.mean_upper_bound(0.5, bad),
+          r"^n must be at most the largest float, 1\.7976931348623157e\+308, "
+          f"got an integer of {bits} bits$", f"mean_upper_bound_n_{name}")
+      for bad, name, bits in ((10**309, "10**309", 1027), (10**400, "10**400", 1329))),
     *(row(lambda bad=bad: run_inequality_suite(grid_step=bad), "grid_step must lie in",
           f"grid_step_{bad!r}") for bad in (0.5, 0.0, -1e-3, math.nan)),
     # Below 1e-5 the grid would not fit in memory, or 1/grid_step would

@@ -36,11 +36,6 @@ class TestAuxParams:
         assert np.allclose(aux.gamma, ref.GAMMA_05, rtol=RTOL, atol=0)
         assert np.allclose(aux.c, ref.C_05, rtol=RTOL, atol=0)
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 1.5, float("nan"), float("inf"), True])
-    def test_domain_rejection(self, bad):
-        with pytest.raises(DomainError):
-            bounds.aux_params(bad)
-
     @given(a_interior)
     def test_c_strictly_between_zero_and_a(self, a):
         aux = bounds.aux_params(a)
@@ -343,15 +338,6 @@ class TestMeanBound:
     def test_infimum_not_above_quarter_point(self, a, n):
         mb = bounds.mean_upper_bound(a, n)
         assert mb.bound_inf <= mb.bound_at_quarter + 1e-9
-
-    @pytest.mark.parametrize("bad_n", [
-        1, 0, -3, True, 2.0,
-        pytest.param(10**309, id="10**309"), pytest.param(10**400, id="10**400"),
-        pytest.param(-10**5000, id="-10**5000"),
-    ])
-    def test_rejects_bad_n(self, bad_n):
-        with pytest.raises(DomainError):
-            bounds.mean_upper_bound(0.5, bad_n)
 
 
 class TestPythonFloats:

@@ -23,7 +23,9 @@ transcendentals, which round differently from libm on a few percent of
 inputs and would make verify's bytes depend on the machine.  ``bounds.py``
 and ``verify.py`` name np.log, np.log1p, np.exp, np.power and
 np.float_power only in the functions ALLOWED_IN lists (a lambda is a
-function of its own); everything else goes through ``bounds._libm``.
+function of its own): the screens, whose minima the verifier confirms
+with libm, and fuzz's random draws.  Everything else goes through
+``bounds._libm``.
 
 *precision*: the package's arithmetic is binary64 and error-free
 transformations of it, the same on every platform.  No module names
@@ -106,6 +108,8 @@ NUMPY_TRANSCENDENTALS = {f"{base}.{name}" for base in ("np", "numpy")
 ALLOWED_IN = {
     ("bounds.py", "_d_screen"): "np.log of the bases per a and np.exp per sample screen D; "
                                 "verify._confirmed confirms its minimum with libm",
+    ("bounds.py", "_simd"): "numpy's log, log1p and power screen the estimate chain's interior "
+                            "links; verify._confirmed confirms each minimum with libm",
     ("verify.py", "fuzz_sendov"): "complex exp of random angles draws the trial zeros",
 }
 
@@ -227,13 +231,15 @@ mp.dps = 50
 roots = mpmath.polyroots([1, 0, -1])
 with mpmath.workdps(60):
     x = polyroots(c)
+def _simd(fn, x):
+    return {pow: np.power}[fn](x)
 """
 # The lines of SELF_TEST that each rule catches, once per distinct name.
 CAUGHT = {
     ("layer", "verify.py"): [1, 2, 3, 4, 5, 5, 36],
     ("scipy", "verify.py"): [8, 9, 10, 32, 34],
     ("heavy", "verify.py"): [13, 14, 15, 15, 16, 17, 18, 39],
-    ("libm", "verify.py"): [26, 29, 41, 41, 43, 45],
+    ("libm", "verify.py"): [26, 29, 41, 41, 43, 45, 64],
     ("libm", "bounds.py"): [26, 29, 41, 41, 45, 46],
     ("precision", "verify.py"): [23, 24, 25, 27, 28, 40, 56, 56, 56, 58, 58, 60, 60, 61, 61],
     ("builder", "verify.py"): [30, 48, 51, 52],

@@ -53,6 +53,14 @@ CHAIN_IDS = [
     "chain.end_to_end",
 ]
 
+# The chain links whose least margin lies inside the grid, screened by numpy.
+INTERIOR_IDS = [
+    "chain.n3_exact_le_estimate",
+    "chain.alpha_prime_le_32_over_a_log",
+    "chain.n3_estimate_le_headline",
+    "chain.end_to_end",
+]
+
 LIMIT_IDS = [
     "limits.mu2_limit_richardson",
     "limits.mu2_slope",
@@ -245,6 +253,74 @@ class TestDContraction:
         assert calls == [0, 1, 3, 4]
 
 
+def _screens(seed):
+    """The (screened, tol) pairs that a default suite hands _confirmed: the
+    mu2 residual's and the D contraction's, each with a number tol."""
+    screens = []
+    confirmed = verify._confirmed
+
+    def recorded(screened, exact_at, tol):
+        screens.append((screened.copy(), tol))
+        return confirmed(screened, exact_at, tol)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(verify, "_confirmed", recorded)
+        run_inequality_suite(seed=seed)
+    return screens
+
+
+def _candidates(screened, tol):
+    """The flat indices _confirmed evaluates exactly, in order."""
+    calls = []
+
+    def exact_at(i):
+        calls.append(i)
+        return 0.0
+
+    verify._confirmed(np.array(screened, dtype=float), exact_at, tol)
+    return calls
+
+
+class TestConfirmRule:
+    """_confirmed evaluates exactly every index whose interval screened +- tol
+    reaches the least upper end min(screened + tol), and every non-finite one."""
+
+    @pytest.mark.parametrize("seed", [1, 5, DEFAULT_SEED])
+    def test_number_tol_keeps_the_min_plus_twice_tol_rule(self, seed):
+        # The rule before tol could be an array: min(screened) + 2 tol, here
+        # also at tolerances widened until many samples are candidates.
+        screens = _screens(seed)
+        assert [s.shape for s, _ in screens] == [(1099,), (1099, 2)]
+        for screened, tol in screens:
+            for wide in (tol, 1e3 * tol, 1e6 * tol, 1e9 * tol):
+                finite = np.isfinite(screened)
+                bound = screened.min(where=finite, initial=math.inf) + 2.0 * wide
+                before = np.flatnonzero(~finite | (screened <= bound)).tolist()
+                assert _candidates(screened, wide) == before
+
+    def test_array_tol_keeps_every_interval_reaching_the_least_upper_end(self):
+        # Upper ends 1.0625, 2.0, 2.25, 1.125, 2.0625, 2.0; the least is
+        # 1.0625, which the lower ends 0.9375, 1.0, 0.625 and 1.0625 reach.
+        screened = [1.0, 1.5, 2.0, 0.875, 1.5625, 1.5625]
+        tol = np.array([0.0625, 0.5, 0.25, 0.25, 0.5, 0.4375])
+        assert _candidates(screened, tol) == [0, 1, 3, 4]
+        margins = [0.96875, 1.125, 0.25, 0.9375, 0.9375, 0.5]
+        confirmed = verify._confirmed(np.array(screened), margins.__getitem__, tol)
+        assert confirmed.tolist() == [math.inf] * 3 + [0.9375] + [math.inf] * 2
+
+    def test_non_finite_entries_are_confirmed(self):
+        screened = [0.1, math.nan, 0.3, math.inf, -math.inf, 0.2]
+        tol = np.array([1e-3, 1e-3, 1e-3, 1e-3, 1e-3, math.inf])
+        assert _candidates(screened, tol) == [0, 1, 3, 4, 5]
+
+    def test_ties_keep_the_first_index(self):
+        screened = np.array([0.5, 0.25, 0.3125, 0.25, 0.9])
+        margins = [0.5, 0.375, 0.25, 0.25, 0.9]
+        tol = np.array([0.0625, 0.125, 0.0625, 0.125, 0.0625])
+        confirmed = verify._confirmed(screened, margins.__getitem__, tol)
+        assert confirmed.tolist() == [math.inf, math.inf, 0.25, math.inf, math.inf]
+
+
 def _fields(outcomes):
     """Each outcome's fields by repr, so that a -0.0 or a last-bit change shows."""
     return [[repr(getattr(o, f.name)) for f in dataclasses.fields(o)] for o in outcomes]
@@ -428,6 +504,74 @@ class TestMonotoneChecks:
         assert _fields([full]) == _fields([o])
 
 
+def _interior_link_margins(grid_step):
+    """The grid, and the four interior links' margins at every a of it, by
+    check id, as the chain computed them before its screen: each quantity a
+    bounds call on the whole grid, every log and power a libm map."""
+    a = verify._grid(grid_step)
+    per_a = verify._per_a(a)
+    c = per_a.c
+    log_a16 = bounds._libm(math.log, a / 16.0)
+    r, r_prime = bounds.r_param(a, c)
+    n3_exact = bounds._n3_exact(a, c, r, np.minimum(per_a.log_k1, per_a.log_k2), log_a16)
+    n3_estimate = bounds._n3_estimate(a, per_a.a3)
+    headline = bounds.final_bound(a)
+    return a, {
+        "chain.n3_exact_le_estimate": n3_estimate - n3_exact,
+        "chain.alpha_prime_le_32_over_a_log": (
+            32.0 / (a * bounds._libm(math.log, 1.0 / a)) - bounds._alpha(a, c, r_prime, log_a16)
+        ),
+        "chain.n3_estimate_le_headline": headline - n3_estimate,
+        "chain.end_to_end": headline - n3_exact,
+    }
+
+
+class TestChainScreen:
+    """verify screens the chain's four interior links with numpy's logs and
+    powers and confirms their minima with libm (the error bound is beside
+    verify._CHAIN_SCREEN_REL).  Here: the screen's error against libm, and
+    the outcomes of every sample's libm margin."""
+
+    @pytest.mark.parametrize("points", ["1e-2", "4e-3", "1e-3", "1e-4", "1e-5", "ends"])
+    def test_screen_within_a_thousandth_of_its_tolerance(self, points):
+        a = np.array([1e-5, 1.0 - 1e-5]) if points == "ends" else verify._grid(float(points))
+        per_a = verify._per_a(a)
+        links = (a, per_a.c, *bounds.r_param(a, per_a.c),
+                 np.minimum(per_a.log_k1, per_a.log_k2), per_a.a3)
+        screened = verify._interior_links(bounds._simd, *links)
+        libm = verify._interior_links(bounds._libm, *links)
+        assert list(libm) == INTERIOR_IDS
+        for check_id, (big, small) in libm.items():
+            tol = verify._CHAIN_SCREEN_REL * (np.abs(big) + np.abs(small))
+            for fast, exact_values in zip(screened[check_id], (big, small)):
+                assert np.all(np.abs(fast - exact_values) <= tol / 1000), check_id
+
+    @pytest.mark.parametrize("grid_step", [1e-2, 4e-3, 1e-3, 1e-4, 1e-5])
+    def test_interior_links_equal_their_full_grid(self, grid_step):
+        chain = {o.check_id: o for o in verify_estimate_chain(grid_step)}
+        a, links = _interior_link_margins(grid_step)
+        for check_id, margins in links.items():
+            full = verify._min_outcome(check_id, margins, a, chain[check_id].notes)
+            assert _fields([full]) == _fields([chain[check_id]])
+
+    def test_outcomes_survive_a_screen_off_by_a_third_of_its_tolerance(self, monkeypatch):
+        # Each screened log and power off by up to 1e-13 of itself, far more
+        # than SIMD code errs, moves a margin A - B by at most 3e-13 (|A| + |B|)
+        # (three logs in a term of n3_exact): the outcomes stay libm's.
+        simd = bounds._simd
+
+        def skewed(fn, x, *args):
+            values = simd(fn, x, *args)
+            return values * (1.0 + 1e-13 * np.cos(np.arange(values.size)))
+
+        monkeypatch.setattr(bounds, "_simd", skewed)
+        chain = {o.check_id: o for o in verify_estimate_chain(1e-3)}
+        a, links = _interior_link_margins(1e-3)
+        for check_id, margins in links.items():
+            full = verify._min_outcome(check_id, margins, a, chain[check_id].notes)
+            assert _fields([full]) == _fields([chain[check_id]])
+
+
 class TestWorkPerPass:
     """How much libm, screen and confirm work a default verify pass does: a
     shared quantity mapped twice, a screen wider than it needs, or a screen
@@ -447,10 +591,12 @@ class TestWorkPerPass:
         monkeypatch.setattr(bounds, "_libm", counted)
         assert main(["verify", "--seed", "5"]) == 0
         capsys.readouterr()
-        # Eight maps take one entry: six for the chain's threshold links at
+        # Four maps over the suite's 1,099 points build a^3 and the log K
+        # factors; the chain's interior links are screened by numpy instead.
+        # Nine maps take one entry: seven for the chain's threshold links at
         # the last a, two for the log lemmas at the first x of their grids.
-        assert (len(maps), sum(maps)) == (22, 14_394)
-        assert maps.count(1) == 8
+        assert (len(maps), sum(maps)) == (13, 4_405)
+        assert maps.count(1) == 9
 
     def test_d_screen_takes_the_two_end_columns(self, capsys, monkeypatch):
         # D decreases in x, so only the first and the last x can hold an
@@ -487,6 +633,30 @@ class TestWorkPerPass:
         suite = run_inequality_suite(seed=seed)
         o = next(o for o in suite if o.check_id == "bounds.d_contraction")
         assert calls == [o.worst_location]
+
+    @pytest.mark.parametrize("seed", [1, 5, DEFAULT_SEED])
+    def test_interior_links_confirm_one_a(self, monkeypatch, seed):
+        confirms = []
+        confirmed = verify._confirmed
+
+        def counted(screened, exact_at, tol):
+            calls = []
+            confirms.append(calls)
+
+            def recorded(i):
+                calls.append(i)
+                return exact_at(i)
+
+            return confirmed(screened, recorded, tol)
+
+        monkeypatch.setattr(verify, "_confirmed", counted)
+        outcomes = {o.check_id: o for o in verify_pass(seed=seed)}
+        grid = verify._grid(1e-3)
+        # The suite's mu2 residual and D contraction, then the chain's four.
+        assert len(confirms) == 6
+        assert [[grid.item(i) for i in calls] for calls in confirms[2:]] == [
+            [outcomes[check_id].worst_location] for check_id in INTERIOR_IDS
+        ]
 
 
 def _exact_mu2_residual(grid_step, extra_random, seed):
