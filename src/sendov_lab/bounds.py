@@ -32,8 +32,9 @@ log, log1p and power goes through ``_libm``, a libm call per entry, never
 numpy's SIMD versions.  mu2's exact Newton step is taken in double-double
 on an array and kept where its rounding is certified; the other entries
 take the float call's integer step (see mu2).  numpy's SIMD transcendentals
-(``_simd``, ``_d_screen``) may screen, never report: they only find the
-samples that the verifier then evaluates with libm.
+(``_simd``, the map that the screening forms take in place of ``_libm``)
+may screen, never report: they only find the samples that the verifier
+then evaluates with libm.
 """
 
 from __future__ import annotations
@@ -339,44 +340,22 @@ def d_function(a: float, c: float, x: float) -> float:
     r (b2/r)^x with b2 = (1+c)/(1+a) below r = sqrt(1+c^2-ac), because
     (1+a)^2 r^2 - (1+c)^2 = (a-c)(2+a)(1-ac) > 0.  So on an x-grid the
     margins 1 - D and D - c/(1+a) are least at its last and first x.  Each
-    power is a scalar libm call: this is the exact reference the verifier's
-    D-contraction check reports, after ``_d_screen`` has picked, among the
-    samples at those two x, the ones that could hold its minimum.
+    power is a scalar libm call (``_d``, which the verifier's D-contraction
+    check also screens with ``_simd`` and confirms with ``_libm``).
     """
     a = _real_in("a", a, 0, 1)
     c = _real_in("c", c, 0, a)
     x = _real_in("x", x, 0, 1)
-    root = math.sqrt(1.0 + c * c - a * c)
-    return max((1.0 / (1.0 + a)) ** x, ((1.0 + c) / (1.0 + a)) ** x * root ** (1.0 - x))
+    return float(_d(a, c, x))
 
 
-# The screen's promise: |_d_screen - d_function| stays below this on the
-# verifier's samples.  Measured gaps are about 2e-16 (1 ulp of D), so the
-# bound leaves a factor of several thousand.
-_SCREEN_TOL = 1e-12
-
-
-def _d_screen(a: np.ndarray, c: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """D(a[i], c[i], xs[j]) at [i, j], unvalidated; a and c have equal length.
-
-    The bases b1 = 1/(1+a), b2 = (1+c)/(1+a) and r = sqrt(1+c^2-ac) are
-    d_function's, and D = max{b1^x, r (b2/r)^x} is exp of the larger of
-    x log b1 and log r + x log(b2/r): three np.log per (a, c) and one
-    np.exp per sample, numpy's SIMD code, which may differ from libm in the
-    last bits.  Every exponent lies in [-1, 1], so its rounding moves D by a few
-    ulp: the values are within _SCREEN_TOL of d_function, not bit for bit
-    equal to it.  D decreases in x (see d_function), so the verifier passes
-    only the first and the last x of its grid: xs of length 2.
-    """
-    root = np.sqrt(1.0 + c * c - a * c)
-    log_first = np.log(1.0 / (1.0 + a))
-    log_root = np.log(root)
-    log_ratio = np.log((1.0 + c) / (1.0 + a) / root)
-    d = np.multiply.outer(log_first, xs)
-    other = np.multiply.outer(log_ratio, xs)
-    other += log_root[:, None]
-    np.maximum(d, other, out=d)
-    return np.exp(d, out=d)
+def _d(a, c, x, lib=_libm):
+    """d_function at checked a, c and x, its powers by lib: numbers, or with
+    lib = _simd arrays that broadcast, such as a column of (a, c) against a
+    row of x, which gives D at every (a, x)."""
+    root = _sqrt(1.0 + c * c - a * c)
+    first = lib(pow, 1.0 / (1.0 + a), x)
+    return np.maximum(first, lib(pow, (1.0 + c) / (1.0 + a), x) * lib(pow, root, 1.0 - x))
 
 
 def log_k_factors(a: float, c: float, p: float, q: float) -> tuple[float, float]:

@@ -169,20 +169,26 @@ def _confirmed(
 _MU2_RESIDUAL_TOL = 1e-24
 
 
-# The chain screen's promise: |screened - exact margin| < _CHAIN_SCREEN_REL
-# (|A| + |B|) for a margin A - B of _interior_links.  Both forms do the same
-# + - * / on the same exact per-a values (log K' and a^3 from _per_a), so
-# they part only where numpy's SIMD log, log1p or power errs by a few ulps
-# (u = 2^-53; at most 5.5 u measured on AVX-512) against libm's on the same
-# argument, never another log's or power's result.  Every quantity has terms
-# of one sign: n3_exact's numerator is three positive terms (alpha is a
-# quotient of negative logs, log r < 0); n3_estimate, the headline and
-# 32/(a log(1/a)) are positive sums, products and quotients.  These keep
-# relative deviations additive, so each quantity errs by under 100 u: a few
-# per transcendental (five in n3_exact) and one per operation.  A - B adds
-# one rounding; the bound, about 9,000 u, leaves a factor of 90 for the
-# roundings of tol and of _confirmed's comparison.
-_CHAIN_SCREEN_REL = 1e-12
+# The transcendental screens' promise: |screened - exact margin| <
+# _SCREEN_REL (|A| + |B|) for a margin A - B that _screened takes, whose
+# scale is at least |A| + |B|.  Both forms do the same + - * / on the same
+# exact per-a values (c, and log K' and a^3 from _per_a), so they part only
+# where numpy's SIMD log, log1p or power errs by a few ulps (u = 2^-53; at
+# most 5.5 u measured on AVX-512) against libm's on the same argument,
+# never another log's or power's result.  Every quantity has terms of one
+# sign, which keeps relative deviations additive:
+# * the chain's links (_interior_links, scale |A| + |B|): n3_exact's
+#   numerator is three positive terms (alpha is a quotient of negative logs,
+#   log r < 0); n3_estimate, the headline and 32/(a log(1/a)) are positive
+#   sums, products and quotients.  Each errs by under 100 u: a few per
+#   transcendental (five in n3_exact) and one per operation.
+# * the D contraction (_d_contraction, margins 1 - D and D - c/(1+a), scale
+#   1 + D, at least either's |A| + |B| as c/(1+a) < 1): D is the larger of
+#   two products of at most two positive powers, so it errs by a few u
+#   (at most 2.03 u measured), and c/(1+a) is the same in both forms.
+# A - B adds one rounding; the bound, about 9,000 u, leaves a factor of 90
+# for the roundings of tol and of _confirmed's comparison.
+_SCREEN_REL = 1e-12
 
 
 class _PerA(NamedTuple):
@@ -251,7 +257,8 @@ def _suite(grid: np.ndarray, per_a: _PerA) -> list[VerificationOutcome]:
 
     # Two checks are screened: the samples that could hold the smallest
     # margin are re-evaluated exactly, so the report holds only exact values.
-    # mu2's residual is screened in double-double and confirmed on integers.
+    # mu2's residual is screened in double-double and confirmed on integers,
+    # the D contraction (below) by _screened.
     def residual_exact(i: int) -> float:
         f, _, den = bounds._mu2_integers(pts_f[i], mu2.item(i))
         return 1e-9 - abs(f) / den
@@ -270,24 +277,11 @@ def _suite(grid: np.ndarray, per_a: _PerA) -> list[VerificationOutcome]:
     # those two columns are screened and confirmed, and the outcome counts
     # all 99.  In binary64 the order holds too: on a in [1e-5, 1 - 1e-5]
     # one column's step drops D by at least 7.9e-14 (at a = 0.99999; 7.9e-10
-    # on the default grid), some 700 ulps of 1, and d_function's libm
-    # powers err by a few ulps.
-    # bounds._d_screen screens the samples with numpy's exp of per-a logs,
-    # which on AVX-512 hardware differs from libm by up to 2 ulp on about
-    # 36% of them; the confirmed samples take bounds.d_function's scalar
-    # libm powers, so no byte depends on the SIMD code numpy runs.
+    # on the default grid), some 700 ulps of 1, and libm's powers err by a
+    # few ulps.
     x_set = np.arange(1.0, 100.0) * 0.01
     x_ends = x_set[[0, -1]]
-    d = bounds._d_screen(pts, c, x_ends)
-    d = np.minimum(1.0 - d, d - (c / (1.0 + pts))[:, None])
-
-    def d_exact(i: int) -> float:
-        ia, ix = divmod(i, len(x_ends))
-        a, ci = pts_f[ia], float(c[ia])
-        dv = bounds.d_function(a, ci, x_ends.item(ix))
-        return min(1.0 - dv, dv - ci / (1.0 + a))
-
-    d = _confirmed(d, d_exact, bounds._SCREEN_TOL)
+    d = _screened(_d_contraction, pts[:, None], c[:, None], x_ends)["bounds.d_contraction"]
 
     # Shape facts need even spacing: uniform grid only.  mu2 is increasing
     # but loses convexity near a = 0.998, so convexity is asserted for mu1.
@@ -402,14 +396,37 @@ def verify_estimate_chain(grid_step: float = 1e-3) -> list[VerificationOutcome]:
     return _chain(_per_a(_grid(grid_step)))
 
 
+def _screened(links: Callable[..., dict], *args) -> dict:
+    """The margins of links(lib, *args) -> {check_id: (margin, scale)} by
+    check id, each screened with lib = bounds._simd on the arrays args and
+    passed through _confirmed with tol _SCREEN_REL scale, which evaluates a
+    candidate with bounds._libm on the entries of args (broadcast to the
+    margin's shape) at its flat index."""
+    entries = np.broadcast_arrays(*args)
+    confirmed = {}
+    for check_id, (margin, scale) in links(bounds._simd, *args).items():
+        def libm_margin(i: int, check_id: str = check_id) -> float:
+            return links(bounds._libm, *(v.item(i) for v in entries))[check_id][0]
+
+        confirmed[check_id] = _confirmed(margin, libm_margin, _SCREEN_REL * scale)
+    return confirmed
+
+
+def _d_contraction(lib, a, c, x) -> dict:
+    """The D-contraction check's margin min{1 - D, D - c/(1+a)} and scale
+    1 + D at (a, c, x), D = bounds._d by lib, for _screened."""
+    d = bounds._d(a, c, x, lib)
+    return {"bounds.d_contraction": (np.minimum(1.0 - d, d - c / (1.0 + a)), 1.0 + d)}
+
+
 def _interior_links(lib, a, c, r, r_prime, log_kp, a3) -> dict:
-    """(A, B) by check id for the chain links whose margin A - B is least inside
-    the grid, logs and powers by lib: bounds._simd to screen, _libm to confirm."""
+    """(A - B, |A| + |B|) by check id for the chain links A >= B whose
+    margin is least inside the grid, logs and powers by lib, for _screened."""
     log_a16 = lib(math.log, a / 16.0)
     n3_exact = bounds._n3_exact(a, c, r, log_kp, log_a16, lib)
     n3_estimate = bounds._n3_estimate(a, a3, lib)
     headline = bounds._final_bound(a, lib)
-    return {
+    pairs = {
         "chain.n3_exact_le_estimate": (n3_estimate, n3_exact),
         "chain.alpha_prime_le_32_over_a_log": (
             32.0 / (a * lib(math.log, 1.0 / a)), bounds._alpha(a, c, r_prime, log_a16, lib)
@@ -417,6 +434,8 @@ def _interior_links(lib, a, c, r, r_prime, log_kp, a3) -> dict:
         "chain.n3_estimate_le_headline": (headline, n3_estimate),
         "chain.end_to_end": (headline, n3_exact),
     }
+    return {check_id: (big - small, abs(big) + abs(small))
+            for check_id, (big, small) in pairs.items()}
 
 
 def _chain(per_a: _PerA) -> list[VerificationOutcome]:
@@ -456,15 +475,7 @@ def _chain(per_a: _PerA) -> list[VerificationOutcome]:
     n1_branch = bounds._n1_branch(last_a)
     ratio = bounds._n2_ratio(last_a, last_c, bounds._libm(math.log, last_a / 16.0))
     log_kp = np.minimum(per_a.log_k1, per_a.log_k2)
-    links = (a, c, *bounds.r_param(a, c), log_kp, a3)
-    interior = {}
-    for check_id, (big, small) in _interior_links(bounds._simd, *links).items():
-        def libm_margin(i: int, check_id: str = check_id) -> float:
-            exact = _interior_links(bounds._libm, *(v.item(i) for v in links))[check_id]
-            return exact[0] - exact[1]
-
-        tol = _CHAIN_SCREEN_REL * (np.abs(big) + np.abs(small))
-        interior[check_id] = _confirmed(big - small, libm_margin, tol)
+    interior = _screened(_interior_links, a, c, *bounds.r_param(a, c), log_kp, a3)
     min_branch = np.minimum(
         a * a * gamma / (4.0 * (4.0 + 2.0 * a)),
         a * a * (1.0 - a) * gamma / (4.0 * (4.0 - 2.0 * a)),

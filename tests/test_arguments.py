@@ -25,6 +25,8 @@ from sendov_lab.verify import fuzz_sendov, run_inequality_suite, verify_estimate
 A = np.array([0.5, 0.4])
 F32 = np.float32(0.5)
 C32 = np.float32(0.25)
+F64 = np.float64(0.5)
+C64 = np.float64(0.475)
 
 
 class _Index:
@@ -49,6 +51,11 @@ def _same(x, y) -> bool:
     if isinstance(x, tuple):
         return len(x) == len(y) and all(map(_same, x, y))
     return x == y
+
+
+def _python_floats(value):
+    """value, a float or a tuple of them, as Python floats."""
+    return tuple(map(float, value)) if isinstance(value, tuple) else float(value)
 
 
 def _entrywise(f, *args):
@@ -228,6 +235,20 @@ ACCEPTED = [
         "suite_f32_step"),
     row(lambda: verify_estimate_chain(grid_step=np.float32(0.01)),
         lambda: verify_estimate_chain(grid_step=float(np.float32(0.01))), "chain_f32_step"),
+    # A numpy float64 gives the Python floats of the float call.
+    *(row(lambda f=f, args=args: f(*args),
+          lambda f=f, args=args: _python_floats(f(*map(float, args))), f"{f.__name__}_f64")
+      for f, args in (
+          (bounds.n0, (F64,)), (bounds.n1, (F64,)), (bounds.n2, (F64, C64)),
+          (bounds.d_function, (F64, C64, F64)),
+          (bounds.k_factors, (F64, C64, np.float64(0.1), np.float64(0.1))),
+          (bounds.log_k_factors, (F64, C64, np.float64(0.1), np.float64(0.1))),
+          (bounds.k_prime, (F64,)), (bounds.log_k_prime, (F64,)),
+          (bounds.mu1, (F64,)), (bounds.mu2, (F64,)),
+          (bounds.r_param, (F64, C64)), (bounds.alpha_param, (F64, C64, np.float64(0.1))),
+          (bounds.n3, (F64,)), (bounds.final_bound, (F64,)),
+          (bounds.small_circle_bound, (F64,)),
+      )),
     # Other arguments follow a: a number beside an array of a is each entry's.
     *(row(lambda f=f, args=args: f(A, *args), lambda f=f, args=args: _entrywise(f, *args),
           f"{f.__name__}_numpy_scalar_beside_array_a")

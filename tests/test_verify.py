@@ -182,22 +182,6 @@ class TestDContraction:
         assert o.samples == samples
         assert o.passed == (worst > 0.0)
 
-    def test_outcome_survives_a_screen_off_by_its_tolerance(self, monkeypatch):
-        # A screen that errs by up to 0.9 _SCREEN_TOL either way, as other
-        # SIMD code might, still gives the exhaustive libm outcome.
-        screen = bounds._d_screen
-
-        def skewed(a, c, xs):
-            d = screen(a, c, xs)
-            d += 0.9 * bounds._SCREEN_TOL * np.cos(np.arange(d.size)).reshape(d.shape)
-            return d
-
-        monkeypatch.setattr(bounds, "_d_screen", skewed)
-        suite = run_inequality_suite(grid_step=0.01, extra_random=20, seed=DEFAULT_SEED)
-        o = next(o for o in suite if o.check_id == "bounds.d_contraction")
-        worst, location, samples = _libm_d_contraction(0.01, 20, DEFAULT_SEED)
-        assert (o.worst_margin, o.worst_location, o.samples) == (worst, location, samples)
-
     def test_least_margin_sits_at_the_first_or_last_x(self):
         # The lemma behind the two-column screen (bounds.d_function): its
         # identity and sign exactly in Fractions of the float a and c, and
@@ -255,7 +239,7 @@ class TestDContraction:
 
 def _screens(seed):
     """The (screened, tol) pairs that a default suite hands _confirmed: the
-    mu2 residual's and the D contraction's, each with a number tol."""
+    mu2 residual's, with a number tol, and the D contraction's."""
     screens = []
     confirmed = verify._confirmed
 
@@ -288,15 +272,18 @@ class TestConfirmRule:
     @pytest.mark.parametrize("seed", [1, 5, DEFAULT_SEED])
     def test_number_tol_keeps_the_min_plus_twice_tol_rule(self, seed):
         # The rule before tol could be an array: min(screened) + 2 tol, here
-        # also at tolerances widened until many samples are candidates.
+        # on the mu2 residual's screen, whose tol is a number, and at
+        # tolerances widened until many samples are candidates.
         screens = _screens(seed)
-        assert [s.shape for s, _ in screens] == [(1099,), (1099, 2)]
-        for screened, tol in screens:
-            for wide in (tol, 1e3 * tol, 1e6 * tol, 1e9 * tol):
-                finite = np.isfinite(screened)
-                bound = screened.min(where=finite, initial=math.inf) + 2.0 * wide
-                before = np.flatnonzero(~finite | (screened <= bound)).tolist()
-                assert _candidates(screened, wide) == before
+        assert [(s.shape, np.shape(tol)) for s, tol in screens] == [
+            ((1099,), ()), ((1099, 2), (1099, 2))
+        ]
+        screened, tol = screens[0]
+        for wide in (tol, 1e3 * tol, 1e6 * tol, 1e9 * tol):
+            finite = np.isfinite(screened)
+            bound = screened.min(where=finite, initial=math.inf) + 2.0 * wide
+            before = np.flatnonzero(~finite | (screened <= bound)).tolist()
+            assert _candidates(screened, wide) == before
 
     def test_array_tol_keeps_every_interval_reaching_the_least_upper_end(self):
         # Upper ends 1.0625, 2.0, 2.25, 1.125, 2.0625, 2.0; the least is
@@ -529,8 +516,9 @@ def _interior_link_margins(grid_step):
 class TestChainScreen:
     """verify screens the chain's four interior links with numpy's logs and
     powers and confirms their minima with libm (the error bound is beside
-    verify._CHAIN_SCREEN_REL).  Here: the screen's error against libm, and
-    the outcomes of every sample's libm margin."""
+    verify._SCREEN_REL).  Here: the screen's error against libm, and the
+    outcomes of every sample's libm margin, with the D contraction's, which
+    goes through the same screen, under a skewed one."""
 
     @pytest.mark.parametrize("points", ["1e-2", "4e-3", "1e-3", "1e-4", "1e-5", "ends"])
     def test_screen_within_a_thousandth_of_its_tolerance(self, points):
@@ -541,9 +529,9 @@ class TestChainScreen:
         screened = verify._interior_links(bounds._simd, *links)
         libm = verify._interior_links(bounds._libm, *links)
         assert list(libm) == INTERIOR_IDS
-        for check_id, (big, small) in libm.items():
-            tol = verify._CHAIN_SCREEN_REL * (np.abs(big) + np.abs(small))
-            for fast, exact_values in zip(screened[check_id], (big, small)):
+        for check_id, (margin, scale) in libm.items():
+            tol = verify._SCREEN_REL * scale
+            for fast, exact_values in zip(screened[check_id], (margin, scale)):
                 assert np.all(np.abs(fast - exact_values) <= tol / 1000), check_id
 
     @pytest.mark.parametrize("grid_step", [1e-2, 4e-3, 1e-3, 1e-4, 1e-5])
@@ -556,20 +544,25 @@ class TestChainScreen:
 
     def test_outcomes_survive_a_screen_off_by_a_third_of_its_tolerance(self, monkeypatch):
         # Each screened log and power off by up to 1e-13 of itself, far more
-        # than SIMD code errs, moves a margin A - B by at most 3e-13 (|A| + |B|)
-        # (three logs in a term of n3_exact): the outcomes stay libm's.
+        # than SIMD code errs, moves a link's margin A - B by at most
+        # 3e-13 (|A| + |B|) (three logs in a term of n3_exact), and a D
+        # margin by at most 2e-13 D (two powers in a product): the D
+        # contraction's outcome and the four links' stay libm's.
         simd = bounds._simd
 
         def skewed(fn, x, *args):
             values = simd(fn, x, *args)
-            return values * (1.0 + 1e-13 * np.cos(np.arange(values.size)))
+            return values * (1.0 + 1e-13 * np.cos(np.arange(values.size))).reshape(values.shape)
 
         monkeypatch.setattr(bounds, "_simd", skewed)
-        chain = {o.check_id: o for o in verify_estimate_chain(1e-3)}
+        outcomes = {o.check_id: o for o in verify_pass(1e-3)}
+        worst, location, samples = _libm_d_contraction(1e-3, 100, DEFAULT_SEED)
+        d = outcomes["bounds.d_contraction"]
+        assert (d.worst_margin, d.worst_location, d.samples) == (worst, location, samples)
         a, links = _interior_link_margins(1e-3)
         for check_id, margins in links.items():
-            full = verify._min_outcome(check_id, margins, a, chain[check_id].notes)
-            assert _fields([full]) == _fields([chain[check_id]])
+            full = verify._min_outcome(check_id, margins, a, outcomes[check_id].notes)
+            assert _fields([full]) == _fields([outcomes[check_id]])
 
 
 class TestWorkPerPass:
@@ -598,20 +591,24 @@ class TestWorkPerPass:
         assert (len(maps), sum(maps)) == (13, 4_405)
         assert maps.count(1) == 9
 
-    def test_d_screen_takes_the_two_end_columns(self, capsys, monkeypatch):
+    def test_simd_maps(self, capsys, monkeypatch):
         # D decreases in x, so only the first and the last x can hold an
-        # a's least D-contraction margin.
-        widths = []
-        screen = bounds._d_screen
+        # a's least D-contraction margin: D's three powers take the suite's
+        # 1,099 points by those two x.  The chain's four interior links then
+        # take ten logs and powers over the 999-point grid.
+        maps = []
+        simd = bounds._simd
 
-        def counted(a, c, xs):
-            widths.append(len(xs))
-            return screen(a, c, xs)
+        def counted(fn, x, *args):
+            values = simd(fn, x, *args)
+            maps.append((fn, values.shape))
+            return values
 
-        monkeypatch.setattr(bounds, "_d_screen", counted)
+        monkeypatch.setattr(bounds, "_simd", counted)
         assert main(["verify", "--seed", "5"]) == 0
         capsys.readouterr()
-        assert widths == [2]
+        assert maps[:3] == [(pow, (1099, 2))] * 3
+        assert [shape for _, shape in maps[3:]] == [(999,)] * 10
 
     @pytest.mark.parametrize("grid_step", [0.01, 0.004, 1e-3])
     @pytest.mark.parametrize("seed", [1, 5, DEFAULT_SEED])
@@ -619,20 +616,6 @@ class TestWorkPerPass:
         alone = (run_inequality_suite(grid_step, seed=seed) + verify_limits()
                  + verify_estimate_chain(grid_step))
         assert _fields(verify_pass(grid_step, seed)) == _fields(alone)
-
-    @pytest.mark.parametrize("seed", [1, 5, DEFAULT_SEED])
-    def test_d_contraction_confirms_one_sample(self, monkeypatch, seed):
-        calls = []
-        d_function = bounds.d_function
-
-        def counted(a, c, x):
-            calls.append((a, x))
-            return d_function(a, c, x)
-
-        monkeypatch.setattr(bounds, "d_function", counted)
-        suite = run_inequality_suite(seed=seed)
-        o = next(o for o in suite if o.check_id == "bounds.d_contraction")
-        assert calls == [o.worst_location]
 
     @pytest.mark.parametrize("seed", [1, 5, DEFAULT_SEED])
     def test_interior_links_confirm_one_a(self, monkeypatch, seed):
@@ -651,9 +634,16 @@ class TestWorkPerPass:
 
         monkeypatch.setattr(verify, "_confirmed", counted)
         outcomes = {o.check_id: o for o in verify_pass(seed=seed)}
-        grid = verify._grid(1e-3)
-        # The suite's mu2 residual and D contraction, then the chain's four.
+        grid, pts = verify._suite_points(1e-3, 100, seed)
+        x_ends = (0.01, 99 * 0.01)
+        # The suite's mu2 residual and D contraction, then the chain's four:
+        # each confirms the one sample it reports.
         assert len(confirms) == 6
+        assert [[pts.item(i) for i in confirms[0]],
+                [(pts.item(i // 2), x_ends[i % 2]) for i in confirms[1]]] == [
+            [outcomes["bounds.mu2_root_residual"].worst_location],
+            [outcomes["bounds.d_contraction"].worst_location],
+        ]
         assert [[grid.item(i) for i in calls] for calls in confirms[2:]] == [
             [outcomes[check_id].worst_location] for check_id in INTERIOR_IDS
         ]
