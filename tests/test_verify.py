@@ -182,6 +182,26 @@ class TestDContraction:
         assert o.samples == samples
         assert o.passed == (worst > 0.0)
 
+    def test_outcome_survives_a_screen_off_by_its_tolerance(self, monkeypatch):
+        # A D screen that errs by up to 0.9 of its tolerance either way, as
+        # other SIMD code might, still gives the exhaustive libm outcome.
+        # Only the screen is skewed: the libm confirmation keeps the true D.
+        d_contraction = verify._d_contraction
+
+        def skewed(lib, a, c, x):
+            links = d_contraction(lib, a, c, x)
+            if lib is bounds._libm:
+                return links
+            margin, scale = links["bounds.d_contraction"]
+            skew = 0.9 * verify._SCREEN_REL * np.cos(np.arange(margin.size))
+            return {"bounds.d_contraction": (margin + scale * skew.reshape(margin.shape), scale)}
+
+        monkeypatch.setattr(verify, "_d_contraction", skewed)
+        suite = run_inequality_suite(grid_step=0.01, extra_random=20, seed=DEFAULT_SEED)
+        o = next(o for o in suite if o.check_id == "bounds.d_contraction")
+        worst, location, samples = _libm_d_contraction(0.01, 20, DEFAULT_SEED)
+        assert (o.worst_margin, o.worst_location, o.samples) == (worst, location, samples)
+
     def test_least_margin_sits_at_the_first_or_last_x(self):
         # The lemma behind the two-column screen (bounds.d_function): its
         # identity and sign exactly in Fractions of the float a and c, and
@@ -616,6 +636,22 @@ class TestWorkPerPass:
         alone = (run_inequality_suite(grid_step, seed=seed) + verify_limits()
                  + verify_estimate_chain(grid_step))
         assert _fields(verify_pass(grid_step, seed)) == _fields(alone)
+
+    @pytest.mark.parametrize("seed", [1, 5, DEFAULT_SEED])
+    def test_d_contraction_confirms_one_sample(self, monkeypatch, seed):
+        # The D contraction's libm form runs once per confirmed sample.
+        calls = []
+        d_contraction = verify._d_contraction
+
+        def counted(lib, a, c, x):
+            if lib is bounds._libm:
+                calls.append((a, x))
+            return d_contraction(lib, a, c, x)
+
+        monkeypatch.setattr(verify, "_d_contraction", counted)
+        suite = run_inequality_suite(seed=seed)
+        o = next(o for o in suite if o.check_id == "bounds.d_contraction")
+        assert calls == [o.worst_location]
 
     @pytest.mark.parametrize("seed", [1, 5, DEFAULT_SEED])
     def test_interior_links_confirm_one_a(self, monkeypatch, seed):
