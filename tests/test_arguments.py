@@ -201,6 +201,16 @@ REJECTED = [
         "^q must have a's length 2, got length 3$", "q_of_another_length"),
     row(lambda: bounds.r_param(A, np.array([[0.1, 0.1]])),
         r"^c must be a real number or a 1-D array, got shape \(1, 2\)$", "c_2-D"),
+    *(row(lambda bad=bad: bounds.aux_params(bad), "a must be a real number", f"aux_params_{name}")
+      for bad, name in ((np.full((2, 2), 0.5), "2-D"), (np.array(0.5), "0-D"),
+                        (np.array([0.5], dtype=np.float32), "float32"),
+                        (np.array([], dtype=np.int64), "empty_int"),
+                        (np.array([0.5], dtype=object), "object"))),
+    row(lambda: bounds.aux_params(np.True_), r"^a must be a real number, got np\.True_$",
+        "aux_params_np_True_"),
+    row(lambda: bounds.aux_params(np.array([True, False])),
+        r"^a must be a real number, got np\.True_ at index 0 of a bool array$",
+        "aux_params_bool_array"),
 ]
 
 
@@ -277,6 +287,19 @@ ENTRY = [
     pytest.param(bounds._n3_exact, (*_AC, bounds.r_param(*_AC)[0], np.array([0.1, 0.0]),
                                     bounds._libm(math.log, _AC[0] / 16.0)), 1,
                  "not above 1 at a=0.6;", id="growth_factor_not_above_one"),
+    # mu2 is defined at a = 1; test_bounds.py's TestArrayPath pins an array holding it.
+    *(pytest.param(bounds.mu2, (np.array([0.5, 0.25, bad, 0.75]),), 2,
+                   rf"^a must lie in \(0, 1\], got {re.escape(repr(bad))} at index 2$",
+                   id=f"mu2_{bad!r}") for bad in (0.0, math.nan, math.inf, -math.inf)),
+    *(pytest.param(fn, (np.array([0.5, tiny]),), 1,
+                   f"^a={re.escape(repr(tiny))} is too small: {fn.__name__}"
+                   r"\(a\) is past binary64 range$", id=f"{fn.__name__}_{tiny!r}_past_binary64")
+      for fn, tiny in ((bounds.final_bound, 1e-50), (bounds.n0, 1e-170), (bounds.n0, 1e-160))),
+    pytest.param(bounds.aux_params, (np.array([0.5, 0.25, 5e-324, 0.75]),), 2,
+                 r"^a=5e-324 leaves no binary64 value of c = a\*gamma below a$",
+                 id="subnormal_leaves_no_c_below_a"),
+    pytest.param(bounds.n0, (np.array([0.5, 0.25, 1.5, 0.0]),), 2,
+                 r"^a must lie in \(0, 1\), got 1\.5 at index 2$", id="first_bad_entry_is_named"),
 ]
 
 

@@ -544,41 +544,3 @@ class TestArrayValidation:
         message = self._scalar_message(fn, bad)
         with pytest.raises(DomainError, match=re.escape(message + " at index 2")):
             fn(np.array([0.5, 0.25, bad, 0.75]))
-
-    # mu2 is defined at a = 1; TestArrayPath pins an array holding it.
-    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf, -math.inf])
-    def test_mu2_bad_entry_gets_its_scalar_error(self, bad):
-        message = self._scalar_message(bounds.mu2, bad)
-        with pytest.raises(DomainError, match=re.escape(message + " at index 2")):
-            bounds.mu2(np.array([0.5, 0.25, bad, 0.75]))
-
-    def test_subnormal_entry_leaves_no_c_below_a(self):
-        message = self._scalar_message(bounds.aux_params, 5e-324)
-        assert message == "a=5e-324 leaves no binary64 value of c = a*gamma below a"
-        with pytest.raises(DomainError, match=re.escape(message)):
-            bounds.aux_params(np.array([0.5, 0.25, 5e-324, 0.75]))
-
-    def test_index_of_the_first_bad_entry_is_named(self):
-        with pytest.raises(DomainError, match=r"^a must lie in \(0, 1\), got 1\.5 at index 2$"):
-            bounds.n0(np.array([0.5, 0.25, 1.5, 0.0]))
-
-    def test_bool_array(self):
-        message = self._scalar_message(bounds.aux_params, np.True_)
-        assert message == "a must be a real number, got np.True_"
-        with pytest.raises(DomainError, match=re.escape(message + " at index 0 of a bool array")):
-            bounds.aux_params(np.array([True, False]))
-
-    @pytest.mark.parametrize("bad", [
-        np.full((2, 2), 0.5), np.array(0.5), np.array([0.5], dtype=np.float32),
-        np.array([], dtype=np.int64), np.array([0.5], dtype=object),
-    ], ids=["2-D", "0-D", "float32", "empty int", "object"])
-    def test_other_shapes_and_dtypes(self, bad):
-        with pytest.raises(DomainError, match="a must be a real number"):
-            bounds.aux_params(bad)
-
-    @pytest.mark.parametrize("fn, tiny", [
-        (bounds.final_bound, 1e-50), (bounds.n0, 1e-170), (bounds.n0, 1e-160),
-    ], ids=lambda v: v.__name__ if callable(v) else repr(v))
-    def test_threshold_past_binary64_range_names_the_entry(self, fn, tiny):
-        with pytest.raises(DomainError, match=re.escape(self._scalar_message(fn, tiny))):
-            fn(np.array([0.5, tiny]))

@@ -37,6 +37,13 @@ gets twice binary64 precision from ``bounds``' double-double instead.
 builds every ``VerificationOutcome``, and no exact quadratic is written
 there, as mu2's lives in ``bounds`` alone (no ``as_integer_ratio``).
 
+*contract*: ``reference_pass`` in ``tests/test_verify.py`` rebuilds
+verify's outcomes from ``bounds``' public functions, so it and its
+``_reference`` helpers name no private name of ``bounds`` or ``verify``
+(``bounds._simd``, ``verify._grid``): none of verify's screens or
+shortcuts reaches the truth they are held to.  Nor does the module import
+a private name of either, which would reach the helpers as a bare name.
+
 *reference*: the tests and tools take their exact truths from
 ``tests/exact.py`` alone.  No other test module and no tool calls
 ``mpmath.polyroots``, or sets mpmath's precision through ``mp.dps`` or
@@ -143,6 +150,16 @@ def reference(found, filename):
             or text.split(".")[-2:] in (["mp", "dps"], ["mp", "prec"])]
 
 
+def contract(found, filename):
+    def private(text):
+        parts = text.split(".")
+        return any(base in ("bounds", "verify") and name.startswith("_")
+                   for base, name in zip(parts, parts[1:]))
+
+    return [(line, text) for line, function, kind, text, _ in found if private(text)
+            and (kind == "import" or (function or "").lstrip("_").startswith("reference"))]
+
+
 RULES = {
     "layer": (("cli.py", "polynomial.py", "verify.py"), layer),
     "scipy": (MODULES, scipy),
@@ -152,6 +169,7 @@ RULES = {
     "builder": (("verify.py",), builder),
     "ratio": (("verify.py",), ratio),
     "reference": (TEST_MODULES + TOOL_MODULES, reference),
+    "contract": (("test_verify.py",), contract),
 }
 
 
@@ -232,6 +250,13 @@ with mpmath.workdps(60):
     x = polyroots(c)
 def _simd(fn, x):
     return {pow: np.power}[fn](x)
+def reference_pass(step):
+    return bounds._simd(pow, step) + verify._grid(step)
+def _reference_chain(step):
+    return sendov_lab.bounds._d(step) + bounds.mu2(step) + verify.verify_pass(step)
+def _check(step):
+    return verify._grid(step) + bounds._libm(step)
+from sendov_lab.verify import _grid, verify_pass
 """
 # The lines of SELF_TEST that each rule catches, once per distinct name.
 CAUGHT = {
@@ -244,6 +269,7 @@ CAUGHT = {
     ("builder", "verify.py"): [30, 48, 51, 52],
     ("ratio", "verify.py"): [54, 55],
     ("reference", "test_polynomial.py"): [56, 57, 58, 59, 60, 62],
+    ("contract", "test_verify.py"): [5, 5, 66, 66, 68, 71],
 }
 
 

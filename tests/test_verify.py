@@ -2,6 +2,8 @@
 command line renders their reports."""
 
 import dataclasses
+import functools
+import itertools
 import json
 import math
 import tracemalloc
@@ -26,32 +28,40 @@ from sendov_lab.verify import (
     verify_pass,
 )
 
-SUITE_IDS = [
-    "bounds.mu2_root_residual",
-    "bounds.mu_order_and_bounds",
-    "bounds.mu_shape",
-    "bounds.gamma_dominates_mu2",
-    "bounds.gamma_dominates_mu1",
-    "bounds.k_prime_gt_one",
-    "bounds.log_k_prime_floor",
-    "bounds.k2_log_floor",
-    "bounds.lemma_log_bounds",
-    "bounds.radical_gap",
-    "bounds.d_contraction",
-]
+# verify's checks in report order, each with the notes of its outcome.
+SUITE_NOTES = {
+    "bounds.mu2_root_residual":
+        "1e-9 - |a^2 mu2^2 + (8+2a-a^2) mu2 - (7+2a)|, residual in exact arithmetic",
+    "bounds.mu_order_and_bounds": "min{mu2 - 7/8, mu1 - mu2, 1 - mu1}",
+    "bounds.mu_shape":
+        "first differences of mu1 and mu2 and second differences of mu1 on the uniform grid",
+    "bounds.gamma_dominates_mu2": "gamma(a) - mu2(a)",
+    "bounds.gamma_dominates_mu1": "gamma(a) - mu1(a)",
+    "bounds.k_prime_gt_one": "log K'(a); positive iff K' > 1",
+    "bounds.log_k_prime_floor": "log K'(a) - a^3 (1-a)/16",
+    "bounds.k2_log_floor": "log K2(a, a*gamma, q') - a q' gamma / 4",
+    "bounds.lemma_log_bounds":
+        "log(1+x) >= x/2 on (0,1]; x/(1+x) <= log(1+x) <= x on (0,4]; location is x",
+    "bounds.radical_gap": "4 - sqrt(16 - 3a^2) - a^2/10",
+    "bounds.d_contraction":
+        "min{1 - D(a, a*gamma, x), D(a, a*gamma, x) - a*gamma/(1+a)}; location is (a, x)",
+}
 
-CHAIN_IDS = [
-    "chain.n3_exact_le_estimate",
-    "chain.n0_le_1280_over_a4",
-    "chain.n1_le_max_324_over_a2",
-    "chain.n2_le_max_5760_over_a2",
-    "chain.thresholds_le_5760_over_a4",
-    "chain.alpha_prime_le_32_over_a_log",
-    "chain.log_k_prime_gt_min_branch",
-    "chain.min_branch_ge_a3_floor",
-    "chain.n3_estimate_le_headline",
-    "chain.end_to_end",
-]
+CHAIN_NOTES = {
+    "chain.n3_exact_le_estimate": "n3_estimate(a) - n3_exact(a)",
+    "chain.n0_le_1280_over_a4": "1280/a^4 - n0(a)",
+    "chain.n1_le_max_324_over_a2": "324/a^2 - 9((4+2a)/a)^2",
+    "chain.n2_le_max_5760_over_a2": "5760/a^2 - 9(log(a/16)/log(c/(1+a)))^2 at c = a*gamma",
+    "chain.thresholds_le_5760_over_a4": "5760/a^4 - max{n0, n1, n2}",
+    "chain.alpha_prime_le_32_over_a_log": "32/(a log(1/a)) - alpha(a, c, r')",
+    "chain.log_k_prime_gt_min_branch":
+        "log K' - min{a^2 g/(4(4+2a)), a^2 (1-a) g/(4(4-2a))}, g = gamma",
+    "chain.min_branch_ge_a3_floor": "min{a^2 g/(4(4+2a)), a^2 (1-a) g/(4(4-2a))} - a^3(1-a)/16",
+    "chain.n3_estimate_le_headline": "20800/(a^7 (1-a)^4) - n3_estimate(a)",
+    "chain.end_to_end": "20800/(a^7 (1-a)^4) - n3_exact(a)",
+}
+
+SUITE_IDS, CHAIN_IDS = list(SUITE_NOTES), list(CHAIN_NOTES)
 
 # The chain links whose least margin lies inside the grid, screened by numpy.
 INTERIOR_IDS = [
@@ -81,29 +91,10 @@ def coarse_chain():
 
 class TestInequalitySuite:
     def test_all_checks_pass(self, coarse_suite):
-        assert [o.check_id for o in coarse_suite] == SUITE_IDS
+        assert _fields(coarse_suite) == _fields(_reference_suite(0.01, DEFAULT_SEED, 20))
         for o in coarse_suite:
             assert o.passed, o
             assert o.worst_margin > 0.0
-
-    def test_margin_reproducible_from_location(self, coarse_suite):
-        by_id = {o.check_id: o for o in coarse_suite}
-        o = by_id["bounds.gamma_dominates_mu2"]
-        a = o.worst_location
-        assert bounds.aux_params(a).gamma - bounds.mu2(a) == o.worst_margin
-        o = by_id["bounds.radical_gap"]
-        a = o.worst_location
-        assert np.allclose(
-            4.0 - math.sqrt(16.0 - 3.0 * a * a) - a * a / 10.0,
-            o.worst_margin,
-            rtol=1e-9,
-            atol=0,
-        )
-        o = by_id["bounds.d_contraction"]
-        a, x = o.worst_location
-        d = bounds.d_function(a, a * (0.1 * a + 0.9), x)
-        c = a * (0.1 * a + 0.9)
-        assert min(1.0 - d, d - c / (1.0 + a)) == o.worst_margin
 
     def test_seed_changes_random_points_not_verdicts(self, coarse_suite):
         other = run_inequality_suite(grid_step=0.01, extra_random=20, seed=1)
@@ -136,71 +127,9 @@ class TestInequalitySuite:
             tracemalloc.stop()
         assert peak <= 1.8e6, peak
 
-    def test_sample_counts(self, coarse_suite):
-        by_id = {o.check_id: o for o in coarse_suite}
-        grid_points = 99
-        assert by_id["bounds.gamma_dominates_mu2"].samples == grid_points + 20
-        assert by_id["bounds.lemma_log_bounds"].samples == 3000
-        assert by_id["bounds.d_contraction"].samples == (grid_points + 20) * 99
-
-
-def _libm_d_contraction(grid_step, extra_random, seed):
-    """bounds.d_contraction's outcome from every sample's libm margin: each
-    row of D filled with Python float powers (libm pow), then the first
-    smallest margin over all samples."""
-    grid = verify._grid(grid_step)
-    rng = np.random.default_rng(seed)
-    pts = np.concatenate([grid, rng.uniform(grid[0], grid[-1], size=extra_random)]).tolist()
-    xs = [k * 0.01 for k in range(1, 100)]
-    margins = np.empty((len(pts), len(xs)))
-    for i, a in enumerate(pts):
-        c = a * (0.1 * a + 0.9)
-        first_base = 1.0 / (1.0 + a)
-        second_base = (1.0 + c) / (1.0 + a)
-        root = math.sqrt(1.0 + c * c - a * c)
-        floor = c / (1.0 + a)
-        row = [max(first_base ** x, second_base ** x * root ** (1.0 - x)) for x in xs]
-        margins[i] = [min(1.0 - d, d - floor) for d in row]
-    k = int(np.argmin(margins))
-    ia, ix = divmod(k, len(xs))
-    return float(margins.flat[k]), (pts[ia], xs[ix]), margins.size
-
 
 class TestDContraction:
-    """The screened check reports exactly what every libm sample gives."""
-
-    @pytest.mark.parametrize(
-        "grid_step, extra_random, seed",
-        [(0.01, 20, DEFAULT_SEED), (1e-3, 100, DEFAULT_SEED), (1e-3, 100, 5)],
-    )
-    def test_outcome_equals_exhaustive_libm(self, grid_step, extra_random, seed):
-        suite = run_inequality_suite(grid_step=grid_step, extra_random=extra_random, seed=seed)
-        o = next(o for o in suite if o.check_id == "bounds.d_contraction")
-        worst, location, samples = _libm_d_contraction(grid_step, extra_random, seed)
-        assert o.worst_margin == worst
-        assert o.worst_location == location
-        assert o.samples == samples
-        assert o.passed == (worst > 0.0)
-
-    def test_outcome_survives_a_screen_off_by_its_tolerance(self, monkeypatch):
-        # A D screen that errs by up to 0.9 of its tolerance either way, as
-        # other SIMD code might, still gives the exhaustive libm outcome.
-        # Only the screen is skewed: the libm confirmation keeps the true D.
-        d_contraction = verify._d_contraction
-
-        def skewed(lib, a, c, x):
-            links = d_contraction(lib, a, c, x)
-            if lib is bounds._libm:
-                return links
-            margin, scale = links["bounds.d_contraction"]
-            skew = 0.9 * verify._SCREEN_REL * np.cos(np.arange(margin.size))
-            return {"bounds.d_contraction": (margin + scale * skew.reshape(margin.shape), scale)}
-
-        monkeypatch.setattr(verify, "_d_contraction", skewed)
-        suite = run_inequality_suite(grid_step=0.01, extra_random=20, seed=DEFAULT_SEED)
-        o = next(o for o in suite if o.check_id == "bounds.d_contraction")
-        worst, location, samples = _libm_d_contraction(0.01, 20, DEFAULT_SEED)
-        assert (o.worst_margin, o.worst_location, o.samples) == (worst, location, samples)
+    """verify screens the D contraction at the first and the last x only."""
 
     def test_least_margin_sits_at_the_first_or_last_x(self):
         # The lemma behind the two-column screen (bounds.d_function): its
@@ -218,43 +147,6 @@ class TestDContraction:
             floor = c / (1.0 + a)
             margins = [min(1.0 - d, d - floor) for d in (bounds.d_function(a, c, x) for x in xs)]
             assert min(margins[1:-1]) > min(margins[0], margins[-1]), a
-
-    @staticmethod
-    def _rule(screened, margins):
-        calls = []
-
-        def exact_at(i):
-            calls.append(i)
-            return margins[i]
-
-        confirmed = verify._confirmed(np.array(screened), exact_at, 1e-12)
-        i = int(np.argmin(confirmed))
-        assert np.delete(confirmed, i).tolist() == [math.inf] * (len(screened) - 1)
-        return (i, confirmed.item(i)), calls
-
-    def test_exact_order_beats_screened_order(self):
-        # The screen ranks 1 below 2; the exact margins rank 2 first.
-        margins = [0.5, 0.1 + 5e-13, 0.1 + 2e-13, 0.9]
-        (i, worst), _ = self._rule([0.5, 0.1, 0.1 + 1e-13, 0.9], margins)
-        assert (i, worst) == (2, margins[2])
-
-    def test_exact_tie_goes_to_lower_index(self):
-        margins = [0.5, 0.1 + 5e-13, 0.9, 0.1 + 5e-13]
-        (i, worst), _ = self._rule([0.5, 0.1 + 1e-13, 0.9, 0.1], margins)
-        assert (i, worst) == (1, margins[1])
-
-    def test_far_samples_are_never_confirmed(self):
-        screened = [0.1 + 3e-12, 0.1, 0.1 + 1.5e-12, 0.1 + 2.5e-12, 0.7]
-        (i, worst), calls = self._rule(screened, screened)
-        assert (i, worst) == (1, 0.1)
-        assert calls == [1, 2]
-
-    def test_non_finite_screened_values_are_confirmed(self):
-        screened = [0.1, math.nan, 0.3, math.inf, -math.inf]
-        margins = [0.1, 0.05, 0.3, 0.2, 0.4]
-        (i, worst), calls = self._rule(screened, margins)
-        assert (i, worst) == (1, 0.05)
-        assert calls == [0, 1, 3, 4]
 
 
 def _screens(seed):
@@ -327,42 +219,268 @@ class TestConfirmRule:
         confirmed = verify._confirmed(screened, margins.__getitem__, tol)
         assert confirmed.tolist() == [math.inf, math.inf, 0.25, math.inf, math.inf]
 
+    @pytest.mark.parametrize("screened, margins, worst, calls", [
+        # The screen ranks 1 below 2; the exact margins rank 2 first.
+        pytest.param([0.5, 0.1, 0.1 + 1e-13, 0.9], [0.5, 0.1 + 5e-13, 0.1 + 2e-13, 0.9],
+                     (2, 0.1 + 2e-13), [1, 2], id="exact_order_beats_screened_order"),
+        pytest.param([0.5, 0.1 + 1e-13, 0.9, 0.1], [0.5, 0.1 + 5e-13, 0.9, 0.1 + 5e-13],
+                     (1, 0.1 + 5e-13), [1, 3], id="exact_tie_goes_to_lower_index"),
+        pytest.param([0.1 + 3e-12, 0.1, 0.1 + 1.5e-12, 0.1 + 2.5e-12, 0.7],
+                     [0.1 + 3e-12, 0.1, 0.1 + 1.5e-12, 0.1 + 2.5e-12, 0.7],
+                     (1, 0.1), [1, 2], id="far_samples_are_never_confirmed"),
+        pytest.param([0.1, math.nan, 0.3, math.inf, -math.inf], [0.1, 0.05, 0.3, 0.2, 0.4],
+                     (1, 0.05), [0, 1, 3, 4], id="non_finite_screened_values_are_confirmed"),
+    ])
+    def test_number_tol_confirms_the_exact_minimum(self, screened, margins, worst, calls):
+        # tol 1e-12: the exact minimum over the candidates, every other entry +inf.
+        made = []
+
+        def exact_at(i):
+            made.append(i)
+            return margins[i]
+
+        confirmed = verify._confirmed(np.array(screened), exact_at, 1e-12)
+        i = int(np.argmin(confirmed))
+        assert ((i, confirmed.item(i)), made) == (worst, calls)
+        assert np.delete(confirmed, i).tolist() == [math.inf] * (len(screened) - 1)
+
 
 def _fields(outcomes):
     """Each outcome's fields by repr, so that a -0.0 or a last-bit change shows."""
     return [[repr(getattr(o, f.name)) for f in dataclasses.fields(o)] for o in outcomes]
 
 
-def _threshold_link_margins(grid_step):
-    """The grid, and the four threshold links' margins at every a of it, by
-    check id: each link computed on the whole grid by bounds' array forms."""
-    a = verify._grid(grid_step)
-    c = bounds.aux_params(a).c
-    a2, a4 = (bounds._libm(pow, a, k) for k in (2, 4))
+# verify's contract, rebuilt from bounds' public float functions and plain
+# math: every check at every sample, with no screen, no shortcut to where a
+# margin is least, and no per-a values shared between the suite and the
+# chain.  The *contract* rule of tests/test_source_rules.py keeps these
+# functions free of bounds' and verify's private names.
+
+
+@functools.cache
+def reference_pass(grid_step, seed):
+    """verify_pass(grid_step, seed), outcome for outcome, as a tuple."""
+    return (*_reference_suite(grid_step, seed), *_reference_limits(),
+            *_reference_chain(grid_step))
+
+
+def _reference_outcome(check_id, margins, locations, notes):
+    """The outcome at the first smallest of margins, a list of floats,
+    located at the same index of locations."""
+    worst = min(margins)
+    i = margins.index(worst)
+    return VerificationOutcome(check_id, worst > 0.0, worst, locations[i], len(margins), notes)
+
+
+def _reference_grid(grid_step):
+    """verify's a-grid, k * grid_step for k = 1 .. round(1/grid_step) - 1."""
+    return [k * grid_step for k in range(1, round(1.0 / grid_step))]
+
+
+def _reference_suite(grid_step, seed, extra_random=100):
+    """run_inequality_suite(grid_step, extra_random, seed): scalar calls at
+    each point, D at all 99 x, the log lemmas at all 3000 x, and mu2's
+    residual in Fractions."""
+    grid = _reference_grid(grid_step)
+    draws = np.random.default_rng(seed).uniform(grid[0], grid[-1], extra_random)
+    pts = grid + draws.tolist()
+    aux = [bounds.aux_params(a) for a in pts]
+    mu1 = [bounds.mu1(a) for a in pts]
+    mu2 = [bounds.mu2(a) for a in pts]
+    log_k = [bounds.log_k_factors(a, x.c, x.p_prime, x.q_prime) for a, x in zip(pts, aux)]
+    n = len(grid)
+    steps2, steps1 = ([m[i + 1] - m[i] for i in range(n - 1)] for m in (mu2, mu1))
+    x_unit = [k * 1e-3 for k in range(1, 1001)]
+    x_wide = [k * 4e-3 for k in range(1, 1001)]
+    xs = [k * 0.01 for k in range(1, 100)]
+    d_margins = []
+    for a, c in zip(pts, (x.c for x in aux)):
+        # bounds.d_function(a, c, x) by the same libm powers, without its checks.
+        first, second = 1.0 / (1.0 + a), (1.0 + c) / (1.0 + a)
+        root, floor = math.sqrt(1.0 + c * c - a * c), c / (1.0 + a)
+        row = [max(first ** x, second ** x * root ** (1.0 - x)) for x in xs]
+        d_margins += [min(1.0 - d, d - floor) for d in row]
+    margins = {
+        "bounds.mu2_root_residual": [
+            1e-9 - float(abs(exact.mu2_quadratic(a, m)[0])) for a, m in zip(pts, mu2)
+        ],
+        "bounds.mu_order_and_bounds": [
+            min(m2 - 0.875, m1 - m2, 1.0 - m1) for m1, m2 in zip(mu1, mu2)
+        ],
+        "bounds.mu_shape": steps2 + steps1 + [steps1[i + 1] - steps1[i] for i in range(n - 2)],
+        "bounds.gamma_dominates_mu2": [x.gamma - m for x, m in zip(aux, mu2)],
+        "bounds.gamma_dominates_mu1": [x.gamma - m for x, m in zip(aux, mu1)],
+        "bounds.k_prime_gt_one": [min(k) for k in log_k],
+        "bounds.log_k_prime_floor": [
+            min(k) - a ** 3 * (1.0 - a) / 16.0 for a, k in zip(pts, log_k)
+        ],
+        "bounds.k2_log_floor": [
+            k[1] - a * x.q_prime * x.gamma / 4.0 for a, x, k in zip(pts, aux, log_k)
+        ],
+        "bounds.lemma_log_bounds": (
+            [math.log1p(x) - x / 2.0 for x in x_unit]
+            + [math.log1p(x) - x / (1.0 + x) for x in x_wide] + [x - math.log1p(x) for x in x_wide]
+        ),
+        "bounds.radical_gap": [4.0 - math.sqrt(16.0 - 3.0 * a * a) - a * a / 10.0 for a in pts],
+        "bounds.d_contraction": d_margins,
+    }
+    locations = {
+        "bounds.mu_shape": grid[:-1] * 2 + grid[1:-1],
+        "bounds.lemma_log_bounds": x_unit + x_wide * 2,
+        "bounds.d_contraction": [(a, x) for a in pts for x in xs],
+    }
+    return [_reference_outcome(check_id, margins[check_id], locations.get(check_id, pts), notes)
+            for check_id, notes in SUITE_NOTES.items()]
+
+
+def _reference_limits():
+    """verify_limits(), from the scalar mu1 and mu2."""
+    outcomes = []
+    for name, fn in (("mu2", bounds.mu2), ("mu1", bounds.mu1)):
+        f3, f4, f5 = fn(1e-3), fn(1e-4), fn(1e-5)
+        extrapolated = (10.0 * f5 - f4) / 9.0
+        slope = (f3 - f4) / (1e-3 - 1e-4)
+        outcomes += [
+            _reference_outcome(
+                f"limits.{name}_limit_richardson", [1e-6 - abs(extrapolated - 0.875)] * 2,
+                [1e-5, 1e-4],
+                f"(10 f(1e-5) - f(1e-4))/9 = {extrapolated!r}, target 7/8 within 1e-6",
+            ),
+            _reference_outcome(
+                f"limits.{name}_slope", [1e-3 - abs(slope - 1.0 / 32.0)] * 2, [1e-4, 1e-3],
+                f"(f(1e-3) - f(1e-4))/9e-4 = {slope!r}, target 1/32 within 1e-3",
+            ),
+        ]
+    return outcomes
+
+
+def _reference_libm(fn, x, *args):
+    """fn(v, *args) at each entry v of the array x as a Python float: libm's."""
+    return np.fromiter(map(fn, x.tolist(), *map(itertools.repeat, args)), float, x.size)
+
+
+def _reference_chain(grid_step):
+    """verify_estimate_chain(grid_step): every link at every a, on arrays
+    whose entries are each the scalar call's, by bounds' array forms and
+    libm maps, with bounds.n3 written out."""
+    a = np.array(_reference_grid(grid_step))
+    aux = bounds.aux_params(a)
+    c, gamma = aux.c, aux.gamma
+    a2, a3, a4 = (_reference_libm(pow, a, k) for k in (2, 3, 4))
+    log_kp = np.minimum(*bounds.log_k_factors(a, c, aux.p_prime, aux.q_prime))
+    r, r_prime = bounds.r_param(a, c)
     n0 = bounds.n0(a)
-    n1_branch = bounds._n1_branch(a)
-    ratio = bounds._n2_ratio(a, c, bounds._libm(math.log, a / 16.0))
-    return a, {
+    n1_branch = 9.0 * _reference_libm(pow, (4.0 + 2.0 * a) / a, 2)
+    ratio = _reference_libm(math.log, a / 16.0) / _reference_libm(math.log, c / (1.0 + a))
+    n3_exact = (
+        _reference_libm(math.log, (1.0 + a) / (a - c))
+        + _reference_libm(math.log1p, c * (1.0 - a) / (1.0 - c))
+        - bounds.alpha_param(a, c, r) * _reference_libm(math.log, r)
+    ) / log_kp + 1.0
+    one_minus_gamma = 0.1 * (1.0 - a)
+    bracket = 3.0 / (a * one_minus_gamma) + (2.0 / (a3 * one_minus_gamma)) * (
+        32.0 / (a * -_reference_libm(math.log, a))
+    )
+    n3_estimate = bracket * 16.0 / (a3 * (1.0 - a)) + 1.0
+    headline = bounds.final_bound(a)
+    min_branch = np.minimum(
+        a * a * gamma / (4.0 * (4.0 + 2.0 * a)),
+        a * a * (1.0 - a) * gamma / (4.0 * (4.0 - 2.0 * a)),
+    )
+    margins = {
+        "chain.n3_exact_le_estimate": n3_estimate - n3_exact,
         "chain.n0_le_1280_over_a4": 1280.0 / a4 - n0,
         "chain.n1_le_max_324_over_a2": 324.0 / a2 - n1_branch,
-        "chain.n2_le_max_5760_over_a2": 5760.0 / a2 - 9.0 * bounds._libm(pow, ratio, 2),
-        "chain.thresholds_le_5760_over_a4": (
-            5760.0 / a4 - np.maximum(np.maximum(n0, n1_branch), 9.0 * ratio * ratio)
-        ),
+        "chain.n2_le_max_5760_over_a2": 5760.0 / a2 - 9.0 * _reference_libm(pow, ratio, 2),
+        "chain.thresholds_le_5760_over_a4":
+            5760.0 / a4 - np.maximum(np.maximum(n0, n1_branch), 9.0 * ratio * ratio),
+        "chain.alpha_prime_le_32_over_a_log":
+            32.0 / (a * _reference_libm(math.log, 1.0 / a)) - bounds.alpha_param(a, c, r_prime),
+        "chain.log_k_prime_gt_min_branch": log_kp - min_branch,
+        "chain.min_branch_ge_a3_floor": min_branch - a3 * (1.0 - a) / 16.0,
+        "chain.n3_estimate_le_headline": headline - n3_estimate,
+        "chain.end_to_end": headline - n3_exact,
     }
+    locations = a.tolist()
+    return [_reference_outcome(check_id, margins[check_id].tolist(), locations, notes)
+            for check_id, notes in CHAIN_NOTES.items()]
 
 
-def _log_lemma_margins():
-    """The log lemmas' x-grids and margins at every x of them: 1000 steps of
-    1e-3 over (0, 1], and of 4e-3 over (0, 4] twice."""
-    x_unit = np.arange(1.0, 1001.0) * 1e-3
-    x_wide = np.arange(1.0, 1001.0) * 4e-3
-    log1p_wide = bounds._libm(math.log1p, x_wide)
-    return [x_unit, x_wide, x_wide], [
-        bounds._libm(math.log1p, x_unit) - x_unit / 2.0,
-        log1p_wide - x_wide / (1.0 + x_wide),
-        x_wide - log1p_wide,
-    ]
+def _skew_simd(monkeypatch):
+    # Each screened log and power off by up to 1e-13 of itself, far more
+    # than SIMD code errs: a link's margin A - B moves by at most
+    # 3e-13 (|A| + |B|) (three logs in a term of n3_exact), and a D margin
+    # by at most 2e-13 D (two powers in a product).
+    simd = bounds._simd
+
+    def skewed(fn, x, *args):
+        values = simd(fn, x, *args)
+        return values * (1.0 + 1e-13 * np.cos(np.arange(values.size))).reshape(values.shape)
+
+    monkeypatch.setattr(bounds, "_simd", skewed)
+
+
+def _skew_d_screen(monkeypatch):
+    # The screened D margins off by up to 0.9 of their tolerance either way;
+    # the libm confirmation keeps the true D.
+    d_contraction = verify._d_contraction
+
+    def skewed(lib, a, c, x):
+        links = d_contraction(lib, a, c, x)
+        if lib is bounds._libm:
+            return links
+        margin, scale = links["bounds.d_contraction"]
+        skew = 0.9 * verify._SCREEN_REL * np.cos(np.arange(margin.size)).reshape(margin.shape)
+        return {"bounds.d_contraction": (margin + scale * skew, scale)}
+
+    monkeypatch.setattr(verify, "_d_contraction", skewed)
+
+
+def _skew_mu2_screen(monkeypatch):
+    # The screened mu2 residual off by up to 0.9 of its tolerance either
+    # way; mu2's own Newton step keeps the true quadratic.
+    quadratic, mu2 = bounds._mu2_quadratic, bounds.mu2
+
+    def skewed(a, x):
+        hi, lo = quadratic(a, x)
+        return hi + 0.9 * verify._MU2_RESIDUAL_TOL * np.cos(np.arange(hi.size)), lo
+
+    def unskewed_mu2(a):
+        with monkeypatch.context() as m:
+            m.setattr(bounds, "_mu2_quadratic", quadratic)
+            return mu2(a)
+
+    monkeypatch.setattr(bounds, "_mu2_quadratic", skewed)
+    monkeypatch.setattr(bounds, "mu2", unskewed_mu2)
+
+
+class TestContract:
+    """verify_pass and each public suite report what every sample's margin
+    gives, by repr, also under a screen skewed within its promise."""
+
+    @pytest.mark.parametrize("grid_step, seed, skew", [
+        (1e-2, DEFAULT_SEED, None), (4e-3, 7, None), (1e-3, 1, None), (1e-3, 5, None),
+        (1e-3, DEFAULT_SEED, None), (1e-3, DEFAULT_SEED, _skew_simd),
+        (1e-3, DEFAULT_SEED, _skew_d_screen), (1e-3, DEFAULT_SEED, _skew_mu2_screen),
+        (1e-4, DEFAULT_SEED, None), (1e-5, DEFAULT_SEED, None),
+    ], ids=lambda v: v.__name__[6:] if callable(v) else "unskewed" if v is None else None)
+    def test_pass_equals_the_reference(self, monkeypatch, grid_step, seed, skew):
+        chain = len(CHAIN_IDS)
+        if grid_step < 1e-3:
+            # The reference's suite would take D at 99 x of each of 10^4 or
+            # 10^5 points: the chain alone.
+            expected = _fields(_reference_chain(grid_step))
+            assert _fields(verify_pass(grid_step, seed)[-chain:]) == expected
+            assert _fields(verify_estimate_chain(grid_step)) == expected
+            return
+        reference = reference_pass(grid_step, seed)
+        if skew is not None:
+            skew(monkeypatch)
+        assert _fields(verify_pass(grid_step, seed)) == _fields(reference)
+        suite = len(SUITE_IDS)
+        assert _fields(run_inequality_suite(grid_step, seed=seed)) == _fields(reference[:suite])
+        assert _fields(verify_limits()) == _fields(reference[suite:-chain])
+        assert _fields(verify_estimate_chain(grid_step)) == _fields(reference[-chain:])
 
 
 def _proof_points():
@@ -388,7 +506,7 @@ class TestMonotoneChecks:
     """verify computes the chain's four threshold links at the grid's last a
     and the log lemmas at the first x of their grids, where each margin is
     least (the proofs are in verify._chain and verify._suite).  Here: the
-    proofs' facts in Fractions or at 50 digits, and the outcomes of every
+    proofs' facts in Fractions or at 50 digits; TestContract takes every
     sample's margin."""
 
     def test_n1_link_identity(self):
@@ -491,54 +609,12 @@ class TestMonotoneChecks:
                     if x * 1000 % 97 == 0:
                         assert mpmath.almosteq(mpmath.diff(margin, x), slope(x), 1e-30), x
 
-    @pytest.mark.parametrize("grid_step", [1e-2, 4e-3, 1e-3, 1e-4, 1e-5])
-    def test_threshold_links_equal_their_full_grid(self, grid_step):
-        chain = {o.check_id: o for o in verify_estimate_chain(grid_step)}
-        a, links = _threshold_link_margins(grid_step)
-        for check_id, margins in links.items():
-            assert int(np.argmin(margins)) == len(a) - 1, check_id
-            full = verify._min_outcome(check_id, margins, a, chain[check_id].notes)
-            assert _fields([full]) == _fields([chain[check_id]])
-
-    def test_log_lemmas_equal_their_full_x_grids(self, coarse_suite):
-        o = next(o for o in coarse_suite if o.check_id == "bounds.lemma_log_bounds")
-        grids, margins = _log_lemma_margins()
-        for lemma in margins:
-            assert int(np.argmin(lemma)) == 0
-            assert lemma[1] - lemma[0] >= 2.3e-5
-        full = verify._min_outcome(o.check_id, np.concatenate(margins), np.concatenate(grids),
-                                   o.notes)
-        assert _fields([full]) == _fields([o])
-
-
-def _interior_link_margins(grid_step):
-    """The grid, and the four interior links' margins at every a of it, by
-    check id, as the chain computed them before its screen: each quantity a
-    bounds call on the whole grid, every log and power a libm map."""
-    a = verify._grid(grid_step)
-    per_a = verify._per_a(a)
-    c = per_a.c
-    log_a16 = bounds._libm(math.log, a / 16.0)
-    r, r_prime = bounds.r_param(a, c)
-    n3_exact = bounds._n3_exact(a, c, r, np.minimum(per_a.log_k1, per_a.log_k2), log_a16)
-    n3_estimate = bounds._n3_estimate(a, per_a.a3)
-    headline = bounds.final_bound(a)
-    return a, {
-        "chain.n3_exact_le_estimate": n3_estimate - n3_exact,
-        "chain.alpha_prime_le_32_over_a_log": (
-            32.0 / (a * bounds._libm(math.log, 1.0 / a)) - bounds._alpha(a, c, r_prime, log_a16)
-        ),
-        "chain.n3_estimate_le_headline": headline - n3_estimate,
-        "chain.end_to_end": headline - n3_exact,
-    }
-
 
 class TestChainScreen:
     """verify screens the chain's four interior links with numpy's logs and
     powers and confirms their minima with libm (the error bound is beside
-    verify._SCREEN_REL).  Here: the screen's error against libm, and the
-    outcomes of every sample's libm margin, with the D contraction's, which
-    goes through the same screen, under a skewed one."""
+    verify._SCREEN_REL).  Here: the screen's error against libm; the
+    outcomes, under skewed screens too, are TestContract's."""
 
     @pytest.mark.parametrize("points", ["1e-2", "4e-3", "1e-3", "1e-4", "1e-5", "ends"])
     def test_screen_within_a_thousandth_of_its_tolerance(self, points):
@@ -554,43 +630,13 @@ class TestChainScreen:
             for fast, exact_values in zip(screened[check_id], (margin, scale)):
                 assert np.all(np.abs(fast - exact_values) <= tol / 1000), check_id
 
-    @pytest.mark.parametrize("grid_step", [1e-2, 4e-3, 1e-3, 1e-4, 1e-5])
-    def test_interior_links_equal_their_full_grid(self, grid_step):
-        chain = {o.check_id: o for o in verify_estimate_chain(grid_step)}
-        a, links = _interior_link_margins(grid_step)
-        for check_id, margins in links.items():
-            full = verify._min_outcome(check_id, margins, a, chain[check_id].notes)
-            assert _fields([full]) == _fields([chain[check_id]])
-
-    def test_outcomes_survive_a_screen_off_by_a_third_of_its_tolerance(self, monkeypatch):
-        # Each screened log and power off by up to 1e-13 of itself, far more
-        # than SIMD code errs, moves a link's margin A - B by at most
-        # 3e-13 (|A| + |B|) (three logs in a term of n3_exact), and a D
-        # margin by at most 2e-13 D (two powers in a product): the D
-        # contraction's outcome and the four links' stay libm's.
-        simd = bounds._simd
-
-        def skewed(fn, x, *args):
-            values = simd(fn, x, *args)
-            return values * (1.0 + 1e-13 * np.cos(np.arange(values.size))).reshape(values.shape)
-
-        monkeypatch.setattr(bounds, "_simd", skewed)
-        outcomes = {o.check_id: o for o in verify_pass(1e-3)}
-        worst, location, samples = _libm_d_contraction(1e-3, 100, DEFAULT_SEED)
-        d = outcomes["bounds.d_contraction"]
-        assert (d.worst_margin, d.worst_location, d.samples) == (worst, location, samples)
-        a, links = _interior_link_margins(1e-3)
-        for check_id, margins in links.items():
-            full = verify._min_outcome(check_id, margins, a, outcomes[check_id].notes)
-            assert _fields([full]) == _fields([outcomes[check_id]])
-
 
 class TestWorkPerPass:
     """How much libm, screen and confirm work a default verify pass does: a
     shared quantity mapped twice, a screen wider than it needs, or a screen
     drifting toward its tolerance, shows here before it shows in the
     timings.  The pass shares its per-a arrays between the suite and the
-    chain, and no outcome may move for it."""
+    chain; TestContract holds its outcomes to the three suites'."""
 
     def test_libm_array_maps(self, capsys, monkeypatch):
         maps = []
@@ -630,29 +676,6 @@ class TestWorkPerPass:
         assert maps[:3] == [(pow, (1099, 2))] * 3
         assert [shape for _, shape in maps[3:]] == [(999,)] * 10
 
-    @pytest.mark.parametrize("grid_step", [0.01, 0.004, 1e-3])
-    @pytest.mark.parametrize("seed", [1, 5, DEFAULT_SEED])
-    def test_shared_pass_equals_the_three_suites(self, grid_step, seed):
-        alone = (run_inequality_suite(grid_step, seed=seed) + verify_limits()
-                 + verify_estimate_chain(grid_step))
-        assert _fields(verify_pass(grid_step, seed)) == _fields(alone)
-
-    @pytest.mark.parametrize("seed", [1, 5, DEFAULT_SEED])
-    def test_d_contraction_confirms_one_sample(self, monkeypatch, seed):
-        # The D contraction's libm form runs once per confirmed sample.
-        calls = []
-        d_contraction = verify._d_contraction
-
-        def counted(lib, a, c, x):
-            if lib is bounds._libm:
-                calls.append((a, x))
-            return d_contraction(lib, a, c, x)
-
-        monkeypatch.setattr(verify, "_d_contraction", counted)
-        suite = run_inequality_suite(seed=seed)
-        o = next(o for o in suite if o.check_id == "bounds.d_contraction")
-        assert calls == [o.worst_location]
-
     @pytest.mark.parametrize("seed", [1, 5, DEFAULT_SEED])
     def test_interior_links_confirm_one_a(self, monkeypatch, seed):
         confirms = []
@@ -685,61 +708,6 @@ class TestWorkPerPass:
         ]
 
 
-def _exact_mu2_residual(grid_step, extra_random, seed):
-    """bounds.mu2_root_residual's outcome from every point's exact margin:
-    scalar mu2 calls, each residual in Fraction arithmetic, rounded once,
-    then the first smallest margin over all points."""
-    grid = verify._grid(grid_step)
-    rng = np.random.default_rng(seed)
-    pts = np.concatenate([grid, rng.uniform(grid[0], grid[-1], size=extra_random)]).tolist()
-    margins = []
-    for a in pts:
-        residual, _ = exact.mu2_quadratic(a, bounds.mu2(a))
-        margins.append(1e-9 - float(abs(residual)))
-    k = int(np.argmin(margins))
-    return margins[k], pts[k], len(pts)
-
-
-class TestMu2Residual:
-    """The screened residual check reports exactly what every point's exact
-    residual gives."""
-
-    @pytest.mark.parametrize(
-        "grid_step, extra_random, seed",
-        [(0.01, 20, DEFAULT_SEED), (1e-3, 100, DEFAULT_SEED), (1e-3, 100, 5)],
-    )
-    def test_outcome_equals_exhaustive_exact(self, grid_step, extra_random, seed):
-        suite = run_inequality_suite(grid_step=grid_step, extra_random=extra_random, seed=seed)
-        o = next(o for o in suite if o.check_id == "bounds.mu2_root_residual")
-        worst, location, samples = _exact_mu2_residual(grid_step, extra_random, seed)
-        assert o.worst_margin == worst
-        assert o.worst_location == location
-        assert o.samples == samples
-        assert o.passed == (worst > 0.0)
-
-    def test_outcome_survives_a_screen_off_by_its_tolerance(self, monkeypatch):
-        # A residual that errs by up to 0.9 of the screen's tolerance either
-        # way still gives the exhaustive exact outcome.  mu2's own Newton
-        # step keeps the true quadratic: only the screen is skewed.
-        quadratic, mu2 = bounds._mu2_quadratic, bounds.mu2
-
-        def skewed(a, x):
-            hi, lo = quadratic(a, x)
-            return hi + 0.9 * verify._MU2_RESIDUAL_TOL * np.cos(np.arange(hi.size)), lo
-
-        def unskewed_mu2(a):
-            with monkeypatch.context() as m:
-                m.setattr(bounds, "_mu2_quadratic", quadratic)
-                return mu2(a)
-
-        monkeypatch.setattr(bounds, "_mu2_quadratic", skewed)
-        monkeypatch.setattr(bounds, "mu2", unskewed_mu2)
-        suite = run_inequality_suite(grid_step=0.01, extra_random=20, seed=DEFAULT_SEED)
-        o = next(o for o in suite if o.check_id == "bounds.mu2_root_residual")
-        worst, location, samples = _exact_mu2_residual(0.01, 20, DEFAULT_SEED)
-        assert (o.worst_margin, o.worst_location, o.samples) == (worst, location, samples)
-
-
 class TestLimits:
     def test_all_pass(self):
         outcomes = verify_limits()
@@ -756,12 +724,6 @@ class TestLimits:
 
 class TestOutcomeRule:
     """Every outcome passes iff its worst margin is positive."""
-
-    def test_every_outcome_of_a_default_pass(self):
-        outcomes = run_inequality_suite() + verify_limits() + verify_estimate_chain()
-        assert len(outcomes) == len(SUITE_IDS) + len(LIMIT_IDS) + len(CHAIN_IDS)
-        for o in outcomes:
-            assert o.passed == (o.worst_margin > 0.0), o
 
     def test_a_margin_at_its_tolerance_fails(self):
         # A limit whose deviation equals its tolerance: margin 0, so FAIL,
@@ -784,12 +746,6 @@ class TestEstimateChain:
         for o in coarse_chain:
             assert o.passed, o
             assert o.samples == 99
-
-    def test_end_to_end_margin_reproducible(self, coarse_chain):
-        o = coarse_chain[-1]
-        assert o.check_id == "chain.end_to_end"
-        a = o.worst_location
-        assert bounds.final_bound(a) - bounds.n3(a)[0] == o.worst_margin
 
 
 class TestFuzz:
