@@ -1,16 +1,16 @@
-"""Shared fixtures, the tools loader, the disk draws of the finder and
-kernel tests, plus the acceptance-criteria summary block.
+"""Shared fixtures, the tools loader and ``families``, the seeded rows of
+``tools/families.py`` that the tests draw, plus the acceptance-criteria
+summary block.
 
 Acceptance tests report through ``record_criterion`` so that one PASS/FAIL
 line per criterion is printed in the terminal summary even under default
 output capturing.
 """
 
-import functools
-import importlib.util
+import importlib
+import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -23,25 +23,15 @@ def record_criterion(number: int, passed: bool, detail: str) -> None:
     _CRITERION_LINES[number] = f"criterion {number}: {'PASS' if passed else 'FAIL'} - {detail}"
 
 
-@functools.cache
 def load_tool(name: str):
-    """``tools/<name>.py`` as a module, loaded once per session."""
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    """``tools/<name>.py`` as a module, imported once per session with tools/
+    on the import path, as it is when a tool runs as a script."""
+    if str(TOOLS) not in sys.path:
+        sys.path.insert(0, str(TOOLS))
+    return importlib.import_module(name)
 
 
-def disk_roots(rng, degree, separation=1e-3):
-    """degree points drawn uniformly from the unit disk, each at least
-    separation from those drawn before it."""
-    roots = []
-    while len(roots) < degree:
-        z = complex(np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
-        if all(abs(z - w) >= separation for w in roots):
-            roots.append(z)
-    return tuple(roots)
-
+families = load_tool("families")
 
 complex_in_disk = st.builds(
     complex,

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 import exact
-from conftest import disk_roots, record_criterion
+from conftest import families, record_criterion
 from sendov_lab import bounds, verify
 from sendov_lab.cli import main
 from sendov_lab.roots import find_roots, from_roots, match_roots
@@ -125,7 +125,7 @@ def test_criterion_5_root_finder_oracle():
     worst_radius = 0.0
     for _ in range(500):
         degree = int(rng.integers(2, 51))
-        roots = disk_roots(rng, degree)
+        roots = families.separated_disk(rng, degree)
         p = from_roots(roots)
         res = find_roots(p)
         n_converged += res.converged

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import exact
 import sendov_lab
-from conftest import complex_in_disk, load_tool
+from conftest import complex_in_disk, families, load_tool
 from sendov_lab import bounds
 from sendov_lab import polynomial as poly
 from sendov_lab.bounds import DomainError
@@ -113,11 +113,11 @@ class TestCriticalReport:
         assert rep.converged
 
     def test_infinite_radius_is_not_converged(self):
-        # The last row of tools/kernel_agreement.py's rows(90, 30), a cluster
-        # of spread 1e-15, settles two critical points on one float: both
-        # radii are inf and the bracket is UNRESOLVED.  converged reads
-        # False there, as it does for a RootResult with an infinite radius.
-        family, a, row = _agreement_rows(90, 30)[-1]
+        # The last row of families.rows(90, 30), a cluster of spread 1e-15,
+        # settles two critical points on one float: both radii are inf and
+        # the bracket is UNRESOLVED.  converged reads False there, as it
+        # does for a RootResult with an infinite radius.
+        family, a, row = families.rows(90, 30)[-1]
         assert family == "clusters of spread 1e-15"
         rep = critical_report(SendovInstance(a, tuple(row.tolist())))
         assert np.isinf(rep.radii).sum() == 2
@@ -136,7 +136,7 @@ class TestCriticalReport:
         assert np.allclose(
             rep.sendov_distance, ref.SENDOV_DIST_05_ROOTS_OF_UNITY, rtol=1e-12, atol=0
         )
-        negged = tuple(cmath.exp(1j * (math.pi + 2 * math.pi * k) / 4) for k in range(4))
+        negged = tuple(families.circle(4, math.pi).tolist())
         rep = critical_report(SendovInstance(a=0.5, other_zeros=negged))
         assert np.allclose(
             rep.sendov_distance, ref.SENDOV_DIST_05_NEG_ROOTS, rtol=1e-12, atol=0
@@ -214,10 +214,7 @@ class TestCertifiedCriticalPoints:
     def test_unit_circle_degree_200(self, sign, expected):
         # (z - 0.99)(z^199 - sign): the coefficients of P reach 6e29 here.
         a, m = 0.99, 199
-        inst = SendovInstance(a=a, other_zeros=tuple(
-            complex(cmath.exp(1j * (2 * math.pi * k + (0 if sign == 1 else math.pi)) / m))
-            for k in range(m)
-        ))
+        inst = SendovInstance(a, tuple(families.circle(m, 0.0 if sign == 1 else math.pi).tolist()))
         rep = critical_report(inst)
         # Estimates from the trinomial P' = (m+1) z^m - m a z^(m-1) - sign,
         # refined against the binary64 zeros the report was given.
@@ -343,11 +340,8 @@ class TestCertifiedCriticalPoints:
 
 
 def _disk_block(rows, degree):
-    """(a, rows of degree - 1 other zeros drawn area-uniformly from the
-    unit disk), seeded by the block's shape."""
-    rng = np.random.default_rng([0x48414C46, rows, degree])
-    radius, angle = rng.uniform(size=(2, rows, degree - 1))
-    return 0.4, np.sqrt(radius) * np.exp(2j * np.pi * angle)
+    """(a, rows of degree - 1 other zeros in the unit disk), seeded by the block's shape."""
+    return 0.4, families.disk(np.random.default_rng([0x48414C46, rows, degree]), (rows, degree - 1))
 
 
 class TestSendovDistances:
@@ -405,17 +399,7 @@ class TestSendovDistances:
         assert verdicts.tolist() == list(expected)
 
 
-def _agreement_rows(degree, round_):
-    """``tools/kernel_agreement.py``'s rows of one round at one degree."""
-    return load_tool("kernel_agreement").rows(degree, round_)
-
-
-def _kernel_rows(degree):
-    """``tools/kernel_agreement.py``'s pinned rows at one degree."""
-    return load_tool("kernel_agreement").pinned_rows(degree)
-
-
-# SHA-256 of the kernel's output on _kernel_rows: sendov_distances'
+# SHA-256 of the kernel's output on families.pinned_rows: sendov_distances'
 # (distance, radius) bytes, and every row's critical_report points and radii.
 KERNEL_DIGESTS = {
     3: ("d4c12371937d8663ce4286ce6c6e970b688750765519dad425abcd62b849457b",
@@ -434,7 +418,7 @@ KERNEL_DIGESTS = {
 class TestPinnedKernelBytes:
     @pytest.mark.parametrize("degree", list(KERNEL_DIGESTS))
     def test_kernel_output_matches_digest(self, degree):
-        a, rows = _kernel_rows(degree)
+        a, rows = families.pinned_rows(degree)
         distance, radius = poly.sendov_distances(a, rows)
         reports = hashlib.sha256()
         for row in rows:
@@ -503,7 +487,7 @@ class TestKernelStages:
     def test_unit_multiplicities_as_none_give_the_same_bytes(self, degree):
         # k=None skips the exact products by 1.0; the general path, which
         # repeated zeros take, must give the same bytes on simple zeros.
-        a, rows = _kernel_rows(degree)
+        a, rows = families.pinned_rows(degree)
         zeros = np.sort(np.concatenate([np.full((len(rows), 1), complex(a)), rows], axis=1), axis=1)
         zeta = zeros[~(zeros[:, 1:] == zeros[:, :-1]).any(axis=1)]
         ones = np.ones(zeta.shape)
@@ -577,7 +561,7 @@ class TestKernelStages:
     def test_isolation_matches_the_all_pairs_rule(self, degree):
         # Only the discs that can set the upper end are tested pair by pair;
         # whether the others meet a disc cannot move the bracket.
-        a, rows = _kernel_rows(degree)
+        a, rows = families.pinned_rows(degree)
         at = np.array([a])
         for row in rows:
             zeta, counts = np.unique(np.concatenate([[complex(a)], row]), return_counts=True)
@@ -592,16 +576,16 @@ class TestKernelStages:
         (23, 16, 16), (28, 27, 27), (8, 4, 0),
     ], ids=["unity-23", "unity-28", "cluster-1e-15"])
     def test_meeting_discs_match_the_all_pairs_rule(self, degree, meeting, tested):
-        # No _kernel_rows row has two discs that meet.  At a = 1 - 1e-12,
-        # with the other zeros at the roots of unity other than 1, 16 discs
-        # meet at degree 23 and each can set the upper end; at degree 28
-        # all 27 meet, and 2 * sum(radii) sets it.  In a degree-8 row of
-        # clusters of spread 1e-15, 4 discs meet and none can set it.
+        # No families.pinned_rows row has two discs that meet.  In the
+        # near-extremal row at eps 1e-12, 16 discs meet at degree 23 and each
+        # can set the upper end; at degree 28 all 27 meet, and
+        # 2 * sum(radii) sets it.  In a degree-8 row of clusters of spread
+        # 1e-15, 4 discs meet and none can set it.
         if degree == 8:
-            family, a, row = _agreement_rows(8, 2)[-1]
+            family, a, row = families.rows(8, 2)[-1]
             assert family == "clusters of spread 1e-15"
         else:
-            a, row = 1.0 - 1e-12, np.exp(2j * np.pi * np.arange(1, degree) / degree)
+            a, row = families.near_extremal(degree, 1e-12)
         at, repeated = np.array([a]), np.empty((1, 0), dtype=complex)
         zeta = np.unique(np.concatenate([[complex(a)], row]))[None]
         free, radii, _ = poly._free_points(zeta, np.ones(zeta.shape))
@@ -648,7 +632,7 @@ class TestKernelStages:
         # 8 roundings off (1e-4 clusters at degree 64).  The roots are
         # frozen (see test_frozen_roots_match_their_generator); each point
         # is matched to its nearest, one to one.
-        a, rows = _kernel_rows(degree)
+        a, rows = families.pinned_rows(degree)
         zeta = np.sort(np.concatenate([np.full((6, 1), complex(a)), rows[:6]], axis=1), axis=1)
         free, _, settled = poly._free_points(zeta, np.ones(zeta.shape))
         assert settled.all()
@@ -666,6 +650,14 @@ class TestKernelStages:
         load_tool("make_reference_values").print_frozen_roots(["8"])
         assert json.loads(capsys.readouterr().out) == {"8": FROZEN_ROOTS["8"]}
 
+    @pytest.mark.parametrize("argv", [["x"], ["8", "2.5"], ["1"], ["0"], ["-3"]])
+    def test_generator_rejects_a_bad_degree(self, capsys, argv):
+        # A degree must be an integer of at least 2; anything else gets the
+        # usage line and exit status 2 before any row is drawn.
+        assert load_tool("make_reference_values").main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: ")
+
     def test_second_order_starts_save_evaluations(self, monkeypatch):
         # Points that _aberth_corrections evaluates, over all sweeps.  A
         # Newton step of Q from each zero gave 4.16 per point on this block
@@ -679,13 +671,11 @@ class TestKernelStages:
 
         corrections = poly._aberth_corrections
         monkeypatch.setattr(poly, "_aberth_corrections", counted)
-        rng = np.random.default_rng([0x53574545, 0])
-        radius, angle = np.sqrt(rng.uniform(size=(200, 63))), rng.uniform(size=(200, 63))
-        others = radius * np.exp(2j * np.pi * angle)
+        others = families.disk(np.random.default_rng([0x53574545, 0]), (200, 63))
         poly.sendov_distances(0.5, others)
         assert sum(evaluated) / others.size <= 3.73
         evaluated.clear()
-        circle = tuple(np.exp(2j * np.pi * np.arange(199) / 199).tolist())
+        circle = tuple(families.circle(199).tolist())
         critical_report(SendovInstance(a=0.5, other_zeros=circle))
         assert sum(evaluated) <= 1060
 
@@ -710,7 +700,7 @@ class TestSweepBudget:
     def test_one_budget_ends_both_solvers(self, monkeypatch):
         # _sweeps ends every row at polynomial._MAX_SWEEPS, in the kernel and
         # in the finder alike: a budget of 3 cuts both short.
-        a, rows = _kernel_rows(17)
+        a, rows = families.pinned_rows(17)
         inst = SendovInstance(a, tuple(rows[0].tolist()))
         wilkinson = from_roots(range(1, 11))
         assert critical_report(inst).converged
@@ -732,9 +722,9 @@ class TestRadiusCertificate:
         if case == "near-extremal":
             # a = 1 - 1e-12 and the 8th roots of unity other than 1: f
             # cancels from sum |1/(w - zeta)| down to rounding level.
-            a, row = 1.0 - 1e-12, np.exp(2j * np.pi * np.arange(1, 8) / 8)
+            a, row = families.near_extremal(8, 1e-12)
         else:
-            a, rows = _kernel_rows(16)
+            a, rows = families.pinned_rows(16)
             row = rows[{"disk": 0, "cluster-1e-9": 4, "near-a-1e-12": 8}[case]]
         zeta = np.unique(np.concatenate([[complex(a)], row]))
         assert zeta.size == row.size + 1

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exact
-from conftest import complex_in_disk, disk_roots
+from conftest import complex_in_disk, families
 from sendov_lab import polynomial as poly
 from sendov_lab.bounds import DomainError
 from sendov_lab.roots import (
@@ -35,7 +35,7 @@ from sendov_lab.roots import (
 def _tail_draws():
     """Disk draws of degree 3, 34 and 64, the last with a pair 1e-5 apart
     added."""
-    draws = [disk_roots(np.random.default_rng(d), d) for d in (3, 34, 64)]
+    draws = [families.separated_disk(np.random.default_rng(d), d) for d in (3, 34, 64)]
     draws[-1] += (draws[-1][0] + 1e-5,)
     return draws
 
@@ -93,7 +93,7 @@ class TestFromRoots:
         # double-double head + tail errs by a few n u^2 of the coefficients
         # of prod(z + |r_j|): about 3e-32 at degree 30.  The head is head +
         # tail rounded to binary64.
-        roots = disk_roots(np.random.default_rng(3), 30)
+        roots = families.separated_disk(np.random.default_rng(3), 30)
         p = from_roots(roots)
         with mpmath.workdps(exact.DPS):
             for h, t, s, c, bound in zip(p.coefficients, p.tails, exact.coefficients(p), exact.expand(roots),
@@ -105,7 +105,7 @@ class TestFromRoots:
         # Near its roots p(z) cancels to about 1e-16 of sum |c_k| |z|^k, the
         # error of binary64 Horner; the compensated value is correct to a
         # few units of its own size plus a few u^2 of that sum.
-        roots = disk_roots(np.random.default_rng(5), 30)
+        roots = families.separated_disk(np.random.default_rng(5), 30)
         p = from_roots(roots)
         rng = np.random.default_rng(6)
         # Half the points lie within 1e-9 of a root, half about 0.3 off one.
@@ -241,7 +241,7 @@ class TestFindRoots:
         assert res.roots.count(0j) == roots.count(0.0)
 
     def test_roots_of_unity_recovered(self):
-        expected = tuple(cmath.exp(2j * cmath.pi * k / 12) for k in range(12))
+        expected = tuple(families.circle(12).tolist())
         res = find_roots(from_roots(expected))
         _, worst = match_roots(res.roots, expected)
         assert worst <= 1e-13
@@ -258,7 +258,7 @@ class TestFindRoots:
         rng = np.random.default_rng(20800)
         worst = (0.0, None, None)
         for _ in range(60):
-            roots = disk_roots(rng, int(rng.integers(30, 51)))
+            roots = families.separated_disk(rng, int(rng.integers(30, 51)))
             p = from_roots(roots)
             res = find_roots(p)
             assert res.converged
@@ -361,7 +361,7 @@ class TestFindRoots:
         }
         if case in draws:
             seed, degree = draws[case]
-            p = from_roots(disk_roots(np.random.default_rng(seed), degree))
+            p = from_roots(families.separated_disk(np.random.default_rng(seed), degree))
         elif case == "far-root":
             p = _far_root_polynomial()
         else:

@@ -49,6 +49,11 @@ a private name of either, which would reach the helpers as a bare name.
 ``mpmath.polyroots``, or sets mpmath's precision through ``mp.dps`` or
 ``mp.prec``, which would hold for every test run after it;
 ``mpmath.workdps`` sets it for one block.
+
+*families*: ``tools/families.py`` imports numpy and ``__future__`` alone:
+no ``sendov_lab``, no other tool and no relative import.  The seeded rows
+stay independent of the code they test, and any script, the benchmark's
+too, can load the module by path.
 """
 
 import ast
@@ -160,6 +165,11 @@ def contract(found, filename):
             and (kind == "import" or (function or "").lstrip("_").startswith("reference"))]
 
 
+def families(found, filename):
+    return [(line, text) for line, _, kind, text, level in found if kind == "import"
+            and (level or text.split(".")[0] not in ("numpy", "__future__"))]
+
+
 RULES = {
     "layer": (("cli.py", "polynomial.py", "verify.py"), layer),
     "scipy": (MODULES, scipy),
@@ -170,6 +180,7 @@ RULES = {
     "ratio": (("verify.py",), ratio),
     "reference": (TEST_MODULES + TOOL_MODULES, reference),
     "contract": (("test_verify.py",), contract),
+    "families": (("families.py",), families),
 }
 
 
@@ -257,6 +268,12 @@ def _reference_chain(step):
 def _check(step):
     return verify._grid(step) + bounds._libm(step)
 from sendov_lab.verify import _grid, verify_pass
+from __future__ import annotations
+import numpy.random
+from numpy.random import default_rng
+import kernel_agreement
+from .families import disk
+from sendov_lab import polynomial
 """
 # The lines of SELF_TEST that each rule catches, once per distinct name.
 CAUGHT = {
@@ -270,6 +287,9 @@ CAUGHT = {
     ("ratio", "verify.py"): [54, 55],
     ("reference", "test_polynomial.py"): [56, 57, 58, 59, 60, 62],
     ("contract", "test_verify.py"): [5, 5, 66, 66, 68, 71],
+    ("families", "families.py"): [1, 2, 2, 3, 4, 5, 5, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 15,
+                                  16, 17, 18, 19, 20, 21, 23, 24, 32, 34, 36, 37, 38, 39, 40, 58,
+                                  58, 71, 71, 75, 76, 77],
 }
 
 

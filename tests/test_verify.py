@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import exact
+from conftest import families
 from sendov_lab import bounds, verify
 from sendov_lab import polynomial as poly
 from sendov_lab.cli import main
@@ -778,10 +779,7 @@ class TestFuzz:
         trials = int(2.1 * poly._block_rows(degree))
         others = np.empty((trials, degree - 1), dtype=complex)
         for index in range(trials):
-            rng = np.random.default_rng([seed, index])
-            radius = np.sqrt(rng.uniform(size=degree - 1))
-            angle = rng.uniform(0.0, 2.0 * np.pi, size=degree - 1)
-            others[index] = radius * np.exp(1j * angle)
+            others[index] = families.disk(np.random.default_rng([seed, index]), degree - 1)
         distance, half_width = poly.sendov_distances(a, others)
         alone = np.array([
             (rep.sendov_distance, rep.distance_radius)
@@ -823,8 +821,7 @@ class TestFuzz:
         fuzz_sendov(0.5, degree, trials, seed=seed)
         assert len(rows) == trials
         for index, row in enumerate(rows):
-            u = np.random.default_rng([seed, index]).random(2 * m)
-            expected = np.sqrt(u[:m]) * np.exp(1j * (u[m:] * (2.0 * np.pi)))
+            expected = families.disk(np.random.default_rng([seed, index]), m)
             assert row.tobytes() == expected.tobytes(), index
 
     def test_violating_trial_is_kept_and_fails_the_command(self, monkeypatch, capsys):
@@ -844,8 +841,7 @@ class TestFuzz:
         assert (report.violations, report.max_sendov_distance) == (1, 1.5)
         (kept,) = report.violation_instances
         instance = poly.SendovInstance.from_json(kept)
-        u = np.random.default_rng([seed, bad]).random(2 * m)
-        expected = np.sqrt(u[:m]) * np.exp(1j * (u[m:] * (2.0 * np.pi)))
+        expected = families.disk(np.random.default_rng([seed, bad]), m)
         assert instance.a == 0.5
         assert np.array(instance.other_zeros).tobytes() == expected.tobytes()
 
@@ -879,9 +875,7 @@ class TestFuzz:
 def _structured_zeros(degree):
     """The other zeros of (z-a)(z^m - 1), (z-a)(z^m + 1) and (z-a) z^m, m = degree - 1."""
     m = degree - 1
-    circles = [tuple(complex(np.exp(1j * (theta + 2.0 * np.pi * k) / m)) for k in range(m))
-               for theta in (0.0, math.pi)]
-    return [*circles, (0j,) * m]
+    return [tuple(families.circle(m, turn).tolist()) for turn in (0.0, math.pi)] + [(0j,) * m]
 
 
 class TestExtremal:

@@ -5,14 +5,9 @@
 
 Each argument is a directory that holds a ``sendov_lab`` package, such as
 the ``src`` of a checkout.  Both trees run ``critical_report`` on the same
-seeded rows at degrees 3 to 200: area-uniform draws in the unit disk,
-clusters of spread 1e-9 and 1e-4, exactly repeated zeros, a zero equal to
-a, zeros within 1e-12 of a, and the unit-circle families z^m = 1 and
-z^m = -1 turned by a seeded angle.  Three families that reach the limits
-of the certificate follow: near-extremal rows, with a = 1 - eps for eps
-1e-9 and 1e-12 and the other zeros at the n-th roots of unity other than
-1 (one row per degree, since they draw nothing), and clusters of spread
-1e-15.
+seeded rows, ``families.rows`` of each round at each degree: every family
+of ``families.FAMILIES``, the near-extremal ones in round 0 only, since
+they draw nothing.
 
 Over all rows it prints the worst distance from a critical point of one
 tree to the nearest point of the other, the range of the ratio of each
@@ -37,10 +32,6 @@ the script prints how many of those rows get the (distance, half-width)
 bytes of the same tree's ``critical_report``; it exits 1 on any that do
 not.  A row with a repeated zero goes through ``critical_report`` there
 too, while the others run through the kernel in blocks.
-
-``pinned_rows`` gives the rows, one block per degree, on which the tests
-pin the kernel's output bytes; it draws five of its families by the same
-code as ``rows``.
 """
 
 from __future__ import annotations
@@ -52,27 +43,12 @@ from pathlib import Path
 
 import numpy as np
 
+from families import FAMILIES, rows
+
 DEGREES = (3, 4, 5, 6, 8, 11, 16, 17, 23, 32, 45, 64, 90, 128, 200)
 # Rounds of the row families per degree: the first eight give
 # 15 degrees x 34 x 8 = 4080 rows.
 ROUNDS = 34
-# Degrees of ``pinned_rows``.
-PINNED_DEGREES = (3, 8, 17, 64, 200)
-_TAG = 0x41475245
-# The rows of one round, in the order ``rows`` builds them.
-FAMILIES = (
-    "disk, first draw",
-    "disk, second draw",
-    "clusters of spread 1e-9",
-    "clusters of spread 1e-4",
-    "repeated zeros",
-    "a zero equal to a",
-    "zeros within 1e-12 of a",
-    "unit circle",
-    "near-extremal, eps 1e-9",
-    "near-extremal, eps 1e-12",
-    "clusters of spread 1e-15",
-)
 
 
 def load(src: str, name: str):
@@ -87,66 +63,6 @@ def load(src: str, name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
-
-
-def _disk(rng, size):
-    """size points drawn area-uniformly from the unit disk."""
-    return np.sqrt(rng.uniform(size=size)) * np.exp(2j * np.pi * rng.uniform(size=size))
-
-
-def _clusters(rng, spread, m):
-    """m zeros of the given spread around three centres drawn in the disk of radius 0.9."""
-    centres = 0.9 * _disk(rng, 3)
-    return centres[rng.integers(3, size=m)] + spread * _disk(rng, m)
-
-
-def _shared_families(rng, a: float, m: int) -> list[np.ndarray]:
-    """The rows of m zeros that ``rows`` and ``pinned_rows`` both draw, in
-    this order: clusters of spread 1e-9 and 1e-4, exactly repeated zeros, a
-    zero equal to a, and zeros within 1e-12 of a."""
-    out = [_clusters(rng, spread, m) for spread in (1e-9, 1e-4)]
-    out.append(np.repeat(_disk(rng, (m + 1) // 2), 2)[:m])
-    out.append(np.concatenate([[a], _disk(rng, m - 1)]))
-    near = max(1, m // 4)
-    out.append(np.concatenate([a + 1e-12 * _disk(rng, near), _disk(rng, m - near)]))
-    return out
-
-
-def rows(degree: int, round_: int) -> list[tuple[str, float, np.ndarray]]:
-    """(family, a, other zeros) for one round at one degree, in the order of
-    ``FAMILIES``; the near-extremal families come in round 0 only.  The
-    draws of the first eight families come first, so adding a family after
-    them leaves their rows as they were."""
-    rng = np.random.default_rng([_TAG, degree, round_])
-    m = degree - 1
-    a = float(rng.uniform(0.01, 0.99))
-    out = [_disk(rng, m), _disk(rng, m)] + _shared_families(rng, a, m)
-    sign = rng.integers(2)
-    angles = (2.0 * np.pi * np.arange(m) + sign * np.pi) / m + rng.uniform(0.0, 2.0 * np.pi)
-    out.append(np.exp(1j * angles))
-    out = [(family, a, row) for family, row in zip(FAMILIES, out)]
-    if round_ == 0:
-        unity = np.exp(2j * np.pi * np.arange(1, degree) / degree)
-        out += [(FAMILIES[8], 1.0 - 1e-9, unity), (FAMILIES[9], 1.0 - 1e-12, unity)]
-    out.append((FAMILIES[10], a, _clusters(rng, 1e-15, m)))
-    return out
-
-
-def pinned_rows(degree: int) -> tuple[float, np.ndarray]:
-    """(a, rows of other zeros) at one degree, seeded: four disk draws, the
-    rows of ``_shared_families``, a zero a subnormal distance from a (where
-    steps overflow and points are nudged), and the two unit-circle families
-    z^m = 1 and z^m = -1.  The tests pin the kernel's output on them at
-    ``PINNED_DEGREES``, and ``make_reference_values.py`` prints the true
-    critical points of their first six rows."""
-    rng = np.random.default_rng([0x4B45524E, degree])
-    m = degree - 1
-    a = float(rng.uniform(0.01, 0.99))
-    out = [_disk(rng, m) for _ in range(4)] + _shared_families(rng, a, m)
-    out.append(np.concatenate([[complex(a, 2.2250738585e-313)], _disk(rng, m - 1)]))
-    angles = np.pi * np.arange(m) / m
-    out += [np.exp(2j * angles), np.exp(1j * (2.0 * angles + np.pi / m))]
-    return a, np.array(out)
 
 
 def report_bytes(report) -> bytes:

@@ -5,13 +5,13 @@ against:
 
     python3 tools/make_reference_values.py [DEGREE ...] > tests/frozen_roots.json
 
-For the first six rows of ``kernel_agreement.pinned_rows`` at each degree
+For the first six rows of ``families.pinned_rows`` at each degree
 given (every degree of ``PINNED_DEGREES`` when none is), it prints the
 roots of Q, each by ``tests/exact.py``'s 20-digit Newton from one of the
 kernel's float points and rounded to binary64, as [re, im] pairs.  The
 roots depend on the seeded rows alone; the float points only pick which
-root each Newton run reaches.  An argument that is not an integer gets a
-usage line and exit status 2.
+root each Newton run reaches.  An argument that is not an integer of at
+least 2 gets a usage line and exit status 2.
 
 The rebuild is safe in place: the tool reads nothing from the file it
 rewrites.  The test suite checks the round trip at degree 8 in-process
@@ -26,16 +26,16 @@ from pathlib import Path
 
 
 def _modules():
-    """The modules kernel_agreement, exact and sendov_lab.polynomial, with
+    """The modules families, exact and sendov_lab.polynomial, with
     src, tests and tools on the import path."""
     root = Path(__file__).resolve().parent.parent
     dirs = [str(root / d) for d in ("src", "tests", "tools")]
     sys.path[:0] = [d for d in dirs if d not in sys.path]
     import exact
-    import kernel_agreement
+    import families
     from sendov_lab import polynomial
 
-    return kernel_agreement, exact, polynomial
+    return families, exact, polynomial
 
 
 def frozen_roots(degree):
@@ -43,8 +43,8 @@ def frozen_roots(degree):
     degree, row by row, as lists of [re, im]."""
     import numpy as np
 
-    agreement, exact, poly = _modules()
-    a, rows = agreement.pinned_rows(degree)
+    families, exact, poly = _modules()
+    a, rows = families.pinned_rows(degree)
     zeta = np.sort(np.concatenate([np.full((6, 1), complex(a)), rows[:6]], axis=1), axis=1)
     free = poly._free_points(zeta, np.ones(zeta.shape))[0]
     out = []
@@ -66,11 +66,12 @@ def print_frozen_roots(degrees):
 
 def main(argv: list[str]) -> int:
     try:
-        for degree in argv:
-            int(degree)
+        bad = any(int(degree) < 2 for degree in argv)
     except ValueError:
-        print("usage: python3 tools/make_reference_values.py [DEGREE ...] "
-              "(no DEGREE: every degree of kernel_agreement.PINNED_DEGREES)", file=sys.stderr)
+        bad = True
+    if bad:
+        print("usage: python3 tools/make_reference_values.py [DEGREE ...] (each DEGREE an "
+              "integer >= 2; none: every degree of families.PINNED_DEGREES)", file=sys.stderr)
         return 2
     print_frozen_roots(argv)
     return 0
