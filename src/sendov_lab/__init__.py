@@ -12,63 +12,44 @@ The package has four layers:
   the majorization-chain audit, and randomized conjecture fuzzing.
 
 ``sendov_lab.cli`` exposes all of it as the ``sendov-lab`` command.
+
+Importing the package loads none of its modules: each public name, and
+each submodule name, loads its module on first use, so a command starts
+with only the modules it runs.
 """
 
-from .bounds import (
-    AuxParams,
-    BoundBreakdown,
-    DomainError,
-    MeanBound,
-    aux_params,
-    breakdown,
-    final_bound,
-    k_prime,
-    mean_upper_bound,
-    mu1,
-    mu2,
-    small_circle_bound,
-)
-from .polynomial import CriticalPointReport, SendovInstance, critical_report
-from .roots import Polynomial, RootResult, find_roots, from_roots, match_roots
-from .verify import (
-    DEFAULT_SEED,
-    FuzzReport,
-    VerificationOutcome,
-    fuzz_sendov,
-    run_inequality_suite,
-    verify_estimate_chain,
-    verify_limits,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuxParams",
-    "BoundBreakdown",
-    "CriticalPointReport",
-    "DEFAULT_SEED",
-    "DomainError",
-    "FuzzReport",
-    "MeanBound",
-    "Polynomial",
-    "RootResult",
-    "SendovInstance",
-    "VerificationOutcome",
-    "aux_params",
-    "breakdown",
-    "critical_report",
-    "final_bound",
-    "find_roots",
-    "from_roots",
-    "fuzz_sendov",
-    "k_prime",
-    "match_roots",
-    "mean_upper_bound",
-    "mu1",
-    "mu2",
-    "run_inequality_suite",
-    "small_circle_bound",
-    "verify_estimate_chain",
-    "verify_limits",
-    "__version__",
-]
+# The module each public name lives in; a submodule's name maps to itself.
+_HOME = {
+    **{name: name for name in ("bounds", "cli", "polynomial", "roots", "verify")},
+    **dict.fromkeys((
+        "AuxParams", "BoundBreakdown", "DomainError", "MeanBound", "aux_params", "breakdown",
+        "final_bound", "k_prime", "mean_upper_bound", "mu1", "mu2", "small_circle_bound",
+    ), "bounds"),
+    **dict.fromkeys(("CriticalPointReport", "SendovInstance", "critical_report"), "polynomial"),
+    **dict.fromkeys(("Polynomial", "RootResult", "find_roots", "from_roots", "match_roots"),
+                    "roots"),
+    **dict.fromkeys((
+        "DEFAULT_SEED", "FuzzReport", "VerificationOutcome", "fuzz_sendov",
+        "run_inequality_suite", "verify_estimate_chain", "verify_limits",
+    ), "verify"),
+}
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module("." + home, __name__)
+    return module if home == name else getattr(module, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))
+
+
+# The public names in sorted order, then the version.
+__all__ = sorted(name for name, home in _HOME.items() if home != name) + ["__version__"]

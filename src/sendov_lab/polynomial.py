@@ -39,6 +39,7 @@ __all__ = [
     "critical_report",
     "sendov_distances",
     "bracket_verdict",
+    "VIOLATION_THRESHOLD",
 ]
 
 # Sweeps of ``_sweeps`` before it ends a row not settled, for both solvers.
@@ -467,6 +468,12 @@ def _distance_bracket(a, exact, free, free_radii) -> tuple[np.ndarray, np.ndarra
     nearest = dist.min(axis=-1)
     half_width = np.maximum(upper - nearest, nearest - lower) + 4.0 * _U * upper
     return nearest, half_width
+
+
+# A Sendov distance above this counts as a violation, for check and fuzz:
+# slack of 1e-9 over the unit disk absorbs root-finder noise without hiding
+# a genuine counterexample.
+VIOLATION_THRESHOLD = 1.0 + 1e-9
 
 
 def bracket_verdict(distance, radius, threshold: float):

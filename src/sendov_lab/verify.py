@@ -31,8 +31,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import bounds, polynomial
-from .polynomial import SendovInstance, bracket_verdict, sendov_distances
+from . import bounds
 
 __all__ = [
     "DEFAULT_SEED",
@@ -48,10 +47,6 @@ __all__ = [
 # Default base seed for anything randomized; chosen as the constant from the
 # headline bound so reports are recognizably tied to this package.
 DEFAULT_SEED = 20800
-
-# A Sendov distance above this counts as a violation: slack of 1e-9 over the
-# unit disk absorbs root-finder noise without hiding a genuine counterexample.
-VIOLATION_THRESHOLD = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -77,10 +72,11 @@ class FuzzReport:
     """Aggregate of one randomized fuzzing cell (fixed a, degree, seed).
 
     violations counts trials whose whole Sendov distance bracket lies above
-    VIOLATION_THRESHOLD; non_converged counts the UNRESOLVED trials, whose
-    bracket straddles the threshold, which never count as violations and
-    do not enter the maximum.  Any violating instance is kept in full as
-    JSON so it can be re-checked independently.
+    ``polynomial.VIOLATION_THRESHOLD``, check's threshold too; non_converged
+    counts the UNRESOLVED trials, whose bracket straddles the threshold,
+    which never count as violations and do not enter the maximum.  Any
+    violating instance is kept in full as JSON so it can be re-checked
+    independently.
     """
 
     a: float
@@ -560,6 +556,7 @@ def fuzz_sendov(a: float, degree: int, trials: int, seed: int = DEFAULT_SEED) ->
     result depends on the number of trials or on the block a trial falls
     in.
     """
+    from . import polynomial
     a = bounds._real_in("a", a, 0, 1)
     degree = bounds._int_in("degree", degree, 2, 200)
     trials = bounds._int_in("trials", trials, 1)
@@ -578,13 +575,13 @@ def fuzz_sendov(a: float, degree: int, trials: int, seed: int = DEFAULT_SEED) ->
             entropy = np.array(seed_words + _words(index), dtype=np.uint32)
             draws[row] = np.random.default_rng(entropy).random(2 * m)
         others = np.sqrt(draws[:, :m]) * np.exp(1j * (draws[:, m:] * (2.0 * np.pi)))
-        distance, radius = sendov_distances(a, others)
-        verdicts = bracket_verdict(distance, radius, VIOLATION_THRESHOLD)
+        distance, radius = polynomial.sendov_distances(a, others)
+        verdicts = polynomial.bracket_verdict(distance, radius, polynomial.VIOLATION_THRESHOLD)
         resolved = verdicts != "UNRESOLVED"
         largest = max(largest, float(distance[resolved].max(initial=0.0)))
         unresolved += int(len(indices) - resolved.sum())
         violating.extend(
-            SendovInstance(a=a, other_zeros=tuple(others[t].tolist())).to_json()
+            polynomial.SendovInstance(a=a, other_zeros=tuple(others[t].tolist())).to_json()
             for t in np.nonzero(verdicts == "FAIL")[0]
         )
     return FuzzReport(

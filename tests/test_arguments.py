@@ -291,6 +291,11 @@ ENTRY = [
     *(pytest.param(bounds.mu2, (np.array([0.5, 0.25, bad, 0.75]),), 2,
                    rf"^a must lie in \(0, 1\], got {re.escape(repr(bad))} at index 2$",
                    id=f"mu2_{bad!r}") for bad in (0.0, math.nan, math.inf, -math.inf)),
+    *(pytest.param(fn, (np.array([0.5, 0.25, bad, 0.75]),), 2,
+                   rf"^a must lie in \(0, 1\), got {re.escape(repr(bad))} at index 2$",
+                   id=f"{fn.__name__}_{bad!r}")
+      for fn in (bounds.n0, bounds.mu1)
+      for bad in (0.0, 1.0, math.nan, math.inf, -math.inf)),
     *(pytest.param(fn, (np.array([0.5, tiny]),), 1,
                    f"^a={re.escape(repr(tiny))} is too small: {fn.__name__}"
                    r"\(a\) is past binary64 range$", id=f"{fn.__name__}_{tiny!r}_past_binary64")

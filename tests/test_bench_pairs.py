@@ -5,6 +5,7 @@ runs the benchmark."""
 import argparse
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,6 +98,25 @@ def test_refuses_trees_whose_harness_differs(tool, tmp_path, monkeypatch):
     assert tool.harness_differences(parent, twin) == []
 
 
+def test_refuses_trees_where_one_src_holds_bytecode(tool, tmp_path, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a benchmark ran")
+
+    monkeypatch.setattr(subprocess, "run", no_run)
+    parent = _tree(tmp_path / "parent", "print(1)\n", _spec())
+    change = _tree(tmp_path / "change", "print(1)\n", _spec())
+    args = [str(parent), str(change), "--workload", "verify", "--seeds", "1"]
+    (change / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+    assert tool.main(args) == 2
+    assert "only the change tree's src/ holds a __pycache__" in capsys.readouterr().err
+    # A cache in both trees, or in neither, lets the pairs run.
+    (parent / "src" / "__pycache__").mkdir()
+    with pytest.raises(AssertionError, match="a benchmark ran"):
+        tool.main(args)
+    assert [tool.holds_bytecode(tree) for tree in (parent, change)] == [True, True]
+    assert not tool.holds_bytecode(_tree(tmp_path / "bare", "print(1)\n", _spec()))
+
+
 def test_pair_order_and_a_wrong_run_fail_the_comparison(tool, tmp_path, monkeypatch, capsys):
     spec = _spec('[{"name": "ops_per_s", "better": "higher"}]')
     parent = _tree(tmp_path / "parent", "print(1)\n", spec)
@@ -128,7 +148,9 @@ def test_pair_order_and_a_wrong_run_fail_the_comparison(tool, tmp_path, monkeypa
     # The last line is the comparison as one JSON object.
     record = json.loads(out.splitlines()[-1])
     assert record["workload"] == "verify" and record["seeds"] == [1, 2, 3]
-    assert sorted(record["machine"]) == ["cpus", "numpy", "platform", "python"]
+    assert sorted(record["machine"]) == ["cpus", "dont_write_bytecode", "numpy", "platform",
+                                         "python"]
+    assert record["machine"]["dont_write_bytecode"] == sys.flags.dont_write_bytecode
     assert record["metrics"]["ops_per_s"] == {
         "better": "higher",
         "parent": {"values": [10.0, 10.0, 10.0], "median": 10.0, "quartiles": [10.0, 10.0]},

@@ -395,36 +395,61 @@ class TestOneProcess:
     def test_no_command_imports_scipy_or_mpmath(self, tmp_path):
         # No module of the package imports mpmath, and match_roots' scipy
         # assignment imports lazily; importing scipy.optimize alone costs a
-        # large share of a command's start-up.  Every command runs once in a
-        # fresh interpreter; then the root finder, which refines with
-        # error-free transformations of binary64 alone, loads neither, and
-        # match_roots loads scipy but still no mpmath.
+        # large share of a command's start-up.  Each group of commands runs
+        # in a fresh interpreter, which then holds bounds and cli and only
+        # the package modules those commands run: no command loads roots,
+        # verify never loads polynomial and check never loads verify.  In
+        # one more interpreter a bare `import sendov_lab` resolves every
+        # public name and submodule; then the root finder, which refines
+        # with error-free transformations of binary64 alone, loads neither
+        # scipy nor mpmath, and match_roots loads scipy but still no mpmath.
         path = tmp_path / "inst.json"
         path.write_text(THREE_ZEROS)
-        script = (
+        groups = [
+            ([PINNED_ARGV["bound"], PINNED_ARGV["table"], PINNED_ARGV["mean-bound"]], []),
+            ([PINNED_ARGV["verify"]], ["verify"]),
+            ([["check", "--instance", str(path)]], ["polynomial"]),
+            ([["fuzz", "--a", "0.5", "--degree", "64", "--trials", "20"]],
+             ["polynomial", "verify"]),
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(sendov_lab.__file__).resolve().parents[1]))
+        env.pop("SENDOV_LAB_SEED", None)
+        scripts = [
             "import sys\n"
             "from sendov_lab.cli import main\n"
-            "for argv in " + repr([
-                PINNED_ARGV["bound"], PINNED_ARGV["table"], PINNED_ARGV["mean-bound"],
-                ["fuzz", "--a", "0.5", "--degree", "64", "--trials", "20"],
-                PINNED_ARGV["verify"], ["check", "--instance", str(path)],
-            ]) + ":\n"
+            "for argv in " + repr(commands) + ":\n"
             "    assert main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sendov_lab'))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))\n"
+            for commands, _ in groups
+        ] + [
+            "import sys\n"
+            "import sendov_lab\n"
+            "for name in sendov_lab.__all__ + ['bounds', 'cli', 'polynomial', 'roots', 'verify']:\n"
+            "    getattr(sendov_lab, name)\n"
+            "assert sendov_lab.cli.critical_report is sendov_lab.polynomial.critical_report\n"
             "from sendov_lab.roots import find_roots, from_roots, match_roots\n"
             "roots = (0.5, -0.5, 0.3j, -0.3j)\n"
             "found = find_roots(from_roots(roots)).roots\n"
             "print('scipy' in sys.modules, 'mpmath' in sys.modules)\n"
             "match_roots(found, roots)\n"
             "print('scipy' in sys.modules, 'mpmath' in sys.modules)\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(sendov_lab.__file__).resolve().parents[1]))
-        env.pop("SENDOV_LAB_SEED", None)
-        done = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=False,
-        )
-        assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout.splitlines()[-3:] == ["[]", "False False", "True False"]
+        ]
+        # The interpreters share nothing, so they run side by side.
+        running = [
+            subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True, env=env)
+            for script in scripts
+        ]
+        outputs = []
+        for process in running:
+            out, err = process.communicate(timeout=300)
+            assert (process.returncode, err) == (0, "")
+            outputs.append(out.splitlines()[-2:])
+        for (commands, runs), loaded in zip(groups, outputs):
+            package = ["sendov_lab"] + [f"sendov_lab.{m}" for m in ("bounds", "cli", *runs)]
+            assert loaded == [repr(sorted(package)), "[]"], commands
+        assert outputs[-1] == ["False False", "True False"]
 
     def test_build_parser_is_fresh(self):
         assert build_parser() is not build_parser()

@@ -791,7 +791,7 @@ class TestFuzz:
         differ = np.nonzero((distance != alone[:, 0]) | (half_width != alone[:, 1]))[0]
         assert differ.size == 0, f"{differ.size} of {trials} trials differ, first {differ[:5]}"
         report = fuzz_sendov(a, degree, trials, seed=seed)
-        verdicts = poly.bracket_verdict(alone[:, 0], alone[:, 1], verify.VIOLATION_THRESHOLD)
+        verdicts = poly.bracket_verdict(alone[:, 0], alone[:, 1], poly.VIOLATION_THRESHOLD)
         resolved = verdicts != "UNRESOLVED"
         assert report.violations == (verdicts == "FAIL").sum()
         assert report.non_converged == trials - resolved.sum()
@@ -811,13 +811,14 @@ class TestFuzz:
         degree, trials = 6, 5
         m = degree - 1
         rows = []
+        sendov_distances = poly.sendov_distances
 
         def record(a, others):
             rows.extend(others.copy())
-            return poly.sendov_distances(a, others)
+            return sendov_distances(a, others)
 
         monkeypatch.setattr(poly, "_block_rows", lambda g: 2)
-        monkeypatch.setattr(verify, "sendov_distances", record)
+        monkeypatch.setattr(poly, "sendov_distances", record)
         fuzz_sendov(0.5, degree, trials, seed=seed)
         assert len(rows) == trials
         for index, row in enumerate(rows):
@@ -830,13 +831,14 @@ class TestFuzz:
         # trial's instance as JSON, and `fuzz` exits 1.
         degree, trials, seed, bad = 6, 5, 7, 3
         m = degree - 1
+        sendov_distances = poly.sendov_distances
 
         def one_violation(a, others):
-            distance, radius = poly.sendov_distances(a, others)
+            distance, radius = sendov_distances(a, others)
             distance[bad], radius[bad] = 1.5, 0.0
             return distance, radius
 
-        monkeypatch.setattr(verify, "sendov_distances", one_violation)
+        monkeypatch.setattr(poly, "sendov_distances", one_violation)
         report = fuzz_sendov(0.5, degree, trials, seed=seed)
         assert (report.violations, report.max_sendov_distance) == (1, 1.5)
         (kept,) = report.violation_instances

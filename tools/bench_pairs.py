@@ -8,7 +8,9 @@ PARENT and CHANGE are directories that each hold ``src/``,
 such as the outputs of ``git archive`` of two commits.  The script exits
 2, running nothing, if the two trees' ``BENCHMARK.json`` or harness files
 differ in bytes: a comparison is only fair when one harness measures both
-programs.
+programs.  It exits 2 too when exactly one tree's ``src/`` holds a
+``__pycache__``: a fresh interpreter that finds no bytecode compiles the
+package, which moves ``setup_s`` by about 25 ms.
 
 Pair k, for each seed k of ``--seeds`` (``A-B`` or one number), runs
 ``BENCHMARK.json``'s ``command`` with
@@ -23,7 +25,9 @@ median and quartiles and the change's wins and losses over the pairs by
 the metric's ``better`` (ties count for neither), and each side's
 ``attempted`` and ``failed`` operations.  Its last line holds the same
 comparison as one JSON object, with the workload, the seeds, each side's
-values in pair order and a record of the machine, ready to append to a
+values in pair order and a record of the machine (with
+``sys.flags.dont_write_bytecode``, which decides whether runs leave
+bytecode behind), ready to append to a
 ``BENCH_*.jsonl`` file.  It exits 1 if any run exits non-zero or reports
 ``correct: false``.
 """
@@ -61,6 +65,11 @@ def harness_differences(parent: Path, change: Path) -> list[str]:
         if not ((parent / name).is_file() and (change / name).is_file()
                 and (parent / name).read_bytes() == (change / name).read_bytes())
     )
+
+
+def holds_bytecode(root: Path) -> bool:
+    """Whether the tree's ``src/`` holds a ``__pycache__`` directory."""
+    return any(path.is_dir() for path in (root / "src").rglob("__pycache__"))
 
 
 def seed_range(text: str) -> list[int]:
@@ -158,7 +167,8 @@ def summary(end_to_end: list[dict], runs: dict[str, list[dict]]) -> list[str]:
 def machine() -> dict:
     """The interpreter, numpy and platform the comparison ran on."""
     return {"python": platform.python_version(), "numpy": importlib.metadata.version("numpy"),
-            "platform": platform.platform(), "cpus": os.cpu_count()}
+            "platform": platform.platform(), "cpus": os.cpu_count(),
+            "dont_write_bytecode": sys.flags.dont_write_bytecode}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -172,6 +182,11 @@ def main(argv: list[str] | None = None) -> int:
     differ = harness_differences(trees["parent"], trees["change"])
     if differ:
         print("error: the trees' benchmark harness differs: " + ", ".join(differ), file=sys.stderr)
+        return 2
+    cached = [side for side in SIDES if holds_bytecode(trees[side])]
+    if len(cached) == 1:
+        print(f"error: only the {cached[0]} tree's src/ holds a __pycache__, so set-up "
+              "times would differ by the package's compile time", file=sys.stderr)
         return 2
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     if args.workload not in [w["name"] for w in spec["workloads"]]:

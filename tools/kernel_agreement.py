@@ -17,7 +17,7 @@ many rows give reports identical in bytes: critical points, radii,
 distance, half-width and ``converged``.  For
 each family it prints the rows whose verdict differs between the two
 trees at ``check``'s threshold (the change tree's
-``verify.VIOLATION_THRESHOLD``), each tree's PASS, FAIL and
+``polynomial.VIOLATION_THRESHOLD``), each tree's PASS, FAIL and
 UNRESOLVED counts, and each tree's count of rows whose report is not
 ``converged`` with the seconds its ``critical_report`` calls took.  The two
 versions agree within the certified error bar when every difference of
@@ -81,7 +81,7 @@ def main(argv: list[str]) -> int:
         print("usage: python3 tools/kernel_agreement.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
         return 2
     parent, change = load(argv[0], "parent_sendov_lab"), load(argv[1], "change_sendov_lab")
-    threshold = change.verify.VIOLATION_THRESHOLD
+    threshold = change.polynomial.VIOLATION_THRESHOLD
     count = 0
     worst_point = 0.0
     ratios = []
