@@ -5,11 +5,11 @@ The package has four layers:
 * :mod:`sendov_lab.bounds` — closed-form evaluation of every quantity in the
   effective degree threshold, culminating in 20800 / (a^7 (1-a)^4);
 * :mod:`sendov_lab.polynomial` — critical points of Sendov instances computed
-  from their zeros and certified by inclusion discs;
+  from their zeros and certified by inclusion discs, and conjecture fuzzing;
 * :mod:`sendov_lab.roots` — polynomials in coefficient form and a root
   finder whose roots get inclusion discs too, run on the same sweep loop;
-* :mod:`sendov_lab.verify` — deterministic inequality suites, limit checks,
-  the majorization-chain audit, and randomized conjecture fuzzing.
+* :mod:`sendov_lab.verify` — deterministic inequality suites, limit checks
+  and the majorization-chain audit.
 
 ``sendov_lab.cli`` exposes all of it as the ``sendov-lab`` command.
 
@@ -25,17 +25,15 @@ __version__ = "0.1.0"
 # The module each public name lives in; a submodule's name maps to itself.
 _HOME = {
     **{name: name for name in ("bounds", "cli", "polynomial", "roots", "verify")},
-    **dict.fromkeys((
-        "AuxParams", "BoundBreakdown", "DomainError", "MeanBound", "aux_params", "breakdown",
-        "final_bound", "k_prime", "mean_upper_bound", "mu1", "mu2", "small_circle_bound",
-    ), "bounds"),
-    **dict.fromkeys(("CriticalPointReport", "SendovInstance", "critical_report"), "polynomial"),
+    **dict.fromkeys(("AuxParams", "BoundBreakdown", "DEFAULT_SEED", "DomainError", "MeanBound",
+                     "aux_params", "breakdown", "final_bound", "k_prime", "mean_upper_bound",
+                     "mu1", "mu2", "small_circle_bound"), "bounds"),
+    **dict.fromkeys(("CriticalPointReport", "FuzzReport", "SendovInstance", "critical_report",
+                     "fuzz_sendov"), "polynomial"),
     **dict.fromkeys(("Polynomial", "RootResult", "find_roots", "from_roots", "match_roots"),
                     "roots"),
-    **dict.fromkeys((
-        "DEFAULT_SEED", "FuzzReport", "VerificationOutcome", "fuzz_sendov",
-        "run_inequality_suite", "verify_estimate_chain", "verify_limits",
-    ), "verify"),
+    **dict.fromkeys(("VerificationOutcome", "run_inequality_suite", "verify_estimate_chain",
+                     "verify_limits"), "verify"),
 }
 
 

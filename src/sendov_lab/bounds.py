@@ -47,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "DEFAULT_SEED",
     "DomainError",
     "AuxParams",
     "BoundBreakdown",
@@ -70,6 +71,10 @@ __all__ = [
     "small_circle_bound",
     "breakdown",
 ]
+
+# Default base seed for anything randomized; chosen as the constant from the
+# headline bound so reports are recognizably tied to this package.
+DEFAULT_SEED = 20800
 
 
 class DomainError(ValueError):

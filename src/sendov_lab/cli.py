@@ -114,8 +114,7 @@ def _resolve_seed(explicit: int | None) -> int:
         return explicit
     env = os.environ.get("SENDOV_LAB_SEED")
     if env is None:
-        from . import verify
-        return verify.DEFAULT_SEED
+        return bounds.DEFAULT_SEED
     try:
         return int(env)
     except ValueError:
@@ -215,9 +214,9 @@ def _fuzz_lines(rows: list[dict]) -> list[str]:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    from . import verify
+    from . import polynomial
     seed = _resolve_seed(args.seed)
-    report = verify.fuzz_sendov(args.a, args.degree, args.trials, seed=seed)
+    report = polynomial.fuzz_sendov(args.a, args.degree, args.trials, seed=seed)
     _emit(args, [_row(report)], _fuzz_lines, FUZZ_CSV)
     return 0 if report.violations == 0 else 1
 

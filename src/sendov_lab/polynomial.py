@@ -11,6 +11,8 @@ value.  One kernel serves one instance (``critical_report``) and many at
 once (``sendov_distances``): its stages take a leading axis of instances,
 each sweep of ``_sweeps`` gathers only the points still moving, and an
 instance's result does not depend on what else is in the block.
+``fuzz_sendov`` runs it on seeded random instances, a block at a time, and
+sums a cell of trials into a ``FuzzReport``.
 
 The root finder in ``roots`` runs this module's sweep loop ``_sweeps`` with
 its own step and takes its radii by the same rule, ``_weierstrass_radii``;
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import DomainError, _real_in, _require_finite_complex
+from .bounds import DEFAULT_SEED, DomainError, _int_in, _real_in, _require_finite_complex
 
 __all__ = [
     "SendovInstance",
@@ -40,6 +42,8 @@ __all__ = [
     "sendov_distances",
     "bracket_verdict",
     "VIOLATION_THRESHOLD",
+    "FuzzReport",
+    "fuzz_sendov",
 ]
 
 # Sweeps of ``_sweeps`` before it ends a row not settled, for both solvers.
@@ -557,4 +561,84 @@ def sendov_distances(a: float, other_zeros) -> tuple[np.ndarray, np.ndarray]:
         t = distinct[start:start + block]
         distance[t], radius[t] = _brackets(a, zeros[t])
     return distance, radius
+
+
+@dataclass(frozen=True)
+class FuzzReport:
+    """Aggregate of one randomized fuzzing cell (fixed a, degree, seed),
+    as ``fuzz_sendov`` returns it.
+
+    violations counts trials whose whole Sendov distance bracket lies above
+    ``VIOLATION_THRESHOLD``, check's threshold too; non_converged counts the
+    UNRESOLVED trials, whose bracket straddles the threshold, which never
+    count as violations and do not enter the maximum.  Any violating
+    instance is kept in full as JSON so it can be re-checked independently.
+    """
+
+    a: float
+    degree: int
+    trials: int
+    max_sendov_distance: float
+    violations: int
+    seed: int
+    non_converged: int
+    violation_instances: tuple[str, ...] = ()
+
+
+def _words(n: int) -> list[int]:
+    """n >= 0 as numpy coerces seed entropy: little-endian 32-bit words, [0] for 0."""
+    return [(n >> shift) & 0xFFFFFFFF for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def fuzz_sendov(a: float, degree: int, trials: int, seed: int = DEFAULT_SEED) -> FuzzReport:
+    """Randomized check of the conjecture at one (a, degree) cell.
+
+    Each trial draws degree-1 other zeros area-uniformly from the closed
+    unit disk (radius sqrt(u)) with its own generator seeded by
+    (seed, trial index), so any single trial can be reproduced in isolation.
+    The trials are drawn and checked a block at a time by
+    ``sendov_distances``, one kernel call per block of rows whose
+    temporaries hold at most 2**18 values, so memory stays that of one
+    block however many trials run.  Each trial's distance bracket is bit
+    for bit what ``critical_report`` gives for that trial alone, so no
+    result depends on the number of trials or on the block a trial falls
+    in.
+    """
+    a = _real_in("a", a, 0, 1)
+    degree = _int_in("degree", degree, 2, 200)
+    trials = _int_in("trials", trials, 1)
+    seed = _int_in("seed", seed, 0)
+    m = degree - 1
+    block = _block_rows(degree)
+    seed_words = _words(seed)
+    largest = 0.0
+    unresolved = 0
+    violating: list[str] = []
+    for first in range(0, trials, block):
+        indices = range(first, min(first + block, trials))
+        # Each trial's m radius and then m angle uniforms, from one stream.
+        draws = np.empty((len(indices), 2 * m))
+        for row, index in enumerate(indices):
+            entropy = np.array(seed_words + _words(index), dtype=np.uint32)
+            draws[row] = np.random.default_rng(entropy).random(2 * m)
+        others = np.sqrt(draws[:, :m]) * np.exp(1j * (draws[:, m:] * (2.0 * np.pi)))
+        distance, radius = sendov_distances(a, others)
+        verdicts = bracket_verdict(distance, radius, VIOLATION_THRESHOLD)
+        resolved = verdicts != "UNRESOLVED"
+        largest = max(largest, float(distance[resolved].max(initial=0.0)))
+        unresolved += int(len(indices) - resolved.sum())
+        violating.extend(
+            SendovInstance(a=a, other_zeros=tuple(others[t].tolist())).to_json()
+            for t in np.nonzero(verdicts == "FAIL")[0]
+        )
+    return FuzzReport(
+        a=a,
+        degree=degree,
+        trials=trials,
+        max_sendov_distance=largest,
+        violations=len(violating),
+        seed=seed,
+        non_converged=unresolved,
+        violation_instances=tuple(violating),
+    )
 

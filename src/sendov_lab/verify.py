@@ -1,4 +1,4 @@
-"""Grid verification of the bound formulas and randomized conjecture checks.
+"""Grid verification of the bound formulas.
 
 Three deterministic suites turn every inequality behind the degree bound
 into a named check with an explicit numeric margin:
@@ -16,11 +16,13 @@ into a named check with an explicit numeric margin:
 ``verify_pass`` runs the three in that order, as ``sendov-lab verify``
 does, and builds the per-a arrays that the suite and the chain share once.
 
-``fuzz_sendov`` exercises the conjecture itself on random instances.
-Identical parameters (including seeds) always produce identical reports,
-byte for byte.  Reports are plain values; ``sendov_lab.cli`` renders them
-as text, JSON or CSV.  Arguments are checked by the helpers in ``bounds``
-and rejected with ``bounds.DomainError``.
+This module audits the derivation and imports nothing from the package
+but ``bounds``; the conjecture itself, fuzzing included, is checked on
+concrete polynomials in ``polynomial``.  Identical parameters (including
+seeds) always produce identical reports, byte for byte.  Reports are plain
+values; ``sendov_lab.cli`` renders them as text, JSON or CSV.  Arguments
+are checked by the helpers in ``bounds`` and rejected with
+``bounds.DomainError``.
 """
 
 from __future__ import annotations
@@ -34,19 +36,12 @@ import numpy as np
 from . import bounds
 
 __all__ = [
-    "DEFAULT_SEED",
     "VerificationOutcome",
-    "FuzzReport",
     "run_inequality_suite",
     "verify_limits",
     "verify_estimate_chain",
     "verify_pass",
-    "fuzz_sendov",
 ]
-
-# Default base seed for anything randomized; chosen as the constant from the
-# headline bound so reports are recognizably tied to this package.
-DEFAULT_SEED = 20800
 
 
 @dataclass(frozen=True)
@@ -65,28 +60,6 @@ class VerificationOutcome:
     worst_location: float | tuple[float, ...]
     samples: int
     notes: str
-
-
-@dataclass(frozen=True)
-class FuzzReport:
-    """Aggregate of one randomized fuzzing cell (fixed a, degree, seed).
-
-    violations counts trials whose whole Sendov distance bracket lies above
-    ``polynomial.VIOLATION_THRESHOLD``, check's threshold too; non_converged
-    counts the UNRESOLVED trials, whose bracket straddles the threshold,
-    which never count as violations and do not enter the maximum.  Any
-    violating instance is kept in full as JSON so it can be re-checked
-    independently.
-    """
-
-    a: float
-    degree: int
-    trials: int
-    max_sendov_distance: float
-    violations: int
-    seed: int
-    non_converged: int
-    violation_instances: tuple[str, ...] = ()
 
 
 # The finest a-grid a suite accepts: 99,999 points.  A suite holds about
@@ -225,7 +198,7 @@ def _suite_points(grid_step: float, extra_random: int, seed: int) -> tuple[np.nd
 def run_inequality_suite(
     grid_step: float = 1e-3,
     extra_random: int = _EXTRA_RANDOM,
-    seed: int = DEFAULT_SEED,
+    seed: int = bounds.DEFAULT_SEED,
 ) -> list[VerificationOutcome]:
     """Pointwise inequality checks on a uniform a-grid plus random points.
 
@@ -527,7 +500,8 @@ def _chain(per_a: _PerA) -> list[VerificationOutcome]:
     return [o if o.samples == len(a) else replace(o, samples=len(a)) for o in outcomes]
 
 
-def verify_pass(grid_step: float = 1e-3, seed: int = DEFAULT_SEED) -> list[VerificationOutcome]:
+def verify_pass(grid_step: float = 1e-3,
+                seed: int = bounds.DEFAULT_SEED) -> list[VerificationOutcome]:
     """run_inequality_suite(grid_step, seed=seed) + verify_limits() +
     verify_estimate_chain(grid_step), outcome for outcome, with the per-a
     arrays of the suite's points built once: the chain takes their first
@@ -535,63 +509,3 @@ def verify_pass(grid_step: float = 1e-3, seed: int = DEFAULT_SEED) -> list[Verif
     grid, pts = _suite_points(grid_step, _EXTRA_RANDOM, seed)
     per_a = _per_a(pts)
     return _suite(grid, per_a) + verify_limits() + _chain(per_a.head(len(grid)))
-
-
-def _words(n: int) -> list[int]:
-    """n >= 0 as numpy coerces seed entropy: little-endian 32-bit words, [0] for 0."""
-    return [(n >> shift) & 0xFFFFFFFF for shift in range(0, max(n.bit_length(), 1), 32)]
-
-
-def fuzz_sendov(a: float, degree: int, trials: int, seed: int = DEFAULT_SEED) -> FuzzReport:
-    """Randomized check of the conjecture at one (a, degree) cell.
-
-    Each trial draws degree-1 other zeros area-uniformly from the closed
-    unit disk (radius sqrt(u)) with its own generator seeded by
-    (seed, trial index), so any single trial can be reproduced in isolation.
-    The trials are drawn and checked a block at a time by
-    ``sendov_distances``, one kernel call per block of rows whose
-    temporaries hold at most 2**18 values, so memory stays that of one
-    block however many trials run.  Each trial's distance bracket is bit
-    for bit what ``critical_report`` gives for that trial alone, so no
-    result depends on the number of trials or on the block a trial falls
-    in.
-    """
-    from . import polynomial
-    a = bounds._real_in("a", a, 0, 1)
-    degree = bounds._int_in("degree", degree, 2, 200)
-    trials = bounds._int_in("trials", trials, 1)
-    seed = bounds._int_in("seed", seed, 0)
-    m = degree - 1
-    block = polynomial._block_rows(degree)
-    seed_words = _words(seed)
-    largest = 0.0
-    unresolved = 0
-    violating: list[str] = []
-    for first in range(0, trials, block):
-        indices = range(first, min(first + block, trials))
-        # Each trial's m radius and then m angle uniforms, from one stream.
-        draws = np.empty((len(indices), 2 * m))
-        for row, index in enumerate(indices):
-            entropy = np.array(seed_words + _words(index), dtype=np.uint32)
-            draws[row] = np.random.default_rng(entropy).random(2 * m)
-        others = np.sqrt(draws[:, :m]) * np.exp(1j * (draws[:, m:] * (2.0 * np.pi)))
-        distance, radius = polynomial.sendov_distances(a, others)
-        verdicts = polynomial.bracket_verdict(distance, radius, polynomial.VIOLATION_THRESHOLD)
-        resolved = verdicts != "UNRESOLVED"
-        largest = max(largest, float(distance[resolved].max(initial=0.0)))
-        unresolved += int(len(indices) - resolved.sum())
-        violating.extend(
-            polynomial.SendovInstance(a=a, other_zeros=tuple(others[t].tolist())).to_json()
-            for t in np.nonzero(verdicts == "FAIL")[0]
-        )
-    return FuzzReport(
-        a=a,
-        degree=degree,
-        trials=trials,
-        max_sendov_distance=largest,
-        violations=len(violating),
-        seed=seed,
-        non_converged=unresolved,
-        violation_instances=tuple(violating),
-    )
-

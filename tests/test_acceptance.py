@@ -14,10 +14,10 @@ import numpy as np
 
 import exact
 from conftest import families, record_criterion
-from sendov_lab import bounds, verify
+from sendov_lab import bounds, polynomial, verify
+from sendov_lab.bounds import DEFAULT_SEED
 from sendov_lab.cli import main
 from sendov_lab.roots import find_roots, from_roots, match_roots
-from sendov_lab.verify import DEFAULT_SEED
 
 
 def test_criterion_1_table_reproduction(capsys, tmp_path):
@@ -197,7 +197,7 @@ def test_criterion_7_fuzz_matrix():
     cells = 0
     for a in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
         for degree in (2, 4, 8, 16, 32, 64):
-            report = verify.fuzz_sendov(a, degree, 1000, seed=DEFAULT_SEED)
+            report = polynomial.fuzz_sendov(a, degree, 1000, seed=DEFAULT_SEED)
             violations += report.violations
             non_converged += report.non_converged
             max_distance = max(max_distance, report.max_sendov_distance)

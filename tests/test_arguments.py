@@ -18,9 +18,9 @@ import pytest
 
 from sendov_lab import bounds
 from sendov_lab.bounds import DomainError
-from sendov_lab.polynomial import SendovInstance, sendov_distances
+from sendov_lab.polynomial import SendovInstance, fuzz_sendov, sendov_distances
 from sendov_lab.roots import Polynomial, find_roots, from_roots, match_roots
-from sendov_lab.verify import fuzz_sendov, run_inequality_suite, verify_estimate_chain
+from sendov_lab.verify import run_inequality_suite, verify_estimate_chain
 
 A = np.array([0.5, 0.4])
 F32 = np.float32(0.5)
@@ -54,7 +54,11 @@ def _same(x, y) -> bool:
 
 
 def _python_floats(value):
-    """value, a float or a tuple of them, as Python floats."""
+    """value, a float, a tuple of them or a report of them, as Python
+    floats; a report's int fields stay ints."""
+    if dataclasses.is_dataclass(value):
+        fields = (getattr(value, f.name) for f in dataclasses.fields(value))
+        return type(value)(*(v if type(v) is int else _python_floats(v) for v in fields))
     return tuple(map(float, value)) if isinstance(value, tuple) else float(value)
 
 
@@ -152,8 +156,12 @@ REJECTED = [
           rf"^a must lie in \(0, 1\), got {re.escape(repr(bad))}$", f"aux_params_{bad!r}")
       for bad in (0.0, 1.0, -0.5, 1.5, math.nan, math.inf)),
     row(lambda: bounds.aux_params(True), "^a must be a real number, got True$", "aux_params_True"),
+    *(row(lambda fn=fn: fn(0.0), rf"^a must lie in \(0, 1{end}, got 0\.0$", f"{fn.__name__}_0.0")
+      for fn, end in ((bounds.mu1, r"\)"), (bounds.mu2, r"\]"))),
     # An int past binary64 range is named by its bit length, as its repr
     # fails past 4,300 digits.
+    *(row(lambda fn=fn: fn(10**5000), r"^a must lie in \(0, 1\), got an integer of 16610 bits$",
+          f"{fn.__name__}_10**5000") for fn in (bounds.n0, bounds._check_a)),
     *(row(lambda bad=bad: bounds.mean_upper_bound(0.5, bad),
           f"^n must be an integer >= 2, got {re.escape(shown)}$", f"mean_upper_bound_n_{name}")
       for bad, name, shown in ((1, "1", "1"), (0, "0", "0"), (-3, "-3", "-3"),
@@ -259,6 +267,10 @@ ACCEPTED = [
           (bounds.n3, (F64,)), (bounds.final_bound, (F64,)),
           (bounds.small_circle_bound, (F64,)),
       )),
+    # A report gets Python floats from a numpy float64 too.
+    *(row(lambda f=f: f(F64), lambda f=f: _python_floats(f(0.5)), f"{name}_f64")
+      for name, f in (("aux_params", bounds.aux_params), ("breakdown", bounds.breakdown),
+                      ("mean_upper_bound", lambda a: bounds.mean_upper_bound(a, 10)))),
     # Other arguments follow a: a number beside an array of a is each entry's.
     *(row(lambda f=f, args=args: f(A, *args), lambda f=f, args=args: _entrywise(f, *args),
           f"{f.__name__}_numpy_scalar_beside_array_a")
@@ -294,7 +306,7 @@ ENTRY = [
     *(pytest.param(fn, (np.array([0.5, 0.25, bad, 0.75]),), 2,
                    rf"^a must lie in \(0, 1\), got {re.escape(repr(bad))} at index 2$",
                    id=f"{fn.__name__}_{bad!r}")
-      for fn in (bounds.n0, bounds.mu1)
+      for fn in (bounds.n0, bounds.mu1, bounds.aux_params, bounds.final_bound, bounds._check_a)
       for bad in (0.0, 1.0, math.nan, math.inf, -math.inf)),
     *(pytest.param(fn, (np.array([0.5, tiny]),), 1,
                    f"^a={re.escape(repr(tiny))} is too small: {fn.__name__}"

@@ -65,13 +65,6 @@ class TestDegreeThresholds:
         lo, hi = sorted((a1, a2))
         assert bounds.n0(lo) > bounds.n0(hi)
 
-    @pytest.mark.parametrize("fn", [bounds.n0, bounds._check_a], ids=lambda f: f.__name__)
-    def test_int_past_binary64_range_is_named_by_its_bits(self, fn):
-        # Its repr, past 4,300 digits, would raise ValueError instead.
-        message = r"^a must lie in \(0, 1\), got an integer of 16610 bits$"
-        with pytest.raises(DomainError, match=message):
-            fn(10**5000)
-
 
 class TestMuRoots:
     def test_mu_values_at_half(self):
@@ -110,14 +103,6 @@ class TestMuRoots:
     def test_mu_order_and_bounds(self, a):
         m1, m2 = bounds.mu1(a), bounds.mu2(a)
         assert 0.875 < m2 < m1 < 1.0
-
-    def test_mu_rejects_endpoint_zero(self):
-        with pytest.raises(DomainError):
-            bounds.mu2(0.0)
-        with pytest.raises(DomainError):
-            bounds.mu1(0.0)
-        # mu2 is defined up to and including a = 1 (closed-form endpoint).
-        assert bounds.mu2(1.0) > 0.9
 
 
 class TestGrowthFactors:
@@ -170,7 +155,7 @@ class TestDValues:
         # The default grid with its random points, and the ends of the
         # finest grid, where the bases of the powers lie nearest 1.
         grid = verify._grid(1e-3)
-        rng = np.random.default_rng(verify.DEFAULT_SEED)
+        rng = np.random.default_rng(bounds.DEFAULT_SEED)
         pts = np.concatenate([
             grid, rng.uniform(grid[0], grid[-1], size=100),
             [1e-5, 2e-5, 1.0 - 2e-5, 1.0 - 1e-5], rng.uniform(1e-5, 1.0 - 1e-5, size=100),
@@ -341,22 +326,6 @@ class TestMeanBound:
         assert mb.bound_inf <= mb.bound_at_quarter + 1e-9
 
 
-class TestPythonFloats:
-    """A numpy float64 argument gives the same Python floats as a float."""
-
-    A = np.float64(0.5)
-
-    @pytest.mark.parametrize("report", [
-        lambda a: bounds.aux_params(a),
-        lambda a: bounds.breakdown(a),
-        lambda a: bounds.mean_upper_bound(a, 10),
-    ], ids=["aux_params", "breakdown", "mean_upper_bound"])
-    def test_report_fields(self, report):
-        row = _row(report(self.A))
-        assert {k for k, v in row.items() if type(v) is not float} <= {"n"}
-        assert row == _row(report(0.5))
-
-
 def _array_points():
     rng = np.random.default_rng(13)
     return np.concatenate([
@@ -507,7 +476,7 @@ class TestArrayPath:
         # verifier's residual screen relies on the error staying far below
         # its tolerance.
         grid = verify._grid(1e-3)
-        rng = np.random.default_rng(verify.DEFAULT_SEED)
+        rng = np.random.default_rng(bounds.DEFAULT_SEED)
         pts = np.concatenate([grid, rng.uniform(grid[0], grid[-1], size=100), [1.0]])
         x = bounds.mu2(pts)
         hi, lo = bounds._mu2_quadratic(pts, x)
@@ -524,22 +493,3 @@ class TestArrayPath:
         assert bounds._libm(pow, x, 3).tolist() == [v ** 3 for v in x.tolist()]
         assert type(bounds._libm(pow, 0.5, 3)) is float
         assert bounds._libm(math.log, np.array([])).shape == (0,)
-
-
-class TestArrayValidation:
-    """An array of a passes if every entry would; otherwise the first bad
-    entry gets its scalar error, and no numpy warning leaks."""
-
-    @staticmethod
-    def _scalar_message(fn, a):
-        with pytest.raises(DomainError) as excinfo:
-            fn(a)
-        return str(excinfo.value)
-
-    @pytest.mark.parametrize("fn", [bounds.aux_params, bounds.final_bound, bounds._check_a],
-                             ids=lambda f: f.__name__)
-    @pytest.mark.parametrize("bad", [0.0, 1.0, math.nan, math.inf, -math.inf])
-    def test_bad_entry_gets_its_scalar_error(self, fn, bad):
-        message = self._scalar_message(fn, bad)
-        with pytest.raises(DomainError, match=re.escape(message + " at index 2")):
-            fn(np.array([0.5, 0.25, bad, 0.75]))

@@ -1,6 +1,6 @@
-"""Tests of the critical-point kernel (``polynomial``) and its reports,
-and of the package's public names.  The root finder in ``roots`` is tested
-in ``tests/test_roots.py``; here it only builds inputs.
+"""Tests of the critical-point kernel (``polynomial``), its reports and its
+fuzzing, and of the package's public names.  The root finder in ``roots``
+is tested in ``tests/test_roots.py``; here it only builds inputs.
 """
 
 import cmath
@@ -10,6 +10,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -25,8 +26,15 @@ import sendov_lab
 from conftest import complex_in_disk, families, load_tool
 from sendov_lab import bounds
 from sendov_lab import polynomial as poly
-from sendov_lab.bounds import DomainError
-from sendov_lab.polynomial import CriticalPointReport, SendovInstance, critical_report
+from sendov_lab.bounds import DEFAULT_SEED, DomainError
+from sendov_lab.cli import main
+from sendov_lab.polynomial import (
+    CriticalPointReport,
+    FuzzReport,
+    SendovInstance,
+    critical_report,
+    fuzz_sendov,
+)
 from sendov_lab.roots import find_roots, from_roots
 
 
@@ -397,6 +405,144 @@ class TestSendovDistances:
         distance, radius, expected = zip(*BRACKETS)
         verdicts = poly.bracket_verdict(np.array(distance), np.array(radius), 1.0)
         assert verdicts.tolist() == list(expected)
+
+
+class TestFuzz:
+    def test_trivial_degree_two_cell(self):
+        report = fuzz_sendov(0.5, 2, 50, seed=DEFAULT_SEED)
+        assert report.violations == 0
+        assert report.non_converged == 0
+        assert report.trials == 50
+        assert 0.0 < report.max_sendov_distance <= 1.0
+        assert report.violation_instances == ()
+
+    def test_trial_prefix_independent_of_total(self):
+        # Per-trial generators mean the first k trials do not depend on how
+        # many trials follow them.
+        small = fuzz_sendov(0.5, 5, 10, seed=3)
+        large = fuzz_sendov(0.5, 5, 40, seed=3)
+        assert large.max_sendov_distance >= small.max_sendov_distance
+
+    @pytest.mark.parametrize("a, degree, block", [
+        (0.3, 2, 150), (0.7, 3, 150), (0.5, 17, None), (0.9, 64, None),
+    ])
+    def test_trial_result_independent_of_its_block(self, monkeypatch, a, degree, block):
+        # A cell runs its trials through one kernel in blocks of rows; each
+        # trial's bracket must be what critical_report gives it alone.  At
+        # degrees 2 and 3 a block holds tens of thousands of rows, so the
+        # block is shrunk there to keep the test short.
+        if block is not None:
+            monkeypatch.setattr(poly, "_block_rows", lambda g: block)
+        seed = 5
+        trials = int(2.1 * poly._block_rows(degree))
+        others = np.empty((trials, degree - 1), dtype=complex)
+        for index in range(trials):
+            others[index] = families.disk(np.random.default_rng([seed, index]), degree - 1)
+        distance, half_width = poly.sendov_distances(a, others)
+        alone = np.array([
+            (rep.sendov_distance, rep.distance_radius)
+            for rep in (
+                poly.critical_report(poly.SendovInstance(a=a, other_zeros=tuple(row.tolist())))
+                for row in others
+            )
+        ])
+        differ = np.nonzero((distance != alone[:, 0]) | (half_width != alone[:, 1]))[0]
+        assert differ.size == 0, f"{differ.size} of {trials} trials differ, first {differ[:5]}"
+        report = fuzz_sendov(a, degree, trials, seed=seed)
+        verdicts = poly.bracket_verdict(alone[:, 0], alone[:, 1], poly.VIOLATION_THRESHOLD)
+        resolved = verdicts != "UNRESOLVED"
+        assert report.violations == (verdicts == "FAIL").sum()
+        assert report.non_converged == trials - resolved.sum()
+        assert report.max_sendov_distance == alone[resolved, 0].max()
+
+    @pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 5])
+    @pytest.mark.parametrize("index", [0, 1, 2**32])
+    def test_trial_entropy_words_give_the_documented_generator(self, seed, index):
+        entropy = np.array(poly._words(seed) + poly._words(index), dtype=np.uint32)
+        draws = np.random.default_rng(entropy).random(8)
+        assert draws.tobytes() == np.random.default_rng([seed, index]).random(8).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 5])
+    def test_trial_draws_come_from_seed_and_index(self, monkeypatch, seed):
+        # Trial index draws m radius and then m angle uniforms from
+        # default_rng([seed, index]), in blocks of 2 rows here.
+        degree, trials = 6, 5
+        m = degree - 1
+        rows = []
+        sendov_distances = poly.sendov_distances
+
+        def record(a, others):
+            rows.extend(others.copy())
+            return sendov_distances(a, others)
+
+        monkeypatch.setattr(poly, "_block_rows", lambda g: 2)
+        monkeypatch.setattr(poly, "sendov_distances", record)
+        fuzz_sendov(0.5, degree, trials, seed=seed)
+        assert len(rows) == trials
+        for index, row in enumerate(rows):
+            expected = families.disk(np.random.default_rng([seed, index]), m)
+            assert row.tobytes() == expected.tobytes(), index
+
+    def test_violating_trial_is_kept_and_fails_the_command(self, monkeypatch, capsys):
+        # One trial of the cell's one block put at distance 1.5 with a zero
+        # half-width: a resolved FAIL, so the report counts it and keeps the
+        # trial's instance as JSON, and `fuzz` exits 1.
+        degree, trials, seed, bad = 6, 5, 7, 3
+        m = degree - 1
+        sendov_distances = poly.sendov_distances
+
+        def one_violation(a, others):
+            distance, radius = sendov_distances(a, others)
+            distance[bad], radius[bad] = 1.5, 0.0
+            return distance, radius
+
+        monkeypatch.setattr(poly, "sendov_distances", one_violation)
+        report = fuzz_sendov(0.5, degree, trials, seed=seed)
+        assert (report.violations, report.max_sendov_distance) == (1, 1.5)
+        (kept,) = report.violation_instances
+        instance = poly.SendovInstance.from_json(kept)
+        expected = families.disk(np.random.default_rng([seed, bad]), m)
+        assert instance.a == 0.5
+        assert np.array(instance.other_zeros).tobytes() == expected.tobytes()
+
+        assert main(["fuzz", "--a", "0.5", "--degree", "6", "--trials", "5", "--seed", "7"]) == 1
+        assert "\nviolation_instances  1\n" in capsys.readouterr().out
+
+    def test_cell_of_many_blocks_gives_the_same_report(self, monkeypatch):
+        whole = fuzz_sendov(0.4, 8, 300, seed=9)
+        monkeypatch.setattr(poly, "_block_rows", lambda g: 7)
+        assert fuzz_sendov(0.4, 8, 300, seed=9) == whole
+
+    def test_cell_memory_does_not_grow_with_trials(self, monkeypatch):
+        # Trials are drawn and checked one block at a time, so the peak
+        # memory of a cell is that of one block.  Drawing the whole cell
+        # first would hold about 1 MB more at 3000 trials.
+        monkeypatch.setattr(poly, "_block_rows", lambda g: 50)
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                fuzz_sendov(0.5, 8, trials, seed=2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # the first call also builds state that numpy keeps
+        small, large = peak(100), peak(3000)
+        assert large < 1.5 * small, (small, large)
+
+    def test_fuzz_csv_exact(self, capsys, monkeypatch):
+        report = FuzzReport(
+            a=0.5, degree=4, trials=10, max_sendov_distance=0.75,
+            violations=0, seed=7, non_converged=0,
+        )
+        monkeypatch.setattr(poly, "fuzz_sendov", lambda *args, **kwargs: report)
+        argv = ["fuzz", "--a", "0.5", "--degree", "4", "--trials", "10", "--format", "csv"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            "a,degree,trials,violations,max_distance,non_converged,seed\n"
+            "0.5,4,10,0,0.75,0,7\n"
+        )
 
 
 # SHA-256 of the kernel's output on families.pinned_rows: sendov_distances'

@@ -24,8 +24,8 @@ inputs and would make verify's bytes depend on the machine.  ``bounds.py``
 and ``verify.py`` name np.log, np.log1p, np.exp, np.power and
 np.float_power only in the functions ALLOWED_IN lists (a lambda is a
 function of its own): ``bounds._simd``, the map of both transcendental
-screens, whose minima the verifier confirms with libm, and fuzz's random
-draws.  Everything else goes through ``bounds._libm``.
+screens, whose minima the verifier confirms with libm.  Everything else
+goes through ``bounds._libm``.
 
 *precision*: the package's arithmetic is binary64 and error-free
 transformations of it, the same on every platform.  No module names
@@ -54,6 +54,12 @@ a private name of either, which would reach the helpers as a bare name.
 no ``sendov_lab``, no other tool and no relative import.  The seeded rows
 stay independent of the code they test, and any script, the benchmark's
 too, can load the module by path.
+
+*audit*: ``verify`` audits the derivation of the bound on ``bounds``
+alone and imports nothing else from the package, at module level or in a
+function: above all not ``polynomial``, whose kernel checks the conjecture
+on concrete polynomials, fuzzing included.  So ``verify`` starts without
+loading the kernel.
 """
 
 import ast
@@ -121,7 +127,6 @@ ALLOWED_IN = {
     ("bounds.py", "_simd"): "numpy's log, log1p and power screen the D contraction and the "
                             "estimate chain's interior links; verify._screened confirms each "
                             "minimum with libm",
-    ("verify.py", "fuzz_sendov"): "complex exp of random angles draws the trial zeros",
 }
 
 
@@ -170,6 +175,12 @@ def families(found, filename):
             and (level or text.split(".")[0] not in ("numpy", "__future__"))]
 
 
+def audit(found, filename):
+    return [(line, text) for line, _, kind, text, level in found if kind == "import"
+            and (level or text.split(".")[0] == "sendov_lab")
+            and text.removeprefix("sendov_lab.").split(".")[0] != "bounds"]
+
+
 RULES = {
     "layer": (("cli.py", "polynomial.py", "verify.py"), layer),
     "scipy": (MODULES, scipy),
@@ -181,6 +192,7 @@ RULES = {
     "reference": (TEST_MODULES + TOOL_MODULES, reference),
     "contract": (("test_verify.py",), contract),
     "families": (("families.py",), families),
+    "audit": (("verify.py",), audit),
 }
 
 
@@ -274,13 +286,16 @@ from numpy.random import default_rng
 import kernel_agreement
 from .families import disk
 from sendov_lab import polynomial
+from sendov_lab import bounds, cli
+import sendov_lab, sendov_lab.bounds
+from sendov_lab.bounds import DEFAULT_SEED
 """
 # The lines of SELF_TEST that each rule catches, once per distinct name.
 CAUGHT = {
     ("layer", "verify.py"): [1, 2, 3, 4, 5, 5, 36],
     ("scipy", "verify.py"): [8, 9, 10, 32, 34],
     ("heavy", "verify.py"): [13, 14, 15, 15, 16, 17, 18, 39],
-    ("libm", "verify.py"): [26, 29, 41, 41, 43, 45, 64],
+    ("libm", "verify.py"): [26, 29, 41, 41, 43, 45, 46, 64],
     ("libm", "bounds.py"): [26, 29, 41, 41, 43, 45, 46],
     ("precision", "verify.py"): [23, 24, 25, 27, 28, 40, 56, 56, 56, 58, 58, 60, 60, 61, 61],
     ("builder", "verify.py"): [30, 48, 51, 52],
@@ -289,7 +304,8 @@ CAUGHT = {
     ("contract", "test_verify.py"): [5, 5, 66, 66, 68, 71],
     ("families", "families.py"): [1, 2, 2, 3, 4, 5, 5, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 15,
                                   16, 17, 18, 19, 20, 21, 23, 24, 32, 34, 36, 37, 38, 39, 40, 58,
-                                  58, 71, 71, 75, 76, 77],
+                                  58, 71, 71, 75, 76, 77, 78, 78, 79, 79, 80],
+    ("audit", "verify.py"): [1, 2, 3, 4, 6, 7, 11, 19, 36, 71, 71, 76, 77, 78, 79],
 }
 
 
