@@ -407,6 +407,32 @@ def _inclusion_radii(w, zeta, k) -> np.ndarray:
         log_d = np.log(mod_d, out=mod_d)
         sum_d, size_d, log_f = log_d.sum(axis=-1), np.abs(log_d).sum(axis=-1), np.log(f_bound)
         del mod_d, log_d
+        # Where a term 1/(w - zeta), or their sum, overflows (w a subnormal
+        # distance from a zero), f_bound is not finite.  There the terms
+        # k/((w - zeta) 2^-e) = 2^e k/(w - zeta) are summed instead, with 2^e
+        # from frexp of the least |w - zeta|: log f_bound is log(2^e f_bound)
+        # - e log 2, and |e| log 2 joins size, which the slack's factor 4
+        # covers for the one more addition.  The scaling adds no rounding:
+        # ldexp by a power of two is exact unless it overflows, and a
+        # difference w - zeta that falls below the normal range is exact, a
+        # multiple of 2^-1074 no larger than w or zeta.  So each scaled term
+        # is rounded as any other.  A scaled difference that overflows gives
+        # the term 0, off by less than 2^-1024 against a sum of |terms| of at
+        # least 1: inside the bound's spare 20u.
+        t, i = np.nonzero(~np.isfinite(f_bound))
+        if t.size:
+            d = _minus_rows(w[t, i, None], zeta, t)
+            e = np.frexp(np.abs(d).min(axis=-1))[1][:, None]
+            scaled = np.empty_like(d)
+            scaled.real, scaled.imag = np.ldexp(d.real, -e), np.ldexp(d.imag, -e)
+            mod_s = np.abs(scaled)
+            terms = np.where(np.isfinite(mod_s), np.reciprocal(scaled), 0.0)
+            ks = 1.0 if k is None else k[t]
+            bound = np.abs((terms * ks).sum(axis=-1))
+            bound += 2.0 * (g + 10) * _U * (ks / mod_s).sum(axis=-1)
+            shift = e[:, 0] * math.log(2.0)
+            log_f[t, i] = np.log(bound) - shift
+            size_d[t, i] += np.abs(shift)
     return _weierstrass_radii(w, sum_d, log_f, log_n, size_d, g + w.shape[-1])
 
 

@@ -39,6 +39,7 @@ from sendov_lab.roots import find_roots, from_roots
 
 
 ref = exact.bound_references()
+report_bytes = load_tool("kernel_agreement").report_bytes
 
 
 # The true roots of Q for test_frozen_points_lie_at_the_rounding_floor's
@@ -215,6 +216,13 @@ BRACKETS = [
     (0.9, 0.05, "PASS"), (1.1, 0.05, "FAIL"), (0.98, 0.05, "UNRESOLVED"),
     (1.02, 0.05, "UNRESOLVED"), (0.5, float("inf"), "UNRESOLVED"), (0.5, 1e-12, "PASS"),
 ]
+# (a, two zeros about 2e-5 apart).
+TIGHT_PAIRS = [
+    (0.6356051866396851, (-0.5569498201504334 + 0.6709579856690978j,
+                          -0.5569476262478652 + 0.6709776624485464j)),
+    (0.43488594609300407, (-0.2430322689513025 - 0.2665345899540236j,
+                           -0.24303379100304126 - 0.2665292627339832j)),
+]
 
 
 class TestCertifiedCriticalPoints:
@@ -274,10 +282,7 @@ class TestCertifiedCriticalPoints:
             assert abs(rep.sendov_distance - min(abs(x - a) for x in truth)) <= rep.distance_radius
 
     @pytest.mark.parametrize("a, zeros, expected", [
-        (0.6356051866396851, ((-0.5569498201504334 + 0.6709579856690978j),
-                              (-0.5569476262478652 + 0.6709776624485464j)), 0.456117),
-        (0.43488594609300407, ((-0.2430322689513025 - 0.2665345899540236j),
-                               (-0.24303379100304126 - 0.2665292627339832j)), 0.242811),
+        (*pair, expected) for pair, expected in zip(TIGHT_PAIRS, (0.456117, 0.242811))
     ])
     def test_tight_pair_of_zeros_resolves(self, a, zeros, expected):
         # One Newton step from each zero of the pair lands both starts on
@@ -322,21 +327,26 @@ class TestCertifiedCriticalPoints:
         with mpmath.workdps(exact.DPS):
             assert abs(rep.sendov_distance - exact.sendov_distance(a, zeros)) <= rep.distance_radius
 
-    def test_subnormal_gap_gives_no_warning(self):
-        # 1/(w - zeta) overflows between two zeros 2.2e-313 apart, where the
-        # nearest critical point sits halfway between them, and near two
-        # zeros 1e-310 apart at 0, where it is 2a/3, 1/6 from a.
+    def test_subnormal_gap_gives_no_warning(self, tmp_path):
+        # 1/(w - zeta) overflows halfway between two zeros 2.2e-313 apart,
+        # and between zeros 1e-310 or 5e-324 apart at 0 (f is then taken at a
+        # power-of-two scale), where 2a/3 is 1/6 from a; six zeros k 1e-310
+        # put 6a/7 a/7 from a.  Each row PASSes, and `check` exits 0 on it.
+        path = tmp_path / "instance.json"
         for zeros, distance in [
             ((0j, 0.5 + 2.2250738585e-313j), 2.2250738585e-313 / 2),
             ((1e-310, 2e-310), 1 / 6),
+            ((5e-324, 1e-323), 1 / 6),
+            (tuple(k * 1e-310 for k in range(1, 7)), 0.5 / 7),
         ]:
+            instance = SendovInstance(a=0.5, other_zeros=zeros)
+            path.write_text(instance.to_json())
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                rep = critical_report(SendovInstance(a=0.5, other_zeros=zeros))
-            verdict = rep.verdict(1.0 + 1e-9)
-            assert verdict == "UNRESOLVED" or (
-                verdict == "PASS" and abs(rep.sendov_distance - distance) <= rep.distance_radius
-            )
+                rep = critical_report(instance)
+                assert main(["check", "--instance", str(path)]) == 0
+            assert rep.verdict(1.0 + 1e-9) == "PASS"
+            assert abs(rep.sendov_distance - distance) <= rep.distance_radius <= 5e-15
 
     def test_verdict_needs_the_whole_bracket(self):
         # The discs hold whether or not the iteration settled, so converged
@@ -364,12 +374,13 @@ class TestSendovDistances:
         assert distance.tobytes() + radius.tobytes() == expected
 
     def test_subnormal_gap_rows_give_no_warning_in_a_block(self):
-        # Rows 3 and 15 of a 20-row block hold two zeros a subnormal
+        # Rows 3, 9 and 15 of a 20-row block hold two zeros a subnormal
         # distance apart, whose reciprocals overflow: the stages' own
-        # np.errstate blocks keep the kernel quiet, and each row is still
-        # critical_report's.
+        # np.errstate blocks keep the kernel quiet, every row PASSes, and
+        # each row's pair is critical_report's.
         a, others = _disk_block(20, 64)
-        others[[3, 15], :2] = [0.5, complex(0.5, 2.2250738585e-313)]
+        others[[3, 9, 15], :2] = [[0.5, complex(0.5, 2.2250738585e-313)], [1e-310, 2e-310],
+                                  [5e-324, 1e-323]]
         alone = [critical_report(SendovInstance(a, tuple(row.tolist()))) for row in others]
         expected = (np.array([rep.sendov_distance for rep in alone]).tobytes()
                     + np.array([rep.distance_radius for rep in alone]).tobytes())
@@ -377,6 +388,7 @@ class TestSendovDistances:
             warnings.simplefilter("error")
             distance, radius = poly.sendov_distances(a, others)
         assert distance.tobytes() + radius.tobytes() == expected
+        assert (poly.bracket_verdict(distance, radius, poly.VIOLATION_THRESHOLD) == "PASS").all()
 
     def test_no_call_starts_a_thread(self, monkeypatch):
         def no_thread(*args, **kwargs):
@@ -607,9 +619,9 @@ def _full_matrix_starts(zeta, k):
 
 
 def _all_pairs_bracket(a, repeated, free, free_radii):
-    """(distance, half-width) with a disc alone when it misses every other
-    disc, pair by pair, by a computed gap beyond the radii by more than its
-    roundings (the factor 1 - 4u): the reference for ``_distance_bracket``,
+    """(distance, half-width, alone) with a disc alone when it misses every
+    other disc, pair by pair, by a computed gap beyond the radii by more than
+    its roundings (the factor 1 - 4u): the reference for ``_distance_bracket``,
     which tests only the discs that can set the upper end."""
     m = free.shape[-1]
     points = np.concatenate([repeated, free], axis=-1)
@@ -625,126 +637,113 @@ def _all_pairs_bracket(a, repeated, free, free_radii):
         upper = (dist * (1.0 + 4.0 * poly._U) + reach).min(axis=-1)
         lower = np.maximum(dist * (1.0 - 4.0 * poly._U) - radii, 0.0).min(axis=-1)
     nearest = dist.min(axis=-1)
-    return nearest, np.maximum(upper - nearest, nearest - lower) + 4.0 * poly._U * upper
+    return nearest, np.maximum(upper - nearest, nearest - lower) + 4.0 * poly._U * upper, alone
+
+
+# case: (a, rows of other zeros, then what the rows exercise as
+# reference_report counts it: rows whose starts the crowded rule moves, discs
+# that meet another, those of them that can set the upper end, and points a
+# subnormal distance from a zero; last, the rows that do not PASS).
+_, A_CLUSTER, CLUSTER = families.rows(8, 2)[-1]
+CONTRACT_ROWS = {
+    **{f"pinned-{degree}": (*families.pinned_rows(degree), crowded, 0, 0, 0, 0)
+       for degree, crowded in zip(KERNEL_DIGESTS, (3, 1, 0, 0, 0))},
+    # 1/(0 - 1e-308) + 1/(0 - 1.05e-308) overflows in its real part alone;
+    # 1.0 * S then has a NaN imaginary part, and S + S would not.
+    "gap-sum-past-binary64": (0.5, [(0j, 1e-308, 1.05e-308)], 0, 2, 0, 0, 0),
+    # The steps from both zeros of a tight pair land on its one critical point.
+    **{f"tight-pair-{a:.2f}": (a, [zeros], 1, 0, 0, 0, 0) for a, zeros in TIGHT_PAIRS},
+    # Five zeros of spread 1e-9, two of them 1e-13 apart: without the tight
+    # pair no start in such a cluster is crowded.
+    "cluster-1e-9-pair-1e-13": (0.6, [0.3 - 0.2j + 1e-9 * np.array(
+        [0.5, 0.5 + 1e-4, -0.4 + 0.3j, 0.1 - 0.6j, -0.7j])], 1, 0, 0, 0, 0),
+    # Conjugate zeros give steps with the same real part exactly, but
+    # imaginary parts far more than 1e-6 of a step apart.
+    "conjugate-pair": (0.9, [(0.1 + 0.5j, 0.1 - 0.5j)], 0, 0, 0, 0, 0),
+    # A zero 8e-13 from a: the pair's starts lie one ulp apart, where 1e-6 of
+    # their steps is 4e-19; only the 4u floor finds them crowded.
+    "crowded-floor": (0.9167938890820101, [(0.9167938890811962 + 2.2065812524919434e-13j,
+                                            0.004242042995801971 + 0.8883383887593382j)],
+                      1, 0, 0, 0, 0),
+    # Near-extremal rows at eps 1e-12, and a degree-8 row of clusters of
+    # spread 1e-15, whose meeting discs cannot set the upper end.
+    "unity-23": (1.0 - 1e-12, [families.near_extremal(23, 1e-12)[1]], 0, 16, 16, 0, 0),
+    "unity-28": (1.0 - 1e-12, [families.near_extremal(28, 1e-12)[1]], 0, 27, 27, 0, 1),
+    "cluster-1e-15": (A_CLUSTER, [CLUSTER], 1, 4, 0, 0, 0),
+    # Zeros a subnormal distance apart: 1/(w - zeta) overflows at the point
+    # between two of them.  Six of them leave points in discs that meet.
+    "subnormal-gap-1e-310": (0.5, [(1e-310, 2e-310)], 0, 0, 0, 1, 0),
+    "subnormal-gap-5e-324": (0.5, [(5e-324, 1e-323)], 0, 0, 0, 1, 0),
+    "subnormal-gap-k-1e-310": (0.5, [[k * 1e-310 for k in range(1, 7)]], 0, 5, 0, 0, 0),
+}
+
+
+def reference_report(a, others):
+    """(reports, mechanism) for the instances (a, row), one per row of
+    ``others``, from the kernel's stages in their forms without shortcuts:
+    ``_full_matrix_starts``, ``_sweeps`` of ``_aberth_corrections`` and
+    ``_inclusion_radii`` with the multiplicities given, and
+    ``_all_pairs_bracket``, on the rows with g distinct zeros at once for
+    each g.  Rows with g <= 2 keep ``_free_points``' closed form, a rule and
+    not a shortcut.  mechanism sums CONTRACT_ROWS' first four counts."""
+    zeros = np.concatenate([np.full((len(others), 1), complex(a)), others], axis=-1)
+    split = [np.unique(row, return_counts=True) for row in zeros]
+    reports, mechanism = [None] * len(zeros), np.zeros(4, dtype=int)
+    for g in {zeta.size for zeta, _ in split}:
+        rows = [t for t, (zeta, _) in enumerate(split) if zeta.size == g]
+        zeta = np.array([split[t][0] for t in rows])
+        k = np.array([split[t][1] for t in rows]) * 1.0
+        repeated = np.array([np.repeat(z, c - 1) for z, c in (split[t] for t in rows)])
+        crowded = np.zeros((len(rows), 1), dtype=bool)
+        if g <= 2:
+            free, radii, settled = poly._free_points(zeta, k)
+        else:
+            starts, crowded = _full_matrix_starts(zeta, k)
+            free, settled, _ = poly._sweeps(starts, zeta, lambda w, at: poly._aberth_corrections(
+                w, zeta, k.astype(complex), at), 1.0 + np.abs(zeta).max(axis=-1))
+            radii = poly._inclusion_radii(free, zeta, k)
+        distance, half_width, alone = _all_pairs_bracket(np.full(len(rows), a), repeated, free, radii)
+        points = np.concatenate([repeated, free], axis=-1)
+        radii = np.concatenate([np.zeros(repeated.shape), radii], axis=-1)
+        far = np.abs(points - a) * (1.0 + 4.0 * poly._U)
+        ceiling = (far + 2.0 * radii.sum(axis=-1, keepdims=True)).min(axis=-1, keepdims=True)
+        tested = ~alone & (far + radii <= ceiling)[:, repeated.shape[-1]:]
+        least = np.abs(free[:, :, None] - zeta[:, None, :]).min(axis=-1, initial=np.inf)
+        mechanism += [crowded.any(axis=-1).sum(), (~alone).sum(), tested.sum(),
+                      ((0.0 < least) & (least < np.finfo(float).tiny)).sum()]
+        for t, p, r, d, h, s in zip(rows, points, radii, distance, half_width, settled):
+            order = np.lexsort((p.imag, p.real))
+            reports[t] = CriticalPointReport(
+                tuple(p[order].tolist()), float(d), sum(zeros[t].real.tolist()) / zeros.shape[-1],
+                tuple(r[order].tolist()), float(h), bool(s) and bool(np.isfinite(r).all()),
+            )
+    return reports, mechanism
+
+
+class TestContract:
+    """critical_report and sendov_distances give ``reference_report``'s bytes
+    on every row of CONTRACT_ROWS, each row's bracket meets its conjugate's,
+    and the rows exercise and PASS as their columns say.  A test of one kernel
+    stage retires only when a row here catches a mutation that it catches."""
+
+    @pytest.mark.parametrize("case", list(CONTRACT_ROWS))
+    def test_report_equals_the_reference(self, case):
+        a, rows, *mechanism = CONTRACT_ROWS[case]
+        rows = np.array(rows, dtype=complex)
+        references, exercised = reference_report(a, rows)
+        # The rows and their conjugates share one block: no pair depends on it.
+        distance, half_width = poly.sendov_distances(a, np.concatenate([rows, rows.conj()]))
+        for t, (row, reference) in enumerate(zip(rows, references)):
+            report = critical_report(SendovInstance(a, tuple(row.tolist())))
+            assert report_bytes(report) == report_bytes(reference), row
+            assert (distance[t], half_width[t]) == (report.sendov_distance, report.distance_radius)
+        (d, d_conj), (h, h_conj) = np.split(distance, 2), np.split(half_width, 2)
+        assert (np.abs(d - d_conj) <= h + h_conj).all()
+        verdicts = poly.bracket_verdict(d, h, poly.VIOLATION_THRESHOLD)
+        assert [*exercised.tolist(), (verdicts != "PASS").sum()] == mechanism
 
 
 class TestKernelStages:
-    @pytest.mark.parametrize("degree", list(KERNEL_DIGESTS))
-    def test_unit_multiplicities_as_none_give_the_same_bytes(self, degree):
-        # k=None skips the exact products by 1.0; the general path, which
-        # repeated zeros take, must give the same bytes on simple zeros.
-        a, rows = families.pinned_rows(degree)
-        zeros = np.sort(np.concatenate([np.full((len(rows), 1), complex(a)), rows], axis=1), axis=1)
-        zeta = zeros[~(zeros[:, 1:] == zeros[:, :-1]).any(axis=1)]
-        ones = np.ones(zeta.shape)
-        starts = poly._starts(zeta, None)
-        assert starts.tobytes() == poly._starts(zeta, ones).tobytes()
-        scale = 1.0 + np.abs(zeta).max(axis=-1)
-        w, settled, _ = poly._sweeps(
-            starts, zeta, lambda w, at: poly._aberth_corrections(w, zeta, None, at), scale
-        )
-        kc = ones.astype(complex)
-        w_ones, settled_ones, _ = poly._sweeps(
-            starts, zeta, lambda w, at: poly._aberth_corrections(w, zeta, kc, at), scale
-        )
-        assert w.tobytes() == w_ones.tobytes()
-        assert settled.tolist() == settled_ones.tolist()
-        radii = poly._inclusion_radii(w, zeta, None)
-        assert radii.tobytes() == poly._inclusion_radii(w, zeta, ones).tobytes()
-
-    def test_gap_sum_past_binary64_range_sends_the_start_to_the_circle(self):
-        # 1/(0 - 1e-308) + 1/(0 - 1.05e-308) overflows in its real part
-        # alone; 1.0 * S then has a NaN imaginary part, and S + S would not.
-        zeta = np.array([[0j, 1e-308 + 0j, 1.05e-308 + 0j, 0.5 + 0j]])
-        ones = np.ones(zeta.shape)
-        starts, _ = _full_matrix_starts(zeta, ones)
-        assert poly._starts(zeta, None).tobytes() == starts.tobytes()
-        assert poly._starts(zeta, ones).tobytes() == starts.tobytes()
-
-    @pytest.mark.parametrize("zeros, fires", [
-        # The two pairs of test_tight_pair_of_zeros_resolves, with their a.
-        ((0.6356051866396851, -0.5569498201504334 + 0.6709579856690978j,
-          -0.5569476262478652 + 0.6709776624485464j), True),
-        ((0.43488594609300407, -0.2430322689513025 - 0.2665345899540236j,
-          -0.24303379100304126 - 0.2665292627339832j), True),
-        # Five zeros of spread 1e-9, two of them 1e-13 apart, and a zero at
-        # 0.6; without the tight pair no start in such a cluster is crowded.
-        (tuple(0.3 - 0.2j + 1e-9 * np.array([0.5, 0.5 + 1e-4, -0.4 + 0.3j, 0.1 - 0.6j, -0.7j]))
-         + (0.6,), True),
-        # Conjugate zeros give steps with the same real part exactly, but
-        # imaginary parts far more than 1e-6 of a step apart.
-        ((0.1 + 0.2j, 0.1 - 0.2j, 0.9), False),
-    ])
-    def test_crowded_rule_matches_the_full_matrix(self, zeros, fires):
-        zeta = np.unique(np.array(zeros, dtype=complex))[None]
-        ones = np.ones(zeta.shape)
-        starts, crowded = _full_matrix_starts(zeta, ones)
-        assert crowded.any() == fires
-        assert poly._starts(zeta, None).tobytes() == starts.tobytes()
-        assert poly._starts(zeta, ones).tobytes() == starts.tobytes()
-        if not fires:
-            assert starts[0, 0].real == starts[0, 1].real
-            assert starts[0, 0].imag != starts[0, 1].imag
-
-    def test_crowded_floor_matches_the_full_matrix(self):
-        # A zero 8e-13 from a: the pair's two starts lie one ulp (1.1e-16)
-        # apart, where 1e-6 of their 4.2e-13 steps is 4e-19.  Only the 4u
-        # floor finds them crowded; without it both settle on one root
-        # (UNRESOLVED, half-width 3.4).
-        a = 0.9167938890820101
-        zeros = (0.9167938890811962 + 2.2065812524919434e-13j,
-                 0.004242042995801971 + 0.8883383887593382j)
-        zeta = np.unique(np.array((a,) + zeros))[None]
-        ones = np.ones(zeta.shape)
-        starts, crowded = _full_matrix_starts(zeta, ones)
-        assert crowded.tolist() == [[False, True]]
-        assert poly._starts(zeta, None).tobytes() == starts.tobytes()
-        assert poly._starts(zeta, ones).tobytes() == starts.tobytes()
-        rep = critical_report(SendovInstance(a=a, other_zeros=zeros))
-        assert rep.verdict(1.0 + 1e-9) == "PASS"
-
-    @pytest.mark.parametrize("degree", list(KERNEL_DIGESTS))
-    def test_isolation_matches_the_all_pairs_rule(self, degree):
-        # Only the discs that can set the upper end are tested pair by pair;
-        # whether the others meet a disc cannot move the bracket.
-        a, rows = families.pinned_rows(degree)
-        at = np.array([a])
-        for row in rows:
-            zeta, counts = np.unique(np.concatenate([[complex(a)], row]), return_counts=True)
-            repeated = np.repeat(zeta, counts - 1)[None]
-            free, radii, _ = poly._free_points(zeta[None], counts[None].astype(float))
-            distance, half_width = poly._distance_bracket(at, repeated, free, radii)
-            reference = _all_pairs_bracket(at, repeated, free, radii)
-            assert distance == reference[0]
-            assert half_width == reference[1]
-
-    @pytest.mark.parametrize("degree, meeting, tested", [
-        (23, 16, 16), (28, 27, 27), (8, 4, 0),
-    ], ids=["unity-23", "unity-28", "cluster-1e-15"])
-    def test_meeting_discs_match_the_all_pairs_rule(self, degree, meeting, tested):
-        # No families.pinned_rows row has two discs that meet.  In the
-        # near-extremal row at eps 1e-12, 16 discs meet at degree 23 and each
-        # can set the upper end; at degree 28 all 27 meet, and
-        # 2 * sum(radii) sets it.  In a degree-8 row of clusters of spread
-        # 1e-15, 4 discs meet and none can set it.
-        if degree == 8:
-            family, a, row = families.rows(8, 2)[-1]
-            assert family == "clusters of spread 1e-15"
-        else:
-            a, row = families.near_extremal(degree, 1e-12)
-        at, repeated = np.array([a]), np.empty((1, 0), dtype=complex)
-        zeta = np.unique(np.concatenate([[complex(a)], row]))[None]
-        free, radii, _ = poly._free_points(zeta, np.ones(zeta.shape))
-        # A disc lies in a group of two or more exactly when it meets another.
-        meets = poly._discs_meet(np.abs(free[0, :, None] - free[0]), radii[0, :, None] + radii[0])
-        np.fill_diagonal(meets, False)
-        met = np.flatnonzero(meets.any(axis=-1))
-        far = np.abs(free[0] - a) * (1.0 + 4.0 * poly._U)
-        candidate = far + radii[0] <= (far + 2.0 * radii.sum()).min()
-        assert (len(met), candidate[met].sum()) == (meeting, tested)
-        distance, half_width = poly._distance_bracket(at, repeated, free, radii)
-        assert (distance, half_width) == _all_pairs_bracket(at, repeated, free, radii)
-
     def test_disc_in_doubt_is_tested_pairwise(self):
         # Points 1 and 2 are 1e-9 apart with radii 1e-12: pairwise they are
         # apart, though the wide radius of point 0 puts 2 * sum(radii) far
@@ -754,7 +753,7 @@ class TestKernelStages:
         repeated = np.empty((1, 0), dtype=complex)
         at = np.array([0.5 + 2e-9])
         _, half_width = poly._distance_bracket(at, repeated, free, radii)
-        _, reference = _all_pairs_bracket(at, repeated, free, radii)
+        _, reference, _ = _all_pairs_bracket(at, repeated, free, radii)
         assert half_width == reference < 1e-11
 
     def test_discs_a_rounding_apart_meet(self):

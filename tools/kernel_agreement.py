@@ -26,6 +26,14 @@ resolves every row the parent resolves; the script exits 1 on a distance
 beyond the brackets or on a PASS or FAIL of the parent that is UNRESOLVED
 in the change.
 
+Conjugating the zeros conjugates the critical points and keeps the Sendov
+distance, since a is real, and conj is exact in binary64: a free oracle.
+The change tree runs ``critical_report`` on each row's conjugate too, and
+for each family the script prints how many rows have a bracket disjoint
+from their conjugate's, where one of the two must be wrong (it exits 1 on
+any), and how many change verdict under conjugation, which is no error by
+itself and is reported only.
+
 The change tree also runs ``sendov_distances`` once per degree and round,
 on that round's rows that share a (all but the near-extremal ones), and
 the script prints how many of those rows get the (distance, half-width)
@@ -93,6 +101,9 @@ def main(argv: list[str]) -> int:
     counts = {family: ({}, {}) for family in FAMILIES}
     # Per family and tree: [rows not converged, seconds in critical_report].
     costs = {family: ([0, 0.0], [0, 0.0]) for family in FAMILIES}
+    # Per family, in the change: [brackets disjoint from the conjugate's,
+    # verdicts changed by conjugation].
+    mirrored = {family: [0, 0] for family in FAMILIES}
     lost = 0
     block_count = 0
     block_identical = 0
@@ -142,6 +153,12 @@ def main(argv: list[str]) -> int:
                         f"half-width {old.distance_radius:.3e} -> {new.distance_radius:.3e}"
                     )
                     lost += verdicts[0] != "UNRESOLVED" and verdicts[1] == "UNRESOLVED"
+                conj = change.critical_report(change.SendovInstance(a, tuple(row.conj().tolist())))
+                apart = abs(new.sendov_distance - conj.sendov_distance)
+                if apart > new.distance_radius + conj.distance_radius:
+                    mirrored[family][0] += 1
+                    print(f"disjoint from the conjugate: degree {degree}, round {round_}, {family}")
+                mirrored[family][1] += new.verdict(threshold) != conj.verdict(threshold)
                 if a == shared:
                     block.append((row, new))
             others = np.array([row for row, _ in block])
@@ -173,7 +190,11 @@ def main(argv: list[str]) -> int:
     print("rows not converged and seconds in critical_report per family, parent | change:")
     for family, (old, new) in costs.items():
         print(f"  {family}: {old[0]} in {old[1]:.2f} s | {new[0]} in {new[1]:.2f} s")
-    return 1 if beyond or lost or block_identical < block_count else 0
+    print("conjugated rows in the change per family, brackets disjoint / verdicts changed:")
+    for family, (disjoint, flipped) in mirrored.items():
+        print(f"  {family}: {disjoint} / {flipped}")
+    disjoint = sum(count for count, _ in mirrored.values())
+    return 1 if beyond or lost or disjoint or block_identical < block_count else 0
 
 
 if __name__ == "__main__":
