@@ -11,7 +11,9 @@ The package has four layers:
 * :mod:`sendov_lab.verify` — deterministic inequality suites, limit checks
   and the majorization-chain audit.
 
-``sendov_lab.cli`` exposes all of it as the ``sendov-lab`` command.
+``sendov_lab.cli`` exposes all of it as the ``sendov-lab`` command.  Every
+module checks its arguments by one rule, in the private
+``sendov_lab._arguments``, and raises its one error class, DomainError.
 
 Importing the package loads none of its modules: each public name, and
 each submodule name, loads its module on first use, so a command starts
@@ -25,9 +27,10 @@ __version__ = "0.1.0"
 # The module each public name lives in; a submodule's name maps to itself.
 _HOME = {
     **{name: name for name in ("bounds", "cli", "polynomial", "roots", "verify")},
-    **dict.fromkeys(("AuxParams", "BoundBreakdown", "DEFAULT_SEED", "DomainError", "MeanBound",
-                     "aux_params", "breakdown", "final_bound", "k_prime", "mean_upper_bound",
-                     "mu1", "mu2", "small_circle_bound"), "bounds"),
+    **dict.fromkeys(("DEFAULT_SEED", "DomainError"), "_arguments"),
+    **dict.fromkeys(("AuxParams", "BoundBreakdown", "MeanBound", "aux_params", "breakdown",
+                     "final_bound", "k_prime", "mean_upper_bound", "mu1", "mu2",
+                     "small_circle_bound"), "bounds"),
     **dict.fromkeys(("CriticalPointReport", "FuzzReport", "SendovInstance", "critical_report",
                      "fuzz_sendov"), "polynomial"),
     **dict.fromkeys(("Polynomial", "RootResult", "find_roots", "from_roots", "match_roots"),

@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import bounds
+from . import _arguments
 
 
 def __getattr__(name):
@@ -81,7 +81,7 @@ def _emit(args: argparse.Namespace, rows: list[dict], text_lines, csv_columns=No
     try:
         Path(args.out).write_text(text)
     except OSError as exc:
-        raise bounds.DomainError(f"cannot write --out file: {exc}") from None
+        raise _arguments.DomainError(f"cannot write --out file: {exc}") from None
 
 
 def _row(report) -> dict:
@@ -114,11 +114,11 @@ def _resolve_seed(explicit: int | None) -> int:
         return explicit
     env = os.environ.get("SENDOV_LAB_SEED")
     if env is None:
-        return bounds.DEFAULT_SEED
+        return _arguments.DEFAULT_SEED
     try:
         return int(env)
     except ValueError:
-        raise bounds.DomainError(
+        raise _arguments.DomainError(
             f"SENDOV_LAB_SEED must be an integer, got {env!r}"
         ) from None
 
@@ -136,11 +136,13 @@ def _sig_figs(printed: str) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
+    from . import bounds
     _emit(args, [_row(bounds.breakdown(args.a))], _key_value_lines)
     return 0
 
 
 def _table_rows() -> list[dict]:
+    from . import bounds
     rows = []
     for i, degot in enumerate(DEGOT_N):
         a = round(0.1 * (i + 1), 1)
@@ -237,7 +239,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     try:
         payload = Path(args.instance).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise bounds.DomainError(f"cannot read instance file: {exc}") from None
+        raise _arguments.DomainError(f"cannot read instance file: {exc}") from None
     report = critical_report(SendovInstance.from_json(payload))
     verdict = report.verdict(VIOLATION_THRESHOLD)
     _emit(args, [dict(_row(report), verdict=verdict)], _check_lines)
@@ -245,6 +247,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_mean_bound(args: argparse.Namespace) -> int:
+    from . import bounds
     _emit(args, [_row(bounds.mean_upper_bound(args.a, args.n))], _key_value_lines)
     return 0
 
@@ -310,6 +313,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except bounds.DomainError as exc:
+    except _arguments.DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

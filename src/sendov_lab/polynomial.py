@@ -20,9 +20,10 @@ its own step and takes its radii by the same rule, ``_weierstrass_radii``;
 bracket alone.  Nothing here imports ``roots``.
 
 All public values are immutable and safe to share across threads.  Every
-rejected argument or instance raises ``bounds.DomainError``, the package's
-one error class: the zero a and every complex argument are checked by the
-argument rule of ``bounds``.
+rejected argument or instance raises DomainError, the package's one error
+class, at home in ``_arguments`` (``bounds`` re-exports it): the zero a and
+every complex argument are checked by the argument rule stated there.
+Nothing here imports ``bounds``, so ``check`` and ``fuzz`` start without it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import DEFAULT_SEED, DomainError, _int_in, _real_in, _require_finite_complex
+from ._arguments import DEFAULT_SEED, DomainError, _int_in, _real_in, _require_finite_complex
 
 __all__ = [
     "SendovInstance",
@@ -53,6 +54,16 @@ _MAX_SWEEPS = 300
 _BLOCK_TEMPORARY = 2 ** 18
 # Unit roundoff of binary64.
 _U = 2.0 ** -53
+# An absolute term in every float radius.  Below 2^-1022 a result is
+# rounded to a multiple of 2^-1074, exp's as any other, so it may fall short
+# of its value by up to a unit of 2^-1074 whatever its size (half a unit if
+# rounded once, less than one if rounded to 53 bits first): the relative
+# slacks cover the error before that rounding, not the rounding itself.
+# Four units cover it with room, and the rounding of |w - a| at a subnormal
+# distance, under a unit too, which the bracket's relative margins miss.  A
+# radius r >= 2^-1018 keeps its bits: half its ulp is at least 2^-1071,
+# eight units, so r plus four rounds back to r; no rounded sum is below r.
+_RADIUS_FLOOR = 4.0 * 2.0 ** -1074
 # Irrational angular offset keeps each circle of start points off axes and
 # off any symmetric root configuration.
 _ANGULAR_OFFSET = 1.0 / math.sqrt(2.0)
@@ -360,7 +371,8 @@ def _weierstrass_radii(w, first, second, lead, size, count) -> np.ndarray:
     underflow.  The slack 4 count u (1 + size + sum_j |log|w_i - w_j||),
     given the caller's term count >= 5 and size (sum of |log| of its own
     terms), covers the rounding of the logs and their sum; its constant
-    term, at least 20u, covers exp's rounding of a few ulps.  NaN gives inf."""
+    term, at least 20u, covers exp's rounding of a few ulps, and
+    ``_RADIUS_FLOOR`` its rounding below 2^-1022.  NaN gives inf."""
     m = w.shape[-1]
     diagonal = np.arange(m)
     with np.errstate(all="ignore"):
@@ -369,7 +381,7 @@ def _weierstrass_radii(w, first, second, lead, size, count) -> np.ndarray:
         log_e[..., diagonal, diagonal] = 0.0
         sum_e, size_e = log_e.sum(axis=-1), np.abs(log_e).sum(axis=-1)
         slack = 4.0 * count * _U * (1.0 + size + size_e)
-        radii = np.exp(math.log(m) + first + second - lead - sum_e + slack)
+        radii = np.exp(math.log(m) + first + second - lead - sum_e + slack) + _RADIUS_FLOOR
     return np.where(np.isnan(radii), np.inf, radii)
 
 
@@ -450,10 +462,12 @@ def _free_points(zeta: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
     rows, g = zeta.shape
     if g <= 2:
         # Two roundings in the numerator and one in the quotient, per
-        # component: at most gamma_3 * sqrt(2) relative to the sum of moduli.
+        # component: at most gamma_3 * sqrt(2) relative to the sum of moduli,
+        # and below 2^-1022 half a unit of 2^-1074 each (``_RADIUS_FLOOR``).
         n = k.sum(axis=-1, keepdims=True)
         points = (k[:, :1] * zeta[:, 1:] + k[:, 1:] * zeta[:, :1]) / n
         radii = 5.0 * _U * (k[:, :1] * np.abs(zeta[:, 1:]) + k[:, 1:] * np.abs(zeta[:, :1])) / n
+        radii += _RADIUS_FLOOR
         return points, radii, np.ones(rows, bool)
     if (k == 1.0).all():
         k = None

@@ -15,8 +15,8 @@ range at a far root.  The final points take their inclusion radii by the
 kernel's rule, ``polynomial._weierstrass_radii``.
 
 All public values are immutable and safe to share across threads.  Every
-rejected argument raises ``bounds.DomainError``, the package's one error
-class, by the argument rule of ``bounds``.
+rejected argument raises DomainError, the package's one error class, by
+the argument rule of ``_arguments``, where both are at home.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import DomainError, _presplit_two_product, _require_finite_complex, _split, _two_sum
+from ._arguments import DomainError, _require_finite_complex
+from .bounds import _presplit_two_product, _split, _two_sum
 from .polynomial import _ANGULAR_OFFSET, _U, _sweeps, _weierstrass_radii
 
 __all__ = [

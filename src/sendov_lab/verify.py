@@ -21,8 +21,9 @@ but ``bounds``; the conjecture itself, fuzzing included, is checked on
 concrete polynomials in ``polynomial``.  Identical parameters (including
 seeds) always produce identical reports, byte for byte.  Reports are plain
 values; ``sendov_lab.cli`` renders them as text, JSON or CSV.  Arguments
-are checked by the helpers in ``bounds`` and rejected with
-``bounds.DomainError``.
+are checked by the package's argument rule, reached through ``bounds``,
+which re-exports it from ``_arguments``, and rejected with
+``bounds.DomainError``, the package's one error class.
 """
 
 from __future__ import annotations

@@ -108,12 +108,13 @@ def radii(points, p):
 def critical_radii(points, zeros):
     """The radii of points approximating the critical points of
     P = prod(z - zeta) over its n zeros: the roots of
-    P'/n = P(w) sum_j 1/(w - zeta_j) / n."""
+    P'/n = sum_j prod_{l != j} (w - zeta_l) / n, which holds at a point on
+    a zero too."""
     with mpmath.workdps(DPS):
         zs = [mpmath.mpc(z) for z in zeros]
-        return _radii(
-            points, lambda w: mpmath.fprod(w - z for z in zs) * mpmath.fsum(1 / (w - z) for z in zs) / len(zs)
-        )
+        return _radii(points, lambda w: mpmath.fsum(
+            mpmath.fprod(w - z for l, z in enumerate(zs) if l != j) for j in range(len(zs))
+        ) / len(zs))
 
 
 def mu2_quadratic(a, x):

@@ -1,4 +1,4 @@
-"""The package's argument rule as one table (see the docstring of ``bounds``).
+"""The package's argument rule as one table (see the docstring of ``_arguments``).
 
 REJECTED rows are calls that raise DomainError with the message fragment
 given.  ACCEPTED rows pair a call on numpy scalars, or on a number beside

@@ -396,10 +396,10 @@ class TestOneProcess:
         # No module of the package imports mpmath, and match_roots' scipy
         # assignment imports lazily; importing scipy.optimize alone costs a
         # large share of a command's start-up.  Each group of commands runs
-        # in a fresh interpreter, which then holds bounds and cli and only
-        # the package modules those commands run: no command loads roots,
-        # verify never loads polynomial, and check and fuzz never load
-        # verify.  In one more interpreter a bare `import sendov_lab`
+        # in a fresh interpreter, which then holds _arguments and cli and
+        # only the package modules those commands run: no command loads
+        # roots, verify never loads polynomial, and check and fuzz load
+        # neither verify nor bounds.  In one more interpreter a bare `import sendov_lab`
         # resolves every public name and submodule; then the root finder,
         # which refines with error-free transformations of binary64 alone,
         # loads neither scipy nor mpmath, and match_roots loads scipy but
@@ -407,8 +407,8 @@ class TestOneProcess:
         path = tmp_path / "inst.json"
         path.write_text(THREE_ZEROS)
         groups = [
-            ([PINNED_ARGV["bound"], PINNED_ARGV["table"], PINNED_ARGV["mean-bound"]], []),
-            ([PINNED_ARGV["verify"]], ["verify"]),
+            ([PINNED_ARGV["bound"], PINNED_ARGV["table"], PINNED_ARGV["mean-bound"]], ["bounds"]),
+            ([PINNED_ARGV["verify"]], ["bounds", "verify"]),
             ([["check", "--instance", str(path)]], ["polynomial"]),
             ([["fuzz", "--a", "0.5", "--degree", "64", "--trials", "20"]], ["polynomial"]),
         ]
@@ -447,7 +447,7 @@ class TestOneProcess:
             assert (process.returncode, err) == (0, "")
             outputs.append(out.splitlines()[-2:])
         for (commands, runs), loaded in zip(groups, outputs):
-            package = ["sendov_lab"] + [f"sendov_lab.{m}" for m in ("bounds", "cli", *runs)]
+            package = ["sendov_lab"] + [f"sendov_lab.{m}" for m in ("_arguments", "cli", *runs)]
             assert loaded == [repr(sorted(package)), "[]"], commands
         assert outputs[-1] == ["False False", "True False"]
 

@@ -560,16 +560,16 @@ class TestFuzz:
 # SHA-256 of the kernel's output on families.pinned_rows: sendov_distances'
 # (distance, radius) bytes, and every row's critical_report points and radii.
 KERNEL_DIGESTS = {
-    3: ("d4c12371937d8663ce4286ce6c6e970b688750765519dad425abcd62b849457b",
-        "97b1bad00d574b333028fea773aa8dc520c4fad5b722bd88d5fda2f98e729f06"),
-    8: ("9ebc51a79a50904ddab48253066d89b4d1ca757adbb7eac62e5889062397a726",
-        "79d0103196c26c81de281f348bb6d4c993c60cebf17c2c884367cae475518481"),
-    17: ("e18205a6311680b27c6c9341c95d84bd0c865511d7f503af54df9502a6a393eb",
-         "3b7b9ff243aa395c74461bfcbe89a7b21c59b6ff7afe5fa7046aec05cb343cf0"),
-    64: ("6c3cdf94438575abfc83c44dae5196c15f2c9323d0a804b5b1b9238cd310239d",
-         "f47ee6202792806b7700c37757f3cd45ceb435cbe3c3416cc1d1c2581260dd70"),
-    200: ("c83b9529e401c694e571ab5b047337ead4455fa87f0a1a3f4b6a465f153c0084",
-          "252ab30f817c9c01ef6ae9448ea5cda18506d26c22086916d2f1fa9fa9243c26"),
+    3: ("72ec38fb4738263706e3da6756d50d5c634297f254abdea5c99bd25aadbea318",
+        "7807777426940bf5b242092900405fcc0b2646e4669bcbf59a4eb6f7204fbdd3"),
+    8: ("24c148fbff908811647be6621839b8da39976d51496790e45fb4014ba4f849cf",
+        "8cc9be1a00c92a291adb2fa3a35555ab49abf725b1c0e8cd2a20401b00e44ce0"),
+    17: ("4559a144e6e885eb2b33cc0592fc55f1bbb20cacb571a41740bf668ecc63ff57",
+         "b274ee211d4da27c1e027f38ec5b5842150c50286b74bd965e7f477db770b8de"),
+    64: ("88f129add1879036e6d9ec4c0020a6e8184b5c3ab0ee80eeac5b90949f9817ef",
+         "a0a984229e4e767fc4ac2089278aee48430745ab5184f48d95eda1dee081d349"),
+    200: ("7f785e398775407337ae12b3b140187872796f1afa68a5a48bdc5504a0ea1ad9",
+          "20b69b5b1fc71e952ddbdaa9a9e71ff8630eb281d69fdae3e94765ccc6951c67"),
 }
 
 
@@ -862,12 +862,21 @@ class TestRadiusCertificate:
     are checked against exact arithmetic, not against another float
     version.  The finder's radii are checked so in ``tests/test_roots.py``."""
 
-    @pytest.mark.parametrize("case", ["disk", "cluster-1e-9", "near-a-1e-12", "near-extremal"])
+    @pytest.mark.parametrize("case", ["disk", "cluster-1e-9", "near-a-1e-12", "near-extremal",
+                                      "subnormal-3", "subnormal-gap-5e-324"])
     def test_kernel_radii_hold_the_exact_radii(self, case):
         if case == "near-extremal":
             # a = 1 - 1e-12 and the 8th roots of unity other than 1: f
             # cancels from sum |1/(w - zeta)| down to rounding level.
             a, row = families.near_extremal(8, 1e-12)
+        elif case == "subnormal-3":
+            # A zero 2.2e-313 from a: the radius of the point at a falls
+            # below 2^-1022, where exp rounds in units of 2^-1074.
+            a, rows = families.pinned_rows(3)
+            row = rows[9]
+        elif case == "subnormal-gap-5e-324":
+            # So does the radius of the point at 0.
+            a, row = 0.5, np.array([5e-324, 1e-323])
         else:
             a, rows = families.pinned_rows(16)
             row = rows[{"disk": 0, "cluster-1e-9": 4, "near-a-1e-12": 8}[case]]
@@ -875,6 +884,33 @@ class TestRadiusCertificate:
         assert zeta.size == row.size + 1
         free, radii, _ = poly._free_points(zeta[None], np.ones((1, zeta.size)))
         assert all(r >= e for r, e in zip(radii[0].tolist(), exact.critical_radii(free[0], zeta)))
+
+    @pytest.mark.parametrize("a, others", [
+        (5e-324, (0j,)),         # a/2 = 2^-1075 is no float
+        (5e-324, (0j, 0j)),      # 2a/3, beside the double zero at 0
+        (1.5e-323, (1e-323j,)),  # (3 + 2i) 2^-1075
+        (0.5, (0.3 + 0.1j,)),
+    ])
+    def test_closed_form_holds_the_exact_point(self, a, others):
+        # Two distinct zeros zeta_1, zeta_2 of multiplicities k_1, k_2 have
+        # the one critical point (k_1 zeta_2 + k_2 zeta_1)/n besides the
+        # repeated zeros: its disc and the distance bracket must hold it, and
+        # the true distance, in exact arithmetic.
+        report = critical_report(SendovInstance(a, others))
+        zeros = [complex(a), *map(complex, others)]
+        (z1, k1), (z2, k2) = ((z, zeros.count(z)) for z in dict.fromkeys(zeros))
+        n = k1 + k2
+        true = [(k1 * Fraction(getattr(z2, part)) + k2 * Fraction(getattr(z1, part))) / n
+                for part in ("real", "imag")]
+        [(w, r)] = [(w, r) for w, r in zip(report.critical_points, report.radii) if r > 0]
+        error = (Fraction(w.real) - true[0]) ** 2 + (Fraction(w.imag) - true[1]) ** 2
+        assert error <= Fraction(r) ** 2
+        squares = [(true[0] - Fraction(a)) ** 2 + true[1] ** 2]
+        squares += [(Fraction(z.real) - Fraction(a)) ** 2 + Fraction(z.imag) ** 2
+                    for z, k in ((z1, k1), (z2, k2)) if k > 1]
+        d, h = Fraction(report.sendov_distance), Fraction(report.distance_radius)
+        assert max(d - h, 0) ** 2 <= min(squares) <= (d + h) ** 2
+
 
 class TestExactReference:
     """tests/exact.py, the truth the tests above check against, checked in

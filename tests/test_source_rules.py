@@ -55,6 +55,12 @@ no ``sendov_lab``, no other tool and no relative import.  The seeded rows
 stay independent of the code they test, and any script, the benchmark's
 too, can load the module by path.
 
+*startup*: ``check`` and ``fuzz`` start without ``bounds``, whose closed
+forms they never run.  ``polynomial`` imports nothing from ``bounds``,
+anywhere; ``cli`` imports it only inside the commands that evaluate the
+bound; and ``_arguments``, the argument rule and its error class that
+every module shares, imports nothing from the package.
+
 *audit*: ``verify`` audits the derivation of the bound on ``bounds``
 alone and imports nothing else from the package, at module level or in a
 function: above all not ``polynomial``, whose kernel checks the conjecture
@@ -181,6 +187,16 @@ def audit(found, filename):
             and text.removeprefix("sendov_lab.").split(".")[0] != "bounds"]
 
 
+def startup(found, filename):
+    imports = [(line, function, text) for line, function, kind, text, level in found
+               if kind == "import" and (level or text.split(".")[0] == "sendov_lab")]
+    if filename == "_arguments.py":
+        return [(line, text) for line, _, text in imports]
+    return [(line, text) for line, function, text in imports
+            if text.removeprefix("sendov_lab.").split(".")[0] == "bounds"
+            and (filename == "polynomial.py" or function is None)]
+
+
 RULES = {
     "layer": (("cli.py", "polynomial.py", "verify.py"), layer),
     "scipy": (MODULES, scipy),
@@ -193,6 +209,7 @@ RULES = {
     "contract": (("test_verify.py",), contract),
     "families": (("families.py",), families),
     "audit": (("verify.py",), audit),
+    "startup": (("_arguments.py", "cli.py", "polynomial.py"), startup),
 }
 
 
@@ -289,6 +306,15 @@ from sendov_lab import polynomial
 from sendov_lab import bounds, cli
 import sendov_lab, sendov_lab.bounds
 from sendov_lab.bounds import DEFAULT_SEED
+from ._arguments import DomainError, _real_in
+import bounds
+def cmd_bound(args):
+    from . import bounds
+    from .bounds import breakdown
+    return bounds.breakdown(args.a)
+if TYPE_CHECKING:
+    from .bounds import AuxParams
+import sendov_lab.bounds as b
 """
 # The lines of SELF_TEST that each rule catches, once per distinct name.
 CAUGHT = {
@@ -304,8 +330,13 @@ CAUGHT = {
     ("contract", "test_verify.py"): [5, 5, 66, 66, 68, 71],
     ("families", "families.py"): [1, 2, 2, 3, 4, 5, 5, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 15,
                                   16, 17, 18, 19, 20, 21, 23, 24, 32, 34, 36, 37, 38, 39, 40, 58,
-                                  58, 71, 71, 75, 76, 77, 78, 78, 79, 79, 80],
-    ("audit", "verify.py"): [1, 2, 3, 4, 6, 7, 11, 19, 36, 71, 71, 76, 77, 78, 79],
+                                  58, 71, 71, 75, 76, 77, 78, 78, 79, 79, 80, 81, 81, 82, 84, 85,
+                                  88, 89],
+    ("audit", "verify.py"): [1, 2, 3, 4, 6, 7, 11, 19, 36, 71, 71, 76, 77, 78, 79, 81, 81],
+    ("startup", "polynomial.py"): [2, 5, 5, 5, 78, 79, 80, 84, 85, 88, 89],
+    ("startup", "cli.py"): [2, 5, 5, 5, 78, 79, 80, 88, 89],
+    ("startup", "_arguments.py"): [1, 2, 2, 3, 4, 5, 5, 5, 6, 7, 11, 19, 36, 71, 71, 76, 77, 78,
+                                   78, 79, 79, 80, 81, 81, 84, 85, 88, 89],
 }
 
 

@@ -14,8 +14,8 @@ tree to the nearest point of the other, the range of the ratio of each
 row's largest radius (change over parent), the largest ratio of bracket
 half-widths, the worst difference between the Sendov distances, and how
 many rows give reports identical in bytes: critical points, radii,
-distance, half-width and ``converged``.  For
-each family it prints the rows whose verdict differs between the two
+distance, half-width and ``converged``.  For each family it prints how
+many of its rows do not, the rows whose verdict differs between the two
 trees at ``check``'s threshold (the change tree's
 ``polynomial.VIOLATION_THRESHOLD``), each tree's PASS, FAIL and
 UNRESOLVED counts, and each tree's count of rows whose report is not
@@ -96,8 +96,8 @@ def main(argv: list[str]) -> int:
     worst_bracket = 0.0
     worst_distance = 0.0
     beyond = 0
-    identical = 0
     changed = {family: [] for family in FAMILIES}
+    moved = dict.fromkeys(FAMILIES, 0)
     counts = {family: ({}, {}) for family in FAMILIES}
     # Per family and tree: [rows not converged, seconds in critical_report].
     costs = {family: ([0, 0.0], [0, 0.0]) for family in FAMILIES}
@@ -123,7 +123,7 @@ def main(argv: list[str]) -> int:
                     cost[0] += not reports[-1].converged
                 old, new = reports
                 count += 1
-                identical += report_bytes(old) == report_bytes(new)
+                moved[family] += report_bytes(old) != report_bytes(new)
                 p_old = np.array(old.critical_points)
                 p_new = np.array(new.critical_points)
                 gap = np.abs(p_new[:, None] - p_old[None, :])
@@ -174,7 +174,10 @@ def main(argv: list[str]) -> int:
     print(f"largest bracket growth, change / parent: {max(worst_bracket, 1.0):.4f}")
     print(f"worst |delta distance|: {worst_distance:.3e}")
     print(f"distances beyond the two brackets: {beyond}")
-    print(f"reports identical in bytes: {identical} of {count}")
+    identical = count - sum(moved.values())
+    print(f"reports identical in bytes: {identical} of {count}; the others per family:")
+    for family, rows_moved in moved.items():
+        print(f"  {family}: {rows_moved}")
     print(f"block rows identical to critical_report: {block_identical} of {block_count}")
     print(f"verdict changes at {threshold!r}, per family:")
     for family, lines in changed.items():
