@@ -1,9 +1,10 @@
 """The exact references that the tests check the package against, in mpmath
 or Fractions: expansions, roots, critical points and Weierstrass radii of
-polynomials, mu2's quadratic, and the bound formulas at 50 digits
-(``bound_references``).  Nothing here imports ``sendov_lab``, so a fault in
-the package cannot reach its reference, and each function sets its
-precision with ``mpmath.workdps`` alone, so none leaks into later tests.
+polynomials, the free bounds on a Sendov distance, mu2's quadratic, and the
+bound formulas at 50 digits (``bound_references``).  Nothing here imports
+``sendov_lab``, so a fault in the package cannot reach its reference, and
+each function sets its precision with ``mpmath.workdps`` alone, so none
+leaks into later tests.
 Arithmetic on a returned mpmath value outside rounds to binary64, so a test
 compares with one inside ``mpmath.workdps(exact.DPS)``.  Coefficient lists
 run from the constant term up, as ``Polynomial``'s do.
@@ -85,6 +86,23 @@ def sendov_distance(a, zeros):
     points = critical_points((a, *zeros))
     with mpmath.workdps(DPS):
         return min(abs(w - a) for w in points)
+
+
+def free_bounds(a, zeros):
+    """(L, U) with L <= d <= U for the Sendov distance d of
+    (z - a) prod(z - zeta) of degree n, from delta_j = |zeta_j - a| alone:
+    U = (prod delta_j / n)^(1/(n - 1)), since P'(a) = n prod(a - w_i), and
+    L = delta_min/(1 + delta_min sum 1/delta_j), within which
+    |sum 1/(w - zeta_j)| stays below 1/|w - a|.  Both are 0 when a zero
+    equals a."""
+    with mpmath.workdps(DPS):
+        delta = [abs(mpmath.mpc(z) - a) for z in zeros]
+        if not all(delta):
+            return mpf(0), mpf(0)
+        n = len(delta) + 1
+        near = min(delta)
+        upper = mpmath.root(mpmath.fprod(delta) / n, n - 1)
+        return near / (1 + near * mpmath.fsum(1 / x for x in delta)), upper
 
 
 def _radii(points, v):

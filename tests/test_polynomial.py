@@ -121,36 +121,6 @@ class TestCriticalReport:
         assert (rep.sendov_distance, rep.distance_radius) == (0.0, 0.0)
         assert rep.converged
 
-    def test_infinite_radius_is_not_converged(self):
-        # The last row of families.rows(90, 30), a cluster of spread 1e-15,
-        # settles two critical points on one float: both radii are inf and
-        # the bracket is UNRESOLVED.  converged reads False there, as it
-        # does for a RootResult with an infinite radius.
-        family, a, row = families.rows(90, 30)[-1]
-        assert family == "clusters of spread 1e-15"
-        rep = critical_report(SendovInstance(a, tuple(row.tolist())))
-        assert np.isinf(rep.radii).sum() == 2
-        assert rep.verdict(1.0 + 1e-9) == "UNRESOLVED"
-        assert not rep.converged
-
-    def test_two_point_midpoint(self):
-        rep = critical_report(SendovInstance(a=0.9, other_zeros=(-1.0,)))
-        assert np.allclose(rep.critical_points, [-0.05], rtol=0, atol=1e-15)
-        assert np.allclose(rep.sendov_distance, 0.95, rtol=1e-15, atol=0)
-        assert np.allclose(rep.mean_real_part, -0.05, rtol=1e-15, atol=0)
-
-    def test_roots_of_unity_distances(self):
-        fourth = tuple(1j ** k for k in range(4))
-        rep = critical_report(SendovInstance(a=0.5, other_zeros=fourth))
-        assert np.allclose(
-            rep.sendov_distance, ref.SENDOV_DIST_05_ROOTS_OF_UNITY, rtol=1e-12, atol=0
-        )
-        negged = tuple(families.circle(4, math.pi).tolist())
-        rep = critical_report(SendovInstance(a=0.5, other_zeros=negged))
-        assert np.allclose(
-            rep.sendov_distance, ref.SENDOV_DIST_05_NEG_ROOTS, rtol=1e-12, atol=0
-        )
-
     @given(separated_zero_lists, st.floats(min_value=0.1, max_value=0.9))
     @settings(max_examples=60, deadline=None)
     def test_conjugation_symmetry(self, zeros, a):
@@ -245,24 +215,6 @@ class TestCertifiedCriticalPoints:
         assert abs(rep.sendov_distance - reference) <= 1e-10
         assert abs(rep.sendov_distance - reference) <= rep.distance_radius
 
-    @pytest.mark.parametrize("a, m", [(0.5, 4), (0.5, 127), (0.5, 199), (0.37, 127), (0.37, 199)])
-    def test_origin_family_closed_form(self, a, m):
-        # (z - a) z^m: 0 is an exact (m-1)-fold critical point and the last
-        # one is m a/(m+1), at distance a/(m+1) from a.
-        rep = critical_report(SendovInstance(a=a, other_zeros=(0j,) * m))
-        assert rep.converged
-        zero_radii = [r for w, r in zip(rep.critical_points, rep.radii) if w == 0]
-        assert len(zero_radii) == m - 1 and set(zero_radii) == {0.0}
-        closed = Fraction(a) / (m + 1)
-        assert abs(Fraction(rep.sendov_distance) - closed) <= Fraction(rep.distance_radius)
-        assert rep.distance_radius <= 1e-15
-
-    def test_repeated_a_gives_distance_zero(self):
-        rep = critical_report(SendovInstance(a=0.3, other_zeros=(0.5j, 0.3, -0.7, 0.3)))
-        assert rep.sendov_distance == 0.0 and rep.distance_radius == 0.0
-        assert rep.critical_points.count(0.3 + 0j) == 2
-        assert rep.verdict(1.0 + 1e-9) == "PASS"
-
     @given(multiplicity_zero_lists, st.floats(min_value=0.1, max_value=0.9))
     # A triple zero, which gives P' a double root; and a six-fold zero,
     # whose 5-fold critical point a coefficient-form finder spreads by ~1e-3.
@@ -294,38 +246,6 @@ class TestCertifiedCriticalPoints:
         with mpmath.workdps(exact.DPS):
             assert abs(rep.sendov_distance - reference) <= rep.distance_radius
         assert rep.verdict(1.0 + 1e-9) == "PASS"
-
-    def test_tight_pair_at_a_resolves(self):
-        # A zero 4.1e-14 from a: Newton steps of Q from the pair's two zeros
-        # put their starts one ulp apart, beyond 1e-6 of their 2e-14 steps,
-        # and both settled on one root (UNRESOLVED, half-width 1.06).
-        a = 0.5989060069822403
-        zeros = ((0.5989060069822073 - 2.4140235746681387e-14j),
-                 (-0.9037225893838114 - 0.21361327858733783j),
-                 (-0.6050448140385332 + 0.3221081468771404j),
-                 (0.013008066243261089 + 0.2762881009318874j),
-                 (0.06513850961545585 + 0.21062142428989847j))
-        rep = critical_report(SendovInstance(a=a, other_zeros=zeros))
-        assert rep.verdict(1.0 + 1e-9) == "PASS"
-        reference = exact.sendov_distance(a, zeros)
-        # A critical point rounded to binary64 before |w - a| gives
-        # 2.04777e-14 (as bench/oracle.py does): 4.5e-17 off.
-        assert math.isclose(reference, 2.0432883e-14, rel_tol=1e-7)
-        with mpmath.workdps(exact.DPS):
-            assert abs(rep.sendov_distance - reference) <= rep.distance_radius
-
-    def test_zeros_crowding_a_resolve(self):
-        # Two zeros within 4e-12 of a: every step there is below 1e-13, and
-        # points frozen at their first small step stopped before they had
-        # separated, leaving overlapping discs (UNRESOLVED, as at the parent).
-        a = 0.7285545647362529
-        zeros = ((0.7285545647428764 + 3.8478615055794106e-12j),
-                 (0.7285545647362822 + 4.4055559975682115e-14j),
-                 (0.5939449926263944 + 0.192035958833384j))
-        rep = critical_report(SendovInstance(a=a, other_zeros=zeros))
-        assert rep.verdict(1.0 + 1e-9) == "PASS"
-        with mpmath.workdps(exact.DPS):
-            assert abs(rep.sendov_distance - exact.sendov_distance(a, zeros)) <= rep.distance_radius
 
     def test_subnormal_gap_gives_no_warning(self, tmp_path):
         # 1/(w - zeta) overflows halfway between two zeros 2.2e-313 apart,
@@ -363,16 +283,6 @@ def _disk_block(rows, degree):
 
 
 class TestSendovDistances:
-    @pytest.mark.parametrize("rows, degree", [(20, 64), (2, 200), (20, 32)])
-    def test_block_bytes_match_critical_report(self, rows, degree):
-        # Every row of a block is critical_report's, bit for bit.
-        a, others = _disk_block(rows, degree)
-        alone = [critical_report(SendovInstance(a, tuple(row.tolist()))) for row in others]
-        expected = (np.array([rep.sendov_distance for rep in alone]).tobytes()
-                    + np.array([rep.distance_radius for rep in alone]).tobytes())
-        distance, radius = poly.sendov_distances(a, others)
-        assert distance.tobytes() + radius.tobytes() == expected
-
     def test_subnormal_gap_rows_give_no_warning_in_a_block(self):
         # Rows 3, 9 and 15 of a 20-row block hold two zeros a subnormal
         # distance apart, whose reciprocals overflow: the stages' own
@@ -643,38 +553,83 @@ def _all_pairs_bracket(a, repeated, free, free_radii):
 # case: (a, rows of other zeros, then what the rows exercise as
 # reference_report counts it: rows whose starts the crowded rule moves, discs
 # that meet another, those of them that can set the upper end, and points a
-# subnormal distance from a zero; last, the rows that do not PASS).
+# subnormal distance from a zero; then the rows that do not PASS; last, each
+# row's exact Sendov distance, as a value or as exact.sendov_distance, and
+# the largest half-width a row may report, each None where nothing is pinned).
+# A new single-row test of the kernel becomes a case here.
 _, A_CLUSTER, CLUSTER = families.rows(8, 2)[-1]
+_, A_CLUSTER_90, CLUSTER_90 = families.rows(90, 30)[-1]
 CONTRACT_ROWS = {
-    **{f"pinned-{degree}": (*families.pinned_rows(degree), crowded, 0, 0, 0, 0)
+    **{f"pinned-{degree}": (*families.pinned_rows(degree), crowded, 0, 0, 0, 0, None, None)
        for degree, crowded in zip(KERNEL_DIGESTS, (3, 1, 0, 0, 0))},
+    # Blocks of disk rows, whose pairs must not depend on the block.
+    **{f"disk-{rows}x{degree}": (*_disk_block(rows, degree), 0, 0, 0, 0, 0, None, None)
+       for rows, degree in [(20, 64), (2, 200), (20, 32)]},
+    # Rows with repeated zeros share a block with a row of distinct zeros.
+    "repeated-zeros": (0.3, [[0.3, 0.5j, -0.5], [0.2, 0.2, 0.9j], [0.1 + 0.1j, -0.4, 0.6j],
+                             [0.7j, 0.7j, 0.7j], [-0.2 - 0.6j, 0.8, -0.2 - 0.6j]],
+                       0, 0, 0, 0, 0, exact.sendov_distance, None),
+    # Every zero at a, and a repeated a: exact points at distance 0.
+    "every-zero-at-a": (0.5, [(0.5, 0.5), (0.5, 0.1)], 0, 0, 0, 0, 0, 0, 0.0),
+    "repeated-a": (0.3, [(0.5j, 0.3, -0.7, 0.3)], 0, 0, 0, 0, 0, 0, 0.0),
+    # Two zeros: the one critical point is the midpoint.
+    "midpoint": (0.9, [(-1.0,)], 0, 0, 0, 0, 0, (Fraction(0.9) + 1) / 2, None),
+    # (z - a) z^m: 0 is an (m-1)-fold critical point, and m a/(m + 1) the last.
+    **{f"origin-{a}-{m}": (a, [(0j,) * m], 0, 0, 0, 0, 0, Fraction(a) / (m + 1), 1e-15)
+       for a, m in [(0.5, 4), (0.5, 127), (0.5, 199), (0.37, 127), (0.37, 199)]},
+    # z^4 = 1 and z^4 = -1 at a = 1/2.
+    "unity-4": (0.5, [[1j ** k for k in range(4)]], 0, 0, 0, 0, 0,
+                ref.SENDOV_DIST_05_ROOTS_OF_UNITY, 1e-12),
+    "minus-unity-4": (0.5, [families.circle(4, math.pi)], 0, 0, 0, 0, 0,
+                      ref.SENDOV_DIST_05_NEG_ROOTS, 1e-12),
     # 1/(0 - 1e-308) + 1/(0 - 1.05e-308) overflows in its real part alone;
     # 1.0 * S then has a NaN imaginary part, and S + S would not.
-    "gap-sum-past-binary64": (0.5, [(0j, 1e-308, 1.05e-308)], 0, 2, 0, 0, 0),
-    # The steps from both zeros of a tight pair land on its one critical point.
-    **{f"tight-pair-{a:.2f}": (a, [zeros], 1, 0, 0, 0, 0) for a, zeros in TIGHT_PAIRS},
+    "gap-sum-past-binary64": (0.5, [(0j, 1e-308, 1.05e-308)], 0, 2, 0, 0, 0, None, None),
+    # Zeros 2e-5 apart: the steps from both land on the pair's one critical point.
+    **{f"tight-pair-{a:.2f}": (a, [zeros], 1, 0, 0, 0, 0, exact.sendov_distance, None)
+       for a, zeros in TIGHT_PAIRS},
     # Five zeros of spread 1e-9, two of them 1e-13 apart: without the tight
     # pair no start in such a cluster is crowded.
     "cluster-1e-9-pair-1e-13": (0.6, [0.3 - 0.2j + 1e-9 * np.array(
-        [0.5, 0.5 + 1e-4, -0.4 + 0.3j, 0.1 - 0.6j, -0.7j])], 1, 0, 0, 0, 0),
+        [0.5, 0.5 + 1e-4, -0.4 + 0.3j, 0.1 - 0.6j, -0.7j])], 1, 0, 0, 0, 0, None, None),
     # Conjugate zeros give steps with the same real part exactly, but
     # imaginary parts far more than 1e-6 of a step apart.
-    "conjugate-pair": (0.9, [(0.1 + 0.5j, 0.1 - 0.5j)], 0, 0, 0, 0, 0),
+    "conjugate-pair": (0.9, [(0.1 + 0.5j, 0.1 - 0.5j)], 0, 0, 0, 0, 0, exact.sendov_distance, None),
     # A zero 8e-13 from a: the pair's starts lie one ulp apart, where 1e-6 of
     # their steps is 4e-19; only the 4u floor finds them crowded.
     "crowded-floor": (0.9167938890820101, [(0.9167938890811962 + 2.2065812524919434e-13j,
                                             0.004242042995801971 + 0.8883383887593382j)],
-                      1, 0, 0, 0, 0),
-    # Near-extremal rows at eps 1e-12, and a degree-8 row of clusters of
-    # spread 1e-15, whose meeting discs cannot set the upper end.
-    "unity-23": (1.0 - 1e-12, [families.near_extremal(23, 1e-12)[1]], 0, 16, 16, 0, 0),
-    "unity-28": (1.0 - 1e-12, [families.near_extremal(28, 1e-12)[1]], 0, 27, 27, 0, 1),
-    "cluster-1e-15": (A_CLUSTER, [CLUSTER], 1, 4, 0, 0, 0),
+                      1, 0, 0, 0, 0, exact.sendov_distance, None),
+    # A zero 4.1e-14 from a; two zeros within 4e-12 of a: steps far below
+    # 1e-13, whose points must still part.
+    "tight-pair-at-a": (0.5989060069822403, [(0.5989060069822073 - 2.4140235746681387e-14j,
+                                              -0.9037225893838114 - 0.21361327858733783j,
+                                              -0.6050448140385332 + 0.3221081468771404j,
+                                              0.013008066243261089 + 0.2762881009318874j,
+                                              0.06513850961545585 + 0.21062142428989847j)],
+                        1, 0, 0, 0, 0, exact.sendov_distance, None),
+    "zeros-crowding-a": (0.7285545647362529, [(0.7285545647428764 + 3.8478615055794106e-12j,
+                                               0.7285545647362822 + 4.4055559975682115e-14j,
+                                               0.5939449926263944 + 0.192035958833384j)],
+                         1, 0, 0, 0, 0, exact.sendov_distance, None),
+    # Near-extremal rows at eps 1e-12, and clusters of spread 1e-15: a
+    # degree-8 row, whose meeting discs cannot set the upper end, and a
+    # degree-90 row with two points on one float, whose radii are inf.
+    "unity-23": (1.0 - 1e-12, [families.near_extremal(23, 1e-12)[1]], 0, 16, 16, 0, 0, None, None),
+    "unity-28": (1.0 - 1e-12, [families.near_extremal(28, 1e-12)[1]], 0, 27, 27, 0, 1, None, None),
+    "cluster-1e-15": (A_CLUSTER, [CLUSTER], 1, 4, 0, 0, 0, None, None),
+    "cluster-1e-15-deg90": (A_CLUSTER_90, [CLUSTER_90], 1, 89, 89, 0, 1, None, None),
+    # A real polynomial whose two critical points are real: its starts are
+    # exact conjugates, and so stay its points, which never reach both.
+    "conjugate-pair-real-points": (0.9, [(0.1 + 0.2j, 0.1 - 0.2j)], 0, 2, 2, 0, 1,
+                                   exact.sendov_distance, None),
     # Zeros a subnormal distance apart: 1/(w - zeta) overflows at the point
     # between two of them.  Six of them leave points in discs that meet.
-    "subnormal-gap-1e-310": (0.5, [(1e-310, 2e-310)], 0, 0, 0, 1, 0),
-    "subnormal-gap-5e-324": (0.5, [(5e-324, 1e-323)], 0, 0, 0, 1, 0),
-    "subnormal-gap-k-1e-310": (0.5, [[k * 1e-310 for k in range(1, 7)]], 0, 5, 0, 0, 0),
+    "subnormal-gap-2.2e-313": (0.5, [(0j, 0.5 + 2.2250738585e-313j)], 0, 0, 0, 0, 0,
+                               exact.sendov_distance, 5e-15),
+    "subnormal-gap-1e-310": (0.5, [(1e-310, 2e-310)], 0, 0, 0, 1, 0, exact.sendov_distance, 5e-15),
+    "subnormal-gap-5e-324": (0.5, [(5e-324, 1e-323)], 0, 0, 0, 1, 0, exact.sendov_distance, 5e-15),
+    "subnormal-gap-k-1e-310": (0.5, [[k * 1e-310 for k in range(1, 7)]], 0, 5, 0, 0, 0, None, 5e-15),
 }
 
 
@@ -720,23 +675,44 @@ def reference_report(a, others):
     return reports, mechanism
 
 
+def _exactly(x):
+    """A float, Fraction or mpmath mpf as a Fraction, with no rounding."""
+    if isinstance(x, mpmath.mpf):
+        man, exp = x.man_exp
+        return Fraction(int(man)) * Fraction(2) ** exp
+    return Fraction(x)
+
+
 class TestContract:
     """critical_report and sendov_distances give ``reference_report``'s bytes
-    on every row of CONTRACT_ROWS, each row's bracket meets its conjugate's,
-    and the rows exercise and PASS as their columns say.  A test of one kernel
-    stage retires only when a row here catches a mutation that it catches."""
+    on every row of CONTRACT_ROWS, read back from ``check``'s JSON, with no
+    RuntimeWarning (pyproject.toml makes one fail the test); each row's
+    bracket meets its conjugate's and the free bounds [L, U], and holds the
+    row's exact distance; and the rows exercise and PASS as their columns
+    say.  A test of one kernel stage or row retires only when a row here
+    catches a mutation that it catches."""
 
     @pytest.mark.parametrize("case", list(CONTRACT_ROWS))
     def test_report_equals_the_reference(self, case):
-        a, rows, *mechanism = CONTRACT_ROWS[case]
+        a, rows, *mechanism, truth, width = CONTRACT_ROWS[case]
         rows = np.array(rows, dtype=complex)
         references, exercised = reference_report(a, rows)
         # The rows and their conjugates share one block: no pair depends on it.
         distance, half_width = poly.sendov_distances(a, np.concatenate([rows, rows.conj()]))
         for t, (row, reference) in enumerate(zip(rows, references)):
-            report = critical_report(SendovInstance(a, tuple(row.tolist())))
+            instance = SendovInstance.from_json(SendovInstance(a, tuple(row.tolist())).to_json())
+            report = critical_report(instance)
             assert report_bytes(report) == report_bytes(reference), row
+            assert report.mean_real_part == reference.mean_real_part
             assert (distance[t], half_width[t]) == (report.sendov_distance, report.distance_radius)
+            assert width is None or report.distance_radius <= width
+            if np.isinf(report.distance_radius):
+                continue
+            d, h = Fraction(report.sendov_distance), Fraction(report.distance_radius)
+            lower, upper = map(_exactly, exact.free_bounds(a, row))
+            assert d - h <= upper and lower <= d + h, (lower, upper)
+            if truth is not None:
+                assert abs(d - _exactly(truth(a, row) if callable(truth) else truth)) <= h
         (d, d_conj), (h, h_conj) = np.split(distance, 2), np.split(half_width, 2)
         assert (np.abs(d - d_conj) <= h + h_conj).all()
         verdicts = poly.bracket_verdict(d, h, poly.VIOLATION_THRESHOLD)

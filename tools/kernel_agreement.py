@@ -34,6 +34,20 @@ from their conjugate's, where one of the two must be wrong (it exits 1 on
 any), and how many change verdict under conjugation, which is no error by
 itself and is reported only.
 
+The free bounds are a second free oracle.  With n the degree and
+delta_j = |zeta_j - a|, the Sendov distance lies in [L, U], where
+U = (prod delta_j / n)^(1/(n - 1)) and
+L = delta_min/(1 + delta_min sum 1/delta_j) (``tests/exact.py``'s
+``free_bounds`` gives them exactly), so a bracket that misses [L, U] is
+wrong.  ``free_bounds`` here computes them in binary64 and widens them by
+the relative margin 4(n + 2)u(1 + max_j |log delta_j|), u = 2^-53: twice
+what covers the rounding of each delta_j (3u), of the sums, logs, exp and
+quotients after it, and of the bracket's ends.  That holds when every
+delta_j is 0 or at least 2^-1022; a row with a smaller delta_j, whose
+rounding is absolute, gets [0, inf] and so is not checked.  For each
+family the script prints how many of the change tree's brackets miss
+[L, U], and it exits 1 on any.
+
 The change tree also runs ``sendov_distances`` once per degree and round,
 on that round's rows that share a (all but the near-extremal ones), and
 the script prints how many of those rows get the (distance, half-width)
@@ -45,6 +59,7 @@ too, while the others run through the kernel in blocks.
 from __future__ import annotations
 
 import importlib.util
+import math
 import sys
 import time
 from pathlib import Path
@@ -84,6 +99,22 @@ def report_bytes(report) -> bytes:
     ))
 
 
+def free_bounds(a: float, zeros: np.ndarray) -> tuple[float, float]:
+    """(L, U) in binary64, widened to hold the exact free bounds of the row
+    (a, zeros); see the module docstring."""
+    delta = np.abs(zeros - a)
+    n = delta.size + 1
+    if (delta == 0.0).any():
+        return 0.0, 0.0
+    if delta.min() < np.finfo(float).tiny:
+        return 0.0, math.inf
+    log_delta = np.log(delta)
+    margin = 4.0 * (n + 2) * 2.0 ** -53 * (1.0 + np.abs(log_delta).max())
+    lower = 1.0 / (1.0 / delta.min() + (1.0 / delta).sum())
+    upper = math.exp((log_delta.sum() - math.log(n)) / (n - 1))
+    return lower * (1.0 - margin), upper * (1.0 + margin)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python3 tools/kernel_agreement.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
@@ -104,6 +135,8 @@ def main(argv: list[str]) -> int:
     # Per family, in the change: [brackets disjoint from the conjugate's,
     # verdicts changed by conjugation].
     mirrored = {family: [0, 0] for family in FAMILIES}
+    # Per family, in the change: brackets disjoint from [L, U].
+    unbounded = dict.fromkeys(FAMILIES, 0)
     lost = 0
     block_count = 0
     block_identical = 0
@@ -159,6 +192,11 @@ def main(argv: list[str]) -> int:
                     mirrored[family][0] += 1
                     print(f"disjoint from the conjugate: degree {degree}, round {round_}, {family}")
                 mirrored[family][1] += new.verdict(threshold) != conj.verdict(threshold)
+                lower, upper = free_bounds(a, row)
+                d, h = new.sendov_distance, new.distance_radius
+                if d + h < lower or d - h > upper:
+                    unbounded[family] += 1
+                    print(f"disjoint from [L, U]: degree {degree}, round {round_}, {family}")
                 if a == shared:
                     block.append((row, new))
             others = np.array([row for row, _ in block])
@@ -196,7 +234,10 @@ def main(argv: list[str]) -> int:
     print("conjugated rows in the change per family, brackets disjoint / verdicts changed:")
     for family, (disjoint, flipped) in mirrored.items():
         print(f"  {family}: {disjoint} / {flipped}")
-    disjoint = sum(count for count, _ in mirrored.values())
+    print("brackets in the change disjoint from the free bounds [L, U], per family:")
+    for family, disjoint in unbounded.items():
+        print(f"  {family}: {disjoint}")
+    disjoint = sum(count for count, _ in mirrored.values()) + sum(unbounded.values())
     return 1 if beyond or lost or disjoint or block_identical < block_count else 0
 
 
