@@ -131,6 +131,10 @@ REJECTED = [
     row(lambda: from_roots([]), "from_roots needs at least one root", "from_roots_no_roots"),
     row(lambda: find_roots(Polynomial((2.0,))), "find_roots needs degree >= 1",
         "find_roots_degree_0"),
+    # c_0/c_n past binary64 range: a DomainError naming the ratio, not NaN roots.
+    *(row(lambda c=c: find_roots(Polynomial(c)), f"^coefficient ratio c_0/c_{n} overflows binary64$",
+          f"find_roots_ratio_c_0/c_{n}")
+      for c, n in (((1e300, 1e-300), 1), ((1e308, 1e308, 1e-308), 2))),
     row(lambda: match_roots((0.0,), (0.0, 1.0)), "matching needs two equal nonempty root lists",
         "match_roots_length_mismatch"),
     row(lambda: sendov_distances(0.5, np.array([[0.5, 0.2j], [1.5, 0.0]])), "modulus",

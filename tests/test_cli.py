@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +265,23 @@ class TestCheckCommand:
         assert code == 0
         assert out.strip().endswith("PASS")
         assert "sendov_distance  0\n" in out
+
+    @pytest.mark.parametrize("zeros", [
+        "[[0, 0], [0.5, 2.2250738585e-313]]",
+        "[[1e-310, 0], [2e-310, 0]]",
+        "[[5e-324, 0], [1e-323, 0]]",
+        "[[1e-310, 0], [2e-310, 0], [3e-310, 0], [4e-310, 0], [5e-310, 0], [6e-310, 0]]",
+    ], ids=["2.2e-313", "1e-310", "5e-324", "k-1e-310"])
+    def test_subnormal_gap_instance_passes(self, capsys, tmp_path, zeros):
+        # Zeros a subnormal distance apart, the contract rows subnormal-gap-*
+        # of tests/test_polynomial.py: no warning of any kind, and a PASS.
+        path = tmp_path / "inst.json"
+        path.write_text(f'{{"a": 0.5, "zeros": {zeros}}}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, "check", "--instance", str(path))
+        assert code == 0
+        assert out.strip().endswith("PASS")
 
     def test_missing_file_exit_two(self, capsys, tmp_path):
         code, _, _ = run(capsys, "check", "--instance", str(tmp_path / "absent.json"))

@@ -7,8 +7,10 @@ arguments of ``Polynomial`` and ``find_roots`` are rows of
 """
 
 import cmath
+import math
 import sys
 import warnings
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -33,18 +35,10 @@ from sendov_lab.roots import (
 
 
 def _tail_draws():
-    """Disk draws of degree 3, 34 and 64, the last with a pair 1e-5 apart
-    added."""
+    """Disk draws of degree 3, 34 and 64; the last gains a pair 1e-5 apart."""
     draws = [families.separated_disk(np.random.default_rng(d), d) for d in (3, 34, 64)]
     draws[-1] += (draws[-1][0] + 1e-5,)
     return draws
-
-
-def _far_root_polynomial():
-    """(z - 1e6) times 59 roots on |z| = 0.5, from binary64 coefficients:
-    1e6^60 is past binary64 range."""
-    ring = [0.5 * cmath.exp(2j * cmath.pi * k / 59 + 0.1j) for k in range(59)]
-    return Polynomial(tuple(complex(c) for c in np.poly([1e6] + ring)[::-1]))
 
 
 def _overlapping_groups(centres, radii):
@@ -56,6 +50,124 @@ def _overlapping_groups(centres, radii):
                   if any(abs(centres[i] - centres[j]) <= radii[i] + radii[j] for j in g)]
         groups = [g for g in groups if g not in joined] + [sum(joined, []) + [i]]
     return sorted(tuple(sorted(g)) for g in groups)
+
+
+def _newton_polish(p):
+    """The roots of p's head + tail, five 60-digit Newton steps from those
+    ``find_roots`` gives: for the far root, whose scaled low coefficients
+    underflow in ``exact.roots``."""
+    cs = exact.coefficients(p)[::-1]
+    truth = [mpmath.mpc(z) for z in find_roots(p).roots]
+    for _ in range(5):
+        truth = [x - mpmath.polyval(cs, x) / mpmath.polyval(cs, x, derivative=True)[1]
+                 for x in truth]
+    return truth
+
+
+class FinderRow(NamedTuple):
+    """A polynomial, its known roots and what ``find_roots`` must give on it.
+
+    Each known root lies within atol + rtol |root| of its ``match_roots``
+    partner, with atol one value or one per known root.  ``truth`` gives
+    the exact roots of head + tail: ``KNOWN`` where the known roots are
+    exactly those, else a function of p in 60 digits, or None where no
+    exact root is checked.  ``certified`` rows have
+    distinct points, each radius at least the exact one at the same point.
+    ``sweeps`` bounds ``iterations`` from below and above.
+    """
+
+    p: Polynomial
+    known: tuple
+    tolerance: tuple
+    truth: object = None
+    certified: bool = False
+    largest_radius: float = math.inf
+    sweeps: tuple[int, int] = (0, poly._MAX_SWEEPS - 1)
+
+
+KNOWN = "the known roots"
+
+
+def _expanded(roots, tolerance, *columns, **named):
+    """The row of from_roots(roots), whose known roots are roots."""
+    return FinderRow(from_roots(roots), tuple(roots), tolerance, *columns, **named)
+
+
+def _decades(degree, tolerance, **columns):
+    """The row of roots with moduli from 1e-2 to 1e2, from np.poly's
+    binary64 coefficients."""
+    rng = np.random.default_rng(0)
+    roots = 10.0 ** rng.uniform(-2, 2, degree) * np.exp(2j * np.pi * rng.uniform(size=degree))
+    return FinderRow(Polynomial(tuple(np.poly(roots)[::-1].tolist())), tuple(roots.tolist()),
+                     tolerance, sweeps=(0, 40), **columns)
+
+
+# (z - 1e6) times 59 roots on |z| = 0.5, from binary64 coefficients: 1e6^60
+# is past binary64 range, and np.poly's rounding moves the ring by 2.3e-4.
+FAR_RING = [0.5 * cmath.exp(2j * cmath.pi * k / 59 + 0.1j) for k in range(59)]
+# A new finder edge case becomes a row here.
+FINDER_ROWS = {
+    "linear": FinderRow(Polynomial((-1.5 + 0.5j, 3.0)), ((1.5 - 0.5j) / 3.0,), (0.0, 1e-15)),
+    "quadratic": _expanded((0.25 + 0.25j, -0.5), (1e-15, 0.0), KNOWN),
+    "axes-4": _expanded((0.5, -0.5, 0.3j, -0.3j), (1e-15, 0.0), KNOWN),
+    "unity-12": _expanded(tuple(families.circle(12).tolist()), (1e-13, 0.0)),
+    # Zero coefficients below the lowest nonzero one are exact roots at 0:
+    # no sweep runs when every root is 0.
+    "origin-5": FinderRow(Polynomial((0.0,) * 5 + (1.0,)), (0.0,) * 5, (0.0, 0.0), KNOWN,
+                          largest_radius=0.0, sweeps=(0, 0)),
+    "origin-2": FinderRow(Polynomial((0.0, 0.0, 1.0)), (0.0, 0.0), (0.0, 0.0), KNOWN,
+                          largest_radius=0.0, sweeps=(0, 0)),
+    "origin-2-and-two-simple": _expanded((0.0, 0.0, 0.5, -0.25j), (1e-4, 0.0), KNOWN,
+                                         largest_radius=1e-12),
+    # A zero head with a nonzero tail is no exact root at 0, and a tail
+    # that cancels its head is one.
+    "tail-below-zero-head": FinderRow(Polynomial((0.0, 1.0), tails=(1e-20, 0.0)), (-1e-20,),
+                                      (0.0, 1e-15), KNOWN),
+    "zero-and-tail": FinderRow(Polynomial((0.0, 0.0, 1.0), tails=(0.0, 1e-20, 0.0)),
+                               (-1e-20, 0.0), (0.0, 1e-15), KNOWN),
+    "tail-cancels-head": FinderRow(Polynomial((1.0, 0.0, 1.0), tails=(-1.0, 0.0, 0.0)),
+                                   (0.0, 0.0), (0.0, 0.0), KNOWN, sweeps=(0, 0)),
+    # Each iterate of a repeated root stops at the rounding floor of p, so
+    # the copies stay apart and their discs small, in one group.
+    "double-half": _expanded((0.5, 0.5), (1e-4, 0.0), KNOWN, largest_radius=1e-12),
+    "triple-half": _expanded((0.5, 0.5, 0.5), (1e-4, 0.0), KNOWN, largest_radius=1e-4),
+    # Each point stops against its nearest neighbour and at its rounding
+    # floor, not at a step absolute in 1 + |z|, so roots near 1e-21 come
+    # back to full relative accuracy.
+    "tiny-scale": _expanded((3e-21, -5e-21j, 2e-21 + 1e-21j), (0.0, 1e-12), exact.roots,
+                            largest_radius=2e-33),
+    **{f"disk-{degree}": _expanded(families.separated_disk(np.random.default_rng(seed), degree),
+                                   (1e-8, 0.0), exact.roots)
+       for seed, degree in [(1, 6), (2, 13), (3, 20)]},
+    # The last draw adds a pair 1e-5 apart at degree 65: the compensated
+    # sweeps on head + tail bring its round trip within 1e-8, where the
+    # binary64 coefficients alone give ~3e-6.
+    **{f"disk-{len(roots)}": _expanded(roots, (1e-8, 0.0)) for roots in _tail_draws()},
+    # The finder takes p and the Weierstrass products at a far root at the
+    # exact scale 2^-20 per factor: nothing overflows, and the far root is
+    # found within 1e-12 relative and certified like the ring's.
+    "far-root": FinderRow(Polynomial(tuple(complex(c) for c in np.poly([1e6] + FAR_RING)[::-1])),
+                          (1e6, *FAR_RING), ((0.0, *[3e-4] * 59), 1e-12), _newton_polish, True,
+                          1e-12, (0, 10)),
+    # Each edge of the Newton polygon starts its roots near their own
+    # modulus.  One circle of radius 1 + max|c_k/c_n|, near 1e28 at degree
+    # 50, would start them decades off.  At degree 200 the rounding of
+    # np.poly's coefficients alone moves the roots by about 1e-8.
+    "decades-50": _decades(50, (1e-9, 0.0)),
+    "decades-200": _decades(200, (1e-7, 0.0), largest_radius=1e-9),
+    # prod(z - s k): the refinement reads p alone, from compensated Horner,
+    # so no binary64 p' stops it short of the roots that the double-double
+    # coefficients hold, exactly where s is 0.5 or 1.  From degree 20 the
+    # binary64 run spends its whole budget (ROADMAP, Known defects).
+    **{f"wilkinson-{s}-{degree}": _expanded(
+        tuple(s * k for k in range(1, degree + 1)), (0.0, 1e-8), KNOWN if s in (0.5, 1.0) else None,
+        sweeps=(0, poly._MAX_SWEEPS - 1) if degree < 20 else (poly._MAX_SWEEPS,) * 2)
+       for degree in range(18, 23) for s in (0.5, 0.9, 1.0, 1.1, 1.3)},
+    # Integer roots come back exactly, where p and every exact radius are
+    # 0; the roots 1.1 k do not.
+    "wilkinson-1.1-10": _expanded(tuple(1.1 * k for k in range(1, 11)), (0.0, 1e-8),
+                                  certified=True),
+}
 
 
 class TestPolynomialType:
@@ -166,87 +278,36 @@ class TestFromRoots:
 
 
 class TestFindRoots:
-    def test_linear(self):
-        res = find_roots(Polynomial((-1.5 + 0.5j, 3.0)))
-        assert np.allclose(res.roots, [(1.5 - 0.5j) / 3.0], rtol=1e-15, atol=0)
+    @pytest.mark.parametrize("case", list(FINDER_ROWS))
+    def test_result_meets_the_row(self, case):
+        # No warning of any kind leaks, and the roots come back sorted, bit
+        # for bit again on a second call, with the exact zeros as 0j.
+        row = FINDER_ROWS[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = find_roots(row.p)
         assert res.converged
+        assert [(z.real, z.imag) for z in res.roots] == sorted((z.real, z.imag) for z in res.roots)
+        assert repr(find_roots(row.p)) == repr(res)
+        assert res.roots.count(0j) == row.known.count(0)
+        cols, _ = match_roots(res.roots, row.known)
+        atol, rtol = row.tolerance
+        assert all(abs(res.roots[c] - k) <= t + rtol * abs(k)
+                   for c, k, t in zip(cols, row.known, np.broadcast_to(atol, len(row.known))))
+        # One group of discs per distinct root: repeated roots share one.
+        assert len(_overlapping_groups(res.roots, res.radii)) == len(set(map(complex, row.known)))
+        assert max(res.radii) <= row.largest_radius
+        assert row.sweeps[0] <= res.iterations <= row.sweeps[1]
 
-    def test_quadratic_closed_form(self):
-        res = find_roots(from_roots((0.25 + 0.25j, -0.5)))
-        _, worst = match_roots(res.roots, (0.25 + 0.25j, -0.5))
-        assert worst <= 1e-15
-        assert res.converged
-
-    def test_quintuple_root_clusters(self):
-        # Zero coefficients below the lowest nonzero one are exact roots at
-        # 0: no sweep runs when every root is 0.
-        res = find_roots(Polynomial((0.0, 0.0, 0.0, 0.0, 0.0, 1.0)))
-        assert res.converged
-        assert res.roots == (0j,) * 5
-        assert res.iterations == 0
-
-    def test_triple_root_at_half(self):
-        # Each iterate stops at the rounding floor of p, so the three stay
-        # apart and their discs stay small.
-        res = find_roots(from_roots((0.5, 0.5, 0.5)))
-        assert res.converged
-        assert max(abs(z - 0.5) for z in res.roots) <= 1e-4
-        assert max(res.radii) <= 1e-4
-        assert _overlapping_groups(res.roots, res.radii) == [(0, 1, 2)]
-
-    @pytest.mark.parametrize("p, roots, exact_zeros, largest_radius", [
-        (from_roots((0.5, 0.5)), (0.5, 0.5), 0, 1e-12),
-        (Polynomial((0.0, 0.0, 1.0)), (0.0, 0.0), 2, 0.0),
-        (from_roots((0.0, 0.0, 0.5, -0.25j)), (0.0, 0.0, 0.5, -0.25j), 2, 1e-12),
-    ], ids=["half", "origin", "origin_and_two_simple"])
-    def test_double_root(self, p, roots, exact_zeros, largest_radius):
-        # Degree 2 takes the same sweeps as every other degree.  A double
-        # root at 0 (c_0 = c_1 = 0) comes back as exactly 0j, also beside
-        # other roots.  The one group of discs that meet is the pair that
-        # holds the double root; where a simple root with a real part far
-        # below its radius sorts against the pair is not part of the claim.
-        res = find_roots(p)
-        assert res.converged
-        _, worst = match_roots(res.roots, roots)
-        assert worst <= 1e-4
-        assert res.roots.count(0j) == exact_zeros
-        assert max(res.radii) <= largest_radius
-        (cluster,) = [g for g in _overlapping_groups(res.roots, res.radii) if len(g) >= 2]
-        assert len(cluster) == 2
-        assert all(abs(res.roots[i] - roots[0]) <= res.radii[i] for i in cluster)
-
-    def test_tiny_scale_roots_within_1e_12_relative(self):
-        # Each point stops against its nearest neighbour and at its rounding
-        # floor, not at a step absolute in 1 + |z|, so roots near 1e-21 come
-        # back to full relative accuracy, in discs that do not overlap.
-        roots = (3e-21, -5e-21j, 2e-21 + 1e-21j)
-        res = find_roots(from_roots(roots))
-        cols, _ = match_roots(res.roots, roots)
-        for c, r in zip(cols, roots):
-            assert abs(res.roots[c] - r) <= 1e-12 * abs(r)
-            assert res.radii[c] <= 1e-12 * abs(res.roots[c])
-        assert len(_overlapping_groups(res.roots, res.radii)) == 3
-
-    @pytest.mark.parametrize("p, roots", [
-        (Polynomial((0.0, 1.0), tails=(1e-20, 0.0)), (-1e-20,)),
-        (Polynomial((0.0, 0.0, 1.0), tails=(0.0, 1e-20, 0.0)), (-1e-20, 0.0)),
-        (Polynomial((1.0, 0.0, 1.0), tails=(-1.0, 0.0, 0.0)), (0.0, 0.0)),
-    ], ids=["tail_below_zero_head", "zero_and_tail", "tail_cancels_head"])
-    def test_exact_zeros_are_read_from_head_plus_tail(self, p, roots):
-        # A zero head with a nonzero tail is no exact root at 0, and a tail
-        # that cancels its head is one: each root lies in its own disc.
-        res = find_roots(p)
-        cols, _ = match_roots(res.roots, roots)
-        assert all(abs(res.roots[c] - r) <= res.radii[c] for c, r in zip(cols, roots))
-        assert res.roots.count(0j) == roots.count(0.0)
-
-    def test_roots_of_unity_recovered(self):
-        expected = tuple(families.circle(12).tolist())
-        res = find_roots(from_roots(expected))
-        _, worst = match_roots(res.roots, expected)
-        assert worst <= 1e-13
-        assert res.converged
-        assert len(_overlapping_groups(res.roots, res.radii)) == 12
+    @pytest.mark.parametrize("case", [case for case, row in FINDER_ROWS.items() if row.truth])
+    def test_discs_hold_every_root_and_each_group_its_count(self, case):
+        # Each exact root lies in its partner's disc, so a group of d discs holds d.
+        row = FINDER_ROWS[case]
+        res = find_roots(row.p)
+        with mpmath.workdps(exact.DPS):
+            truth = row.truth(row.p) if callable(row.truth) else [mpmath.mpc(k) for k in row.known]
+            cols, _ = match_roots(res.roots, [complex(x) for x in truth])
+            assert all(abs(x - mpmath.mpc(res.roots[c])) <= res.radii[c] for c, x in zip(cols, truth))
 
     def test_high_degree_error_is_coefficient_rounding_not_finder(self):
         # Take the worst draw of a degree <= 50 ensemble and split its
@@ -270,17 +331,8 @@ class TestFindRoots:
         _, finder_err = match_roots(res.roots, tuple(complex(r) for r in exact.roots(p)))
         assert finder_err <= 1e-8
 
-    def test_solves_from_coefficients_and_tails_only(self):
-        # The last draw adds a pair 1e-5 apart at degree 65: the compensated
-        # sweeps on head + tail bring its round trip within 1e-8, where the
-        # binary64 coefficients alone give ~3e-6.
-        for roots in _tail_draws():
-            res = find_roots(from_roots(roots))
-            _, worst = match_roots(res.roots, roots)
-            assert worst <= 1e-8
-
     def test_finder_never_imports_mpmath(self, monkeypatch):
-        # The finder refines the degree-65 draw above with error-free
+        # The finder refines the draw of the disk-65 row with error-free
         # transformations of binary64 alone: with mpmath made unimportable
         # it still meets 1e-8.  That no module of the package imports
         # mpmath at load is checked in a fresh interpreter by
@@ -291,101 +343,6 @@ class TestFindRoots:
         assert res.converged
         _, worst = match_roots(res.roots, roots)
         assert worst <= 1e-8
-
-    def test_sorted_deterministically(self):
-        roots = (0.5, -0.5, 0.3j, -0.3j)
-        a = find_roots(from_roots(roots)).roots
-        b = find_roots(from_roots(roots)).roots
-        assert a == b
-        keys = [(z.real, z.imag) for z in a]
-        assert keys == sorted(keys)
-
-    def test_far_root_leaks_no_warning(self):
-        # A root at 1e6 puts 1e6^60 past binary64 range.  The finder takes p
-        # and the Weierstrass products there at the exact scale 2^-20 per
-        # factor, so nothing overflows, no numpy warning is raised, and the
-        # far root is found and certified like the ring's.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            res = find_roots(_far_root_polynomial())
-        assert res.converged
-        assert res.iterations <= 10
-        far = int(np.argmax(np.abs(res.roots)))
-        assert abs(res.roots[far] - 1e6) <= 1e-12 * 1e6
-        assert abs(res.roots[far] - 1e6) <= res.radii[far]
-
-    @pytest.mark.parametrize("degree", [50, 200])
-    def test_newton_polygon_starts_reach_roots_spanning_decades(self, degree):
-        # Moduli from 1e-2 to 1e2: each edge of the Newton polygon starts
-        # its roots near their own modulus.  One circle of radius
-        # 1 + max|c_k/c_n|, near 1e28 at degree 50, would start them decades
-        # off, from where Weierstrass's contraction is slow.  At degree 200
-        # the rounding of np.poly's coefficients alone moves the roots by
-        # about 1e-8, so there the discs, not the round trip, are checked.
-        rng = np.random.default_rng(0)
-        roots = 10.0 ** rng.uniform(-2, 2, degree) * np.exp(2j * np.pi * rng.uniform(size=degree))
-        res = find_roots(Polynomial(tuple(np.poly(roots)[::-1].tolist())))
-        assert res.iterations <= 40
-        if degree == 50:
-            _, worst = match_roots(res.roots, roots)
-            assert worst <= 1e-9
-        else:
-            assert res.converged
-            assert max(res.radii) <= 1e-9
-
-    @pytest.mark.parametrize("degree", range(18, 23))
-    def test_wilkinson_like_roots_within_1e_8_relative(self, degree):
-        # prod(z - s k): the refinement reads p alone, from compensated
-        # Horner, so at degree 22 no binary64 p' stops it short of the
-        # roots that the double-double coefficients hold.
-        for s in (0.5, 0.9, 1.0, 1.1, 1.3):
-            roots = [s * k for k in range(1, degree + 1)]
-            res = find_roots(from_roots(roots))
-            cols, _ = match_roots(res.roots, roots)
-            assert max(abs(res.roots[c] - r) / r for c, r in zip(cols, roots)) <= 1e-8
-
-    @pytest.mark.parametrize("case", [
-        "disk-6", "disk-13", "disk-20", "integers-22", "tiny-scale", "double-half", "triple-half",
-        "far-root",
-    ])
-    def test_discs_hold_every_root_and_each_group_its_count(self, case):
-        # The exact roots of head + tail are the integers, or the repeated
-        # 0.5, where those are exact; else 60-digit mpmath roots, which for
-        # the far root, whose scaled low coefficients underflow, are Newton
-        # steps from the roots found.
-        draws = {"disk-6": (1, 6), "disk-13": (2, 13), "disk-20": (3, 20)}
-        known = {
-            "integers-22": tuple(range(1, 23)),
-            "double-half": (0.5, 0.5),
-            "triple-half": (0.5, 0.5, 0.5),
-        }
-        if case in draws:
-            seed, degree = draws[case]
-            p = from_roots(families.separated_disk(np.random.default_rng(seed), degree))
-        elif case == "far-root":
-            p = _far_root_polynomial()
-        else:
-            p = from_roots(known.get(case, (3e-21, -5e-21j, 2e-21 + 1e-21j)))
-        res = find_roots(p)
-        assert res.converged
-        with mpmath.workdps(exact.DPS):
-            if case in known:
-                truth = [mpmath.mpc(r) for r in known[case]]
-            elif case == "far-root":
-                cs = exact.coefficients(p)[::-1]
-                truth = [mpmath.mpc(z) for z in res.roots]
-                for _ in range(5):
-                    truth = [x - mpmath.polyval(cs, x) / mpmath.polyval(cs, x, derivative=True)[1]
-                             for x in truth]
-            else:
-                truth = exact.roots(p)
-            inside = [
-                {i for i, (z, r) in enumerate(zip(res.roots, res.radii)) if abs(e - mpmath.mpc(z)) <= r}
-                for e in truth
-            ]
-        assert all(inside)
-        for group in _overlapping_groups(res.roots, res.radii):
-            assert sum(bool(hit & set(group)) for hit in inside) == len(group)
 
     def test_coincident_iterates_part(self):
         # Two equal starts make W infinite at both: in the shared sweep loop,
@@ -399,15 +356,6 @@ class TestFindRoots:
         w, _, _ = poly._sweeps(starts, np.empty((1, 0), complex), steps, np.array([2.0]))
         _, worst = match_roots(w[0], roots)
         assert worst <= 1e-12
-
-    @pytest.mark.parametrize("coefficients", [(1e300, 1e-300), (1e308, 1e308, 1e-308)])
-    def test_coefficient_ratio_past_binary64_range_raises(self, coefficients):
-        # c_0/c_n overflows: a DomainError naming the ratio, not a numpy
-        # warning and NaN roots.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DomainError, match=f"c_0/c_{len(coefficients) - 1} overflows"):
-                find_roots(Polynomial(coefficients))
 
 
 class TestMatchRoots:
@@ -434,19 +382,11 @@ class TestMatchRoots:
 
 
 class TestRadiusCertificate:
-    """Every float radius of the finder is at least the exact Weierstrass
-    radius at the same float points: the value bound of
-    ``_compensated_horner`` and the rounding slack of
-    ``polynomial._weierstrass_radii`` are checked against exact arithmetic.
-    The kernel's radii are checked so in ``tests/test_polynomial.py``."""
+    """Each finder radius, from ``_compensated_horner``'s value bound, is at
+    least the exact one at the same points (the kernel's: test_polynomial)."""
 
-    @pytest.mark.parametrize("case", ["wilkinson-10", "far-root"])
+    @pytest.mark.parametrize("case", [case for case, row in FINDER_ROWS.items() if row.certified])
     def test_finder_radii_hold_the_exact_radii(self, case):
-        # Integer roots come back exactly, where p and every exact radius
-        # are 0; the roots 1.1 k do not.
-        if case == "wilkinson-10":
-            p = from_roots([1.1 * k for k in range(1, 11)])
-        else:
-            p = _far_root_polynomial()
-        res = find_roots(p)
-        assert all(r >= e for r, e in zip(res.radii, exact.radii(res.roots, p)))
+        row = FINDER_ROWS[case]
+        res = find_roots(row.p)
+        assert all(r >= e for r, e in zip(res.radii, exact.radii(res.roots, row.p)))

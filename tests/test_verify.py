@@ -14,9 +14,7 @@ import numpy as np
 import pytest
 
 import exact
-from conftest import families
 from sendov_lab import bounds, verify
-from sendov_lab import polynomial as poly
 from sendov_lab.cli import main
 from sendov_lab.bounds import DEFAULT_SEED
 from sendov_lab.verify import (
@@ -745,36 +743,6 @@ class TestEstimateChain:
         for o in coarse_chain:
             assert o.passed, o
             assert o.samples == 99
-
-
-def _structured_zeros(degree):
-    """The other zeros of (z-a)(z^m - 1), (z-a)(z^m + 1) and (z-a) z^m, m = degree - 1."""
-    m = degree - 1
-    return [tuple(families.circle(m, turn).tolist()) for turn in (0.0, math.pi)] + [(0j,) * m]
-
-
-class TestExtremal:
-    def test_worst_family_at_half_degree_five(self):
-        reps = [poly.critical_report(poly.SendovInstance(0.5, zeros))
-                for zeros in _structured_zeros(5)]
-        worst = max(rep.sendov_distance for rep in reps)
-        ref = exact.bound_references()
-        assert np.allclose(worst, ref.SENDOV_DIST_05_NEG_ROOTS, rtol=1e-12, atol=0)
-        assert all(rep.converged for rep in reps)
-
-    def test_degree_two_closed_form(self):
-        # Families are (z-a)(z-1), (z-a)(z+1), (z-a)z; worst midpoint
-        # distance is (1+a)/2 from the z = -1 family.
-        distances = [poly.critical_report(poly.SendovInstance(0.5, zeros)).sendov_distance
-                     for zeros in _structured_zeros(2)]
-        assert np.allclose(max(distances), 0.75, rtol=1e-15, atol=0)
-
-    def test_never_violates(self):
-        for degree in (2, 3, 8, 17):
-            for a in (0.1, 0.5, 0.9):
-                for zeros in _structured_zeros(degree):
-                    rep = poly.critical_report(poly.SendovInstance(a, zeros))
-                    assert rep.sendov_distance <= 1.0 + 1e-9
 
 
 class TestRenderers:

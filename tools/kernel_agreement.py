@@ -14,7 +14,7 @@ tree to the nearest point of the other, the range of the ratio of each
 row's largest radius (change over parent), the largest ratio of bracket
 half-widths, the worst difference between the Sendov distances, and how
 many rows give reports identical in bytes: critical points, radii,
-distance, half-width and ``converged``.  For each family it prints how
+distance, mean real part, half-width and ``converged``.  For each family it prints how
 many of its rows do not, the rows whose verdict differs between the two
 trees at ``check``'s threshold (the change tree's
 ``polynomial.VIOLATION_THRESHOLD``), each tree's PASS, FAIL and
@@ -89,12 +89,12 @@ def load(src: str, name: str):
 
 
 def report_bytes(report) -> bytes:
-    """The critical points, radii, distance, half-width and ``converged``
-    flag of one ``critical_report``, as bytes."""
+    """The critical points, radii, distance, mean real part, half-width and
+    ``converged`` flag of one ``critical_report``, as bytes."""
     return b"".join((
         np.array(report.critical_points, dtype=complex).tobytes(),
         np.array(report.radii, dtype=float).tobytes(),
-        np.array([report.sendov_distance, report.distance_radius]).tobytes(),
+        np.array([report.sendov_distance, report.mean_real_part, report.distance_radius]).tobytes(),
         bytes([report.converged]),
     ))
 
