@@ -1,21 +1,18 @@
 """The exact references that the tests check the package against, in mpmath
 or Fractions: expansions, roots, critical points and Weierstrass radii of
 polynomials, the free bounds on a Sendov distance, mu2's quadratic, and the
-bound formulas at 50 digits (``bound_references``).  Nothing here imports
-``sendov_lab``, so a fault in the package cannot reach its reference, and
-each function sets its precision with ``mpmath.workdps`` alone, so none
-leaks into later tests.
+bound formulas at 50 digits (``breakdown``, ``mean_bound``, ``d_function``
+and ``mu2``).  Nothing here imports ``sendov_lab``, so a fault in the
+package cannot reach its reference, and each function sets its precision
+with ``mpmath.workdps`` alone, so none leaks into later tests.
 Arithmetic on a returned mpmath value outside rounds to binary64, so a test
 compares with one inside ``mpmath.workdps(exact.DPS)``.  Coefficient lists
 run from the constant term up, as ``Polynomial``'s do.
 """
 
-import cmath
-import functools
 import math
 from collections import Counter
 from fractions import Fraction
-from types import SimpleNamespace
 
 import mpmath
 from mpmath import log, mpf, sqrt
@@ -145,8 +142,9 @@ def mu2_quadratic(a, x):
 
 
 # The bound formulas as the paper writes them: radical forms, not the
-# rationalized rewrites the package evaluates.  Each runs in the precision
-# of its caller, ``bound_references``.
+# rationalized rewrites the package evaluates.  The public ones take the
+# floats the package gets, exactly, and work in 50 digits; the helpers run
+# in their caller's precision.
 
 
 def _gamma(a):
@@ -157,20 +155,18 @@ def _n0(a):
     return 32 * log(40 / a**2) / a**2
 
 
-def _d_contraction(a, x):
-    c = a * _gamma(a)
-    return max((1 / (1 + a)) ** x, ((1 + c) / (1 + a)) ** x * sqrt(1 + c * c - a * c) ** (1 - x))
-
-
 def _mu1(a):
     g = a**6 - 2 * a**5 + 9 * a**4 - 20 * a**3 + 48 * a**2 - 96 * a + 64
     return ((-(a**3) + a * a + 6 * a - 8) + sqrt(g)) / (2 * a * a * (1 - a))
 
 
-def _mu2(a):
-    # The radical form, fine at 50 digits despite its cancellation at small a.
-    t = a**4 + 4 * a**3 + 16 * a**2 + 32 * a + 64
-    return sqrt(t / (4 * a**4)) + (a * a - 2 * a - 8) / (2 * a * a)
+def mu2(a):
+    """mu2 at the float a in (0, 1] in its radical form, fine at 50 digits
+    despite its cancellation at small a."""
+    with mpmath.workdps(50):
+        a = mpf(a)
+        t = a**4 + 4 * a**3 + 16 * a**2 + 32 * a + 64
+        return sqrt(t / (4 * a**4)) + (a * a - 2 * a - 8) / (2 * a * a)
 
 
 def _alpha(a, c, r):
@@ -188,84 +184,63 @@ def _n3_estimate(a):
     return term * 16 / (a**3 * (1 - a)) + 1
 
 
-def _final_bound(a):
-    return 20800 / (a**7 * (1 - a) ** 4)
+def breakdown(a):
+    """Each field of ``bounds.breakdown(a)`` at the float a in (0, 1), in 50
+    digits, keyed and ordered as ``cli._row`` prints them."""
+    with mpmath.workdps(50):
+        a = mpf(a)
+        c = a * _gamma(a)
+        q, p = (a / 4) / (1 + a / 2), (a / 4) / (1 - a / 2)
+        k1 = (1 + c - a * c) ** p * sqrt(1 + c * c - a * c) ** (1 - p)
+        k2 = (1 + c) ** q * sqrt(1 + c * c - a * c) ** (1 - q)
+        r, r_prime = c * (a - c) / (2 * (1 - c * c)), c * (a - c) / 2
+        return {
+            "a": a, "q_prime": q, "p_prime": p, "gamma": _gamma(a), "c": c,
+            "n0": _n0(a),
+            "n1": max(9 * ((4 + 2 * a) / a) ** 2, _n0(a)),
+            "n2": max(9 * (log(a / 16) / log(c / (1 + a))) ** 2, _n0(a)),
+            "mu1": _mu1(a), "mu2": mu2(a), "k1": k1, "k2": k2, "k_prime": min(k1, k2),
+            "r": r, "r_prime": r_prime,
+            "alpha": _alpha(a, c, r), "alpha_prime": _alpha(a, c, r_prime),
+            "n3_exact": _n3_exact(a, c, r, min(k1, k2)), "n3_estimate": _n3_estimate(a),
+            "final_n": 20800 / (a**7 * (1 - a) ** 4),
+            "small_bound": 2 + (60 - a * a) / (a * a * (1 - a * a)),
+        }
+
+
+def d_function(a, x):
+    """``bounds.d_function`` at the floats a and x, with c = a gamma(a), in
+    50 digits."""
+    with mpmath.workdps(50):
+        a, x = mpf(a), mpf(x)
+        c = a * _gamma(a)
+        second = ((1 + c) / (1 + a)) ** x * sqrt(1 + c * c - a * c) ** (1 - x)
+        return max((1 / (1 + a)) ** x, second)
 
 
 def _mean_phi(a, n, d):
     return d / 2 - log(1 - sqrt(1 + d * d - d * a)) / (d * n)
 
 
-def _mean_inf(a, n):
-    """The infimum of _mean_phi over (0, a), where it is unimodal: 250
-    golden-section steps, to about 1e-40."""
-    lo, hi = a * mpf("1e-12"), a * (1 - mpf("1e-12"))
-    invphi = (sqrt(5) - 1) / 2
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = _mean_phi(a, n, x1), _mean_phi(a, n, x2)
-    for _ in range(250):
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = _mean_phi(a, n, x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = _mean_phi(a, n, x2)
-    return min(f1, f2)
-
-
-@functools.cache
-def bound_references():
-    """The bound chain's values, mostly at a = 1/2, as attributes, each
-    computed in 50 digits and rounded once to binary64.  FINAL_BOUND_TABLE
-    maps a = 0.1, ..., 0.9 to the final bound.  SENDOV_DIST_05_* are the
-    Sendov distances of (z - 1/2)(z^4 - 1) and (z - 1/2)(z^4 + 1), the
-    latter on the float zeros exp(i(pi + 2 pi k)/4) that the tests build."""
+def mean_bound(a, n):
+    """Each field of ``bounds.mean_upper_bound(a, n)`` at the float a, in 50
+    digits: the objective at delta = a/4, and its infimum over (0, a), where
+    it is unimodal, by 250 golden-section steps, to about 1e-40."""
     with mpmath.workdps(50):
-        a = mpf("0.5")
-        c = a * _gamma(a)
-        q, p = (a / 4) / (1 + a / 2), (a / 4) / (1 - a / 2)
-        k1 = (1 + c - a * c) ** p * sqrt(1 + c * c - a * c) ** (1 - p)
-        k2 = (1 + c) ** q * sqrt(1 + c * c - a * c) ** (1 - q)
-        r, r_prime = c * (a - c) / (2 * (1 - c * c)), c * (a - c) / 2
-        n2_branch = 9 * (log(a / 16) / log(c / (1 + a))) ** 2
-        values = {
-            "Q_PRIME_05": q,
-            "P_PRIME_05": p,
-            "GAMMA_05": _gamma(a),
-            "C_05": c,
-            "N0_05": _n0(a),
-            "N0_01": _n0(mpf("0.1")),
-            "N1_05": max(9 * ((4 + 2 * a) / a) ** 2, _n0(a)),
-            "N2_05": max(n2_branch, _n0(a)),
-            "N2_BRANCH_05": n2_branch,
-            "MU1_05": _mu1(a),
-            "MU2_05": _mu2(a),
-            "MU2_AT_1": _mu2(mpf(1)),
-            "MU2_CLOSED_AT_1": 3 * (sqrt(13) - 3) / 2,
-            "K1_05": k1,
-            "K2_05": k2,
-            "K_PRIME_05": min(k1, k2),
-            "D_05_025": _d_contraction(a, mpf("0.25")),
-            "D_05_075": _d_contraction(a, mpf("0.75")),
-            "D_0001_001": _d_contraction(mpf("0.001"), mpf("0.01")),
-            "R_05": r,
-            "R_PRIME_05": r_prime,
-            "ALPHA_05": _alpha(a, c, r),
-            "ALPHA_PRIME_05": _alpha(a, c, r_prime),
-            "N3_EXACT_05": _n3_exact(a, c, r, min(k1, k2)),
-            "N3_ESTIMATE_05": _n3_estimate(a),
-            "FINAL_05": _final_bound(a),
-            "SMALL_05": 2 + (60 - a * a) / (a * a * (1 - a * a)),
-            "MEAN_QUARTER_05_650": _mean_phi(a, 650, a / 4),
-            "MEAN_INF_05_10": _mean_inf(a, 10),
-            "MEAN_INF_05_650": _mean_inf(a, 650),
-            "SENDOV_DIST_05_ROOTS_OF_UNITY": sendov_distance(0.5, [1j**k for k in range(4)]),
-            "SENDOV_DIST_05_NEG_ROOTS": sendov_distance(
-                0.5, [cmath.exp(1j * (math.pi + 2 * math.pi * k) / 4) for k in range(4)]
-            ),
-        }
-        table = {k / 10: float(_final_bound(mpf(k) / 10)) for k in range(1, 10)}
-        return SimpleNamespace(**{name: float(v) for name, v in values.items()}, FINAL_BOUND_TABLE=table)
+        a = mpf(a)
+        lo, hi = a * mpf("1e-12"), a * (1 - mpf("1e-12"))
+        invphi = (sqrt(5) - 1) / 2
+        x1 = hi - invphi * (hi - lo)
+        x2 = lo + invphi * (hi - lo)
+        f1, f2 = _mean_phi(a, n, x1), _mean_phi(a, n, x2)
+        for _ in range(250):
+            if f1 < f2:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - invphi * (hi - lo)
+                f1 = _mean_phi(a, n, x1)
+            else:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + invphi * (hi - lo)
+                f2 = _mean_phi(a, n, x2)
+        quarter = _mean_phi(a, n, a / 4)
+        return {"a": a, "n": n, "bound_at_quarter": quarter, "bound_inf": min(f1, f2)}

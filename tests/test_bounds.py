@@ -1,8 +1,7 @@
-"""Tests for the closed-form bound formulas against high-precision values.
-
-The reference values come from ``exact.bound_references``, the paper's
-unsimplified formulas computed with 50-digit arithmetic and rounded once to
-binary64.
+"""Tests for the closed-form bound formulas: their values, row by row of
+BOUND_ROWS, against the paper's unsimplified formulas in 50 digits
+(``exact.breakdown``, ``mean_bound``, ``d_function`` and ``mu2``), and
+their properties.
 """
 
 import hashlib
@@ -10,6 +9,7 @@ import math
 import re
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,17 +25,65 @@ from sendov_lab.cli import _row
 RTOL = 1e-13
 
 a_interior = st.floats(min_value=1e-6, max_value=0.999999)
-ref = exact.bound_references()
+
+
+def _breakdown(a, **rtol):
+    return lambda: _row(bounds.breakdown(a)), lambda: exact.breakdown(a), rtol
+
+
+def _mean_bound(a, n):
+    return lambda: _row(bounds.mean_upper_bound(a, n)), lambda: exact.mean_bound(a, n), {}
+
+
+def _d_function(a, x):
+    return (lambda: {"d": bounds.d_function(a, bounds.aux_params(a).c, x)},
+            lambda: {"d": exact.d_function(a, x)}, {})
+
+
+# row: (a public call and its exact counterpart, each giving its fields in
+# _row's order, then the relative tolerance of each field not held to RTOL).
+# A new test of a closed form's value becomes a row here.
+BOUND_ROWS = {
+    # n0 binds n1 and n2 at 0.1-0.3, n1's branch at 0.4-0.9, n2's at 0.99.
+    **{f"breakdown-{a!r}": _breakdown(a)
+       for a in (1e-3, 0.01, *(k / 10 for k in range(1, 10)), 0.99)},
+    # The ends of verify's finest grid, where r and alpha lose digits (ROADMAP,
+    # Known defects): each tolerance is its measured error rounded up to a
+    # power of ten.
+    "breakdown-1e-05": _breakdown(1e-5, alpha=1e-12, alpha_prime=1e-12, n3_exact=1e-12),
+    "breakdown-0.99999": _breakdown(1 - 1e-5, r=1e-10, r_prime=1e-10, alpha=1e-11,
+                                    alpha_prime=1e-11, n3_exact=1e-10, small_bound=1e-12),
+    **{f"mean_upper_bound-{a}-{n}": _mean_bound(a, n)
+       for a, n in [(0.5, 10), (0.5, 650), (0.1, 100), (0.9, 5), (0.3, 10**6)]},
+    # (0.001, 0.01) is the worst location of verify's D-contraction check at
+    # every seed; at (0.5, 0.01) the first branch, (1/(1+a))^x, binds.
+    **{f"d_function-{a}-{x}": _d_function(a, x)
+       for a, x in [(0.5, 0.25), (0.5, 0.75), (0.001, 0.01), (0.5, 0.01)]},
+    # mu2's closed end, in the radical form and as 3 (sqrt(13) - 3)/2.
+    "mu2-1.0": (lambda: {"mu2": bounds.mu2(1.0)}, lambda: {"mu2": exact.mu2(1.0)}, {}),
+    "mu2-1.0-closed-form": (lambda: {"mu2": bounds.mu2(1.0)},
+                            lambda: {"mu2": 3 * (mpmath.sqrt(13) - 3) / 2}, {}),
+}
+
+
+class TestContract:
+    """Each public closed form equals its exact counterpart on every row of
+    BOUND_ROWS: the same fields in the same order, each within RTOL or the
+    row's tolerance for it.  A test of one closed form's value retires only
+    when a row here catches a mutation that it catches."""
+
+    @pytest.mark.parametrize("row", list(BOUND_ROWS))
+    def test_value_equals_the_reference(self, row):
+        call, reference, rtol = BOUND_ROWS[row]
+        got = call()
+        with mpmath.workdps(exact.DPS):
+            expected = reference()
+            assert list(got) == list(expected) and set(rtol) <= set(expected)
+            errors = {field: abs(got[field] - v) / abs(v) for field, v in expected.items()}
+            assert {f: float(e) for f, e in errors.items() if e > rtol.get(f, RTOL)} == {}
 
 
 class TestAuxParams:
-    def test_values_at_half(self):
-        aux = bounds.aux_params(0.5)
-        assert np.allclose(aux.q_prime, ref.Q_PRIME_05, rtol=RTOL, atol=0)
-        assert np.allclose(aux.p_prime, ref.P_PRIME_05, rtol=RTOL, atol=0)
-        assert np.allclose(aux.gamma, ref.GAMMA_05, rtol=RTOL, atol=0)
-        assert np.allclose(aux.c, ref.C_05, rtol=RTOL, atol=0)
-
     @given(a_interior)
     def test_c_strictly_between_zero_and_a(self, a):
         aux = bounds.aux_params(a)
@@ -43,21 +91,6 @@ class TestAuxParams:
 
 
 class TestDegreeThresholds:
-    def test_n0_frozen_values(self):
-        assert np.allclose(bounds.n0(0.5), ref.N0_05, rtol=RTOL, atol=0)
-        assert np.allclose(bounds.n0(0.1), ref.N0_01, rtol=RTOL, atol=0)
-
-    def test_n1_at_half_takes_n0_branch_maximum(self):
-        # 9((4+2a)/a)^2 = 900 exactly at a = 0.5 and exceeds n0 there.
-        assert np.allclose(bounds.n1(0.5), ref.N1_05, rtol=RTOL, atol=0)
-
-    def test_n2_at_half_takes_n0_branch(self):
-        c = bounds.aux_params(0.5).c
-        assert np.allclose(bounds.n2(0.5, c), ref.N2_05, rtol=RTOL, atol=0)
-        branch = 9.0 * (math.log(0.5 / 16.0) / math.log(c / 1.5)) ** 2
-        assert np.allclose(branch, ref.N2_BRANCH_05, rtol=RTOL, atol=0)
-        assert branch < bounds.n0(0.5)
-
     @given(st.floats(min_value=0.01, max_value=0.99), st.floats(min_value=0.01, max_value=0.99))
     def test_n0_strictly_decreasing(self, a1, a2):
         if a1 == a2:
@@ -67,15 +100,6 @@ class TestDegreeThresholds:
 
 
 class TestMuRoots:
-    def test_mu_values_at_half(self):
-        assert np.allclose(bounds.mu1(0.5), ref.MU1_05, rtol=RTOL, atol=0)
-        assert np.allclose(bounds.mu2(0.5), ref.MU2_05, rtol=RTOL, atol=0)
-
-    def test_mu2_closed_form_at_one(self):
-        closed = ref.MU2_CLOSED_AT_1
-        assert abs(bounds.mu2(1.0) - closed) <= 1e-12 * closed
-        assert np.allclose(bounds.mu2(1.0), ref.MU2_AT_1, rtol=RTOL, atol=0)
-
     @given(a_interior)
     @settings(max_examples=200)
     def test_mu2_quadratic_residual_exact(self, a):
@@ -106,13 +130,6 @@ class TestMuRoots:
 
 
 class TestGrowthFactors:
-    def test_k_values_at_half(self):
-        aux = bounds.aux_params(0.5)
-        k1, k2 = bounds.k_factors(0.5, aux.c, aux.p_prime, aux.q_prime)
-        assert np.allclose(k1, ref.K1_05, rtol=RTOL, atol=0)
-        assert np.allclose(k2, ref.K2_05, rtol=RTOL, atol=0)
-        assert np.allclose(bounds.k_prime(0.5), ref.K_PRIME_05, rtol=RTOL, atol=0)
-
     @given(st.floats(min_value=1e-5, max_value=0.9999))
     @settings(max_examples=200)
     def test_log_k_prime_strictly_positive(self, a):
@@ -170,36 +187,11 @@ class TestDValues:
         ])
         assert np.all(np.abs(screen - pointwise) <= verify._SCREEN_REL * (1.0 + pointwise) / 1000)
 
-    @pytest.mark.parametrize("a, x, expected", [
-        (0.5, 0.25, ref.D_05_025),
-        (0.5, 0.75, ref.D_05_075),
-        # The worst location of verify's D-contraction check at every seed.
-        (0.001, 0.01, ref.D_0001_001),
-    ])
-    def test_frozen_values(self, a, x, expected):
-        c = bounds.aux_params(a).c
-        assert np.allclose(bounds.d_function(a, c, x), expected, rtol=1e-14, atol=0)
-        screen = bounds._d(np.array([a]), np.array([c]), np.array([x]), bounds._simd)
-        assert abs(screen[0] - expected) <= verify._SCREEN_REL * (1.0 + expected) / 1000
-
     def test_d_function_returns_a_python_float(self):
         assert type(bounds.d_function(0.5, 0.475, 0.5)) is float
 
 
 class TestAlphaChain:
-    def test_r_values_at_half(self):
-        r, r_prime = bounds.r_param(0.5, 0.475)
-        assert np.allclose(r, ref.R_05, rtol=RTOL, atol=0)
-        assert np.allclose(r_prime, ref.R_PRIME_05, rtol=RTOL, atol=0)
-        assert r > r_prime
-
-    def test_alpha_values_at_half(self):
-        r, r_prime = bounds.r_param(0.5, 0.475)
-        assert np.allclose(bounds.alpha_param(0.5, 0.475, r), ref.ALPHA_05, rtol=RTOL, atol=0)
-        assert np.allclose(
-            bounds.alpha_param(0.5, 0.475, r_prime), ref.ALPHA_PRIME_05, rtol=RTOL, atol=0
-        )
-
     @given(
         st.floats(min_value=1e-3, max_value=0.999),
         st.floats(min_value=1e-4, max_value=0.9),
@@ -231,36 +223,10 @@ class TestAlphaChain:
 
 
 class TestHeadlineBound:
-    def test_n3_at_half(self):
-        n3_exact, estimate = bounds.n3(0.5)
-        assert np.allclose(n3_exact, ref.N3_EXACT_05, rtol=RTOL, atol=0)
-        assert np.allclose(estimate, ref.N3_ESTIMATE_05, rtol=RTOL, atol=0)
-
-    def test_final_bound_table(self):
-        for a, expected in ref.FINAL_BOUND_TABLE.items():
-            assert np.allclose(bounds.final_bound(a), expected, rtol=RTOL, atol=0)
-
-    def test_small_circle_bound_at_half(self):
-        assert np.allclose(bounds.small_circle_bound(0.5), ref.SMALL_05, rtol=RTOL, atol=0)
-
     @given(st.floats(min_value=1e-3, max_value=0.999))
     def test_threshold_ordering(self, a):
         n3_exact, estimate = bounds.n3(a)
         assert n3_exact <= estimate <= bounds.final_bound(a)
-
-    def test_breakdown_matches_parts(self):
-        # The row `bound` prints: the aux fields inlined first, in field order.
-        d = _row(bounds.breakdown(0.5))
-        assert list(d) == [
-            "a", "q_prime", "p_prime", "gamma", "c",
-            "n0", "n1", "n2", "mu1", "mu2", "k1", "k2", "k_prime",
-            "r", "r_prime", "alpha", "alpha_prime",
-            "n3_exact", "n3_estimate", "final_n", "small_bound",
-        ]
-        assert d["n0"] == bounds.n0(0.5)
-        assert d["final_n"] == bounds.final_bound(0.5)
-        assert d["small_bound"] == bounds.small_circle_bound(0.5)
-        assert d["k_prime"] == bounds.k_prime(0.5)
 
     @pytest.mark.parametrize("fn, args", [
         (bounds.final_bound, (1e-50,)), (bounds.final_bound, (1e-46,)),
@@ -310,14 +276,6 @@ class TestMeanBound:
         # objective's roundings all show here.
         reprs = "\n".join(repr(bounds.mean_upper_bound(a, n)) for a, n in _mean_bound_pairs())
         assert hashlib.sha256(reprs.encode()).hexdigest() == MEAN_BOUND_DIGEST
-
-    def test_frozen_values(self):
-        mb = bounds.mean_upper_bound(0.5, 650)
-        assert np.allclose(mb.bound_at_quarter, ref.MEAN_QUARTER_05_650, rtol=RTOL, atol=0)
-        assert np.allclose(mb.bound_inf, ref.MEAN_INF_05_650, rtol=RTOL, atol=0)
-        assert mb.bound_at_quarter <= 0.125
-        mb10 = bounds.mean_upper_bound(0.5, 10)
-        assert np.allclose(mb10.bound_inf, ref.MEAN_INF_05_10, rtol=RTOL, atol=0)
 
     @given(st.floats(min_value=0.05, max_value=0.95), st.integers(min_value=2, max_value=10**6))
     @settings(max_examples=50, deadline=None)

@@ -9,14 +9,13 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 import exact
 import sendov_lab
 from sendov_lab.cli import build_parser, main
-
-ref = exact.bound_references()
 
 # Digests of `verify --format json` output per seed, kept with the benchmark.
 VERIFY_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "verify_golden.json"
@@ -92,9 +91,10 @@ class TestBoundCommand:
         code, out, _ = run(capsys, "bound", "--a", "0.5", "--format", "json")
         assert code == 0
         record = json.loads(out)
-        assert list(record) == BREAKDOWN_FIELDS
-        assert np.allclose(record["final_n"], ref.FINAL_05, rtol=1e-13, atol=0)
-        assert np.allclose(record["mu2"], ref.MU2_05, rtol=1e-13, atol=0)
+        expected = exact.breakdown(0.5)
+        assert list(record) == list(expected) == BREAKDOWN_FIELDS
+        with mpmath.workdps(exact.DPS):
+            assert all(abs(record[k] - v) <= 1e-13 * abs(v) for k, v in expected.items())
 
     def test_csv_single_row(self, capsys):
         code, out, _ = run(capsys, "bound", "--a", "0.8", "--format", "csv")
@@ -102,7 +102,7 @@ class TestBoundCommand:
         header, row = out.strip().split("\n")
         assert header == ",".join(BREAKDOWN_FIELDS)
         final_n = float(row.split(",")[BREAKDOWN_FIELDS.index("final_n")])
-        assert np.allclose(final_n, ref.FINAL_BOUND_TABLE[0.8], rtol=1e-13, atol=0)
+        assert np.allclose(final_n, float(exact.breakdown(0.8)["final_n"]), rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("bad", ["1.5", "0", "1", "-0.1", "nan"])
     def test_domain_error_exit_two(self, capsys, bad):
@@ -142,9 +142,8 @@ class TestTableCommand:
         assert code == 0
         for line in out.strip().split("\n"):
             record = json.loads(line)
-            assert np.allclose(
-                record["computed_n"], ref.FINAL_BOUND_TABLE[record["a"]], rtol=1e-13, atol=0
-            )
+            final_n = float(exact.breakdown(record["a"])["final_n"])
+            assert np.allclose(record["computed_n"], final_n, rtol=1e-13, atol=0)
             assert record["degot_n"] in (15064, 3587, 1654, 1004, 718, 563, 560, 616, 1006)
 
 
@@ -318,8 +317,9 @@ class TestMeanBoundCommand:
         code, out, _ = run(capsys, "mean-bound", "--a", "0.5", "--n", "650", "--format", "json")
         assert code == 0
         record = json.loads(out)
-        assert np.allclose(record["bound_at_quarter"], ref.MEAN_QUARTER_05_650, rtol=1e-13, atol=0)
-        assert np.allclose(record["bound_inf"], ref.MEAN_INF_05_650, rtol=1e-13, atol=0)
+        expected = exact.mean_bound(0.5, 650)
+        for field in ("bound_at_quarter", "bound_inf"):
+            assert np.allclose(record[field], float(expected[field]), rtol=1e-13, atol=0)
 
     def test_bad_n_exit_two(self, capsys):
         code, _, _ = run(capsys, "mean-bound", "--a", "0.5", "--n", "1")

@@ -38,7 +38,6 @@ from sendov_lab.polynomial import (
 from sendov_lab.roots import find_roots, from_roots
 
 
-ref = exact.bound_references()
 report_bytes = load_tool("kernel_agreement").report_bytes
 
 
@@ -546,10 +545,9 @@ CONTRACT_ROWS = {
     **{f"origin-{a}-{m}": (a, [(0j,) * m], 0, 0, 0, 0, 0, Fraction(a) / (m + 1), 1e-15)
        for a, m in [(0.5, 4), (0.5, 127), (0.5, 199), (0.37, 127), (0.37, 199)]},
     # z^4 = 1 and z^4 = -1 at a = 1/2.
-    "unity-4": (0.5, [[1j ** k for k in range(4)]], 0, 0, 0, 0, 0,
-                ref.SENDOV_DIST_05_ROOTS_OF_UNITY, 1e-13),
-    "minus-unity-4": (0.5, [families.circle(4, math.pi)], 0, 0, 0, 0, 0,
-                      ref.SENDOV_DIST_05_NEG_ROOTS, 1e-13),
+    "unity-4": (0.5, [[1j ** k for k in range(4)]], 0, 0, 0, 0, 0, exact.sendov_distance, 1e-13),
+    "minus-unity-4": (0.5, [families.circle(4, math.pi)], 0, 0, 0, 0, 0, exact.sendov_distance,
+                      1e-13),
     # 1/(0 - 1e-308) + 1/(0 - 1.05e-308) overflows in its real part alone;
     # 1.0 * S then has a NaN imaginary part, and S + S would not.
     "gap-sum-past-binary64": (0.5, [(0j, 1e-308, 1.05e-308)], 0, 2, 0, 0, 0, None, None),
@@ -918,7 +916,8 @@ class TestExactReference:
         exact.critical_points((0.5, 0.0, 0.0))
         exact.roots(from_roots((1.0, 2.0)))
         exact.critical_radii([0.5], (1, -1))
-        # Past the cache, so the golden-section search runs here.
-        exact.bound_references.__wrapped__()
+        exact.breakdown(0.5)
+        exact.d_function(0.5, 0.25)
+        exact.mean_bound(0.5, 10)
         assert mpmath.mpf(1) / 3 == 1 / 3
 
