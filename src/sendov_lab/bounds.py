@@ -46,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._arguments import DEFAULT_SEED, DomainError, _int_in, _real_in, _shown
+from ._eft import _two_product, _two_sum
 
 __all__ = [
     "DEFAULT_SEED",
@@ -178,7 +179,13 @@ class MeanBound:
 
 
 def aux_params(a: float) -> AuxParams:
-    """q' = (a/4)/(1+a/2), p' = (a/4)/(1-a/2), gamma = 0.1a+0.9, c = a*gamma."""
+    """q' = (a/4)/(1+a/2), p' = (a/4)/(1-a/2), gamma = 0.1a+0.9, c = a*gamma.
+
+    c is rounded to binary64 once, here, and the whole chain after it (n2,
+    K', r, alpha, n3 and verify's checks) is evaluated at that float c:
+    at gamma' = c/a, not at 0.1a + 0.9 exactly.  Near a = 1, a - c =
+    0.1a(1 - a) is then exact but carries c's rounding, about 10u/(1 - a)
+    relative."""
     a = _check_a(a)
     c = a * (0.1 * a + 0.9)
     # a - c = 0.1 a (1 - a) is below half an ulp of a within about 1e-15 of
@@ -290,34 +297,6 @@ def log_k_prime(a: float) -> float:
 def k_prime(a: float) -> float:
     """min{ K1(a, a*gamma, p'), K2(a, a*gamma, q') }; exceeds 1 on all of (0,1)."""
     return math.exp(log_k_prime(a))
-
-
-def _two_sum(x, y):
-    """(s, e) with s = fl(x + y) and s + e = x + y exactly (Knuth's TwoSum)."""
-    s = x + y
-    bv = s - x
-    return s, (x - (s - bv)) + (y - bv)
-
-
-def _split(x):
-    """(hi, lo) with hi + lo = x and each half 26 bits or fewer (Veltkamp)."""
-    c = 134217729.0 * x  # 2**27 + 1
-    hi = c - (c - x)
-    return hi, x - hi
-
-
-def _two_product(x, y):
-    """(p, e) with p = fl(x * y) and p + e = x * y exactly (Dekker's
-    TwoProduct, which needs no fused multiply-add), barring underflow."""
-    return _presplit_two_product(x, y, *_split(y))
-
-
-def _presplit_two_product(x, y, yh, yl):
-    """``_two_product`` given y's ``_split`` (yh, yl), which a loop that
-    multiplies by one y takes once."""
-    p = x * y
-    xh, xl = _split(x)
-    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
 
 
 def _mu2_quadratic(a, x):
@@ -433,11 +412,13 @@ def mu1(a: float) -> float:
 
 
 def r_param(a: float, c: float) -> tuple[float, float]:
-    """(r, r') = (c(a-c)/(2(1-c^2)), c(a-c)/2); 0 < r' < r < 1."""
+    """(r, r') = (c(a-c)/(2(1-c^2)), c(a-c)/2); 0 < r' < r < 1.  1 - c^2 is
+    taken as (1 - c)(1 + c), within three roundings of its value, where
+    1 - c*c cancels as c nears 1."""
     a = _check_a(a)
     c = _real_in("c", c, 0, a)
     half_num = 0.5 * c * (a - c)
-    return half_num / (1.0 - c * c), half_num
+    return half_num / ((1.0 - c) * (1.0 + c)), half_num
 
 
 def alpha_param(a: float, c: float, r_val: float) -> float:
@@ -585,10 +566,11 @@ def mean_upper_bound(a: float, n: int) -> MeanBound:
 
 
 def small_circle_bound(a: float) -> float:
-    """Comparison threshold 2 + (60-a^2)/(a^2(1-a^2)) for zeros on the unit circle."""
+    """Comparison threshold 2 + (60-a^2)/(a^2(1-a^2)) for zeros on the unit
+    circle, with 1 - a^2 taken as (1 - a)(1 + a), as in ``r_param``."""
     a = _real_in("a", a, 0, 1)
     a2 = a * a
-    return _finite("small_circle_bound", a, 2.0 + _ratio(60.0 - a2, a2 * (1.0 - a2)))
+    return _finite("small_circle_bound", a, 2.0 + _ratio(60.0 - a2, a2 * (1.0 - a) * (1.0 + a)))
 
 
 def breakdown(a: float) -> BoundBreakdown:

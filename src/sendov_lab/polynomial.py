@@ -14,10 +14,11 @@ instance's result does not depend on what else is in the block.
 ``fuzz_sendov`` runs it on seeded random instances, a block at a time, and
 sums a cell of trials into a ``FuzzReport``.
 
-The root finder in ``roots`` runs this module's sweep loop ``_sweeps`` with
-its own step and takes its radii by the same rule, ``_weierstrass_radii``;
-``_discs_meet``, which says when two discs meet, serves the kernel's
-bracket alone.  Nothing here imports ``roots``.
+The bracket's lower end comes from the discs, its upper end from the
+point nearest a and its Newton radius, ``_newton_radii``.  The root finder
+in ``roots`` runs this module's sweep loop ``_sweeps`` with its own step
+and takes its radii by the same rule, ``_weierstrass_radii``.  Nothing here
+imports ``roots``.
 
 All public values are immutable and safe to share across threads.  Every
 rejected argument or instance raises DomainError, the package's one error
@@ -385,11 +386,36 @@ def _weierstrass_radii(w, first, second, lead, size, count) -> np.ndarray:
     return np.where(np.isnan(radii), np.inf, radii)
 
 
-def _discs_meet(gap, reach) -> np.ndarray:
-    """Whether discs whose centres lie a computed |w_i - w_j| = ``gap`` apart,
-    with radii summing to ``reach``, meet: the margin 1 - 4u covers the
-    gap's three roundings, so discs that meet are never parted."""
-    return gap * (1.0 - 4.0 * _U) <= reach
+def _scaled_sums(column, zeta, k, t) -> tuple[np.ndarray, ...]:
+    """(2^e f, 2^e S, -2^2e f', each with a bound on its rounding; k_j; e)
+    at the points w of ``column`` in rows t: f = sum_j k_j/(w - zeta_j)
+    (``k`` None for all ones), S = sum_j 1/(w - zeta_j), f' = -sum_j
+    k_j/(w - zeta_j)^2, with 2^e from frexp of the least nonzero
+    |w - zeta_j|, so no term off a zero overflows.  A point on a zero
+    zeta_j leaves term j out and gives its k_j; any other gives 0.
+
+    ldexp is exact but where it overflows (the term 0, under 2^-1024
+    against a sum of |terms| >= 1) or falls below 2^-1022 (under 2^-1074
+    against a modulus >= 1/2), and a difference below 2^-1022 is exact, so
+    the terms round as unscaled ones do: w - zeta_j by u |d|, numpy's
+    complex reciprocal (Smith's rule) 5 times, so 1/d and k/d are within
+    7u, and k/d^2 (a complex product, sqrt(5) u) within 16u; a sum of g
+    terms adds sqrt(2)(g - 1)u of the sum of |terms| (Higham 2002, ch.
+    3-4).  So c = 2(g + 10)u of it bounds the errors of f and S, and 2c
+    that of f', with 13u to spare for the moduli and a caller's few
+    operations."""
+    c = 2.0 * (zeta.shape[-1] + 10) * _U
+    d = _minus_rows(column, zeta, t)
+    on = d == 0.0
+    e = np.frexp(np.where(on, np.inf, np.abs(d)).min(axis=-1))[1]
+    scaled = np.ldexp(d.view(np.float64), -e[:, None]).view(np.complex128)
+    moduli = np.where(on, np.inf, np.abs(scaled))
+    r = np.where(np.isfinite(moduli), np.reciprocal(scaled), 0.0)
+    ks = 1.0 if k is None else k[t]
+    rk, weighted = r * ks, ks / moduli
+    return (rk.sum(axis=-1), c * weighted.sum(axis=-1), r.sum(axis=-1),
+            c * (1.0 / moduli).sum(axis=-1), (rk * r).sum(axis=-1),
+            2.0 * c * (weighted / moduli).sum(axis=-1), (on * ks).sum(axis=-1), e)
 
 
 def _inclusion_radii(w, zeta, k) -> np.ndarray:
@@ -408,7 +434,8 @@ def _inclusion_radii(w, zeta, k) -> np.ndarray:
         f = (f if k is None else np.multiply(f, kk, out=f)).sum(axis=-1)
         del d
         # Each term k/(w - zeta) is off by a few units of roundoff and the
-        # sum adds at most (g - 1) more, each relative to sum |terms|.
+        # sum adds at most (g - 1) more, each relative to sum |terms|
+        # (derived in ``_scaled_sums``).
         f_bound = np.abs(f) + 2.0 * (g + 10) * _U * (kk / mod_d).sum(axis=-1)
         # On a zero, Q(zeta_j) = k_j prod_{l != j}(zeta_j - zeta_l): the
         # pole of f leaves the products and k_j takes the place of |f|.
@@ -420,32 +447,40 @@ def _inclusion_radii(w, zeta, k) -> np.ndarray:
         sum_d, size_d, log_f = log_d.sum(axis=-1), np.abs(log_d).sum(axis=-1), np.log(f_bound)
         del mod_d, log_d
         # Where a term 1/(w - zeta), or their sum, overflows (w a subnormal
-        # distance from a zero), f_bound is not finite.  There the terms
-        # k/((w - zeta) 2^-e) = 2^e k/(w - zeta) are summed instead, with 2^e
-        # from frexp of the least |w - zeta|: log f_bound is log(2^e f_bound)
-        # - e log 2, and |e| log 2 joins size, which the slack's factor 4
-        # covers for the one more addition.  The scaling adds no rounding:
-        # ldexp by a power of two is exact unless it overflows, and a
-        # difference w - zeta that falls below the normal range is exact, a
-        # multiple of 2^-1074 no larger than w or zeta.  So each scaled term
-        # is rounded as any other.  A scaled difference that overflows gives
-        # the term 0, off by less than 2^-1024 against a sum of |terms| of at
-        # least 1: inside the bound's spare 20u.
+        # distance from a zero), f_bound is not finite: there it is
+        # log(2^e f_bound) - e log 2 from ``_scaled_sums``, and |e| log 2
+        # joins size, which the slack's factor 4 covers for the one more
+        # addition.
         t, i = np.nonzero(~np.isfinite(f_bound))
         if t.size:
-            d = _minus_rows(w[t, i, None], zeta, t)
-            e = np.frexp(np.abs(d).min(axis=-1))[1][:, None]
-            scaled = np.empty_like(d)
-            scaled.real, scaled.imag = np.ldexp(d.real, -e), np.ldexp(d.imag, -e)
-            mod_s = np.abs(scaled)
-            terms = np.where(np.isfinite(mod_s), np.reciprocal(scaled), 0.0)
-            ks = 1.0 if k is None else k[t]
-            bound = np.abs((terms * ks).sum(axis=-1))
-            bound += 2.0 * (g + 10) * _U * (ks / mod_s).sum(axis=-1)
-            shift = e[:, 0] * math.log(2.0)
-            log_f[t, i] = np.log(bound) - shift
+            f, f_error, *_, e = _scaled_sums(w[t, i, None], zeta, k, t)
+            shift = e * math.log(2.0)
+            log_f[t, i] = np.log(np.abs(f) + f_error) - shift
             size_d[t, i] += np.abs(shift)
     return _weierstrass_radii(w, sum_d, log_f, log_n, size_d, g + w.shape[-1])
+
+
+def _newton_radii(w, zeta, k) -> np.ndarray:
+    """A bound above (g - 1)/|Q'/Q(w)| for one point w per row: some root of
+    Q lies that near w, as Q'/Q(w) = sum_i 1/(w - r_i) over its g - 1 roots
+    (Henrici, Applied and Computational Complex Analysis 1, 1974, ch. 6);
+    inf where no bound is found.  Q'/Q = S + f'/f, or on a zero zeta_j
+    S + f/k_j without term j, is 2^-e times its value on ``_scaled_sums``."""
+    g = zeta.shape[-1]
+    high, low = 1.0 + 2.0 * _U, 1.0 - 4.0 * _U
+    with np.errstate(all="ignore"):
+        f, f_error, s, s_error, df, df_error, k_on, e = _scaled_sums(
+            w[:, None], zeta, k, np.arange(w.size))
+        # |Q'/Q| >= |f'|/|f| - |S|, or |S + f/k_j|, >= q: each side of the
+        # subtraction moves past its own roundings, the subtraction rounds
+        # by u of q, and the radius's 1 + 4u covers that and its own two;
+        # ``_RADIUS_FLOOR`` covers ldexp's rounding below 2^-1022.
+        q = (np.abs(df) - df_error) / (np.abs(f) + f_error) * low - (np.abs(s) + s_error) * high
+        if k_on.any():
+            on = np.abs(s + f / k_on) * low - (s_error + f_error / k_on) * high
+            q = np.where(k_on > 0.0, on, q)
+        radii = np.ldexp((g - 1) / q * (1.0 + 4.0 * _U), e) + _RADIUS_FLOOR
+    return np.where(q > 0.0, radii, np.inf)
 
 
 def _free_points(zeta: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -481,33 +516,28 @@ def _free_points(zeta: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
     return points, _inclusion_radii(points, zeta, k), settled
 
 
-def _distance_bracket(a, exact, free, free_radii) -> tuple[np.ndarray, np.ndarray]:
-    """(nearest distance to a, bracket half-width), per row.
+def _distance_bracket(a, exact, free, free_radii, zeta, k) -> tuple[np.ndarray, np.ndarray]:
+    """(nearest distance to a, bracket half-width) per row of exact and free
+    points, of distinct zeros ``zeta`` with multiplicities ``k`` (or None).
 
     Every critical point lies in some disc, so none is nearer than
-    min(dist - radius).  An exact point, or a disc that meets no other
-    disc, holds a critical point within dist + radius; any other disc's
-    connected group holds one within 2 * sum(radii) of its centre.  Each
-    disc's term lies between these two, rounded alike, so only a disc
-    whose dist + radius is at most the row's least dist + 2 * sum(radii)
-    can set the upper end; only those are tested pair by pair, by
-    ``_discs_meet``.  The computed |w - a| is within 3 roundings of the
-    true one, and the final 4u * upper covers the arithmetic on the
-    bracket ends.
+    min(dist - radius).  One lies within dist of an exact point, and within
+    dist + rho of the free point nearest a: rho is its ``_newton_radii``,
+    or for g <= 2 its own radius, its disc holding Q's one root.  The
+    computed |w - a| is within 3 roundings of the true one, and the final
+    4u * upper covers the arithmetic on the bracket ends.
     """
     points = np.concatenate([exact, free], axis=-1)
     radii = np.concatenate([np.zeros(exact.shape), free_radii], axis=-1)
     dist = np.abs(points - a[:, None])
+    e = exact.shape[-1]
     with np.errstate(invalid="ignore"):
-        far, spread = dist * (1.0 + 4.0 * _U), 2.0 * radii.sum(axis=-1, keepdims=True)
-        ceiling = (far + spread).min(axis=-1, keepdims=True)
-        e = exact.shape[-1]
-        t, i = np.nonzero(far[:, e:] + free_radii <= ceiling)
-        gap = np.abs(_minus_rows(free[t, i, None], free, t))
-        gap[np.arange(t.size), i] = np.inf
-        meets = np.zeros(points.shape, dtype=bool)
-        meets[t, e + i] = _discs_meet(gap, free_radii[t, i, None] + free_radii[t]).any(axis=-1)
-        upper = (far + np.where(meets, spread, radii)).min(axis=-1)
+        far = dist * (1.0 + 4.0 * _U)
+        upper = far[:, :e].min(axis=-1, initial=np.inf)
+        if free.shape[-1]:
+            t, i = np.arange(a.size), dist[:, e:].argmin(axis=-1)
+            reach = free_radii[t, i] if zeta.shape[-1] <= 2 else _newton_radii(free[t, i], zeta, k)
+            upper = np.minimum(upper, far[t, e + i] + reach)
         lower = np.maximum(dist * (1.0 - 4.0 * _U) - radii, 0.0).min(axis=-1)
     nearest = dist.min(axis=-1)
     half_width = np.maximum(upper - nearest, nearest - lower) + 4.0 * _U * upper
@@ -545,8 +575,10 @@ def critical_report(inst: SendovInstance) -> CriticalPointReport:
     n = zeros.size
     zeta, counts = np.unique(zeros, return_counts=True)
     exact = np.repeat(zeta, counts - 1)
-    free, free_radii, settled = _free_points(zeta[None], counts[None] * 1.0)
-    nearest, half_width = _distance_bracket(np.array([inst.a]), exact[None], free, free_radii)
+    zeta, k = zeta[None], counts[None] * 1.0
+    free, free_radii, settled = _free_points(zeta, k)
+    a = np.array([inst.a])
+    nearest, half_width = _distance_bracket(a, exact[None], free, free_radii, zeta, k)
 
     points = np.concatenate([exact, free[0]])
     radii = np.concatenate([np.zeros(exact.size), free_radii[0]])
@@ -571,7 +603,8 @@ def _brackets(a: float, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(distance, half-width) for rows ``zeta`` of distinct zeros sharing a."""
     rows = zeta.shape[0]
     free = _free_points(zeta, np.ones(zeta.shape))[:2]
-    return _distance_bracket(np.full(rows, a), np.empty((rows, 0), np.complex128), *free)
+    exact = np.empty((rows, 0), np.complex128)
+    return _distance_bracket(np.full(rows, a), exact, *free, zeta, None)
 
 
 def sendov_distances(a: float, other_zeros) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,7 @@ precision on every platform.  ``find_roots`` runs the kernel's sweep loop,
 ``polynomial._sweeps``, with Borsch-Supan's step, which reads p alone: on
 the binary64 coefficients from Newton-polygon starts, then with p from
 compensated Horner on head + tail, built on the error-free transformations
-of ``bounds``, to each root's rounding floor; one Horner pass gives p and
+of ``_eft``, to each root's rounding floor; one Horner pass gives p and
 its error bound.  Every evaluation at a point outside the unit circle runs
 at an exact power-of-two scale, so p and the Weierstrass products stay in
 range at a far root.  The final points take their inclusion radii by the
@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from ._arguments import DomainError, _require_finite_complex
-from .bounds import _presplit_two_product, _split, _two_sum
+from ._eft import _presplit_two_product, _split, _two_sum
 from .polynomial import _ANGULAR_OFFSET, _U, _sweeps, _weierstrass_radii
 
 __all__ = [
@@ -140,7 +140,7 @@ def _product_matrix(y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _complex_product(x: np.ndarray, y: tuple) -> tuple[np.ndarray, np.ndarray]:
     """(s, e) with s + e = x * y up to a few u^2 |x| |y|, for a complex array
     x and the ``_product_matrix`` of a complex y that broadcasts against it
-    (TwoProdCplx of Graillat & Menissier-Morain 2012): ``bounds``' Dekker
+    (TwoProdCplx of Graillat & Menissier-Morain 2012): ``_eft``'s Dekker
     product makes the four real products exact and ``_two_sum`` the two
     sums, barring under- and overflow."""
     p, e = _presplit_two_product(x.view(np.float64).reshape(*x.shape, 2, 1), *y)

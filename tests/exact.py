@@ -132,6 +132,25 @@ def critical_radii(points, zeros):
         ) / len(zs))
 
 
+def newton_radii(points, zeros):
+    """(g - 1)/|Q'/Q(w)| at each point w, for Q = prod(z - zeta_j) * f,
+    f = sum_j k_j/(z - zeta_j), over the g distinct zeros zeta_j of
+    multiplicity k_j: Q'/Q = S + f'/f with S = sum_j 1/(w - zeta_j), or on
+    a zero zeta_j its limit S + f/k_j, both sums without term j.  Some root
+    of Q lies within it of w; inf where Q'/Q is 0."""
+    counts = Counter(map(complex, zeros))
+    with mpmath.workdps(DPS):
+        zs = [(mpmath.mpc(z), k) for z, k in counts.items()]
+        out = []
+        for w in map(mpmath.mpc, points):
+            rest = [(1 / (w - z), k) for z, k in zs if z != w]
+            s, f = mpmath.fsum(t for t, _ in rest), mpmath.fsum(k * t for t, k in rest)
+            on = [k for z, k in zs if z == w]
+            q = s + f / on[0] if on else s - mpmath.fsum(k * t * t for t, k in rest) / f
+            out.append((len(zs) - 1) / abs(q) if q else mpmath.inf)
+        return out
+
+
 def mu2_quadratic(a, x):
     """(f(x), f'(x)) in Fractions, for mu2's quadratic
     f = a^2 x^2 + (8 + 2a - a^2) x - (7 + 2a)."""

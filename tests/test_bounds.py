@@ -49,10 +49,12 @@ BOUND_ROWS = {
        for a in (1e-3, 0.01, *(k / 10 for k in range(1, 10)), 0.99)},
     # The ends of verify's finest grid, where r and alpha lose digits (ROADMAP,
     # Known defects): each tolerance is its measured error rounded up to a
-    # power of ten.
+    # power of ten.  Most of r's is the rounding of c, at which the package
+    # evaluates the chain and the reference does not; small_bound's 1 - a^2,
+    # taken as (1 - a)(1 + a), is held at its rounding floor.
     "breakdown-1e-05": _breakdown(1e-5, alpha=1e-12, alpha_prime=1e-12, n3_exact=1e-12),
     "breakdown-0.99999": _breakdown(1 - 1e-5, r=1e-10, r_prime=1e-10, alpha=1e-11,
-                                    alpha_prime=1e-11, n3_exact=1e-10, small_bound=1e-12),
+                                    alpha_prime=1e-11, n3_exact=1e-10, small_bound=1e-16),
     **{f"mean_upper_bound-{a}-{n}": _mean_bound(a, n)
        for a, n in [(0.5, 10), (0.5, 650), (0.1, 100), (0.9, 5), (0.3, 10**6)]},
     # (0.001, 0.01) is the worst location of verify's D-contraction check at

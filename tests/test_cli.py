@@ -45,8 +45,8 @@ PINNED_ARGV = {
 # renderer, so these pin the bytes of each layout, not only the values.
 STDOUT_DIGESTS = {
     ("bound", "text"): "42a679e0dfb315d493d1d32604d2f4b9bd404fb707f0370d43df762906f9f426",
-    ("bound", "json"): "752dcb5c92bf596b86e216bb9e320fa967696f343801d485e605940b034cc8f2",
-    ("bound", "csv"): "365cbb8e9842f74206946d6cd96a22ff2d51388e25dabc1577b79a75e18d3faf",
+    ("bound", "json"): "8600e82c6a3605ee884ad5e829709aef989c7b3071b88d2c65f2786413a43494",
+    ("bound", "csv"): "8644a36cbe9bffb3e3f0b6e5d13c766e8e8dfb1c2a75600a32f4236cd283b2b6",
     ("table", "text"): "8114f6cf769d2f1cebc02340b464019e6ab7f2bb22fe9903fda2f199755da0f0",
     ("table", "json"): "16eda91bf7394065587bdb7bd77bc6f89c68269a399add478f1671c33243efcf",
     ("table", "csv"): "0f94e2c9ead531eca78e19cc60f75b9d10e0bed99bf2edd2c265bbb9bd8ff107",
@@ -417,16 +417,18 @@ class TestOneProcess:
         # in a fresh interpreter, which then holds _arguments and cli and
         # only the package modules those commands run: no command loads
         # roots, verify never loads polynomial, and check and fuzz load
-        # neither verify nor bounds.  In one more interpreter a bare `import sendov_lab`
-        # resolves every public name and submodule; then the root finder,
-        # which refines with error-free transformations of binary64 alone,
-        # loads neither scipy nor mpmath, and match_roots loads scipy but
-        # still no mpmath.
+        # neither verify nor bounds.  `import sendov_lab.roots` loads the
+        # finder with _eft and polynomial but not bounds.  In one more
+        # interpreter a bare `import sendov_lab` resolves every public name
+        # and submodule; then the root finder, which refines with error-free
+        # transformations of binary64 alone, loads neither scipy nor mpmath,
+        # and match_roots loads scipy but still no mpmath.
         path = tmp_path / "inst.json"
         path.write_text(THREE_ZEROS)
         groups = [
-            ([PINNED_ARGV["bound"], PINNED_ARGV["table"], PINNED_ARGV["mean-bound"]], ["bounds"]),
-            ([PINNED_ARGV["verify"]], ["bounds", "verify"]),
+            ([PINNED_ARGV["bound"], PINNED_ARGV["table"], PINNED_ARGV["mean-bound"]],
+             ["_eft", "bounds"]),
+            ([PINNED_ARGV["verify"]], ["_eft", "bounds", "verify"]),
             ([["check", "--instance", str(path)]], ["polynomial"]),
             ([["fuzz", "--a", "0.5", "--degree", "64", "--trials", "20"]], ["polynomial"]),
         ]
@@ -441,6 +443,10 @@ class TestOneProcess:
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))\n"
             for commands, _ in groups
         ] + [
+            "import sys\n"
+            "import sendov_lab.roots\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sendov_lab'))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))\n",
             "import sys\n"
             "import sendov_lab\n"
             "for name in sendov_lab.__all__ + ['bounds', 'cli', 'polynomial', 'roots', 'verify']:\n"
@@ -467,6 +473,9 @@ class TestOneProcess:
         for (commands, runs), loaded in zip(groups, outputs):
             package = ["sendov_lab"] + [f"sendov_lab.{m}" for m in ("_arguments", "cli", *runs)]
             assert loaded == [repr(sorted(package)), "[]"], commands
+        finder = ["sendov_lab"] + [f"sendov_lab.{m}" for m in ("_arguments", "_eft", "polynomial",
+                                                              "roots")]
+        assert outputs[-2] == [repr(finder), "[]"]
         assert outputs[-1] == ["False False", "True False"]
 
     def test_build_parser_is_fresh(self):

@@ -439,13 +439,13 @@ class TestFuzz:
 KERNEL_DIGESTS = {
     3: ("72ec38fb4738263706e3da6756d50d5c634297f254abdea5c99bd25aadbea318",
         "7807777426940bf5b242092900405fcc0b2646e4669bcbf59a4eb6f7204fbdd3"),
-    8: ("24c148fbff908811647be6621839b8da39976d51496790e45fb4014ba4f849cf",
+    8: ("cc23006b4f7d8f282077becb31de81d35626b97c7d956a88cd31a9115798aead",
         "8cc9be1a00c92a291adb2fa3a35555ab49abf725b1c0e8cd2a20401b00e44ce0"),
-    17: ("4559a144e6e885eb2b33cc0592fc55f1bbb20cacb571a41740bf668ecc63ff57",
+    17: ("43e91398589e3cc2b580522a8b83523922fc2c95c94b92a02314e9ed3e390ed6",
          "b274ee211d4da27c1e027f38ec5b5842150c50286b74bd965e7f477db770b8de"),
-    64: ("88f129add1879036e6d9ec4c0020a6e8184b5c3ab0ee80eeac5b90949f9817ef",
+    64: ("15c90bc5b981a225a5a52717b8e68cd44ec4b5c5601de75d20f4d3d790b13863",
          "a0a984229e4e767fc4ac2089278aee48430745ab5184f48d95eda1dee081d349"),
-    200: ("7f785e398775407337ae12b3b140187872796f1afa68a5a48bdc5504a0ea1ad9",
+    200: ("3598193b1d89acf338664c1757f5c08a09643ecb7bd2d3b139a28082b2c35a18",
           "20b69b5b1fc71e952ddbdaa9a9e71ff8630eb281d69fdae3e94765ccc6951c67"),
 }
 
@@ -495,77 +495,77 @@ def _full_matrix_starts(zeta, k):
     return np.where(np.isfinite(near) & ~crowded, near, circle), crowded
 
 
-def _all_pairs_bracket(a, repeated, free, free_radii):
-    """(distance, half-width, alone) with a disc alone when it misses every
-    other disc, pair by pair, by a computed gap beyond the radii by more than
-    its roundings (the factor 1 - 4u): the reference for ``_distance_bracket``,
-    which tests only the discs that can set the upper end."""
-    m = free.shape[-1]
+def _every_point_bracket(a, repeated, free, free_radii, zeta, k):
+    """(distance, half-width) with the reach of every free point taken, each
+    in a row of its own (its Newton radius, or for g <= 2 its own radius),
+    and the one nearest a used: the reference for ``_distance_bracket``,
+    which takes that one's alone."""
+    rows, m = free.shape
+    reach = free_radii if zeta.shape[-1] <= 2 else poly._newton_radii(
+        free.ravel(), np.repeat(zeta, m, axis=0), np.repeat(k, m, axis=0)).reshape(rows, m)
     points = np.concatenate([repeated, free], axis=-1)
     radii = np.concatenate([np.zeros(repeated.shape), free_radii], axis=-1)
     dist = np.abs(points - a[:, None])
     with np.errstate(invalid="ignore"):
-        gap = np.abs(free[:, :, None] - free[:, None, :])
-        gap[:, np.arange(m), np.arange(m)] = np.inf
-        alone = (gap * (1.0 - 4.0 * poly._U) > free_radii[:, :, None] + free_radii[:, None, :])
-        alone = alone.all(axis=-1)
-        isolated = np.concatenate([np.ones(repeated.shape, dtype=bool), alone], axis=-1)
-        reach = np.where(isolated, radii, 2.0 * radii.sum(axis=-1, keepdims=True))
+        first = np.argsort(dist[:, repeated.shape[-1]:], axis=-1, kind="stable")[:, :1]
+        nearest_free = np.arange(m) == first
+        reach = np.where(nearest_free, reach, np.inf)
+        reach = np.concatenate([np.zeros(repeated.shape), reach], axis=-1)
         upper = (dist * (1.0 + 4.0 * poly._U) + reach).min(axis=-1)
         lower = np.maximum(dist * (1.0 - 4.0 * poly._U) - radii, 0.0).min(axis=-1)
     nearest = dist.min(axis=-1)
-    return nearest, np.maximum(upper - nearest, nearest - lower) + 4.0 * poly._U * upper, alone
+    return nearest, np.maximum(upper - nearest, nearest - lower) + 4.0 * poly._U * upper
 
 
 # case: (a, rows of other zeros, then what the rows exercise as
-# reference_report counts it: rows whose starts the crowded rule moves, discs
-# that meet another, those of them that can set the upper end, and points a
-# subnormal distance from a zero; then the rows that do not PASS; last, each
-# row's exact Sendov distance, as a value or as exact.sendov_distance, and
-# the largest half-width a row may report, each None where nothing is pinned).
+# reference_report counts it: rows whose starts the crowded rule moves, and
+# points a subnormal distance from a zero; then the rows that do not PASS;
+# last, each row's exact Sendov distance, as a value or as
+# exact.sendov_distance, and the largest half-width a row may report, each
+# None where nothing is pinned).
 # A new single-row test of the kernel becomes a case here.
 _, A_CLUSTER, CLUSTER = families.rows(8, 2)[-1]
 _, A_CLUSTER_90, CLUSTER_90 = families.rows(90, 30)[-1]
+_, A_CLUSTER_200, CLUSTER_200 = families.rows(200, 2)[-1]
 CONTRACT_ROWS = {
-    **{f"pinned-{degree}": (*families.pinned_rows(degree), crowded, 0, 0, 0, 0, None, None)
+    **{f"pinned-{degree}": (*families.pinned_rows(degree), crowded, 0, 0, None, None)
        for degree, crowded in zip(KERNEL_DIGESTS, (3, 1, 0, 0, 0))},
     # Blocks of disk rows, whose pairs must not depend on the block.
-    **{f"disk-{rows}x{degree}": (*_disk_block(rows, degree), 0, 0, 0, 0, 0, None, None)
+    **{f"disk-{rows}x{degree}": (*_disk_block(rows, degree), 0, 0, 0, None, None)
        for rows, degree in [(20, 64), (2, 200), (20, 32)]},
     # Rows with repeated zeros share a block with a row of distinct zeros.
     "repeated-zeros": (0.3, [[0.3, 0.5j, -0.5], [0.2, 0.2, 0.9j], [0.1 + 0.1j, -0.4, 0.6j],
                              [0.7j, 0.7j, 0.7j], [-0.2 - 0.6j, 0.8, -0.2 - 0.6j]],
-                       0, 0, 0, 0, 0, exact.sendov_distance, None),
+                       0, 0, 0, exact.sendov_distance, None),
     # Every zero at a, and a repeated a: exact points at distance 0.
-    "every-zero-at-a": (0.5, [(0.5, 0.5), (0.5, 0.1)], 0, 0, 0, 0, 0, 0, 0.0),
-    "repeated-a": (0.3, [(0.5j, 0.3, -0.7, 0.3)], 0, 0, 0, 0, 0, 0, 0.0),
+    "every-zero-at-a": (0.5, [(0.5, 0.5), (0.5, 0.1)], 0, 0, 0, 0, 0.0),
+    "repeated-a": (0.3, [(0.5j, 0.3, -0.7, 0.3)], 0, 0, 0, 0, 0.0),
     # Two zeros: the one critical point is the midpoint.
-    "midpoint": (0.9, [(-1.0,)], 0, 0, 0, 0, 0, (Fraction(0.9) + 1) / 2, None),
+    "midpoint": (0.9, [(-1.0,)], 0, 0, 0, (Fraction(0.9) + 1) / 2, None),
     # (z - a) z^m: 0 is an (m-1)-fold critical point, and m a/(m + 1) the last.
-    **{f"origin-{a}-{m}": (a, [(0j,) * m], 0, 0, 0, 0, 0, Fraction(a) / (m + 1), 1e-15)
+    **{f"origin-{a}-{m}": (a, [(0j,) * m], 0, 0, 0, Fraction(a) / (m + 1), 1e-15)
        for a, m in [(0.5, 4), (0.5, 127), (0.5, 199), (0.37, 127), (0.37, 199)]},
     # z^4 = 1 and z^4 = -1 at a = 1/2.
-    "unity-4": (0.5, [[1j ** k for k in range(4)]], 0, 0, 0, 0, 0, exact.sendov_distance, 1e-13),
-    "minus-unity-4": (0.5, [families.circle(4, math.pi)], 0, 0, 0, 0, 0, exact.sendov_distance,
-                      1e-13),
+    "unity-4": (0.5, [[1j ** k for k in range(4)]], 0, 0, 0, exact.sendov_distance, 1e-13),
+    "minus-unity-4": (0.5, [families.circle(4, math.pi)], 0, 0, 0, exact.sendov_distance, 1e-13),
     # 1/(0 - 1e-308) + 1/(0 - 1.05e-308) overflows in its real part alone;
     # 1.0 * S then has a NaN imaginary part, and S + S would not.
-    "gap-sum-past-binary64": (0.5, [(0j, 1e-308, 1.05e-308)], 0, 2, 0, 0, 0, None, None),
+    "gap-sum-past-binary64": (0.5, [(0j, 1e-308, 1.05e-308)], 0, 0, 0, None, None),
     # Zeros 2e-5 apart: the steps from both land on the pair's one critical point.
-    **{f"tight-pair-{a:.2f}": (a, [zeros], 1, 0, 0, 0, 0, exact.sendov_distance, None)
+    **{f"tight-pair-{a:.2f}": (a, [zeros], 1, 0, 0, exact.sendov_distance, None)
        for a, zeros in TIGHT_PAIRS},
     # Five zeros of spread 1e-9, two of them 1e-13 apart: without the tight
     # pair no start in such a cluster is crowded.
     "cluster-1e-9-pair-1e-13": (0.6, [0.3 - 0.2j + 1e-9 * np.array(
-        [0.5, 0.5 + 1e-4, -0.4 + 0.3j, 0.1 - 0.6j, -0.7j])], 1, 0, 0, 0, 0, None, None),
+        [0.5, 0.5 + 1e-4, -0.4 + 0.3j, 0.1 - 0.6j, -0.7j])], 1, 0, 0, None, None),
     # Conjugate zeros give steps with the same real part exactly, but
     # imaginary parts far more than 1e-6 of a step apart.
-    "conjugate-pair": (0.9, [(0.1 + 0.5j, 0.1 - 0.5j)], 0, 0, 0, 0, 0, exact.sendov_distance, None),
+    "conjugate-pair": (0.9, [(0.1 + 0.5j, 0.1 - 0.5j)], 0, 0, 0, exact.sendov_distance, None),
     # A zero 8e-13 from a: the pair's starts lie one ulp apart, where 1e-6 of
     # their steps is 4e-19; only the 4u floor finds them crowded.
     "crowded-floor": (0.9167938890820101, [(0.9167938890811962 + 2.2065812524919434e-13j,
                                             0.004242042995801971 + 0.8883383887593382j)],
-                      1, 0, 0, 0, 0, exact.sendov_distance, None),
+                      1, 0, 0, exact.sendov_distance, None),
     # A zero 4.1e-14 from a; two zeros within 4e-12 of a: steps far below
     # 1e-13, whose points must still part.
     "tight-pair-at-a": (0.5989060069822403, [(0.5989060069822073 - 2.4140235746681387e-14j,
@@ -573,31 +573,33 @@ CONTRACT_ROWS = {
                                               -0.6050448140385332 + 0.3221081468771404j,
                                               0.013008066243261089 + 0.2762881009318874j,
                                               0.06513850961545585 + 0.21062142428989847j)],
-                        1, 0, 0, 0, 0, exact.sendov_distance, None),
+                        1, 0, 0, exact.sendov_distance, None),
     "zeros-crowding-a": (0.7285545647362529, [(0.7285545647428764 + 3.8478615055794106e-12j,
                                                0.7285545647362822 + 4.4055559975682115e-14j,
                                                0.5939449926263944 + 0.192035958833384j)],
-                         1, 0, 0, 0, 0, exact.sendov_distance, None),
-    # Near-extremal rows at eps 1e-12, and clusters of spread 1e-15: a
-    # degree-8 row, whose meeting discs cannot set the upper end, and a
-    # degree-90 row with two points on one float, whose radii are inf.
-    "unity-23": (1.0 - 1e-12, [families.near_extremal(23, 1e-12)[1]], 0, 16, 16, 0, 0, None, None),
-    "unity-28": (1.0 - 1e-12, [families.near_extremal(28, 1e-12)[1]], 0, 27, 27, 0, 1, None, None),
-    "cluster-1e-15": (A_CLUSTER, [CLUSTER], 1, 4, 0, 0, 0, None, None),
-    "cluster-1e-15-deg90": (A_CLUSTER_90, [CLUSTER_90], 1, 89, 89, 0, 1, None, None),
+                         1, 0, 0, exact.sendov_distance, None),
+    # Near-extremal rows at eps 1e-12, whose radii f's rounding makes wide
+    # (degree 64 read 0.380 +- 120 before the Newton radius), and clusters
+    # of spread 1e-15: a degree-90 row with two points on one float, whose
+    # radii are inf, and a degree-200 row with no point near its nearest
+    # critical point (0.0035487), whose lower end is 0: d +- d straddles 1.
+    **{f"unity-{degree}": (1.0 - 1e-12, [families.near_extremal(degree, 1e-12)[1]], 0, 0, 0,
+                           None, width) for degree, width in [(23, None), (28, None), (64, 0.381)]},
+    "cluster-1e-15": (A_CLUSTER, [CLUSTER], 1, 0, 0, None, None),
+    "cluster-1e-15-deg90": (A_CLUSTER_90, [CLUSTER_90], 1, 0, 0, None, None),
+    "cluster-1e-15-deg200": (A_CLUSTER_200, [CLUSTER_200], 1, 0, 1, None, 0.541),
     # A real polynomial whose two critical points are real: its starts are
     # exact conjugates, and so stay its points, which never reach both.
-    "conjugate-pair-real-points": (0.9, [(0.1 + 0.2j, 0.1 - 0.2j)], 0, 2, 2, 0, 1,
+    "conjugate-pair-real-points": (0.9, [(0.1 + 0.2j, 0.1 - 0.2j)], 0, 0, 1,
                                    exact.sendov_distance, None),
     # Zeros a subnormal distance apart: 1/(w - zeta) overflows at the point
-    # between two of them.  Six of them leave points in discs that meet, and
-    # put 6a/7, to within 1e-309, a/7 from a.
-    "subnormal-gap-2.2e-313": (0.5, [(0j, 0.5 + 2.2250738585e-313j)], 0, 0, 0, 0, 0,
+    # between two of them, and the point of the first row lies on the zero
+    # a.  Six of them put 6a/7, to within 1e-309, a/7 from a.
+    "subnormal-gap-2.2e-313": (0.5, [(0j, 0.5 + 2.2250738585e-313j)], 0, 0, 0,
                                exact.sendov_distance, 5e-15),
-    "subnormal-gap-1e-310": (0.5, [(1e-310, 2e-310)], 0, 0, 0, 1, 0, exact.sendov_distance, 5e-15),
-    "subnormal-gap-5e-324": (0.5, [(5e-324, 1e-323)], 0, 0, 0, 1, 0, exact.sendov_distance, 5e-15),
-    "subnormal-gap-k-1e-310": (0.5, [[k * 1e-310 for k in range(1, 7)]], 0, 5, 0, 0, 0, 0.5 / 7,
-                               5e-15),
+    "subnormal-gap-1e-310": (0.5, [(1e-310, 2e-310)], 0, 1, 0, exact.sendov_distance, 5e-15),
+    "subnormal-gap-5e-324": (0.5, [(5e-324, 1e-323)], 0, 1, 0, exact.sendov_distance, 5e-15),
+    "subnormal-gap-k-1e-310": (0.5, [[k * 1e-310 for k in range(1, 7)]], 0, 0, 0, 0.5 / 7, 5e-15),
 }
 
 
@@ -606,12 +608,12 @@ def reference_report(a, others):
     ``others``, from the kernel's stages in their forms without shortcuts:
     ``_full_matrix_starts``, ``_sweeps`` of ``_aberth_corrections`` and
     ``_inclusion_radii`` with the multiplicities given, and
-    ``_all_pairs_bracket``, on the rows with g distinct zeros at once for
+    ``_every_point_bracket``, on the rows with g distinct zeros at once for
     each g.  Rows with g <= 2 keep ``_free_points``' closed form, a rule and
-    not a shortcut.  mechanism sums CONTRACT_ROWS' first four counts."""
+    not a shortcut.  mechanism sums CONTRACT_ROWS' first two counts."""
     zeros = np.concatenate([np.full((len(others), 1), complex(a)), others], axis=-1)
     split = [np.unique(row, return_counts=True) for row in zeros]
-    reports, mechanism = [None] * len(zeros), np.zeros(4, dtype=int)
+    reports, mechanism = [None] * len(zeros), np.zeros(2, dtype=int)
     for g in {zeta.size for zeta, _ in split}:
         rows = [t for t, (zeta, _) in enumerate(split) if zeta.size == g]
         zeta = np.array([split[t][0] for t in rows])
@@ -625,14 +627,12 @@ def reference_report(a, others):
             free, settled, _ = poly._sweeps(starts, zeta, lambda w, at: poly._aberth_corrections(
                 w, zeta, k.astype(complex), at), 1.0 + np.abs(zeta).max(axis=-1))
             radii = poly._inclusion_radii(free, zeta, k)
-        distance, half_width, alone = _all_pairs_bracket(np.full(len(rows), a), repeated, free, radii)
+        distance, half_width = _every_point_bracket(
+            np.full(len(rows), a), repeated, free, radii, zeta, k)
         points = np.concatenate([repeated, free], axis=-1)
         radii = np.concatenate([np.zeros(repeated.shape), radii], axis=-1)
-        far = np.abs(points - a) * (1.0 + 4.0 * poly._U)
-        ceiling = (far + 2.0 * radii.sum(axis=-1, keepdims=True)).min(axis=-1, keepdims=True)
-        tested = ~alone & (far + radii <= ceiling)[:, repeated.shape[-1]:]
         least = np.abs(free[:, :, None] - zeta[:, None, :]).min(axis=-1, initial=np.inf)
-        mechanism += [crowded.any(axis=-1).sum(), (~alone).sum(), tested.sum(),
+        mechanism += [crowded.any(axis=-1).sum(),
                       ((0.0 < least) & (least < np.finfo(float).tiny)).sum()]
         for t, p, r, d, h, s in zip(rows, points, radii, distance, half_width, settled):
             order = np.lexsort((p.imag, p.real))
@@ -698,31 +698,6 @@ class TestContract:
 
 
 class TestKernelStages:
-    def test_disc_in_doubt_is_tested_pairwise(self):
-        # Points 1 and 2 are 1e-9 apart with radii 1e-12: pairwise they are
-        # apart, though the wide radius of point 0 puts 2 * sum(radii) far
-        # beyond their gap.  Both can set the upper end; point 0 cannot.
-        free = np.array([[0.0, 0.5, 0.5 + 1e-9]], dtype=complex)
-        radii = np.array([[1e-3, 1e-12, 1e-12]])
-        repeated = np.empty((1, 0), dtype=complex)
-        at = np.array([0.5 + 2e-9])
-        _, half_width = poly._distance_bracket(at, repeated, free, radii)
-        _, reference, _ = _all_pairs_bracket(at, repeated, free, radii)
-        assert half_width == reference < 1e-11
-
-    def test_discs_a_rounding_apart_meet(self):
-        # Points 0 and 1 with radii (1 - 2u)/2: the computed gap exceeds
-        # r_0 + r_1 by 2u, less than its own roundings, so the discs may
-        # meet, and each reaches 2 * sum(radii), not its own radius.
-        r = 0.5 * (1.0 - 2.0 * poly._U)
-        free = np.array([[0.0, 1.0]], dtype=complex)
-        radii = np.array([[r, r]])
-        repeated = np.empty((1, 0), dtype=complex)
-        at = np.array([0.25])
-        _, half_width = poly._distance_bracket(at, repeated, free, radii)
-        assert half_width[0] >= 2.0 * radii.sum()
-        assert half_width == _all_pairs_bracket(at, repeated, free, radii)[1]
-
     @pytest.mark.parametrize("degree", list(KERNEL_DIGESTS))
     def test_frozen_points_lie_at_the_rounding_floor(self, degree):
         # A point frozen once its step is 1e-10 of scale sits within a few
@@ -810,16 +785,19 @@ class TestSweepBudget:
 
 
 class TestRadiusCertificate:
-    """Every float radius of the kernel is at least the exact Weierstrass
-    radius at the same float points: the rounding slack of
-    ``poly._weierstrass_radii`` and the value bound of ``_inclusion_radii``
-    are checked against exact arithmetic, not against another float
-    version.  The finder's radii are checked so on the certified rows of
+    """Every float radius of the kernel is at least the exact radius at the
+    same float points, the Weierstrass radius of every point and the
+    Newton radius of ``_newton_radii``, which the bracket takes at one
+    point: the rounding slack of ``poly._weierstrass_radii``, the value
+    bound of ``_inclusion_radii`` and the margins of ``_newton_radii`` are
+    checked against exact arithmetic, not against another float version.
+    The finder's radii are checked so on the certified rows of
     ``FINDER_ROWS`` in ``tests/test_roots.py``."""
 
-    @pytest.mark.parametrize("case", ["disk", "cluster-1e-9", "near-a-1e-12", "near-extremal",
-                                      "subnormal-3", "subnormal-gap-5e-324"])
+    @pytest.mark.parametrize("case", [f"{case}{radius}" for radius in ("", "-newton") for case in (
+        "disk", "cluster-1e-9", "near-a-1e-12", "near-extremal", "subnormal-3", "subnormal-gap-5e-324")])
     def test_kernel_radii_hold_the_exact_radii(self, case):
+        case, newton = case.removesuffix("-newton"), case.endswith("-newton")
         if case == "near-extremal":
             # a = 1 - 1e-12 and the 8th roots of unity other than 1: f
             # cancels from sum |1/(w - zeta)| down to rounding level.
@@ -838,7 +816,12 @@ class TestRadiusCertificate:
         zeta = np.unique(np.concatenate([[complex(a)], row]))
         assert zeta.size == row.size + 1
         free, radii, _ = poly._free_points(zeta[None], np.ones((1, zeta.size)))
-        assert all(r >= e for r, e in zip(radii[0].tolist(), exact.critical_radii(free[0], zeta)))
+        if newton:
+            radii = poly._newton_radii(free[0], np.repeat(zeta[None], free.size, axis=0), None)
+            truth = exact.newton_radii(free[0], zeta)
+        else:
+            radii, truth = radii[0], exact.critical_radii(free[0], zeta)
+        assert all(r >= e for r, e in zip(radii.tolist(), truth))
 
     @pytest.mark.parametrize("a, others", [
         (5e-324, (0j,)),         # a/2 = 2^-1075 is no float

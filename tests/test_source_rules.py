@@ -31,7 +31,7 @@ goes through ``bounds._libm``.
 transformations of it, the same on every platform.  No module names
 numpy's extended-precision types, whose width depends on the platform
 (binary64 on some), or mpmath, a test-only dependency.  ``from_roots``
-gets twice binary64 precision from ``bounds``' double-double instead.
+gets twice binary64 precision from ``_eft``'s double-double instead.
 
 *builder* and *ratio*: one form per job in ``verify``.  A single function
 builds every ``VerificationOutcome``, and no exact quadratic is written
@@ -70,6 +70,11 @@ loading the kernel.
 *standalone*: ``tests/exact.py`` imports nothing from ``sendov_lab``, at
 module level or in a function, so a fault in the package cannot reach the
 references the tests hold it to.
+
+*leaf*: ``_eft``, the error-free transformations that ``bounds`` and
+``roots`` share, imports numpy alone: nothing from the package, no
+``__future__`` and no other library.  So the root finder loads its
+double-double arithmetic without the paper's closed forms.
 """
 
 import ast
@@ -196,6 +201,11 @@ def standalone(found, filename):
             and (level or text.split(".")[0] == "sendov_lab")]
 
 
+def leaf(found, filename):
+    return [(line, text) for line, _, kind, text, level in found if kind == "import"
+            and (level or text.split(".")[0] != "numpy")]
+
+
 def startup(found, filename):
     if filename == "_arguments.py":
         return standalone(found, filename)
@@ -219,6 +229,7 @@ RULES = {
     "audit": (("verify.py",), audit),
     "startup": (("_arguments.py", "cli.py", "polynomial.py"), startup),
     "standalone": (("exact.py",), standalone),
+    "leaf": (("_eft.py",), leaf),
 }
 
 
@@ -328,10 +339,12 @@ import cmath, sendov_lab.cli
 def breakdown(a):
     from sendov_lab.bounds import breakdown as reference
     return reference(a)
+from ._eft import _split, _two_sum
+import math
 """
 # The lines of SELF_TEST that each rule catches, once per distinct name.
 CAUGHT = {
-    ("layer", "verify.py"): [1, 2, 3, 4, 5, 5, 36],
+    ("layer", "verify.py"): [1, 2, 3, 4, 5, 5, 36, 94],
     ("scipy", "verify.py"): [8, 9, 10, 32, 34],
     ("heavy", "verify.py"): [13, 14, 15, 15, 16, 17, 18, 39],
     ("libm", "verify.py"): [26, 29, 41, 41, 43, 45, 46, 64],
@@ -344,14 +357,20 @@ CAUGHT = {
     ("families", "families.py"): [1, 2, 2, 3, 4, 5, 5, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 15,
                                   16, 17, 18, 19, 20, 21, 23, 24, 32, 34, 36, 37, 38, 39, 40, 58,
                                   58, 71, 71, 75, 76, 77, 78, 78, 79, 79, 80, 81, 81, 82, 84, 85,
-                                  88, 89, 90, 90, 92],
-    ("audit", "verify.py"): [1, 2, 3, 4, 6, 7, 11, 19, 36, 71, 71, 76, 77, 78, 79, 81, 81, 90],
+                                  88, 89, 90, 90, 92, 94, 94, 95],
+    ("audit", "verify.py"): [1, 2, 3, 4, 6, 7, 11, 19, 36, 71, 71, 76, 77, 78, 79, 81, 81, 90,
+                             94, 94],
     ("startup", "polynomial.py"): [2, 5, 5, 5, 78, 79, 80, 84, 85, 88, 89, 92],
     ("startup", "cli.py"): [2, 5, 5, 5, 78, 79, 80, 88, 89],
     ("startup", "_arguments.py"): [1, 2, 2, 3, 4, 5, 5, 5, 6, 7, 11, 19, 36, 71, 71, 76, 77, 78,
-                                   78, 79, 79, 80, 81, 81, 84, 85, 88, 89, 90, 92],
+                                   78, 79, 79, 80, 81, 81, 84, 85, 88, 89, 90, 92, 94, 94],
     ("standalone", "exact.py"): [1, 2, 2, 3, 4, 5, 5, 5, 6, 7, 11, 19, 36, 71, 71, 76, 77, 78, 78,
-                                 79, 79, 80, 81, 81, 84, 85, 88, 89, 90, 92],
+                                 79, 79, 80, 81, 81, 84, 85, 88, 89, 90, 92, 94, 94],
+    # The families forms and __future__ (72).
+    ("leaf", "_eft.py"): [1, 2, 2, 3, 4, 5, 5, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 15, 16, 17,
+                          18, 19, 20, 21, 23, 24, 32, 34, 36, 37, 38, 39, 40, 58, 58, 71, 71, 72,
+                          75, 76, 77, 78, 78, 79, 79, 80, 81, 81, 82, 84, 85, 88, 89, 90, 90, 92,
+                          94, 94, 95],
 }
 
 

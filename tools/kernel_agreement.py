@@ -18,7 +18,8 @@ distance, mean real part, half-width and ``converged``.  For each family it prin
 many of its rows do not, the rows whose verdict differs between the two
 trees at ``check``'s threshold (the change tree's
 ``polynomial.VIOLATION_THRESHOLD``), each tree's PASS, FAIL and
-UNRESOLVED counts, and each tree's count of rows whose report is not
+UNRESOLVED counts, each row the change leaves UNRESOLVED with its degree,
+round and bracket d +- h, and each tree's count of rows whose report is not
 ``converged`` with the seconds its ``critical_report`` calls took.  The two
 versions agree within the certified error bar when every difference of
 distances is at most the sum of the two half-widths, and the change
@@ -128,6 +129,7 @@ def main(argv: list[str]) -> int:
     worst_distance = 0.0
     beyond = 0
     changed = {family: [] for family in FAMILIES}
+    unresolved = {family: [] for family in FAMILIES}
     moved = dict.fromkeys(FAMILIES, 0)
     counts = {family: ({}, {}) for family in FAMILIES}
     # Per family and tree: [rows not converged, seconds in critical_report].
@@ -186,6 +188,10 @@ def main(argv: list[str]) -> int:
                         f"half-width {old.distance_radius:.3e} -> {new.distance_radius:.3e}"
                     )
                     lost += verdicts[0] != "UNRESOLVED" and verdicts[1] == "UNRESOLVED"
+                if verdicts[1] == "UNRESOLVED":
+                    unresolved[family].append(
+                        f"degree {degree}, round {round_}: "
+                        f"{new.sendov_distance:.12g} +- {new.distance_radius:.3e}")
                 conj = change.critical_report(change.SendovInstance(a, tuple(row.conj().tolist())))
                 apart = abs(new.sendov_distance - conj.sendov_distance)
                 if apart > new.distance_radius + conj.distance_radius:
@@ -227,6 +233,11 @@ def main(argv: list[str]) -> int:
         parent_, change_ = (" / ".join(str(t.get(v, 0)) for v in ("PASS", "FAIL", "UNRESOLVED"))
                             for t in tallies)
         print(f"  {family}: {parent_} | {change_}")
+    print("rows UNRESOLVED in the change, per family:")
+    for family, lines in unresolved.items():
+        print(f"  {family}: {len(lines)}")
+        for line in lines:
+            print(f"    {line}")
     print(f"rows resolved by the parent, UNRESOLVED in the change: {lost}")
     print("rows not converged and seconds in critical_report per family, parent | change:")
     for family, (old, new) in costs.items():
