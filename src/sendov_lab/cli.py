@@ -22,8 +22,8 @@ from . import _arguments
 
 def __getattr__(name):
     # bench/selfcheck.py calls cli.critical_report, so the name still
-    # resolves, on first use and without binding it here (ROADMAP
-    # direction 1 retires that caller).
+    # resolves, on first use and without binding it here (ROADMAP's
+    # Parked P1 retires that caller).
     if name == "critical_report":
         from .polynomial import critical_report
         return critical_report

@@ -14,11 +14,11 @@ instance's result does not depend on what else is in the block.
 ``fuzz_sendov`` runs it on seeded random instances, a block at a time, and
 sums a cell of trials into a ``FuzzReport``.
 
-The bracket's lower end comes from the discs, its upper end from the
-point nearest a and its Newton radius, ``_newton_radii``.  The root finder
-in ``roots`` runs this module's sweep loop ``_sweeps`` with its own step
-and takes its radii by the same rule, ``_weierstrass_radii``.  Nothing here
-imports ``roots``.
+The bracket's lower end comes from the discs, its upper end is the least
+|w - a| + reach over every point: 0 at an exact point, at a free one the
+Newton radius that ``_inclusion_radii`` gives with its disc.  ``roots``
+runs the sweep loop ``_sweeps`` with its own step and takes its radii by
+the same rule, ``_weierstrass_radii``.  Nothing here imports ``roots``.
 
 All public values are immutable and safe to share across threads.  Every
 rejected argument or instance raises DomainError, the package's one error
@@ -392,7 +392,8 @@ def _scaled_sums(column, zeta, k, t) -> tuple[np.ndarray, ...]:
     (``k`` None for all ones), S = sum_j 1/(w - zeta_j), f' = -sum_j
     k_j/(w - zeta_j)^2, with 2^e from frexp of the least nonzero
     |w - zeta_j|, so no term off a zero overflows.  A point on a zero
-    zeta_j leaves term j out and gives its k_j; any other gives 0.
+    zeta_j leaves term j out and gives its k_j; any other gives 0.  Points on
+    or within about 1e-154 of a zero take their discs and reach from here.
 
     ldexp is exact but where it overflows (the term 0, under 2^-1024
     against a sum of |terms| >= 1) or falls below 2^-1022 (under 2^-1074
@@ -418,81 +419,76 @@ def _scaled_sums(column, zeta, k, t) -> tuple[np.ndarray, ...]:
             2.0 * c * (weighted / moduli).sum(axis=-1), (on * ks).sum(axis=-1), e)
 
 
-def _inclusion_radii(w, zeta, k) -> np.ndarray:
-    """``_weierstrass_radii`` for the roots of Q = prod(z - zeta_j) * f,
-    f = sum_j k_j/(z - zeta_j), of leading coefficient n = sum(k) (``k`` None
-    for all ones): |Q(w)| <= prod_j |w - zeta_j| * f_bound, with f_bound |f|
-    widened by an a-priori bound on its rounding (Higham 2002, ch. 3-4)."""
+def _inclusion_radii(w, zeta, k) -> tuple[np.ndarray, np.ndarray]:
+    """(Weierstrass radii, Newton radii) of the points w for the roots of
+    Q = prod(z - zeta_j) * f, f = sum_j k_j/(z - zeta_j), of degree g - 1 and
+    leading coefficient n = sum(k) (``k`` None for all ones), from one set
+    of sums S = sum_j 1/(w - zeta_j), f and f' with ``_scaled_sums``'
+    margins: |Q(w)| <= prod_j |w - zeta_j| (|f| + margin), or on zeta_j
+    k_j prod_{l != j} |zeta_j - zeta_l|, and some root lies within
+    (g - 1)/|Q'/Q(w)| of w (Henrici, Applied and Computational Complex
+    Analysis 1, 1974, ch. 6), Q'/Q = S + f'/f, or on zeta_j S + f/k_j
+    without term j.  A Newton radius is inf where no bound is found."""
     g = zeta.shape[-1]
+    c = 2.0 * (g + 10) * _U
     kk = 1.0 if k is None else k[:, None, :]
     log_n = np.log(float(g)) if k is None else np.log(k.sum(axis=-1))[:, None]
+    high, low = 1.0 + 2.0 * _U, 1.0 - 4.0 * _U
     with np.errstate(all="ignore"):
         d = np.subtract(w[:, :, None], zeta[:, None, :])
         mod_d = np.abs(d)
         # k scales the reciprocals once taken, so unit k gives k None's bits.
-        f = np.reciprocal(d, out=d)
-        f = (f if k is None else np.multiply(f, kk, out=f)).sum(axis=-1)
-        del d
-        # Each term k/(w - zeta) is off by a few units of roundoff and the
-        # sum adds at most (g - 1) more, each relative to sum |terms|
-        # (derived in ``_scaled_sums``).
-        f_bound = np.abs(f) + 2.0 * (g + 10) * _U * (kk / mod_d).sum(axis=-1)
-        # On a zero, Q(zeta_j) = k_j prod_{l != j}(zeta_j - zeta_l): the
-        # pole of f leaves the products and k_j takes the place of |f|.
-        hit = mod_d == 0.0
-        if hit.any():
-            f_bound = np.where(hit.any(axis=-1), (hit * kk).sum(axis=-1), f_bound)
-            mod_d[hit] = 1.0
-        log_d = np.log(mod_d, out=mod_d)
-        sum_d, size_d, log_f = log_d.sum(axis=-1), np.abs(log_d).sum(axis=-1), np.log(f_bound)
-        del mod_d, log_d
-        # Where a term 1/(w - zeta), or their sum, overflows (w a subnormal
-        # distance from a zero), f_bound is not finite: there it is
-        # log(2^e f_bound) - e log 2 from ``_scaled_sums``, and |e| log 2
-        # joins size, which the slack's factor 4 covers for the one more
-        # addition.
-        t, i = np.nonzero(~np.isfinite(f_bound))
+        r = np.reciprocal(d, out=d)
+        rk = r if k is None else r * kk
+        f = rk.sum(axis=-1)
+        s = f if k is None else r.sum(axis=-1)
+        df = np.multiply(rk, r, out=rk).sum(axis=-1)
+        del d, r, rk
+        weighted = kk / mod_d
+        f_error = c * weighted.sum(axis=-1)
+        s_error = f_error if k is None else c * (1.0 / mod_d).sum(axis=-1)
+        df_error = 2.0 * c * np.divide(weighted, mod_d, out=weighted).sum(axis=-1)
+        del weighted
+        k_on, e = np.zeros(f.shape), np.zeros(f.shape, dtype=int)
+        # On or within about 1e-154 of a zero f' or its margin overflows: there
+        # the sums come 2^e-scaled from ``_scaled_sums``, a term on the zero
+        # leaves the products, and |e| log 2 joins size (the slack's factor 4).
+        t, i = np.nonzero(~(np.isfinite(df) & np.isfinite(df_error)))
         if t.size:
-            f, f_error, *_, e = _scaled_sums(w[t, i, None], zeta, k, t)
-            shift = e * math.log(2.0)
-            log_f[t, i] = np.log(np.abs(f) + f_error) - shift
-            size_d[t, i] += np.abs(shift)
-    return _weierstrass_radii(w, sum_d, log_f, log_n, size_d, g + w.shape[-1])
-
-
-def _newton_radii(w, zeta, k) -> np.ndarray:
-    """A bound above (g - 1)/|Q'/Q(w)| for one point w per row: some root of
-    Q lies that near w, as Q'/Q(w) = sum_i 1/(w - r_i) over its g - 1 roots
-    (Henrici, Applied and Computational Complex Analysis 1, 1974, ch. 6);
-    inf where no bound is found.  Q'/Q = S + f'/f, or on a zero zeta_j
-    S + f/k_j without term j, is 2^-e times its value on ``_scaled_sums``."""
-    g = zeta.shape[-1]
-    high, low = 1.0 + 2.0 * _U, 1.0 - 4.0 * _U
-    with np.errstate(all="ignore"):
-        f, f_error, s, s_error, df, df_error, k_on, e = _scaled_sums(
-            w[:, None], zeta, k, np.arange(w.size))
+            scaled = _scaled_sums(w[t, i, None], zeta, k, t)
+            for whole, part in zip((f, f_error, s, s_error, df, df_error, k_on, e), scaled):
+                whole[t, i] = part
+            mod_d[mod_d == 0.0] = 1.0
+        log_d = np.log(mod_d, out=mod_d)
+        sum_d, size_d = log_d.sum(axis=-1), np.abs(log_d).sum(axis=-1)
+        on = k_on > 0.0
+        shift = np.where(on, 0.0, e * math.log(2.0))
+        log_f = np.where(on, np.log(k_on), np.log(np.abs(f) + f_error) - shift)
+        size_d += np.abs(shift)
         # |Q'/Q| >= |f'|/|f| - |S|, or |S + f/k_j|, >= q: each side of the
         # subtraction moves past its own roundings, the subtraction rounds
         # by u of q, and the radius's 1 + 4u covers that and its own two;
         # ``_RADIUS_FLOOR`` covers ldexp's rounding below 2^-1022.
         q = (np.abs(df) - df_error) / (np.abs(f) + f_error) * low - (np.abs(s) + s_error) * high
-        if k_on.any():
-            on = np.abs(s + f / k_on) * low - (s_error + f_error / k_on) * high
-            q = np.where(k_on > 0.0, on, q)
-        radii = np.ldexp((g - 1) / q * (1.0 + 4.0 * _U), e) + _RADIUS_FLOOR
-    return np.where(q > 0.0, radii, np.inf)
+        if on.any():
+            q = np.where(on, np.abs(s + f / k_on) * low - (s_error + f_error / k_on) * high, q)
+        newton = np.ldexp((g - 1) / q * (1.0 + 4.0 * _U), e) + _RADIUS_FLOOR
+        newton[~(q > 0.0)] = np.inf
+        del mod_d, log_d, f, f_error, s, s_error, df, df_error, k_on, e, q
+    return _weierstrass_radii(w, sum_d, log_f, log_n, size_d, g + w.shape[-1]), newton
 
 
 def _free_points(zeta: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(points, radii, settled): the critical points that are not repeated
-    zeros, each with its inclusion radius, for each row of distinct zeros
-    ``zeta`` with multiplicities ``k``.
+    """(points, radii, reach, settled): the critical points that are not
+    repeated zeros, each with its inclusion radius and reach, for each row
+    of distinct zeros ``zeta`` with multiplicities ``k``.
 
     They are the roots of Q = prod(z - zeta_j) * sum_j k_j/(z - zeta_j).
     For g <= 2 one closed form gives them, (k_1 zeta_2 + k_2 zeta_1)/n with
-    a rounding radius, and none for one zero, whose column slices are empty.
-    Otherwise ``_sweeps`` finds them with ``_aberth_corrections``' step from
-    ``_starts``, and ``_inclusion_radii`` certifies them.
+    a rounding radius as radius and reach, and none for one zero, whose
+    column slices are empty.  Otherwise ``_sweeps`` finds them with
+    ``_aberth_corrections``' step from ``_starts``, and ``_inclusion_radii``
+    gives radii and reach.
     """
     rows, g = zeta.shape
     if g <= 2:
@@ -503,7 +499,7 @@ def _free_points(zeta: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
         points = (k[:, :1] * zeta[:, 1:] + k[:, 1:] * zeta[:, :1]) / n
         radii = 5.0 * _U * (k[:, :1] * np.abs(zeta[:, 1:]) + k[:, 1:] * np.abs(zeta[:, :1])) / n
         radii += _RADIUS_FLOOR
-        return points, radii, np.ones(rows, bool)
+        return points, radii, radii, np.ones(rows, bool)
     if (k == 1.0).all():
         k = None
     kc = None if k is None else k.astype(np.complex128)
@@ -513,31 +509,23 @@ def _free_points(zeta: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
     points, settled, _ = _sweeps(
         _starts(zeta, k), zeta, lambda w, moving: _aberth_corrections(w, zeta, kc, moving), scale
     )
-    return points, _inclusion_radii(points, zeta, k), settled
+    return points, *_inclusion_radii(points, zeta, k), settled
 
 
-def _distance_bracket(a, exact, free, free_radii, zeta, k) -> tuple[np.ndarray, np.ndarray]:
-    """(nearest distance to a, bracket half-width) per row of exact and free
-    points, of distinct zeros ``zeta`` with multiplicities ``k`` (or None).
-
-    Every critical point lies in some disc, so none is nearer than
-    min(dist - radius).  One lies within dist of an exact point, and within
-    dist + rho of the free point nearest a: rho is its ``_newton_radii``,
-    or for g <= 2 its own radius, its disc holding Q's one root.  The
+def _distance_bracket(a, exact, free, free_radii, reach) -> tuple[np.ndarray, np.ndarray]:
+    """(nearest distance to a, bracket half-width) per row of exact points
+    and of free points with their radii and reach.  Every critical point
+    lies in some disc, so none is nearer than min(dist - radius); one lies
+    within dist + reach of every point, reach 0 at an exact one.  The
     computed |w - a| is within 3 roundings of the true one, and the final
-    4u * upper covers the arithmetic on the bracket ends.
-    """
+    4u * upper covers the arithmetic on the bracket ends."""
     points = np.concatenate([exact, free], axis=-1)
-    radii = np.concatenate([np.zeros(exact.shape), free_radii], axis=-1)
+    none = np.zeros(exact.shape)
+    radii = np.concatenate([none, free_radii], axis=-1)
+    reach = np.concatenate([none, reach], axis=-1)
     dist = np.abs(points - a[:, None])
-    e = exact.shape[-1]
     with np.errstate(invalid="ignore"):
-        far = dist * (1.0 + 4.0 * _U)
-        upper = far[:, :e].min(axis=-1, initial=np.inf)
-        if free.shape[-1]:
-            t, i = np.arange(a.size), dist[:, e:].argmin(axis=-1)
-            reach = free_radii[t, i] if zeta.shape[-1] <= 2 else _newton_radii(free[t, i], zeta, k)
-            upper = np.minimum(upper, far[t, e + i] + reach)
+        upper = (dist * (1.0 + 4.0 * _U) + reach).min(axis=-1)
         lower = np.maximum(dist * (1.0 - 4.0 * _U) - radii, 0.0).min(axis=-1)
     nearest = dist.min(axis=-1)
     half_width = np.maximum(upper - nearest, nearest - lower) + 4.0 * _U * upper
@@ -576,9 +564,9 @@ def critical_report(inst: SendovInstance) -> CriticalPointReport:
     zeta, counts = np.unique(zeros, return_counts=True)
     exact = np.repeat(zeta, counts - 1)
     zeta, k = zeta[None], counts[None] * 1.0
-    free, free_radii, settled = _free_points(zeta, k)
+    free, free_radii, reach, settled = _free_points(zeta, k)
     a = np.array([inst.a])
-    nearest, half_width = _distance_bracket(a, exact[None], free, free_radii, zeta, k)
+    nearest, half_width = _distance_bracket(a, exact[None], free, free_radii, reach)
 
     points = np.concatenate([exact, free[0]])
     radii = np.concatenate([np.zeros(exact.size), free_radii[0]])
@@ -602,9 +590,9 @@ def _block_rows(g: int) -> int:
 def _brackets(a: float, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(distance, half-width) for rows ``zeta`` of distinct zeros sharing a."""
     rows = zeta.shape[0]
-    free = _free_points(zeta, np.ones(zeta.shape))[:2]
+    free = _free_points(zeta, np.ones(zeta.shape))[:3]
     exact = np.empty((rows, 0), np.complex128)
-    return _distance_bracket(np.full(rows, a), exact, *free, zeta, None)
+    return _distance_bracket(np.full(rows, a), exact, *free)
 
 
 def sendov_distances(a: float, other_zeros) -> tuple[np.ndarray, np.ndarray]:

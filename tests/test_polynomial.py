@@ -497,20 +497,18 @@ def _full_matrix_starts(zeta, k):
 
 def _every_point_bracket(a, repeated, free, free_radii, zeta, k):
     """(distance, half-width) with the reach of every free point taken, each
-    in a row of its own (its Newton radius, or for g <= 2 its own radius),
-    and the one nearest a used: the reference for ``_distance_bracket``,
-    which takes that one's alone."""
+    in a row of its own (its Newton radius from ``_inclusion_radii``, or for
+    g <= 2 its own radius), and the least of dist + reach over every point
+    used, with reach 0 at a repeated zero: the reference for
+    ``_distance_bracket``."""
     rows, m = free.shape
-    reach = free_radii if zeta.shape[-1] <= 2 else poly._newton_radii(
-        free.ravel(), np.repeat(zeta, m, axis=0), np.repeat(k, m, axis=0)).reshape(rows, m)
+    reach = free_radii if zeta.shape[-1] <= 2 else poly._inclusion_radii(
+        free.reshape(-1, 1), np.repeat(zeta, m, axis=0), np.repeat(k, m, axis=0))[1].reshape(rows, m)
     points = np.concatenate([repeated, free], axis=-1)
     radii = np.concatenate([np.zeros(repeated.shape), free_radii], axis=-1)
+    reach = np.concatenate([np.zeros(repeated.shape), reach], axis=-1)
     dist = np.abs(points - a[:, None])
     with np.errstate(invalid="ignore"):
-        first = np.argsort(dist[:, repeated.shape[-1]:], axis=-1, kind="stable")[:, :1]
-        nearest_free = np.arange(m) == first
-        reach = np.where(nearest_free, reach, np.inf)
-        reach = np.concatenate([np.zeros(repeated.shape), reach], axis=-1)
         upper = (dist * (1.0 + 4.0 * poly._U) + reach).min(axis=-1)
         lower = np.maximum(dist * (1.0 - 4.0 * poly._U) - radii, 0.0).min(axis=-1)
     nearest = dist.min(axis=-1)
@@ -583,8 +581,11 @@ CONTRACT_ROWS = {
     # of spread 1e-15: a degree-90 row with two points on one float, whose
     # radii are inf, and a degree-200 row with no point near its nearest
     # critical point (0.0035487), whose lower end is 0: d +- d straddles 1.
+    # At degree 9 the upper end comes from a point other than the nearest:
+    # 8.961e-4, where the nearest alone gives 8.963e-4.
     **{f"unity-{degree}": (1.0 - 1e-12, [families.near_extremal(degree, 1e-12)[1]], 0, 0, 0,
-                           None, width) for degree, width in [(23, None), (28, None), (64, 0.381)]},
+                           None, width)
+       for degree, width in [(9, None), (23, None), (28, None), (64, 0.381)]},
     "cluster-1e-15": (A_CLUSTER, [CLUSTER], 1, 0, 0, None, None),
     "cluster-1e-15-deg90": (A_CLUSTER_90, [CLUSTER_90], 1, 0, 0, None, None),
     "cluster-1e-15-deg200": (A_CLUSTER_200, [CLUSTER_200], 1, 0, 1, None, 0.541),
@@ -621,12 +622,12 @@ def reference_report(a, others):
         repeated = np.array([np.repeat(z, c - 1) for z, c in (split[t] for t in rows)])
         crowded = np.zeros((len(rows), 1), dtype=bool)
         if g <= 2:
-            free, radii, settled = poly._free_points(zeta, k)
+            free, radii, _, settled = poly._free_points(zeta, k)
         else:
             starts, crowded = _full_matrix_starts(zeta, k)
             free, settled, _ = poly._sweeps(starts, zeta, lambda w, at: poly._aberth_corrections(
                 w, zeta, k.astype(complex), at), 1.0 + np.abs(zeta).max(axis=-1))
-            radii = poly._inclusion_radii(free, zeta, k)
+            radii = poly._inclusion_radii(free, zeta, k)[0]
         distance, half_width = _every_point_bracket(
             np.full(len(rows), a), repeated, free, radii, zeta, k)
         points = np.concatenate([repeated, free], axis=-1)
@@ -708,7 +709,7 @@ class TestKernelStages:
         # is matched to its nearest, one to one.
         a, rows = families.pinned_rows(degree)
         zeta = np.sort(np.concatenate([np.full((6, 1), complex(a)), rows[:6]], axis=1), axis=1)
-        free, _, settled = poly._free_points(zeta, np.ones(zeta.shape))
+        free, *_, settled = poly._free_points(zeta, np.ones(zeta.shape))
         assert settled.all()
         for zeros, points, frozen in zip(zeta, free, FROZEN_ROOTS[str(degree)]):
             truth = np.array([complex(*z) for z in frozen])
@@ -756,12 +757,16 @@ class TestKernelStages:
     @pytest.mark.parametrize("k", [None, (2.0, 1.0, 3.0, 1.0, 2.0)])
     def test_point_on_a_zero_takes_its_multiplicity(self, k):
         # On zeta_j, Q(zeta_j) = k_j prod_{l != j}(zeta_j - zeta_l): the
-        # pole of f leaves W_i, and the radius stays finite.
+        # pole of f leaves W_i, and the radius stays finite.  Q'/Q there is
+        # the limit S + f/k_j, so the Newton radius stays finite too, and
+        # holds the exact one at the same float points.
         zeta = np.array([[0.5, -0.3 + 0.4j, 0.1 - 0.7j, -0.6 - 0.2j, 0.2 + 0.1j]])
         mult = np.ones(5) if k is None else np.array(k)
         w = np.array([[zeta[0, 2], 0.05 + 0.3j, -0.4 - 0.1j, 0.3 - 0.3j]])
-        radii = poly._inclusion_radii(w, zeta, None if k is None else mult[None])
-        assert np.isfinite(radii).all()
+        radii, newton = poly._inclusion_radii(w, zeta, None if k is None else mult[None])
+        assert np.isfinite(radii).all() and np.isfinite(newton[0, 0])
+        truth = exact.newton_radii(w[0], np.repeat(zeta[0], mult.astype(int)))
+        assert all(r >= e for r, e in zip(newton[0].tolist(), truth))
         with mpmath.workdps(30):
             zs = [mpmath.mpc(z) for z in zeta[0]]
             ws = [mpmath.mpc(x) for x in w[0]]
@@ -786,11 +791,11 @@ class TestSweepBudget:
 
 class TestRadiusCertificate:
     """Every float radius of the kernel is at least the exact radius at the
-    same float points, the Weierstrass radius of every point and the
-    Newton radius of ``_newton_radii``, which the bracket takes at one
-    point: the rounding slack of ``poly._weierstrass_radii``, the value
-    bound of ``_inclusion_radii`` and the margins of ``_newton_radii`` are
-    checked against exact arithmetic, not against another float version.
+    same float points, both radii that ``_inclusion_radii`` gives every
+    point, the Weierstrass radius and the Newton radius that the bracket
+    takes as reach: the rounding slack of ``poly._weierstrass_radii`` and
+    the margins of ``_inclusion_radii`` on f, S and f' are checked against
+    exact arithmetic, not against another float version.
     The finder's radii are checked so on the certified rows of
     ``FINDER_ROWS`` in ``tests/test_roots.py``."""
 
@@ -815,13 +820,25 @@ class TestRadiusCertificate:
             row = rows[{"disk": 0, "cluster-1e-9": 4, "near-a-1e-12": 8}[case]]
         zeta = np.unique(np.concatenate([[complex(a)], row]))
         assert zeta.size == row.size + 1
-        free, radii, _ = poly._free_points(zeta[None], np.ones((1, zeta.size)))
+        free, radii, reach, _ = poly._free_points(zeta[None], np.ones((1, zeta.size)))
         if newton:
-            radii = poly._newton_radii(free[0], np.repeat(zeta[None], free.size, axis=0), None)
-            truth = exact.newton_radii(free[0], zeta)
+            radii, truth = reach[0], exact.newton_radii(free[0], zeta)
         else:
             radii, truth = radii[0], exact.critical_radii(free[0], zeta)
         assert all(r >= e for r, e in zip(radii.tolist(), truth))
+
+    @pytest.mark.parametrize("rho", [0.3, 0.75])
+    def test_newton_radius_holds_where_f_prime_cancels(self, rho):
+        # The zeros rho and rho (-1/2 +- i fl(sqrt(3)/2)) sum to 0 in binary64,
+        # so Q = P' = 3z^2 + sigma_2 and Q'(0) = 0: the exact Newton radius
+        # at 0 is inf (about 1e45 at 60 digits), and f' there cancels to its
+        # rounding.  Without f''s margin the float radius reads 26 (rho 0.75)
+        # and 11 (rho 0.3).
+        zeta = rho * np.array([1.0, -0.5 + 0.5j * math.sqrt(3.0), -0.5 - 0.5j * math.sqrt(3.0)])
+        assert zeta.sum() == 0.0
+        w = np.array([[0j, 0.1]])
+        newton = poly._inclusion_radii(w, zeta[None], None)[1]
+        assert all(r >= e for r, e in zip(newton[0].tolist(), exact.newton_radii(w[0], zeta)))
 
     @pytest.mark.parametrize("a, others", [
         (5e-324, (0j,)),         # a/2 = 2^-1075 is no float

@@ -15,7 +15,8 @@ row's largest radius (change over parent), the largest ratio of bracket
 half-widths, the worst difference between the Sendov distances, and how
 many rows give reports identical in bytes: critical points, radii,
 distance, mean real part, half-width and ``converged``.  For each family it prints how
-many of its rows do not, the rows whose verdict differs between the two
+many of its rows do not, how many half-widths the change narrows and how
+many it widens, the rows whose verdict differs between the two
 trees at ``check``'s threshold (the change tree's
 ``polynomial.VIOLATION_THRESHOLD``), each tree's PASS, FAIL and
 UNRESOLVED counts, each row the change leaves UNRESOLVED with its degree,
@@ -131,6 +132,8 @@ def main(argv: list[str]) -> int:
     changed = {family: [] for family in FAMILIES}
     unresolved = {family: [] for family in FAMILIES}
     moved = dict.fromkeys(FAMILIES, 0)
+    # Per family: [half-widths narrowed, half-widths widened] by the change.
+    widths = {family: [0, 0] for family in FAMILIES}
     counts = {family: ({}, {}) for family in FAMILIES}
     # Per family and tree: [rows not converged, seconds in critical_report].
     costs = {family: ([0, 0.0], [0, 0.0]) for family in FAMILIES}
@@ -168,6 +171,8 @@ def main(argv: list[str]) -> int:
                     ratios.append(r_new / r_old)
                 elif r_old != r_new:
                     ratios.append(np.inf if r_new > r_old else 0.0)
+                widths[family][0] += new.distance_radius < old.distance_radius
+                widths[family][1] += new.distance_radius > old.distance_radius
                 if new.distance_radius > old.distance_radius:
                     worst_bracket = max(
                         worst_bracket,
@@ -222,6 +227,9 @@ def main(argv: list[str]) -> int:
     print(f"reports identical in bytes: {identical} of {count}; the others per family:")
     for family, rows_moved in moved.items():
         print(f"  {family}: {rows_moved}")
+    print("half-widths narrowed / widened by the change, per family:")
+    for family, (narrowed, widened) in widths.items():
+        print(f"  {family}: {narrowed} / {widened}")
     print(f"block rows identical to critical_report: {block_identical} of {block_count}")
     print(f"verdict changes at {threshold!r}, per family:")
     for family, lines in changed.items():
