@@ -14,11 +14,12 @@ instance's result does not depend on what else is in the block.
 ``fuzz_sendov`` runs it on seeded random instances, a block at a time, and
 sums a cell of trials into a ``FuzzReport``.
 
-The bracket's lower end comes from the discs, its upper end is the least
-|w - a| + reach over every point: 0 at an exact point, at a free one the
-Newton radius that ``_inclusion_radii`` gives with its disc.  ``roots``
-runs the sweep loop ``_sweeps`` with its own step and takes its radii by
-the same rule, ``_weierstrass_radii``.  Nothing here imports ``roots``.
+``_distance_bracket`` reads one set of points per row: its lower end comes
+from the discs, its upper end is the least |w - a| + reach, where an exact
+point has radius and reach 0 and a free one the disc and Newton radius that
+``_inclusion_radii`` gives it.  ``roots`` runs the sweep loop ``_sweeps``
+with its own step and takes its radii by the same rule,
+``_weierstrass_radii``.  Nothing here imports ``roots``.
 
 All public values are immutable and safe to share across threads.  Every
 rejected argument or instance raises DomainError, the package's one error
@@ -247,13 +248,14 @@ def _minus_rows(column, x, t) -> np.ndarray:
     return np.subtract(column, gathered, out=gathered)
 
 
-def _aberth_corrections(w, zeta, kc, points) -> np.ndarray:
+def _aberth_corrections(w, zeta, k, points) -> np.ndarray:
     """Aberth corrections for the points w[t, i] of ``points`` = (t, i), each
     an approximation to a root of Q in row t.
 
-    Row t has zeros ``zeta[t]`` and multiplicities ``kc[t]`` (complex; None
-    means all ones).  Q'/Q = sum_j 1/(z - zeta_j) + f'/f gives the Newton
-    step f / (f * sum_j 1/(z - zeta_j) + f') at O(g) per point.  Sums run
+    Row t has zeros ``zeta[t]`` and real multiplicities ``k[t]`` (None
+    means all ones), which scale the complex reciprocals as real numbers.
+    Q'/Q = sum_j 1/(z - zeta_j) + f'/f gives the Newton step
+    f / (f * sum_j 1/(z - zeta_j) + f') at O(g) per point.  Sums run
     along the last axis only, with no matrix products: a point's sums then
     round the same whatever else is gathered, and no BLAS threads start.
     The points x g temporaries are gathered, and freed, one at a time.
@@ -262,9 +264,9 @@ def _aberth_corrections(w, zeta, kc, points) -> np.ndarray:
     column = w[t, i, None]
     r = _minus_rows(column, zeta, t)
     np.reciprocal(r, out=r)
-    rk = r if kc is None else r * kc[t]
+    rk = r if k is None else r * k[t]
     f = rk.sum(axis=-1)
-    newton = f * (f if kc is None else r.sum(axis=-1))
+    newton = f * (f if k is None else r.sum(axis=-1))
     newton -= np.multiply(rk, r, out=rk).sum(axis=-1)
     del r, rk
     np.divide(f, newton, out=newton)
@@ -502,27 +504,22 @@ def _free_points(zeta: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
         return points, radii, radii, np.ones(rows, bool)
     if (k == 1.0).all():
         k = None
-    kc = None if k is None else k.astype(np.complex128)
     # By Gauss-Lucas every root of Q lies in the hull of the zeros, so this
     # bounds 1 + |w| for the points worth measuring steps against.
     scale = 1.0 + np.abs(zeta).max(axis=-1)
     points, settled, _ = _sweeps(
-        _starts(zeta, k), zeta, lambda w, moving: _aberth_corrections(w, zeta, kc, moving), scale
+        _starts(zeta, k), zeta, lambda w, moving: _aberth_corrections(w, zeta, k, moving), scale
     )
     return points, *_inclusion_radii(points, zeta, k), settled
 
 
-def _distance_bracket(a, exact, free, free_radii, reach) -> tuple[np.ndarray, np.ndarray]:
-    """(nearest distance to a, bracket half-width) per row of exact points
-    and of free points with their radii and reach.  Every critical point
-    lies in some disc, so none is nearer than min(dist - radius); one lies
-    within dist + reach of every point, reach 0 at an exact one.  The
+def _distance_bracket(a, points, radii, reach) -> tuple[np.ndarray, np.ndarray]:
+    """(nearest distance to a, bracket half-width) per row of critical
+    points with their radii and reach, both 0 at an exact point (a repeated
+    zero).  Every critical point lies in some disc, so none is nearer than
+    min(dist - radius); one lies within dist + reach of every point.  The
     computed |w - a| is within 3 roundings of the true one, and the final
     4u * upper covers the arithmetic on the bracket ends."""
-    points = np.concatenate([exact, free], axis=-1)
-    none = np.zeros(exact.shape)
-    radii = np.concatenate([none, free_radii], axis=-1)
-    reach = np.concatenate([none, reach], axis=-1)
     dist = np.abs(points - a[:, None])
     with np.errstate(invalid="ignore"):
         upper = (dist * (1.0 + 4.0 * _U) + reach).min(axis=-1)
@@ -555,21 +552,21 @@ def critical_report(inst: SendovInstance) -> CriticalPointReport:
 
     Works on the zeros, never on coefficients.  Exactly equal zeros are
     grouped into (zeta_j, k_j): each zeta_j with k_j >= 2 is an exact
-    critical point of multiplicity k_j - 1 (radius 0).  The others are the
-    roots of Q = prod(z - zeta_j) * sum_j k_j/(z - zeta_j), found and
-    certified as a block of one row (see ``_free_points``).
+    critical point of multiplicity k_j - 1 (radius and reach 0).  The
+    others are the roots of Q = prod(z - zeta_j) * sum_j k_j/(z - zeta_j),
+    found and certified as a block of one row (see ``_free_points``).
     """
     zeros = np.asarray(inst.all_zeros())
     n = zeros.size
     zeta, counts = np.unique(zeros, return_counts=True)
     exact = np.repeat(zeta, counts - 1)
-    zeta, k = zeta[None], counts[None] * 1.0
-    free, free_radii, reach, settled = _free_points(zeta, k)
-    a = np.array([inst.a])
-    nearest, half_width = _distance_bracket(a, exact[None], free, free_radii, reach)
-
+    free, free_radii, reach, settled = _free_points(zeta[None], counts[None] * 1.0)
+    none = np.zeros(exact.size)
     points = np.concatenate([exact, free[0]])
-    radii = np.concatenate([np.zeros(exact.size), free_radii[0]])
+    radii = np.concatenate([none, free_radii[0]])
+    reach = np.concatenate([none, reach[0]])
+    a = np.array([inst.a])
+    nearest, half_width = _distance_bracket(a, points[None], radii[None], reach[None])
     order = np.lexsort((points.imag, points.real))
     mean = sum(zeros.real.tolist()) / n
     return CriticalPointReport(
@@ -585,14 +582,6 @@ def critical_report(inst: SendovInstance) -> CriticalPointReport:
 def _block_rows(g: int) -> int:
     """Rows of g zeros in one block of ``sendov_distances``."""
     return max(1, _BLOCK_TEMPORARY // (g * (g - 1)))
-
-
-def _brackets(a: float, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distance, half-width) for rows ``zeta`` of distinct zeros sharing a."""
-    rows = zeta.shape[0]
-    free = _free_points(zeta, np.ones(zeta.shape))[:3]
-    exact = np.empty((rows, 0), np.complex128)
-    return _distance_bracket(np.full(rows, a), exact, *free)
 
 
 def sendov_distances(a: float, other_zeros) -> tuple[np.ndarray, np.ndarray]:
@@ -620,7 +609,8 @@ def sendov_distances(a: float, other_zeros) -> tuple[np.ndarray, np.ndarray]:
     block = _block_rows(g)
     for start in range(0, distinct.size, block):
         t = distinct[start:start + block]
-        distance[t], radius[t] = _brackets(a, zeros[t])
+        free = _free_points(zeros[t], np.ones((t.size, g)))[:3]
+        distance[t], radius[t] = _distance_bracket(np.full(t.size, a), *free)
     return distance, radius
 
 
