@@ -75,6 +75,12 @@ references the tests hold it to.
 ``roots`` share, imports numpy alone: nothing from the package, no
 ``__future__`` and no other library.  So the root finder loads its
 double-double arithmetic without the paper's closed forms.
+
+*sums*: the kernel's sums F = sum k/(w - zeta), S = sum 1/(w - zeta) and
+T = sum k/(w - zeta)^2 are written once, so the starts, the Aberth step
+and the certificate round them alike.  ``polynomial.py`` names
+np.reciprocal only in the functions RECIPROCAL_IN lists: ``_sums``, and
+``_aberth_corrections`` for its sum over a row's other points.
 """
 
 import ast
@@ -148,6 +154,18 @@ ALLOWED_IN = {
 def libm(found, filename):
     return [(line, text) for line, function, _, text, _ in found
             if text in NUMPY_TRANSCENDENTALS and (filename, function) not in ALLOWED_IN]
+
+
+RECIPROCALS = {"np.reciprocal", "numpy.reciprocal"}
+RECIPROCAL_IN = {
+    ("polynomial.py", "_sums"): "F, S and T of the starts, the Aberth step and the certificate",
+    ("polynomial.py", "_aberth_corrections"): "the sum over a row's other points",
+}
+
+
+def sums(found, filename):
+    return [(line, text) for line, function, _, text, _ in found
+            if text in RECIPROCALS and (filename, function) not in RECIPROCAL_IN]
 
 
 # numpy's extended types under every name it has given them, and mpmath.
@@ -230,6 +248,7 @@ RULES = {
     "startup": (("_arguments.py", "cli.py", "polynomial.py"), startup),
     "standalone": (("exact.py",), standalone),
     "leaf": (("_eft.py",), leaf),
+    "sums": (("polynomial.py",), sums),
 }
 
 
@@ -341,6 +360,15 @@ def breakdown(a):
     return reference(a)
 from ._eft import _split, _two_sum
 import math
+def _sums(d, kk):
+    return np.reciprocal(d, out=d)
+def _aberth_corrections(w):
+    return np.reciprocal(w)
+def _starts(zeta):
+    return numpy.reciprocal(zeta) + np.reciprocal(zeta)
+def _inclusion_radii(d):
+    inverse = np.reciprocal
+    return (lambda: np.reciprocal(d))()
 """
 # The lines of SELF_TEST that each rule catches, once per distinct name.
 CAUGHT = {
@@ -371,6 +399,7 @@ CAUGHT = {
                           18, 19, 20, 21, 23, 24, 32, 34, 36, 37, 38, 39, 40, 58, 58, 71, 71, 72,
                           75, 76, 77, 78, 78, 79, 79, 80, 81, 81, 82, 84, 85, 88, 89, 90, 90, 92,
                           94, 94, 95],
+    ("sums", "polynomial.py"): [101, 101, 103, 104],
 }
 
 
